@@ -105,6 +105,16 @@ echo "==> regional scale-out smoke (1-substation E14 sweep point + soak suite)"
 cargo run -q --release --bin spire-sim -- e14 --substations 1 --devices-per 3 >/dev/null
 cargo test -q --release --test regional
 
+echo "==> one unsafe block in the workspace (itcrypto's call into the SHA-extensions backend)"
+# That backend is written with safe intrinsics, so the call into the
+# #[target_feature] function is all there is; clippy and rustdoc above
+# already passed under itcrypto's deny(unsafe_code) + single allow.
+test "$(grep -rl --include='*.rs' 'unsafe {' crates src tests examples)" = crates/itcrypto/src/sha256.rs
+test "$(grep -c 'unsafe {' crates/itcrypto/src/sha256.rs)" -eq 1
+
+echo "==> the benchmark's own gate (build, lints, unit tests, quick runs, manifest)"
+bash benchmark/check.sh
+
 echo "==> line-coverage gate (skips when cargo-llvm-cov is unavailable)"
 ci/coverage.sh
 

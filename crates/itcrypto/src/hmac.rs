@@ -1,7 +1,8 @@
-//! HMAC-SHA-256 (RFC 2104), used for Spines link authentication and as the
-//! PRF behind [`crate::stream`] and key derivation.
+//! HMAC-SHA-256 (RFC 2104), used for Spines link authentication and key
+//! derivation; a key's inner midstate is also the PRF behind
+//! [`crate::stream`]'s keystream.
 
-use crate::sha256::{Digest, Sha256};
+use crate::sha256::{compress, Digest, Sha256, H0};
 
 const BLOCK: usize = 64;
 
@@ -27,20 +28,21 @@ pub fn hmac_sha256_concat(key: &[u8], parts: &[&[u8]]) -> Digest {
     HmacKey::new(key).mac_concat(parts)
 }
 
-/// A precomputed HMAC key: the ipad/opad blocks are absorbed into SHA-256
-/// midstates once at construction, so each [`HmacKey::mac`] costs two
-/// compressions for a short message instead of four plus the key-block
-/// setup. The Spines link layer MACs every keystream block and every
-/// frame, so this is the hottest constructor in the workload — callers
-/// that reuse a key (link crypto, stream cipher) keep one `HmacKey` and
-/// amortize the setup away. Produces bit-identical tags to the one-shot
-/// [`hmac_sha256`] (which is now a thin wrapper).
+/// A precomputed HMAC key: the SHA-256 midstates after absorbing the
+/// ipad and opad blocks, 8 words each. A [`HmacKey::mac`] of a short
+/// message then costs two compressions: the padded inner block(s) from
+/// the inner midstate, and the outer hash finished as **one** compression
+/// of a pre-padded block (inner digest ‖ `0x80` ‖ zeros ‖ bit length 768)
+/// from the outer midstate. The Spines link layer MACs every frame, so
+/// callers that reuse a key (link crypto, stream cipher) keep one
+/// `HmacKey`. Produces bit-identical tags to the one-shot
+/// [`hmac_sha256`] (a thin wrapper).
 #[derive(Clone)]
 pub struct HmacKey {
     /// SHA-256 state after absorbing `key ^ ipad`.
-    inner: Sha256,
+    inner: [u32; 8],
     /// SHA-256 state after absorbing `key ^ opad`.
-    outer: Sha256,
+    outer: [u32; 8],
 }
 
 impl HmacKey {
@@ -54,17 +56,15 @@ impl HmacKey {
         } else {
             k[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0x36u8; BLOCK];
-        let mut opad = [0x5cu8; BLOCK];
-        for i in 0..BLOCK {
-            ipad[i] ^= k[i];
-            opad[i] ^= k[i];
+        let midstate = |pad: u8| {
+            let mut state = H0;
+            compress(&mut state, &k.map(|b| b ^ pad));
+            state
+        };
+        HmacKey {
+            inner: midstate(0x36),
+            outer: midstate(0x5c),
         }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        let mut outer = Sha256::new();
-        outer.update(&opad);
-        HmacKey { inner, outer }
     }
 
     /// Computes `HMAC-SHA-256(key, msg)` from the midstates.
@@ -75,15 +75,37 @@ impl HmacKey {
     /// Computes the HMAC over the concatenation of several parts without
     /// joining them into one buffer.
     pub fn mac_concat(&self, parts: &[&[u8]]) -> Digest {
-        let mut inner = self.inner.clone();
+        let mut inner = Sha256::from_midstate(self.inner, BLOCK as u64);
         for p in parts {
             inner.update(p);
         }
-        let inner_digest = inner.finalize();
-        let mut outer = self.outer.clone();
-        outer.update(inner_digest.as_bytes());
-        outer.finalize()
+        // The outer message is always opad block + 32-byte inner digest.
+        let inner_digest = Digest::from_state(&inner.finalize_state());
+        Digest::from_state(&finish_short(&self.outer, &inner_digest.0))
     }
+
+    /// The keyed inner hash alone, `SHA-256((key ^ ipad) ‖ input)`, on a
+    /// fixed 16-byte input: one compression from the inner midstate. This
+    /// is the PRF behind [`crate::stream`]'s keystream (the compression
+    /// function keyed through its chaining input, the assumption HMAC's
+    /// own proof makes); a key used here must not also be used for
+    /// [`HmacKey::mac`].
+    pub(crate) fn inner_hash16(&self, input: &[u8; 16]) -> [u8; 32] {
+        Digest::from_state(&finish_short(&self.inner, input)).0
+    }
+}
+
+/// Finishes a hash whose `midstate` has absorbed one block and that has
+/// only `tail` left, short enough (at most 55 bytes) to share its block
+/// with the padding: one compression of `tail ‖ 0x80 ‖ zeros ‖ bit length`.
+fn finish_short(midstate: &[u32; 8], tail: &[u8]) -> [u32; 8] {
+    let mut block = [0u8; BLOCK];
+    block[..tail.len()].copy_from_slice(tail);
+    block[tail.len()] = 0x80;
+    block[56..].copy_from_slice(&(8 * (BLOCK + tail.len()) as u64).to_be_bytes());
+    let mut state = *midstate;
+    compress(&mut state, &block);
+    state
 }
 
 /// Constant-time-ish tag comparison. The simulator has no real timing side
@@ -116,39 +138,81 @@ pub fn derive_key(master: &[u8], label: &[u8]) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::probe::{compressions, on_each_backend};
 
-    // RFC 4231 test vectors.
+    // RFC 4231 test vectors, on the portable SHA-256 backend and on the
+    // one this host selects.
     #[test]
-    fn rfc4231_case_1() {
-        let key = [0x0bu8; 20];
-        let tag = hmac_sha256(&key, b"Hi There");
-        assert_eq!(
-            tag.to_hex(),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
+    fn rfc4231_vectors_on_each_backend() {
+        let vectors: [(&[u8], &[u8], &str); 6] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                &[
+                    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22,
+                    23, 24, 25,
+                ],
+                &[0xcd; 50],
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+            ),
+            // 131-byte keys force the key-hashing path.
+            (
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            (
+                &[0xaa; 131],
+                b"This is a test using a larger than block-size key and a larger than \
+                  block-size data. The key needs to be hashed before being used by the HMAC \
+                  algorithm.",
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ];
+        on_each_backend(|| {
+            for (key, msg, hex) in vectors {
+                assert_eq!(hmac_sha256(key, msg).to_hex(), hex);
+            }
+        });
     }
 
     #[test]
-    fn rfc4231_case_2_short_key() {
-        let tag = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            tag.to_hex(),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
+    fn inner_hash_is_the_keyed_inner_sha256() {
+        // The stream cipher's PRF, stated through the public hash: the
+        // ipad block followed by the 16-byte input.
+        let key = [0x42u8; 32];
+        let mut message = [0x36u8; 64 + 16];
+        for (m, k) in message.iter_mut().zip(key) {
+            *m ^= k;
+        }
+        let input: [u8; 16] = std::array::from_fn(|i| i as u8);
+        message[64..].copy_from_slice(&input);
+        let hk = HmacKey::new(&key);
+        on_each_backend(|| {
+            assert_eq!(hk.inner_hash16(&input), crate::sha256::sha256(&message).0);
+        });
+        assert_eq!(compressions(|| _ = hk.inner_hash16(&input)), 1);
     }
 
     #[test]
-    fn rfc4231_case_6_long_key() {
-        // 131-byte key forces the key-hashing path.
-        let key = [0xaau8; 131];
-        let tag = hmac_sha256(
-            &key,
-            b"Test Using Larger Than Block-Size Key - Hash Key First",
-        );
-        assert_eq!(
-            tag.to_hex(),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+    fn short_mac_costs_two_compressions() {
+        let hk = HmacKey::new(b"k");
+        // Up to 55 message bytes share the inner block with the padding.
+        assert_eq!(compressions(|| _ = hk.mac(&[0; 55])), 2);
+        assert_eq!(compressions(|| _ = hk.mac(&[0; 56])), 3);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::schnorr::{self, Signature, G, P, Q};
+use crate::schnorr::{self, Signature, G, Q};
 
 /// A public verification key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,7 +58,7 @@ impl KeyPair {
     pub fn generate(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5bd1);
         let secret = rng.gen_range(1..Q);
-        let public = PublicKey(schnorr::pow_mod(G, secret, P));
+        let public = PublicKey(schnorr::pow_mod_p(G, secret));
         KeyPair {
             secret,
             public,

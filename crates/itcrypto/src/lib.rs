@@ -4,8 +4,12 @@
 //! and symmetric encryption on Spines links). This crate provides
 //! from-scratch implementations with the same *protocol roles*:
 //!
-//! * [`mod@sha256`] — a complete SHA-256 implementation used for all digests.
-//! * [`hmac`] — HMAC-SHA-256 for link authentication and as a PRF.
+//! * [`mod@sha256`] — a complete SHA-256 implementation used for all
+//!   digests: one compression-function entry, a portable backend that is
+//!   always built (and is the test oracle) and an x86-64 SHA-extensions
+//!   backend selected at run time where the CPU has them.
+//! * [`hmac`] — HMAC-SHA-256 for link authentication and key derivation;
+//!   its keyed midstates also serve [`stream`] as a PRF.
 //! * [`schnorr`] — transferable digital signatures (Schnorr over a ~62-bit
 //!   safe-prime group). **Simulation-grade, not secure**: the group is small
 //!   enough that discrete logs are practical for a real attacker. The
@@ -13,7 +17,8 @@
 //!   forgeries without the key are rejected) is faithful.
 //! * [`merkle`] — Merkle trees for state-transfer digests and checkpoints.
 //! * [`keys`] — key pairs, a PKI-style registry, and session keys.
-//! * [`stream`] — an HMAC-counter-mode stream cipher for link encryption.
+//! * [`stream`] — a counter-mode stream cipher (one compression per 32-byte
+//!   keystream block) and encrypt-then-MAC envelope for link encryption.
 //! * [`verify_cache`] — bounded memoization of signature-verification
 //!   verdicts (digest-keyed, observationally invisible).
 //!
@@ -28,7 +33,9 @@
 //! assert!(!kp.public_key().verify(b"open breaker B56", &sig));
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` block in the crate: the call into the `#[target_feature]`
+// SHA-extensions backend in `sha256::compress`, after run-time detection.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hmac;

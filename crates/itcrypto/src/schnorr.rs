@@ -25,7 +25,11 @@ pub const Q: u64 = 2_305_843_009_213_697_249;
 /// Generator of the order-`q` subgroup.
 pub const G: u64 = 4;
 
-/// Multiplies modulo `p` without overflow.
+/// Multiplies modulo any `m` without overflow. The `u128` remainder is a
+/// library call (`__umodti3`); the group arithmetic below uses Montgomery
+/// reduction for its two fixed moduli instead, and this general form
+/// stays for [`is_prime_u64`] and as the oracle the fast path is tested
+/// against.
 #[inline]
 pub fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
@@ -43,6 +47,86 @@ pub fn pow_mod(mut base: u64, mut exp: u64, m: u64) -> u64 {
         exp >>= 1;
     }
     acc
+}
+
+/// Montgomery arithmetic modulo a fixed odd `n < 2^63`, with `R = 2^64`:
+/// a product is reduced with two multiplications and a shift instead of a
+/// 128-bit division. Results are canonical residues, so everything
+/// computed through it is bit-identical to [`mul_mod`]/[`pow_mod`].
+#[derive(Clone, Copy, Debug)]
+struct Montgomery {
+    n: u64,
+    /// `-n^-1 mod R`.
+    n_neg_inv: u64,
+    /// `R^2 mod n`: multiplying by it moves a value into Montgomery form.
+    r2: u64,
+}
+
+impl Montgomery {
+    const fn new(n: u64) -> Self {
+        assert!(n % 2 == 1 && n < 1 << 63);
+        // Newton's iteration doubles the correct low bits of n^-1 mod 2^64
+        // each step, starting from 3 (n * n = 1 mod 8).
+        let mut inv = n;
+        let mut i = 0;
+        while i < 5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n.wrapping_mul(inv)));
+            i += 1;
+        }
+        let r = ((1u128 << 64) % n as u128) as u64;
+        Montgomery {
+            n,
+            n_neg_inv: inv.wrapping_neg(),
+            r2: ((r as u128 * r as u128) % n as u128) as u64,
+        }
+    }
+
+    /// `t / R mod n`, for `t < n * R`.
+    #[inline]
+    fn reduce(&self, t: u128) -> u64 {
+        let m = (t as u64).wrapping_mul(self.n_neg_inv);
+        // t + m * n is divisible by R and below 2 * n * R < 2^128.
+        let u = ((t + m as u128 * self.n as u128) >> 64) as u64;
+        if u >= self.n {
+            u - self.n
+        } else {
+            u
+        }
+    }
+
+    /// Montgomery form of any `a` (reducing it modulo `n` on the way).
+    #[inline]
+    fn enter(&self, a: u64) -> u64 {
+        self.reduce(a as u128 * self.r2 as u128)
+    }
+
+    /// `a * b mod n` for a plain residue `a < n` and any `b`.
+    #[inline]
+    fn mul_mod(&self, a: u64, b: u64) -> u64 {
+        self.reduce(self.reduce(a as u128 * b as u128) as u128 * self.r2 as u128)
+    }
+
+    /// `base^exp mod n` by square-and-multiply, for any `base`.
+    fn pow_mod(&self, base: u64, mut exp: u64) -> u64 {
+        let mut base = self.enter(base);
+        let mut acc = self.enter(1);
+        while exp > 0 {
+            if exp & 1 == 1 {
+                acc = self.reduce(acc as u128 * base as u128);
+            }
+            base = self.reduce(base as u128 * base as u128);
+            exp >>= 1;
+        }
+        self.reduce(acc as u128)
+    }
+}
+
+const MOD_P: Montgomery = Montgomery::new(P);
+const MOD_Q: Montgomery = Montgomery::new(Q);
+
+/// `base^exp mod P`, the group exponentiation.
+pub(crate) fn pow_mod_p(base: u64, exp: u64) -> u64 {
+    MOD_P.pow_mod(base, exp)
 }
 
 /// Deterministic Miller-Rabin primality test, exact for all `u64` using the
@@ -120,15 +204,14 @@ fn challenge(r: u64, pk: u64, msg: &[u8]) -> u64 {
 pub fn sign<R: Rng>(x: u64, pk: u64, msg: &[u8], rng: &mut R) -> Signature {
     // k must be non-zero mod q.
     let k = rng.gen_range(1..Q);
-    let r = pow_mod(G, k, P);
+    let r = pow_mod_p(G, k);
     let e = challenge(r, pk, msg);
-    let s = (k as u128 + mul_mod_q(e, x) as u128) % Q as u128;
-    Signature { e, s: s as u64 }
-}
-
-#[inline]
-fn mul_mod_q(a: u64, b: u64) -> u64 {
-    ((a as u128 * b as u128) % Q as u128) as u64
+    // Both terms are below Q < 2^61: the sum needs one subtraction.
+    let s = k + MOD_Q.mul_mod(e, x);
+    Signature {
+        e,
+        s: if s >= Q { s - Q } else { s },
+    }
 }
 
 /// Verifies a signature against public key `pk = g^x mod p`.
@@ -137,9 +220,9 @@ pub fn verify(pk: u64, msg: &[u8], sig: &Signature) -> bool {
         return false;
     }
     // R' = g^s * pk^{-e} = g^s * pk^{q-e}
-    let gs = pow_mod(G, sig.s, P);
-    let pk_neg_e = pow_mod(pk, Q - (sig.e % Q), P);
-    let r = mul_mod(gs, pk_neg_e, P);
+    let gs = pow_mod_p(G, sig.s);
+    let pk_neg_e = pow_mod_p(pk, Q - sig.e);
+    let r = MOD_P.mul_mod(gs, pk_neg_e);
     challenge(r, pk, msg) == sig.e
 }
 
@@ -226,6 +309,32 @@ mod tests {
         let pk = pow_mod(G, x, P);
         let sig = sign(x, pk, b"m", &mut rng);
         assert_eq!(Signature::from_bytes(&sig.to_bytes()), sig);
+    }
+
+    proptest::proptest! {
+        /// The Montgomery path is the same function as the `u128`
+        /// remainder, for both group moduli (second operand and base
+        /// unreduced, as `sign` and `verify` may pass them).
+        #[test]
+        fn montgomery_matches_naive(a in proptest::any::<u64>(), b in proptest::any::<u64>()) {
+            for (fast, m) in [(MOD_P, P), (MOD_Q, Q)] {
+                assert_eq!(fast.mul_mod(a % m, b), mul_mod(a % m, b, m));
+                assert_eq!(fast.pow_mod(a, b), pow_mod(a, b, m));
+            }
+        }
+    }
+
+    #[test]
+    fn montgomery_matches_naive_on_edge_values() {
+        for (fast, m) in [(MOD_P, P), (MOD_Q, Q)] {
+            let edges = [0, 1, 2, m - 2, m - 1];
+            for a in edges {
+                for b in edges.into_iter().chain([m, u64::MAX]) {
+                    assert_eq!(fast.mul_mod(a, b), mul_mod(a, b, m), "{a} * {b} mod {m}");
+                    assert_eq!(fast.pow_mod(b, a), pow_mod(b, a, m), "{b} ^ {a} mod {m}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,10 +8,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use bytes::Bytes;
-use itcrypto::stream::{open_with, seal_with, LinkKeys, SealedBox};
+use bytes::{BufMut, Bytes};
+use itcrypto::stream::{LinkKeys, KEYSTREAM_BLOCK};
 use simnet::types::IpAddr;
-use simnet::wire::{DecodeError, Reader, Wire, Writer};
+use simnet::wire::{DecodeError, Reader, Wire};
 
 use crate::config::{SpinesConfig, SpinesMode};
 use crate::fairness::FairQueue;
@@ -86,46 +86,60 @@ impl DaemonObs {
     }
 }
 
-/// Wire envelope: mode tag + either plaintext (legacy) or a sealed box.
-enum LinkFrame {
-    Legacy(Vec<u8>),
-    Sealed(SealedBox),
+/// Length of the authentication tag closing a sealed frame.
+const TAG_LEN: usize = 32;
+/// Bytes of a sealed frame before its ciphertext: mode tag, nonce, length.
+const SEALED_HEADER: usize = 1 + 8 + 4;
+
+/// Wire envelope, parsed in place: mode tag + either plaintext (legacy)
+/// or `nonce ‖ length-prefixed ciphertext ‖ tag`.
+enum LinkFrame<'a> {
+    Legacy(&'a [u8]),
+    Sealed {
+        nonce: u64,
+        ciphertext: &'a [u8],
+        tag: &'a [u8; TAG_LEN],
+    },
 }
 
-impl Wire for LinkFrame {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            LinkFrame::Legacy(bytes) => {
-                w.put_u8(0).put_bytes(bytes);
+impl<'a> LinkFrame<'a> {
+    /// Strict parse of a whole datagram; borrows, never allocates.
+    fn parse(data: &'a [u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(data);
+        let frame = match r.get_u8()? {
+            0 => {
+                let len = r.get_u32()? as usize;
+                LinkFrame::Legacy(r.get_raw(len)?)
             }
-            LinkFrame::Sealed(sb) => {
-                w.put_u8(1)
-                    .put_u64(sb.nonce)
-                    .put_bytes(&sb.ciphertext)
-                    .put_raw(&sb.tag);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.get_u8()? {
-            0 => Ok(LinkFrame::Legacy(r.get_bytes()?)),
             1 => {
                 let nonce = r.get_u64()?;
-                let ciphertext = r.get_bytes()?;
-                let tag: [u8; 32] = r
-                    .get_raw(32)?
+                let len = r.get_u32()? as usize;
+                let ciphertext = r.get_raw(len)?;
+                let tag = r
+                    .get_raw(TAG_LEN)?
                     .try_into()
                     .map_err(|_| DecodeError::new("tag"))?;
-                Ok(LinkFrame::Sealed(SealedBox {
+                LinkFrame::Sealed {
                     nonce,
                     ciphertext,
                     tag,
-                }))
+                }
             }
-            _ => Err(DecodeError::new("link frame tag")),
-        }
+            _ => return Err(DecodeError::new("link frame tag")),
+        };
+        r.expect_end()?;
+        Ok(frame)
     }
+}
+
+/// One overlay neighbour: where its frames go and the last nonce used
+/// toward it.
+struct Link {
+    neighbor: u32,
+    addr: IpAddr,
+    /// Outgoing nonce (never reused on a link direction, across restarts
+    /// included: see [`SpinesDaemon::set_seq_base`]).
+    nonce: u64,
 }
 
 /// One Spines overlay daemon.
@@ -136,8 +150,8 @@ pub struct SpinesDaemon {
     next_seq: u64,
     seen: BTreeSet<(u32, u64)>,
     seen_order: VecDeque<(u32, u64)>,
-    /// Outgoing nonce per neighbor (never reused on a link direction).
-    nonces: BTreeMap<u32, u64>,
+    /// This daemon's neighbours, in configuration order.
+    links: Vec<Link>,
     /// Pre-derived link keys per neighbor. Deriving costs four HMAC key
     /// setups; every sealed/opened frame used to pay it, now only the
     /// first frame per link does.
@@ -175,6 +189,17 @@ impl SpinesDaemon {
         let hub = obs::ObsHub::new();
         let counters = DaemonObs::from_hub(&hub, &format!("spines.d{id}"));
         let addr_to_id = cfg.daemons.iter().map(|(&d, &a)| (a, d)).collect();
+        let links = cfg
+            .neighbors(id)
+            .into_iter()
+            .filter_map(|neighbor| {
+                Some(Link {
+                    neighbor,
+                    addr: cfg.addr_of(neighbor)?,
+                    nonce: 0,
+                })
+            })
+            .collect();
         SpinesDaemon {
             cfg,
             id,
@@ -182,7 +207,7 @@ impl SpinesDaemon {
             next_seq: 0,
             seen: BTreeSet::new(),
             seen_order: VecDeque::new(),
-            nonces: BTreeMap::new(),
+            links,
             link_keys: BTreeMap::new(),
             null_keys: None,
             addr_to_id,
@@ -249,13 +274,18 @@ impl SpinesDaemon {
         self.subscriptions.insert(group);
     }
 
-    /// Raises the originating sequence number to at least `base`. A daemon
-    /// restarted after proactive recovery must not reuse sequence numbers
-    /// from its previous life, or peers' flood deduplication silently
-    /// drops everything it sends; hosts derive the base from the (always
+    /// Raises the originating sequence number and every link's nonce to
+    /// at least `base`. A daemon restarted after proactive recovery must
+    /// not reuse sequence numbers from its previous life, or peers' flood
+    /// deduplication silently drops everything it sends; nor may it reuse
+    /// a nonce, because its link keys are the same and a repeated nonce
+    /// repeats the keystream. Hosts derive the base from the (always
     /// advancing) clock at start-up.
     pub fn set_seq_base(&mut self, base: u64) {
         self.next_seq = self.next_seq.max(base);
+        for link in &mut self.links {
+            link.nonce = link.nonce.max(base);
+        }
     }
 
     /// Drains messages delivered to the local application.
@@ -320,29 +350,28 @@ impl SpinesDaemon {
                 .journal(obs::Event::AuthFailure { daemon: self.id });
             return Vec::new();
         };
-        let msg = match self.decode_frame(neighbor, data) {
+        let msg = match self.open_frame(neighbor, data) {
             Ok(m) => m,
-            Err(failure) => {
-                match failure {
-                    FrameFailure::Auth => {
+            Err(dropped) => {
+                match dropped {
+                    Dropped::Auth => {
                         self.stats.auth_failures += 1;
                         self.c.auth_failures.inc();
                         self.obs
                             .journal(obs::Event::AuthFailure { daemon: self.id });
                     }
-                    FrameFailure::Malformed => {
+                    Dropped::Malformed => {
                         self.stats.malformed += 1;
                         self.c.malformed.inc();
+                    }
+                    Dropped::Duplicate => {
+                        self.stats.duplicates += 1;
+                        self.c.duplicates.inc();
                     }
                 }
                 return Vec::new();
             }
         };
-        if self.seen.contains(&(msg.src, msg.seq)) {
-            self.stats.duplicates += 1;
-            self.c.duplicates.inc();
-            return Vec::new();
-        }
         self.remember(msg.src, msg.seq);
         self.maybe_deliver(&msg);
         // Queue for fair forwarding, then drain a budget.
@@ -356,10 +385,15 @@ impl SpinesDaemon {
         out
     }
 
-    /// The cached real link keys for this daemon's link to `neighbor`.
-    fn real_keys(&mut self, neighbor: u32) -> &LinkKeys {
-        let (cfg, id) = (&self.cfg, self.id);
-        self.link_keys
+    /// The cached real link keys for this daemon's link to `neighbor`
+    /// (borrowing only the key cache, so callers keep the other fields).
+    fn real_keys<'k>(
+        link_keys: &'k mut BTreeMap<u32, LinkKeys>,
+        cfg: &SpinesConfig,
+        id: u32,
+        neighbor: u32,
+    ) -> &'k LinkKeys {
+        link_keys
             .entry(neighbor)
             .or_insert_with(|| LinkKeys::derive(&cfg.link_key(id, neighbor)))
     }
@@ -371,28 +405,64 @@ impl SpinesDaemon {
     /// produce frames its peers accept.
     fn seal_keys(&mut self, neighbor: u32) -> &LinkKeys {
         if self.has_keys {
-            self.real_keys(neighbor)
+            Self::real_keys(&mut self.link_keys, &self.cfg, self.id, neighbor)
         } else {
             self.null_keys
                 .get_or_insert_with(|| LinkKeys::derive(&[0u8; 32]))
         }
     }
 
-    fn decode_frame(&mut self, neighbor: u32, data: &[u8]) -> Result<SpinesMsg, FrameFailure> {
-        let frame = LinkFrame::from_wire(data).map_err(|_| FrameFailure::Malformed)?;
-        let plaintext = match (self.cfg.mode, frame) {
-            (SpinesMode::IntrusionTolerant, LinkFrame::Sealed(sb)) => {
+    /// Authenticates and decodes one received frame, unless flood
+    /// deduplication drops it first. Nine frames in ten on a full mesh
+    /// are copies of a message already seen, so a sealed frame is opened
+    /// in two steps: the MAC over the whole frame is checked, then only
+    /// the first keystream block is decrypted, which holds the `(src,
+    /// seq)` the `seen` set is keyed by; the rest is decrypted and
+    /// decoded for a new message only. (So a key holder replaying a seen
+    /// `(src, seq)` over a garbage body counts as a duplicate, not as
+    /// malformed; nothing else can tell the order of the two checks.)
+    fn open_frame(&mut self, neighbor: u32, data: &[u8]) -> Result<SpinesMsg, Dropped> {
+        let frame = LinkFrame::parse(data).map_err(|_| Dropped::Malformed)?;
+        match (self.cfg.mode, frame) {
+            (
+                SpinesMode::IntrusionTolerant,
+                LinkFrame::Sealed {
+                    nonce,
+                    ciphertext,
+                    tag,
+                },
+            ) => {
                 obs::prof::charge_crypto("spines;hop", obs::prof::CryptoOp::Hmac, 1);
-                let plain = open_with(self.real_keys(neighbor), &sb).ok_or(FrameFailure::Auth)?;
+                let keys = Self::real_keys(&mut self.link_keys, &self.cfg, self.id, neighbor);
+                if !keys.verify(nonce, ciphertext, tag) {
+                    return Err(Dropped::Auth);
+                }
                 self.c.opened.inc();
-                plain
+                let head_len = ciphertext.len().min(KEYSTREAM_BLOCK);
+                let mut head = [0u8; KEYSTREAM_BLOCK];
+                head[..head_len].copy_from_slice(&ciphertext[..head_len]);
+                keys.decrypt_from(nonce, 0, &mut head[..head_len]);
+                let (src, seq) = dedup_key(&head[..head_len]).ok_or(Dropped::Malformed)?;
+                if self.seen.contains(&(src, seq)) {
+                    return Err(Dropped::Duplicate);
+                }
+                let mut plaintext = Vec::with_capacity(ciphertext.len());
+                plaintext.extend_from_slice(&head[..head_len]);
+                plaintext.extend_from_slice(&ciphertext[head_len..]);
+                keys.decrypt_from(nonce, 1, &mut plaintext[head_len..]);
+                SpinesMsg::from_wire(&plaintext).map_err(|_| Dropped::Malformed)
             }
-            (SpinesMode::Legacy, LinkFrame::Legacy(bytes)) => bytes,
+            (SpinesMode::Legacy, LinkFrame::Legacy(plaintext)) => {
+                let msg = SpinesMsg::from_wire(plaintext).map_err(|_| Dropped::Malformed)?;
+                if self.seen.contains(&(msg.src, msg.seq)) {
+                    return Err(Dropped::Duplicate);
+                }
+                Ok(msg)
+            }
             // Mode mismatch: an unencrypted daemon talking to an
             // intrusion-tolerant network (or vice versa) is rejected.
-            _ => return Err(FrameFailure::Auth),
-        };
-        SpinesMsg::from_wire(&plaintext).map_err(|_| FrameFailure::Malformed)
+            _ => Err(Dropped::Auth),
+        }
     }
 
     fn maybe_deliver(&mut self, msg: &SpinesMsg) {
@@ -429,31 +499,41 @@ impl SpinesDaemon {
     }
 
     fn flood(&mut self, msg: &SpinesMsg, exclude: Option<u32>) -> Vec<(IpAddr, Bytes)> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.links.len());
         // Serialize once; only the per-link sealing differs per neighbor.
         let plaintext = msg.to_wire();
-        for neighbor in self.cfg.neighbors(self.id) {
+        for i in 0..self.links.len() {
+            let Link { neighbor, addr, .. } = self.links[i];
             if Some(neighbor) == exclude {
                 continue;
             }
-            let Some(addr) = self.cfg.addr_of(neighbor) else {
-                continue;
-            };
-            let frame = match self.cfg.mode {
-                SpinesMode::Legacy => LinkFrame::Legacy(plaintext.to_vec()),
+            let mut frame = Vec::with_capacity(SEALED_HEADER + plaintext.len() + TAG_LEN);
+            match self.cfg.mode {
+                SpinesMode::Legacy => {
+                    frame.put_u8(0);
+                    frame.put_u32(plaintext.len() as u32);
+                    frame.put_slice(&plaintext);
+                }
                 SpinesMode::IntrusionTolerant => {
-                    let nonce = self.nonces.entry(neighbor).or_insert(0);
-                    *nonce += 1;
-                    let nonce = *nonce;
+                    self.links[i].nonce += 1;
+                    let nonce = self.links[i].nonce;
                     self.c.sealed.inc();
                     obs::prof::charge_crypto("spines;hop", obs::prof::CryptoOp::Hmac, 1);
-                    LinkFrame::Sealed(seal_with(self.seal_keys(neighbor), nonce, &plaintext))
+                    // Seal in place, straight into the outgoing buffer.
+                    frame.put_u8(1);
+                    frame.put_u64(nonce);
+                    frame.put_u32(plaintext.len() as u32);
+                    frame.put_slice(&plaintext);
+                    let tag = self
+                        .seal_keys(neighbor)
+                        .seal_in_place(nonce, &mut frame[SEALED_HEADER..]);
+                    frame.put_slice(&tag);
                 }
-            };
+            }
             self.stats.forwarded += 1;
             self.c.forwarded.inc();
             obs::prof::charge_msg("spines;hop", 1, plaintext.len() as u64);
-            out.push((addr, frame.to_wire()));
+            out.push((addr, Bytes::from(frame)));
         }
         out
     }
@@ -470,9 +550,18 @@ impl SpinesDaemon {
     }
 }
 
-enum FrameFailure {
+/// Why a received frame went no further.
+enum Dropped {
     Auth,
     Malformed,
+    Duplicate,
+}
+
+/// The `(src, seq)` a [`SpinesMsg`] plaintext begins with.
+fn dedup_key(plaintext: &[u8]) -> Option<(u32, u64)> {
+    let (src, rest) = plaintext.split_first_chunk::<4>()?;
+    let (seq, _) = rest.split_first_chunk::<8>()?;
+    Some((u32::from_be_bytes(*src), u64::from_be_bytes(*seq)))
 }
 
 impl std::fmt::Debug for SpinesDaemon {
@@ -680,6 +769,30 @@ mod tests {
             peer.on_wire(from, &bytes);
         }
         assert_eq!(peer.take_deliveries().len(), 1);
+    }
+
+    #[test]
+    fn incarnations_never_reuse_a_link_nonce() {
+        // Proactive recovery rebuilds the daemon under the same link keys:
+        // a nonce used twice on a link direction is a keystream used
+        // twice. Hosts pass the same clock-derived base as for `seq`.
+        let c = cfg(3, SpinesMode::IntrusionTolerant);
+        let emitted = |base_us: u64, messages: u8| {
+            let mut d = SpinesDaemon::new(0, c.clone());
+            d.set_seq_base(base_us << 16);
+            let mut nonces = BTreeSet::new();
+            for i in 0..messages {
+                for (to, frame) in d.multicast(4, 1, Bytes::from(vec![i])) {
+                    let nonce = u64::from_be_bytes(frame[1..9].try_into().expect("8 bytes"));
+                    assert!(nonces.insert((to, nonce)), "reuse within one life");
+                }
+            }
+            nonces
+        };
+        let first = emitted(0, 40);
+        let second = emitted(7, 40);
+        assert_eq!(first.len(), 80);
+        assert!(first.is_disjoint(&second), "a restart replayed a nonce");
     }
 
     #[test]

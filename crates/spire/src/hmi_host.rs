@@ -264,6 +264,8 @@ impl HmiHost {
 impl Process for HmiHost {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         ctx.listen(EXTERNAL_SPINES_PORT);
+        self.external
+            .set_seq_base(crate::replica_host::restart_seq_base(ctx));
         if let Some(cycle) = &self.cycle {
             ctx.set_timer(cycle.period, CYCLE_TIMER);
         }

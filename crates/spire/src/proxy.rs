@@ -318,6 +318,8 @@ impl Process for PlcProxy {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         ctx.listen(EXTERNAL_SPINES_PORT);
         ctx.listen(PROXY_MODBUS_PORT);
+        self.external
+            .set_seq_base(crate::replica_host::restart_seq_base(ctx));
         ctx.set_timer(self.poll_interval, POLL_TIMER);
         ctx.log(format!(
             "plc-proxy {} online ({})",

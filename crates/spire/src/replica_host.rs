@@ -246,14 +246,23 @@ impl ReplicaHost {
     }
 }
 
+/// The overlay sequence/nonce floor for a daemon started now: the clock
+/// only advances, and no daemon sends 2^16 frames in a microsecond, so
+/// every incarnation of a host starts above all its earlier ones.
+pub(crate) fn restart_seq_base(ctx: &Context<'_>) -> u64 {
+    ctx.now().as_micros() << 16
+}
+
 impl Process for ReplicaHost {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         ctx.listen(INTERNAL_SPINES_PORT);
         ctx.listen(EXTERNAL_SPINES_PORT);
         // A freshly recovered daemon must not reuse overlay sequence
-        // numbers from its previous life (peers deduplicate floods); the
-        // clock-derived base guarantees uniqueness across incarnations.
-        let seq_base = ctx.now().as_micros() << 16;
+        // numbers (peers deduplicate floods) or link nonces (same link
+        // keys, so the keystream would repeat) from its previous life;
+        // the clock-derived base guarantees uniqueness across
+        // incarnations.
+        let seq_base = restart_seq_base(ctx);
         self.internal.set_seq_base(seq_base);
         self.external.set_seq_base(seq_base);
         ctx.set_timer(TICK, TICK_TIMER);

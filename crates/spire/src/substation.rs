@@ -341,6 +341,8 @@ impl Process for SubstationProxy {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         ctx.listen(EXTERNAL_SPINES_PORT);
         ctx.listen(SUBSTATION_MODBUS_PORT);
+        self.external
+            .set_seq_base(crate::replica_host::restart_seq_base(ctx));
         ctx.set_timer(self.sweep_interval, SWEEP_TIMER);
         ctx.log(format!(
             "substation-proxy {} online ({} devices)",
