@@ -112,6 +112,18 @@ echo "==> one unsafe block in the workspace (itcrypto's call into the SHA-extens
 test "$(grep -rl --include='*.rs' 'unsafe {' crates src tests examples)" = crates/itcrypto/src/sha256.rs
 test "$(grep -c 'unsafe {' crates/itcrypto/src/sha256.rs)" -eq 1
 
+echo "==> hash tables in crates/ hash by a fixed function (no RandomState: a run must repeat)"
+# VerifyCache and the Spines daemon probe theirs by key and never walk them.
+if grep -rn --include='*.rs' 'RandomState' crates; then
+    exit 1
+fi
+
+echo "==> ci/profile.sh parses (the profiler itself is run by hand)"
+bash -n ci/profile.sh
+for tool in cc python3 addr2line; do
+    command -v "$tool" >/dev/null || echo "    note: no $tool here, ci/profile.sh would skip"
+done
+
 echo "==> the benchmark's own gate (build, lints, unit tests, quick runs, manifest)"
 bash benchmark/check.sh
 

@@ -13,17 +13,51 @@
 //! verification. A hit can only return the verdict of a byte-identical
 //! earlier check (absent a SHA-256 collision). Eviction is FIFO and
 //! deterministic; an evicted entry is simply re-verified on next use.
+//!
+//! Verdicts are looked up in a hash table whose hash is the first eight
+//! bytes of the key: a SHA-256 output needs no further mixing, and a fixed
+//! function of the key keeps the table the same from run to run. The
+//! table is only ever probed by key, never walked, so its layout cannot
+//! reach an output; eviction order is the `order` queue's.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::sha256::{Digest, Sha256};
+
+/// A cache key as the verdict table sees it: hashed by its prefix.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Key(Digest);
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.prefix_u64());
+    }
+}
+
+/// The hasher of the verdict table: the `u64` a [`Key`] hands it.
+#[derive(Clone, Copy, Debug, Default)]
+struct PrefixHasher(u64);
+
+impl Hasher for PrefixHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a Key hashes as one u64");
+    }
+
+    fn write_u64(&mut self, prefix: u64) {
+        self.0 = prefix;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A bounded FIFO cache of verification verdicts keyed by a digest of
 /// the verified bytes.
 #[derive(Clone, Debug, Default)]
 pub struct VerifyCache {
-    verdicts: BTreeMap<Digest, bool>,
+    verdicts: HashMap<Key, bool, BuildHasherDefault<PrefixHasher>>,
     order: VecDeque<Digest>,
     cap: usize,
     /// Lookups answered from the cache.
@@ -36,7 +70,7 @@ impl VerifyCache {
     /// Creates a cache holding at most `cap` verdicts (0 disables caching).
     pub fn new(cap: usize) -> Self {
         VerifyCache {
-            verdicts: BTreeMap::new(),
+            verdicts: HashMap::default(),
             order: VecDeque::new(),
             cap,
             hits: 0,
@@ -65,17 +99,17 @@ impl VerifyCache {
         if self.cap == 0 {
             return verify();
         }
-        if let Some(&verdict) = self.verdicts.get(&key) {
+        if let Some(&verdict) = self.verdicts.get(&Key(key)) {
             self.hits += 1;
             return verdict;
         }
         self.misses += 1;
         let verdict = verify();
-        if self.verdicts.insert(key, verdict).is_none() {
+        if self.verdicts.insert(Key(key), verdict).is_none() {
             self.order.push_back(key);
             if self.order.len() > self.cap {
                 if let Some(old) = self.order.pop_front() {
-                    self.verdicts.remove(&old);
+                    self.verdicts.remove(&Key(old));
                 }
             }
         }
@@ -96,6 +130,71 @@ impl VerifyCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The cache as it was: an ordered map and a FIFO.
+    #[derive(Default)]
+    struct Model {
+        verdicts: BTreeMap<Digest, bool>,
+        order: VecDeque<Digest>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl Model {
+        fn check(&mut self, cap: usize, key: Digest, verdict: bool) -> bool {
+            if cap == 0 {
+                return verdict;
+            }
+            if let Some(&cached) = self.verdicts.get(&key) {
+                self.hits += 1;
+                return cached;
+            }
+            self.misses += 1;
+            self.verdicts.insert(key, verdict);
+            self.order.push_back(key);
+            if self.order.len() > cap {
+                let old = self.order.pop_front().expect("non-empty");
+                self.verdicts.remove(&old);
+            }
+            verdict
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn hash_table_matches_the_ordered_map_model(
+            cap in 0usize..4,
+            // Few distinct keys, so streams revisit evicted and live ones;
+            // the verdict offered changes between visits, the cached one
+            // must not.
+            stream in proptest::collection::vec((0u64..100, any::<bool>()), 0..300),
+        ) {
+            let cap = [0, 1, 2, 64][cap];
+            let mut cache = VerifyCache::new(cap);
+            let mut model = Model::default();
+            for (principal, verdict) in stream {
+                let key = VerifyCache::key(b"model", principal, b"m", b"s");
+                prop_assert_eq!(cache.check(key, || verdict), model.check(cap, key, verdict));
+                prop_assert_eq!((cache.hits, cache.misses), (model.hits, model.misses));
+                prop_assert_eq!(cache.len(), model.verdicts.len());
+                prop_assert!(cache.len() <= cap);
+            }
+        }
+    }
+
+    #[test]
+    fn keys_sharing_a_prefix_are_told_apart() {
+        // Same first eight bytes, so the same hash: equality is on all 32.
+        let (a, mut b) = (Digest([7; 32]), Digest([7; 32]));
+        b.0[31] = 8;
+        let mut c = VerifyCache::new(8);
+        assert!(c.check(a, || true));
+        assert!(!c.check(b, || false));
+        assert!(c.check(a, || panic!("cached")));
+        assert_eq!((c.hits, c.misses, c.len()), (1, 2, 2));
+    }
 
     #[test]
     fn caches_and_counts() {

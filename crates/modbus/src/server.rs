@@ -14,7 +14,7 @@ const MAX_REGS: u16 = 125;
 /// inputs (read-only bits), holding registers (read/write words), input
 /// registers (read-only words), plus the vendor "configuration image" that
 /// function codes 0x5A/0x5B dump and replace.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DataStore {
     coils: Vec<bool>,
     discrete_inputs: Vec<bool>,

@@ -93,9 +93,10 @@ impl BreakerBank {
         changed
     }
 
-    /// The mechanical positions (the ground truth SCADA reads back).
-    pub fn positions(&self) -> Vec<bool> {
-        self.breakers.iter().map(|b| b.position).collect()
+    /// The mechanical positions (the ground truth SCADA reads back), in
+    /// breaker order.
+    pub fn positions(&self) -> impl ExactSizeIterator<Item = bool> + '_ {
+        self.breakers.iter().map(|b| b.position)
     }
 
     /// The commanded states (the coil values).
@@ -136,10 +137,10 @@ mod tests {
         assert!(b.command(0, false, SimTime(0)));
         // Immediately after the command, position unchanged.
         assert_eq!(b.step(SimTime(10_000)), Vec::<usize>::new());
-        assert!(b.positions()[0]);
+        assert!(b.breaker(0).expect("idx").position);
         // After the operate delay, the position follows.
         assert_eq!(b.step(SimTime(40_000)), vec![0]);
-        assert!(!b.positions()[0]);
+        assert!(!b.breaker(0).expect("idx").position);
         assert_eq!(b.breaker(0).expect("idx").operations, 1);
     }
 
@@ -167,14 +168,14 @@ mod tests {
         let changed = b.step(SimTime(100_000));
         // Position was already closed; commanded is closed: no change fires.
         assert!(changed.is_empty());
-        assert!(b.positions()[0]);
+        assert!(b.breaker(0).expect("idx").position);
     }
 
     #[test]
     fn force_position_is_immediate() {
         let mut b = bank();
         assert!(b.force_position(2, false));
-        assert!(!b.positions()[2]);
+        assert!(!b.breaker(2).expect("idx").position);
         assert!(!b.commanded()[2]);
     }
 

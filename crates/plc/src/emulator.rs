@@ -37,6 +37,14 @@ pub struct PlcEmulator {
     store: DataStore,
     config: LogicConfig,
     last_adopted_image: Vec<u8>,
+    /// The breaker positions the power flow was last solved for, and the
+    /// current through each breaker then. Currents are a function of the
+    /// positions alone, so a scan re-solves only when a breaker has moved.
+    solved_positions: Vec<bool>,
+    solved_currents: Vec<u16>,
+    /// Power-flow solves so far.
+    #[cfg(test)]
+    solves: u64,
     scan_interval: SimDuration,
     /// Modbus requests answered.
     pub requests_served: u64,
@@ -95,6 +103,10 @@ impl PlcEmulator {
             store,
             config,
             last_adopted_image: image,
+            solved_positions: Vec::new(),
+            solved_currents: Vec::new(),
+            #[cfg(test)]
+            solves: 0,
             scan_interval,
             requests_served: 0,
             invalid_frames: 0,
@@ -122,7 +134,7 @@ impl PlcEmulator {
 
     /// Current mechanical breaker positions.
     pub fn positions(&self) -> Vec<bool> {
-        self.bank.positions()
+        self.bank.positions().collect()
     }
 
     /// The currently active logic configuration.
@@ -138,7 +150,7 @@ impl PlcEmulator {
 
     /// Count of loads currently energized (derived ground truth).
     pub fn energized_loads(&self) -> usize {
-        self.topology.energized_count(&self.bank.positions())
+        self.topology.energized_count(&self.positions())
     }
 
     /// Runs one scan cycle at `now` (public so the direct-wire proxy and
@@ -161,18 +173,37 @@ impl PlcEmulator {
         }
         // 3. Mechanics.
         for idx in self.bank.step(now) {
-            let closed = self.bank.positions()[idx];
+            let closed = self.bank.breaker(idx).is_some_and(|b| b.position);
             self.position_log.push((now, idx as u16, closed));
             // A commanded operation completed its operate delay: the
             // mechanical actuation terminates the command trace.
             let cmd = self.pending_cmd_trace.take();
             let _ = self.obs.instant_span(cmd, Stage::Actuate, self.trace_node);
         }
-        // 4. Publish feedback.
-        let positions = self.bank.positions();
-        for (i, &closed) in positions.iter().enumerate() {
+        // 4. Publish feedback, every scan; the currents are solved anew
+        // only for positions other than the last ones solved for.
+        if !self
+            .bank
+            .positions()
+            .eq(self.solved_positions.iter().copied())
+        {
+            self.solved_positions.clear();
+            self.solved_positions.extend(self.bank.positions());
+            self.solved_currents.clear();
+            let current = |i| {
+                self.topology
+                    .breaker_current(i as u16, &self.solved_positions)
+            };
+            self.solved_currents
+                .extend((0..self.solved_positions.len()).map(current));
+            #[cfg(test)]
+            {
+                self.solves += 1;
+            }
+        }
+        let feedback = self.solved_positions.iter().zip(&self.solved_currents);
+        for (i, (&closed, &current)) in feedback.enumerate() {
             self.store.set_discrete_input(i as u16, closed);
-            let current = self.topology.breaker_current(i as u16, &positions);
             self.store.set_input(i as u16, current);
         }
         // A physically flipped position is now visible to polls; the
@@ -266,6 +297,71 @@ impl Process for PlcEmulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn unchanged_positions_are_solved_once_and_a_flip_once_more() {
+        let mut plc = PlcEmulator::new(Scenario::RedTeamDistribution);
+        for scan in 0..1_000u64 {
+            plc.scan(SimTime(scan * 10_000));
+        }
+        assert_eq!(plc.solves, 1);
+        assert_eq!(plc.store().input(0), Some(400));
+        plc.force_breaker(1, false, SimTime(10_000_000));
+        for scan in 1_000..2_000u64 {
+            plc.scan(SimTime(scan * 10_000));
+        }
+        assert_eq!(plc.solves, 2);
+        assert_eq!(plc.store().input(0), Some(200));
+        assert_eq!(plc.store().input(1), Some(0));
+    }
+
+    proptest! {
+        /// The remembered currents are invisible: against a twin that
+        /// forgets them before every scan, any interleaving of scans,
+        /// coil writes, physical operations and config uploads leaves the
+        /// same data store and the same position log at every step.
+        #[test]
+        fn remembering_currents_changes_nothing_observable(
+            ops in proptest::collection::vec((0u8..8, any::<u16>(), any::<u32>()), 1..80),
+        ) {
+            let mut plc = PlcEmulator::new(Scenario::RedTeamDistribution);
+            let mut twin = PlcEmulator::new(Scenario::RedTeamDistribution);
+            let mut now = SimTime(0);
+            for (op, a, b) in ops {
+                let breaker = a % 8; // one past the bank: rejected by both
+                let on = b & 1 == 1;
+                for device in [&mut plc, &mut twin] {
+                    match op {
+                        0..4 => device.scan(now),
+                        4 | 5 => {
+                            device.handle_request(&Request::WriteSingleCoil {
+                                address: breaker,
+                                value: on,
+                            });
+                        }
+                        6 => device.force_breaker(breaker, on, now),
+                        _ => {
+                            let image = LogicConfig {
+                                invert_commands: b & 2 != 0,
+                                force_open_mask: (b >> 8) & 0x7f & u32::from(a),
+                                force_closed_mask: (b >> 16) & 0x7f & u32::from(a >> 8),
+                                accept_remote_commands: b & 4 == 0,
+                                ..LogicConfig::factory()
+                            }
+                            .to_image();
+                            device.handle_request(&Request::ConfigUpload { image });
+                        }
+                    }
+                }
+                twin.solved_positions.clear();
+                now += SimDuration::from_millis(u64::from(a % 5) * 10);
+                prop_assert_eq!(plc.store(), twin.store());
+                prop_assert_eq!(&plc.position_log, &twin.position_log);
+            }
+            prop_assert!(plc.solves <= twin.solves);
+        }
+    }
 
     #[test]
     fn scan_applies_coil_to_breaker_after_delay() {

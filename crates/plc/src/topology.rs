@@ -6,7 +6,8 @@
 //! SCADA masters can always re-poll (§III-A) — the property that lets
 //! Spire recover from temporary assumption breaches.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A vertex in the electrical graph.
@@ -34,11 +35,31 @@ pub struct BreakerEdge {
 }
 
 /// An electrical topology with named loads.
+///
+/// Nodes are interned to dense indices as the topology is built, so the
+/// energization solver walks vectors: a PLC asks it for every breaker's
+/// current whenever a breaker moves.
 #[derive(Clone, Debug, Default)]
 pub struct PowerTopology {
     edges: Vec<BreakerEdge>,
-    load_names: BTreeMap<u16, String>,
-    source_count: u16,
+    /// Named loads by id: the name and the load node's dense index.
+    loads: BTreeMap<u16, (String, usize)>,
+    /// Dense indices of the sources, `Source(0)` first.
+    sources: Vec<usize>,
+    /// Every node an edge, source or load names; a node's position here is
+    /// its dense index.
+    nodes: Vec<BusNode>,
+    /// Per node, its `(neighbour, guarding breaker)` pairs.
+    adjacency: Vec<Vec<(usize, u16)>>,
+    /// Scratch of the solver, kept between queries.
+    search: RefCell<Search>,
+}
+
+/// The solver's reusable buffers.
+#[derive(Clone, Debug, Default)]
+struct Search {
+    visited: Vec<bool>,
+    frontier: Vec<usize>,
 }
 
 impl PowerTopology {
@@ -49,25 +70,40 @@ impl PowerTopology {
 
     /// Adds a source and returns its node.
     pub fn add_source(&mut self) -> BusNode {
-        let id = self.source_count;
-        self.source_count += 1;
-        BusNode::Source(id)
+        let source = BusNode::Source(self.sources.len() as u16);
+        let at = self.index_of(source);
+        self.sources.push(at);
+        source
     }
 
     /// Registers a named load and returns its node.
     pub fn add_load(&mut self, id: u16, name: impl Into<String>) -> BusNode {
-        self.load_names.insert(id, name.into());
+        let at = self.index_of(BusNode::Load(id));
+        self.loads.insert(id, (name.into(), at));
         BusNode::Load(id)
     }
 
     /// Adds a breaker-guarded edge.
     pub fn add_breaker(&mut self, breaker: u16, name: impl Into<String>, a: BusNode, b: BusNode) {
+        let (ia, ib) = (self.index_of(a), self.index_of(b));
+        self.adjacency[ia].push((ib, breaker));
+        self.adjacency[ib].push((ia, breaker));
         self.edges.push(BreakerEdge {
             breaker,
             name: name.into(),
             a,
             b,
         });
+    }
+
+    /// The dense index of `node`, interning it on first sight.
+    fn index_of(&mut self, node: BusNode) -> usize {
+        if let Some(i) = self.nodes.iter().position(|&n| n == node) {
+            return i;
+        }
+        self.nodes.push(node);
+        self.adjacency.push(Vec::new());
+        self.nodes.len() - 1
     }
 
     /// All breaker edges.
@@ -98,45 +134,60 @@ impl PowerTopology {
 
     /// Named loads as `(id, name)` pairs.
     pub fn loads(&self) -> impl Iterator<Item = (u16, &str)> {
-        self.load_names.iter().map(|(id, n)| (*id, n.as_str()))
+        self.loads.iter().map(|(id, (n, _))| (*id, n.as_str()))
+    }
+
+    /// Marks every node some path of closed breakers connects to a source
+    /// and hands the marks, by dense index, to `read`. `closed[i]` =
+    /// breaker `i` closed; breakers beyond `closed.len()`, and `held_open`,
+    /// count as open.
+    fn with_energized<R>(
+        &self,
+        closed: &[bool],
+        held_open: Option<u16>,
+        read: impl FnOnce(&[bool]) -> R,
+    ) -> R {
+        let mut search = self.search.borrow_mut();
+        let Search { visited, frontier } = &mut *search;
+        visited.clear();
+        visited.resize(self.nodes.len(), false);
+        frontier.clear();
+        for &source in &self.sources {
+            visited[source] = true;
+            frontier.push(source);
+        }
+        while let Some(n) = frontier.pop() {
+            for &(m, breaker) in &self.adjacency[n] {
+                let conducts = Some(breaker) != held_open
+                    && closed.get(breaker as usize).copied().unwrap_or(false);
+                if conducts && !visited[m] {
+                    visited[m] = true;
+                    frontier.push(m);
+                }
+            }
+        }
+        read(visited)
+    }
+
+    /// Count of energized loads with `held_open` treated as open.
+    fn energized_count_without(&self, closed: &[bool], held_open: Option<u16>) -> usize {
+        self.with_energized(closed, held_open, |energized| {
+            self.loads.values().filter(|(_, at)| energized[*at]).count()
+        })
     }
 
     /// Computes which loads are energized given `closed[i]` = breaker `i`
     /// closed. Breakers beyond `closed.len()` are treated as open.
     pub fn energized_loads(&self, closed: &[bool]) -> BTreeMap<u16, bool> {
-        let mut adj: BTreeMap<BusNode, Vec<BusNode>> = BTreeMap::new();
-        for e in &self.edges {
-            if closed.get(e.breaker as usize).copied().unwrap_or(false) {
-                adj.entry(e.a).or_default().push(e.b);
-                adj.entry(e.b).or_default().push(e.a);
-            }
-        }
-        let mut reached: BTreeMap<BusNode, bool> = BTreeMap::new();
-        let mut queue: VecDeque<BusNode> = (0..self.source_count).map(BusNode::Source).collect();
-        for s in &queue {
-            reached.insert(*s, true);
-        }
-        while let Some(n) = queue.pop_front() {
-            if let Some(neigh) = adj.get(&n) {
-                for &m in neigh {
-                    if reached.insert(m, true).is_none() {
-                        queue.push_back(m);
-                    }
-                }
-            }
-        }
-        self.load_names
-            .keys()
-            .map(|&id| (id, reached.contains_key(&BusNode::Load(id))))
-            .collect()
+        self.with_energized(closed, None, |energized| {
+            let state = |(&id, &(_, at)): (&u16, &(String, usize))| (id, energized[at]);
+            self.loads.iter().map(state).collect()
+        })
     }
 
     /// Count of energized loads.
     pub fn energized_count(&self, closed: &[bool]) -> usize {
-        self.energized_loads(closed)
-            .values()
-            .filter(|&&v| v)
-            .count()
+        self.energized_count_without(closed, None)
     }
 
     /// A nominal current (amps) per closed source-side breaker: proportional
@@ -149,11 +200,7 @@ impl PowerTopology {
         // Current through a breaker ~ loads energized with it closed minus
         // loads energized with it open, times a nominal 100 A.
         let with = self.energized_count(closed);
-        let mut open_variant = closed.to_vec();
-        if (breaker as usize) < open_variant.len() {
-            open_variant[breaker as usize] = false;
-        }
-        let without = self.energized_count(&open_variant);
+        let without = self.energized_count_without(closed, Some(breaker));
         ((with - without) as u16) * 100
     }
 }
@@ -164,7 +211,7 @@ impl fmt::Display for PowerTopology {
             f,
             "topology: {} breakers, {} loads",
             self.edges.len(),
-            self.load_names.len()
+            self.loads.len()
         )?;
         for e in &self.edges {
             writeln!(f, "  {} [{}]: {:?} -- {:?}", e.name, e.breaker, e.a, e.b)?;
@@ -296,9 +343,123 @@ pub fn generation_topology(index: u8) -> PowerTopology {
     t
 }
 
+/// The solver as it was before nodes were interned: a breadth-first
+/// search over maps built per query. Kept as what the dense one is held to.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use std::collections::VecDeque;
+
+    pub(super) fn energized_loads(t: &PowerTopology, closed: &[bool]) -> BTreeMap<u16, bool> {
+        let mut adj: BTreeMap<BusNode, Vec<BusNode>> = BTreeMap::new();
+        for e in &t.edges {
+            if closed.get(e.breaker as usize).copied().unwrap_or(false) {
+                adj.entry(e.a).or_default().push(e.b);
+                adj.entry(e.b).or_default().push(e.a);
+            }
+        }
+        let mut reached: BTreeMap<BusNode, bool> = BTreeMap::new();
+        let mut queue: VecDeque<BusNode> =
+            (0..t.sources.len() as u16).map(BusNode::Source).collect();
+        for s in &queue {
+            reached.insert(*s, true);
+        }
+        while let Some(n) = queue.pop_front() {
+            if let Some(neigh) = adj.get(&n) {
+                for &m in neigh {
+                    if reached.insert(m, true).is_none() {
+                        queue.push_back(m);
+                    }
+                }
+            }
+        }
+        t.loads
+            .keys()
+            .map(|&id| (id, reached.contains_key(&BusNode::Load(id))))
+            .collect()
+    }
+
+    pub(super) fn breaker_current(t: &PowerTopology, breaker: u16, closed: &[bool]) -> u16 {
+        if !closed.get(breaker as usize).copied().unwrap_or(false) {
+            return 0;
+        }
+        let count = |closed: &[bool]| energized_loads(t, closed).values().filter(|&&v| v).count();
+        let with = count(closed);
+        let mut open_variant = closed.to_vec();
+        if (breaker as usize) < open_variant.len() {
+            open_variant[breaker as usize] = false;
+        }
+        let without = count(&open_variant);
+        ((with - without) as u16) * 100
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Node `code` of a graph with `ids` source, bus and load ids: the
+    /// fewer the ids, the denser the graph. Only the added sources feed
+    /// power and only the named loads report.
+    fn node(code: u16, ids: (u16, u16, u16)) -> BusNode {
+        match code % 4 {
+            0 => BusNode::Source(code / 4 % ids.0),
+            1 | 2 => BusNode::Bus(code / 4 % ids.1),
+            _ => BusNode::Load(code / 4 % ids.2),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn dense_solver_equals_the_map_based_one(
+            sources in 0usize..5,
+            late_sources in 0usize..5,
+            ids in (1u16..6, 1u16..8, 1u16..36),
+            loads in proptest::collection::vec(0u16..36, 0..33),
+            edges in proptest::collection::vec((0u16..48, any::<u16>(), any::<u16>()), 0..49),
+            open in proptest::collection::vec(0u8..4, 16..53),
+        ) {
+            // Three breakers in four are closed; `closed` may be shorter
+            // than the breaker count.
+            let closed: Vec<bool> = open.iter().map(|&o| o != 0).collect();
+            // Sources and loads are added on both sides of the edges that
+            // name them: a node is interned wherever it is first seen.
+            let mut t = PowerTopology::new();
+            let late_sources = late_sources.min(sources);
+            for _ in late_sources..sources {
+                t.add_source();
+            }
+            let loads: Vec<u16> = loads.iter().map(|id| id % ids.2).collect();
+            let (early_loads, late_loads) = loads.split_at(loads.len() / 2);
+            for &id in early_loads {
+                t.add_load(id, format!("L{id}"));
+            }
+            for (i, &(breaker, a, b)) in edges.iter().enumerate() {
+                t.add_breaker(breaker, format!("E{i}"), node(a, ids), node(b, ids));
+            }
+            for &id in late_loads {
+                t.add_load(id, format!("L{id}"));
+            }
+            for _ in 0..late_sources {
+                t.add_source();
+            }
+            prop_assert_eq!(t.energized_loads(&closed), oracle::energized_loads(&t, &closed));
+            prop_assert_eq!(
+                t.energized_count(&closed),
+                oracle::energized_loads(&t, &closed).values().filter(|&&v| v).count()
+            );
+            for breaker in 0..50 {
+                prop_assert_eq!(
+                    t.breaker_current(breaker, &closed),
+                    oracle::breaker_current(&t, breaker, &closed),
+                    "breaker {}", breaker
+                );
+            }
+            // A clone carries the index with it.
+            prop_assert_eq!(t.clone().energized_loads(&closed), t.energized_loads(&closed));
+        }
+    }
 
     #[test]
     fn fig4_has_seven_breakers_four_buildings() {

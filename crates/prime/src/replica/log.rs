@@ -384,13 +384,14 @@ impl<A: Application> Replica<A> {
             // Checkpoint when due.
             if self.exec_seq - self.last_checkpoint_at_exec >= self.timing.checkpoint_interval {
                 self.last_checkpoint_at_exec = self.exec_seq;
+                let app_digest = self.app.digest();
                 let cp = self.sign(PrimeMsg::Checkpoint {
                     exec_seq: self.exec_seq,
-                    app_digest: self.app.digest(),
+                    app_digest,
                 });
                 // Vote for our own checkpoint too.
                 self.checkpoint_votes
-                    .entry((self.exec_seq, self.app.digest()))
+                    .entry((self.exec_seq, app_digest))
                     .or_default()
                     .insert(self.id.0);
                 out.push(OutEvent::Broadcast(cp));
@@ -554,9 +555,15 @@ impl<A: Application> Replica<A> {
             else {
                 return;
             };
+            // The group agrees on `app_digest`, but the bytes are its first
+            // offerer's, who may have vouched for the honest digest over
+            // garbage; only installing them tells. Keep our own state to
+            // fall back on, or one faulty replica wipes a recovering one.
+            let own = self.app.snapshot();
             self.app.install_snapshot(&snapshot);
             if self.app.digest() != app_digest {
                 // Corrupt snapshot from a faulty replica; discard the group.
+                self.app.install_snapshot(&own);
                 self.catchup_offers.remove(&key);
                 return;
             }
@@ -766,4 +773,131 @@ impl<A: Application> Replica<A> {
 /// partition cannot push the next retry arbitrarily far past its heal.
 pub fn catchup_backoff(base: SimDuration, attempt: u32) -> SimDuration {
     base.saturating_mul(1u64 << attempt.min(4))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use bytes::Bytes;
+
+    use super::*;
+    use crate::application::KvApp;
+    use crate::security_tests::registry_and_keys;
+    use crate::types::Config;
+
+    /// Replica 0 of the four-replica configuration (f = 1), every
+    /// replica's key, and one client's.
+    fn replica<A: Application>(app: A) -> (Replica<A>, Vec<KeyPair>, KeyPair) {
+        let config = Config::red_team();
+        let (registry, keys, mut clients) = registry_and_keys(config.n(), 1);
+        let r = Replica::new(ReplicaId(0), config, keys[0].clone(), registry, app);
+        (r, keys, clients.remove(0))
+    }
+
+    fn update(client_seq: u64, payload: &str) -> Update {
+        Update::new(0, client_seq, Bytes::from(payload.as_bytes().to_vec()))
+    }
+
+    /// A key-value application that counts the digests asked of it.
+    #[derive(Default)]
+    struct CountingApp {
+        kv: KvApp,
+        digests: Cell<u32>,
+    }
+
+    impl Application for CountingApp {
+        fn execute(&mut self, update: &Update, exec_seq: u64) {
+            self.kv.execute(update, exec_seq);
+        }
+        fn digest(&self) -> Digest {
+            self.digests.set(self.digests.get() + 1);
+            self.kv.digest()
+        }
+        fn snapshot(&self) -> Vec<u8> {
+            self.kv.snapshot()
+        }
+        fn install_snapshot(&mut self, snapshot: &[u8]) {
+            self.kv.install_snapshot(snapshot);
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_digests_the_application_once() {
+        let (mut r, _, mut client) = replica(CountingApp::default());
+        let interval = r.timing.checkpoint_interval;
+        for seq in 1..=interval {
+            let update = update(seq, &format!("k{seq}=v"));
+            let sig = client.sign(&update.to_wire());
+            r.po_store.insert((1, seq), SignedUpdate { update, sig });
+            r.exec_plan.push_back((1, seq));
+        }
+        let mut out = Vec::new();
+        r.try_execute(SimTime(0), &mut out);
+        assert_eq!(r.exec_seq, interval);
+        let announced: Vec<Digest> = out
+            .iter()
+            .filter_map(|e| match e {
+                OutEvent::Broadcast(m) => match m.msg.msg {
+                    PrimeMsg::Checkpoint { app_digest, .. } => Some(app_digest),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        assert_eq!(r.app.digests.get(), 1, "one checkpoint, one digest");
+        assert_eq!(announced, [r.app.kv.digest()]);
+        assert!(
+            r.checkpoint_votes[&(interval, announced[0])].contains(&0),
+            "the self-vote is for the digest announced"
+        );
+    }
+
+    #[test]
+    fn a_corrupt_snapshot_under_the_honest_digest_leaves_the_state_alone() {
+        // What the recovering replica holds, and what its peers are at.
+        let (mut r, mut keys, _) = replica(KvApp::new());
+        r.app.execute(&update(1, "breaker=closed"), 1);
+        r.exec_seq = 1;
+        let own = r.app.clone();
+        let mut honest = KvApp::new();
+        for seq in 1..=5 {
+            honest.execute(&update(seq, &format!("k{seq}=v{seq}")), seq);
+        }
+        let mut corrupt = honest.snapshot();
+        *corrupt.last_mut().expect("non-empty") ^= 1;
+        let mut offer = |r: &mut Replica<KvApp>, from: u32, snapshot: &[u8]| {
+            let reply = PrimeMsg::CatchupReply {
+                exec_seq: 5,
+                app_digest: honest.digest(),
+                snapshot: snapshot.to_vec(),
+                next_order_seq: 3,
+                exec_cover: vec![0; 4],
+                view: 0,
+            };
+            let signed = SignedMsg::sign(ReplicaId(from), reply, &mut keys[from as usize]);
+            r.on_message(signed, SimTime(1))
+        };
+        let mut out = Vec::new();
+        r.request_catchup(SimTime(0), &mut out);
+
+        // The faulty replica offers first, so the group's bytes are its
+        // garbage; an honest offer then completes the f + 1.
+        offer(&mut r, 3, &corrupt);
+        offer(&mut r, 1, &honest.snapshot());
+        assert_eq!(r.app, own, "the rejected group left the state as it was");
+        assert_eq!(r.exec_seq(), 1);
+        assert!(r.is_catching_up());
+
+        // The group was dropped whole: the next one starts from an honest
+        // offer and installs.
+        offer(&mut r, 1, &honest.snapshot());
+        let installed = offer(&mut r, 2, &honest.snapshot());
+        assert_eq!(r.app, honest);
+        assert_eq!(r.exec_seq(), 5);
+        assert!(!r.is_catching_up());
+        assert!(installed
+            .iter()
+            .any(|e| matches!(e, OutEvent::StateTransferInstalled { exec_seq: 5 })));
+    }
 }

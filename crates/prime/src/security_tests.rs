@@ -14,7 +14,7 @@ use crate::messages::{AruRow, PrimeMsg, SignedMsg};
 use crate::replica::{po_compose, po_counter, po_incarnation, Replica};
 use crate::types::{Config, ReplicaId, SignedUpdate, Update};
 
-fn registry_and_keys(n: u32, clients: u32) -> (KeyRegistry, Vec<KeyPair>, Vec<KeyPair>) {
+pub(crate) fn registry_and_keys(n: u32, clients: u32) -> (KeyRegistry, Vec<KeyPair>, Vec<KeyPair>) {
     let mut reg = KeyRegistry::new();
     let mut rkeys = Vec::new();
     for i in 0..n {

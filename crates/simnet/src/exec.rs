@@ -160,6 +160,9 @@ pub(crate) struct World {
     pub(crate) rng: StdRng,
     pub(crate) obs: ObsHub,
     pub(crate) net: NetCounters,
+    /// The buffer a process callback fills with what it asks for, empty
+    /// between callbacks: kept so a dispatch does not allocate one.
+    pub(crate) actions: Vec<Action>,
 }
 
 impl World {
@@ -277,19 +280,16 @@ impl<S: EventSink> Exec<'_, S> {
         let Some(mut process) = self.world.node_mut(node).process.take() else {
             return;
         };
-        let interfaces: Vec<(MacAddr, IpAddr)> = self
-            .world
-            .node(node)
-            .interfaces
-            .iter()
-            .map(|i| (i.mac, i.ip))
-            .collect();
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.world.actions);
         {
             let mut ctx = Context {
                 node,
                 now: self.now,
-                interfaces: &interfaces,
+                // Not `world.node()`: the RNG beside it is borrowed too.
+                interfaces: &self.world.nodes[node.0 as usize]
+                    .as_ref()
+                    .expect("node not on this shard")
+                    .interfaces,
                 actions: &mut actions,
                 rng: &mut self.world.rng,
                 trace: None,
@@ -299,11 +299,13 @@ impl<S: EventSink> Exec<'_, S> {
         // Only put the process back if nothing replaced it meanwhile
         // (replace_process cannot run during dispatch, so this is safe).
         self.world.node_mut(node).process = Some(process);
-        self.apply_actions(node, actions);
+        self.apply_actions(node, &mut actions);
+        self.world.actions = actions;
     }
 
-    fn apply_actions(&mut self, node: NodeId, actions: Vec<Action>) {
-        for action in actions {
+    /// Carries out `actions`, leaving the buffer empty.
+    fn apply_actions(&mut self, node: NodeId, actions: &mut Vec<Action>) {
+        for action in actions.drain(..) {
             match action {
                 Action::SendPacket { ifidx, packet } => self.host_send(node, ifidx, packet),
                 Action::SendRawFrame { ifidx, frame } => {

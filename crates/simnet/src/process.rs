@@ -6,6 +6,7 @@ use std::any::Any;
 use obs::trace::TraceCtx;
 use rand::rngs::StdRng;
 
+use crate::exec::Interface;
 use crate::packet::{Frame, Packet};
 use crate::time::{SimDuration, SimTime};
 use crate::types::{IpAddr, MacAddr, NodeId, Port};
@@ -51,7 +52,7 @@ pub enum Action {
 pub struct Context<'a> {
     pub(crate) node: NodeId,
     pub(crate) now: SimTime,
-    pub(crate) interfaces: &'a [(MacAddr, IpAddr)],
+    pub(crate) interfaces: &'a [Interface],
     pub(crate) actions: &'a mut Vec<Action>,
     pub(crate) rng: &'a mut StdRng,
     /// Ambient causal-trace context: pre-set to the incoming packet's
@@ -81,7 +82,7 @@ impl<'a> Context<'a> {
     ///
     /// Panics if `ifidx` is out of range.
     pub fn ip(&self, ifidx: usize) -> IpAddr {
-        self.interfaces[ifidx].1
+        self.interfaces[ifidx].ip
     }
 
     /// MAC address of interface `ifidx`.
@@ -90,7 +91,7 @@ impl<'a> Context<'a> {
     ///
     /// Panics if `ifidx` is out of range.
     pub fn mac(&self, ifidx: usize) -> MacAddr {
-        self.interfaces[ifidx].0
+        self.interfaces[ifidx].mac
     }
 
     /// Deterministic per-simulation RNG.
@@ -197,9 +198,19 @@ mod tests {
     struct Nop;
     impl Process for Nop {}
 
+    fn interface(node: NodeId, ip: IpAddr) -> Interface {
+        Interface {
+            mac: MacAddr::derived(node, 0),
+            ip,
+            arp: crate::arp::ArpTable::new(crate::arp::ArpMode::Dynamic),
+            link: None,
+            pending: std::collections::BTreeMap::new(),
+        }
+    }
+
     #[test]
     fn context_accessors_and_actions() {
-        let interfaces = vec![(MacAddr::derived(NodeId(3), 0), IpAddr::new(10, 0, 0, 3))];
+        let interfaces = [interface(NodeId(3), IpAddr::new(10, 0, 0, 3))];
         let mut actions = Vec::new();
         let mut rng = StdRng::seed_from_u64(1);
         let mut ctx = Context {
@@ -223,7 +234,7 @@ mod tests {
 
     #[test]
     fn default_process_impls_are_noops() {
-        let interfaces = vec![(MacAddr::derived(NodeId(0), 0), IpAddr::new(1, 1, 1, 1))];
+        let interfaces = [interface(NodeId(0), IpAddr::new(1, 1, 1, 1))];
         let mut actions = Vec::new();
         let mut rng = StdRng::seed_from_u64(1);
         let mut ctx = Context {

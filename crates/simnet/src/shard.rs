@@ -553,6 +553,7 @@ fn split(sim: &mut Simulation, plan: &Plan) -> (Vec<ShardState>, BTreeMap<usize,
                 rng: sim.world.rng.clone(),
                 obs: sim.world.obs.clone(),
                 net: sim.world.net.clone(),
+                actions: Vec::new(),
             },
             queue: EventQueue::new(),
             slots: Vec::new(),

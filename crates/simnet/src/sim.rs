@@ -206,6 +206,7 @@ impl Simulation {
                 rng: StdRng::seed_from_u64(seed),
                 obs,
                 net,
+                actions: Vec::new(),
             },
             threads: default_threads(),
             events_processed: 0,

@@ -6,7 +6,8 @@
 //! pairs the daemon returns. This keeps the daemon synchronous and
 //! deterministic while the hosting [`simnet::Process`] does the I/O.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use bytes::{BufMut, Bytes};
 use itcrypto::stream::{LinkKeys, KEYSTREAM_BLOCK};
@@ -132,15 +133,59 @@ impl<'a> LinkFrame<'a> {
     }
 }
 
-/// One overlay neighbour: where its frames go and the last nonce used
-/// toward it.
+/// One overlay neighbour: where its frames go, the last nonce used
+/// toward it, and the keys of the link.
 struct Link {
     neighbor: u32,
     addr: IpAddr,
     /// Outgoing nonce (never reused on a link direction, across restarts
     /// included: see [`SpinesDaemon::set_seq_base`]).
     nonce: u64,
+    /// Derived by the first frame sealed or opened on the link: deriving
+    /// costs four HMAC key setups.
+    keys: Option<LinkKeys>,
 }
+
+impl Link {
+    /// The real keys of daemon `id`'s link to this neighbour.
+    fn keys(&mut self, cfg: &SpinesConfig, id: u32) -> &LinkKeys {
+        self.keys
+            .get_or_insert_with(|| LinkKeys::derive(&cfg.link_key(id, self.neighbor)))
+    }
+}
+
+/// The hash of the daemon's two lookup tables (`seen`, `link_of`): each
+/// word is folded in by a rotate and a multiplication. A fixed function of
+/// the key, so a table is the same from run to run; both tables are only
+/// probed by key, never walked, so their layout cannot reach an output.
+#[derive(Clone, Copy, Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word.into());
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(26) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table takes its bucket from the low bits, the product keeps
+        // its best ones high.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type MixState = BuildHasherDefault<MixHasher>;
 
 /// One Spines overlay daemon.
 pub struct SpinesDaemon {
@@ -148,19 +193,17 @@ pub struct SpinesDaemon {
     id: u32,
     subscriptions: BTreeSet<u16>,
     next_seq: u64,
-    seen: BTreeSet<(u32, u64)>,
+    /// The last [`SEEN_CAP`] `(src, seq)` pairs, oldest first in
+    /// `seen_order`.
+    seen: HashSet<(u32, u64), MixState>,
     seen_order: VecDeque<(u32, u64)>,
     /// This daemon's neighbours, in configuration order.
     links: Vec<Link>,
-    /// Pre-derived link keys per neighbor. Deriving costs four HMAC key
-    /// setups; every sealed/opened frame used to pay it, now only the
-    /// first frame per link does.
-    link_keys: BTreeMap<u32, LinkKeys>,
+    /// Neighbour address → its place in `links`.
+    link_of: HashMap<IpAddr, usize, MixState>,
     /// Pre-derived all-zero "keys" for the rebuilt-binary case
     /// (`has_keys == false`), lazily built.
     null_keys: Option<LinkKeys>,
-    /// Reverse address lookup (the config only stores id → addr).
-    addr_to_id: BTreeMap<IpAddr, u32>,
     forward_queue: FairQueue<SpinesMsg>,
     deliveries: Vec<Delivery>,
     /// Whether the daemon is running (attackers stop it in E3).
@@ -188,8 +231,7 @@ impl SpinesDaemon {
         assert!(cfg.daemons.contains_key(&id), "daemon id not in config");
         let hub = obs::ObsHub::new();
         let counters = DaemonObs::from_hub(&hub, &format!("spines.d{id}"));
-        let addr_to_id = cfg.daemons.iter().map(|(&d, &a)| (a, d)).collect();
-        let links = cfg
+        let links: Vec<Link> = cfg
             .neighbors(id)
             .into_iter()
             .filter_map(|neighbor| {
@@ -197,20 +239,21 @@ impl SpinesDaemon {
                     neighbor,
                     addr: cfg.addr_of(neighbor)?,
                     nonce: 0,
+                    keys: None,
                 })
             })
             .collect();
+        let link_of = links.iter().enumerate().map(|(i, l)| (l.addr, i)).collect();
         SpinesDaemon {
             cfg,
             id,
             subscriptions: BTreeSet::new(),
             next_seq: 0,
-            seen: BTreeSet::new(),
+            seen: HashSet::default(),
             seen_order: VecDeque::new(),
             links,
-            link_keys: BTreeMap::new(),
+            link_of,
             null_keys: None,
-            addr_to_id,
             forward_queue: FairQueue::new(PER_SOURCE_CAP),
             deliveries: Vec::new(),
             running: true,
@@ -342,15 +385,16 @@ impl SpinesDaemon {
         if !self.running {
             return Vec::new();
         }
-        let Some(neighbor) = self.addr_to_id.get(&from).copied() else {
-            // Not a configured daemon: outsiders can't speak overlay.
+        let Some(&link) = self.link_of.get(&from) else {
+            // Not a neighbour: outsiders can't speak overlay.
             self.stats.auth_failures += 1;
             self.c.auth_failures.inc();
             self.obs
                 .journal(obs::Event::AuthFailure { daemon: self.id });
             return Vec::new();
         };
-        let msg = match self.open_frame(neighbor, data) {
+        let neighbor = self.links[link].neighbor;
+        let msg = match self.open_frame(link, data) {
             Ok(m) => m,
             Err(dropped) => {
                 match dropped {
@@ -385,43 +429,17 @@ impl SpinesDaemon {
         out
     }
 
-    /// The cached real link keys for this daemon's link to `neighbor`
-    /// (borrowing only the key cache, so callers keep the other fields).
-    fn real_keys<'k>(
-        link_keys: &'k mut BTreeMap<u32, LinkKeys>,
-        cfg: &SpinesConfig,
-        id: u32,
-        neighbor: u32,
-    ) -> &'k LinkKeys {
-        link_keys
-            .entry(neighbor)
-            .or_insert_with(|| LinkKeys::derive(&cfg.link_key(id, neighbor)))
-    }
-
-    /// The link keys used for *sealing* toward `neighbor`: the real keys,
-    /// or the all-zero keys when the binary was rebuilt without key
-    /// material (`has_keys == false`). Opening always uses the real keys —
-    /// a rebuilt binary can still read the network; it just cannot
-    /// produce frames its peers accept.
-    fn seal_keys(&mut self, neighbor: u32) -> &LinkKeys {
-        if self.has_keys {
-            Self::real_keys(&mut self.link_keys, &self.cfg, self.id, neighbor)
-        } else {
-            self.null_keys
-                .get_or_insert_with(|| LinkKeys::derive(&[0u8; 32]))
-        }
-    }
-
-    /// Authenticates and decodes one received frame, unless flood
-    /// deduplication drops it first. Nine frames in ten on a full mesh
-    /// are copies of a message already seen, so a sealed frame is opened
+    /// Authenticates and decodes one frame received on `links[link]`,
+    /// unless flood deduplication drops it first. Nine frames in ten on a
+    /// full mesh are copies of a message already seen, so a sealed frame is
+    /// opened
     /// in two steps: the MAC over the whole frame is checked, then only
     /// the first keystream block is decrypted, which holds the `(src,
     /// seq)` the `seen` set is keyed by; the rest is decrypted and
     /// decoded for a new message only. (So a key holder replaying a seen
     /// `(src, seq)` over a garbage body counts as a duplicate, not as
     /// malformed; nothing else can tell the order of the two checks.)
-    fn open_frame(&mut self, neighbor: u32, data: &[u8]) -> Result<SpinesMsg, Dropped> {
+    fn open_frame(&mut self, link: usize, data: &[u8]) -> Result<SpinesMsg, Dropped> {
         let frame = LinkFrame::parse(data).map_err(|_| Dropped::Malformed)?;
         match (self.cfg.mode, frame) {
             (
@@ -433,7 +451,7 @@ impl SpinesDaemon {
                 },
             ) => {
                 obs::prof::charge_crypto("spines;hop", obs::prof::CryptoOp::Hmac, 1);
-                let keys = Self::real_keys(&mut self.link_keys, &self.cfg, self.id, neighbor);
+                let keys = self.links[link].keys(&self.cfg, self.id);
                 if !keys.verify(nonce, ciphertext, tag) {
                     return Err(Dropped::Auth);
                 }
@@ -502,9 +520,8 @@ impl SpinesDaemon {
         let mut out = Vec::with_capacity(self.links.len());
         // Serialize once; only the per-link sealing differs per neighbor.
         let plaintext = msg.to_wire();
-        for i in 0..self.links.len() {
-            let Link { neighbor, addr, .. } = self.links[i];
-            if Some(neighbor) == exclude {
+        for link in &mut self.links {
+            if Some(link.neighbor) == exclude {
                 continue;
             }
             let mut frame = Vec::with_capacity(SEALED_HEADER + plaintext.len() + TAG_LEN);
@@ -515,8 +532,8 @@ impl SpinesDaemon {
                     frame.put_slice(&plaintext);
                 }
                 SpinesMode::IntrusionTolerant => {
-                    self.links[i].nonce += 1;
-                    let nonce = self.links[i].nonce;
+                    link.nonce += 1;
+                    let nonce = link.nonce;
                     self.c.sealed.inc();
                     obs::prof::charge_crypto("spines;hop", obs::prof::CryptoOp::Hmac, 1);
                     // Seal in place, straight into the outgoing buffer.
@@ -524,16 +541,24 @@ impl SpinesDaemon {
                     frame.put_u64(nonce);
                     frame.put_u32(plaintext.len() as u32);
                     frame.put_slice(&plaintext);
-                    let tag = self
-                        .seal_keys(neighbor)
-                        .seal_in_place(nonce, &mut frame[SEALED_HEADER..]);
+                    // A binary rebuilt without key material seals under
+                    // all-zero keys: it can still read the network (opening
+                    // uses the real keys), it just cannot produce frames
+                    // its peers accept.
+                    let keys = if self.has_keys {
+                        link.keys(&self.cfg, self.id)
+                    } else {
+                        self.null_keys
+                            .get_or_insert_with(|| LinkKeys::derive(&[0u8; 32]))
+                    };
+                    let tag = keys.seal_in_place(nonce, &mut frame[SEALED_HEADER..]);
                     frame.put_slice(&tag);
                 }
             }
             self.stats.forwarded += 1;
             self.c.forwarded.inc();
             obs::prof::charge_msg("spines;hop", 1, plaintext.len() as u64);
-            out.push((addr, Bytes::from(frame)));
+            out.push((link.addr, Bytes::from(frame)));
         }
         out
     }
@@ -704,6 +729,44 @@ mod tests {
         b.on_wire(from, bytes);
         assert_eq!(b.take_deliveries().len(), 1);
         assert_eq!(b.stats.duplicates, 1);
+    }
+
+    #[test]
+    fn one_past_the_cap_forgets_exactly_the_oldest() {
+        let c = cfg(2, SpinesMode::IntrusionTolerant);
+        let mut a = SpinesDaemon::new(0, c.clone());
+        let mut b = SpinesDaemon::new(1, c.clone());
+        b.subscribe(3);
+        let from = c.addr_of(0).expect("addr");
+        let send = |a: &mut SpinesDaemon| a.multicast(3, 1, Bytes::from_static(b"x"))[0].1.clone();
+        let (oldest, second) = (send(&mut a), send(&mut a));
+        b.on_wire(from, &oldest);
+        b.on_wire(from, &second);
+        // Fill the window to its cap without sealing 100 000 frames.
+        for seq in 2..SEEN_CAP as u64 {
+            b.remember(0, seq);
+        }
+        assert_eq!((b.seen.len(), b.seen_order.len()), (SEEN_CAP, SEEN_CAP));
+        b.on_wire(from, &oldest);
+        assert_eq!(b.stats.duplicates, 1, "the cap itself forgets nothing");
+        a.set_seq_base(SEEN_CAP as u64);
+        b.on_wire(from, &send(&mut a));
+        assert_eq!((b.seen.len(), b.seen_order.len()), (SEEN_CAP, SEEN_CAP));
+        assert_eq!(b.take_deliveries().len(), 3);
+        // The second-oldest first: replaying the forgotten one re-enters
+        // it, and that pushes the second-oldest out in turn.
+        b.on_wire(from, &second);
+        assert_eq!(b.stats.duplicates, 2);
+        assert!(b.take_deliveries().is_empty());
+        b.on_wire(from, &oldest);
+        assert_eq!(b.stats.duplicates, 2);
+        assert_eq!(
+            b.take_deliveries().len(),
+            1,
+            "forgotten, so delivered again"
+        );
+        b.on_wire(from, &second);
+        assert_eq!(b.take_deliveries().len(), 1, "and now the second-oldest is");
     }
 
     #[test]
