@@ -51,28 +51,7 @@ cargo run -q --release --bin spire-sim -- e11 --steps 1 --prof "$prof_out/e11.fo
     > "$prof_out/e11_prof.out"
 test -s "$prof_out/e11.folded"
 grep -q "telescoping: exact" "$prof_out/e11_prof.out"
-
-echo "==> profiler digest invariance (prof on/off journals byte-identical)"
-# The cost attribution engine must be observationally invisible: the same
-# e4 run with and without --prof reports the identical journal record
-# count and digest.
-cargo run -q --release --bin spire-sim -- e4 --days 1 --metrics \
-    > "$prof_out/e4_plain.out"
-cargo run -q --release --bin spire-sim -- e4 --days 1 --metrics --prof "$prof_out/e4.folded" \
-    > "$prof_out/e4_prof.out"
-diff <(grep "^journal:" "$prof_out/e4_plain.out") <(grep "^journal:" "$prof_out/e4_prof.out")
 rm -rf "$prof_out"
-
-echo "==> parallel scheduler equivalence (sequential <-> threaded digests)"
-# The conservative parallel core must be bit-for-bit digest-identical to
-# the sequential engine at every thread count. A 4-thread E4 day through
-# the CLI smokes the sharded path end to end; the release equivalence
-# suite re-checks every fingerprinted experiment at threads {1,2,4} and
-# seeds {42, 1111, 7} against the sequential reference, plus the
-# 2-thread bench scaling-curve smoke (the curve asserts digest-identity
-# at every point it times).
-cargo run -q --release --bin spire-sim -- e4 --threads 4 --days 1 >/dev/null
-cargo test -q --release --test parallel_equivalence
 
 echo "==> chaos smoke (short E12 soak, digest-pinned, + negative controls)"
 # One compressed day at seed 42 through the chaos CLI proves the E12
@@ -115,6 +94,13 @@ test "$(grep -c 'unsafe {' crates/itcrypto/src/sha256.rs)" -eq 1
 echo "==> hash tables in crates/ hash by a fixed function (no RandomState: a run must repeat)"
 # VerifyCache and the Spines daemon probe theirs by key and never walk them.
 if grep -rn --include='*.rs' 'RandomState' crates; then
+    exit 1
+fi
+
+echo "==> a run happens on the thread that called it (no thread spawned under crates/)"
+# crates/bench is exempt: the future `sweep` parallelises whole runs, one
+# simulation per core, from the binary.
+if grep -rnE --include='*.rs' 'thread::(spawn|scope|Builder)' crates --exclude-dir=bench; then
     exit 1
 fi
 

@@ -1,4 +1,4 @@
-//! Determinism fingerprints and the wall-clock bench harness.
+//! Determinism fingerprints.
 //!
 //! Every experiment is deterministic from its seed, and most of them run
 //! on top of the event journal; [`RunMeta`] captures the journal digest
@@ -7,13 +7,8 @@
 //! rendered result tables) into a single hex digest per experiment, which
 //! `tests/golden_digests.rs` pins at [`GOLDEN_SEED`] so performance work
 //! cannot silently change observable behavior.
-//!
-//! [`run_bench`] times every experiment wall-clock and reports
-//! sim-events/sec, seeding the `BENCH_*.json` trajectory that the
-//! ROADMAP's "as fast as the hardware allows" north star asks for.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use itcrypto::sha256::sha256;
 use simnet::sim::Simulation;
@@ -31,8 +26,7 @@ use crate::redteam_experiments::{
 use crate::regional_experiment::{e14_regional, render_regional};
 use crate::response_experiment::{e16_campaign, render_campaign, Shape};
 use crate::saturation::{
-    e11_batched_rates, e11_default_rates, e11_saturation, e11_saturation_with, render_saturation,
-    SaturationOpts, SaturationRun,
+    e11_default_rates, e11_saturation, e11_saturation_with, render_saturation, SaturationOpts,
 };
 use crate::site_experiment::{e13_leg_by_id, render_leg};
 
@@ -200,356 +194,6 @@ pub const FINGERPRINTED: &[&str] = &[
     "e13b", "e13c", "e14", "e16a", "e16b",
 ];
 
-/// One timed experiment in a bench run.
-#[derive(Clone, Debug)]
-pub struct BenchEntry {
-    /// Experiment id.
-    pub name: String,
-    /// Wall-clock milliseconds for the full experiment.
-    pub wall_ms: f64,
-    /// Simulator events processed (absent for Cluster-only / pure runs).
-    pub sim_events: Option<u64>,
-    /// `sim_events / wall seconds` — the engine-throughput trajectory.
-    pub events_per_sec: Option<f64>,
-}
-
-/// A full `spire-sim bench` run: every experiment timed at one seed.
-#[derive(Clone, Debug)]
-pub struct BenchReport {
-    /// The seed every experiment ran at.
-    pub seed: u64,
-    /// Per-experiment timings, in run order.
-    pub entries: Vec<BenchEntry>,
-    /// E4 re-timed under the parallel scheduler, one point per thread
-    /// count (see [`e4_scaling_curve`]).
-    pub scaling: Vec<ScalingPoint>,
-    /// E11 knee curves, unbatched reference first, batched second —
-    /// the before/after record of the ordering-knee optimization.
-    pub e11_knees: Vec<KneeCurve>,
-}
-
-/// One E11 latency point carried into the bench report.
-#[derive(Clone, Debug)]
-pub struct KneePoint {
-    /// Offered client updates per second.
-    pub offered_per_s: u64,
-    /// Achieved ordering throughput.
-    pub ordered_per_s: f64,
-    /// Median submit→execute latency, microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile latency, microseconds.
-    pub p99_us: u64,
-}
-
-/// A compact E11 ramp summary for one protocol variant.
-#[derive(Clone, Debug)]
-pub struct KneeCurve {
-    /// `Config::batch_max` the ramp ran with (0 = legacy).
-    pub batch_max: u32,
-    /// `Config::pipeline` the ramp ran with (1 = serialized).
-    pub pipeline: u32,
-    /// Offered rate of the knee step, if the ramp found one.
-    pub knee_offered_per_s: Option<u64>,
-    /// One point per ramp step.
-    pub points: Vec<KneePoint>,
-}
-
-impl KneeCurve {
-    /// Collapses a saturation run into the bench-report form.
-    pub fn from_run(run: &SaturationRun) -> Self {
-        KneeCurve {
-            batch_max: run.opts.batch_max,
-            pipeline: run.opts.pipeline,
-            knee_offered_per_s: run.knee_index().map(|k| run.steps[k].offered_per_s),
-            points: run
-                .steps
-                .iter()
-                .map(|s| KneePoint {
-                    offered_per_s: s.offered_per_s,
-                    ordered_per_s: s.ordered_per_s,
-                    p50_us: s.p50_us,
-                    p99_us: s.p99_us,
-                })
-                .collect(),
-        }
-    }
-}
-
-/// One point of the E4 thread-scaling curve.
-#[derive(Clone, Debug)]
-pub struct ScalingPoint {
-    /// Simulator worker threads.
-    pub threads: usize,
-    /// Wall-clock milliseconds for the E4 run.
-    pub wall_ms: f64,
-    /// Simulator events processed (identical at every thread count — the
-    /// parallel scheduler is digest-equivalent, not approximately so).
-    pub sim_events: u64,
-    /// Throughput in simulator events per wall-clock second.
-    pub events_per_sec: f64,
-    /// Speedup relative to the curve's single-threaded point.
-    pub speedup: f64,
-}
-
-/// Times E4 (tier-1 size: one compressed day of 30 s) once per thread
-/// count and returns the scaling curve. Asserts that every run produced
-/// the identical journal digest and event count — the bench refuses to
-/// report a "speedup" that bought its speed by changing behavior.
-///
-/// # Panics
-/// Panics if `thread_counts` is empty or any run's digest diverges.
-pub fn e4_scaling_curve(seed: u64, thread_counts: &[usize]) -> Vec<ScalingPoint> {
-    let saved = simnet::sim::default_threads();
-    let mut curve: Vec<ScalingPoint> = Vec::new();
-    let mut reference: Option<(String, u64)> = None;
-    let mut base_ms = f64::NAN;
-    for &threads in thread_counts {
-        simnet::sim::set_default_threads(threads);
-        let (run, ms) = timed(|| e4_plant_deployment(seed, 1, 30));
-        let (digest, events) = (run.meta.journal_digest, run.meta.sim_events);
-        match &reference {
-            None => {
-                base_ms = ms;
-                reference = Some((digest, events));
-            }
-            Some((d, e)) => {
-                assert_eq!(d, &digest, "e4 digest diverged at {threads} threads");
-                assert_eq!(*e, events, "e4 event count diverged at {threads} threads");
-            }
-        }
-        curve.push(ScalingPoint {
-            threads,
-            wall_ms: ms,
-            sim_events: events,
-            events_per_sec: events as f64 / (ms / 1000.0),
-            speedup: base_ms / ms,
-        });
-    }
-    simnet::sim::set_default_threads(saved);
-    curve
-}
-
-fn entry(name: &str, wall_ms: f64, sim_events: Option<u64>) -> BenchEntry {
-    BenchEntry {
-        name: name.to_string(),
-        wall_ms,
-        sim_events,
-        events_per_sec: sim_events.map(|e| e as f64 / (wall_ms / 1000.0)),
-    }
-}
-
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64() * 1000.0)
-}
-
-/// Times e1–e11 wall-clock at `seed` (e4 at its tier-1 size, e5 at 8
-/// flips, e9 at 20 trials, e11 over the default rate ramp, e11b — the
-/// batched variant — over the extended ramp) and reports sim-events/sec
-/// wherever a simulator ran. The two E11 runs are kept as before/after
-/// knee curves in [`BenchReport::e11_knees`].
-pub fn run_bench(seed: u64) -> BenchReport {
-    let mut entries = Vec::new();
-
-    let ((_, metas), ms) = timed(|| e1_commercial_attacks_meta(seed));
-    entries.push(entry(
-        "e1",
-        ms,
-        Some(metas.iter().map(|m| m.sim_events).sum()),
-    ));
-
-    let (r, ms) = timed(|| e2_spire_network_attacks(seed));
-    entries.push(entry("e2", ms, Some(r.meta.sim_events)));
-
-    let ((_, meta), ms) = timed(|| e3_replica_excursion_meta(seed));
-    entries.push(entry("e3", ms, Some(meta.sim_events)));
-
-    let (run, ms) = timed(|| e4_plant_deployment(seed, 1, 30));
-    entries.push(entry("e4", ms, Some(run.meta.sim_events)));
-
-    let (r, ms) = timed(|| e5_reaction_time(seed, 8));
-    entries.push(entry(
-        "e5",
-        ms,
-        Some(r.meta.iter().map(|m| m.sim_events).sum()),
-    ));
-
-    let (run, ms) = timed(|| e6_ground_truth(seed));
-    entries.push(entry("e6", ms, Some(run.meta.sim_events)));
-
-    let (run, ms) = timed(|| e7_mana_detection(seed));
-    entries.push(entry("e7", ms, Some(run.meta.sim_events)));
-
-    let (run, ms) = timed(|| e7_roc(seed));
-    entries.push(entry("e7b", ms, Some(run.meta.sim_events)));
-
-    let (_, ms) = timed(|| e8_recovery_ablation(seed));
-    entries.push(entry("e8", ms, None));
-
-    let (_, ms) = timed(|| e9_diversity_ablation(seed, 20));
-    entries.push(entry("e9", ms, None));
-
-    let ((_, metas), ms) = timed(|| e10_hardening_ablation_meta(seed));
-    entries.push(entry(
-        "e10",
-        ms,
-        Some(metas.iter().map(|m| m.sim_events).sum()),
-    ));
-
-    let (run_legacy, ms) = timed(|| e11_saturation(seed, &e11_default_rates()));
-    entries.push(entry("e11", ms, None));
-
-    let (run_batched, ms) =
-        timed(|| e11_saturation_with(seed, &e11_batched_rates(), SaturationOpts::batched()));
-    entries.push(entry("e11b", ms, None));
-
-    let scaling = e4_scaling_curve(seed, &[1, 2, 4, 8]);
-
-    BenchReport {
-        seed,
-        entries,
-        scaling,
-        e11_knees: vec![
-            KneeCurve::from_run(&run_legacy),
-            KneeCurve::from_run(&run_batched),
-        ],
-    }
-}
-
-/// Renders the bench report as a table.
-pub fn render_bench(r: &BenchReport) -> String {
-    let mut out = format!("bench at seed {}\n", r.seed);
-    let _ = writeln!(
-        out,
-        "{:<6} {:>10} {:>12} {:>14}",
-        "exp", "wall_ms", "sim_events", "events/sec"
-    );
-    let _ = writeln!(out, "{}", "-".repeat(46));
-    for e in &r.entries {
-        let _ = writeln!(
-            out,
-            "{:<6} {:>10.1} {:>12} {:>14}",
-            e.name,
-            e.wall_ms,
-            e.sim_events.map_or("-".into(), |v| v.to_string()),
-            e.events_per_sec.map_or("-".into(), |v| format!("{v:.0}")),
-        );
-    }
-    let total: f64 = r.entries.iter().map(|e| e.wall_ms).sum();
-    let _ = writeln!(out, "total  {total:>10.1}");
-    if !r.scaling.is_empty() {
-        let _ = writeln!(out, "\ne4 thread scaling (digest-identical at every point)");
-        let _ = writeln!(
-            out,
-            "{:<8} {:>10} {:>14} {:>8}",
-            "threads", "wall_ms", "events/sec", "speedup"
-        );
-        let _ = writeln!(out, "{}", "-".repeat(44));
-        for p in &r.scaling {
-            let _ = writeln!(
-                out,
-                "{:<8} {:>10.1} {:>14.0} {:>7.2}x",
-                p.threads, p.wall_ms, p.events_per_sec, p.speedup
-            );
-        }
-    }
-    if !r.e11_knees.is_empty() {
-        let _ = writeln!(out, "\ne11 ordering knee (before/after batching)");
-        let _ = writeln!(
-            out,
-            "{:<20} {:>14} {:>12}",
-            "variant", "knee_offered/s", "ramp_top/s"
-        );
-        let _ = writeln!(out, "{}", "-".repeat(48));
-        for c in &r.e11_knees {
-            let _ = writeln!(
-                out,
-                "{:<20} {:>14} {:>12}",
-                format!("batch={} pipe={}", c.batch_max, c.pipeline),
-                c.knee_offered_per_s
-                    .map_or("none".into(), |v| v.to_string()),
-                c.points.last().map_or(0, |p| p.offered_per_s),
-            );
-        }
-        if let (Some(Some(before)), Some(Some(after))) = (
-            r.e11_knees.first().map(|c| c.knee_offered_per_s),
-            r.e11_knees.last().map(|c| c.knee_offered_per_s),
-        ) {
-            let _ = writeln!(
-                out,
-                "knee moved {:.1}x ({} -> {} updates/s)",
-                after as f64 / before as f64,
-                before,
-                after
-            );
-        }
-    }
-    out
-}
-
-/// Serializes the bench report as JSON (`spire-sim bench --json FILE`).
-///
-/// Hand-rolled: the workspace deliberately has no serde dependency, and
-/// the schema is a handful of fixed keys. Schema v3 adds `e11_knees`:
-/// the before/after ordering-knee curves (unbatched reference, then
-/// batched).
-pub fn bench_json(r: &BenchReport) -> String {
-    let mut out = String::from("{\n  \"schema\": \"spire-bench-v3\",\n");
-    let _ = writeln!(out, "  \"seed\": {},", r.seed);
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in r.entries.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"sim_events\": {}, \"events_per_sec\": {}}}",
-            e.name,
-            e.wall_ms,
-            e.sim_events.map_or("null".into(), |v| v.to_string()),
-            e.events_per_sec
-                .map_or("null".into(), |v| format!("{v:.1}")),
-        );
-        out.push_str(if i + 1 < r.entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n  \"e4_scaling\": [\n");
-    for (i, p) in r.scaling.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"threads\": {}, \"wall_ms\": {:.3}, \"sim_events\": {}, \
-             \"events_per_sec\": {:.1}, \"speedup\": {:.3}}}",
-            p.threads, p.wall_ms, p.sim_events, p.events_per_sec, p.speedup,
-        );
-        out.push_str(if i + 1 < r.scaling.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n  \"e11_knees\": [\n");
-    for (i, c) in r.e11_knees.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"batch_max\": {}, \"pipeline\": {}, \"knee_offered_per_s\": {}, \"points\": [",
-            c.batch_max,
-            c.pipeline,
-            c.knee_offered_per_s
-                .map_or("null".into(), |v| v.to_string()),
-        );
-        for (j, p) in c.points.iter().enumerate() {
-            let _ = write!(
-                out,
-                "      {{\"offered_per_s\": {}, \"ordered_per_s\": {:.1}, \
-                 \"p50_us\": {}, \"p99_us\": {}}}",
-                p.offered_per_s, p.ordered_per_s, p.p50_us, p.p99_us,
-            );
-            out.push_str(if j + 1 < c.points.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("    ]}");
-        out.push_str(if i + 1 < r.e11_knees.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Runs E11 once and renders it (the `spire-sim e11` body, shared with
 /// tests).
 pub fn e11_report(seed: u64, steps: usize) -> String {
@@ -571,64 +215,5 @@ mod tests {
         let c = experiment_fingerprint("e9", 8);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn bench_json_is_wellformed_enough() {
-        let r = BenchReport {
-            seed: 1,
-            entries: vec![
-                BenchEntry {
-                    name: "e8".into(),
-                    wall_ms: 12.5,
-                    sim_events: None,
-                    events_per_sec: None,
-                },
-                BenchEntry {
-                    name: "e4".into(),
-                    wall_ms: 100.0,
-                    sim_events: Some(5000),
-                    events_per_sec: Some(50_000.0),
-                },
-            ],
-            scaling: vec![ScalingPoint {
-                threads: 4,
-                wall_ms: 25.0,
-                sim_events: 5000,
-                events_per_sec: 200_000.0,
-                speedup: 4.0,
-            }],
-            e11_knees: vec![
-                KneeCurve {
-                    batch_max: 0,
-                    pipeline: 1,
-                    knee_offered_per_s: Some(1600),
-                    points: vec![KneePoint {
-                        offered_per_s: 1600,
-                        ordered_per_s: 1500.0,
-                        p50_us: 2000,
-                        p99_us: 9000,
-                    }],
-                },
-                KneeCurve {
-                    batch_max: 16,
-                    pipeline: 4,
-                    knee_offered_per_s: None,
-                    points: vec![],
-                },
-            ],
-        };
-        let json = bench_json(&r);
-        assert!(json.contains("\"schema\": \"spire-bench-v3\""));
-        assert!(json.contains("\"sim_events\": null"));
-        assert!(json.contains("\"sim_events\": 5000"));
-        assert!(json.contains("\"e4_scaling\""));
-        assert!(json.contains("\"speedup\": 4.000"));
-        assert!(json.contains("\"e11_knees\""));
-        assert!(json.contains("\"knee_offered_per_s\": 1600"));
-        assert!(json.contains("\"knee_offered_per_s\": null"));
-        assert!(json.contains("\"batch_max\": 16"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

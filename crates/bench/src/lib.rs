@@ -24,7 +24,7 @@ pub mod site_experiment;
 
 pub use chaos_experiment::{chaos_json, e12_chaos_soak, render_chaos};
 pub use figures::{fig1_conventional, fig2_spire, fig4_hmi};
-pub use harness::{experiment_fingerprint, run_bench, RunMeta, GOLDEN_SEED};
+pub use harness::{experiment_fingerprint, RunMeta, GOLDEN_SEED};
 pub use mana_experiment::e7_mana_detection;
 pub use plant_experiments::{e4_plant_deployment, e5_reaction_time, e5_reaction_time_traced};
 pub use recovery_experiments::{e6_ground_truth, e8_recovery_ablation, e9_diversity_ablation};

@@ -10,9 +10,6 @@
 //! can speak it just as easily as the legitimate master — that asymmetry
 //! *is* the experiment.
 //!
-//! A DNP3 subset (data-link framing with per-block CRCs, integrity polls,
-//! direct operates) lives in [`dnp3`] — the paper names both protocols.
-//!
 //! Supported function codes: 0x01 Read Coils, 0x02 Read Discrete Inputs,
 //! 0x03 Read Holding Registers, 0x04 Read Input Registers, 0x05 Write
 //! Single Coil, 0x06 Write Single Register, 0x0F Write Multiple Coils,
@@ -36,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod crc;
-pub mod dnp3;
 pub mod frame;
 pub mod pdu;
 pub mod server;

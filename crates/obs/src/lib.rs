@@ -16,18 +16,13 @@
 //! Components hold a private hub by default, so unit tests need no
 //! wiring; a deployment replaces it with one shared hub via each
 //! component's `attach_obs`, making every counter and journal record
-//! land in the same registry. Handles are `Arc`-shared so the parallel
-//! scheduler's worker threads can increment them directly, and hot
-//! paths (per-frame drop accounting) cache a `Counter` rather than
-//! re-resolving the name. Journal appends made inside a parallel shard
-//! window detour through a thread-local [`sink::ShardSink`] so the
-//! merged journal stays byte-identical to a sequential run.
+//! land in the same registry. Hot paths (per-frame drop accounting)
+//! cache a `Counter` rather than re-resolving the name.
 
 pub mod event;
 pub mod hist;
 pub mod prof;
 pub mod report;
-pub mod sink;
 pub mod trace;
 
 pub use event::{Event, TimedEvent};
@@ -42,10 +37,6 @@ use std::sync::{Arc, Mutex};
 
 /// A named monotone counter. Cloning shares the underlying cell, so
 /// hot paths cache the handle instead of re-resolving the name.
-///
-/// Backed by a relaxed atomic: increments commute, and the parallel
-/// scheduler only *reads* counters at window barriers, so the final
-/// value is exact regardless of which worker thread incremented.
 #[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -83,9 +74,6 @@ impl Gauge {
 }
 
 /// A shared histogram handle (see [`Histogram`] for the bucketing).
-///
-/// Bucket increments commute, so concurrent recording from worker
-/// threads yields the same histogram as any sequential interleaving.
 #[derive(Clone, Debug, Default)]
 pub struct HistogramHandle(Arc<Mutex<Histogram>>);
 
@@ -167,19 +155,6 @@ impl ObsHub {
     /// younger simulation) is journaled as a [`Event::ClockSkew`] and
     /// otherwise ignored, so span durations can never underflow.
     pub fn set_now_us(&self, now_us: u64) {
-        if let Some(cur) = sink::now_us() {
-            // A shard sink is installed on this thread: the clock (and
-            // any skew record) belongs to the shard, not the shared hub.
-            if now_us < cur {
-                self.journal(Event::ClockSkew {
-                    from_us: cur,
-                    to_us: now_us,
-                });
-                return;
-            }
-            sink::set_now_us(now_us);
-            return;
-        }
         let cur = self.inner.now_us.load(Ordering::Relaxed);
         if now_us < cur {
             self.journal(Event::ClockSkew {
@@ -191,11 +166,9 @@ impl ObsHub {
         self.inner.now_us.store(now_us, Ordering::Relaxed);
     }
 
-    /// Current simulated time in microseconds. Inside a parallel shard
-    /// window this is the shard's clock, so in-dispatch readers observe
-    /// per-event time exactly as under the sequential scheduler.
+    /// Current simulated time in microseconds.
     pub fn now_us(&self) -> u64 {
-        sink::now_us().unwrap_or_else(|| self.inner.now_us.load(Ordering::Relaxed))
+        self.inner.now_us.load(Ordering::Relaxed)
     }
 
     // ---- metrics registry ----
@@ -260,28 +233,15 @@ impl ObsHub {
     }
 
     /// Appends `event` to the journal at the current simulated time.
-    /// Inside a parallel shard window the record lands in the thread's
-    /// [`sink::ShardSink`] instead, stamped with the shard's clock; the
-    /// coordinator splices the per-shard runs back into this journal in
-    /// sequential order at the window barrier. (Stdout echo only exists
-    /// on the shared path — echoing forces the sequential scheduler.)
     pub fn journal(&self, event: Event) {
-        let Some(event) = sink::append(event) else {
-            return;
-        };
         let rec = TimedEvent {
-            at_us: self.inner.now_us.load(Ordering::Relaxed),
+            at_us: self.now_us(),
             event,
         };
         if self.trace_echo() {
             println!("[{:>12.6}s] {}", rec.at_us as f64 / 1e6, rec.event);
         }
         lock(&self.inner.journal).push(rec);
-    }
-
-    /// Appends pre-stamped records (a merged shard window) verbatim.
-    pub fn journal_extend(&self, records: impl IntoIterator<Item = TimedEvent>) {
-        lock(&self.inner.journal).extend(records);
     }
 
     /// Number of journal records.

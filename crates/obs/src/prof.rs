@@ -11,11 +11,8 @@
 //! counts, event counts) that need not telescope.
 //!
 //! The accumulator is thread-local and entirely outside the [`crate::ObsHub`]
-//! journal, so enabling it cannot perturb a run's digest; it does force
-//! the sequential scheduler (the parallel shards never see the
-//! enabling thread's flag, and the charges themselves are
-//! order-sensitive only in wall-clock, never in content — see
-//! [`Profile::charge`], which is commutative).
+//! journal, so enabling it cannot perturb a run's digest (the charges
+//! themselves are commutative — see [`Profile::charge`]).
 //!
 //! Output is a folded-stack text ([`Profile::folded`]) consumable by
 //! standard flamegraph tooling (`flamegraph.pl`, speedscope, inferno),
@@ -156,9 +153,8 @@ thread_local! {
 
 /// Enables/disables cost attribution on this thread. Charges made while
 /// disabled are dropped at the call site (one branch). Profiling state
-/// is thread-local by design: the simulation drives on one thread, and
-/// parallel shard workers (which would not see this flag) are excluded
-/// by the scheduler's eligibility gate whenever profiling is on.
+/// is thread-local: a simulation runs on the thread that called it, so
+/// concurrent runs on other threads (the test harness) keep their own.
 pub fn set_enabled(on: bool) {
     ENABLED.with(|e| e.set(on));
 }

@@ -1,15 +1,10 @@
-//! The execution core shared by the sequential and parallel schedulers.
+//! The execution core: what dispatching one event does.
 //!
 //! [`World`] owns the mutable network state (nodes, switches, links,
-//! taps) in slot vectors so a parallel run can carve it into disjoint
-//! per-shard views — a shard's `World` has `Some` only in the slots it
-//! owns. [`Exec`] holds the event-delivery semantics, generic over an
-//! [`EventSink`] so the same dispatch code feeds either the global
-//! sequential queue or a shard's window-local queue. Keeping exactly one
-//! copy of the delivery logic is what makes the digest-equivalence
-//! argument tractable: the parallel scheduler cannot drift behaviorally
-//! from the sequential one, only order events differently — and the
-//! ordering is what the equivalence suite pins.
+//! taps) in vectors indexed by the public ids. [`Exec`] holds the
+//! event-delivery semantics for one dispatch and schedules follow-up
+//! events straight into the simulation's queue, numbering them in
+//! creation order.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -24,6 +19,7 @@ use crate::firewall::{Direction, Firewall};
 use crate::link::{Link, LinkId};
 use crate::packet::{ArpBody, ArpOp, EtherPayload, Frame, Packet, TransportKind};
 use crate::process::{Action, Context, Process};
+use crate::queue::EventQueue;
 use crate::sim::EndpointRef;
 use crate::switch::{Forward, Switch, SwitchId};
 use crate::time::{SimDuration, SimTime};
@@ -120,10 +116,6 @@ impl EventKind {
 
 /// Cached handles for the engine's hot-path counters, re-registered
 /// whenever the hub changes (see [`crate::sim::Simulation::attach_obs`]).
-/// Handles are `Arc`-backed, so shard clones share the same atomics —
-/// counter totals are order-insensitive, so concurrent increments from
-/// worker threads stay digest-safe.
-#[derive(Clone)]
 pub(crate) struct NetCounters {
     pub(crate) frames_sent: obs::Counter,
     pub(crate) frames_delivered: obs::Counter,
@@ -146,16 +138,12 @@ impl NetCounters {
     }
 }
 
-/// Mutable network state, stored in slot vectors indexed by the public
-/// ids. The sequential engine keeps every slot `Some`; a shard world
-/// holds `Some` only for the entities it owns (plus clones of the cross
-/// links it borders), so out-of-shard access is a loud panic instead of
-/// a silent wrong answer.
+/// Mutable network state, stored in vectors indexed by the public ids.
 pub(crate) struct World {
-    pub(crate) nodes: Vec<Option<Node>>,
-    pub(crate) switches: Vec<Option<Switch>>,
-    pub(crate) links: Vec<Option<(Link, EndpointRef, EndpointRef)>>,
-    pub(crate) taps: Vec<Option<(Tap, SwitchId)>>,
+    pub(crate) nodes: Vec<Node>,
+    pub(crate) switches: Vec<Switch>,
+    pub(crate) links: Vec<(Link, EndpointRef, EndpointRef)>,
+    pub(crate) taps: Vec<(Tap, SwitchId)>,
     pub(crate) logs: Vec<(SimTime, NodeId, String)>,
     pub(crate) rng: StdRng,
     pub(crate) obs: ObsHub,
@@ -167,66 +155,48 @@ pub(crate) struct World {
 
 impl World {
     pub(crate) fn node(&self, id: NodeId) -> &Node {
-        self.nodes[id.0 as usize]
-            .as_ref()
-            .expect("node not on this shard")
+        &self.nodes[id.0 as usize]
     }
 
     pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        self.nodes[id.0 as usize]
-            .as_mut()
-            .expect("node not on this shard")
+        &mut self.nodes[id.0 as usize]
     }
 
     pub(crate) fn switch(&self, id: SwitchId) -> &Switch {
-        self.switches[id.0 as usize]
-            .as_ref()
-            .expect("switch not on this shard")
+        &self.switches[id.0 as usize]
     }
 
     pub(crate) fn switch_mut(&mut self, id: SwitchId) -> &mut Switch {
-        self.switches[id.0 as usize]
-            .as_mut()
-            .expect("switch not on this shard")
+        &mut self.switches[id.0 as usize]
     }
 
     pub(crate) fn link(&self, id: LinkId) -> &(Link, EndpointRef, EndpointRef) {
-        self.links[id.0 as usize]
-            .as_ref()
-            .expect("link not on this shard")
+        &self.links[id.0 as usize]
     }
 
     pub(crate) fn link_mut(&mut self, id: LinkId) -> &mut (Link, EndpointRef, EndpointRef) {
-        self.links[id.0 as usize]
-            .as_mut()
-            .expect("link not on this shard")
+        &mut self.links[id.0 as usize]
     }
 
     pub(crate) fn tap_mut(&mut self, id: crate::capture::TapId) -> &mut (Tap, SwitchId) {
-        self.taps[id.0 as usize]
-            .as_mut()
-            .expect("tap not on this shard")
+        &mut self.taps[id.0 as usize]
     }
 }
 
-/// Where [`Exec`] puts the events it schedules. The sequential engine
-/// assigns global sequence numbers immediately; a parallel shard assigns
-/// provisional ranks and routes cross-shard events to the coordinator.
-pub(crate) trait EventSink {
-    fn schedule(&mut self, at: SimTime, kind: EventKind);
-}
-
 /// One event dispatch worth of execution: delivery semantics over a
-/// [`World`], emitting follow-up events into an [`EventSink`].
-pub(crate) struct Exec<'a, S: EventSink> {
+/// [`World`], emitting follow-up events into the simulation's queue.
+pub(crate) struct Exec<'a> {
     pub(crate) world: &'a mut World,
     pub(crate) now: SimTime,
-    pub(crate) sink: &'a mut S,
+    pub(crate) queue: &'a mut EventQueue<EventKind>,
+    /// The next creation sequence number, the queue's tie-break key.
+    pub(crate) seq: &'a mut u64,
 }
 
-impl<S: EventSink> Exec<'_, S> {
+impl Exec<'_> {
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
-        self.sink.schedule(at, kind);
+        self.queue.insert(at.as_micros(), *self.seq, kind);
+        *self.seq += 1;
     }
 
     pub(crate) fn dispatch(&mut self, kind: EventKind) {
@@ -286,10 +256,7 @@ impl<S: EventSink> Exec<'_, S> {
                 node,
                 now: self.now,
                 // Not `world.node()`: the RNG beside it is borrowed too.
-                interfaces: &self.world.nodes[node.0 as usize]
-                    .as_ref()
-                    .expect("node not on this shard")
-                    .interfaces,
+                interfaces: &self.world.nodes[node.0 as usize].interfaces,
                 actions: &mut actions,
                 rng: &mut self.world.rng,
                 trace: None,

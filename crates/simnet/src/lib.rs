@@ -35,7 +35,6 @@ pub mod link;
 pub mod packet;
 pub mod process;
 pub mod queue;
-mod shard;
 pub mod sim;
 pub mod switch;
 pub mod time;

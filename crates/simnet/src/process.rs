@@ -153,9 +153,8 @@ impl<'a> Context<'a> {
 /// buffering side effects. Default implementations ignore the event, so
 /// simple processes implement only what they need.
 ///
-/// `Send` because the parallel scheduler moves whole shards — nodes and
-/// their processes — onto worker threads between window barriers. Only
-/// one thread ever touches a process at a time, so `Sync` is not needed.
+/// `Send` so that a [`crate::Simulation`], which owns its processes, can be
+/// built on one thread and run on another.
 pub trait Process: Any + Send {
     /// Called once when the simulation starts (or the node is replaced).
     fn on_start(&mut self, ctx: &mut Context<'_>) {

@@ -1,69 +1,25 @@
-//! Slab-backed indexed event queue with a total pop order.
+//! Slab-backed event queue with a total pop order.
 //!
-//! The old engine stored events as boxed nodes in a `BinaryHeap`, and
-//! its comparator silently depended on `(time, seq)` pairs never
-//! repeating — an assumption a parallel merge would amplify into real
-//! nondeterminism. This queue makes the contract explicit:
-//!
-//! * every entry carries a caller-supplied **key** (the global sequence
-//!   number, or a shard's provisional rank) and pops happen in strict
-//!   `(time, key)` lexicographic order — a *total* order, so heap
-//!   behavior can never depend on insertion order;
+//! * every entry carries a caller-supplied **key** (the engine's
+//!   creation sequence number) and pops happen in strict `(time, key)`
+//!   lexicographic order — a *total* order, so heap behavior can never
+//!   depend on insertion order;
 //! * payloads live in a slab (`Vec` + free list), not in the heap
 //!   nodes, so the binary heap shuffles 24-byte index tuples instead of
-//!   full events;
-//! * entries are addressable: [`EventQueue::cancel`] and
-//!   [`EventQueue::rekey`] are `O(log n)` amortized, implemented as
-//!   lazy tombstones — the heap keeps the stale `(time, key, slot)`
-//!   tuple, and pops discard tuples whose slot generation or key no
-//!   longer matches the slab.
-//!
-//! The sequential scheduler keys entries by global sequence number.
-//! Parallel shards key locally-created events by a provisional rank
-//! (high bit set, so they sort after every already-assigned sequence
-//! number at equal time — exactly where the sequential engine would
-//! put them) and [`EventQueue::rekey`] them to their real sequence
-//! number at the next window barrier.
+//!   full events.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A stable reference to a queued entry, for [`EventQueue::cancel`] /
-/// [`EventQueue::rekey`]. Generation-stamped: handles to entries that
-/// were already popped (or canceled) are detected and rejected even if
-/// the slot has been reused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EventHandle {
-    slot: u32,
-    generation: u32,
-}
-
-struct Slot<T> {
-    /// Bumped every time the slot is vacated, invalidating old handles
-    /// and stale heap tuples.
-    generation: u32,
-    /// `Some` while the slot holds a live entry.
-    entry: Option<Entry<T>>,
-}
-
-struct Entry<T> {
-    at: u64,
-    key: u64,
-    payload: T,
-}
-
-/// A priority queue over `(time, key)` with slab storage and indexed
-/// cancelation. `T` is the event payload; times and keys are plain
-/// `u64`s so the queue stays agnostic of the engine's types.
+/// A priority queue over `(time, key)` with slab storage. `T` is the
+/// event payload; times and keys are plain `u64`s so the queue stays
+/// agnostic of the engine's types.
 pub struct EventQueue<T> {
-    slots: Vec<Slot<T>>,
+    /// `Some` while the slot holds a queued payload.
+    slots: Vec<Option<T>>,
     free: Vec<u32>,
-    /// Min-heap of `(at, key, slot, generation)`. Tuples are never
-    /// removed eagerly; [`EventQueue::pop`] discards ones whose slot
-    /// no longer matches (canceled, rekeyed, or already popped).
-    heap: BinaryHeap<Reverse<(u64, u64, u32, u32)>>,
-    /// Live entries (excludes tombstones still sitting in the heap).
-    len: usize,
+    /// Min-heap of `(at, key, slot)`, one tuple per queued payload.
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -79,144 +35,64 @@ impl<T> EventQueue<T> {
             slots: Vec::new(),
             free: Vec::new(),
             heap: BinaryHeap::new(),
-            len: 0,
         }
     }
 
-    /// Number of live entries.
+    /// Number of queued entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
-    /// Whether the queue holds no live entries.
+    /// Whether the queue holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
-    /// Inserts `payload` at `(at, key)` and returns its handle.
-    pub fn insert(&mut self, at: u64, key: u64, payload: T) -> EventHandle {
+    /// Inserts `payload` at `(at, key)`.
+    pub fn insert(&mut self, at: u64, key: u64, payload: T) {
         let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                let slot = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    generation: 0,
-                    entry: None,
-                });
+            Some(slot) => {
+                debug_assert!(
+                    self.slots[slot as usize].is_none(),
+                    "free slot must be vacant"
+                );
+                self.slots[slot as usize] = Some(payload);
                 slot
             }
+            None => {
+                self.slots.push(Some(payload));
+                (self.slots.len() - 1) as u32
+            }
         };
-        let s = &mut self.slots[slot as usize];
-        debug_assert!(s.entry.is_none(), "free slot must be vacant");
-        s.entry = Some(Entry { at, key, payload });
-        self.heap.push(Reverse((at, key, slot, s.generation)));
-        self.len += 1;
-        EventHandle {
-            slot,
-            generation: s.generation,
-        }
-    }
-
-    /// Removes the entry behind `handle`, returning its payload, or
-    /// `None` if it was already popped, canceled, or rekeyed away.
-    /// `O(1)` now; the heap tombstone is discarded by a later pop.
-    pub fn cancel(&mut self, handle: EventHandle) -> Option<T> {
-        let s = self.slots.get_mut(handle.slot as usize)?;
-        if s.generation != handle.generation || s.entry.is_none() {
-            return None;
-        }
-        let entry = s.entry.take().expect("checked occupied");
-        self.vacate(handle.slot);
-        Some(entry.payload)
-    }
-
-    /// Changes the tie-break key of a live entry (same time), pushing a
-    /// fresh heap tuple; the old tuple becomes a tombstone. Returns the
-    /// entry's new handle (the old one is invalidated), or `None` if
-    /// the handle was already dead. The parallel scheduler uses this at
-    /// window barriers to replace provisional ranks with assigned
-    /// global sequence numbers.
-    pub fn rekey(&mut self, handle: EventHandle, key: u64) -> Option<EventHandle> {
-        let s = self.slots.get_mut(handle.slot as usize)?;
-        if s.generation != handle.generation {
-            return None;
-        }
-        let entry = s.entry.as_mut()?;
-        if entry.key == key {
-            return Some(handle);
-        }
-        entry.key = key;
-        // Bump the generation so the *old* heap tuple (old key, old
-        // generation) can never validate, then re-push the entry under
-        // the new generation.
-        s.generation = s.generation.wrapping_add(1);
-        self.heap
-            .push(Reverse((entry.at, key, handle.slot, s.generation)));
-        Some(EventHandle {
-            slot: handle.slot,
-            generation: s.generation,
-        })
+        self.heap.push(Reverse((at, key, slot)));
     }
 
     /// The `(time, key)` of the next entry, without popping it.
-    pub fn peek(&mut self) -> Option<(u64, u64)> {
-        loop {
-            let &Reverse((at, key, slot, generation)) = self.heap.peek()?;
-            if self.tuple_is_live(slot, generation) {
-                return Some((at, key));
-            }
-            self.heap.pop();
-        }
+    pub fn peek(&self) -> Option<(u64, u64)> {
+        self.heap.peek().map(|&Reverse((at, key, _))| (at, key))
     }
 
     /// Pops the entry with the smallest `(time, key)`.
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
-        loop {
-            let Reverse((at, key, slot, generation)) = self.heap.pop()?;
-            if !self.tuple_is_live(slot, generation) {
-                continue;
-            }
-            let s = &mut self.slots[slot as usize];
-            let entry = s.entry.take().expect("live tuple has entry");
-            self.vacate(slot);
-            return Some((at, key, entry.payload));
-        }
-    }
-
-    /// Drains every live entry in an unspecified order (end-of-run
-    /// merge back into the global queue, where insertion re-sorts).
-    pub fn drain_unordered(&mut self) -> Vec<(u64, u64, T)> {
-        let mut out = Vec::with_capacity(self.len);
-        for (i, s) in self.slots.iter_mut().enumerate() {
-            if let Some(entry) = s.entry.take() {
-                out.push((entry.at, entry.key, entry.payload));
-                s.generation = s.generation.wrapping_add(1);
-                self.free.push(i as u32);
-            }
-        }
-        self.len = 0;
-        self.heap.clear();
-        out
-    }
-
-    fn tuple_is_live(&self, slot: u32, generation: u32) -> bool {
-        let s = &self.slots[slot as usize];
-        s.generation == generation && s.entry.is_some()
-    }
-
-    fn vacate(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.generation = s.generation.wrapping_add(1);
+        let Reverse((at, key, slot)) = self.heap.pop()?;
+        let payload = self.slots[slot as usize].take()?;
         self.free.push(slot);
-        self.len -= 1;
+        Some((at, key, payload))
+    }
+
+    /// Pops the next entry if its time is at or before `deadline`.
+    pub fn pop_due(&mut self, deadline: u64) -> Option<(u64, u64, T)> {
+        if self.peek()?.0 > deadline {
+            return None;
+        }
+        self.pop()
     }
 }
 
 impl<T> std::fmt::Debug for EventQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("len", &self.len)
-            .field("heap_tuples", &self.heap.len())
+            .field("len", &self.len())
             .finish()
     }
 }
@@ -239,8 +115,8 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// The ordering-hazard fix: `(time, key)` is a total order, so the
-    /// pop sequence is independent of insertion order.
+    /// `(time, key)` is a total order, so the pop sequence is independent
+    /// of insertion order.
     #[test]
     fn pop_order_is_insertion_order_independent() {
         let entries: Vec<(u64, u64)> = vec![(3, 7), (1, 2), (3, 1), (2, 5), (1, 9), (2, 4)];
@@ -268,54 +144,16 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_exactly_one_entry() {
+    fn pop_due_stops_at_the_deadline_and_leaves_later_entries_queued() {
         let mut q = EventQueue::new();
-        let _a = q.insert(1, 1, "a");
-        let b = q.insert(2, 2, "b");
-        let _c = q.insert(3, 3, "c");
-        assert_eq!(q.cancel(b), Some("b"));
-        assert_eq!(q.cancel(b), None, "double cancel");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some((1, 1, "a")));
-        assert_eq!(q.pop(), Some((3, 3, "c")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn stale_handles_do_not_touch_reused_slots() {
-        let mut q = EventQueue::new();
-        let a = q.insert(1, 1, "a");
-        assert_eq!(q.pop(), Some((1, 1, "a")));
-        // The slot is reused for a new entry; the old handle must not
-        // cancel it.
-        let b = q.insert(2, 2, "b");
-        assert_eq!(a.slot, b.slot, "test assumes slot reuse");
-        assert_eq!(q.cancel(a), None);
-        assert_eq!(q.pop(), Some((2, 2, "b")));
-    }
-
-    #[test]
-    fn rekey_moves_entry_to_new_position() {
-        let mut q = EventQueue::new();
-        let hi = q.insert(5, u64::MAX, "provisional");
-        q.insert(5, 10, "assigned");
-        let hi = q.rekey(hi, 3).expect("live");
-        assert_eq!(q.pop(), Some((5, 3, "provisional")));
-        assert_eq!(q.pop(), Some((5, 10, "assigned")));
-        assert_eq!(q.rekey(hi, 7), None, "handle dead after pop");
-    }
-
-    #[test]
-    fn drain_unordered_empties_the_queue() {
-        let mut q = EventQueue::new();
-        q.insert(2, 1, "x");
-        q.insert(1, 1, "y");
-        let canceled = q.insert(3, 1, "z");
-        q.cancel(canceled);
-        let mut drained = q.drain_unordered();
-        drained.sort_unstable_by_key(|&(at, key, _)| (at, key));
-        assert_eq!(drained, vec![(1, 1, "y"), (2, 1, "x")]);
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
+        q.insert(5, 1, "due");
+        q.insert(5, 2, "also due");
+        q.insert(6, 0, "later");
+        assert_eq!(q.pop_due(5), Some((5, 1, "due")));
+        assert_eq!(q.pop_due(5), Some((5, 2, "also due")));
+        assert_eq!(q.pop_due(5), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_due(6), Some((6, 0, "later")));
+        assert_eq!(q.pop_due(u64::MAX), None);
     }
 }

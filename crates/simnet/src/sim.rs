@@ -1,14 +1,11 @@
-//! The simulation engine: world construction, scheduling, and the
-//! sequential event loop.
+//! The simulation engine: world construction, scheduling, and the event
+//! loop.
 //!
-//! Delivery semantics live in `crate::exec`; event storage lives in
-//! [`crate::queue`]; the conservative parallel scheduler lives in
-//! `crate::shard` (both private modules). This module owns the public
-//! API and the sequential
-//! reference loop that the parallel scheduler is proven digest-identical
-//! against.
+//! Delivery semantics live in `crate::exec` (a private module); event
+//! storage lives in [`crate::queue`]. This module owns the public API
+//! and the loop, which dispatches in `(time, creation sequence)` order on
+//! the thread that called it.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use obs::ObsHub;
@@ -17,7 +14,7 @@ use rand::SeedableRng;
 
 use crate::arp::{ArpMode, ArpTable};
 use crate::capture::{PacketRecord, Tap, TapId};
-use crate::exec::{EventKind, EventSink, Exec, Interface, NetCounters, Node, World};
+use crate::exec::{EventKind, Exec, Interface, NetCounters, Node, World};
 use crate::firewall::Firewall;
 use crate::link::{Link, LinkId, LinkSpec};
 use crate::process::Process;
@@ -144,46 +141,20 @@ pub struct SimStats {
     pub arp_rejected: u64,
 }
 
-thread_local! {
-    static DEFAULT_THREADS: Cell<usize> = const { Cell::new(1) };
-}
-
-/// Sets the worker-thread count newly created [`Simulation`]s default to
-/// (thread-local, so parallel test binaries cannot race each other).
-/// `spire-sim --threads N` routes through here so every simulation an
-/// experiment builds inherits the setting.
+/// Does nothing: every [`Simulation`] runs on the thread that called it,
+/// whatever `n` is. Kept only because `benchmark/src/adapter.rs` imports
+/// it; it goes when the benchmark is next re-based (ROADMAP.md).
 pub fn set_default_threads(n: usize) {
-    DEFAULT_THREADS.with(|c| c.set(n.max(1)));
-}
-
-/// The current thread-local default worker-thread count.
-pub fn default_threads() -> usize {
-    DEFAULT_THREADS.with(|c| c.get())
-}
-
-/// The sequential scheduler's sink: assigns the global sequence number at
-/// creation time, exactly as the pre-parallel engine did.
-struct GlobalSink<'a> {
-    queue: &'a mut EventQueue<EventKind>,
-    seq: &'a mut u64,
-}
-
-impl EventSink for GlobalSink<'_> {
-    fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let seq = *self.seq;
-        *self.seq += 1;
-        self.queue.insert(at.as_micros(), seq, kind);
-    }
+    let _ = n;
 }
 
 /// The simulation world and scheduler.
 pub struct Simulation {
-    pub(crate) now: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) queue: EventQueue<EventKind>,
-    pub(crate) world: World,
-    pub(crate) threads: usize,
-    pub(crate) events_processed: u64,
+    now: SimTime,
+    seq: u64,
+    queue: EventQueue<EventKind>,
+    world: World,
+    events_processed: u64,
 }
 
 impl Simulation {
@@ -208,7 +179,6 @@ impl Simulation {
                 net,
                 actions: Vec::new(),
             },
-            threads: default_threads(),
             events_processed: 0,
         }
     }
@@ -218,23 +188,10 @@ impl Simulation {
         self.now
     }
 
-    /// Total events processed since construction (the denominator for
-    /// sim-events/sec throughput in `spire-sim bench`).
+    /// Total events processed since construction (the numerator of the
+    /// benchmark's `sim_events_per_s`).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// Sets the worker-thread count for subsequent runs. `1` (or `0`)
-    /// means strictly sequential; `n >= 2` enables the conservative
-    /// parallel scheduler when the topology yields at least two shards.
-    /// Digests are identical either way — that is the point.
-    pub fn set_threads(&mut self, n: usize) {
-        self.threads = n.max(1);
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The observability hub this engine stamps and counts into.
@@ -299,7 +256,7 @@ impl Simulation {
                 pending: BTreeMap::new(),
             })
             .collect();
-        self.world.nodes.push(Some(Node {
+        self.world.nodes.push(Node {
             name: spec.name,
             firewall: spec.firewall,
             interfaces,
@@ -311,7 +268,7 @@ impl Simulation {
             up: true,
             generation: 0,
             firewall_drops: 0,
-        }));
+        });
         self.push_event(
             self.now,
             EventKind::Start {
@@ -325,23 +282,21 @@ impl Simulation {
     /// Adds a switch.
     pub fn add_switch(&mut self, port_count: usize, mode: SwitchMode) -> SwitchId {
         let id = SwitchId(self.world.switches.len() as u32);
-        self.world
-            .switches
-            .push(Some(Switch::new(id, port_count, mode)));
+        self.world.switches.push(Switch::new(id, port_count, mode));
         id
     }
 
     /// Attaches a capture tap (span port) to a switch.
     pub fn add_tap(&mut self, switch: SwitchId) -> TapId {
         let id = TapId(self.world.taps.len() as u32);
-        self.world.taps.push(Some((Tap::new(), switch)));
+        self.world.taps.push((Tap::new(), switch));
         self.world.switch_mut(switch).taps.push(id);
         id
     }
 
     /// Read access to a tap's records.
     pub fn tap(&self, tap: TapId) -> &Tap {
-        &self.world.taps[tap.0 as usize].as_ref().expect("tap").0
+        &self.world.taps[tap.0 as usize].0
     }
 
     /// Drains a tap's buffered records.
@@ -373,7 +328,7 @@ impl Simulation {
         let id = LinkId(self.world.links.len() as u32);
         let a = EndpointRef::Nic { node, ifidx };
         let b = EndpointRef::SwitchPort { switch, port };
-        self.world.links.push(Some((Link::new(spec), a, b)));
+        self.world.links.push((Link::new(spec), a, b));
         self.world.node_mut(node).interfaces[ifidx].link = Some(id);
         self.world.switch_mut(switch).ports[port] = Some(id);
         id
@@ -404,7 +359,7 @@ impl Simulation {
             node: b.0,
             ifidx: b.1,
         };
-        self.world.links.push(Some((Link::new(spec), ea, eb)));
+        self.world.links.push((Link::new(spec), ea, eb));
         self.world.node_mut(a.0).interfaces[a.1].link = Some(id);
         self.world.node_mut(b.0).interfaces[b.1].link = Some(id);
         id
@@ -435,7 +390,7 @@ impl Simulation {
             switch: b.0,
             port: b.1,
         };
-        self.world.links.push(Some((Link::new(spec), ea, eb)));
+        self.world.links.push((Link::new(spec), ea, eb));
         self.world.switch_mut(a.0).ports[a.1] = Some(id);
         self.world.switch_mut(b.0).ports[b.1] = Some(id);
         id
@@ -573,21 +528,12 @@ impl Simulation {
     /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0;
-        if self.parallel_eligible(deadline) {
-            n += crate::shard::run_parallel(self, deadline).unwrap_or(0);
-        }
-        // Sequential loop: the only path when threads == 1, the mop-up
-        // (normally a no-op) when the parallel scheduler ran or bailed.
         // With `obs::prof` enabled this loop is also the profiler's time
         // source: each gap of simulated time is charged to the event
         // that ends it (and the trailing drain to `idle`), so the
         // attribution rows telescope exactly to the elapsed time.
         let profiling = obs::prof::enabled();
-        while let Some((at, _key)) = self.queue.peek() {
-            if at > deadline.as_micros() {
-                break;
-            }
-            let (at, _key, kind) = self.queue.pop().expect("peeked");
+        while let Some((at, _key, kind)) = self.queue.pop_due(deadline.as_micros()) {
             if profiling {
                 let stack = kind.prof_stack(&self.world);
                 obs::prof::charge_time(&stack, at.saturating_sub(self.now.as_micros()));
@@ -598,10 +544,8 @@ impl Simulation {
             Exec {
                 world: &mut self.world,
                 now: self.now,
-                sink: &mut GlobalSink {
-                    queue: &mut self.queue,
-                    seq: &mut self.seq,
-                },
+                queue: &mut self.queue,
+                seq: &mut self.seq,
             }
             .dispatch(kind);
             n += 1;
@@ -624,33 +568,7 @@ impl Simulation {
         self.run_until(deadline)
     }
 
-    /// Whether this run may go through the parallel scheduler at all.
-    /// Conservative by design: any feature whose output order the shards
-    /// cannot reproduce exactly (trace spans, live trace echo, lossy links
-    /// drawing from the shared RNG, a shared hub whose clock has moved
-    /// past ours) falls back to the sequential reference loop, which is
-    /// always digest-correct.
-    fn parallel_eligible(&self, deadline: SimTime) -> bool {
-        self.threads >= 2
-            && deadline > self.now
-            && !self.queue.is_empty()
-            // Profiling charges and health snapshots are driven by
-            // thread-local state the shard workers cannot see; both
-            // force the (digest-identical) sequential reference loop.
-            && !obs::prof::enabled()
-            && obs::prof::health_every() == 0
-            && !self.world.obs.tracing()
-            && !self.world.obs.trace_echo()
-            && self.world.obs.now_us() == self.now.as_micros()
-            && self
-                .world
-                .links
-                .iter()
-                .flatten()
-                .all(|(l, _, _)| l.spec.loss == 0.0)
-    }
-
-    pub(crate) fn push_event(&mut self, at: SimTime, kind: EventKind) {
+    fn push_event(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.insert(at.as_micros(), seq, kind);
@@ -665,7 +583,6 @@ impl std::fmt::Debug for Simulation {
             .field("switches", &self.world.switches.len())
             .field("links", &self.world.links.len())
             .field("queued_events", &self.queue.len())
-            .field("threads", &self.threads)
             .finish()
     }
 }
@@ -710,7 +627,8 @@ mod tests {
             ctx.listen(Port(2000));
         }
 
-        fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
+        fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+            ctx.log(format!("got {} bytes", pkt.payload.len()));
             self.received.push(pkt);
         }
     }
@@ -852,6 +770,21 @@ mod tests {
             sim.stats()
         };
         assert_eq!(run(1), run(1));
+    }
+
+    /// The whole contract of the symbol the benchmark adapter pins.
+    #[test]
+    fn set_default_threads_changes_nothing_about_a_run() {
+        let run = || {
+            let (mut sim, _a, _b) = two_hosts_on_switch(ArpMode::Dynamic);
+            let n = sim.run_for(SimDuration::from_millis(10));
+            assert_eq!(n, sim.events_processed());
+            (sim.stats(), n, sim.logs().to_vec())
+        };
+        let before = run();
+        assert!(!before.2.is_empty(), "the run logged something to compare");
+        set_default_threads(4);
+        assert_eq!(run(), before);
     }
 
     #[test]

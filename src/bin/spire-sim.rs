@@ -27,8 +27,9 @@
 //!                  ordered-updates/s, aggregation ratio, reaction times
 //!   e16 [--days N] closed-loop intrusion response: both attack-campaign
 //!                  shapes, periodic vs feedback recovery (N waves each)
-//!   bench          time e1-e11 wall-clock, report sim-events/sec
-//!   all            everything above, in order
+//!   all            everything above, in order (takes neither --json
+//!                  nor --trace-export: several experiments would write
+//!                  the one file)
 //!
 //! flags:
 //!   --seed N       simulation seed (default 42)
@@ -45,10 +46,7 @@
 //!                  broadcast). Selects the extended rate ramp
 //!   --pipeline K   e11: keep up to K sequences in flight (default 1 =
 //!                  serialized ordering)
-//!   --threads N    simulator worker threads (default 1). Any value
-//!                  produces bit-for-bit identical results; the
-//!                  conservative parallel scheduler only changes speed
-//!   --json FILE    write e11 / e12 / e13 / e14 / bench results as JSON
+//!   --json FILE    write e11 / e12 / e13 / e14 / e16 results as JSON
 //!                  to FILE
 //!   --metrics      print the metrics registry + journal digest after
 //!                  e4/e5 (see EXPERIMENTS.md, "Observability")
@@ -73,7 +71,6 @@ use std::process::ExitCode;
 
 use bench::chaos_experiment::{chaos_json, e12_chaos_soak, render_chaos};
 use bench::figures::{fig1_conventional, fig2_spire, fig4_hmi};
-use bench::harness::{bench_json, render_bench, run_bench};
 use bench::mana_experiment::{e7_mana_detection, e7_roc, render_mana, render_roc};
 use bench::plant_experiments::{
     e4_plant_deployment_traced, e5_reaction_time_traced, render_reaction,
@@ -99,7 +96,6 @@ struct Options {
     seed: u64,
     days: u64,
     steps: usize,
-    threads: usize,
     metrics: bool,
     trace: bool,
     trace_export: Option<String>,
@@ -119,7 +115,6 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
         // "Whole ramp" by default; --steps N truncates whichever ramp
         // (legacy or batched) the e11 arm selects.
         steps: usize::MAX,
-        threads: 1,
         metrics: false,
         trace: false,
         trace_export: None,
@@ -150,8 +145,8 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
                     _ => opts.devices_per = parsed,
                 }
             }
-            flag @ ("--seed" | "--days" | "--steps" | "--threads" | "--health-every"
-            | "--batch" | "--pipeline") => {
+            flag @ ("--seed" | "--days" | "--steps" | "--health-every" | "--batch"
+            | "--pipeline") => {
                 i += 1;
                 let value = args
                     .get(i)
@@ -165,8 +160,7 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
                     "--steps" => opts.steps = parsed as usize,
                     "--health-every" => opts.health_every = parsed,
                     "--batch" => opts.batch = parsed as u32,
-                    "--pipeline" => opts.pipeline = (parsed as u32).max(1),
-                    _ => opts.threads = (parsed as usize).max(1),
+                    _ => opts.pipeline = (parsed as u32).max(1),
                 }
             }
             "--metrics" => opts.metrics = true,
@@ -384,13 +378,6 @@ fn run(command: &str, opts: &Options) -> Option<bool> {
                 ok &= write_json(path, &json);
             }
         }
-        "bench" => {
-            let r = run_bench(opts.seed);
-            println!("{}", render_bench(&r));
-            if let Some(path) = &opts.json {
-                ok &= write_json(path, &bench_json(&r));
-            }
-        }
         "all" => {
             for c in [
                 "figures", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e7b", "e8", "e9", "e10",
@@ -409,13 +396,13 @@ fn run(command: &str, opts: &Options) -> Option<bool> {
 /// errors.
 const COMMANDS: &[&str] = &[
     "figures", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e7b", "e8", "e9", "e10", "e11", "e12",
-    "e13", "e14", "e16", "bench", "all",
+    "e13", "e14", "e16", "all",
 ];
 
 fn usage() -> String {
     format!(
         "usage: spire-sim <{}> [--seed N] [--days N] [--steps N] [--batch N] [--pipeline K] \
-         [--substations N] [--devices-per N] [--threads N] [--metrics] [--trace] \
+         [--substations N] [--devices-per N] [--metrics] [--trace] \
          [--trace-export FILE] [--json FILE] [--prof FILE] [--health-every N]",
         COMMANDS.join("|")
     )
@@ -435,11 +422,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Every simulation built from here on shards onto this many worker
-    // threads (digest-identical to --threads 1 at any count).
-    simnet::sim::set_default_threads(opts.threads);
-    // Arm the profiler/flight recorder before any simulation runs; both
-    // force the sequential scheduler and neither perturbs run digests.
+    if command == "all" && (opts.json.is_some() || opts.trace_export.is_some()) {
+        eprintln!(
+            "all takes neither --json nor --trace-export: \
+             each experiment would overwrite the one file"
+        );
+        return ExitCode::FAILURE;
+    }
+    // Arm the profiler/flight recorder before any simulation runs; the
+    // profiler never perturbs a run digest.
     obs::prof::set_enabled(opts.prof.is_some());
     obs::prof::set_health_every(opts.health_every);
     let mut ok = match run(command, &opts) {

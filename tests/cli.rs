@@ -190,3 +190,43 @@ fn unknown_command_exits_nonzero_and_lists_commands() {
     assert!(stderr.contains("unknown command: e99"));
     assert!(stderr.contains("e12"), "help should list e12");
 }
+
+/// There is one engine and one benchmark (`benchmark/`): `--threads` and
+/// `bench` are errors, not silent no-ops.
+#[test]
+fn threads_flag_and_bench_command_are_rejected() {
+    let out = spire_sim(&["e4", "--threads", "2"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag: --threads"), "got: {stderr}");
+
+    let out = spire_sim(&["bench"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown command: bench"), "got: {stderr}");
+    let listed = stderr
+        .lines()
+        .find(|l| l.starts_with("available commands:"))
+        .expect("the remaining commands are listed");
+    assert!(listed.contains("e12") && listed.contains("all"));
+    assert!(!listed.contains("bench"), "got: {listed}");
+}
+
+/// `all` would hand the one output path to every experiment that writes
+/// it, each overwriting the last with a different shape: refused before
+/// anything runs.
+#[test]
+fn all_refuses_a_single_output_file() {
+    for flag in ["--json", "--trace-export"] {
+        let path = std::env::temp_dir().join("spire-sim-cli-test-all.json");
+        let out = spire_sim(&["all", flag, path.to_str().expect("utf-8 path")]);
+        assert!(!out.status.success(), "all {flag} must fail the process");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("all takes neither --json nor --trace-export"),
+            "got: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "nothing runs before the refusal");
+        assert!(!path.exists(), "no file is written");
+    }
+}

@@ -36,6 +36,26 @@ fn e4_different_seeds_yield_different_digests() {
     );
 }
 
+/// What you observe is what runs: the profiler charges the same event
+/// loop an unprofiled run goes through, so turning it on changes nothing
+/// the run leaves behind.
+#[test]
+fn profiling_a_run_does_not_change_it() {
+    // A one-second day plus E4's five-second tail.
+    let plain = e4_plant_deployment(4242, 1, 1);
+    obs::prof::set_enabled(true);
+    let (profiled, profile) = obs::prof::capture(|| e4_plant_deployment(4242, 1, 1));
+    obs::prof::set_enabled(false);
+    assert_eq!(
+        profile.total_time_us(),
+        6_000_000,
+        "the profiler charged every simulated microsecond of the run"
+    );
+    assert_eq!(plain.obs.journal_digest, profiled.obs.journal_digest);
+    assert_eq!(plain.obs.journal_len, profiled.obs.journal_len);
+    assert_eq!(plain.meta.sim_events, profiled.meta.sim_events);
+}
+
 #[test]
 fn e5_same_seed_yields_identical_span_trees_and_digest() {
     // E5 runs with span tracing enabled, so this pins determinism of
