@@ -13,7 +13,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps (warnings denied)"
 # Gate our own crates only; vendored/* are third-party code.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
-    --exclude bytes --exclude criterion --exclude proptest --exclude rand
+    --exclude bytes --exclude proptest --exclude rand
 
 echo "==> cargo test --workspace"
 cargo test -q --workspace

@@ -9,11 +9,10 @@ use plc::topology::Scenario;
 use prime::types::Config as PrimeConfig;
 use simnet::time::SimDuration;
 use spire::config::SpireConfig;
-use spire::deploy::Deployment;
+use spire::deploy::{fast_timing, Deployment};
 use spire::hardening::HardeningProfile;
 
 use crate::harness::RunMeta;
-use crate::plant_experiments::fast_timing;
 
 /// E12 result: the fault timeline's effect and every invariant's verdict.
 #[derive(Clone, Debug)]
@@ -71,9 +70,7 @@ pub fn e12_chaos_soak_with(
     prime_cfg.transfer_dedup = true;
     let cfg = SpireConfig::minimal(prime_cfg, Scenario::PlantSubset);
     let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-    for i in 0..prime_cfg.n() {
-        d.replica_mut(i).set_timing(fast_timing());
-    }
+    d.set_timing(fast_timing());
     d.proxy_mut(0)
         .set_poll_interval(SimDuration::from_millis(100));
     d.proxy_mut(0).verbose_updates = true;

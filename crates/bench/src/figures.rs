@@ -8,7 +8,7 @@ use redteam::lab::CommercialLab;
 use scada::commercial::CommercialHmi;
 use simnet::time::SimDuration;
 use spire::config::SpireConfig;
-use spire::deploy::Deployment;
+use spire::deploy::{fast_timing, Deployment};
 use spire::hardening::HardeningProfile;
 
 /// Figure 1 — the conventional architecture, built and exercised: a
@@ -64,15 +64,7 @@ pub fn fig4_hmi(seed: u64) -> String {
             3,
         );
     let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-    for i in 0..4 {
-        d.replica_mut(i).set_timing(prime::replica::Timing {
-            aru_interval: SimDuration::from_millis(10),
-            pp_interval: SimDuration::from_millis(10),
-            suspect_timeout: SimDuration::from_millis(2_000),
-            checkpoint_interval: 20,
-            catchup_timeout: SimDuration::from_millis(300),
-        });
-    }
+    d.set_timing(fast_timing());
     d.run_for(SimDuration::from_secs(6));
     let topology = fig4_topology();
     d.hmi(0).hmi.render("jhu", &topology)

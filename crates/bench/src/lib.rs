@@ -4,8 +4,8 @@
 //!
 //! Each `eN_*` function runs one experiment deterministically from a seed
 //! and returns a structured result with a `render()`-style text table, so
-//! the same code backs the Criterion benches, the runnable examples, and
-//! the integration tests.
+//! the same code backs the `spire-sim` CLI, the runnable examples, and the
+//! integration tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

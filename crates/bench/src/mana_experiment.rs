@@ -7,14 +7,13 @@ use mana::ids::{AlertKind, ManaInstance};
 use mana::kmeans::{roc_curve, KMeansModel, RocPoint};
 use mana::model::GaussianModel;
 use plc::topology::Scenario;
-use prime::replica::Timing;
 use prime::types::Config as PrimeConfig;
 use redteam::attacker::{AttackStep, Attacker};
 use simnet::sim::{InterfaceSpec, NodeSpec};
 use simnet::time::SimDuration;
 use simnet::types::IpAddr;
 use spire::config::{SpireConfig, EXTERNAL_SPINES_PORT};
-use spire::deploy::Deployment;
+use spire::deploy::{fast_timing, Deployment};
 use spire::hardening::HardeningProfile;
 
 /// E7 result.
@@ -50,15 +49,7 @@ pub fn e7_mana_detection(seed: u64) -> ManaRun {
             0,
         );
     let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-    for i in 0..4 {
-        d.replica_mut(i).set_timing(Timing {
-            aru_interval: SimDuration::from_millis(10),
-            pp_interval: SimDuration::from_millis(10),
-            suspect_timeout: SimDuration::from_millis(2_000),
-            checkpoint_interval: 20,
-            catchup_timeout: SimDuration::from_millis(300),
-        });
-    }
+    d.set_timing(fast_timing());
     let mut mana = ManaInstance::new("MANA 2 (spire ops)", SimDuration::from_millis(250));
 
     // Baseline capture ("24-hour packet capture", compressed to 20 s of

@@ -4,25 +4,14 @@ use crate::harness::RunMeta;
 use diversity::recovery::RecoveryScheduler;
 use plc::topology::Scenario;
 use prime::application::Application;
-use prime::replica::Timing;
 use prime::types::Config as PrimeConfig;
 use redteam::lab::CommercialLab;
 use scada::commercial::CommercialHmi;
 use simnet::time::SimDuration;
 use spire::config::SpireConfig;
-use spire::deploy::Deployment;
+use spire::deploy::{fast_timing, Deployment};
 use spire::hardening::HardeningProfile;
 use spire::latency::{measure_spire, summarize, LatencySummary, Sample};
-
-pub(crate) fn fast_timing() -> Timing {
-    Timing {
-        aru_interval: SimDuration::from_millis(10),
-        pp_interval: SimDuration::from_millis(10),
-        suspect_timeout: SimDuration::from_millis(2_000),
-        checkpoint_interval: 20,
-        catchup_timeout: SimDuration::from_millis(300),
-    }
-}
 
 /// E4 result: six (compressed) days of continuous plant operation.
 #[derive(Clone, Debug)]
@@ -87,9 +76,7 @@ pub fn e4_plant_deployment_traced(
     let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
     d.obs.set_trace(trace);
     d.obs.set_tracing(span_tracing);
-    for i in 0..6 {
-        d.replica_mut(i).set_timing(fast_timing());
-    }
+    d.set_timing(fast_timing());
     // One proactive recovery per simulated "day-sixth", k = 1, downtime 2 s.
     let day = SimDuration::from_secs(seconds_per_day);
     let interval = SimDuration::from_secs((seconds_per_day / 6).max(4));
@@ -199,9 +186,7 @@ pub fn e5_reaction_time_traced(seed: u64, flips: usize, trace: bool) -> Reaction
     let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
     d.obs.set_trace(trace);
     d.obs.set_tracing(true);
-    for i in 0..6 {
-        d.replica_mut(i).set_timing(fast_timing());
-    }
+    d.set_timing(fast_timing());
     // The §V measurement used a dedicated fast poll; 20 ms keeps the
     // proxy's detection latency small relative to ordering.
     d.proxy_mut(0)

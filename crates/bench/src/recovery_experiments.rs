@@ -7,24 +7,13 @@ use diversity::variant::BinaryHardening;
 use plc::topology::Scenario;
 use prime::byzantine::ByzMode;
 use prime::harness::Cluster;
-use prime::replica::Timing;
 use prime::types::{Config as PrimeConfig, ReplicaId};
 use scada::ground_truth::{assess, rebuild_from_field};
 use scada::historian::Historian;
 use simnet::time::{SimDuration, SimTime};
 use spire::config::SpireConfig;
-use spire::deploy::Deployment;
+use spire::deploy::{fast_timing, Deployment};
 use spire::hardening::HardeningProfile;
-
-fn fast_timing() -> Timing {
-    Timing {
-        aru_interval: SimDuration::from_millis(10),
-        pp_interval: SimDuration::from_millis(10),
-        suspect_timeout: SimDuration::from_millis(2_000),
-        checkpoint_interval: 20,
-        catchup_timeout: SimDuration::from_millis(300),
-    }
-}
 
 /// E6 result.
 #[derive(Clone, Debug)]
@@ -57,9 +46,7 @@ pub fn e6_ground_truth(seed: u64) -> GroundTruthRun {
         6,
     );
     let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-    for i in 0..6 {
-        d.replica_mut(i).set_timing(fast_timing());
-    }
+    d.set_timing(fast_timing());
     // Run a workload so there is real state (breakers moved, historian fed).
     let mut historian = Historian::new();
     d.run_for(SimDuration::from_secs(6));

@@ -5,7 +5,6 @@ use crate::harness::RunMeta;
 use plc::emulator::PlcEmulator;
 use plc::logic::LogicConfig;
 use plc::topology::Scenario;
-use prime::replica::Timing;
 use prime::types::Config as PrimeConfig;
 use redteam::attacker::{AttackStep, Attacker, MitmConfig};
 use redteam::excursion::{run_excursion, ExcursionReport};
@@ -16,21 +15,11 @@ use simnet::sim::{InterfaceSpec, NodeSpec};
 use simnet::time::{SimDuration, SimTime};
 use simnet::types::{IpAddr, Port};
 use spire::config::{SpireConfig, EXTERNAL_SPINES_PORT, INTERNAL_SPINES_PORT};
-use spire::deploy::Deployment;
+use spire::deploy::{fast_timing, Deployment};
 use spire::hardening::HardeningProfile;
 
 /// Attacker address on the Spire operations network.
 const SPIRE_ATTACKER_IP: IpAddr = IpAddr::new(10, 20, 0, 66);
-
-fn fast_timing() -> Timing {
-    Timing {
-        aru_interval: SimDuration::from_millis(10),
-        pp_interval: SimDuration::from_millis(10),
-        suspect_timeout: SimDuration::from_millis(2_000),
-        checkpoint_interval: 20,
-        catchup_timeout: SimDuration::from_millis(300),
-    }
-}
 
 /// Builds the standard Spire target: red-team prime config, Figure 4
 /// scenario, breaker cycle running.
@@ -42,9 +31,7 @@ fn spire_target(hardening: HardeningProfile, seed: u64) -> Deployment {
             0,
         );
     let mut d = Deployment::build(cfg, hardening, seed);
-    for i in 0..4 {
-        d.replica_mut(i).set_timing(fast_timing());
-    }
+    d.set_timing(fast_timing());
     d
 }
 

@@ -25,13 +25,12 @@
 use prime::types::Config as PrimeConfig;
 use simnet::time::SimDuration;
 use spire::config::SpireConfig;
-use spire::deploy::Deployment;
+use spire::deploy::{fast_timing, Deployment};
 use spire::hardening::HardeningProfile;
 use spire::latency::{summarize, LatencySummary, Sample};
 use spire::site::SubstationTopology;
 
 use crate::harness::RunMeta;
-use crate::plant_experiments::fast_timing;
 
 /// One sweep point: a full regional deployment at a given scale.
 #[derive(Clone, Debug)]
@@ -139,9 +138,7 @@ fn e14_point(seed: u64, substations: u32, devices_per: u32, flips: usize) -> Reg
     // follows the change through the sweep, the coalesced report, the
     // overlay, Prime's ordering and the HMI vote to the rendered box.
     d.obs.set_tracing(true);
-    for i in 0..prime.n() {
-        d.replica_mut(i).set_timing(fast_timing());
-    }
+    d.set_timing(fast_timing());
     // Warm up (ARP, overlay discovery, first sweeps and orderings), then
     // the seed-derived sub-millisecond phase: it shifts every flip
     // relative to the 100 ms sweep schedule so distinct seeds produce

@@ -37,11 +37,10 @@ use simnet::sim::{InterfaceSpec, NodeSpec};
 use simnet::time::{SimDuration, SimTime};
 use simnet::types::IpAddr;
 use spire::config::{SpireConfig, EXTERNAL_SPINES_PORT};
-use spire::deploy::Deployment;
+use spire::deploy::{fast_timing, Deployment};
 use spire::hardening::HardeningProfile;
 
 use crate::harness::RunMeta;
-use crate::plant_experiments::fast_timing;
 
 /// Controller/scheduler tick.
 const TICK: SimDuration = SimDuration::from_millis(100);
@@ -471,9 +470,7 @@ fn build_deployment(seed: u64) -> (Deployment, PrimeConfig) {
     prime_cfg.transfer_dedup = true;
     let cfg = SpireConfig::minimal(prime_cfg, Scenario::PlantSubset);
     let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-    for i in 0..prime_cfg.n() {
-        d.replica_mut(i).set_timing(fast_timing());
-    }
+    d.set_timing(fast_timing());
     d.proxy_mut(0)
         .set_poll_interval(SimDuration::from_millis(100));
     d.proxy_mut(0).verbose_updates = true;

@@ -192,15 +192,13 @@ mod tests {
     fn excursion_does_not_disrupt_spire() {
         let cfg = SpireConfig::minimal(PrimeConfig::red_team(), Scenario::RedTeamDistribution);
         let mut d = Deployment::build(cfg, HardeningProfile::deployed(), 99);
-        for i in 0..4 {
-            d.replica_mut(i).set_timing(Timing {
-                aru_interval: SimDuration::from_millis(10),
-                pp_interval: SimDuration::from_millis(10),
-                suspect_timeout: SimDuration::from_millis(1_000),
-                checkpoint_interval: 20,
-                catchup_timeout: SimDuration::from_millis(300),
-            });
-        }
+        d.set_timing(Timing {
+            aru_interval: SimDuration::from_millis(10),
+            pp_interval: SimDuration::from_millis(10),
+            suspect_timeout: SimDuration::from_millis(1_000),
+            checkpoint_interval: 20,
+            catchup_timeout: SimDuration::from_millis(300),
+        });
         // Drive the breaker cycle so service progress is observable.
         d.hmi_mut(0).set_cycle(CycleConfig {
             scenario: Scenario::RedTeamDistribution,

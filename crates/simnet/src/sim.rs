@@ -510,6 +510,11 @@ impl Simulation {
         self.world.node(node).interfaces[ifidx].arp.resolve(ip)
     }
 
+    /// How many switches exist; their ids are `0..switch_count()`.
+    pub fn switch_count(&self) -> usize {
+        self.world.switches.len()
+    }
+
     /// Reads a switch's counters.
     pub fn switch(&self, id: SwitchId) -> &Switch {
         self.world.switch(id)

@@ -147,12 +147,11 @@ impl SpireConfig {
     ///
     /// # Panics
     ///
-    /// Panics when `topo.count >= 200` (per-proxy group ids would collide
-    /// with the HMI group space) or `topo.devices_per > 4096` (wire cap
-    /// on a coalesced report).
+    /// Panics when [`SubstationTopology::validate`] refuses `topo`.
     pub fn regional(prime: PrimeConfig, topo: SubstationTopology) -> Self {
-        assert!(topo.count < 200, "substation count exhausts group space");
-        assert!(topo.devices_per <= 4096, "device bank exceeds wire cap");
+        if let Err(why) = topo.validate() {
+            panic!("{why}");
+        }
         let proxies = (0..topo.count)
             .map(|station| ProxyAssignment {
                 index: station,
@@ -186,8 +185,14 @@ impl SpireConfig {
     ///
     /// # Panics
     ///
-    /// Panics when the placement's replica count differs from `n`.
+    /// Panics when the placement's replica count differs from `n`, or on
+    /// a regional configuration: its fabric is one operations LAN, and
+    /// sites × substations is not built.
     pub fn with_sites(mut self, sites: SiteTopology) -> Self {
+        assert!(
+            self.substations.is_none(),
+            "a regional deployment is one operations LAN: it takes no site placement"
+        );
         assert_eq!(
             sites.replica_count(),
             self.n(),
@@ -633,6 +638,19 @@ mod tests {
             assert!(ips.insert(c.device_lan_proxy_ip(idx)), "lan proxy {idx}");
             assert!(ips.insert(c.device_lan_plc_ip(idx)), "lan plc {idx}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "takes no site placement")]
+    fn regional_config_refuses_a_site_placement() {
+        let _ = SpireConfig::regional(PrimeConfig::plant(), SubstationTopology::new(2, 3))
+            .with_sites(SiteTopology::three_plus_three());
+    }
+
+    #[test]
+    #[should_panic(expected = "1500 devices")]
+    fn regional_refuses_a_region_its_addressing_cannot_hold() {
+        let _ = SpireConfig::regional(PrimeConfig::plant(), SubstationTopology::new(150, 10));
     }
 
     #[test]

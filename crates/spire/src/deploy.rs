@@ -1,29 +1,47 @@
-//! Builds a full Spire deployment on a [`simnet::Simulation`] — Figure 2,
-//! parameterized by the [`HardeningProfile`] so the E10 ablation can
-//! weaken it one switch at a time.
+//! Builds a full Spire deployment on a [`simnet::Simulation`] — Figure 2's
+//! plant, §VI's wide-area placements and the regional substation tier, all
+//! through the one [`Deployment::build`] — parameterized by the
+//! [`HardeningProfile`] so the E10 ablation can weaken it one switch at a
+//! time.
 
 use std::collections::BTreeMap;
 
 use diversity::os::OsProfile;
 use plc::emulator::PlcEmulator;
+use prime::replica::Timing;
 use simnet::capture::TapId;
 use simnet::firewall::Firewall;
-use simnet::link::LinkSpec;
+use simnet::link::{LinkId, LinkSpec};
+use simnet::process::Process;
 use simnet::sim::{InterfaceSpec, NodeSpec, Simulation};
 use simnet::switch::{SwitchId, SwitchMode};
 use simnet::time::{SimDuration, SimTime};
-use simnet::types::{MacAddr, NodeId};
+use simnet::types::{IpAddr, MacAddr, NodeId};
 
 use crate::config::{SpireConfig, EXTERNAL_SPINES_PORT, INTERNAL_SPINES_PORT};
 use crate::hardening::HardeningProfile;
 use crate::hmi_host::HmiHost;
 use crate::proxy::{PlcProxy, PROXY_MODBUS_PORT};
 use crate::replica_host::ReplicaHost;
-use crate::site::SurvivalMode;
+use crate::site::{SiteTopology, SurvivalMode};
 use crate::substation::{SubstationProxy, SUBSTATION_MODBUS_PORT};
 
 /// Number of spare switch ports kept for attacker attachment.
 const SPARE_PORTS: usize = 4;
+
+/// The Prime timing every deployment-level experiment and test runs under
+/// (10 ms ARU and pre-prepare spacing, 2 s suspicion, a checkpoint every 20
+/// executions, 300 ms catch-up); install it with
+/// [`Deployment::set_timing`].
+pub fn fast_timing() -> Timing {
+    Timing {
+        aru_interval: SimDuration::from_millis(10),
+        pp_interval: SimDuration::from_millis(10),
+        suspect_timeout: SimDuration::from_millis(2_000),
+        checkpoint_interval: 20,
+        catchup_timeout: SimDuration::from_millis(300),
+    }
+}
 
 /// A built Spire deployment.
 pub struct Deployment {
@@ -36,692 +54,269 @@ pub struct Deployment {
     pub cfg: SpireConfig,
     /// The hardening profile in force.
     pub hardening: HardeningProfile,
-    /// The external (operations) switch.
+    /// The external (operations) switch; the WAN hub of the operations
+    /// overlay in a multi-site deployment.
     pub external_switch: SwitchId,
-    /// The internal switch (present only when `isolated_internal`).
+    /// The internal switch (present only when `isolated_internal`, and
+    /// only on a single LAN).
     pub internal_switch: Option<SwitchId>,
     /// Replica host nodes, by replica id.
     pub replica_nodes: Vec<NodeId>,
     /// Proxy nodes, by proxy index.
     pub proxy_nodes: Vec<NodeId>,
-    /// PLC nodes, by proxy index.
+    /// PLC nodes, by proxy index (regional: by global device index).
     pub plc_nodes: Vec<NodeId>,
     /// HMI nodes, by HMI index.
     pub hmi_nodes: Vec<NodeId>,
     /// The MANA tap on the external switch.
     pub external_tap: TapId,
-    /// Per-site internal switches (multi-site deployments only).
-    pub site_internal_switches: Vec<SwitchId>,
-    /// Per-site external switches (multi-site deployments only).
-    pub site_external_switches: Vec<SwitchId>,
-    /// Per-site internal WAN trunk links (multi-site only; the severing
-    /// point of a site's replication uplink).
-    internal_trunks: Vec<simnet::link::LinkId>,
-    /// Per-site external WAN trunk links (multi-site only).
-    external_trunks: Vec<simnet::link::LinkId>,
-    /// Per-substation LAN switches (regional deployments only).
-    pub substation_switches: Vec<SwitchId>,
-    /// Per-substation WAN trunk links (regional only; the flap point of a
-    /// station's uplink to the operations core).
-    substation_trunks: Vec<simnet::link::LinkId>,
+    /// Multi-site only, per site: its operations access switch (where an
+    /// attacker's MAC must be known behind the trunk) and its internal and
+    /// external WAN trunks (what severing the site cuts).
+    site_uplinks: Vec<(SwitchId, [LinkId; 2])>,
     /// Spare external-switch ports for attacker attachment.
     spare_external_ports: Vec<usize>,
     /// Spare internal-switch ports (if an internal switch exists).
     spare_internal_ports: Vec<usize>,
 }
 
+/// A switch's cabling: `plan[i]` is the NIC `(node, ifidx)` on port `i` and
+/// the link it hangs on.
+type PortPlan = Vec<(NodeId, usize, LinkSpec)>;
+
+/// One overlay's switches: the core switch (the only one on a single LAN,
+/// the WAN hub otherwise), its spare ports, and per site the access switch
+/// with its trunk to the hub.
+struct Overlay {
+    core: SwitchId,
+    spare_ports: Vec<usize>,
+    sites: Vec<(SwitchId, LinkId)>,
+}
+
 impl Deployment {
-    /// Builds the deployment.
+    /// Builds the deployment: `cfg.sites` spreads the replicas (and the
+    /// proxies and HMIs homed with them) over sites joined by WAN trunks,
+    /// `cfg.substations` puts a LAN with a bank of PLCs behind every proxy;
+    /// with neither this is Figure 2's plant.
+    ///
+    /// `NodeId`, `MacAddr::derived`, `SwitchId`, `LinkId` and switch port
+    /// numbers are allocation-order and sit under every journal digest, so
+    /// the order in which this function adds things is part of its contract.
     pub fn build(cfg: SpireConfig, hardening: HardeningProfile, seed: u64) -> Self {
-        if cfg.substations.is_some() {
-            return Self::build_regional(cfg, hardening, seed);
-        }
         let mut sim = Simulation::new(seed);
         let obs = obs::ObsHub::new();
         sim.attach_obs(&obs);
-        let n = cfg.n() as usize;
+        let h = &hardening;
+        let lan = LinkSpec::lan();
         let n_proxies = cfg.proxies.len();
-        let n_hmis = cfg.hmis as usize;
+        let bank = cfg.substations.map_or(1, |t| t.devices_per);
 
-        // ---- Nodes (MACs are derived from NodeId + interface index). ----
-        let mut replica_nodes = Vec::new();
-        for i in 0..cfg.n() {
-            let interfaces = vec![
-                iface(&hardening, cfg.internal_ip(i)),
-                iface(&hardening, cfg.replica_external_ip(i)),
-            ];
-            let mut host = ReplicaHost::new(cfg.clone(), i);
-            host.attach_obs(&obs);
-            let mut spec = NodeSpec::new(format!("replica-{i}"), interfaces, Box::new(host));
-            spec.answers_arp_for_other_ifaces = !hardening.no_cross_iface_arp;
-            spec.strict_interface_binding = hardening.firewall_lockdown;
-            spec.firewall = replica_firewall(&cfg, &hardening, i);
-            replica_nodes.push(sim.add_node(spec));
-        }
+        // ---- Hosts: replicas, then per proxy slot the proxy followed by
+        // its PLC bank, then HMIs. ----
+        let replica_nodes: Vec<NodeId> = (0..cfg.n())
+            .map(|i| {
+                let mut host = ReplicaHost::new(cfg.clone(), i);
+                host.attach_obs(&obs);
+                let ips = [cfg.internal_ip(i), cfg.replica_external_ip(i)];
+                add_host(&mut sim, &cfg, h, Host::Replica(i), &ips, Box::new(host))
+            })
+            .collect();
         let mut proxy_nodes = Vec::new();
         let mut plc_nodes = Vec::new();
         for p in 0..n_proxies as u32 {
-            let interfaces = vec![
-                iface(&hardening, cfg.proxy_ip(p)),
-                iface(&hardening, cfg.proxy_cable_ip(p)),
-            ];
-            let mut proxy = PlcProxy::new(cfg.clone(), p);
-            proxy.attach_obs(&obs);
-            let mut spec = NodeSpec::new(format!("proxy-{p}"), interfaces, Box::new(proxy));
-            spec.answers_arp_for_other_ifaces = !hardening.no_cross_iface_arp;
-            spec.strict_interface_binding = hardening.firewall_lockdown;
-            spec.firewall = proxy_firewall(&cfg, &hardening, p);
-            proxy_nodes.push(sim.add_node(spec));
-
+            let process: Box<dyn Process> = if cfg.substations.is_some() {
+                let mut proxy = SubstationProxy::new(cfg.clone(), p);
+                proxy.attach_obs(&obs);
+                Box::new(proxy)
+            } else {
+                let mut proxy = PlcProxy::new(cfg.clone(), p);
+                proxy.attach_obs(&obs);
+                Box::new(proxy)
+            };
+            let (field_ip, bank_ips) = field_ips(&cfg, p);
+            let ips = [cfg.proxy_ip(p), field_ip];
+            proxy_nodes.push(add_host(&mut sim, &cfg, h, Host::Proxy(p), &ips, process));
             // The PLC is the *unhardenable* component: no host firewall, no
             // static ARP, speaks unauthenticated Modbus to anyone who can
             // reach it. That is exactly why §III-B puts it behind a proxy
             // on a direct cable.
-            let scenario = cfg.proxies[p as usize].scenario;
-            let plc_spec = NodeSpec::new(
-                format!("plc-{p}"),
-                vec![InterfaceSpec::dynamic(cfg.plc_cable_ip(p))],
-                Box::new(PlcEmulator::new(scenario)),
-            );
-            let plc_node = sim.add_node(plc_spec);
-            if let Some(plc) = sim.process_mut::<PlcEmulator>(plc_node) {
-                plc.attach_obs(&obs, plc_node.0);
-            }
-            plc_nodes.push(plc_node);
-        }
-        let mut hmi_nodes = Vec::new();
-        for h in 0..cfg.hmis {
-            let mut hmi = HmiHost::new(cfg.clone(), h);
-            hmi.attach_obs(&obs);
-            let mut spec = NodeSpec::new(
-                format!("hmi-{h}"),
-                vec![iface(&hardening, cfg.hmi_ip(h))],
-                Box::new(hmi),
-            );
-            spec.answers_arp_for_other_ifaces = !hardening.no_cross_iface_arp;
-            spec.strict_interface_binding = hardening.firewall_lockdown;
-            spec.firewall = hmi_firewall(&cfg, &hardening);
-            hmi_nodes.push(sim.add_node(spec));
-        }
-
-        // ---- Switching fabric. ----
-        // Single-LAN deployments (§IV/§V, and `6@1`) get the original one-
-        // or two-switch fabric. Multi-site placements get per-site access
-        // switches joined star-wise through a WAN hub per overlay, with
-        // each site's trunk carrying that site's uplink latency/loss
-        // profile — the trunk is the thing E13 severs.
-        let multi_site = cfg
-            .sites
-            .as_ref()
-            .map(|t| t.site_count() > 1)
-            .unwrap_or(false);
-        let external_switch;
-        let external_tap;
-        let mut internal_switch = None;
-        let mut site_internal_switches = Vec::new();
-        let mut site_external_switches = Vec::new();
-        let mut internal_trunks = Vec::new();
-        let mut external_trunks = Vec::new();
-        let spare_external_ports: Vec<usize>;
-        let mut spare_internal_ports: Vec<usize> = Vec::new();
-
-        let static_mode = |plan: &[(NodeId, usize)], remote: &[(MacAddr, usize)]| {
-            let mut map: BTreeMap<MacAddr, usize> = plan
-                .iter()
-                .enumerate()
-                .map(|(port, &(node, ifidx))| (MacAddr::derived(node, ifidx as u8), port))
-                .collect();
-            for &(mac, port) in remote {
-                map.insert(mac, port);
-            }
-            SwitchMode::Static {
-                map,
-                enforce_ingress: true,
-            }
-        };
-
-        if multi_site {
-            let topo = cfg.sites.clone().expect("multi-site");
-            let nsites = topo.site_count();
-            let trunk_spec = |site: &crate::site::Site| {
-                let mut spec = LinkSpec::wan();
-                spec.latency = site.wan_latency;
-                spec.loss = site.wan_loss;
-                spec
-            };
-            // MAC inventory per overlay, with each MAC's home site.
-            let int_macs: Vec<(MacAddr, usize)> = (0..n)
-                .map(|r| {
-                    let home = topo.site_of_replica(r as u32).expect("replica homed");
-                    (MacAddr::derived(replica_nodes[r], 0), home)
-                })
-                .collect();
-            let mut ext_macs: Vec<(MacAddr, usize)> = (0..n)
-                .map(|r| {
-                    let home = topo.site_of_replica(r as u32).expect("replica homed");
-                    (MacAddr::derived(replica_nodes[r], 1), home)
-                })
-                .collect();
-            for (p, &node) in proxy_nodes.iter().enumerate().take(n_proxies) {
-                ext_macs.push((MacAddr::derived(node, 0), topo.home_of_proxy(p as u32)));
-            }
-            for (h, &node) in hmi_nodes.iter().enumerate().take(n_hmis) {
-                ext_macs.push((MacAddr::derived(node, 0), topo.home_of_hmi(h as u32)));
-            }
-
-            // Internal overlay: per-site replica switches + WAN hub.
-            let int_hub_mode = if hardening.static_switch {
-                SwitchMode::Static {
-                    map: int_macs.iter().map(|&(mac, home)| (mac, home)).collect(),
-                    enforce_ingress: true,
-                }
-            } else {
-                SwitchMode::Learning
-            };
-            let int_hub = sim.add_switch(nsites, int_hub_mode);
-            for (s, site) in topo.sites.iter().enumerate() {
-                let plan: Vec<(NodeId, usize)> = site
-                    .replicas
-                    .iter()
-                    .map(|&r| (replica_nodes[r as usize], 0))
-                    .collect();
-                let trunk_port = plan.len();
-                let mode = if hardening.static_switch {
-                    let remote: Vec<(MacAddr, usize)> = int_macs
-                        .iter()
-                        .filter(|&&(_, home)| home != s)
-                        .map(|&(mac, _)| (mac, trunk_port))
-                        .collect();
-                    static_mode(&plan, &remote)
-                } else {
-                    SwitchMode::Learning
+            for (dev, ip) in (0..).zip(bank_ips) {
+                let (name, scenario) = match &cfg.substations {
+                    Some(topo) => (format!("plc-s{p}d{dev}"), topo.device_scenario(p, dev)),
+                    None => (format!("plc-{p}"), cfg.proxies[p as usize].scenario),
                 };
-                let sw = sim.add_switch(plan.len() + 1, mode);
-                for (port, &(node, ifidx)) in plan.iter().enumerate() {
-                    sim.connect(node, ifidx, sw, port, LinkSpec::lan());
-                }
-                internal_trunks.push(sim.connect_switches(
-                    (sw, trunk_port),
-                    (int_hub, s),
-                    trunk_spec(site),
+                let node = sim.add_node(NodeSpec::new(
+                    name,
+                    vec![InterfaceSpec::dynamic(ip)],
+                    Box::new(PlcEmulator::new(scenario)),
                 ));
-                site_internal_switches.push(sw);
+                if let Some(plc) = sim.process_mut::<PlcEmulator>(node) {
+                    plc.attach_obs(&obs, node.0);
+                }
+                plc_nodes.push(node);
             }
+        }
+        let hmi_nodes: Vec<NodeId> = (0..cfg.hmis)
+            .map(|i| {
+                let mut hmi = HmiHost::new(cfg.clone(), i);
+                hmi.attach_obs(&obs);
+                add_host(
+                    &mut sim,
+                    &cfg,
+                    h,
+                    Host::Hmi(i),
+                    &[cfg.hmi_ip(i)],
+                    Box::new(hmi),
+                )
+            })
+            .collect();
+        let banks: Vec<&[NodeId]> = plc_nodes.chunks(bank as usize).collect();
 
-            // External overlay: per-site access switches + WAN hub (with
-            // spare hub ports for attacker attachment).
-            let ext_hub_ports = nsites + SPARE_PORTS;
-            let ext_hub_mode = if hardening.static_switch {
-                SwitchMode::Static {
-                    map: ext_macs.iter().map(|&(mac, home)| (mac, home)).collect(),
-                    enforce_ingress: true,
-                }
-            } else {
-                SwitchMode::Learning
+        // ---- Port plans, per site. A deployment without a multi-site
+        // placement (§IV/§V, `6@1`, regional) is one site holding
+        // everything. A site's operations switch carries
+        //   [replicas if1][proxies if0][hmis if0]
+        //   [replicas if0 if the LAN is shared][proxy if1 + plc if0 if exposed]
+        // and its internal switch, unless the LAN is shared, [replicas if0].
+        // Substation proxies hang on a WAN uplink instead of a LAN cable. ----
+        let wan = cfg.sites.as_ref().filter(|t| t.site_count() > 1);
+        let members: Vec<Vec<u32>> = match wan {
+            Some(topo) => topo.sites.iter().map(|s| s.replicas.clone()).collect(),
+            None => vec![(0..cfg.n()).collect()],
+        };
+        let uplink = match &cfg.substations {
+            Some(topo) => wan_link(topo.wan_latency, topo.wan_loss),
+            None => lan,
+        };
+        // Replication between sites cannot share an operations LAN, and a
+        // substation bank is never on one.
+        let shared_lan = !h.isolated_internal && wan.is_none();
+        let exposed = !h.plc_behind_proxy && cfg.substations.is_none();
+        // Under `static_switch` an overlay's MAC tables name its own NICs
+        // `(mac, home site)` only: an exposed PLC is reachable inside its
+        // site, not across a trunk.
+        let (mut internal_plans, mut internal_macs) = (Vec::new(), Vec::new());
+        let (mut ops_plans, mut ops_macs) = (Vec::new(), Vec::new());
+        for (s, replicas) in members.iter().enumerate() {
+            let nics = |ifidx: usize| -> PortPlan {
+                let nic = |&r: &u32| (replica_nodes[r as usize], ifidx, lan);
+                replicas.iter().map(nic).collect()
             };
-            let ext_hub = sim.add_switch(ext_hub_ports, ext_hub_mode);
-            for (s, site) in topo.sites.iter().enumerate() {
-                let mut plan: Vec<(NodeId, usize)> = site
-                    .replicas
-                    .iter()
-                    .map(|&r| (replica_nodes[r as usize], 1))
-                    .collect();
-                for p in 0..n_proxies {
-                    if topo.home_of_proxy(p as u32) == s {
-                        plan.push((proxy_nodes[p], 0));
-                        if !hardening.plc_behind_proxy {
-                            plan.push((proxy_nodes[p], 1));
-                            plan.push((plc_nodes[p], 0));
-                        }
-                    }
-                }
-                for (h, &node) in hmi_nodes.iter().enumerate().take(n_hmis) {
-                    if topo.home_of_hmi(h as u32) == s {
-                        plan.push((node, 0));
-                    }
-                }
-                let trunk_port = plan.len();
-                let mode = if hardening.static_switch {
-                    let remote: Vec<(MacAddr, usize)> = ext_macs
-                        .iter()
-                        .filter(|&&(_, home)| home != s)
-                        .map(|&(mac, _)| (mac, trunk_port))
-                        .collect();
-                    static_mode(&plan, &remote)
-                } else {
-                    SwitchMode::Learning
+            let macs = |plan: &PortPlan| -> Vec<(MacAddr, usize)> {
+                let mac = |&(node, ifidx, _): &(NodeId, usize, LinkSpec)| {
+                    (MacAddr::derived(node, ifidx as u8), s)
                 };
-                let sw = sim.add_switch(plan.len() + 1, mode);
-                for (port, &(node, ifidx)) in plan.iter().enumerate() {
-                    sim.connect(node, ifidx, sw, port, LinkSpec::lan());
-                }
-                external_trunks.push(sim.connect_switches(
-                    (sw, trunk_port),
-                    (ext_hub, s),
-                    trunk_spec(site),
-                ));
-                site_external_switches.push(sw);
-            }
-            external_switch = ext_hub;
-            external_tap = sim.add_tap(ext_hub);
-            spare_external_ports = (nsites..ext_hub_ports).collect();
-        } else {
-            // ---- External switch: plan port assignments. ----
-            // ports: [replicas if1][proxies if0][hmis if0]
-            //        [replicas if0 if !isolated][proxy if1 + plc if0 if !behind_proxy][spares]
-            let mut plan: Vec<(NodeId, usize)> = Vec::new();
-            for &node in &replica_nodes {
-                plan.push((node, 1));
-            }
-            for &node in &proxy_nodes {
-                plan.push((node, 0));
-            }
-            for &node in &hmi_nodes {
-                plan.push((node, 0));
-            }
-            if !hardening.isolated_internal {
-                for &node in &replica_nodes {
-                    plan.push((node, 0));
-                }
-            }
-            if !hardening.plc_behind_proxy {
-                for &node in &proxy_nodes {
-                    plan.push((node, 1));
-                }
-                for &node in &plc_nodes {
-                    plan.push((node, 0));
-                }
-            }
-            let ext_ports = plan.len() + SPARE_PORTS;
-            let ext_mode = if hardening.static_switch {
-                static_mode(&plan, &[])
-            } else {
-                SwitchMode::Learning
+                plan.iter().map(mac).collect()
             };
-            let sw = sim.add_switch(ext_ports, ext_mode);
-            for (port, &(node, ifidx)) in plan.iter().enumerate() {
-                sim.connect(node, ifidx, sw, port, LinkSpec::lan());
-            }
-            external_switch = sw;
-            spare_external_ports = (plan.len()..ext_ports).collect();
-            external_tap = sim.add_tap(sw);
-
-            // ---- Internal switch (isolated replication network). ----
-            if hardening.isolated_internal {
-                let int_plan: Vec<(NodeId, usize)> =
-                    replica_nodes.iter().map(|&node| (node, 0)).collect();
-                let int_ports = int_plan.len() + SPARE_PORTS;
-                let mode = if hardening.static_switch {
-                    static_mode(&int_plan, &[])
-                } else {
-                    SwitchMode::Learning
-                };
-                let sw = sim.add_switch(int_ports, mode);
-                for (port, &(node, ifidx)) in int_plan.iter().enumerate() {
-                    sim.connect(node, ifidx, sw, port, LinkSpec::lan());
-                }
-                spare_internal_ports = (int_plan.len()..int_ports).collect();
-                internal_switch = Some(sw);
-            }
-        }
-
-        // ---- PLC cables (or exposed PLCs, handled above). ----
-        if hardening.plc_behind_proxy {
-            for p in 0..n_proxies {
-                sim.connect_direct((proxy_nodes[p], 1), (plc_nodes[p], 0), LinkSpec::cable());
-            }
-        }
-
-        // ---- Static ARP provisioning. ----
-        if hardening.static_arp {
-            let ext_participants: Vec<(simnet::types::IpAddr, MacAddr)> = {
-                let mut v = Vec::new();
-                for i in 0..cfg.n() {
-                    v.push((
-                        cfg.replica_external_ip(i),
-                        MacAddr::derived(replica_nodes[i as usize], 1),
-                    ));
-                }
-                for p in 0..n_proxies as u32 {
-                    v.push((
-                        cfg.proxy_ip(p),
-                        MacAddr::derived(proxy_nodes[p as usize], 0),
-                    ));
-                }
-                for h in 0..cfg.hmis {
-                    v.push((cfg.hmi_ip(h), MacAddr::derived(hmi_nodes[h as usize], 0)));
-                }
-                v
-            };
-            for i in 0..n {
-                // Internal peers on if0.
-                for j in 0..n {
-                    if i != j {
-                        sim.install_arp(
-                            replica_nodes[i],
-                            0,
-                            cfg.internal_ip(j as u32),
-                            MacAddr::derived(replica_nodes[j], 0),
-                        );
-                    }
-                }
-                // External participants on if1.
-                for &(ip, mac) in &ext_participants {
-                    sim.install_arp(replica_nodes[i], 1, ip, mac);
-                }
-            }
-            for p in 0..n_proxies {
-                for &(ip, mac) in &ext_participants {
-                    sim.install_arp(proxy_nodes[p], 0, ip, mac);
-                }
-                sim.install_arp(
-                    proxy_nodes[p],
-                    1,
-                    cfg.plc_cable_ip(p as u32),
-                    MacAddr::derived(plc_nodes[p], 0),
-                );
-                // (The PLC keeps dynamic ARP — real devices cannot be
-                // provisioned with static tables.)
-            }
-            for &hmi_node in hmi_nodes.iter().take(n_hmis) {
-                for &(ip, mac) in &ext_participants {
-                    sim.install_arp(hmi_node, 0, ip, mac);
-                }
-            }
-        }
-
-        Deployment {
-            sim,
-            obs,
-            cfg,
-            hardening,
-            external_switch,
-            internal_switch,
-            replica_nodes,
-            proxy_nodes,
-            plc_nodes,
-            hmi_nodes,
-            external_tap,
-            site_internal_switches,
-            site_external_switches,
-            internal_trunks,
-            external_trunks,
-            substation_switches: Vec::new(),
-            substation_trunks: Vec::new(),
-            spare_external_ports,
-            spare_internal_ports,
-        }
-    }
-
-    /// Builds a regional deployment: the replica core and HMIs on the
-    /// operations LAN exactly as in the flat single-site fabric, plus one
-    /// substation per proxy slot — its own LAN switch, a
-    /// [`SubstationProxy`], and a bank of PLCs — reached through a
-    /// per-station WAN trunk (the flap point chaos exercises).
-    fn build_regional(cfg: SpireConfig, hardening: HardeningProfile, seed: u64) -> Self {
-        let topo = *cfg.substations.as_ref().expect("regional config");
-        let mut sim = Simulation::new(seed);
-        let obs = obs::ObsHub::new();
-        sim.attach_obs(&obs);
-        let stations = topo.count;
-        let per = topo.devices_per;
-
-        // ---- Replica core (identical to the flat fabric). ----
-        let mut replica_nodes = Vec::new();
-        for i in 0..cfg.n() {
-            let interfaces = vec![
-                iface(&hardening, cfg.internal_ip(i)),
-                iface(&hardening, cfg.replica_external_ip(i)),
-            ];
-            let mut host = ReplicaHost::new(cfg.clone(), i);
-            host.attach_obs(&obs);
-            let mut spec = NodeSpec::new(format!("replica-{i}"), interfaces, Box::new(host));
-            spec.answers_arp_for_other_ifaces = !hardening.no_cross_iface_arp;
-            spec.strict_interface_binding = hardening.firewall_lockdown;
-            spec.firewall = replica_firewall(&cfg, &hardening, i);
-            replica_nodes.push(sim.add_node(spec));
-        }
-
-        // ---- Substations: proxy + PLC bank, station-major. ----
-        let mut proxy_nodes = Vec::new();
-        let mut plc_nodes = Vec::new();
-        for s in 0..stations {
-            let lan_ip = cfg.device_lan_proxy_ip(cfg.device_index(s, 0));
-            let interfaces = vec![
-                iface(&hardening, cfg.proxy_ip(s)),
-                iface(&hardening, lan_ip),
-            ];
-            let mut proxy = SubstationProxy::new(cfg.clone(), s);
-            proxy.attach_obs(&obs);
-            let mut spec = NodeSpec::new(format!("substation-{s}"), interfaces, Box::new(proxy));
-            spec.answers_arp_for_other_ifaces = !hardening.no_cross_iface_arp;
-            spec.strict_interface_binding = hardening.firewall_lockdown;
-            spec.firewall = substation_firewall(&cfg, &hardening, s);
-            proxy_nodes.push(sim.add_node(spec));
-            for dev in 0..per {
-                let idx = cfg.device_index(s, dev);
-                let plc_spec = NodeSpec::new(
-                    format!("plc-s{s}d{dev}"),
-                    vec![InterfaceSpec::dynamic(cfg.device_lan_plc_ip(idx))],
-                    Box::new(PlcEmulator::new(topo.device_scenario(s, dev))),
-                );
-                let plc_node = sim.add_node(plc_spec);
-                if let Some(plc) = sim.process_mut::<PlcEmulator>(plc_node) {
-                    plc.attach_obs(&obs, plc_node.0);
-                }
-                plc_nodes.push(plc_node);
-            }
-        }
-
-        // ---- HMIs. ----
-        let mut hmi_nodes = Vec::new();
-        for h in 0..cfg.hmis {
-            let mut hmi = HmiHost::new(cfg.clone(), h);
-            hmi.attach_obs(&obs);
-            let mut spec = NodeSpec::new(
-                format!("hmi-{h}"),
-                vec![iface(&hardening, cfg.hmi_ip(h))],
-                Box::new(hmi),
-            );
-            spec.answers_arp_for_other_ifaces = !hardening.no_cross_iface_arp;
-            spec.strict_interface_binding = hardening.firewall_lockdown;
-            spec.firewall = hmi_firewall(&cfg, &hardening);
-            hmi_nodes.push(sim.add_node(spec));
-        }
-
-        // ---- Operations switch: replicas + HMIs on LAN ports, every
-        // substation proxy behind a WAN trunk with the topology's
-        // latency/loss profile. ----
-        let mut plan: Vec<(NodeId, usize)> = Vec::new();
-        for &node in &replica_nodes {
-            plan.push((node, 1));
-        }
-        let proxy_port_base = plan.len();
-        for &node in &proxy_nodes {
-            plan.push((node, 0));
-        }
-        for &node in &hmi_nodes {
-            plan.push((node, 0));
-        }
-        if !hardening.isolated_internal {
-            for &node in &replica_nodes {
-                plan.push((node, 0));
-            }
-        }
-        let ext_ports = plan.len() + SPARE_PORTS;
-        let ext_mode = if hardening.static_switch {
-            let map: BTreeMap<MacAddr, usize> = plan
-                .iter()
-                .enumerate()
-                .map(|(port, &(node, ifidx))| (MacAddr::derived(node, ifidx as u8), port))
+            let proxies: Vec<usize> = (0..n_proxies)
+                .filter(|&p| wan.map_or(0, |t| t.home_of_proxy(p as u32)) == s)
                 .collect();
-            SwitchMode::Static {
-                map,
-                enforce_ingress: true,
+            let hmis = (0..cfg.hmis).filter(|&i| wan.map_or(0, |t| t.home_of_hmi(i)) == s);
+            let (internal, mut ops) = (nics(0), nics(1));
+            ops.extend(proxies.iter().map(|&p| (proxy_nodes[p], 0, uplink)));
+            ops.extend(hmis.map(|i| (hmi_nodes[i as usize], 0, lan)));
+            internal_macs.extend(macs(&internal));
+            ops_macs.extend(macs(&ops));
+            if shared_lan {
+                ops.extend(&internal);
             }
-        } else {
-            SwitchMode::Learning
+            if exposed {
+                ops.extend(proxies.iter().map(|&p| (proxy_nodes[p], 1, lan)));
+                ops.extend(proxies.iter().map(|&p| (banks[p][0], 0, lan)));
+            }
+            internal_plans.push(internal);
+            ops_plans.push(ops);
+        }
+
+        // ---- Switches. A WAN fabric numbers its replication switches
+        // first, a single LAN its operations switch; a WAN replication hub
+        // has no spare ports to plug into. ----
+        let internal_spare = if wan.is_some() { 0 } else { SPARE_PORTS };
+        let add_internal = |sim: &mut Simulation| {
+            add_overlay(sim, h, wan, &internal_plans, &internal_macs, internal_spare)
         };
-        let external_switch = sim.add_switch(ext_ports, ext_mode);
-        let trunk_spec = {
-            let mut spec = LinkSpec::wan();
-            spec.latency = topo.wan_latency;
-            spec.loss = topo.wan_loss;
-            spec
-        };
-        let mut substation_trunks = Vec::new();
-        for (port, &(node, ifidx)) in plan.iter().enumerate() {
-            let is_trunk = port >= proxy_port_base && port < proxy_port_base + proxy_nodes.len();
-            let spec = if is_trunk {
-                trunk_spec
-            } else {
-                LinkSpec::lan()
-            };
-            let link = sim.connect(node, ifidx, external_switch, port, spec);
-            if is_trunk {
-                substation_trunks.push(link);
+        let wan_internal = wan.map(|_| add_internal(&mut sim));
+        let ops = add_overlay(&mut sim, h, wan, &ops_plans, &ops_macs, SPARE_PORTS);
+        let internal = wan_internal.or_else(|| (!shared_lan).then(|| add_internal(&mut sim)));
+        let external_tap = sim.add_tap(ops.core);
+
+        // ---- Field side of each proxy slot: a substation LAN, the direct
+        // cable, or (exposed) the operations ports planned above. ----
+        for (&proxy, plcs) in proxy_nodes.iter().zip(&banks) {
+            if cfg.substations.is_some() {
+                let mut plan = vec![(proxy, 1, lan)];
+                plan.extend(plcs.iter().map(|&plc| (plc, 0, lan)));
+                add_switch(&mut sim, h, &plan, 0, &[]);
+            } else if h.plc_behind_proxy {
+                sim.connect_direct((proxy, 1), (plcs[0], 0), LinkSpec::cable());
             }
         }
-        let spare_external_ports: Vec<usize> = (plan.len()..ext_ports).collect();
-        let external_tap = sim.add_tap(external_switch);
 
-        // ---- Internal (replication) switch. ----
-        let mut internal_switch = None;
-        let mut spare_internal_ports = Vec::new();
-        if hardening.isolated_internal {
-            let int_plan: Vec<(NodeId, usize)> =
-                replica_nodes.iter().map(|&node| (node, 0)).collect();
-            let int_ports = int_plan.len() + SPARE_PORTS;
-            let mode = if hardening.static_switch {
-                let map: BTreeMap<MacAddr, usize> = int_plan
-                    .iter()
-                    .enumerate()
-                    .map(|(port, &(node, ifidx))| (MacAddr::derived(node, ifidx as u8), port))
-                    .collect();
-                SwitchMode::Static {
-                    map,
-                    enforce_ingress: true,
-                }
-            } else {
-                SwitchMode::Learning
-            };
-            let sw = sim.add_switch(int_ports, mode);
-            for (port, &(node, ifidx)) in int_plan.iter().enumerate() {
-                sim.connect(node, ifidx, sw, port, LinkSpec::lan());
-            }
-            spare_internal_ports = (int_plan.len()..int_ports).collect();
-            internal_switch = Some(sw);
-        }
-
-        // ---- Substation LANs: proxy if1 + the PLC bank per station. ----
-        let mut substation_switches = Vec::new();
-        for s in 0..stations {
-            let mut lan_plan: Vec<(NodeId, usize)> = vec![(proxy_nodes[s as usize], 1)];
-            for dev in 0..per {
-                lan_plan.push((plc_nodes[cfg.device_index(s, dev) as usize], 0));
-            }
-            let mode = if hardening.static_switch {
-                let map: BTreeMap<MacAddr, usize> = lan_plan
-                    .iter()
-                    .enumerate()
-                    .map(|(port, &(node, ifidx))| (MacAddr::derived(node, ifidx as u8), port))
-                    .collect();
-                SwitchMode::Static {
-                    map,
-                    enforce_ingress: true,
-                }
-            } else {
-                SwitchMode::Learning
-            };
-            let sw = sim.add_switch(lan_plan.len(), mode);
-            for (port, &(node, ifidx)) in lan_plan.iter().enumerate() {
-                sim.connect(node, ifidx, sw, port, LinkSpec::lan());
-            }
-            substation_switches.push(sw);
-        }
-
-        // ---- Static ARP provisioning. ----
-        if hardening.static_arp {
-            let ext_participants: Vec<(simnet::types::IpAddr, MacAddr)> = {
-                let mut v = Vec::new();
-                for i in 0..cfg.n() {
-                    v.push((
-                        cfg.replica_external_ip(i),
-                        MacAddr::derived(replica_nodes[i as usize], 1),
-                    ));
-                }
-                for s in 0..stations {
-                    v.push((
-                        cfg.proxy_ip(s),
-                        MacAddr::derived(proxy_nodes[s as usize], 0),
-                    ));
-                }
-                for h in 0..cfg.hmis {
-                    v.push((cfg.hmi_ip(h), MacAddr::derived(hmi_nodes[h as usize], 0)));
-                }
-                v
-            };
-            for i in 0..cfg.n() as usize {
-                for j in 0..cfg.n() {
-                    if i != j as usize {
-                        sim.install_arp(
-                            replica_nodes[i],
-                            0,
-                            cfg.internal_ip(j),
-                            MacAddr::derived(replica_nodes[j as usize], 0),
-                        );
-                    }
-                }
-                for &(ip, mac) in &ext_participants {
-                    sim.install_arp(replica_nodes[i], 1, ip, mac);
-                }
-            }
-            for s in 0..stations {
-                let proxy_node = proxy_nodes[s as usize];
-                for &(ip, mac) in &ext_participants {
-                    sim.install_arp(proxy_node, 0, ip, mac);
-                }
-                for dev in 0..per {
-                    let idx = cfg.device_index(s, dev);
+        // ---- Static ARP provisioning: replicas know their internal peers
+        // on if0 and every operations participant on if1; proxies and HMIs
+        // every participant on if0; a proxy its bank on if1. (The PLC keeps
+        // dynamic ARP — real devices cannot be provisioned with static
+        // tables.) ----
+        if h.static_arp {
+            let ops_nics: Vec<(NodeId, usize)> = (replica_nodes.iter().map(|&node| (node, 1)))
+                .chain(proxy_nodes.iter().chain(&hmi_nodes).map(|&node| (node, 0)))
+                .collect();
+            for &(node, ifidx) in &ops_nics {
+                for &(peer, peer_if) in &ops_nics {
                     sim.install_arp(
-                        proxy_node,
-                        1,
-                        cfg.device_lan_plc_ip(idx),
-                        MacAddr::derived(plc_nodes[idx as usize], 0),
+                        node,
+                        ifidx,
+                        sim.ip_of(peer, peer_if),
+                        sim.mac_of(peer, peer_if),
                     );
                 }
-                // (PLCs keep dynamic ARP, as in the flat deployment.)
             }
-            for &hmi_node in &hmi_nodes {
-                for &(ip, mac) in &ext_participants {
-                    sim.install_arp(hmi_node, 0, ip, mac);
+            for &node in &replica_nodes {
+                for &peer in replica_nodes.iter().filter(|&&peer| peer != node) {
+                    sim.install_arp(node, 0, sim.ip_of(peer, 0), sim.mac_of(peer, 0));
+                }
+            }
+            for (&proxy, plcs) in proxy_nodes.iter().zip(&banks) {
+                for &plc in plcs.iter() {
+                    sim.install_arp(proxy, 1, sim.ip_of(plc, 0), sim.mac_of(plc, 0));
                 }
             }
         }
 
+        let internal_switch = internal.as_ref().filter(|_| wan.is_none()).map(|o| o.core);
+        let (spare_internal_ports, internal_sites) = internal
+            .map(|o| (o.spare_ports, o.sites))
+            .unwrap_or_default();
+        let site_uplinks = ops
+            .sites
+            .iter()
+            .zip(internal_sites)
+            .map(|(&(access, ext_trunk), (_, int_trunk))| (access, [int_trunk, ext_trunk]))
+            .collect();
         Deployment {
             sim,
             obs,
             cfg,
             hardening,
-            external_switch,
+            external_switch: ops.core,
             internal_switch,
             replica_nodes,
             proxy_nodes,
             plc_nodes,
             hmi_nodes,
             external_tap,
-            site_internal_switches: Vec::new(),
-            site_external_switches: Vec::new(),
-            internal_trunks: Vec::new(),
-            external_trunks: Vec::new(),
-            substation_switches,
-            substation_trunks,
-            spare_external_ports,
+            site_uplinks,
+            spare_external_ports: ops.spare_ports,
             spare_internal_ports,
         }
     }
 
+    /// Sets every replica's protocol timing.
+    pub fn set_timing(&mut self, timing: Timing) {
+        for i in 0..self.cfg.n() {
+            self.replica_mut(i).set_timing(timing);
+        }
+    }
     /// Runs the simulation for `dur`.
     pub fn run_for(&mut self, dur: SimDuration) {
         self.sim.run_for(dur);
@@ -732,48 +327,48 @@ impl Deployment {
         self.sim.now()
     }
 
+    /// The process on `node`, which the node lists guarantee is a `T`.
+    fn host<T: Process>(&self, node: NodeId) -> &T {
+        let found = self.sim.process_ref(node);
+        found.unwrap_or_else(|| panic!("{node:?} hosts no {}", std::any::type_name::<T>()))
+    }
+
+    /// Mutable twin of [`Deployment::host`].
+    fn host_mut<T: Process>(&mut self, node: NodeId) -> &mut T {
+        let found = self.sim.process_mut(node);
+        found.unwrap_or_else(|| panic!("{node:?} hosts no {}", std::any::type_name::<T>()))
+    }
+
     /// Read access to replica host `i`.
     pub fn replica(&self, i: u32) -> &ReplicaHost {
-        self.sim
-            .process_ref::<ReplicaHost>(self.replica_nodes[i as usize])
-            .expect("replica host")
+        self.host(self.replica_nodes[i as usize])
     }
 
     /// Mutable access to replica host `i` (fault injection, daemon
     /// manipulation — the attacker's hands-on-keyboard access).
     pub fn replica_mut(&mut self, i: u32) -> &mut ReplicaHost {
-        self.sim
-            .process_mut::<ReplicaHost>(self.replica_nodes[i as usize])
-            .expect("replica host")
+        self.host_mut(self.replica_nodes[i as usize])
     }
 
     /// Read access to proxy `p`.
     pub fn proxy(&self, p: u32) -> &PlcProxy {
-        self.sim
-            .process_ref::<PlcProxy>(self.proxy_nodes[p as usize])
-            .expect("proxy")
+        self.host(self.proxy_nodes[p as usize])
     }
 
     /// Mutable access to proxy `p`.
     pub fn proxy_mut(&mut self, p: u32) -> &mut PlcProxy {
-        self.sim
-            .process_mut::<PlcProxy>(self.proxy_nodes[p as usize])
-            .expect("proxy")
+        self.host_mut(self.proxy_nodes[p as usize])
     }
 
     /// Read access to substation proxy `s` (regional deployments).
     pub fn substation_proxy(&self, s: u32) -> &SubstationProxy {
-        self.sim
-            .process_ref::<SubstationProxy>(self.proxy_nodes[s as usize])
-            .expect("substation proxy")
+        self.host(self.proxy_nodes[s as usize])
     }
 
     /// Mutable access to substation proxy `s` (compromise injection,
     /// sweep cadence).
     pub fn substation_proxy_mut(&mut self, s: u32) -> &mut SubstationProxy {
-        self.sim
-            .process_mut::<SubstationProxy>(self.proxy_nodes[s as usize])
-            .expect("substation proxy")
+        self.host_mut(self.proxy_nodes[s as usize])
     }
 
     /// Number of substations (0 for flat deployments).
@@ -781,9 +376,11 @@ impl Deployment {
         self.cfg.substations.map(|t| t.count).unwrap_or(0)
     }
 
-    /// The WAN trunk of substation `s` (regional only).
-    pub fn substation_link(&self, s: u32) -> Option<simnet::link::LinkId> {
-        self.substation_trunks.get(s as usize).copied()
+    /// The WAN trunk of substation `s` — its proxy's uplink (regional
+    /// only).
+    pub fn substation_link(&self, s: u32) -> Option<LinkId> {
+        self.cfg.substations?;
+        self.sim.link_of(*self.proxy_nodes.get(s as usize)?, 0)
     }
 
     /// Raises or drops substation `s`'s WAN trunk — the chaos engine's
@@ -796,31 +393,23 @@ impl Deployment {
 
     /// Read access to the PLC behind proxy `p`.
     pub fn plc(&self, p: u32) -> &PlcEmulator {
-        self.sim
-            .process_ref::<PlcEmulator>(self.plc_nodes[p as usize])
-            .expect("plc")
+        self.host(self.plc_nodes[p as usize])
     }
 
     /// Mutable access to the PLC behind proxy `p` (the measurement device
     /// physically flips breakers through this).
     pub fn plc_mut(&mut self, p: u32) -> &mut PlcEmulator {
-        self.sim
-            .process_mut::<PlcEmulator>(self.plc_nodes[p as usize])
-            .expect("plc")
+        self.host_mut(self.plc_nodes[p as usize])
     }
 
     /// Read access to HMI `h`.
     pub fn hmi(&self, h: u32) -> &HmiHost {
-        self.sim
-            .process_ref::<HmiHost>(self.hmi_nodes[h as usize])
-            .expect("hmi")
+        self.host(self.hmi_nodes[h as usize])
     }
 
     /// Mutable access to HMI `h`.
     pub fn hmi_mut(&mut self, h: u32) -> &mut HmiHost {
-        self.sim
-            .process_mut::<HmiHost>(self.hmi_nodes[h as usize])
-            .expect("hmi")
+        self.host_mut(self.hmi_nodes[h as usize])
     }
 
     /// Whether replica `i`'s node is currently up (reachable on the
@@ -853,11 +442,16 @@ impl Deployment {
     /// host immediately runs Prime's recovery (catch-up + app-level state
     /// transfer).
     pub fn restore_replica(&mut self, i: u32) {
+        self.reinstall_replica(i, true);
+    }
+
+    /// Powers replica `i`'s node up with a factory-fresh host.
+    fn reinstall_replica(&mut self, i: u32, pending_recovery: bool) {
         let node = self.replica_nodes[i as usize];
         self.sim.set_node_up(node, true);
         let mut host = ReplicaHost::new(self.cfg.clone(), i);
         host.attach_obs(&self.obs);
-        host.pending_recovery = true;
+        host.pending_recovery = pending_recovery;
         self.sim.replace_process(node, Box::new(host));
     }
 
@@ -902,11 +496,7 @@ impl Deployment {
     /// polling then repopulates the SCADA state from ground truth.
     pub fn system_reset(&mut self) {
         for i in 0..self.cfg.n() {
-            let node = self.replica_nodes[i as usize];
-            self.sim.set_node_up(node, true);
-            let mut host = ReplicaHost::new(self.cfg.clone(), i);
-            host.attach_obs(&self.obs);
-            self.sim.replace_process(node, Box::new(host));
+            self.reinstall_replica(i, false);
         }
     }
 
@@ -932,7 +522,7 @@ impl Deployment {
             .authorize_switch_port(self.external_switch, mac, port);
         // Multi-site: the drop is at the WAN hub, so each site switch
         // learns the attacker's MAC behind its trunk (last port).
-        for &sw in &self.site_external_switches {
+        for &(sw, _) in &self.site_uplinks {
             let trunk_port = self.sim.switch(sw).port_count() - 1;
             self.sim.authorize_switch_port(sw, mac, trunk_port);
         }
@@ -988,9 +578,10 @@ impl Deployment {
     }
 
     fn set_site_connectivity(&mut self, site: usize, up: bool) {
-        if !self.internal_trunks.is_empty() {
-            self.sim.set_link_up(self.internal_trunks[site], up);
-            self.sim.set_link_up(self.external_trunks[site], up);
+        if !self.site_uplinks.is_empty() {
+            for trunk in self.site_uplinks[site].1 {
+                self.sim.set_link_up(trunk, up);
+            }
         } else if let Some(topo) = &self.cfg.sites {
             let nodes: Vec<NodeId> = topo
                 .replicas_of(site)
@@ -1056,103 +647,191 @@ impl Deployment {
 
     /// The link attached to replica `i`'s interface `ifidx` (0 =
     /// internal/replication, 1 = external/operations).
-    pub fn replica_link(&self, i: u32, ifidx: usize) -> Option<simnet::link::LinkId> {
+    pub fn replica_link(&self, i: u32, ifidx: usize) -> Option<LinkId> {
         self.sim.link_of(self.replica_nodes[i as usize], ifidx)
     }
 
     /// Minimum executed count across correct replicas.
     pub fn min_executed(&self) -> u64 {
         (0..self.cfg.n())
-            .filter(|&i| self.sim.node_up(self.replica_nodes[i as usize]))
+            .filter(|&i| self.replica_up(i))
             .map(|i| self.replica(i).replica.exec_seq())
-            .filter(|_| true)
             .min()
             .unwrap_or(0)
     }
 }
 
-fn iface(hardening: &HardeningProfile, ip: simnet::types::IpAddr) -> InterfaceSpec {
-    if hardening.static_arp {
-        InterfaceSpec::static_arp(ip)
-    } else {
-        InterfaceSpec::dynamic(ip)
+/// A hardenable host (everything but a PLC), by role and index.
+#[derive(Clone, Copy, PartialEq)]
+enum Host {
+    Replica(u32),
+    Proxy(u32),
+    Hmi(u32),
+}
+
+/// Adds hardenable host `host` with a NIC per address in `ips`: static or
+/// dynamic ARP, cross-interface ARP answers and the strong-host model per
+/// `hardening`, behind its [`firewall`].
+fn add_host(
+    sim: &mut Simulation,
+    cfg: &SpireConfig,
+    hardening: &HardeningProfile,
+    host: Host,
+    ips: &[IpAddr],
+    process: Box<dyn Process>,
+) -> NodeId {
+    let name = match host {
+        Host::Replica(i) => format!("replica-{i}"),
+        Host::Proxy(p) if cfg.substations.is_some() => format!("substation-{p}"),
+        Host::Proxy(p) => format!("proxy-{p}"),
+        Host::Hmi(i) => format!("hmi-{i}"),
+    };
+    let iface = |&ip: &IpAddr| match hardening.static_arp {
+        true => InterfaceSpec::static_arp(ip),
+        false => InterfaceSpec::dynamic(ip),
+    };
+    let mut spec = NodeSpec::new(name, ips.iter().map(iface).collect(), process);
+    spec.answers_arp_for_other_ifaces = !hardening.no_cross_iface_arp;
+    spec.strict_interface_binding = hardening.firewall_lockdown;
+    spec.firewall = firewall(cfg, hardening, host);
+    sim.add_node(spec)
+}
+
+/// The field side of proxy slot `p`: the proxy's own address there and its
+/// bank's — a substation LAN, or the plant's one PLC on a cable.
+fn field_ips(cfg: &SpireConfig, p: u32) -> (IpAddr, Vec<IpAddr>) {
+    match &cfg.substations {
+        Some(topo) => {
+            let bank = (0..topo.devices_per).map(|dev| cfg.device_index(p, dev));
+            (
+                cfg.device_lan_proxy_ip(cfg.device_index(p, 0)),
+                bank.map(|idx| cfg.device_lan_plc_ip(idx)).collect(),
+            )
+        }
+        None => (cfg.proxy_cable_ip(p), vec![cfg.plc_cable_ip(p)]),
     }
 }
 
-fn base_firewall(hardening: &HardeningProfile) -> Firewall {
-    let mut fw = if hardening.firewall_lockdown {
-        Firewall::locked_down()
+/// A WAN trunk with the given one-way latency and loss.
+fn wan_link(latency: SimDuration, loss: f64) -> LinkSpec {
+    LinkSpec {
+        latency,
+        loss,
+        ..LinkSpec::wan()
+    }
+}
+
+/// Makes one switch: `plan[i]` is cabled to port `i`, `extra` more ports
+/// stay empty for the caller (trunks, attacker drops), and under
+/// `static_switch` the MAC table holds every planned NIC on its port plus
+/// `behind` — the MACs that live behind a trunk port.
+fn add_switch(
+    sim: &mut Simulation,
+    hardening: &HardeningProfile,
+    plan: &[(NodeId, usize, LinkSpec)],
+    extra: usize,
+    behind: &[(MacAddr, usize)],
+) -> SwitchId {
+    let mode = if hardening.static_switch {
+        let planned = plan.iter().enumerate();
+        let planned =
+            planned.map(|(port, &(node, ifidx, _))| (MacAddr::derived(node, ifidx as u8), port));
+        SwitchMode::Static {
+            map: planned.chain(behind.iter().copied()).collect(),
+            enforce_ingress: true,
+        }
     } else {
-        Firewall::open()
+        SwitchMode::Learning
     };
+    let switch = sim.add_switch(plan.len() + extra, mode);
+    for (port, &(node, ifidx, spec)) in plan.iter().enumerate() {
+        sim.connect(node, ifidx, switch, port, spec);
+    }
+    switch
+}
+
+/// Makes one overlay's switches from its per-site port plans. A single LAN
+/// (`wan` is `None`) is one switch with `spare` ports left over. A
+/// wide-area placement is an access switch per site, trunked — with that
+/// site's uplink latency and loss; the trunk is the thing E13 severs — to
+/// its own port of a WAN hub that keeps `spare` more. `macs` lists the
+/// overlay's `(mac, home site)`: what each static switch must expect
+/// behind a trunk.
+fn add_overlay(
+    sim: &mut Simulation,
+    hardening: &HardeningProfile,
+    wan: Option<&SiteTopology>,
+    plans: &[PortPlan],
+    macs: &[(MacAddr, usize)],
+    spare: usize,
+) -> Overlay {
+    let Some(topo) = wan else {
+        let taken = plans[0].len();
+        return Overlay {
+            core: add_switch(sim, hardening, &plans[0], spare, &[]),
+            spare_ports: (taken..taken + spare).collect(),
+            sites: Vec::new(),
+        };
+    };
+    let hub = add_switch(sim, hardening, &[], plans.len() + spare, macs);
+    let mut sites = Vec::new();
+    for (s, (plan, site)) in plans.iter().zip(&topo.sites).enumerate() {
+        let trunk_port = plan.len();
+        let remote = macs.iter().filter(|&&(_, home)| home != s);
+        let behind: Vec<_> = remote.map(|&(mac, _)| (mac, trunk_port)).collect();
+        let access = add_switch(sim, hardening, plan, 1, &behind);
+        let trunk = wan_link(site.wan_latency, site.wan_loss);
+        sites.push((
+            access,
+            sim.connect_switches((access, trunk_port), (hub, s), trunk),
+        ));
+    }
+    Overlay {
+        core: hub,
+        spare_ports: (plans.len()..plans.len() + spare).collect(),
+        sites,
+    }
+}
+
+/// The host firewall: open without `firewall_lockdown`; with it,
+/// default-deny plus exactly the peer/port pairs the host's protocols use.
+/// Everyone hears every replica's external daemon. Beyond that a replica
+/// hears its peers' internal daemons, every proxy and every HMI; a plant
+/// proxy the other proxies, the HMIs and its PLC; a substation proxy only
+/// its bank; an HMI the proxies.
+fn firewall(cfg: &SpireConfig, hardening: &HardeningProfile, host: Host) -> Firewall {
+    if !hardening.firewall_lockdown {
+        return Firewall::open();
+    }
+    let mut fw = Firewall::locked_down();
     // The open OS profile leaves extra services listening; model that as
     // IPv6 left on (an extra, unfirewalled surface flag).
-    fw.ipv6_enabled = hardening.os == OsProfile::UbuntuDesktop || !hardening.firewall_lockdown;
-    fw
-}
-
-fn replica_firewall(cfg: &SpireConfig, hardening: &HardeningProfile, me: u32) -> Firewall {
-    let mut fw = base_firewall(hardening);
-    if hardening.firewall_lockdown {
-        for j in 0..cfg.n() {
-            if j != me {
-                fw.allow(cfg.internal_ip(j), INTERNAL_SPINES_PORT);
-                fw.allow(cfg.replica_external_ip(j), EXTERNAL_SPINES_PORT);
-            }
+    fw.ipv6_enabled = hardening.os == OsProfile::UbuntuDesktop;
+    let is_replica = matches!(host, Host::Replica(_));
+    let substation = matches!(host, Host::Proxy(_)) && cfg.substations.is_some();
+    for j in (0..cfg.n()).filter(|&j| host != Host::Replica(j)) {
+        fw.allow(cfg.replica_external_ip(j), EXTERNAL_SPINES_PORT);
+        if is_replica {
+            fw.allow(cfg.internal_ip(j), INTERNAL_SPINES_PORT);
         }
-        for p in 0..cfg.proxies.len() as u32 {
+    }
+    if !substation {
+        for p in (0..cfg.proxies.len() as u32).filter(|&p| host != Host::Proxy(p)) {
             fw.allow(cfg.proxy_ip(p), EXTERNAL_SPINES_PORT);
         }
-        for h in 0..cfg.hmis {
-            fw.allow(cfg.hmi_ip(h), EXTERNAL_SPINES_PORT);
+    }
+    if is_replica || (matches!(host, Host::Proxy(_)) && !substation) {
+        for i in 0..cfg.hmis {
+            fw.allow(cfg.hmi_ip(i), EXTERNAL_SPINES_PORT);
         }
     }
-    fw
-}
-
-fn proxy_firewall(cfg: &SpireConfig, hardening: &HardeningProfile, me: u32) -> Firewall {
-    let mut fw = base_firewall(hardening);
-    if hardening.firewall_lockdown {
-        for j in 0..cfg.n() {
-            fw.allow(cfg.replica_external_ip(j), EXTERNAL_SPINES_PORT);
-        }
-        for p in 0..cfg.proxies.len() as u32 {
-            if p != me {
-                fw.allow(cfg.proxy_ip(p), EXTERNAL_SPINES_PORT);
-            }
-        }
-        for h in 0..cfg.hmis {
-            fw.allow(cfg.hmi_ip(h), EXTERNAL_SPINES_PORT);
-        }
-        fw.allow(cfg.plc_cable_ip(me), PROXY_MODBUS_PORT);
-    }
-    fw
-}
-
-fn substation_firewall(cfg: &SpireConfig, hardening: &HardeningProfile, me: u32) -> Firewall {
-    let mut fw = base_firewall(hardening);
-    if hardening.firewall_lockdown {
-        for j in 0..cfg.n() {
-            fw.allow(cfg.replica_external_ip(j), EXTERNAL_SPINES_PORT);
-        }
-        if let Some(topo) = &cfg.substations {
-            for dev in 0..topo.devices_per {
-                let idx = cfg.device_index(me, dev);
-                fw.allow(cfg.device_lan_plc_ip(idx), SUBSTATION_MODBUS_PORT);
-            }
-        }
-    }
-    fw
-}
-
-fn hmi_firewall(cfg: &SpireConfig, hardening: &HardeningProfile) -> Firewall {
-    let mut fw = base_firewall(hardening);
-    if hardening.firewall_lockdown {
-        for j in 0..cfg.n() {
-            fw.allow(cfg.replica_external_ip(j), EXTERNAL_SPINES_PORT);
-        }
-        for p in 0..cfg.proxies.len() as u32 {
-            fw.allow(cfg.proxy_ip(p), EXTERNAL_SPINES_PORT);
+    if let Host::Proxy(me) = host {
+        let port = match substation {
+            true => SUBSTATION_MODBUS_PORT,
+            false => PROXY_MODBUS_PORT,
+        };
+        for ip in field_ips(cfg, me).1 {
+            fw.allow(ip, port);
         }
     }
     fw
@@ -1162,25 +841,13 @@ fn hmi_firewall(cfg: &SpireConfig, hardening: &HardeningProfile) -> Firewall {
 mod tests {
     use super::*;
     use plc::topology::Scenario;
-    use prime::replica::Timing;
     use prime::types::Config as PrimeConfig;
-
-    fn fast_timing() -> Timing {
-        Timing {
-            aru_interval: SimDuration::from_millis(10),
-            pp_interval: SimDuration::from_millis(10),
-            suspect_timeout: SimDuration::from_millis(2_000),
-            checkpoint_interval: 20,
-            catchup_timeout: SimDuration::from_millis(300),
-        }
-    }
+    use std::iter::repeat;
 
     fn minimal_deployment() -> Deployment {
         let cfg = SpireConfig::minimal(PrimeConfig::red_team(), Scenario::PlantSubset);
         let mut d = Deployment::build(cfg, HardeningProfile::deployed(), 7);
-        for i in 0..4 {
-            d.replica_mut(i).set_timing(fast_timing());
-        }
+        d.set_timing(fast_timing());
         d
     }
 
@@ -1251,9 +918,7 @@ mod tests {
     fn unhardened_deployment_uses_learning_and_shared_network() {
         let cfg = SpireConfig::minimal(PrimeConfig::red_team(), Scenario::PlantSubset);
         let mut d = Deployment::build(cfg, HardeningProfile::none(), 8);
-        for i in 0..4 {
-            d.replica_mut(i).set_timing(fast_timing());
-        }
+        d.set_timing(fast_timing());
         assert!(
             d.internal_switch.is_none(),
             "replication shares the ops network"
@@ -1271,11 +936,8 @@ mod tests {
         let cfg = SpireConfig::minimal(PrimeConfig::plant(), Scenario::PlantSubset)
             .with_sites(crate::site::SiteTopology::three_plus_three());
         let mut d = Deployment::build(cfg, HardeningProfile::deployed(), 7);
-        for i in 0..6 {
-            d.replica_mut(i).set_timing(fast_timing());
-        }
-        assert_eq!(d.site_internal_switches.len(), 2);
-        assert_eq!(d.site_external_switches.len(), 2);
+        d.set_timing(fast_timing());
+        assert_eq!(d.site_uplinks.len(), 2);
         d.run_for(SimDuration::from_secs(5));
         // Ordering spans the WAN: replicas at *both* sites execute, and
         // the site-0 HMI sees vote-gated frames assembled from replies
@@ -1289,9 +951,7 @@ mod tests {
         let cfg = SpireConfig::minimal(PrimeConfig::plant(), Scenario::PlantSubset)
             .with_sites(crate::site::SiteTopology::three_plus_three());
         let mut d = Deployment::build(cfg, HardeningProfile::deployed(), 9);
-        for i in 0..6 {
-            d.replica_mut(i).set_timing(fast_timing());
-        }
+        d.set_timing(fast_timing());
         d.run_for(SimDuration::from_secs(3));
         let before = d.min_executed_among(&[0, 1, 2]);
         assert!(before >= 1);
@@ -1328,9 +988,7 @@ mod tests {
         let cfg = SpireConfig::minimal(PrimeConfig::plant(), Scenario::PlantSubset)
             .with_sites(crate::site::SiteTopology::two_two_one_one());
         let mut d = Deployment::build(cfg, HardeningProfile::deployed(), 11);
-        for i in 0..6 {
-            d.replica_mut(i).set_timing(fast_timing());
-        }
+        d.set_timing(fast_timing());
         d.run_for(SimDuration::from_secs(3));
         let survivors = [0u32, 1, 4, 5];
         let before = d.min_executed_among(&survivors);
@@ -1352,11 +1010,9 @@ mod tests {
         let cfg = SpireConfig::minimal(PrimeConfig::plant(), Scenario::PlantSubset)
             .with_sites(crate::site::SiteTopology::six_at_one());
         let mut d = Deployment::build(cfg, HardeningProfile::deployed(), 13);
-        for i in 0..6 {
-            d.replica_mut(i).set_timing(fast_timing());
-        }
+        d.set_timing(fast_timing());
         // 6@1 keeps the classic single-LAN fabric (no trunks to cut).
-        assert!(d.site_internal_switches.is_empty());
+        assert!(d.site_uplinks.is_empty());
         d.run_for(SimDuration::from_secs(3));
         let before = d.min_executed();
         assert!(before >= 1);
@@ -1378,16 +1034,14 @@ mod tests {
             crate::site::SubstationTopology::new(stations, per),
         );
         let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-        for i in 0..6 {
-            d.replica_mut(i).set_timing(fast_timing());
-        }
+        d.set_timing(fast_timing());
         d
     }
 
     #[test]
     fn regional_reports_coalesce_device_polls() {
         let mut d = regional_deployment(2, 3, 7);
-        assert_eq!(d.substation_switches.len(), 2);
+        assert!(d.substation_link(1).is_some() && d.substation_link(2).is_none());
         assert_eq!(d.plc_nodes.len(), 6);
         d.run_for(SimDuration::from_secs(5));
         let proxy = d.substation_proxy(0);
@@ -1477,6 +1131,167 @@ mod tests {
         let lied = hmi.hmi.positions("s1d0").expect("s1d0 view");
         let truth = d.plc(d.cfg.device_index(1, 0)).positions();
         assert_ne!(lied, truth, "compromised station misreports");
+    }
+
+    /// `fabric hardening fabric-shape journal-digest events-processed` after 300
+    /// simulated milliseconds with a breaker cycle, captured from the three
+    /// builders that preceded the single one. `NodeId`, `MacAddr::derived`,
+    /// `SwitchId`, `LinkId` and switch port numbers are allocation-order: a
+    /// builder change that reorders a node, a switch, a port or a link moves
+    /// the shape column, and one that changes what the network does moves the
+    /// other two. Four shapes are not the old builders': with
+    /// `plc_behind_proxy` off (that switch, and `none`) a multi-site access
+    /// switch used to seat each exposed proxy-if1 / PLC pair right after its
+    /// proxy, where a single LAN seats them all after the HMIs; now both do
+    /// the latter. Their digests and event counts are the old ones.
+    const FABRIC_PINS: &str = "\
+minimal deployed 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3123
+minimal none e17720f2 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3760
+minimal static_arp 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3412
+minimal static_switch 21c9de8a f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3173
+minimal firewall_lockdown 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3123
+minimal isolated_internal 683326b7 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3123
+minimal plc_behind_proxy 19bbf882 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3147
+minimal no_cross_iface_arp 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3123
+minimal os 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3123
+3+3 deployed 9624e1e4 df75ac2ab36bc32cdd9c84ede4ddc56675fff3ba6841cab17a8acd0fa4dcc515 15421
+3+3 none 01b1a6c3 76a65080452f3b150b097ed4cfa892a6c0c3bff41693c7920576a05887edc1ca 17735
+3+3 static_arp 9624e1e4 20a947886215512a1ed422f2a901c002d10f272c427e8dc4911a6ecc8c55bba6 16804
+3+3 static_switch 27298a9b ad33cb0d130576b4318074f4856d82fb6cd38d01ff0add5325f1068c1ca11074 15769
+3+3 firewall_lockdown 9624e1e4 76a65080452f3b150b097ed4cfa892a6c0c3bff41693c7920576a05887edc1ca 15837
+3+3 isolated_internal 9624e1e4 df75ac2ab36bc32cdd9c84ede4ddc56675fff3ba6841cab17a8acd0fa4dcc515 15421
+3+3 plc_behind_proxy d2b13dc6 21cddde124a3b61bd73bdfa1e045a60e6ea56327a9848a9d8479781514863ac8 15467
+3+3 no_cross_iface_arp 9624e1e4 df75ac2ab36bc32cdd9c84ede4ddc56675fff3ba6841cab17a8acd0fa4dcc515 15421
+3+3 os 9624e1e4 df75ac2ab36bc32cdd9c84ede4ddc56675fff3ba6841cab17a8acd0fa4dcc515 15421
+2+2+1+1 deployed 8ac4de50 a1798f074a6d91de8e2b04eba9d7c8507abdba544d633a4ecf99f9ab2d290f7f 21235
+2+2+1+1 none 438bed5f acade1bdb78eca2c0ab19c3f6ed3996f93f1b5f88e9b8eda5f43a891b58dfd79 23770
+2+2+1+1 static_arp 8ac4de50 ff84bca5df13673a3cd2f13dc5c50500e184ea23a278cf1aedaea352b9e57bd2 22908
+2+2+1+1 static_switch c78073f7 a1798f074a6d91de8e2b04eba9d7c8507abdba544d633a4ecf99f9ab2d290f7f 21701
+2+2+1+1 firewall_lockdown 8ac4de50 acade1bdb78eca2c0ab19c3f6ed3996f93f1b5f88e9b8eda5f43a891b58dfd79 21651
+2+2+1+1 isolated_internal 8ac4de50 a1798f074a6d91de8e2b04eba9d7c8507abdba544d633a4ecf99f9ab2d290f7f 21235
+2+2+1+1 plc_behind_proxy feba0821 09bfd358d221c42aabcd68e2791b9db6c93c2a8cd2f7ab7295afa990e315ecd3 21267
+2+2+1+1 no_cross_iface_arp 8ac4de50 a1798f074a6d91de8e2b04eba9d7c8507abdba544d633a4ecf99f9ab2d290f7f 21235
+2+2+1+1 os 8ac4de50 a1798f074a6d91de8e2b04eba9d7c8507abdba544d633a4ecf99f9ab2d290f7f 21235
+6@1 deployed abfd7402 444e6914d734fdaa5a2899b8310a668165ab96a63a317f7e3b70f2e428d7395c 23201
+6@1 none ce826ee6 17508ab27b72e1264ca0d3a37aee8c7be92ec2cf558923563d35ea76946014c8 28058
+6@1 static_arp abfd7402 ee204a5bd0dc118a025ca15c68416e785f49ab2fbd95d2d171a9a7d075a68133 24866
+6@1 static_switch b760d604 f657cdf0100be8477890594b237e359524f8972a7d2ed7dc0de2b714908aa1df 23625
+6@1 firewall_lockdown abfd7402 17508ab27b72e1264ca0d3a37aee8c7be92ec2cf558923563d35ea76946014c8 23729
+6@1 isolated_internal 9d5fbf1f 444e6914d734fdaa5a2899b8310a668165ab96a63a317f7e3b70f2e428d7395c 23201
+6@1 plc_behind_proxy 97aa0e4a 9df83b0a09bf634aff9f1e147bc193d1099564218b0097dda3413876c8e5ce1d 23287
+6@1 no_cross_iface_arp abfd7402 444e6914d734fdaa5a2899b8310a668165ab96a63a317f7e3b70f2e428d7395c 23201
+6@1 os abfd7402 444e6914d734fdaa5a2899b8310a668165ab96a63a317f7e3b70f2e428d7395c 23201
+regional-2x3 deployed 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12166
+regional-2x3 none 09f01b52 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 13292
+regional-2x3 static_arp 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12746
+regional-2x3 static_switch c1e67822 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12322
+regional-2x3 firewall_lockdown 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12166
+regional-2x3 isolated_internal c6c578e7 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12166
+regional-2x3 plc_behind_proxy 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12166
+regional-2x3 no_cross_iface_arp 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12166
+regional-2x3 os 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12166
+";
+
+    fn fabric_pin_profiles() -> Vec<(&'static str, HardeningProfile)> {
+        let mut profiles = vec![
+            ("deployed", HardeningProfile::deployed()),
+            ("none", HardeningProfile::none()),
+        ];
+        for &name in HardeningProfile::switch_names() {
+            profiles.push((name, HardeningProfile::without(name)));
+        }
+        profiles
+    }
+
+    /// Every allocation-order id of the fabric, hashed: per switch its MAC
+    /// table and the link (with its spec) on each port, per NIC its link.
+    /// The journal cannot see a port or a link renumbered; this can.
+    fn fabric_shape(d: &Deployment) -> String {
+        let mut shape = String::new();
+        for id in (0..d.sim.switch_count() as u32).map(SwitchId) {
+            let sw = d.sim.switch(id);
+            let link = |l: &Option<LinkId>| l.map(|l| (l, d.sim.link_spec(l)));
+            let ports: Vec<_> = sw.ports.iter().map(link).collect();
+            shape += &format!("{id:?} {:?} {ports:?}\n", sw.mode);
+        }
+        let two = d.replica_nodes.iter().chain(&d.proxy_nodes);
+        let one = d.plc_nodes.iter().chain(&d.hmi_nodes);
+        for (&node, nics) in two.zip(repeat(2)).chain(one.zip(repeat(1))) {
+            for ifidx in 0..nics {
+                shape += &format!("{node:?}.{ifidx} {:?}\n", d.sim.link_of(node, ifidx));
+            }
+        }
+        itcrypto::sha256::sha256(shape.as_bytes()).short()
+    }
+
+    fn check_fabric_pins(fabric: &str, cfg: SpireConfig) {
+        let mut now = String::new();
+        for (profile, hardening) in fabric_pin_profiles() {
+            let mut d = Deployment::build(cfg.clone(), hardening, 42);
+            let shape = fabric_shape(&d);
+            d.set_timing(fast_timing());
+            d.run_for(SimDuration::from_millis(300));
+            let (digest, events) = (d.obs.journal_digest().to_hex(), d.sim.events_processed());
+            now += &format!("{fabric} {profile} {shape} {digest} {events}\n");
+        }
+        let pinned: String = FABRIC_PINS
+            .lines()
+            .filter(|line| line.split(' ').next() == Some(fabric))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        assert_eq!(now, pinned, "fabric {fabric} moved; it now reads\n{now}");
+    }
+
+    fn cycled(cfg: SpireConfig, scenario: Scenario) -> SpireConfig {
+        cfg.with_cycle(scenario, SimDuration::from_millis(50), 4)
+    }
+
+    /// The plant with its proxies cut from 17 to 3 (two home at one
+    /// control centre and one at the other, as do the three HMIs): the
+    /// same port plans as the full plant at a fifth of the flooding, which
+    /// is what keeps 27 cells inside a debug-build budget. The full plant
+    /// under `deployed()` is pinned by `tests/golden_digests.rs`.
+    fn small_plant() -> SpireConfig {
+        let mut cfg = SpireConfig::plant();
+        cfg.proxies.truncate(3);
+        cycled(cfg, Scenario::PlantSubset)
+    }
+
+    #[test]
+    fn fabric_pins_minimal() {
+        let cfg = SpireConfig::minimal(PrimeConfig::red_team(), Scenario::PlantSubset);
+        check_fabric_pins("minimal", cycled(cfg, Scenario::PlantSubset));
+    }
+
+    #[test]
+    fn fabric_pins_three_plus_three() {
+        let cfg = small_plant().with_sites(crate::site::SiteTopology::three_plus_three());
+        check_fabric_pins("3+3", cfg);
+    }
+
+    #[test]
+    fn fabric_pins_two_two_one_one() {
+        let cfg = small_plant().with_sites(crate::site::SiteTopology::two_two_one_one());
+        check_fabric_pins("2+2+1+1", cfg);
+    }
+
+    #[test]
+    fn fabric_pins_six_at_one() {
+        let cfg = small_plant().with_sites(crate::site::SiteTopology::six_at_one());
+        check_fabric_pins("6@1", cfg);
+    }
+
+    #[test]
+    fn fabric_pins_regional() {
+        let cfg = SpireConfig::regional(
+            PrimeConfig::plant(),
+            crate::site::SubstationTopology::new(2, 3),
+        );
+        let scenario = Scenario::SubstationDevice {
+            station: 1,
+            device: 1,
+        };
+        check_fabric_pins("regional-2x3", cycled(cfg, scenario));
     }
 
     #[test]

@@ -277,6 +277,35 @@ impl SubstationTopology {
         }
     }
 
+    /// Whether the region fits the deployment's identifier and address
+    /// spaces, or the one-line reason it does not: fewer than 200
+    /// substations (per-proxy group ids would run into the HMI group
+    /// space), at most 4096 devices in a bank (the wire cap on a coalesced
+    /// report) and at most 1024 devices in all (the device LAN address
+    /// space). [`crate::config::SpireConfig::regional`] and the `spire-sim`
+    /// flag parser both ask here.
+    pub fn validate(&self) -> Result<(), String> {
+        let (count, per) = (self.count, self.devices_per);
+        if count >= 200 {
+            return Err(format!(
+                "{count} substations exhaust the group space (at most 199)"
+            ));
+        }
+        if per > 4096 {
+            return Err(format!(
+                "a bank of {per} devices exceeds the report wire cap (at most 4096)"
+            ));
+        }
+        if count * per > 1024 {
+            return Err(format!(
+                "{count} substations x {per} devices = {} devices exceed the device LAN \
+                 address space (at most 1024)",
+                count * per
+            ));
+        }
+        Ok(())
+    }
+
     /// Total field devices across the region.
     pub fn total_devices(&self) -> u32 {
         self.count * self.devices_per
@@ -371,6 +400,16 @@ mod tests {
             let home = topo.home_of_hmi(h);
             assert_eq!(topo.sites[home].kind, SiteKind::ControlCenter);
         }
+    }
+
+    #[test]
+    fn substation_topology_validity_names_the_exhausted_space() {
+        assert_eq!(SubstationTopology::new(100, 10).validate(), Ok(()));
+        assert_eq!(SubstationTopology::new(199, 5).validate(), Ok(()));
+        let err = |count, per| SubstationTopology::new(count, per).validate().unwrap_err();
+        assert!(err(250, 1).contains("group space"));
+        assert!(err(1, 5000).contains("wire cap"));
+        assert!(err(150, 10).contains("1500 devices"));
     }
 
     #[test]

@@ -91,6 +91,7 @@ use bench::saturation::{
     saturation_attribution, saturation_json, SaturationOpts,
 };
 use bench::site_experiment::{e13_site_failover, render_site_failover, site_failover_json};
+use spire::site::SubstationTopology;
 
 struct Options {
     seed: u64,
@@ -422,6 +423,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Some(count) = opts.substations {
+        // Both flags are known only now; refuse a region the deployment's
+        // addressing cannot hold before anything runs.
+        if let Err(why) = SubstationTopology::new(count, opts.devices_per).validate() {
+            eprintln!(
+                "--substations {count} --devices-per {}: {why}",
+                opts.devices_per
+            );
+            return ExitCode::FAILURE;
+        }
+    }
     if command == "all" && (opts.json.is_some() || opts.trace_export.is_some()) {
         eprintln!(
             "all takes neither --json nor --trace-export: \

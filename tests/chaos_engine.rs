@@ -6,25 +6,14 @@ use chaos::driver::ChaosDriver;
 use chaos::invariants::{CheckerConfig, InvariantChecker};
 use chaos::plan::ChaosPlan;
 use plc::topology::Scenario;
-use prime::replica::Timing;
 use prime::types::Config as PrimeConfig;
 use proptest::prelude::*;
 use simnet::time::SimDuration;
 use spire::config::SpireConfig;
-use spire::deploy::Deployment;
+use spire::deploy::{fast_timing, Deployment};
 use spire::hardening::HardeningProfile;
 
 use bench::chaos_experiment::{e12_chaos_soak, e12_chaos_soak_with};
-
-fn fast_timing() -> Timing {
-    Timing {
-        aru_interval: SimDuration::from_millis(10),
-        pp_interval: SimDuration::from_millis(10),
-        suspect_timeout: SimDuration::from_millis(2_000),
-        checkpoint_interval: 20,
-        catchup_timeout: SimDuration::from_millis(300),
-    }
-}
 
 /// The E12 plant deployment: 6 replicas, fast timing, 100 ms polling,
 /// dedup-table transfer armed, warmed up for one second.
@@ -33,9 +22,7 @@ fn chaos_deployment(seed: u64) -> (Deployment, PrimeConfig) {
     prime_cfg.transfer_dedup = true;
     let cfg = SpireConfig::minimal(prime_cfg, Scenario::PlantSubset);
     let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-    for i in 0..prime_cfg.n() {
-        d.replica_mut(i).set_timing(fast_timing());
-    }
+    d.set_timing(fast_timing());
     d.proxy_mut(0)
         .set_poll_interval(SimDuration::from_millis(100));
     d.proxy_mut(0).verbose_updates = true;

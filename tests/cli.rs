@@ -75,6 +75,28 @@ fn e14_zero_devices_per_exits_nonzero_with_clear_error() {
     );
 }
 
+/// A region the addressing cannot hold is refused in one line before
+/// anything runs, not by an `assert!` three frames inside the builder.
+#[test]
+fn e14_oversized_region_exits_nonzero_with_one_line_and_no_backtrace() {
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["e14", "--substations", "150", "--devices-per", "10"],
+            "1500 devices",
+        ),
+        (&["e14", "--substations", "250"], "250 substations"),
+    ];
+    for (args, why) in cases {
+        let out = spire_sim(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "one line, got: {stderr}");
+        assert!(stderr.contains(why), "stderr should say why, got: {stderr}");
+        assert!(!stderr.contains("panicked"), "no backtrace, got: {stderr}");
+    }
+}
+
 /// A single tiny sweep point keeps this fast while still exercising the
 /// e14 JSON writer's failure path.
 #[test]

@@ -9,11 +9,10 @@
 use chaos::driver::ChaosDriver;
 use chaos::invariants::{CheckerConfig, InvariantChecker};
 use chaos::plan::ChaosPlan;
-use prime::replica::Timing;
 use prime::types::Config as PrimeConfig;
 use simnet::time::SimDuration;
 use spire::config::SpireConfig;
-use spire::deploy::Deployment;
+use spire::deploy::{fast_timing, Deployment};
 use spire::hardening::HardeningProfile;
 use spire::site::SubstationTopology;
 
@@ -23,16 +22,6 @@ const DEVICES_PER: u32 = 2;
 /// honest to prove the blast radius is local.
 const COMPROMISED_STATION: u32 = 3;
 
-fn fast_timing() -> Timing {
-    Timing {
-        aru_interval: SimDuration::from_millis(10),
-        pp_interval: SimDuration::from_millis(10),
-        suspect_timeout: SimDuration::from_millis(2_000),
-        checkpoint_interval: 20,
-        catchup_timeout: SimDuration::from_millis(300),
-    }
-}
-
 /// The soak deployment: `stations` substations x 2 devices feeding the
 /// batched ordering pipeline (the same configuration the E14 sweep
 /// arms).
@@ -40,9 +29,7 @@ fn regional_deployment(stations: u32, seed: u64) -> (Deployment, PrimeConfig) {
     let prime = PrimeConfig::plant().with_batching(32, 4);
     let cfg = SpireConfig::regional(prime, SubstationTopology::new(stations, DEVICES_PER));
     let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-    for i in 0..prime.n() {
-        d.replica_mut(i).set_timing(fast_timing());
-    }
+    d.set_timing(fast_timing());
     (d, prime)
 }
 

@@ -34,9 +34,7 @@ fn cycling_deployment(seed: u64) -> Deployment {
             0,
         );
     let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-    for i in 0..4 {
-        d.replica_mut(i).set_timing(fast_timing());
-    }
+    d.set_timing(fast_timing());
     d
 }
 
@@ -135,9 +133,7 @@ fn vote_gating_survives_interception_of_one_replica() {
             0,
         );
     let mut d = Deployment::build(cfg, profile, 7002);
-    for i in 0..4 {
-        d.replica_mut(i).set_timing(fast_timing());
-    }
+    d.set_timing(fast_timing());
     d.run_for(SimDuration::from_secs(3));
     let frames_before = d.hmi(0).stats.frames_applied;
 
@@ -296,9 +292,7 @@ fn plant_scale_deployment_all_seventeen_plcs() {
     // PLCs, three HMIs, six replicas — everything polls and orders.
     let cfg = SpireConfig::plant();
     let mut d = Deployment::build(cfg, HardeningProfile::deployed(), 7003);
-    for i in 0..6 {
-        d.replica_mut(i).set_timing(fast_timing());
-    }
+    d.set_timing(fast_timing());
     d.run_for(SimDuration::from_secs(4));
     assert_eq!(d.cfg.proxies.len(), 17);
     for p in 0..17 {

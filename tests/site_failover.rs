@@ -9,23 +9,12 @@ use chaos::invariants::{CheckerConfig, InvariantChecker};
 use chaos::plan::{ChaosPlan, Fault, ScheduledFault};
 use plc::topology::Scenario;
 use prime::byzantine::ByzMode;
-use prime::replica::Timing;
 use prime::types::Config as PrimeConfig;
 use simnet::time::SimDuration;
 use spire::config::SpireConfig;
-use spire::deploy::Deployment;
+use spire::deploy::{fast_timing, Deployment};
 use spire::hardening::HardeningProfile;
 use spire::site::SiteTopology;
-
-fn fast_timing() -> Timing {
-    Timing {
-        aru_interval: SimDuration::from_millis(10),
-        pp_interval: SimDuration::from_millis(10),
-        suspect_timeout: SimDuration::from_millis(2_000),
-        checkpoint_interval: 20,
-        catchup_timeout: SimDuration::from_millis(300),
-    }
-}
 
 /// A multi-site E13-style deployment: 6 replicas spread over `sites`,
 /// fast timing, 100 ms polling, dedup-table transfer armed, warmed up
@@ -35,9 +24,7 @@ fn multisite_deployment(seed: u64, sites: SiteTopology) -> (Deployment, PrimeCon
     prime_cfg.transfer_dedup = true;
     let cfg = SpireConfig::minimal(prime_cfg, Scenario::PlantSubset).with_sites(sites);
     let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-    for i in 0..prime_cfg.n() {
-        d.replica_mut(i).set_timing(fast_timing());
-    }
+    d.set_timing(fast_timing());
     d.proxy_mut(0)
         .set_poll_interval(SimDuration::from_millis(100));
     d.proxy_mut(0).verbose_updates = true;
