@@ -27,6 +27,10 @@ echo "==> bench smoke (one E11 ramp step + golden digest pin)"
 # observationally invisible (byte-identical journals and reports).
 cargo run -q --release --bin spire-sim -- e11 --steps 1 >/dev/null
 cargo test -q --release --test golden_digests
+# The operation-count pins (Montgomery products per sign / verify, SHA-256
+# compressions per Merkle root, hop and MAC) and the far-future-counter
+# allocation test, in the optimised build the benchmark measures.
+cargo test -q --release -p prime -p itcrypto
 
 echo "==> batched-E11 smoke (1 step with --batch/--pipeline + exact telescoping)"
 # One batched ramp step through the CLI proves the Merkle-batched

@@ -10,6 +10,13 @@
 # preloaded) and symbolises the stacks with ci/prof/report.py. Manual: a
 # profile is for reading, ci/check.sh only checks that this file parses.
 # Touches nothing under benchmark/; the samples stay in target/profile.
+#
+# Prime's bookkeeping on ordering_ramp, which is every frame ISSUE 21 moved
+# off the ordering path, in one command:
+#
+#   ci/profile.sh ordering_ramp --callers 'KvApp.*::digest' \
+#       --callers 'search_tree<.*SignedUpdate' --callers 'MerkleTree::from_leaves' \
+#       --callers 'Montgomery::(pow_mont|pow_mod)'
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

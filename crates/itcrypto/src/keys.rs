@@ -4,11 +4,12 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::schnorr::{self, Signature, G, Q};
+use crate::schnorr::{self, FixedBase, Signature, Q};
 
 /// A public verification key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,7 +59,7 @@ impl KeyPair {
     pub fn generate(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5bd1);
         let secret = rng.gen_range(1..Q);
-        let public = PublicKey(schnorr::pow_mod_p(G, secret));
+        let public = PublicKey(schnorr::g_pow(secret));
         KeyPair {
             secret,
             public,
@@ -108,11 +109,19 @@ impl fmt::Display for Principal {
     }
 }
 
+/// A registered key and, once a signature has been checked against it,
+/// the table of its powers ([`FixedBase`]).
+#[derive(Clone, Debug)]
+struct Registered {
+    key: PublicKey,
+    powers: OnceLock<Box<FixedBase>>,
+}
+
 /// The system-wide public-key registry, distributed out-of-band at
 /// configuration time (as in the real deployment).
 #[derive(Clone, Debug, Default)]
 pub struct KeyRegistry {
-    keys: BTreeMap<Principal, PublicKey>,
+    keys: BTreeMap<Principal, Registered>,
 }
 
 impl KeyRegistry {
@@ -124,17 +133,29 @@ impl KeyRegistry {
     /// Registers a principal's public key, returning the previous key if one
     /// was present (useful when proactive recovery rotates keys).
     pub fn register(&mut self, who: Principal, key: PublicKey) -> Option<PublicKey> {
-        self.keys.insert(who, key)
+        let entry = Registered {
+            key,
+            powers: OnceLock::new(),
+        };
+        self.keys.insert(who, entry).map(|old| old.key)
     }
 
     /// Looks up a principal's key.
     pub fn lookup(&self, who: Principal) -> Option<PublicKey> {
-        self.keys.get(&who).copied()
+        self.keys.get(&who).map(|entry| entry.key)
     }
 
     /// Verifies a signature attributed to `who`. Unknown principals fail.
+    /// The verdict is [`PublicKey::verify`]'s; a registry checks the same
+    /// few keys for a whole run, so it tabulates a key's powers the first
+    /// time the key is used.
     pub fn verify(&self, who: Principal, msg: &[u8], sig: &Signature) -> bool {
-        self.lookup(who).is_some_and(|pk| pk.verify(msg, sig))
+        self.keys.get(&who).is_some_and(|entry| {
+            entry
+                .powers
+                .get_or_init(|| Box::new(FixedBase::new(entry.key.0)))
+                .verify(msg, sig)
+        })
     }
 
     /// Number of registered principals.
@@ -149,7 +170,7 @@ impl KeyRegistry {
 
     /// Iterates over registered principals and keys.
     pub fn iter(&self) -> impl Iterator<Item = (&Principal, &PublicKey)> {
-        self.keys.iter()
+        self.keys.iter().map(|(who, entry)| (who, &entry.key))
     }
 }
 

@@ -118,6 +118,75 @@ impl MerkleTree {
     }
 }
 
+/// Computes the root [`MerkleTree::from_leaves`] would, without the tree:
+/// leaves are pushed one at a time and only the roots of the complete
+/// subtrees so far are kept, one per set bit of the leaf count. For a
+/// signer or verifier that wants the root and no proofs.
+///
+/// # Examples
+///
+/// ```
+/// use itcrypto::merkle::{MerkleTree, RootFold};
+///
+/// let leaves = [b"b10-1:open".as_slice(), b"b57:closed", b"b56:open"];
+/// let mut fold = RootFold::new();
+/// for leaf in leaves {
+///     fold.push(leaf);
+/// }
+/// assert_eq!(fold.root(), MerkleTree::from_leaves(leaves).root());
+/// ```
+#[derive(Clone, Debug)]
+pub struct RootFold {
+    /// `stack[..count.count_ones()]` holds the subtree roots, largest
+    /// (leftmost) first; a `u64` count needs at most 64.
+    stack: [Digest; 64],
+    count: u64,
+}
+
+impl Default for RootFold {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl RootFold {
+    /// A fold over no leaves yet.
+    pub fn new() -> Self {
+        RootFold {
+            stack: [Digest::ZERO; 64],
+            count: 0,
+        }
+    }
+
+    /// Appends the next leaf.
+    pub fn push(&mut self, leaf: &[u8]) {
+        let mut top = self.count.count_ones() as usize;
+        self.stack[top] = hash_leaf(leaf);
+        self.count += 1;
+        // Adding one carries through the trailing set bits of the old
+        // count: each carry joins two subtrees of equal size.
+        for _ in 0..self.count.trailing_zeros() {
+            self.stack[top - 1] = hash_node(&self.stack[top - 1], &self.stack[top]);
+            top -= 1;
+        }
+    }
+
+    /// The root over the leaves pushed. An incomplete right edge is joined
+    /// smallest subtree first, which is where the tree's promotion of an
+    /// odd node puts it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no leaf was pushed, as [`MerkleTree::from_leaves`] does.
+    pub fn root(&self) -> Digest {
+        let (last, rest) = self.stack[..self.count.count_ones() as usize]
+            .split_last()
+            .expect("merkle tree requires at least one leaf");
+        rest.iter()
+            .rfold(*last, |right, left| hash_node(left, &right))
+    }
+}
+
 impl Proof {
     /// Folds `leaf_data` up the proof path and returns the root the proof
     /// commits to. Callers that authenticate roots by signature (Prime's
@@ -166,6 +235,42 @@ mod tests {
                 assert!(MerkleTree::verify(t.root(), l, &p), "n={n} i={i}");
             }
         }
+    }
+
+    #[test]
+    fn root_fold_equals_the_tree_root_for_all_sizes() {
+        for n in 1..=130 {
+            let ls = leaves(n);
+            let mut fold = RootFold::new();
+            for l in &ls {
+                fold.push(l);
+            }
+            assert_eq!(fold.root(), MerkleTree::from_leaves(&ls).root(), "n={n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one leaf")]
+    fn empty_root_fold_panics() {
+        let _ = RootFold::new().root();
+    }
+
+    /// Sixteen one-block leaves and fifteen two-block nodes (a node is a
+    /// five-byte prefix and two digests, which with padding is past 64
+    /// bytes): the fold hashes what the tree hashes and nothing more.
+    #[test]
+    fn a_sixteen_leaf_root_costs_46_compressions() {
+        use crate::sha256::probe::compressions;
+        let ls = leaves(16);
+        let fold = || {
+            let mut fold = RootFold::new();
+            for l in &ls {
+                fold.push(l);
+            }
+            _ = fold.root();
+        };
+        assert_eq!(compressions(fold), 16 + 15 * 2);
+        assert_eq!(compressions(|| _ = MerkleTree::from_leaves(&ls).root()), 46);
     }
 
     #[test]

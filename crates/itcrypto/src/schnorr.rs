@@ -81,9 +81,9 @@ impl Montgomery {
         }
     }
 
-    /// `t / R mod n`, for `t < n * R`.
-    #[inline]
-    fn reduce(&self, t: u128) -> u64 {
+    /// `t / R mod n`, for `t < n * R`: one Montgomery product. Usable in
+    /// constants; everything at run time goes through [`Self::reduce`].
+    const fn reduce_const(&self, t: u128) -> u64 {
         let m = (t as u64).wrapping_mul(self.n_neg_inv);
         // t + m * n is divisible by R and below 2 * n * R < 2^128.
         let u = ((t + m as u128 * self.n as u128) >> 64) as u64;
@@ -92,6 +92,14 @@ impl Montgomery {
         } else {
             u
         }
+    }
+
+    /// [`Self::reduce_const`], counted under test.
+    #[inline]
+    fn reduce(&self, t: u128) -> u64 {
+        #[cfg(test)]
+        probe::count();
+        self.reduce_const(t)
     }
 
     /// Montgomery form of any `a` (reducing it modulo `n` on the way).
@@ -106,8 +114,9 @@ impl Montgomery {
         self.reduce(self.reduce(a as u128 * b as u128) as u128 * self.r2 as u128)
     }
 
-    /// `base^exp mod n` by square-and-multiply, for any `base`.
-    fn pow_mod(&self, base: u64, mut exp: u64) -> u64 {
+    /// `base^exp mod n` in Montgomery form, by square-and-multiply, for
+    /// any `base`.
+    fn pow_mont(&self, base: u64, mut exp: u64) -> u64 {
         let mut base = self.enter(base);
         let mut acc = self.enter(1);
         while exp > 0 {
@@ -117,16 +126,114 @@ impl Montgomery {
             base = self.reduce(base as u128 * base as u128);
             exp >>= 1;
         }
-        self.reduce(acc as u128)
+        acc
+    }
+
+    /// `base^exp mod n`, for any `base`.
+    #[cfg(test)]
+    fn pow_mod(&self, base: u64, exp: u64) -> u64 {
+        self.reduce(self.pow_mont(base, exp) as u128)
     }
 }
 
 const MOD_P: Montgomery = Montgomery::new(P);
 const MOD_Q: Montgomery = Montgomery::new(Q);
 
-/// `base^exp mod P`, the group exponentiation.
-pub(crate) fn pow_mod_p(base: u64, exp: u64) -> u64 {
-    MOD_P.pow_mod(base, exp)
+/// Bits of the exponent one table row covers.
+const WINDOW_BITS: u32 = 4;
+/// Rows that cover a 64-bit exponent.
+const WINDOWS: usize = (u64::BITS / WINDOW_BITS) as usize;
+
+/// Every power of one base that a 64-bit exponent can select, four bits
+/// at a time: `rows[w][d] = base^(d * 16^w) mod P` in Montgomery form. An
+/// exponentiation is then the product of one entry per row: fifteen
+/// Montgomery products and no squarings, against about ninety for
+/// square-and-multiply. The result is the same canonical residue.
+///
+/// The generator's table is a constant; a public key's is
+/// built on first use by [`crate::keys::KeyRegistry`], which verifies
+/// against the same few keys for a whole run (2 KiB and 256 products a
+/// key, the price of three ladders).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FixedBase {
+    base: u64,
+    rows: [[u64; 1 << WINDOW_BITS]; WINDOWS],
+}
+
+impl FixedBase {
+    /// Tabulates the powers of `base` modulo [`P`].
+    pub const fn new(base: u64) -> Self {
+        let m = MOD_P;
+        let one = m.reduce_const(m.r2 as u128);
+        let mut rows = [[one; 1 << WINDOW_BITS]; WINDOWS];
+        // `step` is base^(16^w): the row's unit, and sixteen of them the
+        // next row's.
+        let mut step = m.reduce_const(base as u128 * m.r2 as u128);
+        let mut w = 0;
+        while w < WINDOWS {
+            let mut d = 1;
+            while d < 1 << WINDOW_BITS {
+                rows[w][d] = m.reduce_const(rows[w][d - 1] as u128 * step as u128);
+                d += 1;
+            }
+            step = m.reduce_const(rows[w][(1 << WINDOW_BITS) - 1] as u128 * step as u128);
+            w += 1;
+        }
+        FixedBase { base, rows }
+    }
+
+    /// `base^exp mod P` in Montgomery form: one product per row after the
+    /// first, whatever the exponent.
+    #[inline]
+    fn pow_mont(&self, exp: u64) -> u64 {
+        let digit =
+            |w: usize| (exp >> (w as u32 * WINDOW_BITS)) as usize & ((1 << WINDOW_BITS) - 1);
+        let mut acc = self.rows[0][digit(0)];
+        for w in 1..WINDOWS {
+            acc = MOD_P.reduce(acc as u128 * self.rows[w][digit(w)] as u128);
+        }
+        acc
+    }
+
+    /// `base^exp mod P`.
+    pub fn pow(&self, exp: u64) -> u64 {
+        MOD_P.reduce(self.pow_mont(exp) as u128)
+    }
+
+    /// Verifies a signature against the public key this table was built
+    /// for: [`verify`], with the key's power read from the table.
+    pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
+        verify_with(self.base, |exp| self.pow_mont(exp), msg, sig)
+    }
+}
+
+static G_POWERS: FixedBase = FixedBase::new(G);
+
+/// `G^exp mod P`, the group exponentiation of the generator.
+pub(crate) fn g_pow(exp: u64) -> u64 {
+    G_POWERS.pow(exp)
+}
+
+/// Test-only count of Montgomery products, so that what a signature
+/// costs is pinned as a number and not as a wall-clock figure.
+#[cfg(test)]
+pub(crate) mod probe {
+    use std::cell::Cell;
+
+    thread_local! {
+        static PRODUCTS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn count() {
+        PRODUCTS.with(|c| c.set(c.get() + 1));
+    }
+
+    /// The number of Montgomery products `f` performs (on this thread).
+    pub(crate) fn products(f: impl FnOnce()) -> u64 {
+        let before = PRODUCTS.with(Cell::get);
+        f();
+        PRODUCTS.with(Cell::get) - before
+    }
 }
 
 /// Deterministic Miller-Rabin primality test, exact for all `u64` using the
@@ -204,7 +311,7 @@ fn challenge(r: u64, pk: u64, msg: &[u8]) -> u64 {
 pub fn sign<R: Rng>(x: u64, pk: u64, msg: &[u8], rng: &mut R) -> Signature {
     // k must be non-zero mod q.
     let k = rng.gen_range(1..Q);
-    let r = pow_mod_p(G, k);
+    let r = g_pow(k);
     let e = challenge(r, pk, msg);
     // Both terms are below Q < 2^61: the sum needs one subtraction.
     let s = k + MOD_Q.mul_mod(e, x);
@@ -214,16 +321,22 @@ pub fn sign<R: Rng>(x: u64, pk: u64, msg: &[u8], rng: &mut R) -> Signature {
     }
 }
 
-/// Verifies a signature against public key `pk = g^x mod p`.
+/// Verifies a signature against public key `pk = g^x mod p`. A caller
+/// that checks many signatures of one key keeps a [`FixedBase`] of it.
 pub fn verify(pk: u64, msg: &[u8], sig: &Signature) -> bool {
+    verify_with(pk, |exp| MOD_P.pow_mont(pk, exp), msg, sig)
+}
+
+/// [`verify`] given `pk_pow`, which raises `pk` to a power modulo `P` and
+/// leaves it in Montgomery form.
+fn verify_with(pk: u64, pk_pow: impl FnOnce(u64) -> u64, msg: &[u8], sig: &Signature) -> bool {
     if sig.e >= Q || sig.s >= Q {
         return false;
     }
-    // R' = g^s * pk^{-e} = g^s * pk^{q-e}
-    let gs = pow_mod_p(G, sig.s);
-    let pk_neg_e = pow_mod_p(pk, Q - sig.e);
-    let r = MOD_P.mul_mod(gs, pk_neg_e);
-    challenge(r, pk, msg) == sig.e
+    // R' = g^s * pk^{-e} = g^s * pk^{q-e}; the product of two Montgomery
+    // forms is reduced twice to leave the form.
+    let r = MOD_P.reduce(G_POWERS.pow_mont(sig.s) as u128 * pk_pow(Q - sig.e) as u128);
+    challenge(MOD_P.reduce(r as u128), pk, msg) == sig.e
 }
 
 #[cfg(test)]
@@ -334,6 +447,150 @@ mod tests {
                     assert_eq!(fast.pow_mod(b, a), pow_mod(b, a, m), "{b} ^ {a} mod {m}");
                 }
             }
+        }
+    }
+
+    /// Exponents that exercise every row of a [`FixedBase`]: none, one,
+    /// the group order's neighbours, every bit, and each digit alone.
+    fn table_exponents() -> Vec<u64> {
+        let mut exps = vec![0, 1, 2, Q - 1, Q, Q + 1, P - 1, u64::MAX];
+        for w in 0..WINDOWS as u32 {
+            exps.extend([1, 9, 15].map(|d| d << (w * WINDOW_BITS)));
+        }
+        exps
+    }
+
+    #[test]
+    fn fixed_base_matches_the_ladder_oracle() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let bases = [0, 1, G, P - 1, P, u64::MAX, rng.gen_range(2..P)];
+        for base in bases {
+            let table = FixedBase::new(base);
+            for exp in table_exponents() {
+                assert_eq!(table.pow(exp), pow_mod(base, exp, P), "{base} ^ {exp}");
+            }
+        }
+        for exp in table_exponents() {
+            assert_eq!(g_pow(exp), pow_mod(G, exp, P), "g ^ {exp}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fixed_base_matches_the_ladder_on_random_inputs(
+            base in proptest::any::<u64>(),
+            exp in proptest::any::<u64>(),
+        ) {
+            assert_eq!(FixedBase::new(base).pow(exp), pow_mod(base, exp, P));
+            assert_eq!(g_pow(exp), pow_mod(G, exp, P));
+        }
+
+        /// The table and the ladder give one verdict, on honest and on
+        /// altered signatures.
+        #[test]
+        fn tabulated_verdict_equals_the_ladder_verdict(
+            seed in proptest::any::<u64>(),
+            flip_e in 0u64..4,
+            flip_s in 0u64..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = rng.gen_range(1..Q);
+            let pk = g_pow(x);
+            let table = FixedBase::new(pk);
+            let sig = sign(x, pk, b"m", &mut rng);
+            let sig = Signature { e: sig.e ^ (flip_e >> 1), s: sig.s ^ (flip_s >> 1) };
+            assert_eq!(table.verify(b"m", &sig), verify(pk, b"m", &sig));
+            assert_eq!(verify(pk, b"m", &sig), flip_e < 2 && flip_s < 2);
+        }
+    }
+
+    /// Signatures as the parent of the fixed-base change produced them
+    /// (key seed, message, the key's first two signatures): the tables
+    /// change what a signature costs, not one bit of it.
+    #[test]
+    fn signatures_are_the_known_answers() {
+        use crate::keys::KeyPair;
+        type Answer = (u64, &'static [u8], u64, [[u8; 16]; 2]);
+        let answers: [Answer; 3] = [
+            (
+                1,
+                b"open breaker B57",
+                0x3e16_df91_ae46_140b,
+                [
+                    [
+                        13, 73, 254, 112, 3, 62, 78, 115, 13, 212, 157, 107, 188, 22, 143, 190,
+                    ],
+                    [
+                        29, 188, 241, 191, 51, 93, 185, 185, 21, 194, 252, 104, 252, 183, 33, 247,
+                    ],
+                ],
+            ),
+            (
+                0x5250,
+                b"prime\0\0\0\0",
+                0x360a_f6f8_87ea_c233,
+                [
+                    [
+                        13, 19, 216, 181, 112, 196, 255, 57, 4, 39, 143, 173, 35, 199, 143, 58,
+                    ],
+                    [
+                        13, 214, 81, 249, 148, 218, 27, 233, 10, 224, 52, 214, 37, 204, 209, 187,
+                    ],
+                ],
+            ),
+            (
+                0x434C,
+                b"",
+                0x324a_4de5_1ad4_f73b,
+                [
+                    [
+                        30, 39, 117, 171, 129, 22, 82, 37, 5, 31, 138, 224, 13, 102, 198, 159,
+                    ],
+                    [
+                        15, 169, 162, 149, 151, 202, 138, 254, 30, 193, 11, 111, 7, 164, 113, 127,
+                    ],
+                ],
+            ),
+        ];
+        for (seed, msg, pk, sigs) in answers {
+            let mut kp = KeyPair::generate(seed);
+            assert_eq!(kp.public_key().0, pk, "key of seed {seed:#x}");
+            for expected in sigs {
+                let sig = kp.sign(msg);
+                assert_eq!(sig.to_bytes(), expected, "seed {seed:#x}");
+                assert!(verify(pk, msg, &sig));
+                assert!(FixedBase::new(pk).verify(msg, &sig));
+            }
+        }
+    }
+
+    /// What a signature costs in Montgomery products, exactly: a change
+    /// that brings a ladder back fails here, not in a wall-clock figure.
+    #[test]
+    fn sign_and_verify_cost_a_fixed_number_of_products() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let x = rng.gen_range(1..Q);
+        let pk = g_pow(x);
+        let table = FixedBase::new(pk);
+        for msg in [&b""[..], b"m", &[7; 300]] {
+            let mut sig = None;
+            // Fifteen for g^k, one to leave the form, two for e * x.
+            assert_eq!(
+                probe::products(|| sig = Some(sign(x, pk, msg, &mut rng))),
+                18
+            );
+            let sig = sig.expect("signed");
+            // Fifteen for each power, two for their product.
+            assert_eq!(probe::products(|| assert!(table.verify(msg, &sig))), 32);
+            // Without the key's table its power is a ladder: a squaring
+            // per bit of q - e and a product per set bit, after two to
+            // enter the form.
+            let exp = Q - sig.e;
+            let ladder = 2 + (u64::BITS - exp.leading_zeros()) + exp.count_ones();
+            assert_eq!(
+                probe::products(|| assert!(verify(pk, msg, &sig))),
+                15 + ladder as u64 + 2
+            );
         }
     }
 

@@ -646,9 +646,22 @@ mod tests {
     }
 
     /// The reconvergence digest is a pure function of the 20 executed
-    /// updates, so both loss seeds land on the same pinned state.
+    /// updates, so both loss seeds land on the same pinned state. It is a
+    /// [`KvApp`] digest: the value follows that definition (an additive
+    /// accumulator over the entries), not anything Prime does.
     const RECONVERGENCE_DIGEST: &str =
-        "e67b60a1e408e4ac6985e15aa6ec9d0117e325f432cc4e3c5809680848a84e96";
+        "277bb372f444c174bcaac2c94eed51ca81384853caa6150a95cf1830bf2cb957";
+
+    /// The pin is the fixture's, not the protocol's: the same twenty
+    /// updates executed on a bare [`KvApp`] give it.
+    #[test]
+    fn reconvergence_digest_is_a_plain_kv_digest() {
+        let mut app = KvApp::new();
+        for i in 0..20 {
+            app.execute(&Update::new(0, i + 1, format!("k{i}=v{i}")), i + 1);
+        }
+        assert_eq!(app.digest().to_hex(), RECONVERGENCE_DIGEST);
+    }
 
     #[test]
     fn recovery_reconverges_under_30pct_loss_seed_42() {

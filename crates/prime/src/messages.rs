@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use itcrypto::keys::{KeyPair, KeyRegistry, Principal};
-use itcrypto::merkle::MerkleTree;
+use itcrypto::merkle::{MerkleTree, RootFold};
 use itcrypto::schnorr::Signature;
 use itcrypto::sha256::Digest;
 use itcrypto::verify_cache::VerifyCache;
@@ -31,14 +31,14 @@ pub struct AruRow {
 impl AruRow {
     /// The byte string the signature covers.
     pub fn signed_bytes(replica: ReplicaId, vector: &[u64]) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(14 + 8 * vector.len());
         w.put_raw(b"po-aru")
             .put_u32(replica.0)
             .put_u32(vector.len() as u32);
         for v in vector {
             w.put_u64(*v);
         }
-        w.finish().to_vec()
+        w.into_vec()
     }
 
     /// Verifies the row's signature.
@@ -122,10 +122,14 @@ impl PoBatch {
     /// leaf means a proof for member `i` cannot be replayed to fill a
     /// different slot, even across the tree's odd-node promotions.
     pub fn leaf_bytes(po_seq: u64, update: &SignedUpdate) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(8 + update.wire_len());
+        Self::encode_leaf(&mut w, po_seq, update);
+        w.into_vec()
+    }
+
+    fn encode_leaf(w: &mut Writer, po_seq: u64, update: &SignedUpdate) {
         w.put_u64(po_seq);
-        update.encode(&mut w);
-        w.finish().to_vec()
+        update.encode(w);
     }
 
     /// The Merkle tree over the batch's leaves.
@@ -138,9 +142,23 @@ impl PoBatch {
         )
     }
 
-    /// The batch's Merkle root, recomputed from its members.
+    /// The batch's Merkle root, recomputed from its members: what
+    /// `tree().root()` is, folded leaf by leaf through one buffer. Signing
+    /// and verifying a batch need the root only; [`PoBatch::tree`] is for
+    /// the inclusion proofs of reconciliation.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a batch without members (never signed, never decoded).
     pub fn root(&self) -> Digest {
-        self.tree().root()
+        let mut fold = RootFold::new();
+        let mut leaf = Writer::with_capacity(8 + self.updates.first().map_or(0, |u| u.wire_len()));
+        for (i, update) in self.updates.iter().enumerate() {
+            leaf.clear();
+            Self::encode_leaf(&mut leaf, self.first_po_seq + i as u64, update);
+            fold.push(leaf.as_slice());
+        }
+        fold.root()
     }
 
     /// The byte string `root_sig` covers: a domain tag, the batch
@@ -151,13 +169,13 @@ impl PoBatch {
         count: u32,
         root: Digest,
     ) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(8 + 4 + 8 + 4 + 32);
         w.put_raw(b"po-batch")
             .put_u32(origin.0)
             .put_u64(first_po_seq)
             .put_u32(count)
             .put_raw(root.as_bytes());
-        w.finish().to_vec()
+        w.into_vec()
     }
 
     /// Builds and signs a batch as `origin`.
@@ -846,12 +864,17 @@ pub struct SignedMsg {
     pub sig: Signature,
 }
 
+/// Room a [`SignedMsg`] is encoded into before it is signed or checked: a
+/// six-row matrix or a batch of sixteen small updates fits without the
+/// buffer growing, and the buffer does not outlive the call.
+const SIGNED_MSG_HINT: usize = 1024;
+
 impl SignedMsg {
     fn signed_bytes(from: ReplicaId, msg: &PrimeMsg) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(SIGNED_MSG_HINT);
         w.put_raw(b"prime").put_u32(from.0);
         msg.encode(&mut w);
-        w.finish().to_vec()
+        w.into_vec()
     }
 
     /// Signs a message as `from`.
@@ -904,10 +927,9 @@ impl Envelope {
     /// serialization: the wire form is `from || msg || sig`, i.e. the
     /// signed bytes minus the 5-byte domain tag, plus the signature.
     pub fn sign(from: ReplicaId, msg: PrimeMsg, key: &mut KeyPair) -> Self {
-        let signed = SignedMsg::signed_bytes(from, &msg);
-        let sig = key.sign(&signed);
-        let mut wire = Vec::with_capacity(signed.len() - 5 + 16);
-        wire.extend_from_slice(&signed[5..]);
+        let mut wire = SignedMsg::signed_bytes(from, &msg);
+        let sig = key.sign(&wire);
+        wire.drain(..5);
         wire.extend_from_slice(&sig.to_bytes());
         Envelope {
             msg: SignedMsg { from, msg, sig },
@@ -1129,6 +1151,31 @@ mod tests {
         let mut empty = batch.clone();
         empty.updates.clear();
         assert!(!empty.verify_cached(&reg, &mut cache));
+    }
+
+    /// The root a batch is signed under is the root its inclusion proofs
+    /// fold to, whatever the member count leaves on the right edge; the
+    /// members differ in size and in every field a leaf binds.
+    #[test]
+    fn folded_root_equals_the_tree_root_for_every_batch_size() {
+        let mut kp = KeyPair::generate(1);
+        let updates: Vec<SignedUpdate> = (0..33u64)
+            .map(|i| {
+                let payload = vec![i as u8; (i as usize * 7) % 80];
+                let update = Update::new(i as u32 % 3, i + 1, Bytes::from(payload));
+                let sig = kp.sign(&update.to_wire());
+                SignedUpdate { update, sig }
+            })
+            .collect();
+        for n in 1..=updates.len() {
+            let batch = PoBatch::sign(ReplicaId(2), 1 + n as u64, updates[..n].to_vec(), &mut kp);
+            assert_eq!(batch.root(), batch.tree().root(), "{n} members");
+            assert_eq!(
+                updates[n - 1].wire_len(),
+                updates[n - 1].to_wire().len(),
+                "the capacity hint is the encoded length"
+            );
+        }
     }
 
     #[test]

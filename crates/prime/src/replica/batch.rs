@@ -89,8 +89,7 @@ impl<A: Application> Replica<A> {
         for (i, update) in batch.updates.iter().enumerate() {
             let po_seq = batch.first_po_seq + i as u64;
             self.po_store
-                .entry((o as u32, po_seq))
-                .or_insert_with(|| update.clone());
+                .insert_if_absent(o as u32, po_seq, update.clone());
         }
         self.stats.batches_accepted += 1;
         self.po_batches
@@ -157,7 +156,7 @@ impl<A: Application> Replica<A> {
             return;
         }
         let po_seq = first_po_seq + index as u64;
-        if self.po_store.contains_key(&(origin.0, po_seq)) {
+        if self.po_store.contains(origin.0, po_seq) {
             return;
         }
         if !update.verify_cached(&self.registry, &mut self.verify_cache) {
@@ -187,7 +186,7 @@ impl<A: Application> Replica<A> {
             self.origin_inc[o] = inc;
             self.aru_counter[o] = 0;
         }
-        self.po_store.insert((origin.0, po_seq), update);
+        self.po_store.insert_if_absent(origin.0, po_seq, update);
         self.advance_my_aru();
         self.note_unordered(now);
         self.try_execute(now, out);

@@ -35,7 +35,7 @@ impl<A: Application> Replica<A> {
             self.origin_inc[o] = inc;
             self.aru_counter[o] = 0;
         }
-        self.po_store.entry((origin.0, po_seq)).or_insert(update);
+        self.po_store.insert_if_absent(origin.0, po_seq, update);
         self.po_envelopes
             .entry((origin.0, po_seq))
             .or_insert(envelope);
@@ -329,7 +329,7 @@ impl<A: Application> Replica<A> {
     /// Drains the execution plan while updates are available.
     pub(super) fn try_execute(&mut self, now: SimTime, out: &mut Vec<OutEvent>) {
         while let Some(&(origin, po_seq)) = self.exec_plan.front() {
-            let Some(signed) = self.po_store.get(&(origin, po_seq)) else {
+            let Some(signed) = self.po_store.get(origin, po_seq) else {
                 // Missing: reconciliation.
                 self.stall_since.get_or_insert(now);
                 if now.since(self.last_fetch_at) >= SimDuration::from_millis(50) {
@@ -346,8 +346,10 @@ impl<A: Application> Replica<A> {
             let update = signed.update.clone();
             self.exec_plan.pop_front();
             self.stall_since = None;
-            let client_set = self.executed_clients.entry(update.client).or_default();
-            if !client_set.insert(update.client_seq) {
+            if !self
+                .executed_clients
+                .insert(update.client, update.client_seq)
+            {
                 self.stats.dup_suppressed += 1;
                 continue;
             }
@@ -572,7 +574,7 @@ impl<A: Application> Replica<A> {
                 // Empty means the senders do not transfer their dedup
                 // tables (`Config::transfer_dedup` off); keep ours rather
                 // than wiping it.
-                self.install_dedup_table(&dedup);
+                self.executed_clients = ClientSeqs::from_table(&dedup);
             }
             self.plan_cover = exec_cover;
             self.planned_through = next_order_seq.saturating_sub(1);
@@ -829,7 +831,8 @@ mod tests {
         for seq in 1..=interval {
             let update = update(seq, &format!("k{seq}=v"));
             let sig = client.sign(&update.to_wire());
-            r.po_store.insert((1, seq), SignedUpdate { update, sig });
+            r.po_store
+                .insert_if_absent(1, seq, SignedUpdate { update, sig });
             r.exec_plan.push_back((1, seq));
         }
         let mut out = Vec::new();

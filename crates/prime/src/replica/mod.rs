@@ -47,7 +47,10 @@ use itcrypto::verify_cache::VerifyCache;
 
 mod batch;
 mod log;
+mod tables;
 mod view;
+
+use tables::{ClientSeqs, PoStore};
 
 pub use log::catchup_backoff;
 
@@ -258,10 +261,11 @@ pub struct Replica<A: Application> {
     // Pre-ordering.
     incarnation: u32,
     next_po_seq: u64,
-    po_store: BTreeMap<(u32, u64), SignedUpdate>,
+    po_store: PoStore,
     /// Original signed PoRequest envelopes (served on PoFetch).
     po_envelopes: BTreeMap<(u32, u64), SignedMsg>,
-    intro_seen: BTreeSet<(u32, u64)>,
+    /// Client updates this replica has introduced into pre-ordering.
+    intro_seen: ClientSeqs,
     /// Highest incarnation observed per origin.
     origin_inc: Vec<u32>,
     /// Contiguously received counter within each origin's incarnation.
@@ -289,7 +293,9 @@ pub struct Replica<A: Application> {
     plan_cover: Vec<u64>,
     exec_plan: VecDeque<(u32, u64)>,
     exec_seq: u64,
-    executed_clients: BTreeMap<u32, BTreeSet<u64>>,
+    /// Client updates executed: the duplicate-suppression state that
+    /// travels with a snapshot as a [`DedupTable`].
+    executed_clients: ClientSeqs,
     stall_since: Option<SimTime>,
     last_fetch_at: SimTime,
 
@@ -397,9 +403,9 @@ impl<A: Application> Replica<A> {
             membership: None,
             incarnation: 0,
             next_po_seq: 1,
-            po_store: BTreeMap::new(),
+            po_store: PoStore::new(n),
             po_envelopes: BTreeMap::new(),
-            intro_seen: BTreeSet::new(),
+            intro_seen: ClientSeqs::default(),
             origin_inc: vec![0; n],
             aru_counter: vec![0; n],
             my_aru: vec![0; n],
@@ -419,7 +425,7 @@ impl<A: Application> Replica<A> {
             plan_cover: vec![0; n],
             exec_plan: VecDeque::new(),
             exec_seq: 0,
-            executed_clients: BTreeMap::new(),
+            executed_clients: ClientSeqs::default(),
             stall_since: None,
             last_fetch_at: SimTime::ZERO,
             unordered_since: None,
@@ -636,10 +642,10 @@ impl<A: Application> Replica<A> {
             return out;
         }
         let ckey = (update.update.client, update.update.client_seq);
-        if self.intro_seen.contains(&ckey) || self.already_executed(ckey.0, ckey.1) {
+        if self.executed_clients.contains(ckey.0, ckey.1) || !self.intro_seen.insert(ckey.0, ckey.1)
+        {
             return out;
         }
-        self.intro_seen.insert(ckey);
         // Pre-ordering span: open until this update executes here.
         if let Some(q) = self
             .obs
@@ -650,7 +656,8 @@ impl<A: Application> Replica<A> {
         let po_seq = po_compose(self.incarnation, self.next_po_seq);
         self.next_po_seq += 1;
         self.stats.po_introduced += 1;
-        self.po_store.insert((self.id.0, po_seq), update.clone());
+        self.po_store
+            .insert_if_absent(self.id.0, po_seq, update.clone());
         if self.config.batch_max > 0 {
             // Batched dissemination: the slot is pre-ordered (stored and
             // counted in our ARU) immediately — only the broadcast is
@@ -678,44 +685,6 @@ impl<A: Application> Replica<A> {
         out
     }
 
-    fn already_executed(&self, client: u32, client_seq: u64) -> bool {
-        self.executed_clients
-            .get(&client)
-            .is_some_and(|s| s.contains(&client_seq))
-    }
-
-    /// Compact encoding of `executed_clients` for state transfer: per
-    /// client, the largest `through` with `1..=through` all executed plus
-    /// the sparse executed seqs above it. The table travels with the
-    /// snapshot so a recovered replica suppresses exactly the duplicate
-    /// orderings its peers suppressed — otherwise its execution numbering
-    /// and application digest fork from the quorum's.
-    fn dedup_table(&self) -> Vec<(u32, u64, Vec<u64>)> {
-        self.executed_clients
-            .iter()
-            .map(|(client, set)| {
-                let mut through = 0u64;
-                while set.contains(&(through + 1)) {
-                    through += 1;
-                }
-                let extras: Vec<u64> = set.range(through + 1..).copied().collect();
-                (*client, through, extras)
-            })
-            .collect()
-    }
-
-    /// Rebuilds `executed_clients` from a transferred [`Self::dedup_table`].
-    fn install_dedup_table(&mut self, table: &[(u32, u64, Vec<u64>)]) {
-        self.executed_clients = table
-            .iter()
-            .map(|(client, through, extras)| {
-                let mut set: BTreeSet<u64> = (1..=*through).collect();
-                set.extend(extras.iter().copied());
-                (*client, set)
-            })
-            .collect();
-    }
-
     fn advance_my_aru(&mut self) {
         // Our own slot always tracks our current incarnation.
         self.origin_inc[self.id.0 as usize] = self.incarnation;
@@ -724,13 +693,9 @@ impl<A: Application> Replica<A> {
             if po_incarnation(self.my_aru[origin]) != inc {
                 self.aru_counter[origin] = 0;
             }
-            let mut counter = self.aru_counter[origin];
-            while self
-                .po_store
-                .contains_key(&(origin as u32, po_compose(inc, counter + 1)))
-            {
-                counter += 1;
-            }
+            let counter =
+                self.po_store
+                    .contiguous_through(origin as u32, inc, self.aru_counter[origin]);
             self.aru_counter[origin] = counter;
             // Composite ordering keeps the vector monotone across
             // incarnation bumps (higher incarnation dominates).
@@ -859,7 +824,7 @@ impl<A: Application> Replica<A> {
                     if self.config.transfer_dedup {
                         let table = self.sign(PrimeMsg::CatchupDedup {
                             exec_seq: self.exec_seq,
-                            dedup: self.dedup_table(),
+                            dedup: self.executed_clients.table(),
                         });
                         out.push(OutEvent::Send(from, table));
                     }
@@ -1142,22 +1107,14 @@ impl<A: Application> Replica<A> {
             } else {
                 1
             };
-            for counter in start..=po_counter(a) {
-                let pending = match self
-                    .po_store
-                    .get(&(origin as u32, po_compose(inc, counter)))
-                {
-                    Some(signed) => !self
-                        .executed_clients
-                        .get(&signed.update.client)
-                        .is_some_and(|set| set.contains(&signed.update.client_seq)),
-                    // A hole we would have to fetch is outstanding work.
-                    None => true,
-                };
-                if pending {
-                    po_queue += 1;
-                }
-            }
+            // A hole we would have to fetch is outstanding work too.
+            po_queue +=
+                self.po_store
+                    .count_pending(origin as u32, inc, start..=po_counter(a), |signed| {
+                        !self
+                            .executed_clients
+                            .contains(signed.update.client, signed.update.client_seq)
+                    });
         }
         let in_flight = self.pre_prepares.range(self.max_committed + 1..).count();
         let tat_us = self

@@ -265,6 +265,11 @@ pub struct SignedUpdate {
 }
 
 impl SignedUpdate {
+    /// Bytes [`Wire::encode`] writes for this update.
+    pub fn wire_len(&self) -> usize {
+        4 + 8 + 4 + self.update.payload.len() + 16
+    }
+
     /// Verifies the client signature against the registry.
     pub fn verify(&self, registry: &KeyRegistry) -> bool {
         registry.verify(
@@ -282,15 +287,18 @@ impl SignedUpdate {
         registry: &KeyRegistry,
         cache: &mut itcrypto::verify_cache::VerifyCache,
     ) -> bool {
-        let bytes = self.update.to_wire();
+        // Encoded once, for the cache key and for the verifier.
+        let mut w = Writer::with_capacity(self.wire_len());
+        self.update.encode(&mut w);
+        let bytes = w.as_slice();
         let key = itcrypto::verify_cache::VerifyCache::key(
             b"prime.update",
             self.update.client as u64,
-            &bytes,
+            bytes,
             &self.sig.to_bytes(),
         );
         cache.check(key, || {
-            registry.verify(Principal::Client(self.update.client), &bytes, &self.sig)
+            registry.verify(Principal::Client(self.update.client), bytes, &self.sig)
         })
     }
 }

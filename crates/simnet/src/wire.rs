@@ -44,6 +44,14 @@ impl Writer {
         Self::default()
     }
 
+    /// Creates an empty writer with room for `bytes`: an encoder that
+    /// knows about how much it will write grows the buffer once.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Writer {
+            buf: BytesMut::with_capacity(bytes),
+        }
+    }
+
     /// Appends a `u8`.
     pub fn put_u8(&mut self, v: u8) -> &mut Self {
         self.buf.put_u8(v);
@@ -87,9 +95,26 @@ impl Writer {
         self
     }
 
+    /// The payload written so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Empties the writer, keeping its buffer: one writer can encode a run
+    /// of values that are each hashed and dropped.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Finishes and returns the payload.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
+    }
+
+    /// Finishes and returns the payload as the buffer it was written
+    /// into, for callers that sign or hash it and never share it.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf.into()
     }
 }
 
@@ -231,6 +256,17 @@ mod tests {
                 f: r.get_bytes()?,
             })
         }
+    }
+
+    #[test]
+    fn a_writer_hands_back_or_reuses_its_buffer() {
+        let mut w = Writer::with_capacity(16);
+        w.put_u32(7).put_raw(b"ab");
+        assert_eq!(w.as_slice(), [0, 0, 0, 7, b'a', b'b']);
+        w.clear();
+        w.put_u8(9);
+        assert_eq!(w.as_slice(), [9]);
+        assert_eq!(w.into_vec(), vec![9]);
     }
 
     #[test]
