@@ -28,9 +28,10 @@ echo "==> bench smoke (one E11 ramp step + golden digest pin)"
 cargo run -q --release --bin spire-sim -- e11 --steps 1 >/dev/null
 cargo test -q --release --test golden_digests
 # The operation-count pins (Montgomery products per sign / verify, SHA-256
-# compressions per Merkle root, hop and MAC) and the far-future-counter
-# allocation test, in the optimised build the benchmark measures.
-cargo test -q --release -p prime -p itcrypto
+# compressions per Merkle root and MAC, compressions and AES blocks per hop),
+# the far-future-counter allocation test and flood's exact-capacity
+# plaintext, in the optimised build the benchmark measures.
+cargo test -q --release -p prime -p itcrypto -p spines
 
 echo "==> batched-E11 smoke (1 step with --batch/--pipeline + exact telescoping)"
 # One batched ramp step through the CLI proves the Merkle-batched
@@ -88,12 +89,15 @@ echo "==> regional scale-out smoke (1-substation E14 sweep point + soak suite)"
 cargo run -q --release --bin spire-sim -- e14 --substations 1 --devices-per 3 >/dev/null
 cargo test -q --release --test regional
 
-echo "==> one unsafe block in the workspace (itcrypto's call into the SHA-extensions backend)"
-# That backend is written with safe intrinsics, so the call into the
-# #[target_feature] function is all there is; clippy and rustdoc above
-# already passed under itcrypto's deny(unsafe_code) + single allow.
-test "$(grep -rl --include='*.rs' 'unsafe {' crates src tests examples)" = crates/itcrypto/src/sha256.rs
+echo "==> two unsafe blocks in the workspace (itcrypto's calls into its SHA-extensions and AES-NI backends)"
+# Both backends are written with safe intrinsics, so the call into each
+# #[target_feature] function, after detection, is all there is; clippy and
+# rustdoc above already passed under itcrypto's deny(unsafe_code) + one
+# allow at each call.
+test "$(grep -rl --include='*.rs' 'unsafe {' crates src tests examples | sort | tr '\n' ' ')" = \
+    "crates/itcrypto/src/aes.rs crates/itcrypto/src/sha256.rs "
 test "$(grep -c 'unsafe {' crates/itcrypto/src/sha256.rs)" -eq 1
+test "$(grep -c 'unsafe {' crates/itcrypto/src/aes.rs)" -eq 1
 
 echo "==> hash tables in crates/ hash by a fixed function (no RandomState: a run must repeat)"
 # VerifyCache and the Spines daemon probe theirs by key and never walk them.

@@ -17,6 +17,12 @@
 #   ci/profile.sh ordering_ramp --callers 'KvApp.*::digest' \
 #       --callers 'search_tree<.*SignedUpdate' --callers 'MerkleTree::from_leaves' \
 #       --callers 'Montgomery::(pow_mont|pow_mod)'
+#
+# The overlay hop on a full-stack workload, cipher, MAC and the two daemon
+# functions that spend them (ISSUE 22):
+#
+#   ci/profile.sh regional_grid --callers 'itcrypto::aes' \
+#       --callers 'HmacKey::mac_concat' --callers 'SpinesDaemon::(flood|open_frame)'
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -1,6 +1,5 @@
 //! HMAC-SHA-256 (RFC 2104), used for Spines link authentication and key
-//! derivation; a key's inner midstate is also the PRF behind
-//! [`crate::stream`]'s keystream.
+//! derivation.
 
 use crate::sha256::{compress, Digest, Sha256, H0};
 
@@ -34,9 +33,8 @@ pub fn hmac_sha256_concat(key: &[u8], parts: &[&[u8]]) -> Digest {
 /// the inner midstate, and the outer hash finished as **one** compression
 /// of a pre-padded block (inner digest ‖ `0x80` ‖ zeros ‖ bit length 768)
 /// from the outer midstate. The Spines link layer MACs every frame, so
-/// callers that reuse a key (link crypto, stream cipher) keep one
-/// `HmacKey`. Produces bit-identical tags to the one-shot
-/// [`hmac_sha256`] (a thin wrapper).
+/// callers that reuse a key (link crypto) keep one `HmacKey`. Produces
+/// bit-identical tags to the one-shot [`hmac_sha256`] (a thin wrapper).
 #[derive(Clone)]
 pub struct HmacKey {
     /// SHA-256 state after absorbing `key ^ ipad`.
@@ -82,16 +80,6 @@ impl HmacKey {
         // The outer message is always opad block + 32-byte inner digest.
         let inner_digest = Digest::from_state(&inner.finalize_state());
         Digest::from_state(&finish_short(&self.outer, &inner_digest.0))
-    }
-
-    /// The keyed inner hash alone, `SHA-256((key ^ ipad) ‖ input)`, on a
-    /// fixed 16-byte input: one compression from the inner midstate. This
-    /// is the PRF behind [`crate::stream`]'s keystream (the compression
-    /// function keyed through its chaining input, the assumption HMAC's
-    /// own proof makes); a key used here must not also be used for
-    /// [`HmacKey::mac`].
-    pub(crate) fn inner_hash16(&self, input: &[u8; 16]) -> [u8; 32] {
-        Digest::from_state(&finish_short(&self.inner, input)).0
     }
 }
 
@@ -187,24 +175,6 @@ mod tests {
                 assert_eq!(hmac_sha256(key, msg).to_hex(), hex);
             }
         });
-    }
-
-    #[test]
-    fn inner_hash_is_the_keyed_inner_sha256() {
-        // The stream cipher's PRF, stated through the public hash: the
-        // ipad block followed by the 16-byte input.
-        let key = [0x42u8; 32];
-        let mut message = [0x36u8; 64 + 16];
-        for (m, k) in message.iter_mut().zip(key) {
-            *m ^= k;
-        }
-        let input: [u8; 16] = std::array::from_fn(|i| i as u8);
-        message[64..].copy_from_slice(&input);
-        let hk = HmacKey::new(&key);
-        on_each_backend(|| {
-            assert_eq!(hk.inner_hash16(&input), crate::sha256::sha256(&message).0);
-        });
-        assert_eq!(compressions(|| _ = hk.inner_hash16(&input)), 1);
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! Cryptographic substrate for the Spire reproduction.
 //!
 //! The original Spire deployment used OpenSSL (RSA signatures, SHA digests,
-//! and symmetric encryption on Spines links). This crate provides
-//! from-scratch implementations with the same *protocol roles*:
+//! and AES encryption on Spines links). This crate provides from-scratch
+//! implementations with the same *protocol roles*:
 //!
 //! * [`mod@sha256`] — a complete SHA-256 implementation used for all
 //!   digests: one compression-function entry, a portable backend that is
 //!   always built (and is the test oracle) and an x86-64 SHA-extensions
 //!   backend selected at run time where the CPU has them.
-//! * [`hmac`] — HMAC-SHA-256 for link authentication and key derivation;
-//!   its keyed midstates also serve [`stream`] as a PRF.
+//! * [`hmac`] — HMAC-SHA-256 for link authentication and key derivation.
+//! * [`aes`] — AES-256 in counter mode, the link cipher: one `ctr_xor`
+//!   entry, a portable table-based backend that is always built (and is
+//!   the test oracle) and an x86-64 AES-NI backend selected at run time
+//!   where the CPU has it.
 //! * [`schnorr`] — transferable digital signatures (Schnorr over a ~62-bit
 //!   safe-prime group). **Simulation-grade, not secure**: the group is small
 //!   enough that discrete logs are practical for a real attacker. The
@@ -17,8 +20,8 @@
 //!   forgeries without the key are rejected) is faithful.
 //! * [`merkle`] — Merkle trees for state-transfer digests and checkpoints.
 //! * [`keys`] — key pairs, a PKI-style registry, and session keys.
-//! * [`stream`] — a counter-mode stream cipher (one compression per 32-byte
-//!   keystream block) and encrypt-then-MAC envelope for link encryption.
+//! * [`stream`] — the encrypt-then-MAC envelope for link encryption:
+//!   [`aes`] keystream, [`hmac`] tag, separately derived keys.
 //! * [`verify_cache`] — bounded memoization of signature-verification
 //!   verdicts (digest-keyed, observationally invisible).
 //!
@@ -33,11 +36,13 @@
 //! assert!(!kp.public_key().verify(b"open breaker B56", &sig));
 //! ```
 
-// One `unsafe` block in the crate: the call into the `#[target_feature]`
-// SHA-extensions backend in `sha256::compress`, after run-time detection.
+// Two `unsafe` blocks in the crate, each the call into a `#[target_feature]`
+// backend after run-time detection: the SHA extensions in
+// `sha256::compress`, the AES instructions in `aes::Aes256::ctr_xor`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod aes;
 pub mod hmac;
 pub mod keys;
 pub mod merkle;

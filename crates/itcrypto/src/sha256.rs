@@ -2,7 +2,7 @@
 //!
 //! Used for every digest in the system: message digests for signatures,
 //! Merkle-tree nodes, checkpoint digests, and as the compression function
-//! inside [`crate::hmac`] and [`crate::stream`].
+//! inside [`crate::hmac`].
 //!
 //! Everything funnels through one `compress(state, block)` entry with two
 //! backends. The portable rounds are always compiled, run wherever the
@@ -224,7 +224,7 @@ fn copy_short(dst: &mut [u8], src: &[u8]) {
 }
 
 /// The SHA-256 compression function: folds one 64-byte block into `state`.
-/// The single entry every hash, MAC and keystream block goes through.
+/// The single entry every hash and MAC goes through.
 #[inline]
 pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     #[cfg(test)]

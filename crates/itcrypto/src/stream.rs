@@ -1,21 +1,20 @@
 //! Counter-mode stream cipher and encrypt-then-MAC envelope used for Spines
 //! link encryption.
 //!
-//! Keystream block `i` for nonce `n` is the keyed inner hash
-//! `SHA-256((key ^ ipad) ‖ n ‖ i)`: **one** compression of `n ‖ i ‖ padding`
-//! from the key's precomputed inner midstate, 32 bytes of keystream each.
-//! Ciphertext is plaintext XOR keystream. The PRF assumption is the one
-//! HMAC's own proof rests on: the SHA-256 compression function keyed
-//! through its chaining input, here on a fixed-length input (so there is
-//! no extension to guard against and no outer hash to pay for). The
+//! The keystream is AES-256 in counter mode ([`crate::aes`]), the cipher
+//! the paper's Spines takes from OpenSSL: keystream block `i` for nonce
+//! `n` is `AES-256(key, n ‖ i)`, both big-endian in eight bytes each, 16
+//! bytes of keystream a block, and ciphertext is plaintext XOR keystream.
+//! The counter `i` wraps modulo 2⁶⁴ and never carries into `n`. The
 //! encryption key is never used as a MAC key. The red-team experiment
 //! hinges on this layer: the modified Spines daemon without the link keys
 //! cannot produce valid traffic (§IV-B).
 
+use crate::aes::Aes256;
 use crate::hmac::HmacKey;
 
-/// Bytes of keystream one PRF call (one compression) yields.
-pub const KEYSTREAM_BLOCK: usize = 32;
+/// Bytes of keystream one PRF call (one AES block) yields.
+pub const KEYSTREAM_BLOCK: usize = crate::aes::BLOCK;
 
 /// Encrypts or decrypts `data` in place (XOR stream, so the operation is an
 /// involution).
@@ -33,36 +32,17 @@ pub const KEYSTREAM_BLOCK: usize = 32;
 /// assert_eq!(&data, b"breaker B57 trip");
 /// ```
 pub fn xor_stream(key: &[u8; 32], nonce: u64, data: &mut [u8]) {
-    xor_stream_with(&HmacKey::new(key), nonce, data);
+    Aes256::new(key).ctr_xor(nonce, 0, data);
 }
 
-/// [`xor_stream`] with a precomputed PRF key: every 32-byte keystream
-/// block costs one SHA-256 compression.
-pub fn xor_stream_with(key: &HmacKey, nonce: u64, data: &mut [u8]) {
-    xor_blocks(key, nonce, 0, data);
-}
-
-/// XORs keystream blocks `first_block..` of `nonce` over `data`.
-fn xor_blocks(key: &HmacKey, nonce: u64, first_block: u64, data: &mut [u8]) {
-    let mut input = [0u8; 16];
-    input[..8].copy_from_slice(&nonce.to_be_bytes());
-    for (counter, chunk) in (first_block..).zip(data.chunks_mut(KEYSTREAM_BLOCK)) {
-        input[8..].copy_from_slice(&counter.to_be_bytes());
-        let ks = key.inner_hash16(&input);
-        for (byte, k) in chunk.iter_mut().zip(ks) {
-            *byte ^= k;
-        }
-    }
-}
-
-/// The pre-derived per-link key pair (encryption PRF + MAC). Deriving and
-/// precomputing once per link replaces two HKDF derivations plus two HMAC
-/// key setups on every frame. The methods are the envelope's three steps
+/// The pre-derived per-link key pair (encryption + MAC). Deriving and
+/// precomputing once per link replaces two HKDF derivations, an AES key
+/// expansion and an HMAC key setup on every frame. The methods are the envelope's three steps
 /// taken apart, so a caller can seal into its own buffer and can
 /// authenticate a frame before deciding how much of it to decrypt.
 #[derive(Clone)]
 pub struct LinkKeys {
-    enc: HmacKey,
+    enc: Aes256,
     mac: HmacKey,
 }
 
@@ -71,7 +51,7 @@ impl LinkKeys {
     /// [`seal`]/[`open`] do internally.
     pub fn derive(link_key: &[u8; 32]) -> Self {
         LinkKeys {
-            enc: HmacKey::new(&crate::hmac::derive_key(link_key, b"enc")),
+            enc: Aes256::new(&crate::hmac::derive_key(link_key, b"enc")),
             mac: HmacKey::new(&crate::hmac::derive_key(link_key, b"mac")),
         }
     }
@@ -79,7 +59,7 @@ impl LinkKeys {
     /// Encrypts `buf` in place under `nonce` and returns the tag over
     /// `nonce ‖ ciphertext` (encrypt-then-MAC).
     pub fn seal_in_place(&self, nonce: u64, buf: &mut [u8]) -> [u8; 32] {
-        xor_stream_with(&self.enc, nonce, buf);
+        self.enc.ctr_xor(nonce, 0, buf);
         self.mac.mac_concat(&[&nonce.to_be_bytes(), buf]).0
     }
 
@@ -93,7 +73,7 @@ impl LinkKeys {
     /// `first_block` whole [`KEYSTREAM_BLOCK`]s into it. Call only on
     /// ciphertext [`LinkKeys::verify`] accepted.
     pub fn decrypt_from(&self, nonce: u64, first_block: u64, data: &mut [u8]) {
-        xor_blocks(&self.enc, nonce, first_block, data);
+        self.enc.ctr_xor(nonce, first_block, data);
     }
 }
 
@@ -134,6 +114,7 @@ pub fn open(link_key: &[u8; 32], sealed: &SealedBox) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aes::probe::aes_blocks;
     use crate::sha256::probe::{compressions, on_each_backend};
 
     const KEY: [u8; 32] = [9u8; 32];
@@ -216,19 +197,27 @@ mod tests {
         assert!(!keys.verify(4, &sealed.ciphertext, &sealed.tag));
     }
 
-    /// Pinned envelope bytes, produced by an independent implementation
-    /// of the construction in the module docs (Python `hashlib`/`hmac`):
-    /// link key `00..1f`, nonce `0x0102030405060708`, plaintext byte `i` =
-    /// `7i + 3`. A change to the keystream, the MAC input or the key
-    /// derivation has to change these on purpose.
+    /// Pinned envelope bytes from outside this repository: link key
+    /// `00..1f`, nonce `0x0102030405060708`, plaintext byte `i` = `7i + 3`,
+    /// ciphertext from OpenSSL 3.5 and tag from Python `hmac`:
+    ///
+    /// ```text
+    /// enc = hmac.new(link_key, b"enc", hashlib.sha256).digest()
+    /// mac = hmac.new(link_key, b"mac", hashlib.sha256).digest()
+    /// ct  = $(openssl enc -aes-256-ctr -K <enc hex> -iv 01020304050607080000000000000000 < plaintext)
+    /// tag = hmac.new(mac, nonce.to_bytes(8, "big") + ct, hashlib.sha256).hexdigest()
+    /// ```
+    ///
+    /// A change to the keystream, the MAC input or the key derivation has
+    /// to change these on purpose.
     #[test]
     fn seal_known_answers() {
         let link_key: [u8; 32] = std::array::from_fn(|i| i as u8);
         let nonce = 0x0102_0304_0506_0708;
-        let long = "6ff8024ab12e9b6d9828cbeb3c1ba2473bec4b30d7565a445fdbd035ced2ed20\
-                    d4215025833ee69948c1bab1dde18595547143e69f74ad042a21fc7cb730b02a\
-                    2df6a8b79f352d903ac0016c2a72ec672c0715df83917c0db5f38ecd45b02754\
-                    667b9a9e";
+        let long = "0235c2b128fd7b985de42b31c556e7d0978d498e15eef199c6be2ad9301c204c\
+                    941d1192e34c06c481ce70333770433c07f069acaa690a53dcb2173d302b6da1\
+                    90f6f78a4b5f3ed302b80147572e8d7831d5597b28271fa240ba7ee23d958bcc\
+                    8a92d9aa";
         let vectors = [
             (
                 0usize,
@@ -236,23 +225,23 @@ mod tests {
             ),
             (
                 1,
-                "480fe406b7ecfa5333f7210cfdb46f094d429ed509e017a7820de358667371f4",
+                "8f0b3c343fff0aefba0762fe71bea22a46532adf50d0bdc90209275cebc586ca",
             ),
             (
                 31,
-                "79bf7f38efc717b511f7e5d16a607e3a680b49cb92bcbcdd0f030c3195339831",
+                "3d16f3d825213c0eb33eba1d987655bffa3541d35bb7d760e016406595dee1fe",
             ),
             (
                 32,
-                "21cf187930ca13c4f725535a2096dea37d52bd531f929f6a766671986dc7c4c7",
+                "9dab2dbc7720629a98d5f5a856f78a7052cf4eae562e61f97680207d7762279f",
             ),
             (
                 33,
-                "521099e285016aae1beb88ee4d7f14dcb50369ae1ac60bb9c2c755cf0ebdce84",
+                "96a7ee5ee35e2c62dc65b15c4c9452e216bd5d05a0abeae3ea166283e77c9793",
             ),
             (
                 100,
-                "3a126fe1b653c50a5e5c61261859630a915874ca59c726333a7449701ce14bad",
+                "d6ccd349e4bbf27837ba621c6c7bbf8a3af5cb67fb6f8aeb350e4d341f2f8e0c",
             ),
         ];
         let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
@@ -268,34 +257,56 @@ mod tests {
         });
     }
 
-    /// The Spines hop budget in SHA-256 compressions, for an 88-byte
-    /// overlay message (three keystream blocks; nonce + ciphertext fill two
-    /// MAC blocks, and the outer hash is a third).
+    /// The Spines hop budget for an 88-byte overlay message: SHA-256
+    /// compressions for the MAC (nonce + ciphertext fill two blocks, and the
+    /// outer hash is a third) and AES blocks of keystream consumed (six
+    /// cover 88 bytes).
     #[test]
     fn hop_budget_in_compressions() {
         let keys = LinkKeys::derive(&KEY);
+        // What `f` costs: (compressions, keystream blocks).
+        let cost = |f: &mut dyn FnMut()| {
+            let mut blocks = 0;
+            let compressions = compressions(|| blocks = aes_blocks(f));
+            (compressions, blocks)
+        };
         let mut buf = [0x11u8; 88];
         let mut tag = [0u8; 32];
-        assert_eq!(compressions(|| tag = keys.seal_in_place(9, &mut buf)), 6);
+        assert_eq!(cost(&mut || tag = keys.seal_in_place(9, &mut buf)), (3, 6));
         // A duplicate: authenticate the frame, decrypt the first block.
         let mut head = [0u8; KEYSTREAM_BLOCK];
         head.copy_from_slice(&buf[..KEYSTREAM_BLOCK]);
-        let peek = compressions(|| {
+        let peek = cost(&mut || {
             assert!(keys.verify(9, &buf, &tag));
             keys.decrypt_from(9, 0, &mut head);
         });
-        assert_eq!(peek, 4);
+        assert_eq!(peek, (3, 1));
         assert_eq!(head, [0x11; KEYSTREAM_BLOCK]);
         // A new message: decrypt the rest as well.
-        let rest = compressions(|| keys.decrypt_from(9, 1, &mut buf[KEYSTREAM_BLOCK..]));
-        assert_eq!(peek + rest, 6);
+        let rest = cost(&mut || keys.decrypt_from(9, 1, &mut buf[KEYSTREAM_BLOCK..]));
+        assert_eq!((peek.0 + rest.0, peek.1 + rest.1), (3, 6));
         assert_eq!(buf[KEYSTREAM_BLOCK..], [0x11; 88 - KEYSTREAM_BLOCK]);
     }
 
     #[test]
+    fn decrypt_from_any_block_split_equals_one_pass() {
+        let keys = LinkKeys::derive(&KEY);
+        let plaintext: Vec<u8> = (0..200u8).collect();
+        let mut frame = plaintext.clone();
+        keys.seal_in_place(11, &mut frame);
+        for split in (0..=frame.len()).step_by(KEYSTREAM_BLOCK) {
+            let mut pieces = frame.clone();
+            let (head, rest) = pieces.split_at_mut(split);
+            keys.decrypt_from(11, 0, head);
+            keys.decrypt_from(11, (split / KEYSTREAM_BLOCK) as u64, rest);
+            assert_eq!(pieces, plaintext, "split at {split}");
+        }
+    }
+
+    #[test]
     fn xor_stream_block_boundaries() {
-        // Lengths around the 32-byte block size.
-        for len in [0usize, 1, 31, 32, 33, 64, 65] {
+        // Lengths around the 16-byte block and the 128-byte batch.
+        for len in [0usize, 1, 15, 16, 17, 127, 128, 129, 257] {
             let mut data: Vec<u8> = (0..len).map(|x| x as u8).collect();
             let orig = data.clone();
             xor_stream(&KEY, 5, &mut data);

@@ -518,8 +518,9 @@ impl SpinesDaemon {
 
     fn flood(&mut self, msg: &SpinesMsg, exclude: Option<u32>) -> Vec<(IpAddr, Bytes)> {
         let mut out = Vec::with_capacity(self.links.len());
-        // Serialize once; only the per-link sealing differs per neighbor.
-        let plaintext = msg.to_wire();
+        // Serialize once, into a buffer that never has to grow; only the
+        // per-link sealing differs per neighbor.
+        let plaintext = msg.to_wire_vec();
         for link in &mut self.links {
             if Some(link.neighbor) == exclude {
                 continue;

@@ -41,6 +41,18 @@ pub struct SpinesMsg {
     pub payload: Bytes,
 }
 
+impl SpinesMsg {
+    /// The wire encoding, written into a buffer allocated once at its
+    /// exact length: `src`, `seq`, the destination tag and id, `priority`,
+    /// `kind`, then the payload behind its length prefix.
+    pub(crate) fn to_wire_vec(&self) -> Vec<u8> {
+        let wire_len = 4 + 8 + (1 + 4) + 1 + 1 + 4 + self.payload.len();
+        let mut w = Writer::with_capacity(wire_len);
+        self.encode(&mut w);
+        w.into_vec()
+    }
+}
+
 impl Wire for SpinesMsg {
     fn encode(&self, w: &mut Writer) {
         w.put_u32(self.src).put_u64(self.seq);
@@ -114,6 +126,25 @@ mod tests {
             payload: Bytes::new(),
         };
         assert_eq!(SpinesMsg::from_wire(&m.to_wire()).expect("roundtrip"), m);
+    }
+
+    #[test]
+    fn to_wire_vec_allocates_exactly_for_both_destinations() {
+        for dst in [Destination::Daemon(7), Destination::Group(8101)] {
+            for len in [0usize, 1, 88, 1024] {
+                let m = SpinesMsg {
+                    src: 3,
+                    seq: 42,
+                    dst,
+                    priority: 2,
+                    kind: MsgKind::Data,
+                    payload: Bytes::from(vec![0x5a; len]),
+                };
+                let wire = m.to_wire_vec();
+                assert_eq!(wire[..], m.to_wire()[..], "{dst:?}, {len} bytes");
+                assert_eq!(wire.capacity(), wire.len(), "{dst:?}, {len} bytes");
+            }
+        }
     }
 
     #[test]
