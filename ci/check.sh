@@ -21,11 +21,9 @@ cargo test -q --workspace
 echo "==> trace determinism"
 cargo test -q --test observability e5_same_seed_yields_identical_span_trees_and_digest
 
-echo "==> bench smoke (one E11 ramp step + golden digest pin)"
-# A single-step saturation run proves the bench/e11 CLI path works end
-# to end; the golden-digest tests prove hot-path optimizations remain
+echo "==> golden digest pin"
+# The golden-digest tests prove hot-path optimizations remain
 # observationally invisible (byte-identical journals and reports).
-cargo run -q --release --bin spire-sim -- e11 --steps 1 >/dev/null
 cargo test -q --release --test golden_digests
 # The operation-count pins (Montgomery products per sign / verify, SHA-256
 # compressions per Merkle root and MAC, compressions and AES blocks per hop),
@@ -58,36 +56,38 @@ test -s "$prof_out/e11.folded"
 grep -q "telescoping: exact" "$prof_out/e11_prof.out"
 rm -rf "$prof_out"
 
-echo "==> chaos smoke (short E12 soak, digest-pinned, + negative controls)"
-# One compressed day at seed 42 through the chaos CLI proves the E12
-# path end to end; the chaos_engine suite re-checks the pinned soak,
-# and proves deliberately over-budget plans DO trip the checker (the
-# invariants are falsifiable, not vacuously green).
-cargo run -q --release --bin spire-sim -- e12 --seed 42 --days 1 >/dev/null
+echo "==> CLI smoke (every experiment through spire-sim, one compressed day; the five --json files parse)"
+# `all` drives each row of bench::registry::EXPERIMENTS through the one
+# parse -> look up -> run -> print path (~20 s in release).
+sim() { cargo run -q --release --bin spire-sim -- "$@" >/dev/null; }
+sim all --days 1
+json_out=$(mktemp -d)
+sim e11 --steps 1 --json "$json_out/e11.json"
+sim e12 --days 1 --json "$json_out/e12.json"
+sim e13 --json "$json_out/e13.json"
+sim e14 --substations 1 --devices-per 3 --json "$json_out/e14.json"
+sim e16 --days 1 --json "$json_out/e16.json"
+if command -v python3 >/dev/null; then
+    for f in "$json_out"/e1{1,2,3,4,6}.json; do python3 -m json.tool "$f" >/dev/null; done
+else
+    echo "    note: no python3 here, the --json files are written but not parsed"
+fi
+rm -rf "$json_out"
+
+echo "==> release suites: chaos engine, site failover, intrusion response, regional scale-out"
+# Each re-checks its subsystem's contracts, and proves deliberately
+# over-budget plans DO trip the checker (the invariants are falsifiable,
+# not vacuously green); regional runs the full 10 -> 1000 device sweep.
 cargo test -q --release --test chaos_engine
-
-echo "==> site-failover smoke (E13, all three paper configs, digest-pinned)"
-# The e13 CLI run proves the multi-site path end to end (6@1 loses
-# liveness, 3+3 and 2+2+1+1 ride through); the site_failover suite
-# re-checks the failover/negative-control contracts and the Prime
-# liveness regressions E13 originally exposed.
-cargo run -q --release --bin spire-sim -- e13 --seed 42 >/dev/null
 cargo test -q --release --test site_failover
-
-echo "==> intrusion-response smoke (E16 campaigns + feedback-beats-periodic contract)"
-# One wave of both campaign shapes through the CLI proves the closed-loop
-# path end to end; the response suite re-checks the periodic-vs-feedback
-# contract at seeds {42, 1111} and the over-budget negative control.
-cargo run -q --release --bin spire-sim -- e16 --seed 42 --days 1 >/dev/null
 cargo test -q --release --test response
-
-echo "==> regional scale-out smoke (1-substation E14 sweep point + soak suite)"
-# A single tiny sweep point through the CLI proves the partitioned
-# master + substation-aggregation path end to end; the regional suite
-# re-checks the 10-substation chaos soak and (in release) the full
-# 10 -> 1000 device sweep's aggregation/degradation acceptance bars.
-cargo run -q --release --bin spire-sim -- e14 --substations 1 --devices-per 3 >/dev/null
 cargo test -q --release --test regional
+
+echo "==> an experiment is written once (no id in the binary, one chaos rig, one flip probe)"
+test "$(grep -cE '"(figures|e[0-9]+b?)"' src/bin/spire-sim.rs)" -eq 0
+test "$(grep -rn 'transfer_dedup = true' crates/bench tests | wc -l)" -eq 1
+test "$(grep -rl '7_919' crates tests | sort | tr '\n' ' ')" = \
+    "crates/bench/src/plant_experiments.rs crates/spire/src/latency.rs "
 
 echo "==> two unsafe blocks in the workspace (itcrypto's calls into its SHA-extensions and AES-NI backends)"
 # Both backends are written with safe intrinsics, so the call into each

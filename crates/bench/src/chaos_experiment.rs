@@ -11,8 +11,10 @@ use simnet::time::SimDuration;
 use spire::config::SpireConfig;
 use spire::deploy::{fast_timing, Deployment};
 use spire::hardening::HardeningProfile;
+use spire::site::SiteTopology;
 
-use crate::harness::RunMeta;
+use crate::json::{self, Json};
+use crate::registry::RunMeta;
 
 /// E12 result: the fault timeline's effect and every invariant's verdict.
 #[derive(Clone, Debug)]
@@ -52,6 +54,35 @@ pub fn e12_chaos_soak(seed: u64, days: u64, seconds_per_day: u64) -> ChaosRun {
     e12_chaos_soak_with(seed, days, seconds_per_day, PrimeConfig::plant())
 }
 
+/// The deployment every chaos-checked experiment starts from (E12, E13,
+/// E16 and their contract tests): the minimal plant subset — spread over
+/// `sites` when given — with fast timing, proxy 0 polling verbosely every
+/// 100 ms, warmed up for one second (ARP, overlay discovery, first ordered
+/// updates). Returns the Prime configuration it armed alongside.
+///
+/// Chaos deployments arm dedup-table transfer: without it, a replica
+/// catching up after a crash/partition replays duplicate orderings its
+/// peers suppressed, permanently forking its execution numbering — the
+/// first bug the agreement invariant caught (see DESIGN.md).
+pub fn chaos_rig(
+    seed: u64,
+    mut prime_cfg: PrimeConfig,
+    sites: Option<SiteTopology>,
+) -> (Deployment, PrimeConfig) {
+    prime_cfg.transfer_dedup = true;
+    let mut cfg = SpireConfig::minimal(prime_cfg, Scenario::PlantSubset);
+    if let Some(sites) = sites {
+        cfg = cfg.with_sites(sites);
+    }
+    let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
+    d.set_timing(fast_timing());
+    d.proxy_mut(0)
+        .set_poll_interval(SimDuration::from_millis(100));
+    d.proxy_mut(0).verbose_updates = true;
+    d.run_for(SimDuration::from_secs(1));
+    (d, prime_cfg)
+}
+
 /// E12 with an explicit Prime configuration — the regression harness for
 /// running the soak with Merkle batching, pipelined sequencing, and
 /// chunked state transfer armed (`Config::with_batching`): batches must
@@ -61,21 +92,9 @@ pub fn e12_chaos_soak_with(
     seed: u64,
     days: u64,
     seconds_per_day: u64,
-    mut prime_cfg: PrimeConfig,
+    prime_cfg: PrimeConfig,
 ) -> ChaosRun {
-    // Chaos deployments arm dedup-table transfer: without it, a replica
-    // catching up after a crash/partition replays duplicate orderings its
-    // peers suppressed, permanently forking its execution numbering — the
-    // first bug the agreement invariant caught (see DESIGN.md).
-    prime_cfg.transfer_dedup = true;
-    let cfg = SpireConfig::minimal(prime_cfg, Scenario::PlantSubset);
-    let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-    d.set_timing(fast_timing());
-    d.proxy_mut(0)
-        .set_poll_interval(SimDuration::from_millis(100));
-    d.proxy_mut(0).verbose_updates = true;
-    // Warm up: ARP, overlay discovery, first ordered updates.
-    d.run_for(SimDuration::from_secs(1));
+    let (mut d, prime_cfg) = chaos_rig(seed, prime_cfg, None);
 
     let horizon = SimDuration::from_secs(days * seconds_per_day);
     let plan = ChaosPlan::within_budget(seed, prime_cfg.n(), prime_cfg.ordering_quorum(), horizon);
@@ -128,20 +147,10 @@ pub fn render_chaos(run: &ChaosRun) -> String {
             if inv.violations == 0 { "GREEN" } else { "RED" }
         ));
     }
-    if run.reconvergence_us.is_empty() {
-        out.push_str("  reconvergence: no heal required catch-up\n");
-    } else {
-        let mut sorted = run.reconvergence_us.clone();
-        sorted.sort_unstable();
-        let p50 = sorted[sorted.len() / 2];
-        let max = *sorted.last().expect("non-empty");
-        out.push_str(&format!(
-            "  reconvergence: {} heals, p50 {:.3}s, max {:.3}s\n",
-            sorted.len(),
-            p50 as f64 / 1e6,
-            max as f64 / 1e6
-        ));
-    }
+    out.push_str(&render_reconvergence(
+        &run.reconvergence_us,
+        "no heal required catch-up",
+    ));
     out.push_str(&format!(
         "  min executed {}   all green: {}\n",
         run.min_executed, run.all_green
@@ -149,39 +158,42 @@ pub fn render_chaos(run: &ChaosRun) -> String {
     out
 }
 
+/// The reconvergence line E12 and E13 share: how many heals needed
+/// catch-up and how long it took, or `none` when nothing did.
+pub(crate) fn render_reconvergence(us: &[u64], none: &str) -> String {
+    let mut sorted = us.to_vec();
+    sorted.sort_unstable();
+    match sorted.last() {
+        None => format!("  reconvergence: {none}\n"),
+        Some(&max) => format!(
+            "  reconvergence: {} heals, p50 {:.3}s, max {:.3}s\n",
+            sorted.len(),
+            sorted[sorted.len() / 2] as f64 / 1e6,
+            max as f64 / 1e6
+        ),
+    }
+}
+
 /// E12 results as JSON (for `spire-sim e12 --json`).
-pub fn chaos_json(run: &ChaosRun) -> String {
-    let injected: Vec<String> = run
+pub fn chaos_json(run: &ChaosRun) -> Json {
+    let injected = run
         .injected
         .iter()
-        .map(|(name, count)| format!("{{\"kind\":\"{name}\",\"count\":{count}}}"))
-        .collect();
-    let invariants: Vec<String> = run
-        .invariants
-        .iter()
-        .map(|inv| {
-            format!(
-                "{{\"name\":\"{}\",\"checks\":{},\"violations\":{}}}",
-                inv.name, inv.checks, inv.violations
-            )
-        })
-        .collect();
-    let reconv: Vec<String> = run.reconvergence_us.iter().map(u64::to_string).collect();
-    format!(
-        "{{\n  \"days\": {},\n  \"seconds_per_day\": {},\n  \"planned\": {},\n  \
-         \"total_injected\": {},\n  \"distinct_kinds\": {},\n  \"injected\": [{}],\n  \
-         \"invariants\": [{}],\n  \"all_green\": {},\n  \"reconvergence_us\": [{}],\n  \
-         \"min_executed\": {},\n  \"journal_digest\": \"{}\"\n}}\n",
-        run.days,
-        run.seconds_per_day,
-        run.planned,
-        run.total_injected,
-        run.distinct_kinds,
-        injected.join(","),
-        invariants.join(","),
-        run.all_green,
-        reconv.join(","),
-        run.min_executed,
-        run.meta.journal_digest
-    )
+        .map(|&(kind, count)| Json::Obj(vec![("kind", kind.into()), ("count", count.into())]));
+    Json::Obj(vec![
+        ("days", run.days.into()),
+        ("seconds_per_day", run.seconds_per_day.into()),
+        ("planned", run.planned.into()),
+        ("total_injected", run.total_injected.into()),
+        ("distinct_kinds", run.distinct_kinds.into()),
+        ("injected", injected.collect()),
+        ("invariants", json::invariants(&run.invariants)),
+        ("all_green", run.all_green.into()),
+        (
+            "reconvergence_us",
+            run.reconvergence_us.iter().copied().collect(),
+        ),
+        ("min_executed", run.min_executed.into()),
+        ("journal_digest", run.meta.journal_digest.as_str().into()),
+    ])
 }

@@ -1,7 +1,8 @@
 //! Experiment E7: MANA trained on the deployment's own baseline traffic,
 //! then exposed to the red-team attack sequence.
 
-use crate::harness::RunMeta;
+use crate::redteam_experiments::{attacker_spec, spire_target};
+use crate::registry::RunMeta;
 use mana::features::{FeatureVector, WindowExtractor};
 use mana::ids::{AlertKind, ManaInstance};
 use mana::kmeans::{roc_curve, KMeansModel, RocPoint};
@@ -9,11 +10,9 @@ use mana::model::GaussianModel;
 use plc::topology::Scenario;
 use prime::types::Config as PrimeConfig;
 use redteam::attacker::{AttackStep, Attacker};
-use simnet::sim::{InterfaceSpec, NodeSpec};
 use simnet::time::SimDuration;
-use simnet::types::IpAddr;
 use spire::config::{SpireConfig, EXTERNAL_SPINES_PORT};
-use spire::deploy::{fast_timing, Deployment};
+use spire::deploy::Deployment;
 use spire::hardening::HardeningProfile;
 
 /// E7 result.
@@ -42,14 +41,7 @@ pub struct ManaRun {
 /// E7 — train on the operations network baseline, then watch the red
 /// team's attacks appear as classified incidents.
 pub fn e7_mana_detection(seed: u64) -> ManaRun {
-    let cfg = SpireConfig::minimal(PrimeConfig::red_team(), Scenario::RedTeamDistribution)
-        .with_cycle(
-            Scenario::RedTeamDistribution,
-            SimDuration::from_millis(500),
-            0,
-        );
-    let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-    d.set_timing(fast_timing());
+    let mut d = spire_target(HardeningProfile::deployed(), seed);
     let mut mana = ManaInstance::new("MANA 2 (spire ops)", SimDuration::from_millis(250));
 
     // Baseline capture ("24-hour packet capture", compressed to 20 s of
@@ -102,13 +94,7 @@ pub fn e7_mana_detection(seed: u64) -> ManaRun {
             payload: 700,
         },
     );
-    let mut spec = NodeSpec::new(
-        "red-team",
-        vec![InterfaceSpec::dynamic(IpAddr::new(10, 20, 0, 66))],
-        Box::new(attacker),
-    );
-    spec.promiscuous = true;
-    d.attach_external_attacker(spec);
+    d.attach_external_attacker(attacker_spec(attacker));
     d.run_for(SimDuration::from_secs(10));
     let records = d.sim.drain_tap(d.external_tap);
     mana.ingest(records);
@@ -202,13 +188,7 @@ pub fn e7_roc(seed: u64) -> RocRun {
             payload: 700,
         },
     );
-    let mut spec = NodeSpec::new(
-        "red-team",
-        vec![InterfaceSpec::dynamic(IpAddr::new(10, 20, 0, 66))],
-        Box::new(attacker),
-    );
-    spec.promiscuous = true;
-    d.attach_external_attacker(spec);
+    d.attach_external_attacker(attacker_spec(attacker));
     d.run_for(SimDuration::from_secs(10));
     let mut monitored = extractor.push(d.sim.drain_tap(d.external_tap));
     monitored.extend(extractor.flush_until(d.now()));

@@ -1,6 +1,6 @@
 //! Experiments E4 and E5: the power-plant test deployment (§V).
 
-use crate::harness::RunMeta;
+use crate::registry::RunMeta;
 use diversity::recovery::RecoveryScheduler;
 use plc::topology::Scenario;
 use prime::application::Application;
@@ -302,33 +302,39 @@ pub fn render_reaction(r: &ReactionTimes) -> String {
         r.spire_meets_requirement(),
         r.spire_faster(),
     );
-    use std::fmt::Write as _;
     for (label, stages) in [
         ("spire", &r.spire_stages),
         ("commercial", &r.commercial_stages),
     ] {
         let Some(b) = stages else { continue };
-        let _ = write!(out, "\n{label} reaction path ({} chains):\n", b.chains);
-        let _ = writeln!(
-            out,
-            "  {:<18} {:>6} {:>9} {:>9}",
-            "stage", "count", "p50_us", "p99_us"
-        );
-        for row in &b.rows {
-            let _ = writeln!(
-                out,
-                "  {:<18} {:>6} {:>9} {:>9}",
-                row.stage.name(),
-                row.count,
-                row.p50_us,
-                row.p99_us
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  {:<18} {:>6} {:>9} {:>9}",
-            "total", "", b.p50_total_us, b.p99_total_us
-        );
+        out.push_str(&format!("\n{label} reaction path ({} chains):\n", b.chains));
+        render_stages(&mut out, b);
     }
     out
+}
+
+/// Appends a reaction-path table: each stage's count and p50/p99 share,
+/// and the totals the shares telescope to.
+pub(crate) fn render_stages(out: &mut String, b: &obs::trace::StageBreakdown) {
+    use std::fmt::Write as _;
+    let _ = writeln!(
+        out,
+        "  {:<18} {:>6} {:>9} {:>9}",
+        "stage", "count", "p50_us", "p99_us"
+    );
+    for row in &b.rows {
+        let _ = writeln!(
+            out,
+            "  {:<18} {:>6} {:>9} {:>9}",
+            row.stage.name(),
+            row.count,
+            row.p50_us,
+            row.p99_us
+        );
+    }
+    let _ = writeln!(
+        out,
+        "  {:<18} {:>6} {:>9} {:>9}",
+        "total", "", b.p50_total_us, b.p99_total_us
+    );
 }

@@ -1,7 +1,7 @@
 //! Experiments E6, E8, E9: ground-truth recovery, the 3f+2k+1 ablation,
 //! and the diversity/recovery race.
 
-use crate::harness::RunMeta;
+use crate::registry::RunMeta;
 use diversity::economics::{race, RaceConfig, RaceOutcome};
 use diversity::variant::BinaryHardening;
 use plc::topology::Scenario;
@@ -10,7 +10,7 @@ use prime::harness::Cluster;
 use prime::types::{Config as PrimeConfig, ReplicaId};
 use scada::ground_truth::{assess, rebuild_from_field};
 use scada::historian::Historian;
-use simnet::time::{SimDuration, SimTime};
+use simnet::time::SimDuration;
 use spire::config::SpireConfig;
 use spire::deploy::{fast_timing, Deployment};
 use spire::hardening::HardeningProfile;
@@ -233,12 +233,4 @@ pub fn render_diversity(rows: &[DiversityRow]) -> String {
         ));
     }
     out
-}
-
-/// The horizon used by E9 (exported for documentation).
-pub const E9_HORIZON_DAYS: u64 = 14;
-
-/// A tiny helper for tests: the time at which E6 polls the field.
-pub fn e6_poll_time() -> SimTime {
-    SimTime::ZERO
 }

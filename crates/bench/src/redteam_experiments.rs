@@ -1,7 +1,7 @@
 //! Experiments E1–E3 and E10: the red-team exercise (§IV) and the
 //! hardening ablation (§VI-A).
 
-use crate::harness::RunMeta;
+use crate::registry::RunMeta;
 use plc::emulator::PlcEmulator;
 use plc::logic::LogicConfig;
 use plc::topology::Scenario;
@@ -13,7 +13,7 @@ use redteam::report::{AttackOutcome, AttackReport};
 use scada::commercial::CommercialHmi;
 use simnet::sim::{InterfaceSpec, NodeSpec};
 use simnet::time::{SimDuration, SimTime};
-use simnet::types::{IpAddr, Port};
+use simnet::types::IpAddr;
 use spire::config::{SpireConfig, EXTERNAL_SPINES_PORT, INTERNAL_SPINES_PORT};
 use spire::deploy::{fast_timing, Deployment};
 use spire::hardening::HardeningProfile;
@@ -21,9 +21,9 @@ use spire::hardening::HardeningProfile;
 /// Attacker address on the Spire operations network.
 const SPIRE_ATTACKER_IP: IpAddr = IpAddr::new(10, 20, 0, 66);
 
-/// Builds the standard Spire target: red-team prime config, Figure 4
-/// scenario, breaker cycle running.
-fn spire_target(hardening: HardeningProfile, seed: u64) -> Deployment {
+/// Builds the standard Spire target (E2, E3, E7, E10): red-team prime
+/// config, Figure 4 scenario, breaker cycle running, fast timing.
+pub(crate) fn spire_target(hardening: HardeningProfile, seed: u64) -> Deployment {
     let cfg = SpireConfig::minimal(PrimeConfig::red_team(), Scenario::RedTeamDistribution)
         .with_cycle(
             Scenario::RedTeamDistribution,
@@ -35,15 +35,18 @@ fn spire_target(hardening: HardeningProfile, seed: u64) -> Deployment {
     d
 }
 
-/// E1 — the red team against the commercial system: every attack from
-/// §IV-B's first two paragraphs, executed and verified.
-pub fn e1_commercial_attacks(seed: u64) -> AttackReport {
-    e1_commercial_attacks_meta(seed).0
+/// Result of E1.
+#[derive(Clone, Debug)]
+pub struct E1Result {
+    /// The attack matrix.
+    pub report: AttackReport,
+    /// Determinism captures of the enterprise lab and the operations lab.
+    pub meta: Vec<RunMeta>,
 }
 
-/// [`e1_commercial_attacks`] plus the determinism captures of both labs
-/// (the golden-digest and bench inputs).
-pub fn e1_commercial_attacks_meta(seed: u64) -> (AttackReport, Vec<RunMeta>) {
+/// E1 — the red team against the commercial system: every attack from
+/// §IV-B's first two paragraphs, executed and verified.
+pub fn e1_commercial_attacks(seed: u64) -> E1Result {
     let mut report = AttackReport::new();
 
     // Phase 1: from the enterprise network — dump, then re-upload PLC
@@ -175,11 +178,11 @@ pub fn e1_commercial_attacks_meta(seed: u64) -> (AttackReport, Vec<RunMeta>) {
         },
         "operator display shows forged all-closed state",
     );
-    let metas = vec![
+    let meta = vec![
         RunMeta::capture("e1.enterprise-lab", &lab.obs, &lab.sim),
         RunMeta::capture("e1.ops-lab", &lab2.obs, &lab2.sim),
     ];
-    (report, metas)
+    E1Result { report, meta }
 }
 
 /// Result of E2 including service-continuity evidence.
@@ -322,7 +325,8 @@ pub fn e2_spire_network_attacks(seed: u64) -> E2Result {
     }
 }
 
-fn attacker_spec(attacker: Attacker) -> NodeSpec {
+/// The red team's node on the Spire operations network.
+pub(crate) fn attacker_spec(attacker: Attacker) -> NodeSpec {
     let mut spec = NodeSpec::new(
         "red-team",
         vec![InterfaceSpec::dynamic(SPIRE_ATTACKER_IP)],
@@ -332,18 +336,22 @@ fn attacker_spec(attacker: Attacker) -> NodeSpec {
     spec
 }
 
-/// E3 — the compromised-replica excursion (§IV-B, day 3).
-pub fn e3_replica_excursion(seed: u64) -> ExcursionReport {
-    e3_replica_excursion_meta(seed).0
+/// Result of E3.
+#[derive(Clone, Debug)]
+pub struct E3Result {
+    /// The staged excursion, stage by stage.
+    pub report: ExcursionReport,
+    /// Determinism capture of the deployment (digest + event count).
+    pub meta: RunMeta,
 }
 
-/// [`e3_replica_excursion`] plus the deployment's determinism capture.
-pub fn e3_replica_excursion_meta(seed: u64) -> (ExcursionReport, RunMeta) {
+/// E3 — the compromised-replica excursion (§IV-B, day 3).
+pub fn e3_replica_excursion(seed: u64) -> E3Result {
     let mut d = spire_target(HardeningProfile::deployed(), seed);
     d.run_for(SimDuration::from_secs(4));
     let report = run_excursion(&mut d, 3);
     let meta = RunMeta::capture("e3.deployment", &d.obs, &d.sim);
-    (report, meta)
+    E3Result { report, meta }
 }
 
 /// One row of the E10 hardening-ablation matrix.
@@ -369,37 +377,26 @@ pub struct AblationRow {
     pub root_escalation: bool,
     /// Whether the breaker cycle kept making progress regardless.
     pub service_progressed: bool,
+    /// Determinism capture of this case's deployment.
+    pub meta: RunMeta,
 }
 
 /// E10 — re-run the attack suite with each §III-B hardening switch turned
-/// off, one at a time.
+/// off, one at a time (each case is its own deployment).
 pub fn e10_hardening_ablation(seed: u64) -> Vec<AblationRow> {
-    e10_hardening_ablation_meta(seed).0
-}
-
-/// [`e10_hardening_ablation`] plus one determinism capture per ablation
-/// case (each case is its own deployment).
-pub fn e10_hardening_ablation_meta(seed: u64) -> (Vec<AblationRow>, Vec<RunMeta>) {
-    let mut rows = Vec::new();
-    let mut metas = Vec::new();
     let mut configs: Vec<(String, HardeningProfile)> =
         vec![("(full hardening)".into(), HardeningProfile::deployed())];
     for &name in HardeningProfile::switch_names() {
         configs.push((format!("-{name}"), HardeningProfile::without(name)));
     }
-    for (i, (label, profile)) in configs.into_iter().enumerate() {
-        let (row, meta) = run_ablation_case(label, profile, seed + i as u64);
-        rows.push(row);
-        metas.push(meta);
-    }
-    (rows, metas)
+    configs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (label, profile))| run_ablation_case(label, profile, seed + i as u64))
+        .collect()
 }
 
-fn run_ablation_case(
-    label: String,
-    profile: HardeningProfile,
-    seed: u64,
-) -> (AblationRow, RunMeta) {
+fn run_ablation_case(label: String, profile: HardeningProfile, seed: u64) -> AblationRow {
     let mut d = spire_target(profile, seed);
     d.run_for(SimDuration::from_secs(3));
     let frames_before = d.hmi(0).stats.frames_applied;
@@ -492,7 +489,8 @@ fn run_ablation_case(
     // Cross-interface ARP leak: the attacker resolved an internal address
     // on the external network.
     let internal_addr_leaked = d.sim.arp_entry(node, 0, replica_int).is_some();
-    let row = AblationRow {
+    AblationRow {
+        meta: RunMeta::capture(&format!("e10.{label}"), &d.obs, &d.sim),
         disabled: label,
         scan_visible: !obs.scan_results.is_empty(),
         arp_poisoned,
@@ -505,9 +503,7 @@ fn run_ablation_case(
             .os
             .vulnerable_to(diversity::os::CveClass::DirtyCow),
         service_progressed: d.hmi(0).stats.frames_applied > frames_before,
-    };
-    let meta = RunMeta::capture(&format!("e10.{}", row.disabled), &d.obs, &d.sim);
-    (row, meta)
+    }
 }
 
 /// Renders the ablation matrix.
@@ -542,6 +538,3 @@ pub fn render_ablation(rows: &[AblationRow]) -> String {
     }
     out
 }
-
-/// The port the attacker scans from (exported for tests).
-pub const SCAN_SOURCE_PORT: Port = Port(31337);

@@ -27,10 +27,12 @@ use simnet::time::SimDuration;
 use spire::config::SpireConfig;
 use spire::deploy::{fast_timing, Deployment};
 use spire::hardening::HardeningProfile;
-use spire::latency::{summarize, LatencySummary, Sample};
+use spire::latency::{measure_flips, summarize, LatencySummary};
 use spire::site::SubstationTopology;
 
-use crate::harness::RunMeta;
+use crate::json::Json;
+use crate::plant_experiments::render_stages;
+use crate::registry::RunMeta;
 
 /// One sweep point: a full regional deployment at a given scale.
 #[derive(Clone, Debug)]
@@ -152,36 +154,8 @@ fn e14_point(seed: u64, substations: u32, devices_per: u32, flips: usize) -> Reg
 
     // The measurement device watches substation 0's first device.
     let sensor_tag = topo.device_scenario(0, 0).tag();
-    d.hmi_mut(0).hmi.set_sensor_breaker(sensor_tag, 0);
-    let mut samples = Vec::new();
-    let mut state = d.plc(0).positions()[0];
-    for i in 0..flips {
-        // Same deterministic phase jitter as E5: each flip lands at a
-        // different offset inside the sweep cycle.
-        d.run_for(SimDuration::from_micros((i as u64 * 7_919) % 20_000));
-        state = !state;
-        let flipped_at = d.now();
-        let seen = d.hmi(0).hmi.box_transitions.len();
-        d.plc_mut(0).force_breaker(0, state, flipped_at);
-        d.run_for(SimDuration::from_secs(1));
-        let displayed_at = d
-            .hmi(0)
-            .hmi
-            .box_transitions
-            .get(seen..)
-            .and_then(|new| new.iter().find(|&&(_, white)| white == state))
-            .map(|&(t, _)| t);
-        let sample = Sample {
-            flipped_at,
-            displayed_at,
-        };
-        if let Some(reaction) = sample.reaction() {
-            d.obs
-                .histogram("e14.reaction_us")
-                .record(reaction.as_micros());
-        }
-        samples.push(sample);
-    }
+    let period = SimDuration::from_secs(1);
+    let samples = measure_flips(&mut d, sensor_tag, 0, 0, 0, flips, period, |_| {});
 
     let window = d.now().since(window_start);
     let ordered_updates = d.min_executed().saturating_sub(exec_before);
@@ -238,33 +212,12 @@ pub fn render_regional(run: &RegionalSweep) -> String {
             p.reaction.missed,
         ));
     }
-    use std::fmt::Write as _;
     if let Some(b) = run.points.last().and_then(|p| p.stages.as_ref()) {
-        let _ = write!(
-            out,
+        out.push_str(&format!(
             "\nreaction path at the largest point ({} chains):\n",
             b.chains
-        );
-        let _ = writeln!(
-            out,
-            "  {:<18} {:>6} {:>9} {:>9}",
-            "stage", "count", "p50_us", "p99_us"
-        );
-        for row in &b.rows {
-            let _ = writeln!(
-                out,
-                "  {:<18} {:>6} {:>9} {:>9}",
-                row.stage.name(),
-                row.count,
-                row.p50_us,
-                row.p99_us
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  {:<18} {:>6} {:>9} {:>9}",
-            "total", "", b.p50_total_us, b.p99_total_us
-        );
+        ));
+        render_stages(&mut out, b);
     }
     out.push_str(&format!(
         "\nreaction degradation sub-linear in device count: {}\n",
@@ -273,43 +226,39 @@ pub fn render_regional(run: &RegionalSweep) -> String {
     out
 }
 
-/// E14 results as JSON (for `spire-sim e14 --json`). Hand-rolled: the
-/// workspace deliberately has no serde dependency.
-pub fn regional_json(run: &RegionalSweep) -> String {
-    let points: Vec<String> = run
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\n      \"substations\": {},\n      \"devices_per\": {},\n      \
-                 \"total_devices\": {},\n      \"ordered_updates\": {},\n      \
-                 \"window_us\": {},\n      \"ordered_updates_per_s\": {:.1},\n      \
-                 \"device_polls\": {},\n      \"reports_sent\": {},\n      \
-                 \"aggregation_ratio\": {:.2},\n      \"reaction_median_us\": {},\n      \
-                 \"reaction_mean_us\": {},\n      \"reaction_max_us\": {},\n      \
-                 \"reaction_missed\": {},\n      \"journal_digest\": \"{}\"\n    }}",
-                p.substations,
-                p.devices_per,
-                p.total_devices,
-                p.ordered_updates,
-                p.window.as_micros(),
-                p.ordered_updates_per_s(),
-                p.device_polls,
-                p.reports_sent,
-                p.aggregation_ratio,
-                p.reaction.median.as_micros(),
-                p.reaction.mean.as_micros(),
-                p.reaction.max.as_micros(),
-                p.reaction.missed,
-                p.meta.journal_digest
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"spire-e14-v1\",\n  \"degradation_sub_linear\": {},\n  \
-         \"peak_aggregation_ratio\": {:.2},\n  \"points\": [\n{}\n  ]\n}}\n",
-        run.degradation_sub_linear(),
-        run.peak_aggregation_ratio(),
-        points.join(",\n")
-    )
+/// E14 results as JSON (for `spire-sim e14 --json`).
+pub fn regional_json(run: &RegionalSweep) -> Json {
+    let points = run.points.iter().map(|p| {
+        Json::Obj(vec![
+            ("substations", p.substations.into()),
+            ("devices_per", p.devices_per.into()),
+            ("total_devices", p.total_devices.into()),
+            ("ordered_updates", p.ordered_updates.into()),
+            ("window_us", p.window.as_micros().into()),
+            (
+                "ordered_updates_per_s",
+                Json::Fixed(p.ordered_updates_per_s(), 1),
+            ),
+            ("device_polls", p.device_polls.into()),
+            ("reports_sent", p.reports_sent.into()),
+            ("aggregation_ratio", Json::Fixed(p.aggregation_ratio, 2)),
+            ("reaction_median_us", p.reaction.median.as_micros().into()),
+            ("reaction_mean_us", p.reaction.mean.as_micros().into()),
+            ("reaction_max_us", p.reaction.max.as_micros().into()),
+            ("reaction_missed", p.reaction.missed.into()),
+            ("journal_digest", p.meta.journal_digest.as_str().into()),
+        ])
+    });
+    Json::Obj(vec![
+        ("schema", "spire-e14-v1".into()),
+        (
+            "degradation_sub_linear",
+            run.degradation_sub_linear().into(),
+        ),
+        (
+            "peak_aggregation_ratio",
+            Json::Fixed(run.peak_aggregation_ratio(), 2),
+        ),
+        ("points", points.collect()),
+    ])
 }

@@ -25,7 +25,6 @@ use chaos::plan::{ChaosPlan, Fault, FaultKind, ScheduledFault};
 use chaos::signal::{ChaosSignal, SignalFeed, SignalKind};
 use diversity::recovery::RecoveryScheduler;
 use mana::ids::ManaInstance;
-use plc::topology::Scenario;
 use prime::byzantine::ByzMode;
 use prime::types::Config as PrimeConfig;
 use redteam::attacker::{AttackStep, Attacker};
@@ -33,14 +32,15 @@ use response::{
     Actuation, Controller, ControllerInput, ProxyObservation, ReplicaObservation, ResponseConfig,
 };
 use simnet::capture::PacketRecord;
-use simnet::sim::{InterfaceSpec, NodeSpec};
 use simnet::time::{SimDuration, SimTime};
 use simnet::types::IpAddr;
-use spire::config::{SpireConfig, EXTERNAL_SPINES_PORT};
-use spire::deploy::{fast_timing, Deployment};
-use spire::hardening::HardeningProfile;
+use spire::config::EXTERNAL_SPINES_PORT;
+use spire::deploy::Deployment;
 
-use crate::harness::RunMeta;
+use crate::chaos_experiment::chaos_rig;
+use crate::json::{self, Json};
+use crate::redteam_experiments::attacker_spec;
+use crate::registry::RunMeta;
 
 /// Controller/scheduler tick.
 const TICK: SimDuration = SimDuration::from_millis(100);
@@ -461,23 +461,6 @@ impl SubjectMana {
     }
 }
 
-/// Builds the E16 deployment (the E4 plant subset with chaos hardening)
-/// and runs warm-up.
-fn build_deployment(seed: u64) -> (Deployment, PrimeConfig) {
-    let mut prime_cfg = PrimeConfig::plant();
-    // Same rationale as E12: catch-up after recovery needs dedup-table
-    // transfer or the rejoining replica forks its execution numbering.
-    prime_cfg.transfer_dedup = true;
-    let cfg = SpireConfig::minimal(prime_cfg, Scenario::PlantSubset);
-    let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-    d.set_timing(fast_timing());
-    d.proxy_mut(0)
-        .set_poll_interval(SimDuration::from_millis(100));
-    d.proxy_mut(0).verbose_updates = true;
-    d.run_for(WARMUP);
-    (d, prime_cfg)
-}
-
 /// Applies a policy takedown if `replica` is actually reachable; keeps
 /// the checker's fault budget honest (a live implant on the victim is
 /// neutralized by the clean-image recovery, so its Byzantine budget slot
@@ -511,7 +494,7 @@ fn apply_restore(d: &mut Deployment, checker: &mut InvariantChecker, replica: u3
 
 /// Runs one (shape, policy) campaign end to end.
 fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutcome {
-    let (mut d, prime_cfg) = build_deployment(seed);
+    let (mut d, prime_cfg) = chaos_rig(seed, PrimeConfig::plant(), None);
     let n = prime_cfg.n();
 
     // Train the per-subject MANA instances on clean operation. A zero-wave
@@ -534,13 +517,8 @@ fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutc
     // Campaign setup: plan + attacker + checker + signal feed + policy.
     let t0 = d.now();
     let horizon = shape.wave().saturating_mul(waves);
-    let mut attacker_spec = NodeSpec::new(
-        "red-team",
-        vec![InterfaceSpec::dynamic(IpAddr::new(10, 20, 0, 66))],
-        Box::new(shape.attacker(&d, t0, waves)),
-    );
-    attacker_spec.promiscuous = true;
-    d.attach_external_attacker(attacker_spec);
+    let attacker = shape.attacker(&d, t0, waves);
+    d.attach_external_attacker(attacker_spec(attacker));
 
     let mut checker = InvariantChecker::new(CheckerConfig::for_prime(&prime_cfg), &d);
     let feed = SignalFeed::new();
@@ -719,7 +697,7 @@ pub fn e16_campaign(seed: u64, shape: Shape, days: u64) -> CampaignRun {
 /// *both* policies — the closed loop does not mask genuine over-budget
 /// outages. Returns the per-invariant reports.
 pub fn e16_beyond_budget(seed: u64, policy: Policy) -> Vec<InvariantReport> {
-    let (mut d, prime_cfg) = build_deployment(seed);
+    let (mut d, prime_cfg) = chaos_rig(seed, PrimeConfig::plant(), None);
     let n = prime_cfg.n();
     let horizon = SimDuration::from_secs(10);
 
@@ -833,53 +811,35 @@ pub fn render_campaign(run: &CampaignRun) -> String {
     out
 }
 
-fn policy_json(p: &PolicyOutcome) -> String {
-    let invariants: Vec<String> = p
-        .invariants
-        .iter()
-        .map(|inv| {
-            format!(
-                "{{\"name\":\"{}\",\"checks\":{},\"violations\":{}}}",
-                inv.name, inv.checks, inv.violations
-            )
-        })
-        .collect();
-    let reactions: Vec<String> = p.reaction_us.iter().map(u64::to_string).collect();
-    format!(
-        "{{\"policy\":\"{}\",\"compromised_us\":{},\"reaction_p99_us\":{},\"reaction_us\":[{}],\
-         \"reacted\":{},\"missed\":{},\"recoveries\":{},\"restores\":{},\"throttles\":{},\
-         \"updates_throttled\":{},\"anomaly_windows\":{},\"transitions\":{},\
-         \"longest_stall_us\":{},\"min_executed\":{},\"all_green\":{},\
-         \"invariants\":[{}],\"journal_digest\":\"{}\"}}",
-        p.policy,
-        p.compromised_us,
-        p.reaction_p99_us(),
-        reactions.join(","),
-        p.reacted,
-        p.missed,
-        p.recoveries,
-        p.restores,
-        p.throttles,
-        p.updates_throttled,
-        p.anomaly_windows,
-        p.transitions,
-        p.longest_stall_us,
-        p.min_executed,
-        p.all_green,
-        invariants.join(","),
-        p.meta.journal_digest
-    )
+fn policy_json(p: &PolicyOutcome) -> Json {
+    Json::Obj(vec![
+        ("policy", p.policy.into()),
+        ("compromised_us", p.compromised_us.into()),
+        ("reaction_p99_us", p.reaction_p99_us().into()),
+        ("reaction_us", p.reaction_us.iter().copied().collect()),
+        ("reacted", p.reacted.into()),
+        ("missed", p.missed.into()),
+        ("recoveries", p.recoveries.into()),
+        ("restores", p.restores.into()),
+        ("throttles", p.throttles.into()),
+        ("updates_throttled", p.updates_throttled.into()),
+        ("anomaly_windows", p.anomaly_windows.into()),
+        ("transitions", p.transitions.into()),
+        ("longest_stall_us", p.longest_stall_us.into()),
+        ("min_executed", p.min_executed.into()),
+        ("all_green", p.all_green.into()),
+        ("invariants", json::invariants(&p.invariants)),
+        ("journal_digest", p.meta.journal_digest.as_str().into()),
+    ])
 }
 
 /// One campaign as JSON (for `spire-sim e16 --json`).
-pub fn campaign_json(run: &CampaignRun) -> String {
-    format!(
-        "{{\n  \"id\": \"{}\",\n  \"shape\": \"{}\",\n  \"waves\": {},\n  \
-         \"periodic\": {},\n  \"feedback\": {}\n}}",
-        run.id,
-        run.shape,
-        run.waves,
-        policy_json(&run.periodic),
-        policy_json(&run.feedback)
-    )
+pub fn campaign_json(run: &CampaignRun) -> Json {
+    Json::Obj(vec![
+        ("id", run.id.into()),
+        ("shape", run.shape.into()),
+        ("waves", run.waves.into()),
+        ("periodic", policy_json(&run.periodic)),
+        ("feedback", policy_json(&run.feedback)),
+    ])
 }

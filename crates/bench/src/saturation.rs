@@ -17,6 +17,8 @@ use prime::replica::Timing;
 use prime::types::Config as PrimeConfig;
 use simnet::time::{SimDuration, SimTime};
 
+use crate::json::Json;
+
 /// Per-message NIC serialization cost for the capacity model. With n=6,
 /// each submitted update costs every replica a 5-message PoRequest
 /// broadcast (~750 us of lane time), plus the fixed ARU/PrePrepare/
@@ -368,34 +370,28 @@ pub fn saturation_attribution(run: &SaturationRun) -> String {
 }
 
 /// Serializes the ramp as JSON (`spire-sim e11 --json FILE`).
-pub fn saturation_json(run: &SaturationRun) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"schema\": \"spire-e11-v2\",\n");
-    let _ = writeln!(out, "  \"seed\": {},", run.seed);
-    let _ = writeln!(
-        out,
-        "  \"batch_max\": {},\n  \"pipeline\": {},",
-        run.opts.batch_max, run.opts.pipeline
-    );
-    let _ = writeln!(
-        out,
-        "  \"knee_offered_per_s\": {},",
-        run.knee_index()
-            .map_or("null".into(), |k| run.steps[k].offered_per_s.to_string())
-    );
-    let _ = writeln!(out, "  \"flat_then_knee\": {},", run.is_flat_then_knee());
-    out.push_str("  \"steps\": [\n");
-    for (i, s) in run.steps.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"offered_per_s\": {}, \"ordered_per_s\": {:.1}, \"executed\": {}, \
-             \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-            s.offered_per_s, s.ordered_per_s, s.executed, s.p50_us, s.p90_us, s.p99_us, s.max_us
-        );
-        out.push_str(if i + 1 < run.steps.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+pub fn saturation_json(run: &SaturationRun) -> Json {
+    let steps = run.steps.iter().map(|s| {
+        Json::Obj(vec![
+            ("offered_per_s", s.offered_per_s.into()),
+            ("ordered_per_s", Json::Fixed(s.ordered_per_s, 1)),
+            ("executed", s.executed.into()),
+            ("p50_us", s.p50_us.into()),
+            ("p90_us", s.p90_us.into()),
+            ("p99_us", s.p99_us.into()),
+            ("max_us", s.max_us.into()),
+        ])
+    });
+    let knee = run.knee_index().map(|k| run.steps[k].offered_per_s);
+    Json::Obj(vec![
+        ("schema", "spire-e11-v2".into()),
+        ("seed", run.seed.into()),
+        ("batch_max", run.opts.batch_max.into()),
+        ("pipeline", run.opts.pipeline.into()),
+        ("knee_offered_per_s", knee.into()),
+        ("flat_then_knee", run.is_flat_then_knee().into()),
+        ("steps", steps.collect()),
+    ])
 }
 
 #[cfg(test)]

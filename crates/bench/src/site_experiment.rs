@@ -14,16 +14,15 @@
 use chaos::driver::ChaosDriver;
 use chaos::invariants::{CheckerConfig, InvariantChecker, InvariantReport};
 use chaos::plan::ChaosPlan;
-use plc::topology::Scenario;
 use prime::types::Config as PrimeConfig;
 use simnet::time::SimDuration;
-use spire::config::SpireConfig;
-use spire::deploy::{fast_timing, Deployment};
-use spire::hardening::HardeningProfile;
-use spire::latency::Sample;
+use spire::deploy::Deployment;
+use spire::latency::{measure_flips, Sample};
 use spire::site::{SiteTopology, SurvivalMode};
 
-use crate::harness::RunMeta;
+use crate::chaos_experiment::{chaos_rig, render_reconvergence};
+use crate::json::{self, Json};
+use crate::registry::RunMeta;
 
 /// One configuration's failover leg.
 #[derive(Clone, Debug)]
@@ -99,47 +98,22 @@ fn median_reaction_us(samples: &[Sample]) -> Option<u64> {
 }
 
 /// E5's measurement device, chaos-aware: flips breaker 1 of proxy 0's
-/// PLC and times the HMI-0 box transition, telling the invariant checker
-/// about every ground-truth change (so HMI-truth stays meaningful) and
-/// letting it sample between flips (so bounded-delay stays armed).
+/// PLC and times the HMI-0 box transition; when each flip's window closes
+/// the invariant checker learns the new ground truth (so HMI-truth stays
+/// meaningful) and samples (so bounded-delay stays armed).
 fn measure_reactions(
     d: &mut Deployment,
     mut checker: Option<&mut InvariantChecker>,
-    flips: usize,
     window: SimDuration,
-) -> Vec<Sample> {
-    let scenario_tag = d.proxy(0).scenario().tag();
-    d.hmi_mut(0).hmi.set_sensor_breaker(scenario_tag, 1);
-    let mut samples = Vec::new();
-    let mut state = d.plc(0).positions()[1];
-    for i in 0..flips {
-        // Same deterministic phase jitter as E5: each flip lands at a
-        // different offset inside the proxy's poll cycle.
-        d.run_for(SimDuration::from_micros((i as u64 * 7_919) % 20_000));
-        state = !state;
-        let flipped_at = d.now();
-        let seen = d.hmi(0).hmi.box_transitions.len();
-        d.plc_mut(0).force_breaker(1, state, flipped_at);
+) -> Option<u64> {
+    let tag = d.proxy(0).scenario().tag();
+    let samples = measure_flips(d, tag, 0, 1, 0, 3, window, |d| {
         if let Some(c) = checker.as_deref_mut() {
             c.note_ground_truth(d);
-        }
-        d.run_for(window);
-        if let Some(c) = checker.as_deref_mut() {
             c.observe(d);
         }
-        let displayed_at = d
-            .hmi(0)
-            .hmi
-            .box_transitions
-            .get(seen..)
-            .and_then(|new| new.iter().find(|&&(_, white)| white == state))
-            .map(|&(t, _)| t);
-        samples.push(Sample {
-            flipped_at,
-            displayed_at,
-        });
-    }
-    samples
+    });
+    median_reaction_us(&samples)
 }
 
 /// Runs one configuration's leg: builds the multi-site plant deployment,
@@ -156,24 +130,13 @@ fn e13_leg(
     let severed_site = topology.sites[site].name.clone();
     let survivors = topology.survivors_after_losing(site);
 
-    let mut prime_cfg = PrimeConfig::plant();
-    // As in E12: catch-up after the heal replays orderings the survivors
-    // deduplicated, so the dedup table must transfer with the state.
-    prime_cfg.transfer_dedup = true;
-    let cfg = SpireConfig::minimal(prime_cfg, Scenario::PlantSubset).with_sites(topology);
-    let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-    d.set_timing(fast_timing());
-    d.proxy_mut(0)
-        .set_poll_interval(SimDuration::from_millis(100));
-    d.proxy_mut(0).verbose_updates = true;
-    // Warm up (ARP, overlay discovery, first orderings), then the
-    // seed-derived phase that makes distinct seeds produce distinct
+    let (mut d, prime_cfg) = chaos_rig(seed, PrimeConfig::plant(), Some(topology));
+    // The seed-derived phase that makes distinct seeds produce distinct
     // event streams on the lossless-LAN legs.
-    d.run_for(SimDuration::from_secs(1));
     d.run_for(SimDuration::from_micros(seed % 1_000));
 
     let window = SimDuration::from_secs(1);
-    let before = measure_reactions(&mut d, None, 3, window);
+    let reaction_before_us = measure_reactions(&mut d, None, window);
     let exec_before = d.min_executed_among(&all_replicas(prime_cfg.n()));
 
     let mut checker_cfg = CheckerConfig::for_prime(&prime_cfg);
@@ -202,7 +165,7 @@ fn e13_leg(
         d.min_executed_among(&survivors)
     };
 
-    let during = measure_reactions(&mut d, Some(&mut checker), 3, window);
+    let reaction_during_us = measure_reactions(&mut d, Some(&mut checker), window);
     let exec_during = if survivors.is_empty() {
         d.min_executed_among(&all_replicas(prime_cfg.n()))
     } else {
@@ -212,7 +175,7 @@ fn e13_leg(
 
     driver.heal_all(&mut d, &mut checker);
     driver.run_quiesce(&mut d, &mut checker, SimDuration::from_secs(10), step);
-    let after = measure_reactions(&mut d, Some(&mut checker), 3, window);
+    let reaction_after_us = measure_reactions(&mut d, Some(&mut checker), window);
     let exec_after = d.min_executed_among(&all_replicas(prime_cfg.n()));
 
     let invariants = checker.reports();
@@ -239,9 +202,9 @@ fn e13_leg(
         ordering_live_during: exec_during > exec_at_soak_end,
         expect_liveness_loss,
         liveness_verdict_correct,
-        reaction_before_us: median_reaction_us(&before),
-        reaction_during_us: median_reaction_us(&during),
-        reaction_after_us: median_reaction_us(&after),
+        reaction_before_us,
+        reaction_during_us,
+        reaction_after_us,
         reconvergence_us: checker.reconvergence_us.clone(),
         invariants,
         meta: RunMeta::capture(&format!("{id}.failover"), &d.obs, &d.sim),
@@ -330,20 +293,10 @@ pub fn render_leg(leg: &SiteFailoverLeg) -> String {
             }
         ));
     }
-    if leg.reconvergence_us.is_empty() {
-        out.push_str("  reconvergence: no catch-up required\n");
-    } else {
-        let mut sorted = leg.reconvergence_us.clone();
-        sorted.sort_unstable();
-        let p50 = sorted[sorted.len() / 2];
-        let max = *sorted.last().expect("non-empty");
-        out.push_str(&format!(
-            "  reconvergence: {} heals, p50 {:.3}s, max {:.3}s\n",
-            sorted.len(),
-            p50 as f64 / 1e6,
-            max as f64 / 1e6
-        ));
-    }
+    out.push_str(&render_reconvergence(
+        &leg.reconvergence_us,
+        "no catch-up required",
+    ));
     out.push_str(&format!(
         "  liveness verdict correct: {}\n",
         leg.liveness_verdict_correct
@@ -365,60 +318,41 @@ pub fn render_site_failover(run: &SiteFailoverRun) -> String {
     out
 }
 
-/// E13 results as JSON (for `spire-sim e13 --json`). Hand-rolled: the
-/// workspace deliberately has no serde dependency.
-pub fn site_failover_json(run: &SiteFailoverRun) -> String {
-    let legs: Vec<String> = run
-        .legs
-        .iter()
-        .map(|l| {
-            let invariants: Vec<String> = l
-                .invariants
-                .iter()
-                .map(|inv| {
-                    format!(
-                        "{{\"name\":\"{}\",\"checks\":{},\"violations\":{}}}",
-                        inv.name, inv.checks, inv.violations
-                    )
-                })
-                .collect();
-            let members: Vec<String> = l.degraded_members.iter().map(u32::to_string).collect();
-            let reconv: Vec<String> = l.reconvergence_us.iter().map(u64::to_string).collect();
-            let us = |v: Option<u64>| v.map_or("null".to_string(), |x| x.to_string());
-            format!(
-                "    {{\n      \"id\": \"{}\",\n      \"config\": \"{}\",\n      \
-                 \"severed_site\": \"{}\",\n      \"survival\": \"{}\",\n      \
-                 \"degraded_members\": [{}],\n      \"exec_before\": {},\n      \
-                 \"exec_during\": {},\n      \"exec_after\": {},\n      \
-                 \"ordering_live_during\": {},\n      \"expect_liveness_loss\": {},\n      \
-                 \"liveness_verdict_correct\": {},\n      \"reaction_before_us\": {},\n      \
-                 \"reaction_during_us\": {},\n      \"reaction_after_us\": {},\n      \
-                 \"reconvergence_us\": [{}],\n      \"invariants\": [{}],\n      \
-                 \"journal_digest\": \"{}\"\n    }}",
-                l.id,
-                l.config,
-                l.severed_site,
-                l.survival,
-                members.join(","),
-                l.exec_before,
-                l.exec_during,
-                l.exec_after,
-                l.ordering_live_during,
-                l.expect_liveness_loss,
-                l.liveness_verdict_correct,
-                us(l.reaction_before_us),
-                us(l.reaction_during_us),
-                us(l.reaction_after_us),
-                reconv.join(","),
-                invariants.join(","),
-                l.meta.journal_digest
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"spire-e13-v1\",\n  \"all_verdicts_correct\": {},\n  \
-         \"legs\": [\n{}\n  ]\n}}\n",
-        run.all_verdicts_correct(),
-        legs.join(",\n")
-    )
+/// E13 results as JSON (for `spire-sim e13 --json`).
+pub fn site_failover_json(run: &SiteFailoverRun) -> Json {
+    let legs = run.legs.iter().map(|l| {
+        Json::Obj(vec![
+            ("id", l.id.into()),
+            ("config", l.config.as_str().into()),
+            ("severed_site", l.severed_site.as_str().into()),
+            ("survival", l.survival.as_str().into()),
+            (
+                "degraded_members",
+                l.degraded_members.iter().copied().collect(),
+            ),
+            ("exec_before", l.exec_before.into()),
+            ("exec_during", l.exec_during.into()),
+            ("exec_after", l.exec_after.into()),
+            ("ordering_live_during", l.ordering_live_during.into()),
+            ("expect_liveness_loss", l.expect_liveness_loss.into()),
+            (
+                "liveness_verdict_correct",
+                l.liveness_verdict_correct.into(),
+            ),
+            ("reaction_before_us", l.reaction_before_us.into()),
+            ("reaction_during_us", l.reaction_during_us.into()),
+            ("reaction_after_us", l.reaction_after_us.into()),
+            (
+                "reconvergence_us",
+                l.reconvergence_us.iter().copied().collect(),
+            ),
+            ("invariants", json::invariants(&l.invariants)),
+            ("journal_digest", l.meta.journal_digest.as_str().into()),
+        ])
+    });
+    Json::Obj(vec![
+        ("schema", "spire-e13-v1".into()),
+        ("all_verdicts_correct", run.all_verdicts_correct().into()),
+        ("legs", legs.collect()),
+    ])
 }

@@ -467,14 +467,4 @@ impl InvariantChecker {
     pub fn all_green(&self) -> bool {
         self.violations.iter().all(|v| *v == 0)
     }
-
-    /// Total violations across all invariants.
-    pub fn total_violations(&self) -> u64 {
-        self.violations.iter().sum()
-    }
-
-    /// Replicas the checker currently counts as Byzantine (test hook).
-    pub fn byz_count(&self) -> usize {
-        self.byz.len()
-    }
 }

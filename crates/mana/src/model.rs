@@ -6,7 +6,7 @@
 //! constant system updates" — is so regular that a 12-hour capture
 //! sufficed to train at the plant.
 
-use crate::features::{FeatureVector, FEATURE_COUNT, FEATURE_NAMES};
+use crate::features::{FeatureVector, FEATURE_COUNT};
 
 /// Minimum standard deviation floor, so constant features (std = 0) do
 /// not produce infinite scores on the first tiny fluctuation.
@@ -26,7 +26,7 @@ pub struct GaussianModel {
 /// The score of one window against the model.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Score {
-    /// Per-feature |z| scores (indexes per [`FEATURE_NAMES`]).
+    /// Per-feature |z| scores (indexes per [`crate::features::FEATURE_NAMES`]).
     pub z: [f64; FEATURE_COUNT],
     /// Maximum per-feature |z|.
     pub max_z: f64,
@@ -34,13 +34,6 @@ pub struct Score {
     pub top_feature: usize,
     /// Combined (root-mean-square) z across features.
     pub combined: f64,
-}
-
-impl Score {
-    /// Name of the most anomalous feature.
-    pub fn top_feature_name(&self) -> &'static str {
-        FEATURE_NAMES[self.top_feature]
-    }
 }
 
 impl GaussianModel {
@@ -107,11 +100,6 @@ impl GaussianModel {
     /// Whether a score crosses the alert threshold.
     pub fn is_anomalous(&self, score: &Score) -> bool {
         score.max_z >= self.z_threshold
-    }
-
-    /// The learned mean of a feature (diagnostics).
-    pub fn mean_of(&self, feature: usize) -> f64 {
-        self.mean[feature]
     }
 }
 

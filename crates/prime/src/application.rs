@@ -10,7 +10,7 @@
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
-use itcrypto::sha256::{sha256, sha256_concat, Digest};
+use itcrypto::sha256::{sha256_concat, Digest};
 use simnet::wire::Reader;
 
 use crate::types::Update;
@@ -183,12 +183,6 @@ impl Application for KvApp {
     fn install_snapshot(&mut self, snapshot: &[u8]) {
         *self = Self::parse_snapshot(snapshot).unwrap_or_default();
     }
-}
-
-/// Convenience: digest of raw snapshot bytes (used when comparing
-/// snapshot offers during catch-up).
-pub fn snapshot_digest(snapshot: &[u8]) -> Digest {
-    sha256(snapshot)
 }
 
 #[cfg(test)]

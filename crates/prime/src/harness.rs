@@ -204,18 +204,6 @@ impl Cluster {
         }
     }
 
-    /// Submits to exactly one replica (for targeted tests).
-    pub fn submit_to(&mut self, replica: ReplicaId, client: u32, payload: impl Into<Bytes>) {
-        let payload = payload.into();
-        self.client_seqs[client as usize] += 1;
-        let update = Update::new(client, self.client_seqs[client as usize], payload);
-        let sig = self.client_keys[client as usize].sign(&update.to_wire());
-        let signed = SignedUpdate { update, sig };
-        let now = self.now;
-        let events = self.replicas[replica.0 as usize].submit(signed, now);
-        self.dispatch(replica, events);
-    }
-
     fn dispatch(&mut self, from: ReplicaId, events: Vec<OutEvent>) {
         for ev in events {
             match ev {

@@ -293,9 +293,6 @@ impl Exec<'_> {
                 Action::Listen(port) => {
                     self.world.node_mut(node).listeners.insert(port);
                 }
-                Action::Unlisten(port) => {
-                    self.world.node_mut(node).listeners.remove(&port);
-                }
                 Action::Log(line) => {
                     let now = self.now;
                     self.world.logs.push((now, node, line));

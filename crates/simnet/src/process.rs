@@ -42,8 +42,6 @@ pub enum Action {
     },
     /// Open a listening port (SYNs to it now answer SYN-ACK).
     Listen(Port),
-    /// Close a listening port.
-    Unlisten(Port),
     /// Record a log line attributed to this node.
     Log(String),
 }
@@ -134,11 +132,6 @@ impl<'a> Context<'a> {
     /// Opens a listening port.
     pub fn listen(&mut self, port: Port) {
         self.actions.push(Action::Listen(port));
-    }
-
-    /// Closes a listening port.
-    pub fn unlisten(&mut self, port: Port) {
-        self.actions.push(Action::Unlisten(port));
     }
 
     /// Emits a log line.

@@ -76,8 +76,6 @@ pub struct Deployment {
     site_uplinks: Vec<(SwitchId, [LinkId; 2])>,
     /// Spare external-switch ports for attacker attachment.
     spare_external_ports: Vec<usize>,
-    /// Spare internal-switch ports (if an internal switch exists).
-    spare_internal_ports: Vec<usize>,
 }
 
 /// A switch's cabling: `plan[i]` is the NIC `(node, ifidx)` on port `i` and
@@ -284,9 +282,7 @@ impl Deployment {
         }
 
         let internal_switch = internal.as_ref().filter(|_| wan.is_none()).map(|o| o.core);
-        let (spare_internal_ports, internal_sites) = internal
-            .map(|o| (o.spare_ports, o.sites))
-            .unwrap_or_default();
+        let internal_sites = internal.map(|o| o.sites).unwrap_or_default();
         let site_uplinks = ops
             .sites
             .iter()
@@ -307,7 +303,6 @@ impl Deployment {
             external_tap,
             site_uplinks,
             spare_external_ports: ops.spare_ports,
-            spare_internal_ports,
         }
     }
 
@@ -527,16 +522,6 @@ impl Deployment {
             self.sim.authorize_switch_port(sw, mac, trunk_port);
         }
         node
-    }
-
-    /// Attaches an attacker to the internal switch (only possible when one
-    /// exists; physical isolation otherwise keeps outsiders off it).
-    pub fn attach_internal_attacker(&mut self, spec: NodeSpec) -> Option<NodeId> {
-        let sw = self.internal_switch?;
-        let port = self.spare_internal_ports.pop()?;
-        let node = self.sim.add_node(spec);
-        self.sim.connect(node, 0, sw, port, LinkSpec::lan());
-        Some(node)
     }
 
     /// Partitions the internal (replication) switch so the `isolated`

@@ -63,21 +63,25 @@ pub fn summarize(samples: &[Sample]) -> LatencySummary {
     }
 }
 
-/// Runs the measurement against a Spire deployment: flips `breaker` of
-/// proxy `p`'s PLC `flips` times, `period` apart, watching HMI `h`'s
-/// sensor box.
-pub fn measure_spire(
+/// The measurement device: flips `breaker` of PLC `plc` `flips` times and
+/// watches the sensor box of HMI `hmi`, attached to scenario `sensor_tag`,
+/// for `window` after each flip. `after_window` runs once per flip when
+/// its window closes (E13 hands the invariant checker the new ground
+/// truth there and lets it sample).
+#[allow(clippy::too_many_arguments)]
+pub fn measure_flips(
     d: &mut Deployment,
-    proxy: u32,
+    sensor_tag: String,
+    plc: u32,
     breaker: u16,
     hmi: u32,
     flips: usize,
-    period: SimDuration,
+    window: SimDuration,
+    mut after_window: impl FnMut(&mut Deployment),
 ) -> Vec<Sample> {
-    let scenario_tag = d.proxy(proxy).scenario().tag();
-    d.hmi_mut(hmi).hmi.set_sensor_breaker(scenario_tag, breaker);
+    d.hmi_mut(hmi).hmi.set_sensor_breaker(sensor_tag, breaker);
     let mut samples = Vec::new();
-    let mut state = d.plc(proxy).positions()[breaker as usize];
+    let mut state = d.plc(plc).positions()[breaker as usize];
     for i in 0..flips {
         // Deterministic phase jitter: without it every flip lands at the
         // same offset inside the proxy's poll cycle and all samples
@@ -86,23 +90,39 @@ pub fn measure_spire(
         state = !state;
         let flipped_at = d.now();
         let seen_transitions = d.hmi(hmi).hmi.box_transitions.len();
-        d.plc_mut(proxy).force_breaker(breaker, state, flipped_at);
-        d.run_for(period);
+        d.plc_mut(plc).force_breaker(breaker, state, flipped_at);
+        d.run_for(window);
+        after_window(d);
         let transitions = &d.hmi(hmi).hmi.box_transitions;
         let displayed_at = transitions
             .get(seen_transitions..)
             .and_then(|new| new.iter().find(|&&(_, white)| white == state))
             .map(|&(t, _)| t);
-        let sample = Sample {
+        samples.push(Sample {
             flipped_at,
             displayed_at,
-        };
-        if let Some(reaction) = sample.reaction() {
-            d.obs
-                .histogram("e5.spire.reaction_us")
-                .record(reaction.as_micros());
-        }
-        samples.push(sample);
+        });
+    }
+    samples
+}
+
+/// Runs the measurement against a Spire deployment: flips `breaker` of
+/// proxy `p`'s PLC `flips` times, `period` apart, watching HMI `h`'s
+/// sensor box, and records each reaction in `e5.spire.reaction_us`.
+pub fn measure_spire(
+    d: &mut Deployment,
+    proxy: u32,
+    breaker: u16,
+    hmi: u32,
+    flips: usize,
+    period: SimDuration,
+) -> Vec<Sample> {
+    let tag = d.proxy(proxy).scenario().tag();
+    let samples = measure_flips(d, tag, proxy, breaker, hmi, flips, period, |_| {});
+    for reaction in samples.iter().filter_map(Sample::reaction) {
+        d.obs
+            .histogram("e5.spire.reaction_us")
+            .record(reaction.as_micros());
     }
     samples
 }

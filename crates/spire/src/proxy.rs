@@ -192,11 +192,6 @@ impl PlcProxy {
         self.update_min_interval = min_interval;
     }
 
-    /// The active update rate limit, if any.
-    pub fn update_rate_limit(&self) -> Option<SimDuration> {
-        self.update_min_interval
-    }
-
     fn send_modbus(&mut self, ctx: &mut Context<'_>, req: Request) {
         self.transaction = self.transaction.wrapping_add(1);
         let frame = TcpFrame::new(self.transaction, 1, req.encode());

@@ -184,16 +184,6 @@ impl SubstationProxy {
         &self.cfg
     }
 
-    /// Devices in the bank.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Sets the bank sweep cadence.
-    pub fn set_sweep_interval(&mut self, interval: SimDuration) {
-        self.sweep_interval = interval;
-    }
-
     /// Marks (or clears) this proxy as compromised via client key theft:
     /// its coalesced reports lie about every breaker position in its
     /// substation. The blast radius stays local — it cannot forge any

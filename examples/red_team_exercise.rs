@@ -10,7 +10,7 @@ use bench::redteam_experiments::{
 
 fn main() {
     println!("== Phase 1+2: red team vs. the commercial SCADA system ==\n");
-    let commercial = e1_commercial_attacks(2017);
+    let commercial = e1_commercial_attacks(2017).report;
     println!("{}", commercial.render());
     println!(
         "commercial system held: {}\n",
@@ -31,7 +31,7 @@ fn main() {
     );
 
     println!("== Day 3 excursion: gradually increasing control of one replica ==\n");
-    let excursion = e3_replica_excursion(2017);
+    let excursion = e3_replica_excursion(2017).report;
     for stage in &excursion.stages {
         println!(
             "stage {}: {}\n         disrupted service: {}   {}",

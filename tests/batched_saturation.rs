@@ -9,7 +9,7 @@
 //! release.
 #![cfg(not(debug_assertions))]
 
-use bench::harness::GOLDEN_SEED;
+use bench::registry::GOLDEN_SEED;
 use bench::saturation::{e11_default_rates, e11_saturation, e11_saturation_with, SaturationOpts};
 
 /// The before/after contract: the unbatched ramp knees at its pinned

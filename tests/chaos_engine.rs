@@ -5,30 +5,11 @@
 use chaos::driver::ChaosDriver;
 use chaos::invariants::{CheckerConfig, InvariantChecker};
 use chaos::plan::ChaosPlan;
-use plc::topology::Scenario;
 use prime::types::Config as PrimeConfig;
 use proptest::prelude::*;
 use simnet::time::SimDuration;
-use spire::config::SpireConfig;
-use spire::deploy::{fast_timing, Deployment};
-use spire::hardening::HardeningProfile;
 
-use bench::chaos_experiment::{e12_chaos_soak, e12_chaos_soak_with};
-
-/// The E12 plant deployment: 6 replicas, fast timing, 100 ms polling,
-/// dedup-table transfer armed, warmed up for one second.
-fn chaos_deployment(seed: u64) -> (Deployment, PrimeConfig) {
-    let mut prime_cfg = PrimeConfig::plant();
-    prime_cfg.transfer_dedup = true;
-    let cfg = SpireConfig::minimal(prime_cfg, Scenario::PlantSubset);
-    let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-    d.set_timing(fast_timing());
-    d.proxy_mut(0)
-        .set_poll_interval(SimDuration::from_millis(100));
-    d.proxy_mut(0).verbose_updates = true;
-    d.run_for(SimDuration::from_secs(1));
-    (d, prime_cfg)
-}
+use bench::chaos_experiment::{chaos_rig, e12_chaos_soak, e12_chaos_soak_with};
 
 /// Acceptance: `e12 --seed 42` injects at least five distinct fault
 /// kinds and every invariant stays green.
@@ -101,7 +82,7 @@ fn e12_soak_stays_green_with_batching_and_chunked_transfer() {
 /// vacuously passing.
 #[test]
 fn beyond_budget_crashes_trip_the_bounded_delay_invariant() {
-    let (mut d, prime_cfg) = chaos_deployment(42);
+    let (mut d, prime_cfg) = chaos_rig(42, PrimeConfig::plant(), None);
     let horizon = SimDuration::from_secs(12);
     let plan = ChaosPlan::beyond_budget_crashes(prime_cfg.f, horizon);
     let mut cfg = CheckerConfig::for_prime(&prime_cfg);
@@ -121,7 +102,7 @@ fn beyond_budget_crashes_trip_the_bounded_delay_invariant() {
 /// leaves no side with a quorum, so the bounded-delay invariant must trip.
 #[test]
 fn beyond_budget_partition_trips_the_bounded_delay_invariant() {
-    let (mut d, prime_cfg) = chaos_deployment(42);
+    let (mut d, prime_cfg) = chaos_rig(42, PrimeConfig::plant(), None);
     let horizon = SimDuration::from_secs(12);
     let plan = ChaosPlan::beyond_budget_partition(prime_cfg.n(), horizon);
     let mut cfg = CheckerConfig::for_prime(&prime_cfg);
@@ -146,7 +127,7 @@ fn beyond_budget_partition_trips_the_bounded_delay_invariant() {
 #[test]
 fn e12_health_snapshots_show_recovery_after_heal() {
     obs::prof::set_health_every(5);
-    let (mut d, prime_cfg) = chaos_deployment(42);
+    let (mut d, prime_cfg) = chaos_rig(42, PrimeConfig::plant(), None);
     let horizon = SimDuration::from_secs(10);
     let plan = ChaosPlan::within_budget(42, prime_cfg.n(), prime_cfg.ordering_quorum(), horizon);
     let mut checker = InvariantChecker::new(CheckerConfig::for_prime(&prime_cfg), &d);

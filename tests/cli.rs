@@ -252,3 +252,77 @@ fn all_refuses_a_single_output_file() {
         assert!(!path.exists(), "no file is written");
     }
 }
+
+/// A flag the experiment's row does not take is refused in one line that
+/// says what it does take, before anything runs or any file is written.
+#[test]
+fn a_flag_the_experiment_does_not_take_is_refused() {
+    let path = std::env::temp_dir().join("spire-sim-cli-test-refused.json");
+    let path_str = path.to_str().expect("utf-8 path");
+    let cases: [(&[&str], &str); 4] = [
+        (&["e1", "--json", path_str], "e1 takes --seed"),
+        (&["e12", "--trace"], "e12 takes --days --json"),
+        (&["e13", "--days", "3"], "e13 takes --json"),
+        (&["e7", "--substations", "2"], "e7 takes --seed"),
+    ];
+    for (args, takes) in cases {
+        let out = spire_sim(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "one line, got: {stderr}");
+        assert!(stderr.contains(takes), "got: {stderr}");
+        assert!(
+            stderr.contains(&format!("not {}", args[1])),
+            "got: {stderr}"
+        );
+    }
+    assert!(!path.exists(), "no file is written");
+}
+
+/// A numeric flag is parsed as the type it is stored in: one past
+/// `u32::MAX` is not a number for the `u32` flags (it used to wrap to 0,
+/// `--batch` silently running the legacy ramp), and still one for
+/// `--steps`, a `usize`.
+#[test]
+fn numeric_flags_do_not_wrap() {
+    let big = (u64::from(u32::MAX) + 1).to_string();
+    for (id, flag) in [
+        ("e11", "--batch"),
+        ("e11", "--pipeline"),
+        ("e14", "--substations"),
+        ("e14", "--devices-per"),
+    ] {
+        let out = spire_sim(&[id, flag, &big]);
+        assert_eq!(out.status.code(), Some(1), "{flag} {big} must exit 1");
+        assert!(out.stdout.is_empty(), "{flag} {big} ran something");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag}: not a number: {big}")),
+            "got: {stderr}"
+        );
+    }
+    if usize::BITS == 64 {
+        // Parsed, then refused because e1 takes no `--steps`: nothing runs.
+        let out = spire_sim(&["e1", "--steps", &big]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("not --steps"), "got: {stderr}");
+    }
+}
+
+/// `spire-sim e9 | head -0`: a reader that went away is an exit, not a
+/// `failed printing to stdout` panic with a backtrace.
+#[test]
+fn closed_stdout_is_a_quiet_exit() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_spire-sim"))
+        .arg("e9")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spire-sim runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("spire-sim exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "got: {stderr}");
+    assert!(stderr.is_empty(), "nothing to report, got: {stderr}");
+}

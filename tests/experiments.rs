@@ -7,11 +7,12 @@ use bench::recovery_experiments::{e6_ground_truth, e8_recovery_ablation, e9_dive
 use bench::redteam_experiments::{
     e1_commercial_attacks, e2_spire_network_attacks, e3_replica_excursion,
 };
+use bench::saturation::{e11_default_rates, e11_saturation};
 use redteam::report::AttackOutcome;
 
 #[test]
 fn e1_commercial_system_falls() {
-    let report = e1_commercial_attacks(101);
+    let report = e1_commercial_attacks(101).report;
     // Every §IV-B attack on the commercial system succeeded.
     assert!(report.rows.len() >= 4, "all four attack stages ran");
     for row in &report.rows {
@@ -47,7 +48,7 @@ fn e2_spire_withstands_network_attacks() {
 
 #[test]
 fn e3_excursion_never_disrupts_service() {
-    let report = e3_replica_excursion(303);
+    let report = e3_replica_excursion(303).report;
     assert!(report.spire_survived(), "{report:#?}");
     assert_eq!(report.stages.len(), 5);
     assert!(report.stages[1].evidence.contains("auth failures"));
@@ -251,7 +252,7 @@ fn e11_latency_flat_then_knee() {
     // keeps latency flat as offered load grows, until the fabric
     // saturates and queueing takes over (the knee).
     for seed in [42, 1111] {
-        let run = bench::e11_saturation(seed, &bench::e11_default_rates());
+        let run = e11_saturation(seed, &e11_default_rates());
         assert!(
             run.is_flat_then_knee(),
             "seed {seed}:\n{}",

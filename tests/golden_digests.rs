@@ -1,7 +1,7 @@
 //! Golden-digest pin: every experiment's observable behavior at
 //! [`GOLDEN_SEED`], folded into one digest per experiment (journal
 //! digests + simulator event counts + rendered result tables — see
-//! `bench::harness::experiment_fingerprint`).
+//! `bench::registry::experiment_fingerprint`).
 //!
 //! These digests are the contract that performance work is
 //! observationally invisible: serialize-once broadcast, verification
@@ -17,7 +17,7 @@
 //!
 //! and paste the printed table over `GOLDEN`.
 
-use bench::harness::{experiment_fingerprint, FINGERPRINTED, GOLDEN_SEED};
+use bench::registry::{experiment_fingerprint, FINGERPRINTED, GOLDEN_SEED};
 
 /// The pinned fingerprints at `GOLDEN_SEED`.
 const GOLDEN: &[(&str, &str)] = &[

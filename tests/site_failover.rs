@@ -7,29 +7,19 @@
 use chaos::driver::ChaosDriver;
 use chaos::invariants::{CheckerConfig, InvariantChecker};
 use chaos::plan::{ChaosPlan, Fault, ScheduledFault};
-use plc::topology::Scenario;
 use prime::byzantine::ByzMode;
 use prime::types::Config as PrimeConfig;
 use simnet::time::SimDuration;
-use spire::config::SpireConfig;
-use spire::deploy::{fast_timing, Deployment};
-use spire::hardening::HardeningProfile;
+use spire::deploy::Deployment;
+use spire::latency::measure_flips as measure;
 use spire::site::SiteTopology;
 
-/// A multi-site E13-style deployment: 6 replicas spread over `sites`,
-/// fast timing, 100 ms polling, dedup-table transfer armed, warmed up
-/// for one second.
-fn multisite_deployment(seed: u64, sites: SiteTopology) -> (Deployment, PrimeConfig) {
-    let mut prime_cfg = PrimeConfig::plant();
-    prime_cfg.transfer_dedup = true;
-    let cfg = SpireConfig::minimal(prime_cfg, Scenario::PlantSubset).with_sites(sites);
-    let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
-    d.set_timing(fast_timing());
-    d.proxy_mut(0)
-        .set_poll_interval(SimDuration::from_millis(100));
-    d.proxy_mut(0).verbose_updates = true;
-    d.run_for(SimDuration::from_secs(1));
-    (d, prime_cfg)
+use bench::chaos_experiment::chaos_rig;
+
+/// A multi-site E13-style deployment: the chaos rig with its 6 replicas
+/// spread over `sites`, at seed 42.
+fn multisite_deployment(sites: SiteTopology) -> (Deployment, PrimeConfig) {
+    chaos_rig(42, PrimeConfig::plant(), Some(sites))
 }
 
 fn execs(d: &Deployment, replicas: &[u32]) -> Vec<u64> {
@@ -40,20 +30,12 @@ fn execs(d: &Deployment, replicas: &[u32]) -> Vec<u64> {
 }
 
 /// The E13 measure-before stage: three breaker flips with 1 s windows,
-/// jittered exactly like `bench::site_experiment::measure_reactions`.
-/// Exists here because the timing alignment these flips produce is what
-/// originally wedged Prime (see `severed_site_fails_over_...` below).
+/// through the same probe E13 uses. Exists here because the timing
+/// alignment these flips produce is what originally wedged Prime (see
+/// `severed_site_fails_over_...` below).
 fn measure_flips(d: &mut Deployment) {
     let tag = d.proxy(0).scenario().tag();
-    d.hmi_mut(0).hmi.set_sensor_breaker(tag, 1);
-    let mut state = d.plc(0).positions()[1];
-    for i in 0..3u64 {
-        d.run_for(SimDuration::from_micros((i * 7_919) % 20_000));
-        state = !state;
-        let at = d.now();
-        d.plc_mut(0).force_breaker(1, state, at);
-        d.run_for(SimDuration::from_secs(1));
-    }
+    measure(d, tag, 0, 1, 0, 3, SimDuration::from_secs(1), |_| {});
 }
 
 /// The positive control and the regression pin for the stale
@@ -68,7 +50,7 @@ fn measure_flips(d: &mut Deployment) {
 /// every later view — this exact scenario wedged permanently.
 #[test]
 fn severed_site_fails_over_and_reconverges_after_heal() {
-    let (mut d, prime_cfg) = multisite_deployment(42, SiteTopology::three_plus_three());
+    let (mut d, prime_cfg) = multisite_deployment(SiteTopology::three_plus_three());
     measure_flips(&mut d);
 
     let mut checker = InvariantChecker::new(CheckerConfig::for_prime(&prime_cfg), &d);
@@ -118,7 +100,7 @@ fn severed_site_fails_over_and_reconverges_after_heal() {
 /// verifies nothing.
 #[test]
 fn site_loss_plus_survivor_intrusion_trips_bounded_delay() {
-    let (mut d, prime_cfg) = multisite_deployment(42, SiteTopology::three_plus_three());
+    let (mut d, prime_cfg) = multisite_deployment(SiteTopology::three_plus_three());
     let horizon = SimDuration::from_secs(12);
     let plan = ChaosPlan {
         faults: vec![
@@ -161,7 +143,7 @@ fn site_loss_plus_survivor_intrusion_trips_bounded_delay() {
 /// pre-sever execution once the site heals.
 #[test]
 fn static_membership_split_recovers_ordering_after_heal() {
-    let (mut d, _) = multisite_deployment(42, SiteTopology::three_plus_three());
+    let (mut d, _) = multisite_deployment(SiteTopology::three_plus_three());
     measure_flips(&mut d);
     d.run_for(SimDuration::from_millis(200));
 
@@ -184,7 +166,7 @@ fn static_membership_split_recovers_ordering_after_heal() {
 /// change at all, and the checker stays green throughout.
 #[test]
 fn two_two_one_one_sever_keeps_native_quorum() {
-    let (mut d, prime_cfg) = multisite_deployment(42, SiteTopology::two_two_one_one());
+    let (mut d, prime_cfg) = multisite_deployment(SiteTopology::two_two_one_one());
     let mut checker = InvariantChecker::new(CheckerConfig::for_prime(&prime_cfg), &d);
     let plan = ChaosPlan::site_failover(
         1,
