@@ -5,7 +5,7 @@
 //! per client update. Batching amortizes that cost: updates introduced at
 //! `submit` are pre-ordered (stored and ARU-counted) immediately, but
 //! dissemination waits until the batch closes — when `batch_max` members
-//! accumulate or `batch_delay` elapses since the previous close,
+//! accumulate or `BATCH_DELAY` elapses since the previous close,
 //! whichever comes first. The closed batch travels as one
 //! [`PrimeMsg::PoRequestBatch`] carrying a Merkle root over the
 //! `(po_seq, update)` leaves and a single origin signature over the root,

@@ -84,6 +84,13 @@ const PO_SEQ_BITS: u32 = 40;
 /// keeping the worst case bounded.
 const VERIFY_CACHE_CAP: usize = 4096;
 
+/// Time-trigger for batch close: a pending batch older than this
+/// disseminates even if below `batch_max`. The trigger is evaluated as a
+/// rate limiter — the first update after a quiet period ships immediately
+/// as a singleton batch — so pre-saturation latency matches the
+/// unbatched protocol.
+const BATCH_DELAY: SimDuration = SimDuration::from_millis(5);
+
 /// Builds an incarnation-tagged pre-order sequence number.
 pub fn po_compose(incarnation: u32, seq: u64) -> u64 {
     debug_assert!(seq < (1 << PO_SEQ_BITS));
@@ -318,7 +325,7 @@ pub struct Replica<A: Application> {
     /// the batch closes, with the po_seq assigned at submit time.
     batch_pending: Vec<(u64, SignedUpdate)>,
     /// When the previous batch closed: the rate-limiter reference point
-    /// for the `batch_delay` close trigger.
+    /// for the `BATCH_DELAY` close trigger.
     last_batch_at: SimTime,
     /// Signed batches originated here or accepted from peers, keyed by
     /// (origin, first_po_seq) — the reconciliation source for
@@ -666,7 +673,7 @@ impl<A: Application> Replica<A> {
             // crashed origin simply never reaches coverage.
             self.batch_pending.push((po_seq, update));
             if self.batch_pending.len() as u32 >= self.config.batch_max
-                || now.since(self.last_batch_at) >= self.config.batch_delay
+                || now.since(self.last_batch_at) >= BATCH_DELAY
             {
                 self.flush_batch(now, &mut out);
             }
@@ -949,7 +956,7 @@ impl<A: Application> Replica<A> {
         // the next submission to trigger the rate-limiter.
         if self.config.batch_max > 0
             && !self.batch_pending.is_empty()
-            && now.since(self.last_batch_at) >= self.config.batch_delay
+            && now.since(self.last_batch_at) >= BATCH_DELAY
         {
             self.flush_batch(now, &mut out);
         }

@@ -6,7 +6,6 @@ use bytes::Bytes;
 use itcrypto::keys::{KeyRegistry, Principal};
 use itcrypto::schnorr::Signature;
 use itcrypto::sha256::{sha256, Digest};
-use simnet::time::SimDuration;
 use simnet::wire::{DecodeError, Reader, Wire, Writer};
 
 /// A replica index in `0..n`.
@@ -49,12 +48,6 @@ pub struct Config {
     /// cost of pre-order dissemination — the E11 saturation bottleneck —
     /// across many updates with a single Merkle-root signature.
     pub batch_max: u32,
-    /// Time-trigger for batch close: a pending batch older than this
-    /// disseminates even if below `batch_max`. The trigger is evaluated
-    /// as a rate limiter — the first update after a quiet period ships
-    /// immediately as a singleton batch — so pre-saturation latency
-    /// matches the unbatched protocol.
-    pub batch_delay: SimDuration,
     /// Ordering pipeline depth: how many Pre-Prepare sequences the leader
     /// may keep in flight at once (1 = the legacy serialized ordering,
     /// byte-identical wire behavior). Depths above 1 overlap ordering
@@ -77,7 +70,6 @@ impl Config {
             k,
             transfer_dedup: false,
             batch_max: 0,
-            batch_delay: SimDuration::from_millis(5),
             pipeline: 1,
             transfer_chunk: 0,
         }

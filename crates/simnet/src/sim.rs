@@ -317,82 +317,80 @@ impl Simulation {
         port: usize,
         spec: LinkSpec,
     ) -> LinkId {
-        assert!(
-            self.world.node(node).interfaces[ifidx].link.is_none(),
-            "interface already connected"
-        );
-        assert!(
-            self.world.switch(switch).ports[port].is_none(),
-            "switch port already connected"
-        );
-        let id = LinkId(self.world.links.len() as u32);
-        let a = EndpointRef::Nic { node, ifidx };
-        let b = EndpointRef::SwitchPort { switch, port };
-        self.world.links.push((Link::new(spec), a, b));
-        self.world.node_mut(node).interfaces[ifidx].link = Some(id);
-        self.world.switch_mut(switch).ports[port] = Some(id);
-        id
+        self.link_endpoints(
+            EndpointRef::Nic { node, ifidx },
+            EndpointRef::SwitchPort { switch, port },
+            spec,
+        )
     }
 
     /// Connects two node interfaces with a direct cable (no switch) — the
     /// paper's PLC-to-proxy wire.
     pub fn connect_direct(
         &mut self,
-        a: (NodeId, usize),
-        b: (NodeId, usize),
+        (a, a_if): (NodeId, usize),
+        (b, b_if): (NodeId, usize),
         spec: LinkSpec,
     ) -> LinkId {
-        assert!(
-            self.world.node(a.0).interfaces[a.1].link.is_none(),
-            "interface already connected"
-        );
-        assert!(
-            self.world.node(b.0).interfaces[b.1].link.is_none(),
-            "interface already connected"
-        );
-        let id = LinkId(self.world.links.len() as u32);
-        let ea = EndpointRef::Nic {
-            node: a.0,
-            ifidx: a.1,
-        };
-        let eb = EndpointRef::Nic {
-            node: b.0,
-            ifidx: b.1,
-        };
-        self.world.links.push((Link::new(spec), ea, eb));
-        self.world.node_mut(a.0).interfaces[a.1].link = Some(id);
-        self.world.node_mut(b.0).interfaces[b.1].link = Some(id);
-        id
+        self.link_endpoints(
+            EndpointRef::Nic {
+                node: a,
+                ifidx: a_if,
+            },
+            EndpointRef::Nic {
+                node: b,
+                ifidx: b_if,
+            },
+            spec,
+        )
     }
 
     /// Connects two switches (inter-switch trunk, e.g. through a router
     /// modeled as a plain link between enterprise and operations networks).
     pub fn connect_switches(
         &mut self,
-        a: (SwitchId, usize),
-        b: (SwitchId, usize),
+        (a, a_port): (SwitchId, usize),
+        (b, b_port): (SwitchId, usize),
         spec: LinkSpec,
     ) -> LinkId {
-        assert!(
-            self.world.switch(a.0).ports[a.1].is_none(),
-            "switch port already connected"
-        );
-        assert!(
-            self.world.switch(b.0).ports[b.1].is_none(),
-            "switch port already connected"
-        );
+        self.link_endpoints(
+            EndpointRef::SwitchPort {
+                switch: a,
+                port: a_port,
+            },
+            EndpointRef::SwitchPort {
+                switch: b,
+                port: b_port,
+            },
+            spec,
+        )
+    }
+
+    /// The link slot of a NIC or switch port.
+    fn link_slot(&mut self, end: EndpointRef) -> &mut Option<LinkId> {
+        match end {
+            EndpointRef::Nic { node, ifidx } => {
+                &mut self.world.node_mut(node).interfaces[ifidx].link
+            }
+            EndpointRef::SwitchPort { switch, port } => {
+                &mut self.world.switch_mut(switch).ports[port]
+            }
+        }
+    }
+
+    /// Allocates the next [`LinkId`] and plugs both ends into it.
+    fn link_endpoints(&mut self, a: EndpointRef, b: EndpointRef, spec: LinkSpec) -> LinkId {
+        for end in [a, b] {
+            let what = match end {
+                EndpointRef::Nic { .. } => "interface already connected",
+                EndpointRef::SwitchPort { .. } => "switch port already connected",
+            };
+            assert!(self.link_slot(end).is_none(), "{what}");
+        }
         let id = LinkId(self.world.links.len() as u32);
-        let ea = EndpointRef::SwitchPort {
-            switch: a.0,
-            port: a.1,
-        };
-        let eb = EndpointRef::SwitchPort {
-            switch: b.0,
-            port: b.1,
-        };
-        self.world.links.push((Link::new(spec), ea, eb));
-        self.world.switch_mut(a.0).ports[a.1] = Some(id);
-        self.world.switch_mut(b.0).ports[b.1] = Some(id);
+        self.world.links.push((Link::new(spec), a, b));
+        *self.link_slot(a) = Some(id);
+        *self.link_slot(b) = Some(id);
         id
     }
 

@@ -1103,6 +1103,22 @@ mod tests {
     }
 
     #[test]
+    fn lost_modbus_reply_costs_a_sweep_not_the_substation() {
+        let mut d = regional_deployment(1, 2, 13);
+        d.run_for(SimDuration::from_secs(2));
+        // A bank device is off for 400 ms: the request in flight, and
+        // every retry meanwhile, is never answered.
+        d.sim.set_node_up(d.plc_nodes[0], false);
+        d.run_for(SimDuration::from_millis(400));
+        d.sim.set_node_up(d.plc_nodes[0], true);
+        d.run_for(SimDuration::from_millis(300));
+        let before = d.substation_proxy(0).stats.reports_sent;
+        d.run_for(SimDuration::from_secs(1));
+        let after = d.substation_proxy(0).stats.reports_sent;
+        assert!(after > before, "sweeps resumed: {before} -> {after}");
+    }
+
+    #[test]
     fn compromised_substation_proxy_blast_radius_is_local() {
         let mut d = regional_deployment(2, 2, 13);
         d.run_for(SimDuration::from_secs(3));

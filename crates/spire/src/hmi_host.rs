@@ -6,20 +6,17 @@
 //! periodically in a predetermined cycle that the red team would attempt
 //! to disrupt." [`CycleConfig`] is that tool.
 
-use bytes::Bytes;
-use itcrypto::keys::KeyPair;
 use plc::topology::Scenario;
-use prime::types::{SignedUpdate, Update};
 use scada::hmi::{Hmi, HmiUpdate};
 use scada::updates::ScadaUpdate;
 use simnet::packet::Packet;
 use simnet::process::{Context, Process};
 use simnet::time::SimDuration;
-use simnet::types::IpAddr;
 use simnet::wire::Wire;
 use spines::daemon::SpinesDaemon;
 
-use crate::config::{SpireConfig, EXTERNAL_SPINES_PORT, GROUP_MASTERS};
+use crate::config::{SpireConfig, EXTERNAL_SPINES_PORT};
+use crate::edge::{self, MasterClient};
 use crate::messages::ExternalMsg;
 
 const CYCLE_TIMER: u64 = 1;
@@ -48,13 +45,10 @@ pub struct HmiStats {
 
 /// One HMI location.
 pub struct HmiHost {
-    cfg: SpireConfig,
     index: u32,
     /// The external Spines daemon.
     pub external: SpinesDaemon,
-    key: KeyPair,
-    client: u32,
-    client_seq: u64,
+    master: MasterClient,
     /// The display state (rendering, reaction-time log, sensor box).
     pub hmi: Hmi,
     votes: crate::vote::VoteCollector<(String, Vec<bool>, Vec<u16>, u64)>,
@@ -86,21 +80,15 @@ impl HmiHost {
     pub fn new(cfg: SpireConfig, index: u32) -> Self {
         let mut external = SpinesDaemon::new(cfg.ext_daemon_of_hmi(index), cfg.external_spines());
         external.subscribe(cfg.hmi_group(index));
-        let key = cfg.hmi_keypair(index);
-        let client = cfg.client_of_hmi(index);
-        let f = cfg.prime.f;
         let hub = obs::ObsHub::new();
         let [frames_applied, frames_pending, commands_sent] = hmi_counters(&hub, index);
         let trace_node = cfg.n() + 2 * cfg.proxies.len() as u32 + index;
         let mut host = HmiHost {
-            cfg,
             index,
             external,
-            key,
-            client,
-            client_seq: 0,
+            master: MasterClient::new(cfg.hmi_keypair(index), cfg.client_of_hmi(index)),
             hmi: Hmi::new(),
-            votes: crate::vote::VoteCollector::new(f + 1),
+            votes: crate::vote::VoteCollector::new(cfg.prime.f + 1),
             cycle: None,
             cycle_breaker: 0,
             cycle_state: Vec::new(),
@@ -112,7 +100,7 @@ impl HmiHost {
             trace_node,
         };
         if index == 0 {
-            if let Some((scenario, period, max_flips)) = host.cfg.cycle {
+            if let Some((scenario, period, max_flips)) = cfg.cycle {
                 host.set_cycle(CycleConfig {
                     scenario,
                     period,
@@ -121,11 +109,6 @@ impl HmiHost {
             }
         }
         host
-    }
-
-    /// HMI index.
-    pub fn index(&self) -> u32 {
-        self.index
     }
 
     /// Joins the shared deployment hub, carrying over any counts
@@ -149,19 +132,6 @@ impl HmiHost {
         self.cycle = Some(cycle);
     }
 
-    fn flush_sends(ctx: &mut Context<'_>, sends: Vec<(IpAddr, Bytes)>) {
-        for (addr, bytes) in sends {
-            let pkt = Packet::udp(
-                ctx.ip(0),
-                addr,
-                EXTERNAL_SPINES_PORT,
-                EXTERNAL_SPINES_PORT,
-                bytes,
-            );
-            ctx.send(0, pkt);
-        }
-    }
-
     /// Issues one supervisory command (operator action or cycle step).
     pub fn issue_command(
         &mut self,
@@ -181,12 +151,7 @@ impl HmiHost {
             breaker,
             close,
         };
-        self.client_seq += 1;
-        let update = Update::new(self.client, self.client_seq, scada_update.to_wire());
-        let sig = self.key.sign(&update.to_wire());
-        let msg = ExternalMsg::ClientUpdate(SignedUpdate { update, sig });
-        let sends = self.external.multicast(GROUP_MASTERS, 1, msg.to_wire());
-        Self::flush_sends(ctx, sends);
+        self.master.submit(&mut self.external, ctx, &scada_update);
         self.obs.end_span(root);
         self.stats.commands_sent += 1;
         self.c_commands_sent.inc();
@@ -263,9 +228,7 @@ impl HmiHost {
 
 impl Process for HmiHost {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.listen(EXTERNAL_SPINES_PORT);
-        self.external
-            .set_seq_base(crate::replica_host::restart_seq_base(ctx));
+        edge::start(&mut self.external, ctx);
         if let Some(cycle) = &self.cycle {
             ctx.set_timer(cycle.period, CYCLE_TIMER);
         }
@@ -282,11 +245,7 @@ impl Process for HmiHost {
         if pkt.dst_port != EXTERNAL_SPINES_PORT {
             return;
         }
-        if let Some(hop) = self.external.trace_hop(ctx.trace(), self.trace_node) {
-            ctx.set_trace(Some(hop));
-        }
-        let sends = self.external.on_wire(pkt.src_ip, &pkt.payload);
-        Self::flush_sends(ctx, sends);
+        edge::receive(&mut self.external, ctx, 0, self.trace_node, &pkt);
         self.drain_deliveries(ctx);
     }
 }
@@ -297,14 +256,5 @@ impl std::fmt::Debug for HmiHost {
             .field("index", &self.index)
             .field("stats", &self.stats)
             .finish()
-    }
-}
-
-// cfg is read by deploy/latency helpers; silence the "never read" lint on
-// the field until those land.
-impl HmiHost {
-    /// The deployment configuration this host was built from.
-    pub fn config(&self) -> &SpireConfig {
-        &self.cfg
     }
 }

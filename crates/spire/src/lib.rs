@@ -38,6 +38,7 @@
 
 pub mod config;
 pub mod deploy;
+mod edge;
 pub mod hardening;
 pub mod hmi_host;
 pub mod latency;

@@ -5,7 +5,6 @@
 //! only); interface 1 is on the external network (client updates in,
 //! vote-gated commands/frames out) — exactly Figure 2.
 
-use bytes::Bytes;
 use prime::replica::{OutEvent, Replica, Timing};
 use prime::types::ReplicaId;
 use scada::master::{MasterAction, ScadaApp};
@@ -19,6 +18,7 @@ use spines::message::Destination;
 use crate::config::{
     SpireConfig, EXTERNAL_SPINES_PORT, GROUP_MASTERS, GROUP_PRIME, INTERNAL_SPINES_PORT,
 };
+use crate::edge;
 use crate::messages::ExternalMsg;
 
 const TICK_TIMER: u64 = 1;
@@ -104,27 +104,9 @@ impl ReplicaHost {
         self.obs = hub.clone();
     }
 
-    /// This replica's id.
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
     /// Overrides Prime timing (tests tighten timeouts).
     pub fn set_timing(&mut self, timing: Timing) {
         self.replica.set_timing(timing);
-    }
-
-    /// Transmits queued Spines wire sends.
-    fn flush_sends(
-        ctx: &mut Context<'_>,
-        ifidx: usize,
-        port: simnet::types::Port,
-        sends: Vec<(simnet::types::IpAddr, Bytes)>,
-    ) {
-        for (addr, bytes) in sends {
-            let pkt = Packet::udp(ctx.ip(ifidx), addr, port, port, bytes);
-            ctx.send(ifidx, pkt);
-        }
     }
 
     /// Routes Prime out-events: protocol messages to the internal overlay,
@@ -136,11 +118,11 @@ impl ReplicaHost {
                     // Serialize-once: the envelope already carries the
                     // wire bytes from signing time.
                     let sends = self.internal.multicast(GROUP_PRIME, 1, env.wire);
-                    Self::flush_sends(ctx, 0, INTERNAL_SPINES_PORT, sends);
+                    edge::transmit(&self.internal, ctx, 0, sends);
                 }
                 OutEvent::Send(to, env) => {
                     let sends = self.internal.unicast(to.0, 1, env.wire);
-                    Self::flush_sends(ctx, 0, INTERNAL_SPINES_PORT, sends);
+                    edge::transmit(&self.internal, ctx, 0, sends);
                 }
                 OutEvent::Execute { trace, .. } => {
                     self.stats.executed += 1;
@@ -196,7 +178,7 @@ impl ReplicaHost {
                     };
                     let group = self.cfg.proxy_group(proxy);
                     let sends = self.external.multicast(group, 1, msg.to_wire());
-                    Self::flush_sends(ctx, 1, EXTERNAL_SPINES_PORT, sends);
+                    edge::transmit(&self.external, ctx, 1, sends);
                 }
                 MasterAction::HmiFrame {
                     scenario,
@@ -215,7 +197,7 @@ impl ReplicaHost {
                         };
                         let group = self.cfg.hmi_group(h);
                         let sends = self.external.multicast(group, 1, msg.to_wire());
-                        Self::flush_sends(ctx, 1, EXTERNAL_SPINES_PORT, sends);
+                        edge::transmit(&self.external, ctx, 1, sends);
                     }
                 }
             }
@@ -246,25 +228,10 @@ impl ReplicaHost {
     }
 }
 
-/// The overlay sequence/nonce floor for a daemon started now: the clock
-/// only advances, and no daemon sends 2^16 frames in a microsecond, so
-/// every incarnation of a host starts above all its earlier ones.
-pub(crate) fn restart_seq_base(ctx: &Context<'_>) -> u64 {
-    ctx.now().as_micros() << 16
-}
-
 impl Process for ReplicaHost {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.listen(INTERNAL_SPINES_PORT);
-        ctx.listen(EXTERNAL_SPINES_PORT);
-        // A freshly recovered daemon must not reuse overlay sequence
-        // numbers (peers deduplicate floods) or link nonces (same link
-        // keys, so the keystream would repeat) from its previous life;
-        // the clock-derived base guarantees uniqueness across
-        // incarnations.
-        let seq_base = restart_seq_base(ctx);
-        self.internal.set_seq_base(seq_base);
-        self.external.set_seq_base(seq_base);
+        edge::start(&mut self.internal, ctx);
+        edge::start(&mut self.external, ctx);
         ctx.set_timer(TICK, TICK_TIMER);
         ctx.log(format!("scada-master replica {} online", self.id));
     }
@@ -303,13 +270,9 @@ impl Process for ReplicaHost {
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
         if pkt.dst_port == INTERNAL_SPINES_PORT {
             let sends = self.internal.on_wire(pkt.src_ip, &pkt.payload);
-            Self::flush_sends(ctx, 0, INTERNAL_SPINES_PORT, sends);
+            edge::transmit(&self.internal, ctx, 0, sends);
         } else if pkt.dst_port == EXTERNAL_SPINES_PORT {
-            if let Some(hop) = self.external.trace_hop(ctx.trace(), self.id) {
-                ctx.set_trace(Some(hop));
-            }
-            let sends = self.external.on_wire(pkt.src_ip, &pkt.payload);
-            Self::flush_sends(ctx, 1, EXTERNAL_SPINES_PORT, sends);
+            edge::receive(&mut self.external, ctx, 1, ctx.node().0, &pkt);
         }
         self.drain_deliveries(ctx);
     }

@@ -16,32 +16,19 @@
 //! vote-gated exactly like the flat proxy: `f+1` matching commands from
 //! distinct replicas release one Modbus write to the owning device.
 
-use bytes::Bytes;
-use itcrypto::keys::KeyPair;
-use modbus::{Request, Response, TcpFrame};
-use plc::emulator::PLC_MODBUS_PORT;
-use prime::types::{SignedUpdate, Update};
 use scada::updates::{DeviceReport, ScadaUpdate};
 use simnet::packet::Packet;
 use simnet::process::{Context, Process};
 use simnet::time::SimDuration;
 use simnet::types::{IpAddr, Port};
-use simnet::wire::Wire;
 use spines::daemon::SpinesDaemon;
 
 use crate::config::{SpireConfig, EXTERNAL_SPINES_PORT};
-use crate::messages::ExternalMsg;
+use crate::edge::{self, CommandGate, FieldBus, MasterClient, Polled};
 
 const SWEEP_TIMER: u64 = 1;
 /// The substation proxy's Modbus client port on the station LAN.
 pub const SUBSTATION_MODBUS_PORT: Port = Port(8160);
-
-/// Outstanding Modbus request kind for the device under the cursor.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Outstanding {
-    Positions,
-    Currents,
-}
 
 /// Counters for the E14 experiment and regional soaks.
 #[derive(Clone, Copy, Debug, Default)]
@@ -70,19 +57,17 @@ struct DeviceSlot {
 
 /// The substation proxy process.
 pub struct SubstationProxy {
-    cfg: SpireConfig,
     station: u32,
     devices: Vec<DeviceSlot>,
     /// The external Spines daemon.
     pub external: SpinesDaemon,
-    key: KeyPair,
-    client: u32,
-    client_seq: u64,
+    master: MasterClient,
+    bus: FieldBus,
+    gate: CommandGate,
     sweep_seq: u64,
-    transaction: u16,
     sweep_interval: SimDuration,
+    /// The bank device being read; `devices.len()` between sweeps.
     cursor: usize,
-    outstanding: Option<Outstanding>,
     /// Key-theft compromise: while set, the proxy inverts every breaker
     /// position it reports — a lying aggregator for its own substation
     /// (it cannot speak for any other station's client identity).
@@ -91,13 +76,11 @@ pub struct SubstationProxy {
     /// the coalesced report publishes (later devices in the sweep would
     /// otherwise overwrite the packet context and orphan the trace).
     sweep_trace: Option<obs::TraceCtx>,
-    votes: crate::vote::VoteCollector<(String, u16, bool, u64)>,
     /// Counters.
     pub stats: SubstationStats,
     c_reports_sent: obs::Counter,
     c_commands_actuated: obs::Counter,
     obs: obs::ObsHub,
-    trace_node: u32,
 }
 
 fn substation_counters(hub: &obs::ObsHub, station: u32) -> [obs::Counter; 2] {
@@ -115,7 +98,7 @@ impl SubstationProxy {
     /// Panics when `cfg` carries no substation topology.
     pub fn new(cfg: SpireConfig, station: u32) -> Self {
         let topo = *cfg.substations.as_ref().expect("regional config");
-        let devices = (0..topo.devices_per)
+        let devices: Vec<DeviceSlot> = (0..topo.devices_per)
             .map(|dev| {
                 let scenario = topo.device_scenario(station, dev);
                 let idx = cfg.device_index(station, dev);
@@ -132,33 +115,27 @@ impl SubstationProxy {
         let mut external =
             SpinesDaemon::new(cfg.ext_daemon_of_proxy(station), cfg.external_spines());
         external.subscribe(cfg.proxy_group(station));
-        let key = cfg.proxy_keypair(station);
-        let client = cfg.client_of_proxy(station);
-        let f = cfg.prime.f;
         let hub = obs::ObsHub::new();
         let [reports_sent, commands_actuated] = substation_counters(&hub, station);
-        let trace_node = cfg.n() + station * (1 + topo.devices_per);
+        let gated = devices
+            .iter()
+            .map(|d| (d.tag.clone(), d.breaker_count, d.plc_addr));
         SubstationProxy {
-            cfg,
             station,
-            devices,
             external,
-            key,
-            client,
-            client_seq: 0,
+            master: MasterClient::new(cfg.proxy_keypair(station), cfg.client_of_proxy(station)),
+            bus: FieldBus::new(SUBSTATION_MODBUS_PORT),
+            gate: CommandGate::new(cfg.prime.f, gated.collect()),
             sweep_seq: 0,
-            transaction: 0,
             sweep_interval: SimDuration::from_millis(100),
-            cursor: 0,
-            outstanding: None,
+            cursor: devices.len(),
+            devices,
             compromised: false,
             sweep_trace: None,
-            votes: crate::vote::VoteCollector::new(f + 1),
             stats: SubstationStats::default(),
             c_reports_sent: reports_sent,
             c_commands_actuated: commands_actuated,
             obs: hub,
-            trace_node,
         }
     }
 
@@ -174,16 +151,6 @@ impl SubstationProxy {
         self.obs = hub.clone();
     }
 
-    /// This proxy's substation index.
-    pub fn station(&self) -> u32 {
-        self.station
-    }
-
-    /// The deployment configuration this proxy was built from.
-    pub fn config(&self) -> &SpireConfig {
-        &self.cfg
-    }
-
     /// Marks (or clears) this proxy as compromised via client key theft:
     /// its coalesced reports lie about every breaker position in its
     /// substation. The blast radius stays local — it cannot forge any
@@ -193,44 +160,9 @@ impl SubstationProxy {
         self.compromised = compromised;
     }
 
-    /// Whether the compromise flag is set.
-    pub fn compromised(&self) -> bool {
-        self.compromised
-    }
-
-    fn send_modbus(&mut self, ctx: &mut Context<'_>, dst: IpAddr, req: Request) {
-        self.transaction = self.transaction.wrapping_add(1);
-        let frame = TcpFrame::new(self.transaction, 1, req.encode());
-        let pkt = Packet::udp(
-            ctx.ip(1),
-            dst,
-            SUBSTATION_MODBUS_PORT,
-            PLC_MODBUS_PORT,
-            Bytes::from(frame.encode()),
-        );
-        ctx.send(1, pkt);
-    }
-
-    fn flush_sends(ctx: &mut Context<'_>, sends: Vec<(IpAddr, Bytes)>) {
-        for (addr, bytes) in sends {
-            let pkt = Packet::udp(
-                ctx.ip(0),
-                addr,
-                EXTERNAL_SPINES_PORT,
-                EXTERNAL_SPINES_PORT,
-                bytes,
-            );
-            ctx.send(0, pkt);
-        }
-    }
-
     fn poll_cursor_device(&mut self, ctx: &mut Context<'_>) {
-        let (addr, count) = {
-            let d = &self.devices[self.cursor];
-            (d.plc_addr, d.breaker_count)
-        };
-        self.outstanding = Some(Outstanding::Positions);
-        self.send_modbus(ctx, addr, Request::ReadDiscreteInputs { address: 0, count });
+        let device = &self.devices[self.cursor];
+        self.bus.poll(ctx, device.plc_addr, device.breaker_count);
     }
 
     fn publish_report(&mut self, ctx: &mut Context<'_>) {
@@ -259,7 +191,7 @@ impl SubstationProxy {
         let parent = self.sweep_trace.take().or_else(|| ctx.trace());
         let publish = self
             .obs
-            .start_span(parent, obs::Stage::Publish, self.trace_node);
+            .start_span(parent, obs::Stage::Publish, ctx.node().0);
         if publish.is_some() {
             ctx.set_trace(publish);
         }
@@ -267,72 +199,17 @@ impl SubstationProxy {
             station: self.station,
             devices,
         };
-        self.client_seq += 1;
-        let update = Update::new(self.client, self.client_seq, scada_update.to_wire());
-        let sig = self.key.sign(&update.to_wire());
-        let msg = ExternalMsg::ClientUpdate(SignedUpdate { update, sig });
-        let sends = self
-            .external
-            .multicast(crate::config::GROUP_MASTERS, 1, msg.to_wire());
-        Self::flush_sends(ctx, sends);
+        self.master.submit(&mut self.external, ctx, &scada_update);
         self.obs.end_span(publish);
         self.stats.reports_sent += 1;
         self.c_reports_sent.inc();
-    }
-
-    fn drain_deliveries(&mut self, ctx: &mut Context<'_>) {
-        for delivery in self.external.take_deliveries() {
-            let Ok(msg) = ExternalMsg::from_wire(&delivery.payload) else {
-                continue;
-            };
-            let ExternalMsg::PlcCommand {
-                replica,
-                scenario,
-                breaker,
-                close,
-                exec_seq,
-            } = msg
-            else {
-                continue;
-            };
-            let Some(slot) = self.devices.iter().position(|d| d.tag == scenario) else {
-                continue;
-            };
-            if breaker >= self.devices[slot].breaker_count {
-                continue;
-            }
-            let key = (scenario, breaker, close, exec_seq);
-            if self.votes.vote(key, replica) {
-                self.stats.commands_actuated += 1;
-                self.c_commands_actuated.inc();
-                let deliver =
-                    self.obs
-                        .instant_span(ctx.trace(), obs::Stage::Deliver, self.trace_node);
-                if deliver.is_some() {
-                    ctx.set_trace(deliver);
-                }
-                let addr = self.devices[slot].plc_addr;
-                self.send_modbus(
-                    ctx,
-                    addr,
-                    Request::WriteSingleCoil {
-                        address: breaker,
-                        value: close,
-                    },
-                );
-            } else {
-                self.stats.commands_pending += 1;
-            }
-        }
     }
 }
 
 impl Process for SubstationProxy {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.listen(EXTERNAL_SPINES_PORT);
+        edge::start(&mut self.external, ctx);
         ctx.listen(SUBSTATION_MODBUS_PORT);
-        self.external
-            .set_seq_base(crate::replica_host::restart_seq_base(ctx));
         ctx.set_timer(self.sweep_interval, SWEEP_TIMER);
         ctx.log(format!(
             "substation-proxy {} online ({} devices)",
@@ -346,9 +223,10 @@ impl Process for SubstationProxy {
             return;
         }
         ctx.set_timer(self.sweep_interval, SWEEP_TIMER);
-        if self.outstanding.is_some() {
-            // A sweep is still in flight (slow LAN or lost reply); let it
-            // finish rather than interleaving two sweeps.
+        if self.bus.still_moving() {
+            // A slow LAN: let the sweep finish rather than interleaving
+            // two. One that no reply has advanced since the previous tick
+            // lost a reply and would wait for ever, so it starts over.
             return;
         }
         self.cursor = 0;
@@ -357,18 +235,17 @@ impl Process for SubstationProxy {
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
         if pkt.dst_port == EXTERNAL_SPINES_PORT {
-            if let Some(hop) = self.external.trace_hop(ctx.trace(), self.trace_node) {
-                ctx.set_trace(Some(hop));
-            }
-            let sends = self.external.on_wire(pkt.src_ip, &pkt.payload);
-            Self::flush_sends(ctx, sends);
-            self.drain_deliveries(ctx);
+            edge::receive(&mut self.external, ctx, 0, ctx.node().0, &pkt);
+            let (actuated, pending) =
+                self.gate
+                    .drain(&mut self.external, &mut self.bus, &self.obs, ctx);
+            self.stats.commands_actuated += actuated;
+            self.c_commands_actuated.add(actuated);
+            self.stats.commands_pending += pending;
             return;
         }
-        if pkt.dst_port != SUBSTATION_MODBUS_PORT {
-            return;
-        }
-        if self.cursor >= self.devices.len() || pkt.src_ip != self.devices[self.cursor].plc_addr {
+        let polled = self.bus.on_reply(ctx, &pkt);
+        if polled == Polled::Ignored {
             return; // stray reply or write acknowledgement
         }
         if let Some(detect) = ctx.trace() {
@@ -376,38 +253,19 @@ impl Process for SubstationProxy {
             // span until this sweep's report publishes.
             self.sweep_trace = Some(detect);
         }
-        let Some(frame) = TcpFrame::decode(&pkt.payload) else {
-            return;
-        };
-        let count = self.devices[self.cursor].breaker_count;
-        match self.outstanding {
-            Some(Outstanding::Positions) => {
-                let req = Request::ReadDiscreteInputs { address: 0, count };
-                if let Some(Response::Bits { values, .. }) = Response::decode(&frame.pdu, &req) {
-                    self.devices[self.cursor].positions = values;
-                    self.outstanding = Some(Outstanding::Currents);
-                    let addr = self.devices[self.cursor].plc_addr;
-                    self.send_modbus(ctx, addr, Request::ReadInputRegisters { address: 0, count });
-                }
+        if let Polled::Done(positions, currents) = polled {
+            let device = &mut self.devices[self.cursor];
+            device.positions = positions;
+            device.currents = currents;
+            device.fresh = true;
+            self.stats.device_polls += 1;
+            self.cursor += 1;
+            if self.cursor < self.devices.len() {
+                self.poll_cursor_device(ctx);
+            } else {
+                // Bank swept: coalesce into one ordered update.
+                self.publish_report(ctx);
             }
-            Some(Outstanding::Currents) => {
-                let req = Request::ReadInputRegisters { address: 0, count };
-                if let Some(Response::Registers { values, .. }) = Response::decode(&frame.pdu, &req)
-                {
-                    self.devices[self.cursor].currents = values;
-                    self.devices[self.cursor].fresh = true;
-                    self.stats.device_polls += 1;
-                    self.outstanding = None;
-                    self.cursor += 1;
-                    if self.cursor < self.devices.len() {
-                        self.poll_cursor_device(ctx);
-                    } else {
-                        // Bank swept: coalesce into one ordered update.
-                        self.publish_report(ctx);
-                    }
-                }
-            }
-            None => {}
         }
     }
 }

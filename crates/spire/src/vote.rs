@@ -6,7 +6,16 @@
 //! sequence) have arrived from *distinct* replicas — at least one of which
 //! must be correct.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// Keys a collector remembers, pending or fired, before it forgets the
+/// one it saw first. A count and not a floor on the execution sequence
+/// inside the key: `Deployment::system_reset` starts a new era at
+/// sequence 1, and a floor would refuse every command after it. The
+/// replicas' copies of one message arrive within a round trip of each
+/// other, thousands of keys before the first could be forgotten and so
+/// fire twice.
+const REMEMBERED: usize = 4096;
 
 /// Collects votes keyed by message content; fires once per key when the
 /// threshold of distinct voters is reached.
@@ -15,6 +24,8 @@ pub struct VoteCollector<K: Ord + Clone> {
     threshold: u32,
     votes: BTreeMap<K, BTreeSet<u32>>,
     fired: BTreeSet<K>,
+    /// Every key in `votes` or `fired`, oldest first.
+    seen: VecDeque<K>,
     /// Keys that reached threshold (monotone counter for stats).
     pub decisions: u64,
 }
@@ -26,6 +37,7 @@ impl<K: Ord + Clone> VoteCollector<K> {
             threshold,
             votes: BTreeMap::new(),
             fired: BTreeSet::new(),
+            seen: VecDeque::new(),
             decisions: 0,
         }
     }
@@ -35,6 +47,14 @@ impl<K: Ord + Clone> VoteCollector<K> {
     pub fn vote(&mut self, key: K, voter: u32) -> bool {
         if self.fired.contains(&key) {
             return false;
+        }
+        if !self.votes.contains_key(&key) {
+            self.seen.push_back(key.clone());
+            if self.seen.len() > REMEMBERED {
+                let oldest = self.seen.pop_front().expect("longer than the bound");
+                self.votes.remove(&oldest);
+                self.fired.remove(&oldest);
+            }
         }
         let set = self.votes.entry(key.clone()).or_default();
         set.insert(voter);
@@ -51,13 +71,6 @@ impl<K: Ord + Clone> VoteCollector<K> {
     /// Number of keys still below threshold.
     pub fn pending(&self) -> usize {
         self.votes.len()
-    }
-
-    /// Drops vote state for keys older than the retention horizon, using a
-    /// caller-supplied predicate (e.g. exec_seq below a watermark).
-    pub fn retain<F: FnMut(&K) -> bool>(&mut self, mut keep: F) {
-        self.votes.retain(|k, _| keep(k));
-        self.fired.retain(|k| keep(k));
     }
 }
 
@@ -97,14 +110,21 @@ mod tests {
     }
 
     #[test]
-    fn retain_garbage_collects() {
-        let mut v = VoteCollector::new(3);
-        for seq in 0u64..10 {
+    fn memory_is_bounded_and_recent_decisions_are_remembered() {
+        let mut v = VoteCollector::new(2);
+        let keys = 3 * REMEMBERED as u64;
+        for seq in 0..keys {
             v.vote(seq, 0);
+            // Every other key fires; the rest stay a vote short.
+            assert_eq!(v.vote(seq, 1 - (seq % 2) as u32), seq % 2 == 0);
+            assert!(v.pending() + v.fired.len() <= REMEMBERED);
         }
-        assert_eq!(v.pending(), 10);
-        v.retain(|&seq| seq >= 8);
-        assert_eq!(v.pending(), 2);
+        assert_eq!(v.pending() + v.fired.len(), REMEMBERED);
+        assert!(
+            !v.vote(keys - 2, 2),
+            "a recent decision does not fire again"
+        );
+        assert!(v.vote(keys - 1, 2), "a recent vote still counts");
     }
 
     #[test]
