@@ -49,16 +49,15 @@ pub(crate) fn transmit(
 }
 
 /// Hands a packet that reached `daemon`'s port to it, as one traced
-/// overlay hop of node `label`, and forwards what it floods onward.
+/// overlay hop of this node, and forwards what it floods onward.
 /// Deliveries wait in the daemon for the host to drain.
 pub(crate) fn receive(
     daemon: &mut SpinesDaemon,
     ctx: &mut Context<'_>,
     ifidx: usize,
-    label: u32,
     pkt: &Packet,
 ) {
-    if let Some(hop) = daemon.trace_hop(ctx.trace(), label) {
+    if let Some(hop) = daemon.trace_hop(ctx.trace(), ctx.node().0) {
         ctx.set_trace(Some(hop));
     }
     let sends = daemon.on_wire(pkt.src_ip, &pkt.payload);

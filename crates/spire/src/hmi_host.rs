@@ -62,9 +62,6 @@ pub struct HmiHost {
     c_frames_applied: obs::Counter,
     c_frames_pending: obs::Counter,
     c_commands_sent: obs::Counter,
-    /// Simulation node id used to label trace spans (derived from the
-    /// deterministic node-creation order in `deploy::build`).
-    trace_node: u32,
 }
 
 fn hmi_counters(hub: &obs::ObsHub, index: u32) -> [obs::Counter; 3] {
@@ -82,7 +79,6 @@ impl HmiHost {
         external.subscribe(cfg.hmi_group(index));
         let hub = obs::ObsHub::new();
         let [frames_applied, frames_pending, commands_sent] = hmi_counters(&hub, index);
-        let trace_node = cfg.n() + 2 * cfg.proxies.len() as u32 + index;
         let mut host = HmiHost {
             index,
             external,
@@ -97,7 +93,6 @@ impl HmiHost {
             c_frames_applied: frames_applied,
             c_frames_pending: frames_pending,
             c_commands_sent: commands_sent,
-            trace_node,
         };
         if index == 0 {
             if let Some((scenario, period, max_flips)) = cfg.cycle {
@@ -142,7 +137,7 @@ impl HmiHost {
     ) {
         // A supervisory command roots a fresh trace: everything from
         // here to the breaker's mechanical actuation hangs off it.
-        let root = self.obs.start_root(obs::Stage::Command, self.trace_node);
+        let root = self.obs.start_root(obs::Stage::Command, ctx.node().0);
         if root.is_some() {
             ctx.set_trace(root);
         }
@@ -203,9 +198,9 @@ impl HmiHost {
                 });
                 // The f+1-th matching frame releases the display update;
                 // the winning vote's context parents the delivery.
-                let deliver =
-                    self.obs
-                        .instant_span(ctx.trace(), obs::Stage::Deliver, self.trace_node);
+                let deliver = self
+                    .obs
+                    .instant_span(ctx.trace(), obs::Stage::Deliver, ctx.node().0);
                 let changed = self.hmi.apply(
                     HmiUpdate {
                         scenario,
@@ -216,7 +211,7 @@ impl HmiHost {
                 );
                 if changed {
                     self.obs
-                        .instant_span(deliver, obs::Stage::Render, self.trace_node);
+                        .instant_span(deliver, obs::Stage::Render, ctx.node().0);
                 }
             } else {
                 self.stats.frames_pending += 1;
@@ -245,7 +240,7 @@ impl Process for HmiHost {
         if pkt.dst_port != EXTERNAL_SPINES_PORT {
             return;
         }
-        edge::receive(&mut self.external, ctx, 0, self.trace_node, &pkt);
+        edge::receive(&mut self.external, ctx, 0, &pkt);
         self.drain_deliveries(ctx);
     }
 }

@@ -272,7 +272,7 @@ impl Process for ReplicaHost {
             let sends = self.internal.on_wire(pkt.src_ip, &pkt.payload);
             edge::transmit(&self.internal, ctx, 0, sends);
         } else if pkt.dst_port == EXTERNAL_SPINES_PORT {
-            edge::receive(&mut self.external, ctx, 1, ctx.node().0, &pkt);
+            edge::receive(&mut self.external, ctx, 1, &pkt);
         }
         self.drain_deliveries(ctx);
     }

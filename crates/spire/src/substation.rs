@@ -235,7 +235,7 @@ impl Process for SubstationProxy {
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
         if pkt.dst_port == EXTERNAL_SPINES_PORT {
-            edge::receive(&mut self.external, ctx, 0, ctx.node().0, &pkt);
+            edge::receive(&mut self.external, ctx, 0, &pkt);
             let (actuated, pending) =
                 self.gate
                     .drain(&mut self.external, &mut self.bus, &self.obs, ctx);

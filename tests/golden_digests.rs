@@ -92,7 +92,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ),
     (
         "e14",
-        "0e9461b83cc26e621c55e6a93cae172d2a1dec5845dbcffaf68f24f192c838f0",
+        "854687cf7f70630338d64ef27ce5bcd241eaf54fd799d32bd7002c0ff82a2564",
     ),
     (
         "e16a",
@@ -240,7 +240,7 @@ fn e14_digest_pinned() {
 fn e14_digest_pinned_at_second_seed() {
     assert_eq!(
         experiment_fingerprint("e14", 1111),
-        "672992bc6a9be2ff47b787e082d4a6af4fee9ed6219917251f553acc31f67dc3",
+        "55ebe7d91565f62a271f8da704fab80ed1d672db6b7f8c32ab274dfdb4fc391c",
         "e14 fingerprint drifted at seed 1111"
     );
 }
