@@ -89,6 +89,15 @@ test "$(grep -rn 'transfer_dedup = true' crates/bench tests | wc -l)" -eq 1
 test "$(grep -rl '7_919' crates tests | sort | tr '\n' ' ')" = \
     "crates/bench/src/plant_experiments.rs crates/spire/src/latency.rs "
 
+echo "==> the edge is written once (one overlay port, one Modbus master, node ids from the simulator)"
+# Datagrams, Modbus frames, sequence floors and hop spans are built in
+# spire::edge only; no host derives its own span label or flushes its own sends.
+test "$(grep -rlE 'Packet::udp\(|TcpFrame|set_seq_base|trace_hop' crates/spire/src)" = \
+    "crates/spire/src/edge.rs"
+if grep -rnE 'trace_node|fn flush_sends' crates/spire/src; then
+    exit 1
+fi
+
 echo "==> two unsafe blocks in the workspace (itcrypto's calls into its SHA-extensions and AES-NI backends)"
 # Both backends are written with safe intrinsics, so the call into each
 # #[target_feature] function, after detection, is all there is; clippy and

@@ -207,17 +207,15 @@ impl FieldBus {
         let response = TcpFrame::decode(payload)
             .filter(|f| from == read.device && f.header.transaction == read.transaction)
             .and_then(|f| Response::decode(&f.pdu, &read.request));
-        self.moved |= matches!(
-            response,
-            Some(Response::Bits { .. } | Response::Registers { .. })
-        );
         match response {
             Some(Response::Bits { values, .. }) => {
+                self.moved = true;
                 let count = values.len() as u16;
                 let request = Request::ReadInputRegisters { address: 0, count };
                 (Polled::Advanced, Some(self.ask(from, request, values)))
             }
             Some(Response::Registers { values, .. }) => {
+                self.moved = true;
                 (Polled::Done(read.positions, values), None)
             }
             _ => {

@@ -24,6 +24,11 @@
 //!   master + two Spines daemons on one node.
 //! * [`proxy`] — the PLC proxy: Modbus master on a direct cable to its
 //!   device, Spines client toward the masters, vote-gated actuation.
+//! * [`substation`] — the substation proxy: the same edge in front of a
+//!   bank of devices on a station LAN, one coalesced report per sweep.
+//! * `edge` (private) — what the four hosts share, written once: the
+//!   overlay port, the Prime client identity, the Modbus master and the
+//!   `f+1` command gate.
 //! * [`hmi_host`] — the HMI process (vote-gated display) and the
 //!   breaker-cycle update generator from the red-team exercise.
 //! * [`hardening`] — the §III-B low-level hardening profile as explicit,

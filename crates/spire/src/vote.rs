@@ -22,9 +22,9 @@ const REMEMBERED: usize = 4096;
 #[derive(Clone, Debug)]
 pub struct VoteCollector<K: Ord + Clone> {
     threshold: u32,
-    votes: BTreeMap<K, BTreeSet<u32>>,
-    fired: BTreeSet<K>,
-    /// Every key in `votes` or `fired`, oldest first.
+    /// Voters so far per key; `None` once the key fired.
+    keys: BTreeMap<K, Option<BTreeSet<u32>>>,
+    /// Every key in `keys`, oldest first.
     seen: VecDeque<K>,
     /// Keys that reached threshold (monotone counter for stats).
     pub decisions: u64,
@@ -35,8 +35,7 @@ impl<K: Ord + Clone> VoteCollector<K> {
     pub fn new(threshold: u32) -> Self {
         VoteCollector {
             threshold,
-            votes: BTreeMap::new(),
-            fired: BTreeSet::new(),
+            keys: BTreeMap::new(),
             seen: VecDeque::new(),
             decisions: 0,
         }
@@ -45,32 +44,32 @@ impl<K: Ord + Clone> VoteCollector<K> {
     /// Records a vote from `voter` for `key`. Returns `true` exactly once
     /// per key: when the threshold is first reached.
     pub fn vote(&mut self, key: K, voter: u32) -> bool {
-        if self.fired.contains(&key) {
-            return false;
-        }
-        if !self.votes.contains_key(&key) {
+        if !self.keys.contains_key(&key) {
             self.seen.push_back(key.clone());
             if self.seen.len() > REMEMBERED {
                 let oldest = self.seen.pop_front().expect("longer than the bound");
-                self.votes.remove(&oldest);
-                self.fired.remove(&oldest);
+                self.keys.remove(&oldest);
             }
         }
-        let set = self.votes.entry(key.clone()).or_default();
-        set.insert(voter);
-        if set.len() as u32 >= self.threshold {
-            self.fired.insert(key.clone());
-            self.votes.remove(&key);
-            self.decisions += 1;
-            true
-        } else {
-            false
+        let slot = self
+            .keys
+            .entry(key)
+            .or_insert_with(|| Some(BTreeSet::new()));
+        let Some(voters) = slot else {
+            return false; // already fired
+        };
+        voters.insert(voter);
+        if (voters.len() as u32) < self.threshold {
+            return false;
         }
+        *slot = None;
+        self.decisions += 1;
+        true
     }
 
     /// Number of keys still below threshold.
     pub fn pending(&self) -> usize {
-        self.votes.len()
+        self.keys.values().filter(|voters| voters.is_some()).count()
     }
 }
 
@@ -117,9 +116,10 @@ mod tests {
             v.vote(seq, 0);
             // Every other key fires; the rest stay a vote short.
             assert_eq!(v.vote(seq, 1 - (seq % 2) as u32), seq % 2 == 0);
-            assert!(v.pending() + v.fired.len() <= REMEMBERED);
+            assert!(v.keys.len() <= REMEMBERED, "pending and fired together");
         }
-        assert_eq!(v.pending() + v.fired.len(), REMEMBERED);
+        assert_eq!(v.keys.len(), REMEMBERED);
+        assert_eq!(v.pending(), REMEMBERED / 2);
         assert!(
             !v.vote(keys - 2, 2),
             "a recent decision does not fire again"
