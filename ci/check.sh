@@ -30,6 +30,9 @@ cargo test -q --release --test golden_digests
 # the far-future-counter allocation test and flood's exact-capacity
 # plaintext, in the optimised build the benchmark measures.
 cargo test -q --release -p prime -p itcrypto -p spines
+# 100,000 updates through a six-replica cluster (~5 s): what a replica
+# holds behind its stable checkpoints stays one window, however long it runs.
+cargo test -q --release -p prime -- --ignored retention
 
 echo "==> batched-E11 smoke (1 step with --batch/--pipeline + exact telescoping)"
 # One batched ramp step through the CLI proves the Merkle-batched

@@ -43,8 +43,7 @@ impl<A: Application> Replica<A> {
         // charged by `sign` itself).
         obs::prof::charge_crypto("prime;preorder;batch_request", obs::prof::CryptoOp::Sign, 1);
         let batch = PoBatch::sign(self.id, first_po_seq, updates, &mut self.key);
-        self.po_batches
-            .insert((self.id.0, first_po_seq), batch.clone());
+        self.po_batches[self.id.0 as usize].insert(first_po_seq, batch.clone());
         let msg = self.sign(PrimeMsg::PoRequestBatch { batch });
         out.push(OutEvent::Broadcast(msg));
     }
@@ -70,6 +69,13 @@ impl<A: Application> Replica<A> {
         if count == 0 || first_counter == 0 || first_counter + count > (1 << PO_SEQ_BITS) {
             return;
         }
+        // Every member forgotten behind a checkpoint: nothing to learn.
+        if self
+            .po_store
+            .is_forgotten(batch.origin.0, batch.first_po_seq + count - 1)
+        {
+            return;
+        }
         if !batch.verify_cached(&self.registry, &mut self.verify_cache) {
             self.stats.bad_sigs += 1;
             return;
@@ -92,8 +98,8 @@ impl<A: Application> Replica<A> {
                 .insert_if_absent(o as u32, po_seq, update.clone());
         }
         self.stats.batches_accepted += 1;
-        self.po_batches
-            .entry((o as u32, batch.first_po_seq))
+        self.po_batches[o]
+            .entry(batch.first_po_seq)
             .or_insert(batch);
         self.advance_my_aru();
         self.note_unordered(now);
@@ -107,10 +113,13 @@ impl<A: Application> Replica<A> {
         origin: ReplicaId,
         po_seq: u64,
     ) -> Option<Envelope> {
-        let (&(batch_origin, first_po_seq), batch) =
-            self.po_batches.range(..=(origin.0, po_seq)).next_back()?;
+        let (&first_po_seq, batch) = self
+            .po_batches
+            .get(origin.0 as usize)?
+            .range(..=po_seq)
+            .next_back()?;
         let count = batch.updates.len() as u64;
-        if batch_origin != origin.0 || po_seq < first_po_seq || po_seq >= first_po_seq + count {
+        if po_seq >= first_po_seq + count {
             return None;
         }
         let index = (po_seq - first_po_seq) as usize;

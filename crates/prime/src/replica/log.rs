@@ -23,6 +23,9 @@ impl<A: Application> Replica<A> {
         if from != origin || origin.0 >= self.config.n() || po_counter(po_seq) == 0 {
             return;
         }
+        if self.po_store.is_forgotten(origin.0, po_seq) {
+            return;
+        }
         if !update.verify_cached(&self.registry, &mut self.verify_cache) {
             self.stats.bad_sigs += 1;
             return;
@@ -36,9 +39,7 @@ impl<A: Application> Replica<A> {
             self.aru_counter[o] = 0;
         }
         self.po_store.insert_if_absent(origin.0, po_seq, update);
-        self.po_envelopes
-            .entry((origin.0, po_seq))
-            .or_insert(envelope);
+        self.po_envelopes[o].entry(po_seq).or_insert(envelope);
         self.advance_my_aru();
         self.note_unordered(now);
         self.try_execute(now, out);
@@ -119,13 +120,13 @@ impl<A: Application> Replica<A> {
         }
         // Leader's proposal advanced things: reset the suspicion clock.
         self.unordered_since = Some(now);
-        if self.sent_prepare.insert((view, seq)) {
+        if self.sent_prepare.insert((seq, view)) {
             if !self.trace_phase.contains_key(&seq) {
                 self.trace_ordering_phase(seq, obs::Stage::PrimePrePrepare);
             }
             let prep = self.sign(PrimeMsg::Prepare { view, seq, digest });
             self.prepares
-                .entry((view, seq, digest))
+                .entry((seq, view, digest))
                 .or_default()
                 .insert(self.id.0);
             out.push(OutEvent::Broadcast(prep));
@@ -142,11 +143,11 @@ impl<A: Application> Replica<A> {
         now: SimTime,
         out: &mut Vec<OutEvent>,
     ) {
-        if view != self.view {
+        if view != self.view || seq <= self.order_floor {
             return;
         }
         self.prepares
-            .entry((view, seq, digest))
+            .entry((seq, view, digest))
             .or_default()
             .insert(from.0);
         self.check_prepared(view, seq, digest, now, out);
@@ -185,11 +186,11 @@ impl<A: Application> Replica<A> {
         }
         let prepare_count = self
             .prepares
-            .get(&(view, seq, digest))
+            .get(&(seq, view, digest))
             .map_or(0, |s| s.len() as u32);
         // The leader does not send Prepare; its pre-prepare counts.
         let have = prepare_count + 1;
-        if have >= self.active_ordering_quorum() && self.sent_commit.insert((view, seq)) {
+        if have >= self.active_ordering_quorum() && self.sent_commit.insert((seq, view)) {
             self.prepared_cert = Some((seq, view, matrix.clone()));
             // The window form keeps every uncommitted certificate; with
             // the pipeline off it mirrors `prepared_cert` (at most one
@@ -197,7 +198,7 @@ impl<A: Application> Replica<A> {
             self.prepared_certs.insert(seq, (view, matrix.clone()));
             let commit = self.sign(PrimeMsg::Commit { view, seq, digest });
             self.commits
-                .entry((view, seq, digest))
+                .entry((seq, view, digest))
                 .or_default()
                 .insert(self.id.0);
             out.push(OutEvent::Broadcast(commit));
@@ -215,8 +216,11 @@ impl<A: Application> Replica<A> {
         now: SimTime,
         out: &mut Vec<OutEvent>,
     ) {
+        if seq <= self.order_floor {
+            return;
+        }
         self.commits
-            .entry((view, seq, digest))
+            .entry((seq, view, digest))
             .or_default()
             .insert(from.0);
         self.check_committed(view, seq, digest, now, out);
@@ -241,7 +245,7 @@ impl<A: Application> Replica<A> {
         }
         let count = self
             .commits
-            .get(&(view, seq, digest))
+            .get(&(seq, view, digest))
             .map_or(0, |s| s.len() as u32);
         if count >= self.active_ordering_quorum() {
             self.committed.insert(seq, matrix.clone());
@@ -345,6 +349,7 @@ impl<A: Application> Replica<A> {
             };
             let update = signed.update.clone();
             self.exec_plan.pop_front();
+            self.exec_cover[origin as usize] = po_seq;
             self.stall_since = None;
             if !self
                 .executed_clients
@@ -397,8 +402,10 @@ impl<A: Application> Replica<A> {
                     .or_default()
                     .insert(self.id.0);
                 out.push(OutEvent::Broadcast(cp));
+                self.mark_executed();
             }
         }
+        self.drained_through = self.planned_through;
         // Plan drained: if nothing eligible remains, clear suspicion clock.
         if !self.has_unordered_eligible() {
             self.unordered_since = None;
@@ -458,10 +465,89 @@ impl<A: Application> Replica<A> {
             out.push(OutEvent::CheckpointStable { exec_seq });
             // Garbage-collect old vote state.
             self.checkpoint_votes.retain(|(s, _), _| *s >= exec_seq);
+            self.forget_behind(exec_seq);
             // If we are far behind a stable checkpoint, catch up.
             if self.exec_seq + self.timing.checkpoint_interval < exec_seq {
                 self.request_catchup(now, out);
             }
+        }
+    }
+
+    /// Records what this replica has executed as of the checkpoint it
+    /// just took (or a snapshot it just installed), for `forget_behind`.
+    fn mark_executed(&mut self) {
+        if self.checkpoint_marks.len() == RETAIN_CHECKPOINTS {
+            self.checkpoint_marks.pop_front();
+        }
+        self.checkpoint_marks.push_back(ExecMark {
+            exec_seq: self.exec_seq,
+            cover: self.exec_cover.clone(),
+            ordered: self.drained_through,
+        });
+    }
+
+    /// Forgets what checkpoint `stable` has made unnecessary: every
+    /// pre-order slot, batch and PoRequest envelope, and every ordering
+    /// sequence, that this replica had executed at the *previous* stable
+    /// checkpoint, once each replica's latest PO-ARU row acknowledges the
+    /// slot — so no correct peer will fetch it again — or once it lies
+    /// `RETAIN_CHECKPOINTS` stable checkpoints back, so that `f` silent or
+    /// lying replicas cannot pin memory. A peer that far behind is past
+    /// fetching: it catches up by state transfer (`on_checkpoint`).
+    ///
+    /// A stable checkpoint this replica took no checkpoint at or below
+    /// (it is behind, or just caught up) forgets nothing.
+    fn forget_behind(&mut self, stable: u64) {
+        let mut mark = None;
+        while self
+            .checkpoint_marks
+            .front()
+            .is_some_and(|m| m.exec_seq <= stable)
+        {
+            mark = self.checkpoint_marks.pop_front();
+        }
+        let Some(mark) = mark else {
+            return;
+        };
+        if self.stable_marks.len() > RETAIN_CHECKPOINTS {
+            self.stable_marks.pop_front();
+        }
+        self.stable_marks.push_back(mark);
+        let marks = self.stable_marks.len();
+        if marks < 2 {
+            return;
+        }
+        let previous = &self.stable_marks[marks - 2];
+        let escape = (marks > RETAIN_CHECKPOINTS).then(|| &self.stable_marks[0]);
+        let n = self.config.n();
+        for origin in 0..n as usize {
+            let acked = (0..n)
+                .map(|r| self.latest_rows.get(&r).map_or(0, |row| row.vector[origin]))
+                .min()
+                .unwrap_or(0);
+            let floor = previous.cover[origin]
+                .min(acked)
+                .max(escape.map_or(0, |m| m.cover[origin]));
+            self.po_store.forget_through(origin as u32, floor);
+            forget_through(&mut self.po_envelopes[origin], floor);
+            // A batch straddling the floor still serves its upper members.
+            let batches = &mut self.po_batches[origin];
+            let cut = match batches.range(..=floor).next_back() {
+                Some((&first, batch)) if first + batch.updates.len() as u64 - 1 > floor => first,
+                _ => floor.saturating_add(1),
+            };
+            *batches = batches.split_off(&cut);
+        }
+        let ordered = previous.ordered;
+        if ordered > self.order_floor {
+            self.order_floor = ordered;
+            let above = ordered + 1;
+            forget_through(&mut self.pre_prepares, ordered);
+            forget_through(&mut self.committed, ordered);
+            self.prepares = self.prepares.split_off(&(above, 0, Digest([0; 32])));
+            self.commits = self.commits.split_off(&(above, 0, Digest([0; 32])));
+            self.sent_prepare = self.sent_prepare.split_off(&(above, 0));
+            self.sent_commit = self.sent_commit.split_off(&(above, 0));
         }
     }
 
@@ -580,12 +666,20 @@ impl<A: Application> Replica<A> {
             self.planned_through = next_order_seq.saturating_sub(1);
             self.max_committed = self.max_committed.max(self.planned_through);
             self.exec_plan.clear();
+            // What was installed is what has been executed: the marks
+            // start again from it, and the floors rise no faster than
+            // `RETAIN_CHECKPOINTS` fresh stable checkpoints allow.
+            self.exec_cover = self.plan_cover.clone();
+            self.drained_through = self.planned_through;
+            self.checkpoint_marks.clear();
+            self.stable_marks.clear();
             self.view = self.view.max(view);
             self.in_view_change = false;
             self.catching_up = false;
             self.catchup_chunks.clear();
             self.stall_since = None;
             self.last_checkpoint_at_exec = exec_seq;
+            self.mark_executed();
             self.stats.catchups += 1;
             out.push(OutEvent::StateTransferInstalled { exec_seq });
         }
@@ -777,6 +871,15 @@ pub fn catchup_backoff(base: SimDuration, attempt: u32) -> SimDuration {
     base.saturating_mul(1u64 << attempt.min(4))
 }
 
+/// Drops every entry of `map` keyed at or below `floor` with one split,
+/// not a walk of the whole map.
+fn forget_through<V>(map: &mut BTreeMap<u64, V>, floor: u64) {
+    match floor.checked_add(1) {
+        Some(above) => *map = map.split_off(&above),
+        None => map.clear(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::cell::Cell;
@@ -785,6 +888,7 @@ mod tests {
 
     use super::*;
     use crate::application::KvApp;
+    use crate::harness::Cluster;
     use crate::security_tests::registry_and_keys;
     use crate::types::Config;
 
@@ -902,5 +1006,220 @@ mod tests {
         assert!(installed
             .iter()
             .any(|e| matches!(e, OutEvent::StateTransferInstalled { exec_seq: 5 })));
+    }
+
+    /// The retention runs' cadence: the benchmark's deployments', with a
+    /// checkpoint every `CHECKPOINT` executions.
+    const CHECKPOINT: u64 = 20;
+    const SOAK_TIMING: Timing = Timing {
+        aru_interval: SimDuration::from_millis(10),
+        pp_interval: SimDuration::from_millis(10),
+        suspect_timeout: SimDuration::from_millis(2_000),
+        checkpoint_interval: CHECKPOINT,
+        catchup_timeout: SimDuration::from_millis(300),
+    };
+
+    /// What a retention run does to replica 5 besides loading it.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Fault {
+        None,
+        /// Cut off for the whole run: its PO-ARU row never arrives.
+        Partitioned,
+        /// Proactively recovered halfway through.
+        Recovered,
+    }
+
+    /// Six plant replicas order `updates` from one client at 800/s over
+    /// 64 keys, then drain, all executing every update. Returns each
+    /// replica's largest table sizes, sampled every 10 ms.
+    fn soak(config: Config, updates: u64, fault: Fault) -> Vec<Retained> {
+        let config = Config {
+            transfer_dedup: fault == Fault::Recovered,
+            ..config
+        };
+        let mut c = Cluster::new(config, 1);
+        c.set_timing(SOAK_TIMING);
+        if fault == Fault::Partitioned {
+            c.partitioned.insert(5);
+        }
+        let mut peak = vec![Retained::default(); c.replicas.len()];
+        let mut run = |c: &mut Cluster, ms: u64| {
+            for _ in 0..ms / 10 {
+                c.run_for(SimDuration::from_millis(10));
+                for (peak, r) in peak.iter_mut().zip(&c.replicas) {
+                    let held = r.retained();
+                    peak.slots = peak.slots.max(held.slots);
+                    peak.batches = peak.batches.max(held.batches);
+                    peak.envelopes = peak.envelopes.max(held.envelopes);
+                    peak.ordering = peak.ordering.max(held.ordering);
+                }
+            }
+        };
+        for i in 0..updates {
+            if fault == Fault::Recovered && i == updates / 2 {
+                c.recover_replica(ReplicaId(5));
+            }
+            c.submit(0, format!("k{}=v{i}", i % 64));
+            if i % 8 == 7 {
+                run(&mut c, 10);
+            }
+        }
+        run(&mut c, 2_000);
+        assert_eq!(c.min_executed(), updates, "{fault:?}");
+        c.assert_consistent();
+        peak
+    }
+
+    /// One window: every origin's slots for the checkpoints a replica
+    /// may keep — the escape's `RETAIN_CHECKPOINTS`, the one being taken,
+    /// the one before it, and one a recovered replica spends catching up
+    /// before its marks restart.
+    fn window(config: Config) -> usize {
+        (RETAIN_CHECKPOINTS + 3) * CHECKPOINT as usize * config.n() as usize
+    }
+
+    /// No replica ever holds more than one window in any table, whatever
+    /// the run's length: without truncation the slots alone reach
+    /// `updates × n`.
+    fn assert_retention_bounded(config: Config, updates: u64, fault: Fault) {
+        let window = window(config);
+        for (id, peak) in soak(config, updates, fault).iter().enumerate() {
+            assert!(
+                peak.slots <= window
+                    && peak.envelopes <= window
+                    && peak.batches <= window
+                    && peak.ordering <= window,
+                "r{id} over {updates} updates ({fault:?}, batch_max {}) held {peak:?}, \
+                 more than a window of {window}",
+                config.batch_max,
+            );
+        }
+    }
+
+    #[test]
+    fn retention_is_bounded_on_the_batched_path() {
+        for updates in [2_000, 8_000] {
+            assert_retention_bounded(Config::plant().with_batching(16, 4), updates, Fault::None);
+        }
+    }
+
+    #[test]
+    fn retention_is_bounded_on_the_per_update_path() {
+        for updates in [2_000, 8_000] {
+            assert_retention_bounded(Config::plant(), updates, Fault::None);
+        }
+    }
+
+    /// A replica that never speaks leaves every peer's ARU gate shut; the
+    /// `RETAIN_CHECKPOINTS` escape still bounds them.
+    #[test]
+    fn retention_is_bounded_with_a_replica_partitioned_throughout() {
+        assert_retention_bounded(
+            Config::plant().with_batching(16, 4),
+            2_000,
+            Fault::Partitioned,
+        );
+        assert_retention_bounded(Config::plant(), 2_000, Fault::Partitioned);
+    }
+
+    /// A recovered replica starts from an empty store, catches up, and
+    /// truncates again; its peers keep truncating around it.
+    #[test]
+    fn retention_is_bounded_across_a_proactive_recovery() {
+        assert_retention_bounded(
+            Config::plant().with_batching(16, 4),
+            2_000,
+            Fault::Recovered,
+        );
+        assert_retention_bounded(Config::plant(), 2_000, Fault::Recovered);
+    }
+
+    /// The CI soak (release only: `cargo test --release -p prime --
+    /// --ignored retention`).
+    #[test]
+    #[ignore = "release-mode soak, run by ci/check.sh"]
+    fn retention_is_bounded_over_a_100k_update_soak() {
+        assert_retention_bounded(Config::plant().with_batching(16, 4), 100_000, Fault::None);
+    }
+
+    /// Input a replica has forgotten the context of — a pre-order slot,
+    /// a batch, a PoRequest, an ordering message for a truncated
+    /// sequence — does nothing: no event, no table regrows, no counter
+    /// moves. A PoFetch for a forgotten slot goes unanswered.
+    #[test]
+    fn stale_input_after_truncation_is_a_no_op() {
+        for config in [Config::plant().with_batching(16, 4), Config::plant()] {
+            let mut c = Cluster::new(config, 1);
+            c.set_timing(SOAK_TIMING);
+            for i in 0..64 {
+                c.submit(0, format!("k{i}=v"));
+                if i % 8 == 7 {
+                    c.run_for(SimDuration::from_millis(10));
+                }
+            }
+            c.run_for(SimDuration::from_millis(500));
+            // What replica 1 sent and what replica 0 proposed early on.
+            let origin = ReplicaId(1);
+            let mut stale = Vec::new();
+            let fetched = if config.batch_max > 0 {
+                let (&first, batch) = c.replicas[1].po_batches[1]
+                    .first_key_value()
+                    .expect("replica 1 sent a batch");
+                let batch = batch.clone();
+                let member = c.replicas[1]
+                    .batch_member_reply(origin, first)
+                    .expect("a member of its own batch");
+                stale.push(member.msg);
+                stale.push(c.replicas[1].sign(PrimeMsg::PoRequestBatch { batch }).msg);
+                first
+            } else {
+                let (&po_seq, request) = c.replicas[1].po_envelopes[1]
+                    .first_key_value()
+                    .expect("replica 1 sent a PoRequest");
+                stale.push(request.clone());
+                po_seq
+            };
+            let (&seq, (view, matrix, digest)) = c.replicas[0]
+                .pre_prepares
+                .first_key_value()
+                .expect("replica 0 proposed");
+            let (view, matrix, digest) = (*view, matrix.clone(), *digest);
+            stale.push(
+                c.replicas[0]
+                    .sign(PrimeMsg::PrePrepare { view, seq, matrix })
+                    .msg,
+            );
+            for from in [1, 3] {
+                let r = &mut c.replicas[from];
+                stale.push(r.sign(PrimeMsg::Prepare { view, seq, digest }).msg);
+                stale.push(r.sign(PrimeMsg::Commit { view, seq, digest }).msg);
+            }
+            let fetch = c.replicas[3].sign(PrimeMsg::PoFetch {
+                origin,
+                po_seq: fetched,
+            });
+
+            for i in 64..1_000 {
+                c.submit(0, format!("k{}=v{i}", i % 64));
+                if i % 8 == 7 {
+                    c.run_for(SimDuration::from_millis(10));
+                }
+            }
+            c.run_for(SimDuration::from_secs(1));
+            let now = c.now();
+            let r = &mut c.replicas[2];
+            assert!(r.po_store.is_forgotten(origin.0, fetched) && seq <= r.order_floor);
+            let (held, stats) = (r.retained(), r.stats);
+            for msg in stale {
+                let what = format!("{:?}", msg.msg.prof_stack());
+                assert!(r.on_message(msg, now).is_empty(), "{what} produced events");
+                assert_eq!(r.retained(), held, "{what} regrew a table");
+                assert_eq!(r.stats, stats, "{what} moved a counter");
+            }
+            assert!(
+                r.on_message(fetch.msg, now).is_empty(),
+                "a forgotten slot is not served"
+            );
+        }
     }
 }

@@ -91,6 +91,24 @@ const VERIFY_CACHE_CAP: usize = 4096;
 /// unbatched protocol.
 const BATCH_DELAY: SimDuration = SimDuration::from_millis(5);
 
+/// Stable checkpoints after which a replica forgets what it executed even
+/// if a peer's PO-ARU row still lags (see `Replica::forget_behind`): up to
+/// `f` silent or lying replicas cannot pin its memory, and a peer that far
+/// behind catches up by state transfer instead of fetching slots.
+const RETAIN_CHECKPOINTS: usize = 4;
+
+/// What a replica had executed when it took a checkpoint.
+#[derive(Clone, Debug)]
+struct ExecMark {
+    /// Executed count at the checkpoint.
+    exec_seq: u64,
+    /// Per origin, the composite pre-order sequence through which every
+    /// slot was executed, suppressed as a duplicate, or abandoned.
+    cover: Vec<u64>,
+    /// The ordering sequence through which every plan had executed.
+    ordered: u64,
+}
+
 /// Builds an incarnation-tagged pre-order sequence number.
 pub fn po_compose(incarnation: u32, seq: u64) -> u64 {
     debug_assert!(seq < (1 << PO_SEQ_BITS));
@@ -269,8 +287,9 @@ pub struct Replica<A: Application> {
     incarnation: u32,
     next_po_seq: u64,
     po_store: PoStore,
-    /// Original signed PoRequest envelopes (served on PoFetch).
-    po_envelopes: BTreeMap<(u32, u64), SignedMsg>,
+    /// Original signed PoRequest envelopes (served on PoFetch), per
+    /// origin by po_seq.
+    po_envelopes: Vec<BTreeMap<u64, SignedMsg>>,
     /// Client updates this replica has introduced into pre-ordering.
     intro_seen: ClientSeqs,
     /// Highest incarnation observed per origin.
@@ -286,12 +305,17 @@ pub struct Replica<A: Application> {
     last_pp_at: SimTime,
     /// seq → (view, matrix, digest) for the active proposal.
     pre_prepares: BTreeMap<u64, (u64, Vec<AruRow>, Digest)>,
+    /// Votes and sent markers, keyed sequence first so a checkpoint cuts
+    /// them with one split.
     prepares: BTreeMap<(u64, u64, Digest), BTreeSet<u32>>,
     commits: BTreeMap<(u64, u64, Digest), BTreeSet<u32>>,
     sent_prepare: BTreeSet<(u64, u64)>,
     sent_commit: BTreeSet<(u64, u64)>,
     committed: BTreeMap<u64, Vec<AruRow>>,
     max_committed: u64,
+    /// Ordering sequences at or below this are forgotten; Prepares and
+    /// Commits for them are ignored.
+    order_floor: u64,
     /// The prepared-but-uncommitted certificate (seq, view, matrix).
     prepared_cert: Option<(u64, u64, Vec<AruRow>)>,
 
@@ -299,6 +323,10 @@ pub struct Replica<A: Application> {
     planned_through: u64,
     plan_cover: Vec<u64>,
     exec_plan: VecDeque<(u32, u64)>,
+    /// Per origin, the last slot the plan ran (see [`ExecMark::cover`]).
+    exec_cover: Vec<u64>,
+    /// `planned_through` when the plan last ran dry.
+    drained_through: u64,
     exec_seq: u64,
     /// Client updates executed: the duplicate-suppression state that
     /// travels with a snapshot as a [`DedupTable`].
@@ -318,6 +346,12 @@ pub struct Replica<A: Application> {
     last_checkpoint_at_exec: u64,
     checkpoint_votes: BTreeMap<(u64, Digest), BTreeSet<u32>>,
     stable_checkpoint: u64,
+    /// Marks of this replica's checkpoints not yet stable (at most
+    /// `RETAIN_CHECKPOINTS`, oldest dropped).
+    checkpoint_marks: VecDeque<ExecMark>,
+    /// Marks of the last `RETAIN_CHECKPOINTS + 1` stable checkpoints,
+    /// oldest first.
+    stable_marks: VecDeque<ExecMark>,
 
     // Batched pre-ordering (armed by `Config::batch_max > 0`; empty and
     // inert otherwise so the legacy per-update path is byte-identical).
@@ -327,10 +361,10 @@ pub struct Replica<A: Application> {
     /// When the previous batch closed: the rate-limiter reference point
     /// for the `BATCH_DELAY` close trigger.
     last_batch_at: SimTime,
-    /// Signed batches originated here or accepted from peers, keyed by
-    /// (origin, first_po_seq) — the reconciliation source for
-    /// `PoBatchMember` replies to `PoFetch`.
-    po_batches: BTreeMap<(u32, u64), crate::messages::PoBatch>,
+    /// Signed batches originated here or accepted from peers, per origin
+    /// by first_po_seq — the reconciliation source for `PoBatchMember`
+    /// replies to `PoFetch`.
+    po_batches: Vec<BTreeMap<u64, crate::messages::PoBatch>>,
 
     // Pipelined sequencing (armed by `Config::pipeline > 1`).
     /// All prepared-but-uncommitted certificates, seq → (view, matrix).
@@ -411,7 +445,7 @@ impl<A: Application> Replica<A> {
             incarnation: 0,
             next_po_seq: 1,
             po_store: PoStore::new(n),
-            po_envelopes: BTreeMap::new(),
+            po_envelopes: vec![BTreeMap::new(); n],
             intro_seen: ClientSeqs::default(),
             origin_inc: vec![0; n],
             aru_counter: vec![0; n],
@@ -427,10 +461,13 @@ impl<A: Application> Replica<A> {
             sent_commit: BTreeSet::new(),
             committed: BTreeMap::new(),
             max_committed: 0,
+            order_floor: 0,
             prepared_cert: None,
             planned_through: 0,
             plan_cover: vec![0; n],
             exec_plan: VecDeque::new(),
+            exec_cover: vec![0; n],
+            drained_through: 0,
             exec_seq: 0,
             executed_clients: ClientSeqs::default(),
             stall_since: None,
@@ -442,9 +479,11 @@ impl<A: Application> Replica<A> {
             last_checkpoint_at_exec: 0,
             checkpoint_votes: BTreeMap::new(),
             stable_checkpoint: 0,
+            checkpoint_marks: VecDeque::new(),
+            stable_marks: VecDeque::new(),
             batch_pending: Vec::new(),
             last_batch_at: SimTime::ZERO,
-            po_batches: BTreeMap::new(),
+            po_batches: vec![BTreeMap::new(); n],
             prepared_certs: BTreeMap::new(),
             vc_windows: BTreeMap::new(),
             catchup_chunks: BTreeMap::new(),
@@ -683,8 +722,7 @@ impl<A: Application> Replica<A> {
                 po_seq,
                 update,
             });
-            self.po_envelopes
-                .insert((self.id.0, po_seq), msg.msg.clone());
+            self.po_envelopes[self.id.0 as usize].insert(po_seq, msg.msg.clone());
             out.push(OutEvent::Broadcast(msg));
         }
         self.advance_my_aru();
@@ -782,8 +820,16 @@ impl<A: Application> Replica<A> {
             PrimeMsg::Commit { view, seq, digest } => {
                 self.on_commit(from, view, seq, digest, now, &mut out);
             }
+            // A slot forgotten behind a stable checkpoint gets no reply:
+            // every peer's PO-ARU held it, or the checkpoints left the
+            // fetcher so far behind that it must catch up by state
+            // transfer, which its stall timer asks for.
             PrimeMsg::PoFetch { origin, po_seq } => {
-                if let Some(envelope) = self.po_envelopes.get(&(origin.0, po_seq)) {
+                if let Some(envelope) = self
+                    .po_envelopes
+                    .get(origin.0 as usize)
+                    .and_then(|envelopes| envelopes.get(&po_seq))
+                {
                     let original = envelope.to_wire().to_vec();
                     let reply = self.sign(PrimeMsg::PoData { original });
                     out.push(OutEvent::Send(from, reply));
@@ -1170,7 +1216,7 @@ impl<A: Application> Replica<A> {
         self.incarnation = ((now.as_micros() / 1_000) as u32).max(self.incarnation + 1);
         self.next_po_seq = 1;
         self.po_store.clear();
-        self.po_envelopes.clear();
+        self.po_envelopes.iter_mut().for_each(BTreeMap::clear);
         self.intro_seen.clear();
         self.incoming_trace = None;
         self.trace_queue.clear();
@@ -1187,16 +1233,19 @@ impl<A: Application> Replica<A> {
         self.sent_commit.clear();
         self.committed.clear();
         self.max_committed = 0;
+        self.order_floor = 0;
         self.prepared_cert = None;
         self.batch_pending.clear();
         self.last_batch_at = SimTime::ZERO;
-        self.po_batches.clear();
+        self.po_batches.iter_mut().for_each(BTreeMap::clear);
         self.prepared_certs.clear();
         self.vc_windows.clear();
         self.catchup_chunks.clear();
         self.planned_through = 0;
         self.plan_cover = vec![0; n];
         self.exec_plan.clear();
+        self.exec_cover = vec![0; n];
+        self.drained_through = 0;
         self.exec_seq = 0;
         self.executed_clients.clear();
         self.stall_since = None;
@@ -1209,6 +1258,8 @@ impl<A: Application> Replica<A> {
         self.last_checkpoint_at_exec = 0;
         self.checkpoint_votes.clear();
         self.stable_checkpoint = 0;
+        self.checkpoint_marks.clear();
+        self.stable_marks.clear();
         self.catching_up = false;
         self.catchup_offers.clear();
         self.catchup_dedup.clear();
@@ -1217,6 +1268,32 @@ impl<A: Application> Replica<A> {
         self.request_catchup(now, &mut out);
         out
     }
+
+    /// Entries held in each table a stable checkpoint truncates.
+    #[cfg(test)]
+    fn retained(&self) -> Retained {
+        Retained {
+            slots: self.po_store.held(),
+            batches: self.po_batches.iter().map(BTreeMap::len).sum(),
+            envelopes: self.po_envelopes.iter().map(BTreeMap::len).sum(),
+            ordering: self.pre_prepares.len()
+                + self.prepares.len()
+                + self.commits.len()
+                + self.sent_prepare.len()
+                + self.sent_commit.len()
+                + self.committed.len(),
+        }
+    }
+}
+
+/// What [`Replica::retained`] counts.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Retained {
+    slots: usize,
+    batches: usize,
+    envelopes: usize,
+    ordering: usize,
 }
 
 impl<A: Application> std::fmt::Debug for Replica<A> {

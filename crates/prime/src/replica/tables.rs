@@ -1,13 +1,17 @@
 //! What a replica keeps per pre-order slot and per client, laid out so
-//! that the ordering path reads an array where it used to walk a tree,
-//! and so that nothing here grows with the number of updates executed.
+//! that the ordering path reads an array where it used to walk a tree.
+//!
+//! [`ClientSeqs`] grows with clients, not with updates. [`PoStore`] grows
+//! with every slot pre-ordered until a stable checkpoint lets the replica
+//! forget a prefix ([`PoStore::forget_through`]); what it holds is then
+//! the window behind the checkpoints, not the history.
 //!
 //! Neither table is ever iterated in an order that reaches an output:
 //! [`PoStore`] is probed by slot, and [`ClientSeqs`] is walked only by
 //! [`ClientSeqs::table`], in client order, which is the order the wire
 //! form had before.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Bound;
 
 use super::{po_counter, po_incarnation, DedupTable};
@@ -20,17 +24,26 @@ use crate::types::SignedUpdate;
 /// counter 2^30, costs one map entry and no empty slots before it.
 #[derive(Debug, Default)]
 struct Slots {
-    /// `run[c - 1]` is the update at counter `c`: every slot from 1 with
-    /// no gap.
-    run: Vec<SignedUpdate>,
-    /// Slots past a gap, by counter; never `run.len() + 1`, which would
+    /// Counters `1..=start` of the run are forgotten: the run held them
+    /// once and still counts them.
+    start: u64,
+    /// `run[c - start - 1]` is the update at counter `c`: every slot
+    /// from `start + 1` with no gap.
+    run: VecDeque<SignedUpdate>,
+    /// Slots past a gap, by counter; never `run_end() + 1`, which would
     /// continue the run and is moved there.
     ahead: BTreeMap<u64, SignedUpdate>,
 }
 
 impl Slots {
+    /// The last counter of the run: every slot in `1..=run_end()` was
+    /// filled.
+    fn run_end(&self) -> u64 {
+        self.start + self.run.len() as u64
+    }
+
     fn get(&self, counter: u64) -> Option<&SignedUpdate> {
-        match self.run.get(counter.wrapping_sub(1) as usize) {
+        match self.run.get(counter.wrapping_sub(self.start + 1) as usize) {
             Some(update) => Some(update),
             None => self.ahead.get(&counter),
         }
@@ -38,17 +51,18 @@ impl Slots {
 
     /// Counter 0 names no slot and is never stored.
     fn insert_if_absent(&mut self, counter: u64, update: SignedUpdate) {
-        let next = self.run.len() as u64 + 1;
+        let next = self.run_end() + 1;
         if counter > next {
             self.ahead.entry(counter).or_insert(update);
         } else if counter == next {
-            self.run.push(update);
+            self.run.push_back(update);
             // The gap closed: what waited just past it continues the run.
+            let start = self.start;
             while let Some(entry) = self.ahead.first_entry() {
-                if *entry.key() != self.run.len() as u64 + 1 {
+                if *entry.key() != start + self.run.len() as u64 + 1 {
                     break;
                 }
-                self.run.push(entry.remove());
+                self.run.push_back(entry.remove());
             }
         }
     }
@@ -56,7 +70,7 @@ impl Slots {
     /// The largest `c >= counter` with every slot in `counter + 1..=c`
     /// filled.
     fn contiguous_through(&self, counter: u64) -> u64 {
-        let run = self.run.len() as u64;
+        let run = self.run_end();
         if counter <= run {
             // Nothing in `ahead` continues the run.
             return run;
@@ -67,14 +81,39 @@ impl Slots {
         }
         through
     }
+
+    /// Drops every slot at or below `counter`, in time proportional to
+    /// what is dropped. The run keeps its length, so contiguity reads as
+    /// before; slots past a gap at or below `counter` are gone outright,
+    /// and with them the run's chance to reach them (the caller refuses
+    /// the gap's slot from now on).
+    fn forget_through(&mut self, counter: u64) {
+        let held = counter.min(self.run_end()).saturating_sub(self.start);
+        self.run.drain(..held as usize);
+        self.start += held;
+        if self
+            .ahead
+            .first_key_value()
+            .is_some_and(|(&first, _)| first <= counter)
+        {
+            self.ahead = self.ahead.split_off(&(counter + 1));
+        }
+    }
 }
 
 /// The pre-ordered updates a replica holds: origin → incarnation → slots
 /// by counter (see [`super::po_compose`]). The first update stored in a
 /// slot stays; only its origin can put one there.
+///
+/// Each origin has a floor: a composite sequence through which the store
+/// has forgotten every slot ([`PoStore::forget_through`]). A forgotten
+/// slot reads as executed — [`PoStore::contains`] says yes, nothing can
+/// be stored there again — but its update is gone ([`PoStore::get`] says
+/// no). Counter 0 still names no slot.
 #[derive(Debug)]
 pub(super) struct PoStore {
     origins: Vec<BTreeMap<u32, Slots>>,
+    floors: Vec<u64>,
 }
 
 impl PoStore {
@@ -82,6 +121,7 @@ impl PoStore {
     pub(super) fn new(n: usize) -> Self {
         PoStore {
             origins: (0..n).map(|_| BTreeMap::new()).collect(),
+            floors: vec![0; n],
         }
     }
 
@@ -89,28 +129,69 @@ impl PoStore {
         self.origins.get(origin as usize)?.get(&incarnation)
     }
 
-    /// The update in slot `(origin, po_seq)`.
+    /// Whether slot `(origin, po_seq)` lies at or below `origin`'s floor.
+    pub(super) fn is_forgotten(&self, origin: u32, po_seq: u64) -> bool {
+        po_counter(po_seq) != 0
+            && self
+                .floors
+                .get(origin as usize)
+                .is_some_and(|&floor| po_seq <= floor)
+    }
+
+    /// The update in slot `(origin, po_seq)`, unless forgotten.
     pub(super) fn get(&self, origin: u32, po_seq: u64) -> Option<&SignedUpdate> {
+        if self.is_forgotten(origin, po_seq) {
+            return None;
+        }
         self.slots(origin, po_incarnation(po_seq))?
             .get(po_counter(po_seq))
     }
 
-    /// Whether slot `(origin, po_seq)` is filled.
+    /// Whether slot `(origin, po_seq)` is filled or forgotten.
     pub(super) fn contains(&self, origin: u32, po_seq: u64) -> bool {
-        self.get(origin, po_seq).is_some()
+        self.is_forgotten(origin, po_seq) || self.get(origin, po_seq).is_some()
     }
 
-    /// Fills slot `(origin, po_seq)` unless it is filled already.
+    /// Fills slot `(origin, po_seq)` unless it is filled or forgotten.
     ///
     /// # Panics
     ///
     /// Panics if `origin` is not one of the store's origins: callers
     /// bound it by the configuration before anything is stored.
     pub(super) fn insert_if_absent(&mut self, origin: u32, po_seq: u64, update: SignedUpdate) {
+        if self.is_forgotten(origin, po_seq) {
+            return;
+        }
         self.origins[origin as usize]
             .entry(po_incarnation(po_seq))
             .or_default()
             .insert_if_absent(po_counter(po_seq), update);
+    }
+
+    /// Raises `origin`'s floor to `floor` and forgets every slot at or
+    /// below it: earlier incarnations whole, `floor`'s own up to its
+    /// counter. Costs what is forgotten; a lower floor is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin` is not one of the store's origins.
+    pub(super) fn forget_through(&mut self, origin: u32, floor: u64) {
+        let o = origin as usize;
+        if floor <= self.floors[o] {
+            return;
+        }
+        self.floors[o] = floor;
+        let incarnation = po_incarnation(floor);
+        let slots = &mut self.origins[o];
+        if slots
+            .first_key_value()
+            .is_some_and(|(&first, _)| first < incarnation)
+        {
+            *slots = slots.split_off(&incarnation);
+        }
+        if let Some(slots) = slots.get_mut(&incarnation) {
+            slots.forget_through(po_counter(floor));
+        }
     }
 
     /// The largest `c >= counter` such that every slot of `origin`'s
@@ -122,7 +203,8 @@ impl PoStore {
     }
 
     /// Slots of `origin`'s `incarnation` in `counters` that are empty, or
-    /// hold an update for which `pending` is true.
+    /// hold an update for which `pending` is true. A forgotten slot is
+    /// neither: it was executed.
     pub(super) fn count_pending(
         &self,
         origin: u32,
@@ -132,13 +214,27 @@ impl PoStore {
     ) -> u64 {
         let slots = self.slots(origin, incarnation);
         counters
-            .filter(|&c| slots.and_then(|s| s.get(c)).is_none_or(&pending))
+            .filter(|&c| {
+                !self.is_forgotten(origin, super::po_compose(incarnation, c))
+                    && slots.and_then(|s| s.get(c)).is_none_or(&pending)
+            })
             .count() as u64
     }
 
-    /// Forgets everything (proactive recovery).
+    /// Slots held, forgotten ones not counted.
+    #[cfg(test)]
+    pub(super) fn held(&self) -> usize {
+        self.origins
+            .iter()
+            .flat_map(BTreeMap::values)
+            .map(|s| s.run.len() + s.ahead.len())
+            .sum()
+    }
+
+    /// Forgets everything, floors included (proactive recovery).
     pub(super) fn clear(&mut self) {
         self.origins.iter_mut().for_each(BTreeMap::clear);
+        self.floors.iter_mut().for_each(|floor| *floor = 0);
     }
 }
 
@@ -270,22 +366,65 @@ mod tests {
     }
 
     /// The store as it was: an ordered map from slot to (the tag of) the
-    /// first update put there.
+    /// first update put there, plus a floor per origin. A forgotten slot
+    /// is filled for `contains`, empty for `get`, and refuses an insert.
+    /// The slots the run counted stay in the map, so contiguity reads as
+    /// before; those past a gap leave it.
     #[derive(Default)]
-    struct StoreModel(BTreeMap<(u32, u64), u64>);
+    struct StoreModel {
+        slots: BTreeMap<(u32, u64), u64>,
+        floors: BTreeMap<u32, u64>,
+    }
 
     impl StoreModel {
+        fn forgotten(&self, origin: u32, po_seq: u64) -> bool {
+            po_counter(po_seq) != 0 && po_seq <= self.floors.get(&origin).copied().unwrap_or(0)
+        }
+
+        fn get(&self, origin: u32, po_seq: u64) -> Option<u64> {
+            if self.forgotten(origin, po_seq) {
+                return None;
+            }
+            self.slots.get(&(origin, po_seq)).copied()
+        }
+
         fn insert_if_absent(&mut self, origin: u32, po_seq: u64, tag: u64) {
-            if po_counter(po_seq) != 0 {
-                self.0.entry((origin, po_seq)).or_insert(tag);
+            if po_counter(po_seq) != 0 && !self.forgotten(origin, po_seq) {
+                self.slots.entry((origin, po_seq)).or_insert(tag);
             }
         }
 
+        fn forget_through(&mut self, origin: u32, floor: u64) {
+            if floor <= self.floors.get(&origin).copied().unwrap_or(0) {
+                return;
+            }
+            self.floors.insert(origin, floor);
+            let inc = po_incarnation(floor);
+            let run = self.contiguous_through(origin, inc, 0);
+            self.slots.retain(|&(o, s), _| {
+                o != origin
+                    || po_incarnation(s) > inc
+                    || (po_incarnation(s) == inc
+                        && (po_counter(s) <= run || po_counter(s) > po_counter(floor)))
+            });
+        }
+
         fn contiguous_through(&self, origin: u32, inc: u32, mut counter: u64) -> u64 {
-            while self.0.contains_key(&(origin, po_compose(inc, counter + 1))) {
+            while self
+                .slots
+                .contains_key(&(origin, po_compose(inc, counter + 1)))
+            {
                 counter += 1;
             }
             counter
+        }
+
+        fn count_pending(&self, origin: u32, inc: u32, to: u64, pending: fn(u64) -> bool) -> u64 {
+            (0..=to)
+                .map(|c| po_compose(inc, c))
+                .filter(|&s| !self.forgotten(origin, s))
+                .filter(|&s| self.slots.get(&(origin, s)).is_none_or(|&t| pending(t)))
+                .count() as u64
         }
     }
 
@@ -299,26 +438,33 @@ mod tests {
                 0..300,
             ),
         ) {
+            let odd = |tag: u64| tag % 2 == 1;
             let mut store = PoStore::new(ORIGINS as usize);
             let mut model = StoreModel::default();
             for (tag, (origin, inc, kind, near)) in ops.into_iter().enumerate() {
                 // Mostly counters near the front, out of order (0 among
-                // them); sometimes one far past it; rarely a recovery.
+                // them); sometimes one far past it; sometimes a floor;
+                // rarely a recovery.
                 let counter = match kind {
                     0 => (1 << 30) + near % 4,
                     1 if near == 0 => {
                         store.clear();
-                        model.0.clear();
+                        model = StoreModel::default();
                         continue;
                     }
                     _ => near,
                 };
                 let po_seq = po_compose(inc * 1000, counter);
-                store.insert_if_absent(origin, po_seq, update(tag as u64));
-                model.insert_if_absent(origin, po_seq, tag as u64);
+                if kind == 2 {
+                    store.forget_through(origin, po_seq);
+                    model.forget_through(origin, po_seq);
+                } else {
+                    store.insert_if_absent(origin, po_seq, update(tag as u64));
+                    model.insert_if_absent(origin, po_seq, tag as u64);
+                }
                 prop_assert_eq!(
                     store.get(origin, po_seq).map(tag_of),
-                    model.0.get(&(origin, po_seq)).copied()
+                    model.get(origin, po_seq)
                 );
                 prop_assert_eq!(store.contains(origin, po_seq), counter != 0);
                 for o in 0..ORIGINS {
@@ -331,20 +477,57 @@ mod tests {
                         }
                     }
                 }
+                for i in [0, 1000, 2000] {
+                    prop_assert_eq!(
+                        store.count_pending(origin, i, 0..=24, |u| odd(tag_of(u))),
+                        model.count_pending(origin, i, 24, odd)
+                    );
+                }
             }
             // Every slot the model holds is the store's, first writer and
             // all, and the store holds no other.
-            for (&(origin, po_seq), &held) in &model.0 {
-                prop_assert_eq!(store.get(origin, po_seq).map(tag_of), Some(held));
+            let mut held = 0;
+            for &(origin, po_seq) in model.slots.keys() {
+                let tag = model.get(origin, po_seq);
+                held += usize::from(tag.is_some());
+                prop_assert_eq!(store.get(origin, po_seq).map(tag_of), tag);
             }
-            let held: usize = store
-                .origins
-                .iter()
-                .flat_map(BTreeMap::values)
-                .map(|s| s.run.len() + s.ahead.len())
-                .sum();
-            prop_assert_eq!(held, model.0.len());
+            prop_assert_eq!(store.held(), held);
         }
+    }
+
+    #[test]
+    fn a_forgotten_slot_reads_as_executed() {
+        let mut store = PoStore::new(2);
+        for counter in 1..=6 {
+            store.insert_if_absent(1, counter, update(counter));
+        }
+        store.insert_if_absent(1, po_compose(1, 1), update(100));
+        store.forget_through(1, 4);
+        // Filled for `contains` and refusing a second writer, empty for
+        // `get`; counter 0 still names no slot.
+        assert!(store.contains(1, 3) && store.get(1, 3).is_none());
+        store.insert_if_absent(1, 3, update(30));
+        assert!(store.get(1, 3).is_none());
+        assert!(!store.contains(1, 0));
+        assert_eq!(store.get(1, 5), Some(&update(5)));
+        assert_eq!(store.contiguous_through(1, 0, 0), 6);
+        // Not a hole: only the pending slot 6 counts, and the empty 7.
+        assert_eq!(
+            store.count_pending(1, 0, 1..=7, |u| u.update.client_seq == 6),
+            2
+        );
+        assert_eq!(store.held(), 3);
+        // A floor in a later incarnation takes every earlier one whole.
+        store.forget_through(1, po_compose(1, 0));
+        assert_eq!(store.origins[1].len(), 1);
+        assert!(store.contains(1, 6) && store.get(1, 6).is_none());
+        assert_eq!(store.count_pending(1, 0, 1..=6, |_| true), 0);
+        assert_eq!(store.get(1, po_compose(1, 1)), Some(&update(100)));
+        // A lower floor changes nothing; other origins have their own.
+        store.forget_through(1, 2);
+        assert!(store.contains(1, 6));
+        assert!(!store.contains(0, 1));
     }
 
     #[test]
