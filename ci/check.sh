@@ -111,6 +111,13 @@ if grep -rn --include='*.rs' 'agreement_seen' crates src tests; then
     exit 1
 fi
 
+echo "==> the chaos checker reads fault state from the deployment (no notification methods)"
+if grep -rnwE --include='*.rs' \
+    'note_ground_truth|replica_down|replica_rejoined|byz_started|byz_healed|partition_started|partition_healed|membership_changed|membership_restored' \
+    crates src tests; then
+    exit 1
+fi
+
 echo "==> two unsafe blocks in the workspace (itcrypto's calls into its SHA-extensions and AES-NI backends)"
 # Both backends are written with safe intrinsics, so the call into each
 # #[target_feature] function, after detection, is all there is; clippy and

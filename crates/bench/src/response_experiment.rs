@@ -342,14 +342,6 @@ impl CompromiseLog {
         }
     }
 
-    /// A policy takedown of `replica` at `now` ends its implant, if one
-    /// is live. Returns whether it was.
-    fn note_takedown(&mut self, replica: u32, now: SimTime) -> bool {
-        let was_live = self.open.iter().any(|(r, _)| *r == replica);
-        self.close(replica, now, true);
-        was_live
-    }
-
     fn close(&mut self, replica: u32, at: SimTime, by_policy: bool) {
         let Some(pos) = self.open.iter().position(|(r, _)| *r == replica) else {
             return;
@@ -462,35 +454,115 @@ impl SubjectMana {
     }
 }
 
-/// Applies a policy takedown if `replica` is actually reachable; keeps
-/// the checker's fault budget honest (a live implant on the victim is
-/// neutralized by the clean-image recovery, so its Byzantine budget slot
-/// frees the moment the node drops).
-fn apply_takedown(
-    d: &mut Deployment,
-    checker: &mut InvariantChecker,
-    log: &mut CompromiseLog,
-    replica: u32,
-    now: SimTime,
-) -> bool {
-    if !d.replica_up(replica) {
-        return false;
-    }
-    if log.note_takedown(replica, now) {
-        d.replica_mut(replica).replica.byz = ByzMode::Correct;
-        checker.byz_healed(replica);
-    }
-    d.take_replica_down(replica);
-    checker.replica_down(replica);
-    true
+/// A recovery policy's hands on the deployment, ticked by the campaign and
+/// by the negative control alike: the feedback controller's actuations, or
+/// the periodic schedule's takedowns and its restores once due.
+struct Responder {
+    policy: Policy,
+    scheduler: RecoveryScheduler,
+    controller: Controller,
+    /// Periodic policy's pending restores: (replica, due).
+    pending_restore: Vec<(u32, SimTime)>,
+    recoveries: u64,
+    restores: u64,
+    throttles: u64,
 }
 
-fn apply_restore(d: &mut Deployment, checker: &mut InvariantChecker, replica: u32) {
-    if d.replica_up(replica) {
-        return;
+impl Responder {
+    fn new(policy: Policy, scheduler: RecoveryScheduler, controller: Controller) -> Self {
+        Responder {
+            policy,
+            scheduler,
+            controller,
+            pending_restore: Vec::new(),
+            recoveries: 0,
+            restores: 0,
+            throttles: 0,
+        }
     }
-    d.restore_replica(replica);
-    checker.replica_rejoined(replica, d);
+
+    /// One policy tick at `now`; `input` builds what the feedback
+    /// controller observes.
+    fn tick(
+        &mut self,
+        d: &mut Deployment,
+        log: &mut CompromiseLog,
+        now: SimTime,
+        input: impl FnOnce(&Deployment) -> ControllerInput,
+    ) {
+        match self.policy {
+            Policy::Feedback => {
+                for act in self.controller.step(&input(d)) {
+                    match act {
+                        Actuation::TakeDown { replica } => {
+                            // Variant rotation rides the same scheduler as
+                            // the periodic path; budget honored by both.
+                            self.scheduler.trigger(replica, now);
+                            self.take_down(d, log, replica, now);
+                        }
+                        Actuation::Restore { replica } => self.restore(d, replica),
+                        Actuation::Throttle {
+                            proxy,
+                            min_interval,
+                        } => {
+                            d.set_proxy_rate_limit(proxy, Some(min_interval));
+                            self.throttles += 1;
+                        }
+                        Actuation::Unthrottle { proxy } => d.set_proxy_rate_limit(proxy, None),
+                    }
+                }
+            }
+            Policy::Periodic => {
+                for ev in self.scheduler.poll(now) {
+                    if self.take_down(d, log, ev.replica, now) {
+                        self.pending_restore.push((ev.replica, ev.finish));
+                    }
+                }
+                let (due, later) = std::mem::take(&mut self.pending_restore)
+                    .into_iter()
+                    .partition(|&(_, t)| now >= t);
+                self.pending_restore = later;
+                for (r, _) in due {
+                    self.restore(d, r);
+                }
+            }
+        }
+    }
+
+    /// Takes `replica` down for recovery if it is up. A live implant on it
+    /// ends there: the clean-image recovery neutralizes it.
+    fn take_down(
+        &mut self,
+        d: &mut Deployment,
+        log: &mut CompromiseLog,
+        replica: u32,
+        now: SimTime,
+    ) -> bool {
+        if !d.replica_up(replica) {
+            return false;
+        }
+        log.close(replica, now, true);
+        d.take_replica_down(replica);
+        self.recoveries += 1;
+        true
+    }
+
+    fn restore(&mut self, d: &mut Deployment, replica: u32) {
+        if !d.replica_up(replica) {
+            d.restore_replica(replica);
+        }
+        self.restores += 1;
+    }
+
+    /// End of campaign: restores every replica the policy still holds down.
+    fn restore_all(&mut self, d: &mut Deployment) {
+        for r in self.controller.isolated() {
+            self.restore(d, r);
+        }
+        for (r, _) in std::mem::take(&mut self.pending_restore) {
+            self.restore(d, r);
+        }
+    }
 }
 
 /// Runs one (shape, policy) campaign end to end.
@@ -537,13 +609,9 @@ fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutc
     scheduler.align(t0);
     let mut controller = Controller::new(ResponseConfig::for_budget(n, prime_cfg.f, prime_cfg.k));
     controller.attach_obs(d.obs.clone());
+    let mut responder = Responder::new(policy, scheduler, controller);
 
     let mut log = CompromiseLog::new();
-    // Periodic policy's pending restores: (replica, due).
-    let mut pending_restore: Vec<(u32, SimTime)> = Vec::new();
-    let mut recoveries = 0u64;
-    let mut restores = 0u64;
-    let mut throttles = 0u64;
     // Availability probe: longest interval without global exec progress.
     let mut max_exec = 0u64;
     let mut last_progress = t0;
@@ -560,77 +628,28 @@ fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutc
         let signals = feed.drain_from(&mut cursor);
         log.note_signals(&signals);
 
-        match policy {
-            Policy::Feedback => {
-                let replicas: Vec<ReplicaObservation> = (0..n)
-                    .map(|r| {
-                        let health = d.replica_health(r);
-                        ReplicaObservation {
-                            replica: r,
-                            up: d.replica_up(r),
-                            anomaly_z: mana.replica_z(r as usize),
-                            po_queue: health.po_queue,
-                            tat_us: health.tat_us,
-                            view: health.view,
-                            catching_up: health.catching_up,
-                        }
-                    })
-                    .collect();
-                let input = ControllerInput {
-                    now,
-                    replicas,
-                    proxies: vec![ProxyObservation {
-                        proxy: 0,
-                        anomaly_z: mana.proxy_z(),
-                    }],
-                    signals,
-                };
-                for act in controller.step(&input) {
-                    match act {
-                        Actuation::TakeDown { replica } => {
-                            // Variant rotation rides the same scheduler as
-                            // the periodic path; budget honored by both.
-                            scheduler.trigger(replica, now);
-                            if apply_takedown(&mut d, &mut checker, &mut log, replica, now) {
-                                recoveries += 1;
-                            }
-                        }
-                        Actuation::Restore { replica } => {
-                            apply_restore(&mut d, &mut checker, replica);
-                            restores += 1;
-                        }
-                        Actuation::Throttle {
-                            proxy,
-                            min_interval,
-                        } => {
-                            d.set_proxy_rate_limit(proxy, Some(min_interval));
-                            throttles += 1;
-                        }
-                        Actuation::Unthrottle { proxy } => {
-                            d.set_proxy_rate_limit(proxy, None);
-                        }
+        responder.tick(&mut d, &mut log, now, |d| ControllerInput {
+            now,
+            replicas: (0..n)
+                .map(|r| {
+                    let health = d.replica_health(r);
+                    ReplicaObservation {
+                        replica: r,
+                        up: d.replica_up(r),
+                        anomaly_z: mana.replica_z(r as usize),
+                        po_queue: health.po_queue,
+                        tat_us: health.tat_us,
+                        view: health.view,
+                        catching_up: health.catching_up,
                     }
-                }
-            }
-            Policy::Periodic => {
-                for ev in scheduler.poll(now) {
-                    if apply_takedown(&mut d, &mut checker, &mut log, ev.replica, now) {
-                        recoveries += 1;
-                        pending_restore.push((ev.replica, ev.finish));
-                    }
-                }
-                let due: Vec<u32> = pending_restore
-                    .iter()
-                    .filter(|(_, t)| now >= *t)
-                    .map(|(r, _)| *r)
-                    .collect();
-                for r in due {
-                    pending_restore.retain(|(pr, _)| *pr != r);
-                    apply_restore(&mut d, &mut checker, r);
-                    restores += 1;
-                }
-            }
-        }
+                })
+                .collect(),
+            proxies: vec![ProxyObservation {
+                proxy: 0,
+                anomaly_z: mana.proxy_z(),
+            }],
+            signals,
+        });
 
         let exec = (0..n)
             .filter(|&r| d.replica_up(r))
@@ -646,14 +665,7 @@ fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutc
 
     // End of campaign: bring every policy-downed replica back, heal the
     // remaining chaos windows, and let reconvergence finish.
-    for r in controller.isolated() {
-        apply_restore(&mut d, &mut checker, r);
-        restores += 1;
-    }
-    for (r, _) in std::mem::take(&mut pending_restore) {
-        apply_restore(&mut d, &mut checker, r);
-        restores += 1;
-    }
+    responder.restore_all(&mut d);
     driver.heal_all(&mut d, &mut checker);
     d.set_proxy_rate_limit(0, None);
     driver.run_quiesce(&mut d, &mut checker, SimDuration::from_secs(8), TICK);
@@ -663,16 +675,16 @@ fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutc
     let meta = RunMeta::capture(&label, &d.obs, &d.sim);
     PolicyOutcome {
         policy: policy.name(),
-        recoveries,
-        restores,
+        recoveries: responder.recoveries,
+        restores: responder.restores,
         compromised_us: log.compromised_us,
         reaction_us: log.reaction_us,
         reacted: log.reacted,
         missed: log.missed,
-        throttles,
+        throttles: responder.throttles,
         updates_throttled: d.proxy(0).stats.updates_throttled,
         anomaly_windows: mana.flagged_windows(),
-        transitions: controller.stats.transitions,
+        transitions: responder.controller.stats.transitions,
         invariants: checker.reports(),
         all_green: checker.all_green(),
         min_executed: d.min_executed(),
@@ -713,59 +725,27 @@ pub fn e16_beyond_budget(seed: u64, policy: Policy) -> Vec<InvariantReport> {
 
     let mut scheduler = RecoveryScheduler::new(n, prime_cfg.k, PERIODIC_INTERVAL, DOWNTIME);
     scheduler.align(d.now());
-    let mut controller = Controller::new(ResponseConfig::for_budget(n, prime_cfg.f, prime_cfg.k));
+    let controller = Controller::new(ResponseConfig::for_budget(n, prime_cfg.f, prime_cfg.k));
+    let mut responder = Responder::new(policy, scheduler, controller);
     let mut log = CompromiseLog::new();
-    let mut pending_restore: Vec<(u32, SimTime)> = Vec::new();
 
     let deadline = d.now() + horizon;
     while d.now() < deadline {
         driver.run_soak(&mut d, &mut checker, TICK, TICK);
         let now = d.now();
         let signals = feed.drain_from(&mut cursor);
-        match policy {
-            Policy::Feedback => {
-                let replicas: Vec<ReplicaObservation> = (0..n)
-                    .map(|r| ReplicaObservation {
-                        replica: r,
-                        up: d.replica_up(r),
-                        ..ReplicaObservation::default()
-                    })
-                    .collect();
-                let input = ControllerInput {
-                    now,
-                    replicas,
-                    proxies: Vec::new(),
-                    signals,
-                };
-                for act in controller.step(&input) {
-                    match act {
-                        Actuation::TakeDown { replica } => {
-                            apply_takedown(&mut d, &mut checker, &mut log, replica, now);
-                        }
-                        Actuation::Restore { replica } => {
-                            apply_restore(&mut d, &mut checker, replica);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            Policy::Periodic => {
-                for ev in scheduler.poll(now) {
-                    if apply_takedown(&mut d, &mut checker, &mut log, ev.replica, now) {
-                        pending_restore.push((ev.replica, ev.finish));
-                    }
-                }
-                let due: Vec<u32> = pending_restore
-                    .iter()
-                    .filter(|(_, t)| now >= *t)
-                    .map(|(r, _)| *r)
-                    .collect();
-                for r in due {
-                    pending_restore.retain(|(pr, _)| *pr != r);
-                    apply_restore(&mut d, &mut checker, r);
-                }
-            }
-        }
+        responder.tick(&mut d, &mut log, now, |d| ControllerInput {
+            now,
+            replicas: (0..n)
+                .map(|r| ReplicaObservation {
+                    replica: r,
+                    up: d.replica_up(r),
+                    ..ReplicaObservation::default()
+                })
+                .collect(),
+            proxies: Vec::new(),
+            signals,
+        });
     }
     checker.reports()
 }

@@ -99,8 +99,8 @@ fn median_reaction_us(samples: &[Sample]) -> Option<u64> {
 
 /// E5's measurement device, chaos-aware: flips breaker 1 of proxy 0's
 /// PLC and times the HMI-0 box transition; when each flip's window closes
-/// the invariant checker learns the new ground truth (so HMI-truth stays
-/// meaningful) and samples (so bounded-delay stays armed).
+/// the invariant checker samples (reading the new ground truth, and
+/// keeping bounded-delay armed).
 fn measure_reactions(
     d: &mut Deployment,
     mut checker: Option<&mut InvariantChecker>,
@@ -109,7 +109,6 @@ fn measure_reactions(
     let tag = d.proxy(0).scenario().tag();
     let samples = measure_flips(d, tag, 0, 1, 0, 3, window, |d| {
         if let Some(c) = checker.as_deref_mut() {
-            c.note_ground_truth(d);
             c.observe(d);
         }
     });

@@ -13,8 +13,10 @@
 //!    replay-checkable as any other experiment.
 //! 3. **Ground truth.** It periodically flips a breaker on the field PLC
 //!    (the physical process keeps moving while the system is under
-//!    attack) and tells the invariant checker about each new ground-truth
-//!    state, which is what makes the HMI-truth invariant meaningful.
+//!    attack), which is what makes the HMI-truth invariant meaningful.
+//!
+//! After every step it hands the deployment to the invariant checker,
+//! which reads the fault state and ground truth from it.
 //!
 //! [`ChaosHeal`]: obs::Event::ChaosHeal
 
@@ -37,8 +39,8 @@ struct ActiveFault {
     saved: Option<(LinkId, LinkSpec)>,
 }
 
-/// Executes a plan against a deployment while keeping an
-/// [`InvariantChecker`] informed of the live fault set.
+/// Executes a plan against a deployment, sampling an [`InvariantChecker`]
+/// after every step.
 pub struct ChaosDriver {
     plan: Vec<ScheduledFault>,
     next: usize,
@@ -96,26 +98,28 @@ impl ChaosDriver {
         while d.now() < deadline {
             d.run_for(step);
             let now = d.now();
-            self.heal_due(d, checker, now);
+            self.heal_due(d, now);
             while self.next < self.plan.len() && start + self.plan[self.next].at <= now {
                 let scheduled = self.plan[self.next].clone();
                 self.next += 1;
-                self.inject(d, checker, scheduled, now);
+                self.inject(d, scheduled, now);
             }
             if let Some(flip_at) = self.next_flip {
                 if now >= flip_at {
-                    self.flip_ground_truth(d, checker, now);
+                    self.flip_ground_truth(d, now);
                 }
             }
             checker.observe(d);
         }
     }
 
-    /// Heals every still-active fault immediately (end of soak).
-    pub fn heal_all(&mut self, d: &mut Deployment, checker: &mut InvariantChecker) {
+    /// Heals every still-active fault immediately (end of soak). The
+    /// checker sees the heals at its next sample; `_checker` is unused and
+    /// stays because `benchmark/src/adapter.rs` calls this signature.
+    pub fn heal_all(&mut self, d: &mut Deployment, _checker: &mut InvariantChecker) {
         let now = d.now();
         for active in std::mem::take(&mut self.active) {
-            self.heal(d, checker, active, now);
+            self.heal(d, active, now);
         }
     }
 
@@ -150,19 +154,13 @@ impl ChaosDriver {
         self.injected.values().sum()
     }
 
-    fn flip_ground_truth(
-        &mut self,
-        d: &mut Deployment,
-        checker: &mut InvariantChecker,
-        now: SimTime,
-    ) {
+    fn flip_ground_truth(&mut self, d: &mut Deployment, now: SimTime) {
         self.breaker_closed = !self.breaker_closed;
         d.plc_mut(0).force_breaker(0, self.breaker_closed, now);
-        checker.note_ground_truth(d);
         self.next_flip = Some(now + self.flip_interval);
     }
 
-    fn heal_due(&mut self, d: &mut Deployment, checker: &mut InvariantChecker, now: SimTime) {
+    fn heal_due(&mut self, d: &mut Deployment, now: SimTime) {
         let mut due = Vec::new();
         self.active.retain_mut(|a| {
             if a.heal_at <= now {
@@ -177,17 +175,11 @@ impl ChaosDriver {
             }
         });
         for active in due {
-            self.heal(d, checker, active, now);
+            self.heal(d, active, now);
         }
     }
 
-    fn inject(
-        &mut self,
-        d: &mut Deployment,
-        checker: &mut InvariantChecker,
-        scheduled: ScheduledFault,
-        now: SimTime,
-    ) {
+    fn inject(&mut self, d: &mut Deployment, scheduled: ScheduledFault, now: SimTime) {
         let kind = scheduled.fault.kind();
         *self.injected.entry(kind).or_insert(0) += 1;
         d.obs.journal(obs::Event::ChaosInject {
@@ -207,7 +199,6 @@ impl ChaosDriver {
         match &scheduled.fault {
             Fault::Partition { isolated } => {
                 d.partition_internal(isolated);
-                checker.partition_started(isolated);
             }
             Fault::LinkLoss { replica, loss } => {
                 if let Some(link) = d.replica_link(*replica, 0) {
@@ -229,11 +220,9 @@ impl ChaosDriver {
             }
             Fault::NodeCrash { replica } | Fault::Recovery { replica } => {
                 d.take_replica_down(*replica);
-                checker.replica_down(*replica);
             }
             Fault::ByzFlip { replica, mode } => {
                 d.replica_mut(*replica).replica.byz = *mode;
-                checker.byz_started(*replica);
             }
             Fault::ClockSkew { behind } => {
                 // The hub refuses to rewind and journals the skew instead;
@@ -244,21 +233,8 @@ impl ChaosDriver {
             Fault::SiteSever { site } => {
                 let site = *site as usize;
                 d.sever_site(site);
-                let severed: Vec<u32> = d
-                    .cfg
-                    .sites
-                    .as_ref()
-                    .map(|t| t.replicas_of(site).to_vec())
-                    .unwrap_or_default();
-                checker.partition_started(&severed);
-                // The management-plane failover runs immediately; when it
-                // installs a degraded epoch, the checker judges budget and
-                // progress against that epoch.
-                if let Some(spire::site::SurvivalMode::DegradedEpoch(m)) =
-                    d.failover_after_site_loss(site)
-                {
-                    checker.membership_changed(m.members().to_vec(), m.f, m.k, m.ordering_quorum());
-                }
+                // The management-plane failover runs immediately.
+                d.failover_after_site_loss(site);
             }
             Fault::SubstationFlap { station } => {
                 d.set_substation_link_up(*station, false);
@@ -273,13 +249,7 @@ impl ChaosDriver {
         }
     }
 
-    fn heal(
-        &mut self,
-        d: &mut Deployment,
-        checker: &mut InvariantChecker,
-        active: ActiveFault,
-        now: SimTime,
-    ) {
+    fn heal(&mut self, d: &mut Deployment, active: ActiveFault, now: SimTime) {
         let kind = active.fault.kind();
         d.obs.journal(obs::Event::ChaosHeal {
             kind: kind.tag(),
@@ -297,7 +267,6 @@ impl ChaosDriver {
         match &active.fault {
             Fault::Partition { .. } => {
                 d.heal_internal_partition();
-                checker.partition_healed(d);
             }
             Fault::LinkLoss { .. } => {
                 if let Some((link, spec)) = active.saved {
@@ -316,18 +285,14 @@ impl ChaosDriver {
             }
             Fault::NodeCrash { replica } | Fault::Recovery { replica } => {
                 d.restore_replica(*replica);
-                checker.replica_rejoined(*replica, d);
             }
             Fault::ByzFlip { replica, .. } => {
                 d.replica_mut(*replica).replica.byz = ByzMode::Correct;
-                checker.byz_healed(*replica);
             }
             Fault::ClockSkew { .. } => {}
             Fault::SiteSever { site } => {
                 d.heal_site(*site as usize);
                 d.failback_full_membership();
-                checker.membership_restored();
-                checker.partition_healed(d);
             }
             Fault::SubstationFlap { station } => {
                 d.set_substation_link_up(*station, true);

@@ -26,10 +26,17 @@
 //! Violations are journaled as [`obs::Event::InvariantViolation`], so a
 //! tripped invariant changes the run digest — a chaos soak cannot quietly
 //! pass while an invariant fired.
+//!
+//! The checker reads the fault state from the deployment at every sample
+//! (which replicas are down, Byzantine or cut off, and any degraded epoch),
+//! so it judges whatever faulted the deployment: the driver, a response
+//! policy, or a test's own hands.
 
 use std::collections::BTreeSet;
 
+use prime::byzantine::ByzMode;
 use prime::invariants::AgreementLedger;
+use prime::types::Membership;
 use simnet::time::{SimDuration, SimTime};
 use spire::deploy::Deployment;
 
@@ -104,33 +111,58 @@ struct PendingReconvergence {
     deadline: SimTime,
 }
 
-/// A degraded membership epoch the management plane installed (site
-/// failover): while active, the fault budget and the progress baseline
-/// are judged against the epoch's members, not the static configuration.
-struct EpochView {
-    members: Vec<u32>,
-    f: u32,
-    k: u32,
-    quorum: u32,
+/// The deployment's fault state at one sample, read from the deployment.
+struct Faults {
+    /// Replicas whose node is down (f budget).
+    down: BTreeSet<u32>,
+    /// Up replicas running a Byzantine mode (f budget). A down replica
+    /// counts once, as down.
+    byz: BTreeSet<u32>,
+    /// Replicas the deployment cut off: an internal partition or a
+    /// severed site.
+    cut_off: Vec<u32>,
+    /// The degraded membership epoch an up replica has installed (site
+    /// failover): while one is, the fault budget and the progress baseline
+    /// are judged against its members, not the static configuration.
+    epoch: Option<Membership>,
 }
 
-/// The continuous checker. The driver notifies it of every injection and
-/// heal (so it can track the live fault budget) and calls
-/// [`observe`](InvariantChecker::observe) after each step.
+impl Faults {
+    fn read(d: &Deployment, n: u32) -> Self {
+        let up: Vec<u32> = (0..n).filter(|&r| d.replica_up(r)).collect();
+        Faults {
+            down: (0..n).filter(|r| !up.contains(r)).collect(),
+            byz: up
+                .iter()
+                .copied()
+                .filter(|&r| d.replica(r).replica.byz != ByzMode::Correct)
+                .collect(),
+            cut_off: d.cut_off(),
+            epoch: up
+                .iter()
+                .find_map(|&r| d.replica(r).replica.membership().cloned()),
+        }
+    }
+
+    /// The replicas the agreement ledger is fed: up and not Byzantine,
+    /// whether or not still catching up. Progress is measured over them
+    /// too, less the cut-off ones.
+    fn healthy(&self, replica: u32) -> bool {
+        !self.down.contains(&replica) && !self.byz.contains(&replica)
+    }
+}
+
+/// The continuous checker. The driver calls
+/// [`observe`](InvariantChecker::observe) after each step; each call reads
+/// the live fault budget from the deployment before it checks anything.
 pub struct InvariantChecker {
     cfg: CheckerConfig,
     obs: obs::ObsHub,
     scenario: String,
-    /// Replicas whose node is down (crash or recovery down-phase).
-    down: BTreeSet<u32>,
-    /// Replicas rejoining after a heal, still catching up (k budget).
+    /// The fault state at the latest sample.
+    faults: Faults,
+    /// Replicas back from down, still catching up (k budget).
     recovering: BTreeSet<u32>,
-    /// Replicas currently flipped Byzantine (f budget).
-    byz: BTreeSet<u32>,
-    /// Replicas isolated by an active partition.
-    partitioned: Vec<u32>,
-    /// Active degraded membership epoch, if any (site failover).
-    epoch: Option<EpochView>,
     /// Since when the fault budget has held continuously.
     stable_since: Option<SimTime>,
     last_max_exec: u64,
@@ -149,19 +181,16 @@ pub struct InvariantChecker {
 }
 
 impl InvariantChecker {
-    /// Builds a checker bound to a deployment: snapshots the initial PLC
-    /// ground truth and shares the deployment's observability hub.
+    /// Builds a checker bound to a deployment: snapshots its fault state
+    /// and PLC ground truth and shares its observability hub.
     pub fn new(cfg: CheckerConfig, d: &Deployment) -> Self {
         let scenario = d.cfg.proxies[0].scenario.tag();
         InvariantChecker {
             cfg,
             obs: d.obs.clone(),
             scenario,
-            down: BTreeSet::new(),
+            faults: Faults::read(d, cfg.n),
             recovering: BTreeSet::new(),
-            byz: BTreeSet::new(),
-            partitioned: Vec::new(),
-            epoch: None,
             stable_since: None,
             last_max_exec: 0,
             last_progress_at: d.now(),
@@ -182,73 +211,45 @@ impl InvariantChecker {
         self.signals = Some(feed);
     }
 
-    // ---- driver notifications --------------------------------------
+    // ---- the continuous check --------------------------------------
 
-    /// The ground-truth PLC changed state (the driver flipped a breaker).
-    pub fn note_ground_truth(&mut self, d: &Deployment) {
+    /// Samples the deployment and evaluates all four invariants.
+    pub fn observe(&mut self, d: &Deployment) {
+        let now = d.now();
+        self.read_faults(d);
+        self.check_agreement(d, now);
+        self.check_hmi_truth(d, now);
+        self.check_bounded_delay(d, now);
+        self.check_reconvergence(d, now);
+    }
+
+    /// Reads this sample's ground truth and fault state. A replica down or
+    /// cut off at the previous sample and back now owes a catch-up from
+    /// now; one that has gone down owes none (a fresh clock starts when it
+    /// is back).
+    fn read_faults(&mut self, d: &Deployment) {
         let positions = d.plc(0).positions();
         if !self.truth_history.contains(&positions) {
             self.truth_history.push(positions);
         }
-    }
-
-    /// A replica's node went down (crash or recovery down-phase).
-    pub fn replica_down(&mut self, replica: u32) {
-        self.down.insert(replica);
-        // If it was still catching up from an earlier heal, that episode
-        // is void — a fresh reconvergence clock starts at the next heal.
-        self.recovering.remove(&replica);
-        self.pending.retain(|p| p.replica != replica);
-    }
-
-    /// A downed replica was restored and is rejoining.
-    pub fn replica_rejoined(&mut self, replica: u32, d: &Deployment) {
-        self.down.remove(&replica);
-        self.recovering.insert(replica);
-        self.push_pending(replica, d);
-    }
-
-    /// A replica flipped Byzantine.
-    pub fn byz_started(&mut self, replica: u32) {
-        self.byz.insert(replica);
-    }
-
-    /// A Byzantine replica was flipped back to correct.
-    pub fn byz_healed(&mut self, replica: u32) {
-        self.byz.remove(&replica);
-    }
-
-    /// A partition isolating `isolated` became active.
-    pub fn partition_started(&mut self, isolated: &[u32]) {
-        self.partitioned = isolated.to_vec();
-    }
-
-    /// The management plane installed a degraded membership epoch: the
-    /// fault budget and the progress baseline now come from the epoch
-    /// (`f`/`k`/`quorum` over `members`) instead of the static
-    /// configuration. The delay invariant re-arms after the grace window.
-    pub fn membership_changed(&mut self, members: Vec<u32>, f: u32, k: u32, quorum: u32) {
-        self.epoch = Some(EpochView {
-            members,
-            f,
-            k,
-            quorum,
-        });
-        self.stable_since = None;
-    }
-
-    /// The full static membership is back in force (site heal + failback).
-    pub fn membership_restored(&mut self) {
-        self.epoch = None;
-        self.stable_since = None;
-    }
-
-    /// The active partition healed; the formerly isolated replicas must
-    /// now reconverge.
-    pub fn partition_healed(&mut self, d: &Deployment) {
-        for replica in std::mem::take(&mut self.partitioned) {
-            if !self.down.contains(&replica) {
-                self.push_pending(replica, d);
+        let last = std::mem::replace(&mut self.faults, Faults::read(d, self.cfg.n));
+        if last.epoch != self.faults.epoch {
+            // The delay invariant re-arms after the grace window.
+            self.stable_since = None;
+        }
+        let down = &self.faults.down;
+        self.recovering.retain(|r| !down.contains(r));
+        self.pending.retain(|p| !down.contains(&p.replica));
+        for r in 0..self.cfg.n {
+            if self.faults.down.contains(&r) {
+                continue;
+            }
+            if last.down.contains(&r) {
+                self.recovering.insert(r);
+                self.push_pending(r, d);
+            }
+            if last.cut_off.contains(&r) && !self.faults.cut_off.contains(&r) {
+                self.push_pending(r, d);
             }
         }
     }
@@ -263,34 +264,15 @@ impl InvariantChecker {
         });
     }
 
-    // ---- the continuous check --------------------------------------
-
-    /// Samples the deployment and evaluates all four invariants.
-    pub fn observe(&mut self, d: &Deployment) {
-        let now = d.now();
-        self.check_agreement(d, now);
-        self.check_hmi_truth(d, now);
-        self.check_bounded_delay(d, now);
-        self.check_reconvergence(d, now);
-    }
-
-    fn healthy(&self, replica: u32) -> bool {
-        !self.down.contains(&replica) && !self.byz.contains(&replica)
-    }
-
-    /// Max executed seq over healthy replicas outside any active
-    /// partition's isolated side (progress is defined by the majority).
-    /// Under a degraded membership epoch only the epoch's members count —
-    /// the severed replicas are not expected to make progress.
+    /// Max executed seq over healthy replicas that are not cut off
+    /// (progress is defined by the majority). Under a degraded membership
+    /// epoch only the epoch's members count — the severed replicas are not
+    /// expected to make progress.
     fn max_healthy_exec(&self, d: &Deployment) -> u64 {
+        let f = &self.faults;
         (0..self.cfg.n)
-            .filter(|r| {
-                self.epoch
-                    .as_ref()
-                    .map(|e| e.members.contains(r))
-                    .unwrap_or(true)
-            })
-            .filter(|r| self.healthy(*r) && !self.partitioned.contains(r))
+            .filter(|&r| f.epoch.as_ref().is_none_or(|e| e.members().contains(&r)))
+            .filter(|&r| f.healthy(r) && !f.cut_off.contains(&r))
             .map(|r| d.replica(r).replica.exec_seq())
             .max()
             .unwrap_or(0)
@@ -298,7 +280,9 @@ impl InvariantChecker {
 
     fn check_agreement(&mut self, d: &Deployment, now: SimTime) {
         self.checks[INV_AGREEMENT] += 1;
-        let healthy: Vec<u32> = (0..self.cfg.n).filter(|r| self.healthy(*r)).collect();
+        let healthy: Vec<u32> = (0..self.cfg.n)
+            .filter(|&r| self.faults.healthy(r))
+            .collect();
         for r in healthy {
             if let Err(diverged) = self.agreement.record_state(&d.replica(r).replica) {
                 self.violation(INV_AGREEMENT, diverged.exec_seq, now);
@@ -318,29 +302,26 @@ impl InvariantChecker {
     }
 
     fn check_bounded_delay(&mut self, d: &Deployment, now: SimTime) {
+        let f = &self.faults;
         let within = self.cfg.assume_within_budget
-            || match &self.epoch {
+            || match &f.epoch {
                 None => {
-                    (self.down.len() + self.byz.len()) as u32 <= self.cfg.f
+                    (f.down.len() + f.byz.len()) as u32 <= self.cfg.f
                         && self.recovering.len() as u32 <= self.cfg.k
-                        && (self.partitioned.is_empty()
-                            || self.cfg.n - self.partitioned.len() as u32 >= self.cfg.quorum)
+                        && (f.cut_off.is_empty()
+                            || self.cfg.n - f.cut_off.len() as u32 >= self.cfg.quorum)
                 }
                 // Degraded epoch: only faults hitting epoch members count,
                 // against the epoch's own (usually zero) budget.
                 Some(e) => {
                     let hit = |set: &BTreeSet<u32>| {
-                        e.members.iter().filter(|r| set.contains(r)).count() as u32
+                        e.members().iter().filter(|r| set.contains(r)).count() as u32
                     };
-                    let partitioned_members = e
-                        .members
-                        .iter()
-                        .filter(|r| self.partitioned.contains(r))
-                        .count() as u32;
-                    hit(&self.down) + hit(&self.byz) <= e.f
+                    let cut_members =
+                        e.members().iter().filter(|r| f.cut_off.contains(r)).count() as u32;
+                    hit(&f.down) + hit(&f.byz) <= e.f
                         && hit(&self.recovering) <= e.k
-                        && (partitioned_members == 0
-                            || e.members.len() as u32 - partitioned_members >= e.quorum)
+                        && (cut_members == 0 || e.len() - cut_members >= e.ordering_quorum())
                 }
             };
         if within {

@@ -74,6 +74,10 @@ pub struct Deployment {
     /// attacker's MAC must be known behind the trunk) and its internal and
     /// external WAN trunks (what severing the site cuts).
     site_uplinks: Vec<(SwitchId, [LinkId; 2])>,
+    /// Replicas an internal partition isolates, until it heals.
+    partitioned: Vec<u32>,
+    /// Sites severed from the deployment, until each heals.
+    severed_sites: Vec<usize>,
     /// Spare external-switch ports for attacker attachment.
     spare_external_ports: Vec<usize>,
     /// The replicas' protocol timing, which a reinstalled host gets too.
@@ -304,6 +308,8 @@ impl Deployment {
             hmi_nodes,
             external_tap,
             site_uplinks,
+            partitioned: Vec::new(),
+            severed_sites: Vec::new(),
             spare_external_ports: ops.spare_ports,
             timing: Timing::default(),
         }
@@ -539,6 +545,7 @@ impl Deployment {
         };
         let groups: BTreeMap<usize, u32> = isolated.iter().map(|&r| (r as usize, 1u32)).collect();
         self.sim.set_switch_partition(sw, groups);
+        self.partitioned = isolated.to_vec();
         true
     }
 
@@ -547,6 +554,22 @@ impl Deployment {
         if let Some(sw) = self.internal_switch {
             self.sim.clear_switch_partition(sw);
         }
+        self.partitioned.clear();
+    }
+
+    /// The replicas this deployment has cut off: those an internal
+    /// partition isolates and those of every severed site, ascending. Link
+    /// faults set on the simulator directly are not counted.
+    pub fn cut_off(&self) -> Vec<u32> {
+        let mut cut = self.partitioned.clone();
+        if let Some(topo) = &self.cfg.sites {
+            for &site in &self.severed_sites {
+                cut.extend_from_slice(topo.replicas_of(site));
+            }
+        }
+        cut.sort_unstable();
+        cut.dedup();
+        cut
     }
 
     /// Severs an entire site from the deployment — the E13 fault.
@@ -560,11 +583,15 @@ impl Deployment {
     /// No-op for deployments without a site topology.
     pub fn sever_site(&mut self, site: usize) {
         self.set_site_connectivity(site, false);
+        if !self.severed_sites.contains(&site) {
+            self.severed_sites.push(site);
+        }
     }
 
     /// Reconnects a severed site (reverse of [`Deployment::sever_site`]).
     pub fn heal_site(&mut self, site: usize) {
         self.set_site_connectivity(site, true);
+        self.severed_sites.retain(|&s| s != site);
     }
 
     fn set_site_connectivity(&mut self, site: usize, up: bool) {
@@ -947,6 +974,7 @@ mod tests {
         assert!(before >= 1);
         // Lose cc-b entirely: three survivors < native quorum 4.
         d.sever_site(1);
+        assert_eq!(d.cut_off(), [3, 4, 5]);
         match d.failover_after_site_loss(1) {
             Some(crate::site::SurvivalMode::DegradedEpoch(m)) => {
                 assert_eq!(m.members(), &[0, 1, 2]);
@@ -963,6 +991,7 @@ mod tests {
         assert!(d.min_executed_among(&[3, 4, 5]) <= during);
         // Heal and fail back: everyone reconverges on one state.
         d.heal_site(1);
+        assert!(d.cut_off().is_empty());
         d.failback_full_membership();
         d.run_for(SimDuration::from_secs(6));
         let finals: Vec<u64> = (0..6).map(|i| d.replica(i).replica.exec_seq()).collect();

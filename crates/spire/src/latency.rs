@@ -66,8 +66,7 @@ pub fn summarize(samples: &[Sample]) -> LatencySummary {
 /// The measurement device: flips `breaker` of PLC `plc` `flips` times and
 /// watches the sensor box of HMI `hmi`, attached to scenario `sensor_tag`,
 /// for `window` after each flip. `after_window` runs once per flip when
-/// its window closes (E13 hands the invariant checker the new ground
-/// truth there and lets it sample).
+/// its window closes (E13 lets the invariant checker sample there).
 #[allow(clippy::too_many_arguments)]
 pub fn measure_flips(
     d: &mut Deployment,

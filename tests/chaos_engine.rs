@@ -1,10 +1,11 @@
 //! Faults, two ways. The chaos engine's own contract (E12): within-budget
 //! fault schedules never trip the invariant checker, deliberately
-//! over-budget schedules provably do, and the E12 soak is deterministic.
-//! And Prime alone under random fault schedules: updates interleaved with
-//! crashes and proactive recoveries, always within the tolerance bounds
-//! (at most `f` Byzantine plus `k` recovering at once), must never break
-//! agreement or halt execution.
+//! over-budget schedules provably do, faults made by hand count like
+//! planned ones, and the E12 soak is deterministic. And Prime alone under
+//! random fault schedules: updates interleaved with crashes and proactive
+//! recoveries, always within the tolerance bounds (at most `f` Byzantine
+//! plus `k` recovering at once), must never break agreement or halt
+//! execution.
 
 use chaos::driver::ChaosDriver;
 use chaos::invariants::{CheckerConfig, InvariantChecker};
@@ -124,6 +125,50 @@ fn beyond_budget_partition_trips_the_bounded_delay_invariant() {
         bounded_delay.violations > 0,
         "an even split must stall ordering past the delay bound"
     );
+}
+
+/// The checker reads who is down from the deployment, so replicas taken
+/// down by hand, not by the driver, count against the budget: three of six
+/// down leaves fewer up than the ordering quorum of four, which is over
+/// budget, so the delay invariant stays disarmed and reports no stall.
+#[test]
+fn replicas_taken_down_by_hand_count_against_the_budget() {
+    let (mut d, prime_cfg) = chaos_rig(42, PrimeConfig::plant(), None);
+    let mut checker = InvariantChecker::new(CheckerConfig::for_prime(&prime_cfg), &d);
+    let mut driver = ChaosDriver::new(ChaosPlan::default());
+    for r in 0..3 {
+        d.take_replica_down(r);
+    }
+    let step = SimDuration::from_millis(100);
+    driver.run_soak(&mut d, &mut checker, SimDuration::from_secs(8), step);
+    let bounded_delay = &checker.reports()[2];
+    assert_eq!(bounded_delay.name, "bounded-delay");
+    assert_eq!(
+        (bounded_delay.checks, bounded_delay.violations),
+        (0, 0),
+        "an over-budget outage must leave the delay invariant disarmed"
+    );
+}
+
+/// A replica restored by hand owes a catch-up like one the driver heals:
+/// the checker sees it come back and records its reconvergence.
+#[test]
+fn a_replica_restored_by_hand_reconverges() {
+    let (mut d, prime_cfg) = chaos_rig(42, PrimeConfig::plant(), None);
+    let mut checker = InvariantChecker::new(CheckerConfig::for_prime(&prime_cfg), &d);
+    let mut driver = ChaosDriver::new(ChaosPlan::default());
+    let step = SimDuration::from_millis(100);
+    d.take_replica_down(3);
+    driver.run_soak(&mut d, &mut checker, SimDuration::from_secs(1), step);
+    d.restore_replica(3);
+    driver.run_soak(&mut d, &mut checker, SimDuration::from_secs(8), step);
+    assert_eq!(
+        checker.reconvergence_us.len(),
+        1,
+        "one restore, one catch-up: {:?}",
+        checker.reconvergence_us
+    );
+    assert!(checker.all_green(), "{:?}", checker.reports());
 }
 
 /// Flight-recorder regression: run the E12 soak with HealthSnapshot

@@ -82,17 +82,26 @@ const GOLDEN: &[(&str, &str)] = &[
         "e12",
         "2c3545cb2da2de7af1dc70944ff19672aadea56651e847713f08808b8d2f450f",
     ),
+    // e13a, e13b and e13c re-pinned when the invariant checker started
+    // reading fault state from the deployment at each sample (c25bbd19 →
+    // f0ee4fc3, f4d4dcb8 → 10bc1ef2, ce51ee7f → 0954e010). The end-of-leg
+    // `heal_all` lands between samples, so each heal's catch-up clock now
+    // starts one 100 ms sample later; and a site heal that installed no
+    // epoch (6@1, 2+2+1+1) no longer restarts the 1 s grace before
+    // bounded-delay re-arms. Journals, survival modes and verdicts are
+    // unchanged; only the reconvergence line and the bounded-delay check
+    // count moved.
     (
         "e13a",
-        "c25bbd190891ba6ea5e8157b0b7a3c42fe8f7f6fee38bcd5161d5b0f0e7aed0e",
+        "f0ee4fc319c14a25875b474ed34a3bfd25ce5ba70524ccd1b2330dc42633c1c4",
     ),
     (
         "e13b",
-        "f4d4dcb88d24db9e2fcd79d303454b1f01351899fbbfd6b83fcd92913c9b3f42",
+        "10bc1ef262a4a8e3055a9e15379a77eed3433589047e381884d372b20671dea5",
     ),
     (
         "e13c",
-        "ce51ee7f56a8290713d0577ea7cbd16b29bb545f9a2fcba5070e41815fef51f3",
+        "0954e010a9aed18eccd34b57ad71250f884923146e8f544e6504427354cb9935",
     ),
     (
         "e14",
