@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: every experiment reproduces the
 //! paper's qualitative outcome (see EXPERIMENTS.md for the full mapping).
 
+use bench::figures::{fig1_conventional, fig2_spire, fig4_hmi};
 use bench::mana_experiment::e7_mana_detection;
 use bench::plant_experiments::{e4_plant_deployment, e5_reaction_time};
 use bench::recovery_experiments::{e6_ground_truth, e8_recovery_ablation, e9_diversity_ablation};
@@ -9,6 +10,10 @@ use bench::redteam_experiments::{
 };
 use bench::saturation::{e11_default_rates, e11_saturation};
 use redteam::report::AttackOutcome;
+use simnet::time::SimDuration;
+use spire::config::SpireConfig;
+use spire::deploy::{fast_timing, Deployment};
+use spire::hardening::HardeningProfile;
 
 #[test]
 fn e1_commercial_system_falls() {
@@ -268,4 +273,47 @@ fn e7b_roc_curves_separate_attacks_from_baseline() {
     assert!(run.attack_windows >= 3, "attack intervals labeled: {run:?}");
     assert!(run.auc_gaussian > 0.9, "gaussian AUC {}", run.auc_gaussian);
     assert!(run.auc_kmeans > 0.9, "k-means AUC {}", run.auc_kmeans);
+}
+
+#[test]
+fn figures_render_expected_content() {
+    let f1 = fig1_conventional(61);
+    assert!(f1.contains("primary master"));
+    assert!(
+        f1.contains("true"),
+        "commercial HMI shows closed breakers: {f1}"
+    );
+
+    let f2 = fig2_spire(62);
+    assert!(f2.contains("6 SCADA-master replicas"));
+    assert!(f2.contains("internal switch: true"));
+
+    let f4 = fig4_hmi(63);
+    assert!(f4.contains("B10-1"));
+    assert!(f4.contains("Building 4"));
+}
+
+#[test]
+fn plant_scale_deployment_all_seventeen_plcs() {
+    // The full §V roster: plant subset + 10 distribution + 6 generation
+    // PLCs, three HMIs, six replicas — everything polls and orders.
+    let cfg = SpireConfig::plant();
+    let mut d = Deployment::build(cfg, HardeningProfile::deployed(), 7003);
+    d.set_timing(fast_timing());
+    d.run_for(SimDuration::from_secs(4));
+    assert_eq!(d.cfg.proxies.len(), 17);
+    for p in 0..17 {
+        assert!(
+            d.proxy(p).stats.updates_sent >= 1,
+            "proxy {p} reported status"
+        );
+    }
+    assert!(
+        d.min_executed() >= 17,
+        "every scenario's status ordered at least once"
+    );
+    // All three HMI locations display.
+    for h in 0..3 {
+        assert!(d.hmi(h).stats.frames_applied >= 1, "hmi {h} live");
+    }
 }
