@@ -129,10 +129,30 @@ test "$(grep -c 'unsafe {' crates/itcrypto/src/sha256.rs)" -eq 1
 test "$(grep -c 'unsafe {' crates/itcrypto/src/aes.rs)" -eq 1
 
 echo "==> hash tables in crates/ hash by a fixed function (no RandomState: a run must repeat)"
-# VerifyCache and the Spines daemon probe theirs by key and never walk them.
+# VerifyCache, Prime's VerifiedUpdates and the Spines daemon probe theirs by
+# key and never walk them. A table type names its hasher, as a
+# BuildHasherDefault<..> or a ..State alias; one that names none, or is built
+# by `new` / `with_capacity` (which exist for RandomState only), hashes
+# differently from run to run.
 if grep -rn --include='*.rs' 'RandomState' crates; then
     exit 1
 fi
+if grep -rnE --include='*.rs' 'Hash(Map|Set)<' crates | grep -vE 'BuildHasherDefault<|[A-Za-z]State>'; then
+    exit 1
+fi
+if grep -rnE --include='*.rs' 'Hash(Map|Set)::(new|with_capacity)\(' crates; then
+    exit 1
+fi
+
+echo "==> Prime hashes what it authenticates once (no verdict cache keyed by whole envelopes, roots or updates)"
+# Envelopes and batch roots are verified directly, client updates are
+# recognised by their bytes (types::VerifiedUpdates); only ARU rows keep a
+# VerifyCache, and AruRow::verify_cached is the one cached verification.
+if grep -rnw --include='*.rs' -e 'verify_root_cached' -e 'RootFold' crates src tests; then
+    exit 1
+fi
+test "$(grep -rn --include='*.rs' 'fn verify_cached' crates | cut -d: -f1)" = \
+    "crates/prime/src/messages.rs"
 
 echo "==> a run happens on the thread that called it (no thread spawned under crates/)"
 # crates/bench is exempt: the future `sweep` parallelises whole runs, one

@@ -11,12 +11,13 @@
 # profile is for reading, ci/check.sh only checks that this file parses.
 # Touches nothing under benchmark/; the samples stay in target/profile.
 #
-# Prime's bookkeeping on ordering_ramp, which is every frame ISSUE 21 moved
-# off the ordering path, in one command:
+# Prime's hashing on ordering_ramp: the batch root, the verdict cache's keys
+# (ARU rows only), the signature check and the two-lane compression behind
+# Merkle levels, in one command:
 #
-#   ci/profile.sh ordering_ramp --callers 'KvApp.*::digest' \
-#       --callers 'search_tree<.*SignedUpdate' --callers 'MerkleTree::from_leaves' \
-#       --callers 'Montgomery::(pow_mont|pow_mod)'
+#   ci/profile.sh ordering_ramp --callers 'PoBatch::root' \
+#       --callers 'VerifyCache::key' --callers 'FixedBase::verify' \
+#       --callers 'compress2'
 #
 # The overlay hop on a full-stack workload, cipher, MAC and the two daemon
 # functions that spend them (ISSUE 22):

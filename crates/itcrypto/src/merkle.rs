@@ -2,7 +2,7 @@
 //! Prime checkpoint certificates: a replica can prove a single field-device
 //! record is part of an agreed state digest without shipping the whole state.
 
-use crate::sha256::{sha256_concat, Digest};
+use crate::sha256::{compress2, sha256_concat, sha256_concat2, Digest, H0};
 
 /// Domain-separation prefixes so leaves can never be confused with interior
 /// nodes (second-preimage hardening).
@@ -15,6 +15,71 @@ fn hash_leaf(data: &[u8]) -> Digest {
 
 fn hash_node(left: &Digest, right: &Digest) -> Digest {
     sha256_concat(&[NODE_PREFIX, left.as_bytes(), right.as_bytes()])
+}
+
+/// [`hash_node`] of two pairs at once. A node is 69 bytes, two blocks once
+/// padded, so both blocks of both nodes go through the two-lane
+/// compression.
+fn hash_node_pair([l0, r0]: [&Digest; 2], [l1, r1]: [&Digest; 2]) -> [Digest; 2] {
+    const LEN: usize = 5 + 32 + 32;
+    let padded = |left: &Digest, right: &Digest| {
+        let mut m = [0u8; 128];
+        m[..5].copy_from_slice(NODE_PREFIX);
+        m[5..37].copy_from_slice(left.as_bytes());
+        m[37..LEN].copy_from_slice(right.as_bytes());
+        m[LEN] = 0x80;
+        m[120..].copy_from_slice(&(LEN as u64 * 8).to_be_bytes());
+        m
+    };
+    let (x, y) = (padded(l0, r0), padded(l1, r1));
+    let (x, y) = (x.as_chunks::<64>().0, y.as_chunks::<64>().0);
+    let mut states = [H0; 2];
+    compress2(&mut states, [&x[0], &y[0]]);
+    compress2(&mut states, [&x[1], &y[1]]);
+    states.map(|s| Digest::from_state(&s))
+}
+
+/// The leaf level: every leaf's hash, two leaves at a time.
+///
+/// # Panics
+///
+/// Panics if there are no leaves.
+fn leaf_level<I, B>(leaves: I) -> Vec<Digest>
+where
+    I: IntoIterator<Item = B>,
+    B: AsRef<[u8]>,
+{
+    let mut leaves = leaves.into_iter();
+    let mut level = Vec::with_capacity(leaves.size_hint().0);
+    let mut padded = Default::default();
+    while let Some(a) = leaves.next() {
+        match leaves.next() {
+            Some(b) => level.extend(sha256_concat2(
+                [&[LEAF_PREFIX, a.as_ref()], &[LEAF_PREFIX, b.as_ref()]],
+                &mut padded,
+            )),
+            None => level.push(hash_leaf(a.as_ref())),
+        }
+    }
+    assert!(!level.is_empty(), "merkle tree requires at least one leaf");
+    level
+}
+
+/// The level above `level`: nodes `(0, 1)`, `(2, 3)`, … joined, two joins
+/// at a time, and an odd last node promoted. The one way a level is built,
+/// behind [`MerkleTree::from_leaves`] and [`MerkleTree::root_of`].
+fn level_above(level: &[Digest]) -> Vec<Digest> {
+    let mut above = Vec::with_capacity(level.len().div_ceil(2));
+    for nodes in level.chunks(4) {
+        match nodes {
+            [a, b, c, d] => above.extend(hash_node_pair([a, b], [c, d])),
+            [a, b, c] => above.extend([hash_node(a, b), *c]),
+            [a, b] => above.push(hash_node(a, b)),
+            [odd] => above.push(*odd),
+            _ => unreachable!("chunks(4) yields 1 to 4 nodes"),
+        }
+    }
+    above
 }
 
 /// A Merkle tree built over an ordered list of byte-string leaves.
@@ -60,25 +125,40 @@ impl MerkleTree {
         I: IntoIterator<Item = B>,
         B: AsRef<[u8]>,
     {
-        let leaf_hashes: Vec<Digest> = leaves.into_iter().map(|l| hash_leaf(l.as_ref())).collect();
-        assert!(
-            !leaf_hashes.is_empty(),
-            "merkle tree requires at least one leaf"
-        );
-        let mut levels = vec![leaf_hashes];
+        let mut levels = vec![leaf_level(leaves)];
         while levels.last().expect("nonempty").len() > 1 {
-            let prev = levels.last().expect("nonempty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
-                match pair {
-                    [l, r] => next.push(hash_node(l, r)),
-                    [odd] => next.push(*odd), // promote
-                    _ => unreachable!("chunks(2) yields 1 or 2 items"),
-                }
-            }
-            levels.push(next);
+            let above = level_above(levels.last().expect("nonempty"));
+            levels.push(above);
         }
         MerkleTree { levels }
+    }
+
+    /// The root [`MerkleTree::from_leaves`] would have, built the same
+    /// way, level by level, without keeping the levels: for a signer or
+    /// verifier that wants the root and no proofs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaves` is empty, as [`MerkleTree::from_leaves`] does.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use itcrypto::merkle::MerkleTree;
+    ///
+    /// let leaves = [b"b10-1:open".as_slice(), b"b57:closed", b"b56:open"];
+    /// assert_eq!(MerkleTree::root_of(leaves), MerkleTree::from_leaves(leaves).root());
+    /// ```
+    pub fn root_of<I, B>(leaves: I) -> Digest
+    where
+        I: IntoIterator<Item = B>,
+        B: AsRef<[u8]>,
+    {
+        let mut level = leaf_level(leaves);
+        while level.len() > 1 {
+            level = level_above(&level);
+        }
+        level[0]
     }
 
     /// The root digest.
@@ -115,75 +195,6 @@ impl MerkleTree {
     /// Verifies that `leaf_data` is included under `root` via `proof`.
     pub fn verify(root: Digest, leaf_data: &[u8], proof: &Proof) -> bool {
         proof.fold_root(leaf_data) == root
-    }
-}
-
-/// Computes the root [`MerkleTree::from_leaves`] would, without the tree:
-/// leaves are pushed one at a time and only the roots of the complete
-/// subtrees so far are kept, one per set bit of the leaf count. For a
-/// signer or verifier that wants the root and no proofs.
-///
-/// # Examples
-///
-/// ```
-/// use itcrypto::merkle::{MerkleTree, RootFold};
-///
-/// let leaves = [b"b10-1:open".as_slice(), b"b57:closed", b"b56:open"];
-/// let mut fold = RootFold::new();
-/// for leaf in leaves {
-///     fold.push(leaf);
-/// }
-/// assert_eq!(fold.root(), MerkleTree::from_leaves(leaves).root());
-/// ```
-#[derive(Clone, Debug)]
-pub struct RootFold {
-    /// `stack[..count.count_ones()]` holds the subtree roots, largest
-    /// (leftmost) first; a `u64` count needs at most 64.
-    stack: [Digest; 64],
-    count: u64,
-}
-
-impl Default for RootFold {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RootFold {
-    /// A fold over no leaves yet.
-    pub fn new() -> Self {
-        RootFold {
-            stack: [Digest::ZERO; 64],
-            count: 0,
-        }
-    }
-
-    /// Appends the next leaf.
-    pub fn push(&mut self, leaf: &[u8]) {
-        let mut top = self.count.count_ones() as usize;
-        self.stack[top] = hash_leaf(leaf);
-        self.count += 1;
-        // Adding one carries through the trailing set bits of the old
-        // count: each carry joins two subtrees of equal size.
-        for _ in 0..self.count.trailing_zeros() {
-            self.stack[top - 1] = hash_node(&self.stack[top - 1], &self.stack[top]);
-            top -= 1;
-        }
-    }
-
-    /// The root over the leaves pushed. An incomplete right edge is joined
-    /// smallest subtree first, which is where the tree's promotion of an
-    /// odd node puts it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no leaf was pushed, as [`MerkleTree::from_leaves`] does.
-    pub fn root(&self) -> Digest {
-        let (last, rest) = self.stack[..self.count.count_ones() as usize]
-            .split_last()
-            .expect("merkle tree requires at least one leaf");
-        rest.iter()
-            .rfold(*last, |right, left| hash_node(left, &right))
     }
 }
 
@@ -237,40 +248,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn root_fold_equals_the_tree_root_for_all_sizes() {
-        for n in 1..=130 {
-            let ls = leaves(n);
-            let mut fold = RootFold::new();
-            for l in &ls {
-                fold.push(l);
-            }
-            assert_eq!(fold.root(), MerkleTree::from_leaves(&ls).root(), "n={n}");
+    /// The root as the tree was once built: one leaf and one join at a
+    /// time, on one lane.
+    fn one_lane_root(leaves: &[Vec<u8>]) -> Digest {
+        let mut level: Vec<Digest> = leaves.iter().map(|l| hash_leaf(l)).collect();
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| match pair {
+                    [l, r] => hash_node(l, r),
+                    [odd] => *odd,
+                    _ => unreachable!("chunks(2) yields 1 or 2 nodes"),
+                })
+                .collect();
         }
+        level[0]
+    }
+
+    /// Leaves of 0 to 130 bytes, so that a pair's lanes often differ in
+    /// block count and one finishes alone.
+    fn ragged_leaves(n: usize) -> Vec<Vec<u8>> {
+        (0..n).map(|i| vec![i as u8; (i * 37) % 131]).collect()
+    }
+
+    #[test]
+    fn two_lane_levels_equal_the_one_lane_root_for_all_sizes() {
+        crate::sha256::probe::on_each_backend(|| {
+            for n in 1..=130 {
+                let ls = ragged_leaves(n);
+                let root = one_lane_root(&ls);
+                assert_eq!(MerkleTree::root_of(&ls), root, "n={n}");
+                assert_eq!(MerkleTree::from_leaves(&ls).root(), root, "n={n}");
+            }
+        });
     }
 
     #[test]
     #[should_panic(expected = "at least one leaf")]
-    fn empty_root_fold_panics() {
-        let _ = RootFold::new().root();
+    fn empty_root_of_panics() {
+        let _ = MerkleTree::root_of(Vec::<Vec<u8>>::new());
     }
 
-    /// Sixteen one-block leaves and fifteen two-block nodes (a node is a
-    /// five-byte prefix and two digests, which with padding is past 64
-    /// bytes): the fold hashes what the tree hashes and nothing more.
+    /// Sixteen leaves and fifteen two-block nodes (a node is a five-byte
+    /// prefix and two digests, past 64 bytes once padded): two lanes hash
+    /// what one lane hashed and nothing more. A Prime batch member's leaf
+    /// is a composite sequence (8 bytes) and a signed update (32 bytes
+    /// plus the payload) behind the five-byte leaf prefix: payloads of up
+    /// to ten bytes keep it in one block (46 compressions a root), longer
+    /// ones take two (62).
     #[test]
-    fn a_sixteen_leaf_root_costs_46_compressions() {
+    fn sixteen_leaf_roots_cost_what_one_lane_did() {
         use crate::sha256::probe::compressions;
-        let ls = leaves(16);
-        let fold = || {
-            let mut fold = RootFold::new();
-            for l in &ls {
-                fold.push(l);
-            }
-            _ = fold.root();
-        };
-        assert_eq!(compressions(fold), 16 + 15 * 2);
-        assert_eq!(compressions(|| _ = MerkleTree::from_leaves(&ls).root()), 46);
+        let members = |payload: usize| vec![vec![0x5a; 8 + 32 + payload]; 16];
+        for (ls, cost) in [
+            (leaves(16), 16 + 15 * 2),
+            (members(10), 46),
+            (members(11), 16 * 2 + 15 * 2),
+            (members(24), 62),
+        ] {
+            assert_eq!(compressions(|| _ = one_lane_root(&ls)), cost);
+            assert_eq!(compressions(|| _ = MerkleTree::root_of(&ls)), cost);
+            assert_eq!(
+                compressions(|| _ = MerkleTree::from_leaves(&ls).root()),
+                cost
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Bounded memoization of signature-verification verdicts.
 //!
-//! BFT replicas verify the same signed artifacts repeatedly: an ARU row
-//! is re-verified inside every pre-prepare matrix that carries it, and a
-//! client update signature is checked once on submission and again when
-//! it arrives inside a PO-Request. The verdict is a pure function of
-//! (principal, message bytes, signature bytes), so it can be cached under
-//! a digest of exactly those inputs.
+//! BFT replicas verify some signed artifacts repeatedly: a Prime ARU row
+//! is re-verified inside every pre-prepare matrix that carries it. The
+//! verdict is a pure function of (principal, message bytes, signature
+//! bytes), so it can be cached under a digest of exactly those inputs.
+//! The key hashes every byte the verifier would, so a cache pays only
+//! where lookups hit: Prime verifies its envelopes and batch roots, which
+//! hardly ever repeat, directly, and recognises a client update it has
+//! verified by comparing bytes instead.
 //!
 //! The cache is observationally invisible by construction: the key
 //! commits to every byte the verifier reads, so a tampered message or
@@ -245,6 +247,39 @@ mod tests {
             true
         });
         assert!(ran, "evicted entry re-verified");
+    }
+
+    /// What a Prime replica hashes to accept a sixteen-member batch of
+    /// updates with 10-byte payloads, each already verified when its
+    /// client sent it. The envelope signs 714 bytes, the root 56, a member
+    /// 26, and a leaf is 50 bytes. Checking the envelope and the root
+    /// directly costs 12 + 46 + 2 compressions; keying a cached verdict of
+    /// the envelope, the root and every member first cost 13 + 2 + 16 × 2
+    /// more.
+    #[test]
+    fn a_sixteen_member_batch_costs_60_compressions_without_cache_keys_and_107_with() {
+        use crate::keys::KeyPair;
+        use crate::merkle::MerkleTree;
+        use crate::sha256::probe::compressions;
+        let mut key = KeyPair::generate(1);
+        let public = key.public_key();
+        let (envelope, root, member) = (vec![7; 714], vec![8; 56], vec![9; 26]);
+        let (envelope_sig, root_sig) = (key.sign(&envelope), key.sign(&root));
+        let leaves = vec![vec![5; 50]; 16];
+        let direct = || {
+            assert!(public.verify(&envelope, &envelope_sig));
+            _ = MerkleTree::root_of(&leaves);
+            assert!(public.verify(&root, &root_sig));
+        };
+        let cache_keys = || {
+            _ = VerifyCache::key(b"prime.msg", 1, &envelope, &envelope_sig.to_bytes());
+            _ = VerifyCache::key(b"prime.po-batch", 1, &root, &root_sig.to_bytes());
+            for _ in 0..16 {
+                _ = VerifyCache::key(b"prime.update", 0, &member, &[0; 16]);
+            }
+        };
+        assert_eq!(compressions(direct), 60);
+        assert_eq!(compressions(cache_keys), 47);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use itcrypto::keys::{KeyPair, KeyRegistry, Principal};
-use itcrypto::merkle::{MerkleTree, RootFold};
+use itcrypto::merkle::MerkleTree;
 use itcrypto::schnorr::Signature;
 use itcrypto::sha256::Digest;
 use itcrypto::verify_cache::VerifyCache;
@@ -143,22 +143,27 @@ impl PoBatch {
     }
 
     /// The batch's Merkle root, recomputed from its members: what
-    /// `tree().root()` is, folded leaf by leaf through one buffer. Signing
-    /// and verifying a batch need the root only; [`PoBatch::tree`] is for
-    /// the inclusion proofs of reconciliation.
+    /// `tree().root()` is, built level by level from leaves encoded into
+    /// one buffer. Signing and verifying a batch need the root only;
+    /// [`PoBatch::tree`] is for the inclusion proofs of reconciliation.
     ///
     /// # Panics
     ///
     /// Panics on a batch without members (never signed, never decoded).
     pub fn root(&self) -> Digest {
-        let mut fold = RootFold::new();
-        let mut leaf = Writer::with_capacity(8 + self.updates.first().map_or(0, |u| u.wire_len()));
+        let len = self.updates.iter().map(|u| 8 + u.wire_len()).sum();
+        let mut leaves = Writer::with_capacity(len);
+        let mut ends = Vec::with_capacity(self.updates.len());
         for (i, update) in self.updates.iter().enumerate() {
-            leaf.clear();
-            Self::encode_leaf(&mut leaf, self.first_po_seq + i as u64, update);
-            fold.push(leaf.as_slice());
+            Self::encode_leaf(&mut leaves, self.first_po_seq + i as u64, update);
+            ends.push(leaves.as_slice().len());
         }
-        fold.root()
+        let (bytes, mut start) = (leaves.as_slice(), 0);
+        MerkleTree::root_of(ends.into_iter().map(|end| {
+            let leaf = &bytes[start..end];
+            start = end;
+            leaf
+        }))
     }
 
     /// The byte string `root_sig` covers: a domain tag, the batch
@@ -202,17 +207,12 @@ impl PoBatch {
     }
 
     /// Verifies an origin signature over batch coordinates and a Merkle
-    /// root through the verdict cache. This is the shared key path for
-    /// both whole-batch verification (root recomputed from every member)
-    /// and single-member verification (root folded from an inclusion
-    /// proof): the cache keys on the *root*, not on per-update digests,
-    /// so one real verification covers the batch and every later member
-    /// check of it. A corrupted member or path changes the computed root,
-    /// which changes the key — the cached verdict is always identical to
-    /// the uncached one.
-    pub fn verify_root_cached(
+    /// root: the one check behind whole-batch verification (root
+    /// recomputed from every member) and single-member verification (root
+    /// folded from an inclusion proof). A corrupted member or path yields
+    /// a different root, and the signature does not cover it.
+    pub fn verify_root(
         registry: &KeyRegistry,
-        cache: &mut VerifyCache,
         origin: ReplicaId,
         first_po_seq: u64,
         count: u32,
@@ -220,27 +220,21 @@ impl PoBatch {
         sig: &Signature,
     ) -> bool {
         let bytes = Self::signed_root_bytes(origin, first_po_seq, count, root);
-        let key = VerifyCache::key(b"prime.po-batch", origin.0 as u64, &bytes, &sig.to_bytes());
-        cache.check(key, || {
-            registry.verify(Principal::Replica(origin.0), &bytes, sig)
-        })
+        registry.verify(Principal::Replica(origin.0), &bytes, sig)
     }
 
-    /// Verifies this batch's root signature (recomputing the root from
-    /// the members) through the verdict cache.
-    pub fn verify_cached(&self, registry: &KeyRegistry, cache: &mut VerifyCache) -> bool {
-        if self.updates.is_empty() {
-            return false;
-        }
-        Self::verify_root_cached(
-            registry,
-            cache,
-            self.origin,
-            self.first_po_seq,
-            self.updates.len() as u32,
-            self.root(),
-            &self.root_sig,
-        )
+    /// Verifies this batch's root signature, recomputing the root from the
+    /// members. A batch without members is rejected.
+    pub fn verify(&self, registry: &KeyRegistry) -> bool {
+        !self.updates.is_empty()
+            && Self::verify_root(
+                registry,
+                self.origin,
+                self.first_po_seq,
+                self.updates.len() as u32,
+                self.root(),
+                &self.root_sig,
+            )
     }
 }
 
@@ -891,22 +885,6 @@ impl SignedMsg {
             &self.sig,
         )
     }
-
-    /// [`SignedMsg::verify`] through a verdict cache. The key commits to
-    /// the full signed byte string and signature, so the cached verdict
-    /// is identical to the uncached one for any input, tampered or not.
-    pub fn verify_cached(&self, registry: &KeyRegistry, cache: &mut VerifyCache) -> bool {
-        let bytes = Self::signed_bytes(self.from, &self.msg);
-        let key = VerifyCache::key(
-            b"prime.msg",
-            self.from.0 as u64,
-            &bytes,
-            &self.sig.to_bytes(),
-        );
-        cache.check(key, || {
-            registry.verify(Principal::Replica(self.from.0), &bytes, &self.sig)
-        })
-    }
 }
 
 /// A signed message bundled with its wire bytes, produced in one pass at
@@ -1129,28 +1107,32 @@ mod tests {
         let mut kp = KeyPair::generate(5);
         let mut reg = KeyRegistry::new();
         reg.register(Principal::Replica(1), kp.public_key());
-        let mut cache = VerifyCache::new(64);
         let batch = PoBatch::sign(
             ReplicaId(1),
             4,
             vec![sample_update(), sample_update(), sample_update()],
             &mut kp,
         );
-        assert!(batch.verify_cached(&reg, &mut cache));
-        // Second verification is a cache hit on the root key.
-        let hits = cache.hits;
-        assert!(batch.verify_cached(&reg, &mut cache));
-        assert!(cache.hits > hits);
-        // A tampered member changes the recomputed root: different cache
-        // key, fresh verification, rejection — cached == uncached.
+        assert!(batch.verify(&reg));
+        // A tampered member, payload or sequence changes the recomputed
+        // root, which the origin never signed.
         let mut bad = batch.clone();
         bad.updates[1].update.client_seq += 1;
-        assert!(!bad.verify_cached(&reg, &mut cache));
-        assert!(!bad.verify_cached(&reg, &mut cache));
+        assert!(!bad.verify(&reg));
+        let mut bad = batch.clone();
+        bad.updates[2].update.payload = Bytes::from_static(b"v");
+        assert!(!bad.verify(&reg));
+        let mut shifted = batch.clone();
+        shifted.first_po_seq += 1;
+        assert!(!shifted.verify(&reg));
+        // A dropped member changes the signed count as well as the root.
+        let mut short = batch.clone();
+        short.updates.pop();
+        assert!(!short.verify(&reg));
         // An empty batch is rejected outright.
         let mut empty = batch.clone();
         empty.updates.clear();
-        assert!(!empty.verify_cached(&reg, &mut cache));
+        assert!(!empty.verify(&reg));
     }
 
     /// The root a batch is signed under is the root its inclusion proofs
@@ -1183,16 +1165,14 @@ mod tests {
         let mut kp = KeyPair::generate(6);
         let mut reg = KeyRegistry::new();
         reg.register(Principal::Replica(0), kp.public_key());
-        let mut cache = VerifyCache::new(64);
         let updates = vec![sample_update(), sample_update(), sample_update()];
         let batch = PoBatch::sign(ReplicaId(0), 7, updates.clone(), &mut kp);
         let tree = batch.tree();
         for (i, u) in updates.iter().enumerate() {
             let proof = tree.prove(i).expect("in range");
             let folded = proof.fold_root(&PoBatch::leaf_bytes(7 + i as u64, u));
-            assert!(PoBatch::verify_root_cached(
+            assert!(PoBatch::verify_root(
                 &reg,
-                &mut cache,
                 ReplicaId(0),
                 7,
                 updates.len() as u32,
@@ -1204,9 +1184,8 @@ mod tests {
         // different root, so the signature check fails.
         let proof = tree.prove(0).expect("in range");
         let folded = proof.fold_root(&PoBatch::leaf_bytes(8, &updates[0]));
-        assert!(!PoBatch::verify_root_cached(
+        assert!(!PoBatch::verify_root(
             &reg,
-            &mut cache,
             ReplicaId(0),
             7,
             updates.len() as u32,

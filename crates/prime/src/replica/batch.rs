@@ -9,8 +9,9 @@
 //! whichever comes first. The closed batch travels as one
 //! [`PrimeMsg::PoRequestBatch`] carrying a Merkle root over the
 //! `(po_seq, update)` leaves and a single origin signature over the root,
-//! so receivers pay one signature verification per batch (memoized in the
-//! [`VerifyCache`] under the root, not per member).
+//! so receivers pay one signature verification per batch for the root,
+//! and none for a member they already verified when its client sent it
+//! (see [`crate::types::VerifiedUpdates`]).
 //!
 //! Reconciliation stays per-slot: a `PoFetch` for a slot that was
 //! disseminated in a batch is answered with a [`PrimeMsg::PoBatchMember`]
@@ -49,8 +50,8 @@ impl<A: Application> Replica<A> {
     }
 
     /// Accepts a disseminated batch from its origin: verifies the root
-    /// signature (cache-keyed on the Merkle root) plus each member's
-    /// client signature, then stores every member slot.
+    /// signature plus each member's client signature, then stores every
+    /// member slot.
     pub(super) fn accept_po_batch(
         &mut self,
         from: ReplicaId,
@@ -76,12 +77,12 @@ impl<A: Application> Replica<A> {
         {
             return;
         }
-        if !batch.verify_cached(&self.registry, &mut self.verify_cache) {
+        if !self.verified(|registry| batch.verify(registry)) {
             self.stats.bad_sigs += 1;
             return;
         }
         for update in &batch.updates {
-            if !update.verify_cached(&self.registry, &mut self.verify_cache) {
+            if !self.verify_update(update) {
                 self.stats.bad_sigs += 1;
                 return;
             }
@@ -168,7 +169,7 @@ impl<A: Application> Replica<A> {
         if self.po_store.contains(origin.0, po_seq) {
             return;
         }
-        if !update.verify_cached(&self.registry, &mut self.verify_cache) {
+        if !self.verify_update(&update) {
             self.stats.bad_sigs += 1;
             return;
         }
@@ -177,15 +178,9 @@ impl<A: Application> Replica<A> {
             path,
         };
         let root = proof.fold_root(&PoBatch::leaf_bytes(po_seq, &update));
-        if !PoBatch::verify_root_cached(
-            &self.registry,
-            &mut self.verify_cache,
-            origin,
-            first_po_seq,
-            count,
-            root,
-            root_sig,
-        ) {
+        if !self.verified(|registry| {
+            PoBatch::verify_root(registry, origin, first_po_seq, count, root, root_sig)
+        }) {
             self.stats.bad_sigs += 1;
             return;
         }

@@ -26,7 +26,7 @@ impl<A: Application> Replica<A> {
         if self.po_store.is_forgotten(origin.0, po_seq) {
             return;
         }
-        if !update.verify_cached(&self.registry, &mut self.verify_cache) {
+        if !self.verify_update(&update) {
             self.stats.bad_sigs += 1;
             return;
         }
@@ -49,7 +49,7 @@ impl<A: Application> Replica<A> {
         if row.replica.0 >= self.config.n() || row.vector.len() != self.config.n() as usize {
             return;
         }
-        if !row.verify_cached(&self.registry, &mut self.verify_cache) {
+        if !self.verify_row(&row) {
             self.stats.bad_sigs += 1;
             return;
         }
@@ -90,9 +90,7 @@ impl<A: Application> Replica<A> {
         // Validate the matrix: enough distinct, signed rows.
         let mut seen = BTreeSet::new();
         for row in &matrix {
-            if row.vector.len() != self.config.n() as usize
-                || !row.verify_cached(&self.registry, &mut self.verify_cache)
-            {
+            if row.vector.len() != self.config.n() as usize || !self.verify_row(row) {
                 return;
             }
             seen.insert(row.replica.0);
@@ -431,7 +429,7 @@ impl<A: Application> Replica<A> {
         let Ok(envelope) = SignedMsg::from_wire(original) else {
             return;
         };
-        if !envelope.verify_cached(&self.registry, &mut self.verify_cache) {
+        if !self.verified(|registry| envelope.verify(registry)) {
             self.stats.bad_sigs += 1;
             return;
         }

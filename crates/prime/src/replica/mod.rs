@@ -42,7 +42,7 @@ use simnet::wire::Wire;
 use crate::application::Application;
 use crate::byzantine::ByzMode;
 use crate::messages::{AruRow, Envelope, PrimeMsg, SignedMsg};
-use crate::types::{Config, Membership, ReplicaId, SignedUpdate, Update};
+use crate::types::{Config, Membership, ReplicaId, SignedUpdate, Update, VerifiedUpdates};
 use itcrypto::verify_cache::VerifyCache;
 
 mod batch;
@@ -78,10 +78,10 @@ fn dedup_digest(table: &[(u32, u64, Vec<u64>)]) -> Digest {
 /// Bits of a composite pre-order sequence reserved for the counter.
 const PO_SEQ_BITS: u32 = 40;
 
-/// Entries held by each replica's verification-verdict cache. Sized to
-/// cover the working set of a busy window (rows from every peer across
-/// several pre-prepare rounds plus in-flight client updates) while
-/// keeping the worst case bounded.
+/// Entries held by each replica's ARU-row verdict cache and by its table
+/// of verified client updates. Sized to cover the working set of a busy
+/// window (rows from every peer across several pre-prepare rounds, client
+/// updates in flight) while keeping the worst case bounded.
 const VERIFY_CACHE_CAP: usize = 4096;
 
 /// Time-trigger for batch close: a pending batch older than this
@@ -263,8 +263,15 @@ pub struct Replica<A: Application> {
     config: Config,
     registry: KeyRegistry,
     key: KeyPair,
-    /// Memoized signature-verification verdicts (bounded, FIFO).
+    /// Memoized ARU-row verdicts (bounded, FIFO): a row recurs in every
+    /// pre-prepare matrix that carries it.
     verify_cache: VerifyCache,
+    /// Client updates verified here, recognised again by their bytes.
+    verified_updates: VerifiedUpdates,
+    /// Signature verifications this replica has run: what `obs::prof`
+    /// charges. Updates recognised and rows answered from the cache ran
+    /// none.
+    verifications: u64,
     /// Fault-injection mode.
     pub byz: ByzMode,
     timing: Timing,
@@ -435,6 +442,8 @@ impl<A: Application> Replica<A> {
             registry,
             key,
             verify_cache: VerifyCache::new(VERIFY_CACHE_CAP),
+            verified_updates: VerifiedUpdates::new(VERIFY_CACHE_CAP),
+            verifications: 0,
             byz: ByzMode::Correct,
             timing: Timing::default(),
             view: 0,
@@ -650,6 +659,32 @@ impl<A: Application> Replica<A> {
         Envelope::sign(self.id, msg, &mut self.key)
     }
 
+    /// Runs one signature check, counted in `verifications`.
+    fn verified(&mut self, check: impl FnOnce(&KeyRegistry) -> bool) -> bool {
+        self.verifications += 1;
+        check(&self.registry)
+    }
+
+    /// Whether `update` carries its client's signature. The update this
+    /// replica verified under its `(client, client_seq)`, byte for byte,
+    /// is recognised; any other is verified.
+    fn verify_update(&mut self, update: &SignedUpdate) -> bool {
+        let (registry, verifications) = (&self.registry, &mut self.verifications);
+        self.verified_updates.check(update, || {
+            *verifications += 1;
+            update.verify(registry)
+        })
+    }
+
+    /// Whether an ARU row carries its replica's signature, through the
+    /// verdict cache.
+    fn verify_row(&mut self, row: &AruRow) -> bool {
+        let misses = self.verify_cache.misses;
+        let valid = row.verify_cached(&self.registry, &mut self.verify_cache);
+        self.verifications += self.verify_cache.misses - misses;
+        valid
+    }
+
     fn matrix_digest(matrix: &[AruRow]) -> Digest {
         let mut w = simnet::wire::Writer::new();
         for row in matrix {
@@ -661,14 +696,14 @@ impl<A: Application> Replica<A> {
     /// Injects a client update received from the external network.
     pub fn submit(&mut self, update: SignedUpdate, now: SimTime) -> Vec<OutEvent> {
         if obs::prof::enabled() {
-            // Attribute the real (cache-missing) signature verifications
-            // this submission triggers to the pre-ordering intro path.
-            let miss0 = self.verify_cache.misses;
+            // Attribute the signature verifications this submission runs
+            // to the pre-ordering intro path.
+            let ran = self.verifications;
             let out = self.submit_inner(update, now);
             obs::prof::charge_crypto(
                 "prime;preorder;po_request",
                 obs::prof::CryptoOp::Verify,
-                self.verify_cache.misses - miss0,
+                self.verifications - ran,
             );
             return out;
         }
@@ -683,7 +718,7 @@ impl<A: Application> Replica<A> {
         if self.byz.is_crashed() {
             return out;
         }
-        if !update.verify_cached(&self.registry, &mut self.verify_cache) {
+        if !self.verify_update(&update) {
             self.stats.bad_sigs += 1;
             return out;
         }
@@ -751,18 +786,15 @@ impl<A: Application> Replica<A> {
     /// Handles a signed peer message.
     pub fn on_message(&mut self, msg: SignedMsg, now: SimTime) -> Vec<OutEvent> {
         if obs::prof::enabled() {
-            // Every real verification this message triggers — its own
-            // envelope plus any matrix rows or nested updates checked
+            // Every verification this message runs — its own envelope
+            // plus any batch root, matrix rows or nested updates checked
             // while handling it — lands on the message's phase stack.
-            // Cache hits are free and are deliberately not charged.
+            // Recognised updates and cached rows are free and are
+            // deliberately not charged.
             let stack = msg.msg.prof_stack();
-            let miss0 = self.verify_cache.misses;
+            let ran = self.verifications;
             let out = self.on_message_inner(msg, now);
-            obs::prof::charge_crypto(
-                stack,
-                obs::prof::CryptoOp::Verify,
-                self.verify_cache.misses - miss0,
-            );
+            obs::prof::charge_crypto(stack, obs::prof::CryptoOp::Verify, self.verifications - ran);
             return out;
         }
         self.on_message_inner(msg, now)
@@ -782,7 +814,7 @@ impl<A: Application> Replica<A> {
         if !self.is_active_member(msg.from) {
             return out;
         }
-        if !msg.verify_cached(&self.registry, &mut self.verify_cache) {
+        if !self.verified(|registry| msg.verify(registry)) {
             self.stats.bad_sigs += 1;
             return out;
         }
@@ -1218,6 +1250,7 @@ impl<A: Application> Replica<A> {
         self.po_store.clear();
         self.po_envelopes.iter_mut().for_each(BTreeMap::clear);
         self.intro_seen.clear();
+        self.verified_updates.clear();
         self.incoming_trace = None;
         self.trace_queue.clear();
         self.trace_phase.clear();
@@ -1267,6 +1300,12 @@ impl<A: Application> Replica<A> {
         let mut out = Vec::new();
         self.request_catchup(now, &mut out);
         out
+    }
+
+    /// Signature verifications run so far.
+    #[cfg(test)]
+    pub(crate) fn verifications(&self) -> u64 {
+        self.verifications
     }
 
     /// Entries held in each table a stable checkpoint truncates.

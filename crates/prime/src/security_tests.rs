@@ -10,7 +10,7 @@ use simnet::time::SimTime;
 use simnet::wire::Wire;
 
 use crate::application::KvApp;
-use crate::messages::{AruRow, PrimeMsg, SignedMsg};
+use crate::messages::{AruRow, PoBatch, PrimeMsg, SignedMsg};
 use crate::replica::{po_compose, po_counter, po_incarnation, Replica};
 use crate::types::{Config, ReplicaId, SignedUpdate, Update};
 
@@ -187,6 +187,108 @@ fn duplicate_client_seq_not_reintroduced() {
     let second = r0.submit(u, SimTime(1));
     assert!(second.is_empty(), "same (client, seq) introduced twice");
     assert_eq!(r0.stats.po_introduced, 1);
+}
+
+/// What `r` spent on one message: signature verifications run, and
+/// messages rejected for a bad signature.
+fn cost(r: &mut Replica<KvApp>, msg: SignedMsg) -> (u64, u64) {
+    let (ran, bad) = (r.verifications(), r.stats.bad_sigs);
+    let _ = r.on_message(msg, SimTime(1));
+    (r.verifications() - ran, r.stats.bad_sigs - bad)
+}
+
+fn po_request(rk: &mut [KeyPair], origin: u32, counter: u64, update: SignedUpdate) -> SignedMsg {
+    let msg = PrimeMsg::PoRequest {
+        origin: ReplicaId(origin),
+        po_seq: po_compose(0, counter),
+        update,
+    };
+    SignedMsg::sign(ReplicaId(origin), msg, &mut rk[origin as usize])
+}
+
+/// A batch whose origin signed it as it is: the root verifies, so only
+/// the members' own signatures can reject it.
+fn po_batch(rk: &mut [KeyPair], origin: u32, updates: Vec<SignedUpdate>) -> SignedMsg {
+    let batch = PoBatch::sign(
+        ReplicaId(origin),
+        po_compose(0, 1),
+        updates,
+        &mut rk[origin as usize],
+    );
+    let msg = PrimeMsg::PoRequestBatch { batch };
+    SignedMsg::sign(ReplicaId(origin), msg, &mut rk[origin as usize])
+}
+
+#[test]
+fn an_update_verified_at_submission_is_recognised_and_a_changed_one_is_not() {
+    let (mut r0, mut rk, mut ck) = replica(0);
+    let u = signed_update(&mut ck, 0, 1);
+    let _ = r0.submit(u.clone(), SimTime(0));
+    assert_eq!(r0.verifications(), 1);
+    // The same bytes relayed by an origin: only the envelope is checked.
+    assert_eq!(cost(&mut r0, po_request(&mut rk, 1, 1, u.clone())), (1, 0));
+    assert_eq!(cost(&mut r0, po_batch(&mut rk, 2, vec![u.clone()])), (2, 0));
+    // u's (client, client_seq) with another payload, and u with one
+    // signature byte flipped: each is verified, rejected and counted,
+    // through a PoRequest, as a batch member and as a fetched member.
+    let mut payload = u.clone();
+    payload.update.payload = Bytes::from_static(b"x=2");
+    let mut sig = u.clone();
+    let mut bytes = sig.sig.to_bytes();
+    bytes[15] ^= 1;
+    sig.sig = itcrypto::Signature::from_bytes(&bytes);
+    for (counter, forged) in [(2, payload), (3, sig)] {
+        assert_eq!(
+            cost(&mut r0, po_request(&mut rk, 1, counter, forged.clone())),
+            (2, 1)
+        );
+        assert_eq!(
+            cost(&mut r0, po_batch(&mut rk, 3, vec![forged.clone()])),
+            (3, 1)
+        );
+        let member = PrimeMsg::PoBatchMember {
+            origin: ReplicaId(2),
+            first_po_seq: po_compose(0, 9),
+            count: 1,
+            index: 0,
+            update: forged,
+            path: Vec::new(),
+            root_sig: u.sig,
+        };
+        assert_eq!(
+            cost(&mut r0, SignedMsg::sign(ReplicaId(3), member, &mut rk[3])),
+            (2, 1)
+        );
+    }
+    // A rejected update was not remembered, and u still is.
+    assert_eq!(cost(&mut r0, po_request(&mut rk, 3, 1, u)), (1, 0));
+}
+
+#[test]
+fn the_update_table_forgets_the_oldest_past_its_cap_and_on_recovery() {
+    let (mut r0, _rk, mut ck) = replica(0);
+    let updates: Vec<SignedUpdate> = (1..=4097)
+        .map(|seq| signed_update(&mut ck, 0, seq))
+        .collect();
+    for u in &updates {
+        let _ = r0.submit(u.clone(), SimTime(0));
+    }
+    assert_eq!(r0.verifications(), 4097);
+    let resubmit = |r: &mut Replica<KvApp>, u: &SignedUpdate| {
+        let ran = r.verifications();
+        let _ = r.submit(u.clone(), SimTime(1));
+        r.verifications() - ran
+    };
+    // The second oldest and the newest are remembered; the oldest alone
+    // was evicted, costs one verification and is accepted.
+    assert_eq!(resubmit(&mut r0, &updates[1]), 0);
+    assert_eq!(resubmit(&mut r0, &updates[4096]), 0);
+    assert_eq!(resubmit(&mut r0, &updates[0]), 1);
+    assert_eq!(resubmit(&mut r0, &updates[0]), 0);
+    assert_eq!(r0.stats.bad_sigs, 0);
+    // A recovered replica has verified nothing.
+    let _ = r0.recover(SimTime(2));
+    assert_eq!(resubmit(&mut r0, &updates[4096]), 1);
 }
 
 #[test]

@@ -1,11 +1,13 @@
 //! Core types: replica identifiers, configurations, and client updates.
 
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use bytes::Bytes;
 use itcrypto::keys::{KeyRegistry, Principal};
 use itcrypto::schnorr::Signature;
 use itcrypto::sha256::{sha256, Digest};
+use simnet::hash::MixState;
 use simnet::wire::{DecodeError, Reader, Wire, Writer};
 
 /// A replica index in `0..n`.
@@ -270,29 +272,6 @@ impl SignedUpdate {
             &self.sig,
         )
     }
-
-    /// [`SignedUpdate::verify`] through a verdict cache: the same client
-    /// signature is checked on submission and again inside every
-    /// PO-Request that relays the update.
-    pub fn verify_cached(
-        &self,
-        registry: &KeyRegistry,
-        cache: &mut itcrypto::verify_cache::VerifyCache,
-    ) -> bool {
-        // Encoded once, for the cache key and for the verifier.
-        let mut w = Writer::with_capacity(self.wire_len());
-        self.update.encode(&mut w);
-        let bytes = w.as_slice();
-        let key = itcrypto::verify_cache::VerifyCache::key(
-            b"prime.update",
-            self.update.client as u64,
-            bytes,
-            &self.sig.to_bytes(),
-        );
-        cache.check(key, || {
-            registry.verify(Principal::Client(self.update.client), bytes, &self.sig)
-        })
-    }
 }
 
 impl Wire for SignedUpdate {
@@ -311,6 +290,75 @@ impl Wire for SignedUpdate {
             update,
             sig: Signature::from_bytes(&sig_bytes),
         })
+    }
+}
+
+/// The client updates a replica has verified, by `(client, client_seq)`.
+///
+/// A client sends each update to every replica, and every origin that
+/// pre-orders it relays it to every replica again, so a replica meets the
+/// same signed update once from the client and once per origin. Only the
+/// first meeting needs a signature check: an update equal (`==`, every
+/// byte of update and signature) to the one remembered under its key is
+/// the update already verified. Any other update is verified, and
+/// remembered only if valid, so a forgery under a remembered key is
+/// checked every time it arrives.
+///
+/// At most `cap` updates are remembered, the oldest forgotten first; a
+/// forgotten update is verified again when it next arrives. The table is
+/// probed by key and never walked.
+#[derive(Clone, Debug, Default)]
+pub struct VerifiedUpdates {
+    by_key: HashMap<(u32, u64), SignedUpdate, MixState>,
+    order: VecDeque<(u32, u64)>,
+    cap: usize,
+}
+
+impl VerifiedUpdates {
+    /// A table remembering at most `cap` updates.
+    pub fn new(cap: usize) -> Self {
+        VerifiedUpdates {
+            cap,
+            ..Self::default()
+        }
+    }
+
+    /// Whether `update` carries its client's signature: true at once for
+    /// the update remembered under its key, otherwise `verify()`'s
+    /// verdict, remembering `update` when that is true.
+    pub fn check(&mut self, update: &SignedUpdate, verify: impl FnOnce() -> bool) -> bool {
+        let key = (update.update.client, update.update.client_seq);
+        if self.by_key.get(&key) == Some(update) {
+            return true;
+        }
+        if !verify() {
+            return false;
+        }
+        if self.by_key.insert(key, update.clone()).is_none() {
+            self.order.push_back(key);
+            if self.order.len() > self.cap {
+                if let Some(oldest) = self.order.pop_front() {
+                    self.by_key.remove(&oldest);
+                }
+            }
+        }
+        true
+    }
+
+    /// Number of updates remembered.
+    pub fn len(&self) -> usize {
+        self.by_key.len()
+    }
+
+    /// True when nothing is remembered.
+    pub fn is_empty(&self) -> bool {
+        self.by_key.is_empty()
+    }
+
+    /// Forgets every update.
+    pub fn clear(&mut self) {
+        self.by_key.clear();
+        self.order.clear();
     }
 }
 

@@ -31,6 +31,7 @@ pub mod arp;
 pub mod capture;
 mod exec;
 pub mod firewall;
+pub mod hash;
 pub mod link;
 pub mod packet;
 pub mod process;

@@ -100,12 +100,6 @@ impl Writer {
         &self.buf
     }
 
-    /// Empties the writer, keeping its buffer: one writer can encode a run
-    /// of values that are each hashed and dropped.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
     /// Finishes and returns the payload.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
@@ -259,14 +253,11 @@ mod tests {
     }
 
     #[test]
-    fn a_writer_hands_back_or_reuses_its_buffer() {
+    fn a_writer_hands_back_its_buffer() {
         let mut w = Writer::with_capacity(16);
         w.put_u32(7).put_raw(b"ab");
         assert_eq!(w.as_slice(), [0, 0, 0, 7, b'a', b'b']);
-        w.clear();
-        w.put_u8(9);
-        assert_eq!(w.as_slice(), [9]);
-        assert_eq!(w.into_vec(), vec![9]);
+        assert_eq!(w.into_vec(), vec![0, 0, 0, 7, b'a', b'b']);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! deterministic while the hosting [`simnet::Process`] does the I/O.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
 
 use bytes::{BufMut, Bytes};
 use itcrypto::stream::{LinkKeys, KEYSTREAM_BLOCK};
+use simnet::hash::MixState;
 use simnet::types::IpAddr;
 use simnet::wire::{DecodeError, Reader, Wire};
 
@@ -153,39 +153,6 @@ impl Link {
             .get_or_insert_with(|| LinkKeys::derive(&cfg.link_key(id, self.neighbor)))
     }
 }
-
-/// The hash of the daemon's two lookup tables (`seen`, `link_of`): each
-/// word is folded in by a rotate and a multiplication. A fixed function of
-/// the key, so a table is the same from run to run; both tables are only
-/// probed by key, never walked, so their layout cannot reach an output.
-#[derive(Clone, Copy, Default)]
-struct MixHasher(u64);
-
-impl Hasher for MixHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.write_u64(word.into());
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(26) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        // The table takes its bucket from the low bits, the product keeps
-        // its best ones high.
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-type MixState = BuildHasherDefault<MixHasher>;
 
 /// One Spines overlay daemon.
 pub struct SpinesDaemon {

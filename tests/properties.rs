@@ -58,6 +58,24 @@ proptest! {
         prop_assert!(!MerkleTree::verify(tree.root(), &other, &proof));
     }
 
+    #[test]
+    fn level_built_root_equals_the_tree_root_and_every_proof(
+        // Leaves of 0..150 bytes, so paired leaves often differ in block
+        // count; every prefix of 1..=40 of them, so every right edge.
+        leaves in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..150), 40),
+    ) {
+        for n in 1..=leaves.len() {
+            let leaves = &leaves[..n];
+            let tree = MerkleTree::from_leaves(leaves);
+            let root = MerkleTree::root_of(leaves);
+            prop_assert_eq!(root, tree.root());
+            for (i, leaf) in leaves.iter().enumerate() {
+                let proof = tree.prove(i).expect("index in range");
+                prop_assert_eq!(proof.fold_root(leaf), root);
+            }
+        }
+    }
+
     // ---- wire codecs: decoding arbitrary bytes must never panic ----
 
     #[test]
@@ -352,12 +370,23 @@ proptest! {
     }
 }
 
-// ---- signature-verification memoization ----
+// ---- signature verification ----
 //
-// The verify cache must be observationally invisible: for any signed
-// message — well-formed, corrupted, or outright forged — the cached
-// verdict equals the uncached one, on the miss path, the hit path, and
-// after eviction.
+// Every verdict a replica reaches equals the uncached one: for any signed
+// message — well-formed, corrupted, or outright forged — on each
+// delivery, and for client updates it recognises by their bytes, after
+// eviction too.
+
+/// A red-team replica (id 0) that checks signatures against `registry`.
+fn verifying_replica(registry: &itcrypto::keys::KeyRegistry) -> prime::Replica<prime::KvApp> {
+    prime::Replica::new(
+        prime::ReplicaId(0),
+        Config::red_team(),
+        itcrypto::keys::KeyPair::generate(3),
+        registry.clone(),
+        prime::KvApp::new(),
+    )
+}
 
 proptest! {
     #[test]
@@ -370,21 +399,21 @@ proptest! {
         wrong_sender in any::<bool>(),
     ) {
         use itcrypto::keys::{KeyPair, KeyRegistry, Principal};
-        use itcrypto::verify_cache::VerifyCache;
         use prime::messages::{PrimeMsg, SignedMsg};
         use prime::types::ReplicaId;
+        use simnet::time::SimTime;
 
         let mut kp = KeyPair::generate(signer_seed);
         let mut registry = KeyRegistry::new();
-        registry.register(Principal::Replica(0), kp.public_key());
-        registry.register(Principal::Replica(1), KeyPair::generate(signer_seed ^ 1).public_key());
+        registry.register(Principal::Replica(1), kp.public_key());
+        registry.register(Principal::Replica(2), KeyPair::generate(signer_seed ^ 1).public_key());
 
         let msg = PrimeMsg::Prepare {
             view,
             seq,
             digest: itcrypto::Digest(digest),
         };
-        let mut signed = SignedMsg::sign(ReplicaId(0), msg, &mut kp);
+        let mut signed = SignedMsg::sign(ReplicaId(1), msg, &mut kp);
         // Corruptions: a flipped signature byte, or a claimed sender that
         // did not produce the signature.
         if flip_sig != 0 {
@@ -393,62 +422,79 @@ proptest! {
             signed.sig = itcrypto::Signature::from_bytes(&bytes);
         }
         if wrong_sender {
-            signed.from = ReplicaId(1);
+            signed.from = ReplicaId(2);
         }
 
-        let mut cache = VerifyCache::new(16);
-        let uncached = signed.verify(&registry);
-        // Miss path, then hit path: both must agree with the uncached verdict.
-        prop_assert_eq!(signed.verify_cached(&registry, &mut cache), uncached);
-        prop_assert_eq!(signed.verify_cached(&registry, &mut cache), uncached);
-        prop_assert_eq!((cache.hits, cache.misses), (1, 1));
+        // The uncached verdict, from the wire bytes alone: the signature
+        // covers the domain tag, the sender and the message.
+        let wire = signed.to_wire();
+        let covered = [b"prime".as_slice(), &wire[..wire.len() - 16]].concat();
+        let uncached = registry.verify(Principal::Replica(signed.from.0), &covered, &signed.sig);
+        prop_assert_eq!(uncached, flip_sig == 0 && !wrong_sender);
+        prop_assert_eq!(signed.verify(&registry), uncached);
+        // A replica verifies the envelope on every delivery, the repeat
+        // included, and rejects exactly the corrupted ones.
+        let mut replica = verifying_replica(&registry);
+        for _ in 0..2 {
+            let bad = replica.stats.bad_sigs;
+            let _ = replica.on_message(signed.clone(), SimTime(0));
+            prop_assert_eq!(replica.stats.bad_sigs - bad, u64::from(!uncached));
+        }
     }
 
     #[test]
     fn verify_cache_eviction_never_flips_a_verdict(
-        n_msgs in 3usize..20,
+        n_updates in 3usize..20,
         cap in 1usize..4,
         tamper_mask in any::<u32>(),
     ) {
+        use bytes::Bytes;
         use itcrypto::keys::{KeyPair, KeyRegistry, Principal};
-        use itcrypto::verify_cache::VerifyCache;
-        use prime::messages::{PrimeMsg, SignedMsg};
-        use prime::types::ReplicaId;
+        use prime::types::{SignedUpdate, VerifiedUpdates};
 
-        let mut kp = KeyPair::generate(7);
+        let mut ckey = KeyPair::generate(7);
         let mut registry = KeyRegistry::new();
-        registry.register(Principal::Replica(0), kp.public_key());
+        registry.register(Principal::Client(0), ckey.public_key());
 
-        let msgs: Vec<SignedMsg> = (0..n_msgs)
+        let updates: Vec<SignedUpdate> = (0..n_updates)
             .map(|i| {
-                let mut m = SignedMsg::sign(
-                    ReplicaId(0),
-                    PrimeMsg::SuspectLeader { view: i as u64 },
-                    &mut kp,
-                );
+                let update = Update::new(0, i as u64 + 1, vec![i as u8; i]);
+                let mut sig = ckey.sign(&update.to_wire());
                 if tamper_mask & (1 << (i % 32)) != 0 {
-                    let mut bytes = m.sig.to_bytes();
+                    let mut bytes = sig.to_bytes();
                     bytes[i % bytes.len()] ^= 0x5a;
-                    m.sig = itcrypto::Signature::from_bytes(&bytes);
+                    sig = itcrypto::Signature::from_bytes(&bytes);
                 }
-                m
+                SignedUpdate { update, sig }
             })
             .collect();
 
-        // A cache smaller than the message set forces evictions; cycling
-        // through the set repeatedly exercises miss → hit → evict → miss.
-        let mut cache = VerifyCache::new(cap);
+        // A table smaller than the update set forces evictions; cycling
+        // through the set repeatedly exercises verify → recognise → evict
+        // → verify. Each update is followed by a twin under its key with
+        // another payload, which must never pass for it.
+        let mut table = VerifiedUpdates::new(cap);
         for round in 0..3 {
-            for m in &msgs {
-                prop_assert_eq!(
-                    m.verify_cached(&registry, &mut cache),
-                    m.verify(&registry),
-                    "round {}: cached verdict diverged",
-                    round
-                );
+            for u in &updates {
+                let mut twin = u.clone();
+                twin.update.payload = Bytes::from_static(b"twin");
+                for candidate in [u, &twin] {
+                    let mut verified = false;
+                    let verdict = table.check(candidate, || {
+                        verified = true;
+                        candidate.verify(&registry)
+                    });
+                    prop_assert_eq!(
+                        verdict,
+                        candidate.verify(&registry),
+                        "round {}: the table's verdict diverged",
+                        round
+                    );
+                    prop_assert!(verified || verdict, "an invalid update was recognised");
+                }
             }
         }
-        prop_assert!(cache.len() <= cap, "cache exceeded its bound");
+        prop_assert!(table.len() <= cap, "the table exceeded its bound");
     }
 }
 
@@ -714,16 +760,21 @@ proptest! {
 // Batching must be a pure amortization of the pre-ordering hot path:
 // the wire form must roundtrip for any member set, every member must
 // carry a valid inclusion proof (and any corrupted leaf must fail),
-// the root-signature verdict must be identical through the verify
-// cache and without it, and a batched cluster must deliver the exact
-// client update sequence of an unbatched one.
+// a replica's verdict on a batch must equal the uncached one even when
+// it already verified the members, and a batched cluster must deliver
+// the exact client update sequence of an unbatched one.
 
-/// A batch signed by replica 2 over sequential client updates, plus a
-/// registry holding the origin's and the client's keys.
+/// A batch signed by replica 2 over sequential client updates, a
+/// registry holding the origin's and the client's keys, and the origin's
+/// key.
 fn batch_fixture(
     payloads: &[Vec<u8>],
     first_po_seq: u64,
-) -> (prime::messages::PoBatch, itcrypto::keys::KeyRegistry) {
+) -> (
+    prime::messages::PoBatch,
+    itcrypto::keys::KeyRegistry,
+    itcrypto::keys::KeyPair,
+) {
     use itcrypto::keys::{KeyPair, KeyRegistry, Principal};
     use prime::types::{ReplicaId, SignedUpdate};
 
@@ -742,7 +793,7 @@ fn batch_fixture(
         })
         .collect();
     let batch = prime::messages::PoBatch::sign(ReplicaId(2), first_po_seq, updates, &mut okey);
-    (batch, registry)
+    (batch, registry, okey)
 }
 
 proptest! {
@@ -753,7 +804,7 @@ proptest! {
     ) {
         use prime::messages::{PoBatch, PrimeMsg};
 
-        let (batch, _) = batch_fixture(&payloads, first_po_seq);
+        let (batch, ..) = batch_fixture(&payloads, first_po_seq);
         let decoded = PoBatch::from_wire(&batch.to_wire()).expect("batch decodes");
         prop_assert_eq!(&decoded, &batch);
         // And through the full protocol-message envelope.
@@ -772,7 +823,7 @@ proptest! {
     ) {
         use prime::messages::PoBatch;
 
-        let (batch, _) = batch_fixture(&payloads, 1);
+        let (batch, ..) = batch_fixture(&payloads, 1);
         let tree = batch.tree();
         for (i, update) in batch.updates.iter().enumerate() {
             let leaf = PoBatch::leaf_bytes(batch.first_po_seq + i as u64, update);
@@ -802,41 +853,57 @@ proptest! {
     #[test]
     fn po_batch_cached_verdict_equals_uncached_for_corrupted_members(
         payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 1..16),
-        tamper in any::<bool>(),
+        tamper in 0u8..3,
         tamper_at in any::<usize>(),
         tamper_byte in 1u8..255,
     ) {
-        use itcrypto::verify_cache::VerifyCache;
         use itcrypto::keys::Principal;
-        use prime::messages::PoBatch;
+        use prime::messages::{PoBatch, PrimeMsg, SignedMsg};
+        use prime::types::ReplicaId;
+        use simnet::time::SimTime;
 
-        let (mut batch, registry) = batch_fixture(&payloads, 1);
-        if tamper {
-            let i = tamper_at % batch.updates.len();
-            batch.updates[i].update.client_seq ^= u64::from(tamper_byte);
+        let (mut batch, registry, mut origin_key) = batch_fixture(&payloads, 1);
+        // A replica that verified every member when the client sent it,
+        // and remembers them.
+        let mut replica = verifying_replica(&registry);
+        for update in &batch.updates {
+            let _ = replica.submit(update.clone(), SimTime(0));
+        }
+        let i = tamper_at % batch.updates.len();
+        match tamper {
+            // A member changed after signing: the root no longer matches.
+            1 => batch.updates[i].update.client_seq ^= u64::from(tamper_byte),
+            // A faulty origin signs a root over a member whose client
+            // signature no longer matches, under a key the replica holds.
+            2 => {
+                let mut updates = batch.updates.clone();
+                let mut payload = updates[i].update.payload.to_vec();
+                payload.push(tamper_byte);
+                updates[i].update.payload = payload.into();
+                batch = PoBatch::sign(ReplicaId(2), 1, updates, &mut origin_key);
+            }
+            _ => {}
         }
         // The uncached verdict: the origin's signature over the batch
         // coordinates and the root recomputed from the (possibly
-        // corrupted) members.
+        // corrupted) members, and every member's client signature.
         let bytes = PoBatch::signed_root_bytes(
             batch.origin,
             batch.first_po_seq,
             batch.updates.len() as u32,
             batch.root(),
         );
-        let uncached = registry.verify(
-            Principal::Replica(batch.origin.0),
-            &bytes,
-            &batch.root_sig,
-        );
-        prop_assert_eq!(uncached, !tamper);
-        // Miss path, then hit path: both must agree with the uncached
-        // verdict (the cache keys on the recomputed root, so a corrupted
-        // member can never hit a stale "valid" entry).
-        let mut cache = VerifyCache::new(16);
-        prop_assert_eq!(batch.verify_cached(&registry, &mut cache), uncached);
-        prop_assert_eq!(batch.verify_cached(&registry, &mut cache), uncached);
-        prop_assert_eq!((cache.hits, cache.misses), (1, 1));
+        let uncached = registry.verify(Principal::Replica(batch.origin.0), &bytes, &batch.root_sig)
+            && batch.updates.iter().all(|u| u.verify(&registry));
+        prop_assert_eq!(uncached, tamper == 0);
+        prop_assert_eq!(batch.verify(&registry), tamper != 1);
+        // The replica recognises the members it verified and nothing else:
+        // it accepts the batch exactly when the uncached verdict does.
+        let msg = PrimeMsg::PoRequestBatch { batch };
+        let signed = SignedMsg::sign(ReplicaId(2), msg, &mut origin_key);
+        let accepted = replica.stats.batches_accepted;
+        let _ = replica.on_message(signed, SimTime(1));
+        prop_assert_eq!(replica.stats.batches_accepted - accepted, u64::from(uncached));
     }
 }
 
