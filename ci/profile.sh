@@ -12,12 +12,12 @@
 # Touches nothing under benchmark/; the samples stay in target/profile.
 #
 # Prime's hashing on ordering_ramp: the batch root, the verdict cache's keys
-# (ARU rows only), the signature check and the two-lane compression behind
-# Merkle levels, in one command:
+# (ARU rows only), the signature check and the SHA-256 compression under
+# them all, in one command:
 #
-#   ci/profile.sh ordering_ramp --callers 'PoBatch::root' \
+#   ci/profile.sh ordering_ramp --callers 'PoBatch::root|root_of' \
 #       --callers 'VerifyCache::key' --callers 'FixedBase::verify' \
-#       --callers 'compress2'
+#       --callers 'sha256::x86::compress'
 #
 # The overlay hop on a full-stack workload, cipher, MAC and the two daemon
 # functions that spend them (ISSUE 22):

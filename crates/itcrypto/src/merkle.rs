@@ -2,7 +2,7 @@
 //! Prime checkpoint certificates: a replica can prove a single field-device
 //! record is part of an agreed state digest without shipping the whole state.
 
-use crate::sha256::{compress2, sha256_concat, sha256_concat2, Digest, H0};
+use crate::sha256::{sha256_concat, sha256_concat2, Digest};
 
 /// Domain-separation prefixes so leaves can never be confused with interior
 /// nodes (second-preimage hardening).
@@ -17,29 +17,8 @@ fn hash_node(left: &Digest, right: &Digest) -> Digest {
     sha256_concat(&[NODE_PREFIX, left.as_bytes(), right.as_bytes()])
 }
 
-/// [`hash_node`] of two pairs at once. A node is 69 bytes, two blocks once
-/// padded, so both blocks of both nodes go through the two-lane
-/// compression.
-fn hash_node_pair([l0, r0]: [&Digest; 2], [l1, r1]: [&Digest; 2]) -> [Digest; 2] {
-    const LEN: usize = 5 + 32 + 32;
-    let padded = |left: &Digest, right: &Digest| {
-        let mut m = [0u8; 128];
-        m[..5].copy_from_slice(NODE_PREFIX);
-        m[5..37].copy_from_slice(left.as_bytes());
-        m[37..LEN].copy_from_slice(right.as_bytes());
-        m[LEN] = 0x80;
-        m[120..].copy_from_slice(&(LEN as u64 * 8).to_be_bytes());
-        m
-    };
-    let (x, y) = (padded(l0, r0), padded(l1, r1));
-    let (x, y) = (x.as_chunks::<64>().0, y.as_chunks::<64>().0);
-    let mut states = [H0; 2];
-    compress2(&mut states, [&x[0], &y[0]]);
-    compress2(&mut states, [&x[1], &y[1]]);
-    states.map(|s| Digest::from_state(&s))
-}
-
-/// The leaf level: every leaf's hash, two leaves at a time.
+/// The leaf level: every leaf's hash, two leaves at a time
+/// ([`sha256_concat2`]).
 ///
 /// # Panics
 ///
@@ -70,9 +49,16 @@ where
 /// behind [`MerkleTree::from_leaves`] and [`MerkleTree::root_of`].
 fn level_above(level: &[Digest]) -> Vec<Digest> {
     let mut above = Vec::with_capacity(level.len().div_ceil(2));
+    let mut padded = Default::default();
     for nodes in level.chunks(4) {
         match nodes {
-            [a, b, c, d] => above.extend(hash_node_pair([a, b], [c, d])),
+            [a, b, c, d] => above.extend(sha256_concat2(
+                [
+                    &[NODE_PREFIX, a.as_bytes(), b.as_bytes()],
+                    &[NODE_PREFIX, c.as_bytes(), d.as_bytes()],
+                ],
+                &mut padded,
+            )),
             [a, b, c] => above.extend([hash_node(a, b), *c]),
             [a, b] => above.push(hash_node(a, b)),
             [odd] => above.push(*odd),
@@ -249,8 +235,8 @@ mod tests {
     }
 
     /// The root as the tree was once built: one leaf and one join at a
-    /// time, on one lane.
-    fn one_lane_root(leaves: &[Vec<u8>]) -> Digest {
+    /// time.
+    fn one_at_a_time_root(leaves: &[Vec<u8>]) -> Digest {
         let mut level: Vec<Digest> = leaves.iter().map(|l| hash_leaf(l)).collect();
         while level.len() > 1 {
             level = level
@@ -265,18 +251,18 @@ mod tests {
         level[0]
     }
 
-    /// Leaves of 0 to 130 bytes, so that a pair's lanes often differ in
-    /// block count and one finishes alone.
+    /// Leaves of 0 to 130 bytes, so that the two messages of a pair often
+    /// differ in block count and one finishes alone.
     fn ragged_leaves(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| vec![i as u8; (i * 37) % 131]).collect()
     }
 
     #[test]
-    fn two_lane_levels_equal_the_one_lane_root_for_all_sizes() {
+    fn paired_levels_equal_the_one_at_a_time_root_for_all_sizes() {
         crate::sha256::probe::on_each_backend(|| {
             for n in 1..=130 {
                 let ls = ragged_leaves(n);
-                let root = one_lane_root(&ls);
+                let root = one_at_a_time_root(&ls);
                 assert_eq!(MerkleTree::root_of(&ls), root, "n={n}");
                 assert_eq!(MerkleTree::from_leaves(&ls).root(), root, "n={n}");
             }
@@ -290,14 +276,14 @@ mod tests {
     }
 
     /// Sixteen leaves and fifteen two-block nodes (a node is a five-byte
-    /// prefix and two digests, past 64 bytes once padded): two lanes hash
-    /// what one lane hashed and nothing more. A Prime batch member's leaf
+    /// prefix and two digests, past 64 bytes once padded): pairs hash what
+    /// one at a time hashed and nothing more. A Prime batch member's leaf
     /// is a composite sequence (8 bytes) and a signed update (32 bytes
     /// plus the payload) behind the five-byte leaf prefix: payloads of up
     /// to ten bytes keep it in one block (46 compressions a root), longer
     /// ones take two (62).
     #[test]
-    fn sixteen_leaf_roots_cost_what_one_lane_did() {
+    fn sixteen_leaf_roots_cost_what_one_at_a_time_did() {
         use crate::sha256::probe::compressions;
         let members = |payload: usize| vec![vec![0x5a; 8 + 32 + payload]; 16];
         for (ls, cost) in [
@@ -306,7 +292,7 @@ mod tests {
             (members(11), 16 * 2 + 15 * 2),
             (members(24), 62),
         ] {
-            assert_eq!(compressions(|| _ = one_lane_root(&ls)), cost);
+            assert_eq!(compressions(|| _ = one_at_a_time_root(&ls)), cost);
             assert_eq!(compressions(|| _ = MerkleTree::root_of(&ls)), cost);
             assert_eq!(
                 compressions(|| _ = MerkleTree::from_leaves(&ls).root()),

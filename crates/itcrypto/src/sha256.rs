@@ -4,14 +4,12 @@
 //! Merkle-tree nodes, checkpoint digests, and as the compression function
 //! inside [`crate::hmac`].
 //!
-//! Everything funnels through one compression entry with two backends,
-//! taking one lane (`compress`) or two independent ones (`compress2`, for
-//! Merkle levels, whose nodes do not depend on each other). The portable
-//! rounds are always compiled, run wherever the other is absent, and are
-//! the oracle the tests hold the other to. On x86-64 a backend on the SHA
-//! extensions is chosen, once, when the CPU reports them. There is no
-//! feature, variable or knob to pick one: a host either has the
-//! instructions or it does not.
+//! Everything funnels through one `compress(state, block)` entry with two
+//! backends. The portable rounds are always compiled, run wherever the
+//! other is absent, and are the oracle the tests hold the other to. On
+//! x86-64 a backend on the SHA extensions is chosen, once, when the CPU
+//! reports them. There is no feature, variable or knob to pick one: a
+//! host either has the instructions or it does not.
 
 use std::fmt;
 
@@ -226,25 +224,12 @@ fn copy_short(dst: &mut [u8], src: &[u8]) {
 }
 
 /// The SHA-256 compression function: folds one 64-byte block into `state`.
+/// The single entry every hash and MAC goes through.
 #[inline]
 pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-    compress_lanes(std::array::from_mut(state), [block]);
-}
-
-/// Two independent compressions at once: folds `blocks[l]` into
-/// `states[l]`, exactly as two calls of [`compress`] would, on two lanes
-/// whose round chains overlap where the backend allows.
-#[inline]
-pub(crate) fn compress2(states: &mut [[u32; 8]; 2], blocks: [&[u8; 64]; 2]) {
-    compress_lanes(states, blocks);
-}
-
-/// The single entry every hash and MAC goes through, one lane or two.
-#[inline]
-fn compress_lanes<const N: usize>(states: &mut [[u32; 8]; N], blocks: [&[u8; 64]; N]) {
     #[cfg(test)]
-    if probe::count_and_ask_portable(N as u64) {
-        return compress_portable_lanes(states, blocks);
+    if probe::count_and_ask_portable() {
+        return compress_portable(state, block);
     }
     #[cfg(target_arch = "x86_64")]
     if x86::available() {
@@ -255,18 +240,11 @@ fn compress_lanes<const N: usize>(states: &mut [[u32; 8]; N], blocks: [&[u8; 64]
         // requirement.
         #[allow(unsafe_code)]
         unsafe {
-            x86::compress(states, blocks)
+            x86::compress(state, block)
         };
         return;
     }
-    compress_portable_lanes(states, blocks);
-}
-
-/// Every lane through [`compress_portable`], one after the other.
-fn compress_portable_lanes<const N: usize>(states: &mut [[u32; 8]; N], blocks: [&[u8; 64]; N]) {
-    for (state, block) in states.iter_mut().zip(blocks) {
-        compress_portable(state, block);
-    }
+    compress_portable(state, block);
 }
 
 /// The compression function in plain integer arithmetic: a rolling
@@ -350,9 +328,8 @@ pub(crate) mod probe {
         static PORTABLE_ONLY: Cell<bool> = const { Cell::new(false) };
     }
 
-    /// Counts `lanes` compressions and says whether to run them portably.
-    pub(super) fn count_and_ask_portable(lanes: u64) -> bool {
-        COMPRESSIONS.with(|c| c.set(c.get() + lanes));
+    pub(super) fn count_and_ask_portable() -> bool {
+        COMPRESSIONS.with(|c| c.set(c.get() + 1));
         PORTABLE_ONLY.with(Cell::get)
     }
 
@@ -407,9 +384,12 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
     h.finalize()
 }
 
-/// [`sha256_concat`] of two messages at once: while both have blocks left
-/// they go through [`compress2`], then the longer one finishes alone.
-/// `padded` holds the two padded messages and is reused across calls.
+/// [`sha256_concat`] of two messages in lockstep: each block of one and
+/// then the same block of the other, while both have one, and the longer
+/// one finishes alone. The two chains share nothing, so an out-of-order
+/// CPU overlaps each compression with the other message's instead of
+/// waiting on its own. `padded` holds the two padded messages and is
+/// reused across calls.
 pub(crate) fn sha256_concat2(parts: [&[&[u8]]; 2], padded: &mut [Vec<u8>; 2]) -> [Digest; 2] {
     for (buf, parts) in padded.iter_mut().zip(parts) {
         pad_into(buf, parts);
@@ -417,14 +397,14 @@ pub(crate) fn sha256_concat2(parts: [&[&[u8]]; 2], padded: &mut [Vec<u8>; 2]) ->
     let (a, _) = padded[0].as_chunks::<64>();
     let (b, _) = padded[1].as_chunks::<64>();
     let both = a.len().min(b.len());
-    let mut states = [H0; 2];
+    let (mut sa, mut sb) = (H0, H0);
     for (x, y) in a.iter().zip(b) {
-        compress2(&mut states, [x, y]);
+        compress(&mut sa, x);
+        compress(&mut sb, y);
     }
-    let [sa, sb] = &mut states;
-    a[both..].iter().for_each(|x| compress(sa, x));
-    b[both..].iter().for_each(|y| compress(sb, y));
-    states.map(|s| Digest::from_state(&s))
+    a[both..].iter().for_each(|x| compress(&mut sa, x));
+    b[both..].iter().for_each(|y| compress(&mut sb, y));
+    [sa, sb].map(|s| Digest::from_state(&s))
 }
 
 /// `parts` concatenated into `buf` and padded as [`Sha256::finalize`]
@@ -528,39 +508,13 @@ mod tests {
         }
 
         #[test]
-        fn two_lanes_equal_two_single_lanes(
-            words in any::<[u8; 64]>(),
-            x in any::<[u8; 64]>(),
-            y in any::<[u8; 64]>(),
-        ) {
-            let states: [[u32; 8]; 2] = std::array::from_fn(|l| {
-                std::array::from_fn(|i| {
-                    let at = 32 * l + 4 * i;
-                    u32::from_be_bytes(words[at..at + 4].try_into().expect("4 bytes"))
-                })
-            });
-            let mut oracle = states;
-            compress_portable(&mut oracle[0], &x);
-            compress_portable(&mut oracle[1], &y);
-            on_each_backend(|| {
-                let mut two = states;
-                compress2(&mut two, [&x, &y]);
-                let mut one = states;
-                compress(&mut one[0], &x);
-                compress(&mut one[1], &y);
-                assert_eq!(two, one);
-                assert_eq!(two, oracle);
-            });
-        }
-
-        #[test]
         fn paired_hashing_equals_two_one_shot_hashes(
             a in proptest::collection::vec(any::<u8>(), 0..300),
             b in proptest::collection::vec(any::<u8>(), 0..300),
             cut in 0usize..300,
         ) {
             // Each message in two parts, so the pad copies across a part
-            // boundary; lengths differ, so one lane often finishes alone.
+            // boundary; lengths differ, so one message often finishes alone.
             let (a0, a1) = a.split_at(cut.min(a.len()));
             on_each_backend(|| {
                 assert_eq!(

@@ -5,14 +5,7 @@
 //! time. Vectors are built and read back with `_mm_set_epi32` /
 //! `_mm_extract_epi32`, never through pointers, so everything in here is
 //! safe code; the only obligation, that the CPU has the instructions, sits
-//! with the one caller in [`super::compress_lanes`].
-//!
-//! One body serves one lane and two. Each group of four rounds is written
-//! once and applied to every lane in turn. The lanes' round chains share
-//! nothing, so an out-of-order CPU may run one chain's `sha256rnds2` while
-//! the other waits on its latency; how much they overlap is the
-//! compiler's schedule and the CPU's to decide (DESIGN.md, "Hashing each
-//! authenticated byte once", has what was measured).
+//! with the one caller in [`super::compress`].
 
 use std::arch::x86_64::{
     __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
@@ -41,56 +34,44 @@ fn lanes(w: [u32; 4]) -> __m128i {
     _mm_set_epi32(w[3] as i32, w[2] as i32, w[1] as i32, w[0] as i32)
 }
 
-/// Folds `blocks[l]` into `states[l]` for each of the `N` lanes. Callable
-/// only where [`available`] holds.
+/// Folds one block into `state`. Callable only where [`available`] holds.
 #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-pub(super) fn compress<const N: usize>(states: &mut [[u32; 8]; N], blocks: [&[u8; 64]; N]) {
-    let abef: [__m128i; N] = std::array::from_fn(|l| {
-        let [a, b, _, _, e, f, _, _] = states[l];
-        lanes([f, e, b, a])
-    });
-    let cdgh: [__m128i; N] = std::array::from_fn(|l| {
-        let [_, _, c, d, _, _, g, h] = states[l];
-        lanes([h, g, d, c])
-    });
+pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let [a, b, c, d, e, f, g, h] = *state;
+    let (abef, cdgh) = (lanes([f, e, b, a]), lanes([h, g, d, c]));
     let (mut state0, mut state1) = (abef, cdgh);
 
-    // The rolling schedule: m0..m3 hold each lane's current sixteen words,
-    // four each.
-    let load = |j: usize| -> [__m128i; N] {
-        std::array::from_fn(|l| {
-            let word = |i: usize| {
-                u32::from_be_bytes(blocks[l][4 * i..4 * i + 4].try_into().expect("4 bytes"))
-            };
-            lanes([
-                word(4 * j),
-                word(4 * j + 1),
-                word(4 * j + 2),
-                word(4 * j + 3),
-            ])
-        })
+    // The rolling schedule: m0..m3 hold the current sixteen words, four
+    // each.
+    let word = |i: usize| u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+    let load = |j: usize| {
+        lanes([
+            word(4 * j),
+            word(4 * j + 1),
+            word(4 * j + 2),
+            word(4 * j + 3),
+        ])
     };
     let (mut m0, mut m1, mut m2, mut m3) = (load(0), load(1), load(2), load(3));
 
-    // Rounds 4g..4g+4 on every lane, consuming `$cur`. While later groups
-    // still need them, the next four schedule words are finished in
-    // `$next` (msg2, from the word carried over from `$prev`) and the four
-    // after those started in `$begun` (msg1). Written out sixteen times so
-    // that the schedule stays in registers.
+    // Rounds 4g..4g+4, consuming `$cur`. While later groups still need
+    // them, the next four schedule words are finished in `$next` (msg2,
+    // from the word carried over from `$prev`) and the four after those
+    // started in `$begun` (msg1). Written out sixteen times so that the
+    // schedule stays in registers.
     macro_rules! rounds4 {
         ($g:expr, $cur:ident $(, finish $next:ident from $prev:ident)? $(, start $begun:ident)?) => {
-            let k = lanes([K[4 * $g], K[4 * $g + 1], K[4 * $g + 2], K[4 * $g + 3]]);
-            for l in 0..N {
-                let msg = _mm_add_epi32($cur[l], k);
-                state1[l] = _mm_sha256rnds2_epu32(state1[l], state0[l], msg);
-                state0[l] =
-                    _mm_sha256rnds2_epu32(state0[l], state1[l], _mm_shuffle_epi32::<0x0E>(msg));
-                $(
-                    let carried = _mm_alignr_epi8::<4>($cur[l], $prev[l]);
-                    $next[l] = _mm_sha256msg2_epu32(_mm_add_epi32($next[l], carried), $cur[l]);
-                )?
-                $( $begun[l] = _mm_sha256msg1_epu32($begun[l], $cur[l]); )?
-            }
+            let msg = _mm_add_epi32(
+                $cur,
+                lanes([K[4 * $g], K[4 * $g + 1], K[4 * $g + 2], K[4 * $g + 3]]),
+            );
+            state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
+            state0 = _mm_sha256rnds2_epu32(state0, state1, _mm_shuffle_epi32::<0x0E>(msg));
+            $(
+                let carried = _mm_alignr_epi8::<4>($cur, $prev);
+                $next = _mm_sha256msg2_epu32(_mm_add_epi32($next, carried), $cur);
+            )?
+            $( $begun = _mm_sha256msg1_epu32($begun, $cur); )?
         };
     }
     rounds4!(0, m0);
@@ -110,18 +91,16 @@ pub(super) fn compress<const N: usize>(states: &mut [[u32; 8]; N], blocks: [&[u8
     rounds4!(14, m2, finish m3 from m1);
     rounds4!(15, m3);
 
-    for (l, state) in states.iter_mut().enumerate() {
-        let s0 = _mm_add_epi32(state0[l], abef[l]);
-        let s1 = _mm_add_epi32(state1[l], cdgh[l]);
-        *state = [
-            _mm_extract_epi32::<3>(s0) as u32,
-            _mm_extract_epi32::<2>(s0) as u32,
-            _mm_extract_epi32::<3>(s1) as u32,
-            _mm_extract_epi32::<2>(s1) as u32,
-            _mm_extract_epi32::<1>(s0) as u32,
-            _mm_extract_epi32::<0>(s0) as u32,
-            _mm_extract_epi32::<1>(s1) as u32,
-            _mm_extract_epi32::<0>(s1) as u32,
-        ];
-    }
+    state0 = _mm_add_epi32(state0, abef);
+    state1 = _mm_add_epi32(state1, cdgh);
+    *state = [
+        _mm_extract_epi32::<3>(state0) as u32,
+        _mm_extract_epi32::<2>(state0) as u32,
+        _mm_extract_epi32::<3>(state1) as u32,
+        _mm_extract_epi32::<2>(state1) as u32,
+        _mm_extract_epi32::<1>(state0) as u32,
+        _mm_extract_epi32::<0>(state0) as u32,
+        _mm_extract_epi32::<1>(state1) as u32,
+        _mm_extract_epi32::<0>(state1) as u32,
+    ];
 }

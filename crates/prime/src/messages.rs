@@ -123,47 +123,33 @@ impl PoBatch {
     /// different slot, even across the tree's odd-node promotions.
     pub fn leaf_bytes(po_seq: u64, update: &SignedUpdate) -> Vec<u8> {
         let mut w = Writer::with_capacity(8 + update.wire_len());
-        Self::encode_leaf(&mut w, po_seq, update);
+        w.put_u64(po_seq);
+        update.encode(&mut w);
         w.into_vec()
     }
 
-    fn encode_leaf(w: &mut Writer, po_seq: u64, update: &SignedUpdate) {
-        w.put_u64(po_seq);
-        update.encode(w);
+    fn leaves(&self) -> impl Iterator<Item = Vec<u8>> + '_ {
+        self.updates
+            .iter()
+            .enumerate()
+            .map(|(i, u)| Self::leaf_bytes(self.first_po_seq + i as u64, u))
     }
 
     /// The Merkle tree over the batch's leaves.
     pub fn tree(&self) -> MerkleTree {
-        MerkleTree::from_leaves(
-            self.updates
-                .iter()
-                .enumerate()
-                .map(|(i, u)| Self::leaf_bytes(self.first_po_seq + i as u64, u)),
-        )
+        MerkleTree::from_leaves(self.leaves())
     }
 
     /// The batch's Merkle root, recomputed from its members: what
-    /// `tree().root()` is, built level by level from leaves encoded into
-    /// one buffer. Signing and verifying a batch need the root only;
-    /// [`PoBatch::tree`] is for the inclusion proofs of reconciliation.
+    /// `tree().root()` is, without keeping the levels. Signing and
+    /// verifying a batch need the root only; [`PoBatch::tree`] is for the
+    /// inclusion proofs of reconciliation.
     ///
     /// # Panics
     ///
     /// Panics on a batch without members (never signed, never decoded).
     pub fn root(&self) -> Digest {
-        let len = self.updates.iter().map(|u| 8 + u.wire_len()).sum();
-        let mut leaves = Writer::with_capacity(len);
-        let mut ends = Vec::with_capacity(self.updates.len());
-        for (i, update) in self.updates.iter().enumerate() {
-            Self::encode_leaf(&mut leaves, self.first_po_seq + i as u64, update);
-            ends.push(leaves.as_slice().len());
-        }
-        let (bytes, mut start) = (leaves.as_slice(), 0);
-        MerkleTree::root_of(ends.into_iter().map(|end| {
-            let leaf = &bytes[start..end];
-            start = end;
-            leaf
-        }))
+        MerkleTree::root_of(self.leaves())
     }
 
     /// The byte string `root_sig` covers: a domain tag, the batch

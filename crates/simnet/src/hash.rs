@@ -1,7 +1,8 @@
 //! The hash of the workspace's lookup tables keyed by integers: each word
 //! of a key folded in by a rotate and a multiplication. A fixed function
-//! of the key, never `RandomState`, so a table is the same from run to run
-//! (`ci/check.sh` holds every table under `crates/` to a named hasher).
+//! of the key, never a randomly seeded one, so a table is the same from
+//! run to run (`ci/check.sh` holds every table under `crates/` to a named
+//! hasher).
 //! The tables hashed with it are probed by key and never walked, so their
 //! layout cannot reach an output.
 //!
