@@ -118,6 +118,15 @@ if grep -rnwE --include='*.rs' \
     exit 1
 fi
 
+echo "==> the journal is a chaos run's one record (no signal feed; response reads obs, not chaos)"
+if grep -rnE --include='*.rs' 'SignalFeed|ChaosSignal|SignalKind|attach_signals|chaos::signal' \
+    crates src tests; then
+    exit 1
+fi
+if grep -nw 'chaos' crates/response/Cargo.toml; then
+    exit 1
+fi
+
 echo "==> two unsafe blocks in the workspace (itcrypto's calls into its SHA-extensions and AES-NI backends)"
 # Both backends are written with safe intrinsics, so the call into each
 # #[target_feature] function, after detection, is all there is; clippy and

@@ -9,7 +9,6 @@ use prime::byzantine::ByzMode;
 use prime::harness::Cluster;
 use prime::types::{Config as PrimeConfig, ReplicaId};
 use scada::ground_truth::{assess, rebuild_from_field};
-use scada::historian::Historian;
 use simnet::time::SimDuration;
 use spire::config::SpireConfig;
 use spire::deploy::{fast_timing, Deployment};
@@ -28,10 +27,6 @@ pub struct GroundTruthRun {
     pub replica_recovery_possible: bool,
     /// Whether the rebuilt state matched the true field positions.
     pub field_rebuild_correct: bool,
-    /// Historian records lost in the breach (unrecoverable, §III-A).
-    pub historian_records_lost: usize,
-    /// Historian records reconstructed from the field (present state only).
-    pub historian_records_recovered: usize,
     /// Determinism capture of the deployment (digest + event count).
     pub meta: RunMeta,
 }
@@ -47,21 +42,14 @@ pub fn e6_ground_truth(seed: u64) -> GroundTruthRun {
     );
     let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
     d.set_timing(fast_timing());
-    // Run a workload so there is real state (breakers moved, historian fed).
-    let mut historian = Historian::new();
+    // Run a workload so there is real state (breakers moved).
     d.run_for(SimDuration::from_secs(6));
-    for (i, &(t, _, closed)) in d.plc(0).position_log.iter().enumerate() {
-        historian.archive(t, "jhu", format!("breaker event {i}: closed={closed}"));
-    }
-    let records_before = historian.len();
-    assert!(records_before > 0, "workload produced history");
 
     // The breach: 5 of 6 replicas crash and lose their state.
     let crashed = 5u32;
     for i in 0..crashed {
         d.take_replica_down(i);
     }
-    historian.breach_wipe();
 
     let intact = 6 - crashed;
     let assessment = assess(PrimeConfig::plant(), intact);
@@ -74,7 +62,6 @@ pub fn e6_ground_truth(seed: u64) -> GroundTruthRun {
     let field_rebuild_correct = field_polls
         .iter()
         .all(|(tag, positions)| rebuilt.scenario(tag).map(|s| &s.positions) == Some(positions));
-    let recovery = historian.recover_from_field(d.now(), &field_polls);
 
     GroundTruthRun {
         crashed,
@@ -82,8 +69,6 @@ pub fn e6_ground_truth(seed: u64) -> GroundTruthRun {
         needed_for_replica_recovery: assessment.needed,
         replica_recovery_possible: assessment.recoverable_from_replicas,
         field_rebuild_correct,
-        historian_records_lost: recovery.lost_records,
-        historian_records_recovered: recovery.recovered_records,
         meta: RunMeta::capture("e6.deployment", &d.obs, &d.sim),
     }
 }

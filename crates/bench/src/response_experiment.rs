@@ -15,14 +15,14 @@
 //!
 //! Detection is honest: the controller never sees the fault schedule. A
 //! compromise window is *ground truth* for scoring only (opened by the
-//! chaos `Injected` signal, closed by a policy takedown or the scheduled
-//! heal); the controller acts on MANA window scores, Prime health gauges,
-//! and reachability alone.
+//! journaled `ChaosInject`, closed by a policy takedown or the journaled
+//! `ChaosHeal`); the controller acts on MANA window scores, Prime health
+//! gauges, reachability, and the journal's reconvergence and violation
+//! records alone.
 
 use chaos::driver::ChaosDriver;
 use chaos::invariants::{CheckerConfig, InvariantChecker, InvariantReport};
 use chaos::plan::{ChaosPlan, Fault, FaultKind, ScheduledFault};
-use chaos::signal::{ChaosSignal, SignalFeed, SignalKind};
 use diversity::recovery::RecoveryScheduler;
 use mana::ids::ManaInstance;
 use prime::byzantine::ByzMode;
@@ -329,14 +329,19 @@ impl CompromiseLog {
         }
     }
 
-    fn note_signals(&mut self, signals: &[ChaosSignal]) {
-        for sig in signals {
-            if sig.code != FaultKind::ByzFlip.tag() {
-                continue;
-            }
-            match sig.kind {
-                SignalKind::Injected => self.open.push((sig.target, sig.at)),
-                SignalKind::Healed => self.close(sig.target, sig.at, false),
+    /// Scores the journal's `ByzFlip` injections and heals. The driver
+    /// journals at `d.now()`, so a record's time is the fault's.
+    fn note_journal(&mut self, journal: &[obs::TimedEvent]) {
+        let byz = FaultKind::ByzFlip.tag();
+        for rec in journal {
+            let at = SimTime(rec.at_us);
+            match rec.event {
+                obs::Event::ChaosInject { kind, target } if kind == byz => {
+                    self.open.push((target, at))
+                }
+                obs::Event::ChaosHeal { kind, target } if kind == byz => {
+                    self.close(target, at, false)
+                }
                 _ => {}
             }
         }
@@ -587,18 +592,16 @@ fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutc
     }
     mana.finish_training(d.now());
 
-    // Campaign setup: plan + attacker + checker + signal feed + policy.
+    // Campaign setup: plan + attacker + checker + policy.
     let t0 = d.now();
     let horizon = shape.wave().saturating_mul(waves);
     let attacker = shape.attacker(&d, t0, waves);
     d.attach_external_attacker(attacker_spec(attacker));
 
     let mut checker = InvariantChecker::new(CheckerConfig::for_prime(&prime_cfg), &d);
-    let feed = SignalFeed::new();
-    let mut cursor = 0usize;
     let mut driver = ChaosDriver::new(shape.plan(waves));
-    driver.attach_signals(feed.clone());
-    checker.attach_signals(feed.clone());
+    // The controller and the score read what the campaign journals.
+    let mut cursor = d.obs.journal_len();
 
     let mut scheduler = match policy {
         Policy::Periodic => RecoveryScheduler::new(n, prime_cfg.k, PERIODIC_INTERVAL, DOWNTIME),
@@ -625,8 +628,8 @@ fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutc
         let records = d.sim.drain_tap(d.external_tap);
         mana.ingest(&records, now);
         mana.tick_scores();
-        let signals = feed.drain_from(&mut cursor);
-        log.note_signals(&signals);
+        let journal = d.obs.journal_since(&mut cursor);
+        log.note_journal(&journal);
 
         responder.tick(&mut d, &mut log, now, |d| ControllerInput {
             now,
@@ -648,7 +651,7 @@ fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutc
                 proxy: 0,
                 anomaly_z: mana.proxy_z(),
             }],
-            signals,
+            journal,
         });
 
         let exec = (0..n)
@@ -669,7 +672,7 @@ fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutc
     driver.heal_all(&mut d, &mut checker);
     d.set_proxy_rate_limit(0, None);
     driver.run_quiesce(&mut d, &mut checker, SimDuration::from_secs(8), TICK);
-    log.note_signals(&feed.drain_from(&mut cursor));
+    log.note_journal(&d.obs.journal_since(&mut cursor));
 
     let label = format!("{}.{}", shape.id(), policy.name());
     let meta = RunMeta::capture(&label, &d.obs, &d.sim);
@@ -717,11 +720,8 @@ pub fn e16_beyond_budget(seed: u64, policy: Policy) -> Vec<InvariantReport> {
     let mut checker_cfg = CheckerConfig::for_prime(&prime_cfg);
     checker_cfg.assume_within_budget = true;
     let mut checker = InvariantChecker::new(checker_cfg, &d);
-    let feed = SignalFeed::new();
-    let mut cursor = 0usize;
     let mut driver = ChaosDriver::new(ChaosPlan::beyond_budget_crashes(prime_cfg.f, horizon));
-    driver.attach_signals(feed.clone());
-    checker.attach_signals(feed.clone());
+    let mut cursor = d.obs.journal_len();
 
     let mut scheduler = RecoveryScheduler::new(n, prime_cfg.k, PERIODIC_INTERVAL, DOWNTIME);
     scheduler.align(d.now());
@@ -733,7 +733,7 @@ pub fn e16_beyond_budget(seed: u64, policy: Policy) -> Vec<InvariantReport> {
     while d.now() < deadline {
         driver.run_soak(&mut d, &mut checker, TICK, TICK);
         let now = d.now();
-        let signals = feed.drain_from(&mut cursor);
+        let journal = d.obs.journal_since(&mut cursor);
         responder.tick(&mut d, &mut log, now, |d| ControllerInput {
             now,
             replicas: (0..n)
@@ -744,7 +744,7 @@ pub fn e16_beyond_budget(seed: u64, policy: Policy) -> Vec<InvariantReport> {
                 })
                 .collect(),
             proxies: Vec::new(),
-            signals,
+            journal,
         });
     }
     checker.reports()

@@ -29,7 +29,6 @@ use spire::deploy::Deployment;
 
 use crate::invariants::InvariantChecker;
 use crate::plan::{ChaosPlan, Fault, FaultKind, ScheduledFault};
-use crate::signal::{ChaosSignal, SignalFeed, SignalKind};
 
 /// A fault currently in force, with whatever must be restored at heal.
 struct ActiveFault {
@@ -51,8 +50,6 @@ pub struct ChaosDriver {
     flip_interval: SimDuration,
     next_flip: Option<SimTime>,
     breaker_closed: bool,
-    /// Optional machine-readable inject/heal feed (`chaos::signal`).
-    signals: Option<SignalFeed>,
 }
 
 impl ChaosDriver {
@@ -69,15 +66,7 @@ impl ChaosDriver {
             flip_interval: SimDuration::from_secs(2),
             next_flip: None,
             breaker_closed: true,
-            signals: None,
         }
-    }
-
-    /// Attaches a signal feed: every injection and heal is published as a
-    /// typed [`ChaosSignal`] in addition to being journaled. Publication
-    /// is observation-only, so attaching a feed never changes the digest.
-    pub fn attach_signals(&mut self, feed: SignalFeed) {
-        self.signals = Some(feed);
     }
 
     /// Runs the soak for `dur`, stepping the deployment by `step` between
@@ -117,9 +106,8 @@ impl ChaosDriver {
     /// checker sees the heals at its next sample; `_checker` is unused and
     /// stays because `benchmark/src/adapter.rs` calls this signature.
     pub fn heal_all(&mut self, d: &mut Deployment, _checker: &mut InvariantChecker) {
-        let now = d.now();
         for active in std::mem::take(&mut self.active) {
-            self.heal(d, active, now);
+            self.heal(d, active);
         }
     }
 
@@ -175,7 +163,7 @@ impl ChaosDriver {
             }
         });
         for active in due {
-            self.heal(d, active, now);
+            self.heal(d, active);
         }
     }
 
@@ -186,15 +174,6 @@ impl ChaosDriver {
             kind: kind.tag(),
             target: scheduled.fault.target(),
         });
-        if let Some(feed) = &self.signals {
-            feed.publish(ChaosSignal {
-                kind: SignalKind::Injected,
-                code: kind.tag(),
-                target: scheduled.fault.target(),
-                value: scheduled.duration.as_micros(),
-                at: now,
-            });
-        }
         let mut saved = None;
         match &scheduled.fault {
             Fault::Partition { isolated } => {
@@ -225,8 +204,9 @@ impl ChaosDriver {
                 d.replica_mut(*replica).replica.byz = *mode;
             }
             Fault::ClockSkew { behind } => {
-                // The hub refuses to rewind and journals the skew instead;
-                // monotonic digesting survives, the anomaly is recorded.
+                // Only the obs hub is offered the earlier time. It refuses
+                // to rewind and journals the skew; no replica, link or
+                // timer sees it, so this probes the journal alone.
                 let current = d.obs.now_us();
                 d.obs.set_now_us(current.saturating_sub(behind.as_micros()));
             }
@@ -249,21 +229,11 @@ impl ChaosDriver {
         }
     }
 
-    fn heal(&mut self, d: &mut Deployment, active: ActiveFault, now: SimTime) {
-        let kind = active.fault.kind();
+    fn heal(&mut self, d: &mut Deployment, active: ActiveFault) {
         d.obs.journal(obs::Event::ChaosHeal {
-            kind: kind.tag(),
+            kind: active.fault.kind().tag(),
             target: active.fault.target(),
         });
-        if let Some(feed) = &self.signals {
-            feed.publish(ChaosSignal {
-                kind: SignalKind::Healed,
-                code: kind.tag(),
-                target: active.fault.target(),
-                value: 0,
-                at: now,
-            });
-        }
         match &active.fault {
             Fault::Partition { .. } => {
                 d.heal_internal_partition();

@@ -21,11 +21,12 @@
 //! * **INV-RECONVERGENCE** (liveness): after a crash, recovery, or
 //!   partition heals, the affected replicas must catch back up to where
 //!   the healthy majority was at heal time within the reconvergence
-//!   window. Catch-up latencies are recorded for reporting.
+//!   window. Each catch-up is journaled as [`obs::Event::Reconverged`]
+//!   with its latency.
 //!
-//! Violations are journaled as [`obs::Event::InvariantViolation`], so a
-//! tripped invariant changes the run digest — a chaos soak cannot quietly
-//! pass while an invariant fired.
+//! Violations are journaled as [`obs::Event::InvariantViolation`], tagged
+//! `obs::event::INV_*`, so a tripped invariant changes the run digest — a
+//! chaos soak cannot quietly pass while an invariant fired.
 //!
 //! The checker reads the fault state from the deployment at every sample
 //! (which replicas are down, Byzantine or cut off, and any degraded epoch),
@@ -34,13 +35,12 @@
 
 use std::collections::BTreeSet;
 
+use obs::event::{INV_AGREEMENT, INV_BOUNDED_DELAY, INV_HMI_TRUTH, INV_RECONVERGENCE};
 use prime::byzantine::ByzMode;
 use prime::invariants::AgreementLedger;
 use prime::types::Membership;
 use simnet::time::{SimDuration, SimTime};
 use spire::deploy::Deployment;
-
-use crate::signal::{ChaosSignal, SignalFeed, SignalKind};
 
 /// The fault budget the checker enforces.
 #[derive(Clone, Copy, Debug)]
@@ -93,16 +93,14 @@ pub struct InvariantReport {
     pub violations: u64,
 }
 
+/// Report names, indexed by journal tag (`obs::event::INV_*`). The E12,
+/// E13 and E16 tables print these; `--trace` prints the journal's own.
 const INV_NAMES: [&str; 4] = [
     "agreement",
     "hmi-ground-truth",
     "bounded-delay",
     "reconvergence",
 ];
-const INV_AGREEMENT: usize = 0;
-const INV_HMI_TRUTH: usize = 1;
-const INV_BOUNDED_DELAY: usize = 2;
-const INV_RECONVERGENCE: usize = 3;
 
 struct PendingReconvergence {
     replica: u32,
@@ -176,8 +174,6 @@ pub struct InvariantChecker {
     pub reconvergence_us: Vec<u64>,
     checks: [u64; 4],
     violations: [u64; 4],
-    /// Optional machine-readable signal feed (`chaos::signal`).
-    signals: Option<SignalFeed>,
 }
 
 impl InvariantChecker {
@@ -200,15 +196,7 @@ impl InvariantChecker {
             reconvergence_us: Vec::new(),
             checks: [0; 4],
             violations: [0; 4],
-            signals: None,
         }
-    }
-
-    /// Attaches a signal feed: reconvergence outcomes and invariant
-    /// violations are published as typed [`ChaosSignal`]s in addition to
-    /// journaling. Observation-only — the digest is unaffected.
-    pub fn attach_signals(&mut self, feed: SignalFeed) {
-        self.signals = Some(feed);
     }
 
     // ---- the continuous check --------------------------------------
@@ -217,8 +205,8 @@ impl InvariantChecker {
     pub fn observe(&mut self, d: &Deployment) {
         let now = d.now();
         self.read_faults(d);
-        self.check_agreement(d, now);
-        self.check_hmi_truth(d, now);
+        self.check_agreement(d);
+        self.check_hmi_truth(d);
         self.check_bounded_delay(d, now);
         self.check_reconvergence(d, now);
     }
@@ -278,24 +266,24 @@ impl InvariantChecker {
             .unwrap_or(0)
     }
 
-    fn check_agreement(&mut self, d: &Deployment, now: SimTime) {
-        self.checks[INV_AGREEMENT] += 1;
+    fn check_agreement(&mut self, d: &Deployment) {
+        self.checks[INV_AGREEMENT as usize] += 1;
         let healthy: Vec<u32> = (0..self.cfg.n)
             .filter(|&r| self.faults.healthy(r))
             .collect();
         for r in healthy {
             if let Err(diverged) = self.agreement.record_state(&d.replica(r).replica) {
-                self.violation(INV_AGREEMENT, diverged.exec_seq, now);
+                self.violation(INV_AGREEMENT, diverged.exec_seq);
             }
         }
     }
 
-    fn check_hmi_truth(&mut self, d: &Deployment, now: SimTime) {
+    fn check_hmi_truth(&mut self, d: &Deployment) {
         for h in 0..d.cfg.hmis {
             if let Some(positions) = d.hmi(h).hmi.positions(&self.scenario) {
-                self.checks[INV_HMI_TRUTH] += 1;
+                self.checks[INV_HMI_TRUTH as usize] += 1;
                 if !self.truth_history.iter().any(|t| t == positions) {
-                    self.violation(INV_HMI_TRUTH, h as u64, now);
+                    self.violation(INV_HMI_TRUTH, h as u64);
                 }
             }
         }
@@ -345,9 +333,9 @@ impl InvariantChecker {
             self.last_progress_at = now;
             return;
         }
-        self.checks[INV_BOUNDED_DELAY] += 1;
+        self.checks[INV_BOUNDED_DELAY as usize] += 1;
         if now.since(self.last_progress_at).as_micros() > DELAY_BOUND.as_micros() {
-            self.violation(INV_BOUNDED_DELAY, max_exec, now);
+            self.violation(INV_BOUNDED_DELAY, max_exec);
             // Reset so one stall reports once per bound, not per sample.
             self.last_progress_at = now;
         }
@@ -355,39 +343,21 @@ impl InvariantChecker {
 
     fn check_reconvergence(&mut self, d: &Deployment, now: SimTime) {
         let mut still = Vec::new();
-        for p in self.pending.drain(..) {
+        for p in std::mem::take(&mut self.pending) {
             let exec = d.replica(p.replica).replica.exec_seq();
             if exec >= p.target {
-                self.checks[INV_RECONVERGENCE] += 1;
+                self.checks[INV_RECONVERGENCE as usize] += 1;
                 self.recovering.remove(&p.replica);
-                let latency = now.since(p.healed_at).as_micros();
-                self.reconvergence_us.push(latency);
-                if let Some(feed) = &self.signals {
-                    feed.publish(ChaosSignal {
-                        kind: SignalKind::ReconvergenceDone,
-                        code: 0,
-                        target: p.replica,
-                        value: latency,
-                        at: now,
-                    });
-                }
-            } else if now > p.deadline {
-                self.checks[INV_RECONVERGENCE] += 1;
-                self.recovering.remove(&p.replica);
-                self.violations[INV_RECONVERGENCE] += 1;
-                self.obs.journal(obs::Event::InvariantViolation {
-                    invariant: INV_RECONVERGENCE as u8,
-                    detail: p.replica as u64,
+                let latency_us = now.since(p.healed_at).as_micros();
+                self.reconvergence_us.push(latency_us);
+                self.obs.journal(obs::Event::Reconverged {
+                    replica: p.replica,
+                    latency_us,
                 });
-                if let Some(feed) = &self.signals {
-                    feed.publish(ChaosSignal {
-                        kind: SignalKind::ReconvergenceTimeout,
-                        code: INV_RECONVERGENCE as u8,
-                        target: p.replica,
-                        value: 0,
-                        at: now,
-                    });
-                }
+            } else if now > p.deadline {
+                self.checks[INV_RECONVERGENCE as usize] += 1;
+                self.recovering.remove(&p.replica);
+                self.violation(INV_RECONVERGENCE, p.replica as u64);
             } else {
                 still.push(p);
             }
@@ -395,21 +365,10 @@ impl InvariantChecker {
         self.pending = still;
     }
 
-    fn violation(&mut self, invariant: usize, detail: u64, now: SimTime) {
-        self.violations[invariant] += 1;
-        self.obs.journal(obs::Event::InvariantViolation {
-            invariant: invariant as u8,
-            detail,
-        });
-        if let Some(feed) = &self.signals {
-            feed.publish(ChaosSignal {
-                kind: SignalKind::Violation,
-                code: invariant as u8,
-                target: 0,
-                value: detail,
-                at: now,
-            });
-        }
+    fn violation(&mut self, invariant: u8, detail: u64) {
+        self.violations[invariant as usize] += 1;
+        self.obs
+            .journal(obs::Event::InvariantViolation { invariant, detail });
     }
 
     // ---- reporting --------------------------------------------------

@@ -12,13 +12,12 @@
 //! injection/heal/violation is journaled into the run digest, and the same
 //! seed replays the same soak byte-for-byte. See `EXPERIMENTS.md` (E12)
 //! for the chaos-soak experiment built on this crate.
-
-//! For consumers that must *react* to chaos rather than audit it after
-//! the fact (the `response` controller, tests), [`signal`] adds a typed,
-//! deterministic publish/subscribe feed of injections, heals,
-//! reconvergence outcomes, and violations.
+//!
+//! The journal is the run's one record: the driver journals every
+//! injection and heal, the checker every violation and every replica
+//! that caught back up. A consumer that must *react* to chaos (the
+//! `response` controller) tails it with `obs::ObsHub::journal_since`.
 
 pub mod driver;
 pub mod invariants;
 pub mod plan;
-pub mod signal;

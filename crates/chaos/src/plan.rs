@@ -53,7 +53,9 @@ pub enum FaultKind {
     NodeCrash,
     /// A replica turns Byzantine (mute or delaying leader) for a window.
     ByzFlip,
-    /// The observability clock is told time ran backwards (skew injection).
+    /// An observability-monotonicity probe, not a clock fault: the obs
+    /// hub is offered an earlier time, rejects it and journals an
+    /// [`obs::Event::ClockSkew`]. No replica, link or timer sees it.
     ClockSkew,
     /// An unscheduled proactive recovery (take down, re-diversify, rejoin).
     Recovery,
@@ -132,7 +134,9 @@ pub enum Fault {
     NodeCrash { replica: u32 },
     /// Flip `replica` into the given Byzantine mode; the heal flips it back.
     ByzFlip { replica: u32, mode: ByzMode },
-    /// Tell the observability clock time went `behind` backwards.
+    /// Offer the obs hub a time `behind` earlier than its clock. The hub
+    /// rejects it and journals the skew; no replica, link or timer sees
+    /// it (see [`FaultKind::ClockSkew`]).
     ClockSkew { behind: SimDuration },
     /// Proactively recover `replica` (down, clean image, rejoin).
     Recovery { replica: u32 },

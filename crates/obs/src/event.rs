@@ -34,6 +34,30 @@ impl DropKind {
     }
 }
 
+/// [`Event::InvariantViolation`] tag: two replicas reported different
+/// application digests for one executed sequence number (safety).
+pub const INV_AGREEMENT: u8 = 0;
+/// [`Event::InvariantViolation`] tag: an HMI rendered a breaker state the
+/// field never held (safety).
+pub const INV_HMI_TRUTH: u8 = 1;
+/// [`Event::InvariantViolation`] tag: ordering stalled past the delay
+/// bound while the faults fit the budget (liveness).
+pub const INV_BOUNDED_DELAY: u8 = 2;
+/// [`Event::InvariantViolation`] tag: a healed replica missed the
+/// reconvergence window (liveness).
+pub const INV_RECONVERGENCE: u8 = 3;
+
+/// The name of an invariant tag, as the journal prints it.
+fn invariant_name(tag: u8) -> &'static str {
+    match tag {
+        INV_AGREEMENT => "agreement",
+        INV_HMI_TRUTH => "hmi-truth",
+        INV_BOUNDED_DELAY => "bounded-delay",
+        INV_RECONVERGENCE => "reconvergence",
+        _ => "unknown",
+    }
+}
+
 /// One structured journal record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
@@ -94,7 +118,8 @@ pub enum Event {
         /// The ending span.
         span: SpanId,
     },
-    /// The scheduler handed the hub a clock earlier than the current one.
+    /// The scheduler, or the chaos `ClockSkew` probe, handed the hub a
+    /// clock earlier than the current one.
     /// The hub keeps the monotonic clock (span durations can never
     /// underflow) and journals the rejected value instead.
     ClockSkew {
@@ -118,14 +143,21 @@ pub enum Event {
         /// Target component (replica id for most kinds).
         target: u32,
     },
-    /// The continuous invariant checker recorded a violation
-    /// (`invariant` is the checker's invariant tag).
+    /// The continuous invariant checker recorded a violation.
     InvariantViolation {
-        /// Invariant tag (see `chaos::invariants`).
+        /// Invariant tag ([`INV_AGREEMENT`] .. [`INV_RECONVERGENCE`]).
         invariant: u8,
         /// Invariant-specific detail (e.g. the execution sequence or the
         /// replica involved).
         detail: u64,
+    },
+    /// A replica the checker saw come back (from down or cut off) caught
+    /// up to where the healthy majority was when it came back.
+    Reconverged {
+        /// The replica that caught up.
+        replica: u32,
+        /// Time from its return to caught up, microseconds.
+        latency_us: u64,
     },
     /// Periodic per-replica Prime health snapshot (the flight recorder).
     /// Emitted every `prof::health_every()` protocol ticks; off by
@@ -320,6 +352,14 @@ impl Event {
                 out.extend_from_slice(&target.to_le_bytes());
                 out.extend_from_slice(&param.to_le_bytes());
             }
+            Event::Reconverged {
+                replica,
+                latency_us,
+            } => {
+                out.push(18);
+                out.extend_from_slice(&replica.to_le_bytes());
+                out.extend_from_slice(&latency_us.to_le_bytes());
+            }
         }
     }
 }
@@ -359,8 +399,13 @@ impl fmt::Display for Event {
                 write!(f, "chaos heal kind {kind} on target {target}")
             }
             Event::InvariantViolation { invariant, detail } => {
-                write!(f, "invariant {invariant} violated (detail {detail})")
+                let name = invariant_name(*invariant);
+                write!(f, "invariant {name} violated (detail {detail})")
             }
+            Event::Reconverged {
+                replica,
+                latency_us,
+            } => write!(f, "replica {replica} reconverged after {latency_us}us"),
             Event::ReplicaHealth {
                 replica,
                 view,
@@ -550,6 +595,14 @@ mod tests {
                 target: 3,
                 param: 500_000,
             },
+            Event::Reconverged {
+                replica: 3,
+                latency_us: 1,
+            },
+            Event::Reconverged {
+                replica: 3,
+                latency_us: 2,
+            },
         ];
         let encoded: Vec<Vec<u8>> = events
             .iter()
@@ -588,5 +641,30 @@ mod tests {
             }
         );
         assert!(s.contains("replica 3") && s.contains("view 4"));
+    }
+
+    #[test]
+    fn chaos_records_print_their_own_vocabulary() {
+        let violation = Event::InvariantViolation {
+            invariant: INV_RECONVERGENCE,
+            detail: 3,
+        };
+        assert_eq!(
+            violation.to_string(),
+            "invariant reconvergence violated (detail 3)"
+        );
+        let names: Vec<&str> = (0..4).map(invariant_name).collect();
+        assert_eq!(
+            names,
+            ["agreement", "hmi-truth", "bounded-delay", "reconvergence"]
+        );
+        let caught_up = Event::Reconverged {
+            replica: 3,
+            latency_us: 1_200_000,
+        };
+        assert_eq!(
+            caught_up.to_string(),
+            "replica 3 reconverged after 1200000us"
+        );
     }
 }

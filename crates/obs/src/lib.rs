@@ -254,6 +254,16 @@ impl ObsHub {
         lock(&self.inner.journal).clone()
     }
 
+    /// Every record appended since `cursor`, advancing the cursor past
+    /// them. Each reader owns its cursor, so readers tail the journal
+    /// independently.
+    pub fn journal_since(&self, cursor: &mut usize) -> Vec<TimedEvent> {
+        let journal = lock(&self.inner.journal);
+        let fresh = journal[(*cursor).min(journal.len())..].to_vec();
+        *cursor = journal.len();
+        fresh
+    }
+
     /// Number of journal records matching `pred`.
     pub fn journal_count(&self, pred: impl Fn(&Event) -> bool) -> usize {
         lock(&self.inner.journal)
@@ -479,6 +489,26 @@ mod tests {
             hub.journal_count(|e| matches!(e, Event::RecoveryEnd { .. })),
             0
         );
+    }
+
+    #[test]
+    fn journal_since_cursors_are_independent_and_order_preserving() {
+        let hub = ObsHub::new();
+        let clone = hub.clone();
+        hub.journal(Event::RecoveryStart { replica: 1 });
+        clone.journal(Event::RecoveryEnd { replica: 1 });
+
+        let (mut a, mut b) = (0, 0);
+        let first = hub.journal_since(&mut a);
+        assert_eq!(first.len(), 2);
+        assert_eq!(first[0].event, Event::RecoveryStart { replica: 1 });
+        assert_eq!(first[1].event, Event::RecoveryEnd { replica: 1 });
+        assert!(hub.journal_since(&mut a).is_empty());
+
+        hub.journal(Event::AuthFailure { daemon: 2 });
+        assert_eq!(hub.journal_since(&mut a).len(), 1);
+        // The second reader still sees the whole journal.
+        assert_eq!(clone.journal_since(&mut b).len(), 3);
     }
 
     #[test]

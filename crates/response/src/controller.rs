@@ -1,11 +1,11 @@
 //! The deterministic feedback controller.
 //!
 //! Inputs are *observations* a real deployment could make — detector
-//! scores, protocol health gauges, reachability, and the typed chaos
-//! signal feed. The controller never reads fault schedules or any other
-//! oracle: a compromised replica is found because spoofed traffic lights
-//! up its MANA instance or its gauges degrade, not because the harness
-//! whispered the injection.
+//! scores, protocol health gauges, reachability, and the journal's
+//! reconvergences and violations. The controller never reads fault
+//! schedules or any other oracle: a compromised replica is found because
+//! spoofed traffic lights up its MANA instance or its gauges degrade, not
+//! because the harness whispered the injection.
 //!
 //! Safety argument (the budget guard): the controller initiates at most
 //! `k` concurrent recoveries, refuses to start one while any replica is
@@ -16,7 +16,7 @@
 //! the deployment was built for — mirroring the discipline
 //! `ChaosPlan::within_budget` applies to fault schedules.
 
-use chaos::signal::{ChaosSignal, SignalKind};
+use obs::event::{Event, TimedEvent, INV_RECONVERGENCE};
 use simnet::time::{SimDuration, SimTime};
 
 /// Degraded-mode states, ordered by severity.
@@ -110,8 +110,8 @@ pub struct ControllerInput {
     pub replicas: Vec<ReplicaObservation>,
     /// Per-proxy observations, in proxy-index order.
     pub proxies: Vec<ProxyObservation>,
-    /// Chaos signals published since the previous tick.
-    pub signals: Vec<ChaosSignal>,
+    /// Journal records appended since the previous tick.
+    pub journal: Vec<TimedEvent>,
 }
 
 impl Default for ReplicaObservation {
@@ -231,7 +231,7 @@ pub struct ResponseStats {
     pub recoveries_started: u64,
     /// Restores issued.
     pub recoveries_completed: u64,
-    /// Reconvergence confirmations consumed from the signal feed.
+    /// Reconvergence confirmations read from the journal.
     pub reconvergences_confirmed: u64,
     /// Throttles engaged.
     pub throttles: u64,
@@ -257,7 +257,7 @@ pub struct Controller {
     /// Controller-initiated downs: (replica, restore due).
     down: Vec<(u32, SimTime)>,
     /// Restored replicas not yet confirmed reconverged, with a
-    /// consecutive-healthy-tick streak as the signal-less fallback.
+    /// consecutive-healthy-tick streak as the journal-less fallback.
     awaiting: Vec<(u32, u32)>,
     /// When the controller's last disruptive window ended.
     last_window_end: SimTime,
@@ -367,30 +367,33 @@ impl Controller {
         self.proxy_calm.resize(self.throttled.len(), 0);
         let mut out = Vec::new();
 
-        // 1. Signal feed: recovery confirmations and violation evidence.
-        //    Injection signals are deliberately ignored — detection must
-        //    come from observable behavior, not the fault schedule.
+        // 1. Journal: recovery confirmations and violation evidence. All
+        //    else, injections above all, is ignored — detection must come
+        //    from observable behavior, not the fault schedule.
         let mut violation_seen = false;
-        for sig in &input.signals {
-            match sig.kind {
-                SignalKind::ReconvergenceDone => {
+        for rec in &input.journal {
+            match rec.event {
+                Event::Reconverged { replica, .. } => {
                     let before = self.awaiting.len();
-                    self.awaiting.retain(|(r, _)| *r != sig.target);
+                    self.awaiting.retain(|(r, _)| *r != replica);
                     if self.awaiting.len() < before {
                         self.stats.reconvergences_confirmed += 1;
                     }
                 }
-                SignalKind::ReconvergenceTimeout => {
+                Event::InvariantViolation {
+                    invariant: INV_RECONVERGENCE,
+                    detail,
+                } => {
                     // A failed catch-up keeps the replica suspect; the
                     // per-replica cool-down spaces any re-recovery.
-                    self.awaiting.retain(|(r, _)| *r != sig.target);
-                    if (sig.target as usize) < n {
-                        self.suspicion[sig.target as usize] = CONFIRM_TICKS;
-                        self.suspect_reason[sig.target as usize] = REASON_HEALTH;
+                    self.awaiting.retain(|(r, _)| u64::from(*r) != detail);
+                    if detail < n as u64 {
+                        self.suspicion[detail as usize] = CONFIRM_TICKS;
+                        self.suspect_reason[detail as usize] = REASON_HEALTH;
                     }
                 }
-                SignalKind::Violation => violation_seen = true,
-                SignalKind::Injected | SignalKind::Healed => {}
+                Event::InvariantViolation { .. } => violation_seen = true,
+                _ => {}
             }
         }
 
@@ -457,7 +460,7 @@ impl Controller {
                 self.suspicion[r] = self.suspicion[r].saturating_sub(1);
             }
             // A restored replica that looks healthy for a confirmation
-            // streak counts as reconverged even without the signal feed.
+            // streak counts as reconverged even with no journal record.
             if let Some(entry) = self.awaiting.iter_mut().find(|(ar, _)| *ar == ob.replica) {
                 if !ob.catching_up && self.suspicion[r] == 0 {
                     entry.1 += 1;
@@ -601,6 +604,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::event::{INV_AGREEMENT, INV_BOUNDED_DELAY, INV_HMI_TRUTH};
 
     fn cfg() -> ResponseConfig {
         ResponseConfig::for_budget(6, 1, 1)
@@ -619,7 +623,7 @@ mod tests {
                 proxy: 0,
                 anomaly_z: 0.0,
             }],
-            signals: Vec::new(),
+            journal: Vec::new(),
         }
     }
 
@@ -709,6 +713,104 @@ mod tests {
         );
         assert_eq!(c.stats.throttles, 1);
         assert_eq!(c.stats.unthrottles, 1);
+    }
+
+    /// Drives replica 4 hot until the controller takes it down, then down
+    /// until it is restored. Returns the time of the restoring tick (ms).
+    fn recover_replica_4(c: &mut Controller) -> u64 {
+        for t in 0..200u64 {
+            let now_ms = 4000 + t * 100;
+            let mut input = quiet_input(now_ms, 6);
+            if c.isolated().is_empty() {
+                input.replicas[4].anomaly_z = 9.0;
+            } else {
+                input.replicas[4].up = false;
+            }
+            let acts = c.step(&input);
+            if acts.contains(&Actuation::Restore { replica: 4 }) {
+                return now_ms;
+            }
+        }
+        panic!("replica 4 never restored");
+    }
+
+    fn record(event: obs::Event) -> TimedEvent {
+        TimedEvent { at_us: 0, event }
+    }
+
+    #[test]
+    fn reconverged_record_confirms_the_awaited_replica_once() {
+        let mut c = Controller::new(cfg());
+        let restored_ms = recover_replica_4(&mut c);
+        assert_eq!(c.awaiting, vec![(4, 0)]);
+        let caught_up = record(Event::Reconverged {
+            replica: 4,
+            latency_us: 700_000,
+        });
+        for tick in 1..=2 {
+            let mut input = quiet_input(restored_ms + tick * 100, 6);
+            input.journal = vec![caught_up.clone()];
+            c.step(&input);
+            assert!(c.awaiting.is_empty());
+            assert_eq!(c.stats.reconvergences_confirmed, 1);
+        }
+    }
+
+    #[test]
+    fn reconvergence_timeout_marks_the_replica_suspect() {
+        let mut c = Controller::new(cfg());
+        let restored_ms = recover_replica_4(&mut c);
+        // Replica 4 reports catching up, so this tick's observations
+        // neither raise nor decay its suspicion.
+        let mut input = quiet_input(restored_ms + 100, 6);
+        input.replicas[4].catching_up = true;
+        input.journal = vec![record(Event::InvariantViolation {
+            invariant: INV_RECONVERGENCE,
+            detail: 4,
+        })];
+        c.step(&input);
+        assert!(c.awaiting.is_empty(), "a timeout ends the wait");
+        assert_eq!(c.suspicion[4], CONFIRM_TICKS);
+        assert_eq!(c.suspect_reason[4], REASON_HEALTH);
+        assert_eq!(c.stats.reconvergences_confirmed, 0);
+    }
+
+    /// Feeds `c` quiet ticks with `event` journaled on every one, after a
+    /// throttle put it in a non-Normal state. Returns the tick at which it
+    /// settled back to Normal, if it did within the window.
+    fn ticks_to_normal(event: Option<obs::Event>) -> Option<u64> {
+        let mut c = Controller::new(cfg());
+        let mut input = quiet_input(0, 6);
+        input.proxies[0].anomaly_z = 11.0;
+        c.step(&input);
+        for t in 1..200u64 {
+            let mut input = quiet_input(t * 100, 6);
+            input.journal = event.clone().map(record).into_iter().collect();
+            c.step(&input);
+            if c.state() == ResponseState::Normal {
+                return Some(t);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn only_a_violation_other_than_a_timeout_resets_the_calm_streak() {
+        let quiet = ticks_to_normal(None).expect("calm returns to Normal");
+        // A timeout naming no replica the controller manages sets no
+        // suspicion, which isolates its effect on the calm streak: none.
+        let timeout = Event::InvariantViolation {
+            invariant: INV_RECONVERGENCE,
+            detail: 6,
+        };
+        assert_eq!(ticks_to_normal(Some(timeout)), Some(quiet));
+        for invariant in [INV_AGREEMENT, INV_HMI_TRUTH, INV_BOUNDED_DELAY] {
+            let violation = Event::InvariantViolation {
+                invariant,
+                detail: 0,
+            };
+            assert_eq!(ticks_to_normal(Some(violation)), None, "tag {invariant}");
+        }
     }
 
     #[test]

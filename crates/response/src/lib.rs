@@ -8,7 +8,8 @@
 //! through Two-Level Feedback Control" (see PAPERS.md): a deterministic
 //! controller consumes per-replica MANA anomaly scores, Prime
 //! flight-recorder health gauges (PO-queue depth, turnaround time, view
-//! churn), and the typed `chaos::signal` feed, and drives three actuators:
+//! churn), and the journal's reconvergences and violations, and drives
+//! three actuators:
 //!
 //! 1. **Recovery scheduling** — a suspected replica jumps the periodic
 //!    round-robin queue (`diversity::recovery::RecoveryScheduler::trigger`)

@@ -1,8 +1,10 @@
 //! Property tests for the response controller: determinism (same
-//! observation stream ⇒ identical actuator sequence) and the budget
+//! observation stream ⇒ identical actuator sequence), honest detection
+//! (journal records it must not read change nothing), and the budget
 //! guard (controller-initiated recoveries never exceed the `f`/`k`
 //! disruptive-window discipline, mirroring `ChaosPlan::within_budget`).
 
+use obs::{Event, TimedEvent};
 use proptest::prelude::*;
 use response::controller::{COOLDOWN, REPLICA_COOLDOWN};
 use response::{
@@ -31,11 +33,83 @@ impl Rng {
     }
 }
 
-/// A hostile but *observable* world: random anomaly scores, random
-/// external crashes, view bumps, floods. The controller's own downs are
-/// reflected back as `up = false`, exactly as a deployment would.
-fn drive(seed: u64, cfg: ResponseConfig) -> (Controller, Vec<(u64, bool)>) {
+/// Up to three journal records per tick that the controller must ignore:
+/// fault injections and heals (the schedule it may not peek at),
+/// detector scores and its own transitions. Drawn from their own stream,
+/// so the observations stay those of the noise-free run.
+fn noise(rng: &mut Rng, now: SimTime) -> Vec<TimedEvent> {
+    (0..rng.below(4))
+        .map(|_| {
+            let target = rng.below(N as u64 + 1) as u32;
+            let event = match rng.below(4) {
+                0 => Event::ChaosInject {
+                    kind: rng.below(10) as u8,
+                    target,
+                },
+                1 => Event::ChaosHeal {
+                    kind: rng.below(10) as u8,
+                    target,
+                },
+                2 => Event::AnomalyScore {
+                    replica: target,
+                    score_milli: rng.below(20_000),
+                },
+                _ => Event::ResponseTransition {
+                    from: rng.below(5) as u8,
+                    to: rng.below(5) as u8,
+                    reason: rng.below(6) as u8,
+                },
+            };
+            TimedEvent {
+                at_us: now.as_micros(),
+                event,
+            }
+        })
+        .collect()
+}
+
+/// The bounds of each tick's random observations.
+#[derive(Clone, Copy)]
+struct World {
+    /// Replica z-scores are drawn below this, in tenths.
+    replica_z: u64,
+    /// The proxy z-score is drawn below this, in tenths.
+    proxy_z: u64,
+    po_queue: u64,
+    tat_us: u64,
+}
+
+/// Scores and gauges past every red line: suspicion, takedowns and
+/// throttles all the time.
+const HOSTILE: World = World {
+    replica_z: 150,
+    proxy_z: 120,
+    po_queue: 700,
+    tat_us: 4_000_000,
+};
+
+/// Scores and gauges under the red lines: only view churn raises
+/// suspicion, so the calm streak runs and the controller keeps settling
+/// back to Normal.
+const CALM: World = World {
+    replica_z: 60,
+    proxy_z: 60,
+    po_queue: 400,
+    tat_us: 2_000_000,
+};
+
+/// An *observable* world: random anomaly scores, random external
+/// crashes, view bumps, floods. The controller's own downs are reflected
+/// back as `up = false`, exactly as a deployment would. With `noisy`,
+/// each tick's journal also carries [`noise`].
+fn drive(
+    seed: u64,
+    cfg: ResponseConfig,
+    world: World,
+    noisy: bool,
+) -> (Controller, Vec<(u64, bool)>) {
     let mut rng = Rng(seed ^ 0x5eed_50de);
+    let mut noise_rng = Rng(seed ^ 0x0a15_e5ed);
     let mut c = Controller::new(cfg);
     let mut ours_down: Vec<u32> = Vec::new();
     // Externally-crashed replicas: (replica, ticks remaining).
@@ -61,9 +135,9 @@ fn drive(seed: u64, cfg: ResponseConfig) -> (Controller, Vec<(u64, bool)>) {
                 ReplicaObservation {
                     replica: r,
                     up: !externally_down && !ours_down.contains(&r),
-                    anomaly_z: rng.below(150) as f64 / 10.0,
-                    po_queue: rng.below(700) as u32,
-                    tat_us: rng.below(4_000_000),
+                    anomaly_z: rng.below(world.replica_z) as f64 / 10.0,
+                    po_queue: rng.below(world.po_queue) as u32,
+                    tat_us: rng.below(world.tat_us),
                     view,
                     catching_up: rng.below(30) == 0,
                 }
@@ -76,9 +150,13 @@ fn drive(seed: u64, cfg: ResponseConfig) -> (Controller, Vec<(u64, bool)>) {
             replicas,
             proxies: vec![ProxyObservation {
                 proxy: 0,
-                anomaly_z: rng.below(120) as f64 / 10.0,
+                anomaly_z: rng.below(world.proxy_z) as f64 / 10.0,
             }],
-            signals: Vec::new(),
+            journal: if noisy {
+                noise(&mut noise_rng, now)
+            } else {
+                Vec::new()
+            },
         };
         for act in c.step(&input) {
             match act {
@@ -98,10 +176,24 @@ proptest! {
     #[test]
     fn same_stream_same_actuator_sequence(seed in any::<u64>()) {
         let cfg = ResponseConfig::for_budget(N, 1, 1);
-        let (a, _) = drive(seed, cfg);
-        let (b, _) = drive(seed, cfg);
+        let (a, _) = drive(seed, cfg, HOSTILE, false);
+        let (b, _) = drive(seed, cfg, HOSTILE, false);
         prop_assert_eq!(a.actions(), b.actions());
         prop_assert_eq!(a.transitions(), b.transitions());
+    }
+
+    /// Honest detection: injections, heals, anomaly scores and response
+    /// transitions in the journal leave the actuations unchanged — the
+    /// controller reads only reconvergences and violations there.
+    #[test]
+    fn unread_journal_records_change_no_actuation(seed in any::<u64>()) {
+        let cfg = ResponseConfig::for_budget(N, 1, 1);
+        for world in [HOSTILE, CALM] {
+            let (quiet, _) = drive(seed, cfg, world, false);
+            let (noisy, _) = drive(seed, cfg, world, true);
+            prop_assert_eq!(quiet.actions(), noisy.actions());
+            prop_assert_eq!(quiet.transitions(), noisy.transitions());
+        }
     }
 
     /// Budget guard: replaying the action log, controller-initiated downs
@@ -111,7 +203,7 @@ proptest! {
     #[test]
     fn recoveries_never_exceed_the_disruptive_budget(seed in any::<u64>()) {
         let cfg = ResponseConfig::for_budget(N, 1, 1);
-        let (c, ext_down_log) = drive(seed, cfg);
+        let (c, ext_down_log) = drive(seed, cfg, HOSTILE, false);
         let mut down: Vec<u32> = Vec::new();
         let mut last_restore: Option<SimTime> = None;
         let mut last_restore_of = vec![None::<SimTime>; N as usize];

@@ -18,8 +18,6 @@
 //! * [`hmi`] — the operator display: Figure 4 rendered as text, update
 //!   timestamps for the §V reaction-time measurement, and the black/white
 //!   sensor box.
-//! * [`historian`] — the PI-server-style append-only log; per §III-A it
-//!   *cannot* recover history after an assumption breach.
 //! * [`ground_truth`] — rebuilding master state by polling field devices,
 //!   the recovery path generic BFT systems do not have.
 //! * [`commercial`] — the NIST-best-practices baseline: primary/backup
@@ -31,7 +29,6 @@
 
 pub mod commercial;
 pub mod ground_truth;
-pub mod historian;
 pub mod hmi;
 pub mod master;
 pub mod state;

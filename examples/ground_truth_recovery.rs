@@ -1,7 +1,6 @@
 //! The §III-A cyber-physical recovery property: after an assumption
 //! breach that no BFT system can survive, Spire rebuilds its state from
-//! the field devices — and the historian shows why *history* cannot come
-//! back the same way.
+//! the field devices.
 //!
 //! Run with: `cargo run --release --example ground_truth_recovery`
 
@@ -23,15 +22,5 @@ fn main() {
     println!(
         "rebuilt master state matches physical reality: {}",
         run.field_rebuild_correct
-    );
-    println!();
-    println!("the historian is the contrast case (§III-A):");
-    println!(
-        "  records lost in the breach:      {}",
-        run.historian_records_lost
-    );
-    println!(
-        "  records recoverable from field:  {} (the present snapshot only)",
-        run.historian_records_recovered
     );
 }

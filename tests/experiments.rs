@@ -193,11 +193,6 @@ fn e6_ground_truth_recovery_after_breach() {
         run.field_rebuild_correct,
         "state rebuilt from field devices matches reality"
     );
-    assert!(run.historian_records_lost > 0, "history is gone");
-    assert!(
-        run.historian_records_recovered < run.historian_records_lost,
-        "only the present snapshot comes back"
-    );
 }
 
 #[test]

@@ -50,9 +50,11 @@ const GOLDEN: &[(&str, &str)] = &[
         "e5",
         "8bcf2effa7a70d7f00e2b1359a193e6d6106ecadcc38481fbe8d92e5d6994ff2",
     ),
+    // e6 re-pinned when `scada::historian` went: its two counts left the
+    // printed result. The run and its journal digest are unchanged.
     (
         "e6",
-        "f0795e0fac8bacba9973edd66a9fa1a13ec70869f64c6df805cc514e1bfc2885",
+        "84b61944f73efedf40435761a875b16923837ed214339652ce2138b8e9d82ae2",
     ),
     (
         "e7",
@@ -78,9 +80,16 @@ const GOLDEN: &[(&str, &str)] = &[
         "e11b",
         "ddf735f710a6484fcee7f9f74d5dc49b080c077eaa4cf83eea7f07bcc6ebfbf7",
     ),
+    // e12, e13a, e13b, e13c, e16a and e16b re-pinned when the checker
+    // began journaling `Event::Reconverged` for each replica that caught
+    // up (2c3545cb → fac2fc4f, f0ee4fc3 → f6d9c47a, 10bc1ef2 → 13a13fb2,
+    // 0954e010 → 97af12e6, 0a4e435f → 552c692e, 91593ae1 → b74afbfc).
+    // Verified to be the only cause: with those records filtered out,
+    // every journal hashes to its previous digest, and the result tables
+    // are byte-identical.
     (
         "e12",
-        "2c3545cb2da2de7af1dc70944ff19672aadea56651e847713f08808b8d2f450f",
+        "fac2fc4fc9e93229616ca047a82642770d19dc73533a907a2f8b9822a8a6a02a",
     ),
     // e13a, e13b and e13c re-pinned when the invariant checker started
     // reading fault state from the deployment at each sample (c25bbd19 →
@@ -93,15 +102,15 @@ const GOLDEN: &[(&str, &str)] = &[
     // count moved.
     (
         "e13a",
-        "f0ee4fc319c14a25875b474ed34a3bfd25ce5ba70524ccd1b2330dc42633c1c4",
+        "f6d9c47aab828ca61324e9d9f154ba41b684152a8ca42069ce6dadb8f81c971a",
     ),
     (
         "e13b",
-        "10bc1ef262a4a8e3055a9e15379a77eed3433589047e381884d372b20671dea5",
+        "13a13fb23d3ea02d4024ea0db6baac43958e867e0da9041133755aeb7682ccf4",
     ),
     (
         "e13c",
-        "0954e010a9aed18eccd34b57ad71250f884923146e8f544e6504427354cb9935",
+        "97af12e6e9fb24be18848e7054326d1fedd8bce1ae093fb6b18da1a92051bbda",
     ),
     (
         "e14",
@@ -109,11 +118,11 @@ const GOLDEN: &[(&str, &str)] = &[
     ),
     (
         "e16a",
-        "0a4e435f91d529ff56b2a5a4b7590a924f2fc1e2737a009af872409dfd83805e",
+        "552c692e5eee5a8245bcf54dea7f664d2c694a2276418a113ff59fd558975d34",
     ),
     (
         "e16b",
-        "91593ae14344217f4c8ebe648dcd466018816f490c7ba1a1154cad94f92c82c3",
+        "b74afbfc637488cfc41533349d01e5e449e0460df1dafd58545e87e26d17da0e",
     ),
 ];
 
@@ -272,18 +281,19 @@ fn e16b_digest_pinned() {
 /// closed loop feeds detector scores back into node up/downs, so one
 /// seed's stability is weak evidence that the controller's actuation
 /// timeline is deterministic. Release-only — a second debug-build
-/// campaign pair would blow the `cargo test -q` budget.
+/// campaign pair would blow the `cargo test -q` budget. Re-pinned with
+/// the seed-42 pins for the journaled `Event::Reconverged` records.
 #[cfg(not(debug_assertions))]
 #[test]
 fn e16_digests_pinned_at_second_seed() {
     assert_eq!(
         experiment_fingerprint("e16a", 1111),
-        "b020e8b1c49afd04ecf0f5e8cb24e17771141e57ad35030781ac73c78934a687",
+        "83a57b711167710cf739bec67afa1c4d0213c99c246e9c0c8ebfd12e552582c4",
         "e16a fingerprint drifted at seed 1111"
     );
     assert_eq!(
         experiment_fingerprint("e16b", 1111),
-        "098ddceae85196036267017f2458df2311d837c4e64f52ec2b7bcc0092cbe39c",
+        "44993309d1a62de27f51d01afd982a9fc72bc482b46906de5854df05663a4017",
         "e16b fingerprint drifted at seed 1111"
     );
 }
