@@ -127,6 +127,32 @@ if grep -nw 'chaos' crates/response/Cargo.toml; then
     exit 1
 fi
 
+echo "==> a capture exists only where something reads it (no add_tap without drain_tap)"
+# A span-port tap keeps one record per frame entering its switch until it
+# is drained. Outside simnet, a file that attaches one must also drain it.
+for f in $(grep -rl --include='*.rs' 'add_tap(' crates | grep -v '^crates/simnet/src/'); do
+    if ! grep -q 'drain_tap(' "$f"; then
+        echo "    $f attaches a tap and never drains it"
+        exit 1
+    fi
+done
+
+echo "==> memory: spire-sim e4 --days 24 peaks at or below 64 MiB (~16 s)"
+# Twenty-four compressed days of the plant; what grows with run length
+# shows here long before a six-day uncompressed soak.
+if command -v python3 >/dev/null; then
+    cargo build -q --release --bin spire-sim
+    python3 - "${CARGO_TARGET_DIR:-target}/release/spire-sim" <<'PY'
+import resource, subprocess, sys
+subprocess.run([sys.argv[1], "e4", "--days", "24"], check=True, stdout=subprocess.DEVNULL)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"    e4 --days 24: peak RSS {peak:.1f} MiB (bound 64)")
+sys.exit(0 if peak <= 64 else 1)
+PY
+else
+    echo "    note: no python3 here, the e4 memory gate is skipped"
+fi
+
 echo "==> two unsafe blocks in the workspace (itcrypto's calls into its SHA-extensions and AES-NI backends)"
 # Both backends are written with safe intrinsics, so the call into each
 # #[target_feature] function, after detection, is all there is; clippy and

@@ -42,12 +42,13 @@ pub struct ManaRun {
 /// team's attacks appear as classified incidents.
 pub fn e7_mana_detection(seed: u64) -> ManaRun {
     let mut d = spire_target(HardeningProfile::deployed(), seed);
+    let tap = d.sim.add_tap(d.external_switch);
     let mut mana = ManaInstance::new("MANA 2 (spire ops)", SimDuration::from_millis(250));
 
     // Baseline capture ("24-hour packet capture", compressed to 20 s of
     // steady operation) → train.
     d.run_for(SimDuration::from_secs(20));
-    let records = d.sim.drain_tap(d.external_tap);
+    let records = d.sim.drain_tap(tap);
     let training_windows = {
         mana.ingest(records);
         mana.advance_to(d.now());
@@ -57,7 +58,7 @@ pub fn e7_mana_detection(seed: u64) -> ManaRun {
 
     // Clean monitored segment: measure the false-positive rate.
     d.run_for(SimDuration::from_secs(10));
-    let records = d.sim.drain_tap(d.external_tap);
+    let records = d.sim.drain_tap(tap);
     mana.ingest(records);
     mana.advance_to(d.now());
     let clean_flag_rate = mana.flag_rate();
@@ -96,7 +97,7 @@ pub fn e7_mana_detection(seed: u64) -> ManaRun {
     );
     d.attach_external_attacker(attacker_spec(attacker));
     d.run_for(SimDuration::from_secs(10));
-    let records = d.sim.drain_tap(d.external_tap);
+    let records = d.sim.drain_tap(tap);
     mana.ingest(records);
     mana.advance_to(d.now());
 
@@ -143,12 +144,13 @@ pub fn e7_roc(seed: u64) -> RocRun {
             0,
         );
     let mut d = Deployment::build(cfg, HardeningProfile::deployed(), seed);
+    let tap = d.sim.add_tap(d.external_switch);
     let window = SimDuration::from_millis(250);
     let mut extractor = WindowExtractor::new(window);
 
     // Baseline capture → train both models.
     d.run_for(SimDuration::from_secs(20));
-    let mut training = extractor.push(d.sim.drain_tap(d.external_tap));
+    let mut training = extractor.push(d.sim.drain_tap(tap));
     training.extend(extractor.flush_until(d.now()));
     let gaussian = GaussianModel::train(&training);
     let kmeans = KMeansModel::train(&training, 4, 12, seed);
@@ -190,7 +192,7 @@ pub fn e7_roc(seed: u64) -> RocRun {
     );
     d.attach_external_attacker(attacker_spec(attacker));
     d.run_for(SimDuration::from_secs(10));
-    let mut monitored = extractor.push(d.sim.drain_tap(d.external_tap));
+    let mut monitored = extractor.push(d.sim.drain_tap(tap));
     monitored.extend(extractor.flush_until(d.now()));
 
     // Ground-truth labels from the attack schedule.

@@ -584,10 +584,11 @@ fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutc
     } else {
         TRAINING.as_micros() / SimDuration::from_millis(500).as_micros()
     };
-    d.sim.drain_tap(d.external_tap); // discard boot/ARP noise
+    // The capture starts here, after boot and ARP.
+    let tap = d.sim.add_tap(d.external_switch);
     for _ in 0..chunks {
         d.run_for(SimDuration::from_millis(500));
-        let records = d.sim.drain_tap(d.external_tap);
+        let records = d.sim.drain_tap(tap);
         mana.ingest(&records, d.now());
     }
     mana.finish_training(d.now());
@@ -625,7 +626,7 @@ fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutc
         driver.run_soak(&mut d, &mut checker, TICK, TICK);
         let now = d.now();
 
-        let records = d.sim.drain_tap(d.external_tap);
+        let records = d.sim.drain_tap(tap);
         mana.ingest(&records, now);
         mana.tick_scores();
         let journal = d.obs.journal_since(&mut cursor);

@@ -11,7 +11,6 @@
 use plc::emulator::PlcEmulator;
 use plc::topology::Scenario;
 use scada::commercial::{CommercialHmi, CommercialMaster, MasterRole};
-use simnet::capture::TapId;
 use simnet::link::LinkSpec;
 use simnet::sim::{InterfaceSpec, NodeSpec, Simulation};
 use simnet::switch::{SwitchId, SwitchMode};
@@ -42,9 +41,9 @@ pub struct CommercialLab {
     pub sim: Simulation,
     /// The lab-wide observability hub (metrics, journal, trace spans).
     pub obs: obs::ObsHub,
-    /// Enterprise switch.
+    /// Enterprise switch (where MANA 1 of Figure 3 would attach a tap).
     pub enterprise_switch: SwitchId,
-    /// Commercial operations switch.
+    /// Commercial operations switch (where MANA 3 would attach a tap).
     pub ops_switch: SwitchId,
     /// The exposed PLC node.
     pub plc: NodeId,
@@ -56,10 +55,6 @@ pub struct CommercialLab {
     pub hmi: NodeId,
     /// Historian node (enterprise).
     pub historian: NodeId,
-    /// MANA tap on the enterprise switch (MANA 1 in Figure 3).
-    pub enterprise_tap: TapId,
-    /// MANA tap on the commercial ops switch (MANA 3 in Figure 3).
-    pub ops_tap: TapId,
     spare_ops_ports: Vec<usize>,
     spare_enterprise_ports: Vec<usize>,
 }
@@ -131,9 +126,6 @@ impl CommercialLab {
             sim.connect_switches((enterprise_switch, 1), (ops_switch, 4), LinkSpec::wan());
         }
 
-        let enterprise_tap = sim.add_tap(enterprise_switch);
-        let ops_tap = sim.add_tap(ops_switch);
-
         // Join every traced component to the lab hub, labelled by node.
         if let Some(p) = sim.process_mut::<PlcEmulator>(plc) {
             p.attach_obs(&obs, plc.0);
@@ -158,8 +150,6 @@ impl CommercialLab {
             backup,
             hmi,
             historian,
-            enterprise_tap,
-            ops_tap,
             spare_ops_ports: vec![5, 6, 7, 8, 9],
             spare_enterprise_ports: vec![2, 3, 4, 5],
         }

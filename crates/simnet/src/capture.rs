@@ -25,7 +25,7 @@ pub enum CapturedProto {
 }
 
 /// One captured frame's metadata.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PacketRecord {
     /// Capture timestamp.
     pub time: SimTime,

@@ -485,8 +485,8 @@ impl Exec<'_> {
 
     fn frame_at_switch(&mut self, switch: SwitchId, ingress: usize, frame: Frame) {
         // Span-port capture sees every frame entering the switch.
-        let tap_ids = self.world.switch(switch).taps.clone();
-        for tap_id in tap_ids {
+        for i in 0..self.world.switch(switch).taps.len() {
+            let tap_id = self.world.switch(switch).taps[i];
             let rec = PacketRecord::from_frame(self.now, switch, &frame);
             self.world.tap_mut(tap_id).0.record(rec);
         }
@@ -495,28 +495,33 @@ impl Exec<'_> {
             .switch_mut(switch)
             .forward(ingress, frame.src_mac, frame.dst_mac);
         match decision {
+            Forward::Port(port) => self.switch_egress(switch, ingress, port, frame),
             Forward::Ports(ports) => {
                 for port in ports {
-                    // An active partition confines frames to the ingress
-                    // port's group.
-                    if !self
-                        .world
-                        .switch(switch)
-                        .same_partition_group(ingress, port)
-                    {
-                        self.world.switch_mut(switch).partition_drops += 1;
-                        self.world.net.frames_dropped.inc();
-                        continue;
-                    }
-                    if let Some(link_id) = self.world.switch(switch).ports[port] {
-                        let from = EndpointRef::SwitchPort { switch, port };
-                        self.transmit(link_id, from, frame.clone());
-                    }
+                    self.switch_egress(switch, ingress, port, frame.clone());
                 }
             }
             Forward::Drop(_) => {
                 self.world.net.frames_dropped.inc();
             }
+        }
+    }
+
+    /// Sends a frame out one switch port. An active partition confines
+    /// frames to the ingress port's group.
+    fn switch_egress(&mut self, switch: SwitchId, ingress: usize, port: usize, frame: Frame) {
+        if !self
+            .world
+            .switch(switch)
+            .same_partition_group(ingress, port)
+        {
+            self.world.switch_mut(switch).partition_drops += 1;
+            self.world.net.frames_dropped.inc();
+            return;
+        }
+        if let Some(link_id) = self.world.switch(switch).ports[port] {
+            let from = EndpointRef::SwitchPort { switch, port };
+            self.transmit(link_id, from, frame);
         }
     }
 

@@ -838,6 +838,96 @@ mod tests {
         assert!(sim.tap(tap).is_empty());
     }
 
+    /// Sends fifteen numbered datagrams to its peer, one a millisecond.
+    struct Beacon {
+        peer: IpAddr,
+        sent: u32,
+    }
+
+    impl Process for Beacon {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: u64) {
+            self.sent += 1;
+            let payload = Bytes::from(self.sent.to_be_bytes().to_vec());
+            ctx.send(
+                0,
+                Packet::udp(ctx.ip(0), self.peer, Port(1000), Port(2000), payload),
+            );
+            if self.sent < 15 {
+                ctx.set_timer(SimDuration::from_millis(1), 0);
+            }
+        }
+    }
+
+    /// A beacon and a listener on one switch, run for 20 ms. With
+    /// `tap_at`, a tap is attached that far in. Returns the stats, the
+    /// listener's payloads and the tap's records (none without a tap).
+    fn beacon_run(tap_at: Option<SimDuration>) -> (SimStats, Vec<Bytes>, Vec<PacketRecord>) {
+        let mut sim = Simulation::new(5);
+        let beacon = Box::new(Beacon {
+            peer: IP_B,
+            sent: 0,
+        });
+        let a = sim.add_node(NodeSpec::new(
+            "a",
+            vec![InterfaceSpec::dynamic(IP_A)],
+            beacon,
+        ));
+        let b = sim.add_node(NodeSpec::new(
+            "b",
+            vec![InterfaceSpec::dynamic(IP_B)],
+            Chatter::new(IP_A, false),
+        ));
+        let sw = sim.add_switch(4, SwitchMode::Learning);
+        sim.connect(a, 0, sw, 0, LinkSpec::lan());
+        sim.connect(b, 0, sw, 1, LinkSpec::lan());
+        let tap = tap_at.map(|at| {
+            sim.run_for(at);
+            sim.add_tap(sw)
+        });
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(20));
+        let records = tap.map(|tap| sim.drain_tap(tap)).unwrap_or_default();
+        let chatter = sim.process_ref::<Chatter>(b).expect("chatter");
+        let received = chatter.received.iter().map(|p| p.payload.clone()).collect();
+        (sim.stats(), received, records)
+    }
+
+    #[test]
+    fn tap_attached_mid_run_records_from_then_on_and_changes_nothing() {
+        let (plain_stats, plain_rx, _) = beacon_run(None);
+        let (full_stats, full_rx, full) = beacon_run(Some(SimDuration::ZERO));
+        let from = SimDuration::from_millis(10);
+        let (late_stats, late_rx, late) = beacon_run(Some(from));
+
+        // A tap from the start sees every frame that enters the switch.
+        // Here each leaves by exactly one port, so that is half of all
+        // frames sent.
+        assert_eq!(plain_stats.frames_dropped, 0);
+        assert_eq!(full.len() as u64 * 2, plain_stats.frames_sent);
+
+        // The late tap holds exactly what a tap from the start saw after
+        // it was attached (events at `from` itself ran before it).
+        let (before, after): (Vec<_>, Vec<_>) = full
+            .into_iter()
+            .partition(|r| r.time <= SimTime::ZERO + from);
+        assert!(
+            !before.is_empty(),
+            "frames entered the switch before the attach"
+        );
+        assert!(!late.is_empty());
+        assert_eq!(late, after);
+
+        // A tap only watches: the run without one delivers the same frames.
+        assert_eq!(plain_rx.len(), 15);
+        assert_eq!(plain_stats, full_stats);
+        assert_eq!(plain_stats, late_stats);
+        assert_eq!(plain_rx, full_rx);
+        assert_eq!(plain_rx, late_rx);
+    }
+
     #[test]
     fn ping_gets_pong() {
         struct Pinger {

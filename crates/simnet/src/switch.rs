@@ -35,7 +35,9 @@ pub enum SwitchMode {
 /// Forwarding decision for one frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Forward {
-    /// Send out these ports.
+    /// Send out this one port (a known unicast destination).
+    Port(usize),
+    /// Flood out these ports (broadcast or unknown unicast).
     Ports(Vec<usize>),
     /// Drop, with the reason recorded.
     Drop(DropReason),
@@ -134,7 +136,7 @@ impl Switch {
                     return Forward::Ports(self.all_except(ingress));
                 }
                 match self.cam.get(&dst_mac) {
-                    Some(&p) if p != ingress => Forward::Ports(vec![p]),
+                    Some(&p) if p != ingress => Forward::Port(p),
                     Some(_) => Forward::Drop(DropReason::DeadPort), // hairpin: already local
                     None => Forward::Ports(self.all_except(ingress)),
                 }
@@ -156,7 +158,7 @@ impl Switch {
                     return Forward::Ports(self.all_except(ingress));
                 }
                 match map.get(&dst_mac) {
-                    Some(&p) if p != ingress => Forward::Ports(vec![p]),
+                    Some(&p) if p != ingress => Forward::Port(p),
                     Some(_) => Forward::Drop(DropReason::DeadPort),
                     None => {
                         self.unknown_dst_drops += 1;
@@ -220,7 +222,7 @@ mod tests {
         assert_eq!(sw.forward(0, mac(1), mac(2)), Forward::Ports(vec![1, 2, 3]));
         // Now the switch heard mac(2) on port 1; unicast goes there only.
         sw.forward(1, mac(2), mac(1));
-        assert_eq!(sw.forward(0, mac(1), mac(2)), Forward::Ports(vec![1]));
+        assert_eq!(sw.forward(0, mac(1), mac(2)), Forward::Port(1));
         assert_eq!(sw.cam_entry(mac(1)), Some(0));
     }
 
@@ -241,13 +243,13 @@ mod tests {
         sw.forward(2, mac(1), MacAddr::BROADCAST);
         assert_eq!(sw.cam_entry(mac(1)), Some(2));
         // Traffic for mac(1) now goes to the attacker.
-        assert_eq!(sw.forward(1, mac(5), mac(1)), Forward::Ports(vec![2]));
+        assert_eq!(sw.forward(1, mac(5), mac(1)), Forward::Port(2));
     }
 
     #[test]
     fn static_forwards_by_map_only() {
         let mut sw = static_sw(&[(1, 0), (2, 1), (3, 2)], false);
-        assert_eq!(sw.forward(0, mac(1), mac(2)), Forward::Ports(vec![1]));
+        assert_eq!(sw.forward(0, mac(1), mac(2)), Forward::Port(1));
         // Destination not in map → dropped, not flooded.
         assert_eq!(
             sw.forward(0, mac(1), mac(9)),

@@ -9,7 +9,6 @@ use std::collections::BTreeMap;
 use diversity::os::OsProfile;
 use plc::emulator::PlcEmulator;
 use prime::replica::Timing;
-use simnet::capture::TapId;
 use simnet::firewall::Firewall;
 use simnet::link::{LinkId, LinkSpec};
 use simnet::process::Process;
@@ -55,7 +54,9 @@ pub struct Deployment {
     /// The hardening profile in force.
     pub hardening: HardeningProfile,
     /// The external (operations) switch; the WAN hub of the operations
-    /// overlay in a multi-site deployment.
+    /// overlay in a multi-site deployment. The build attaches no span-port
+    /// tap here; a reader attaches its own ([`Simulation::add_tap`]) where
+    /// its capture starts.
     pub external_switch: SwitchId,
     /// The internal switch (present only when `isolated_internal`, and
     /// only on a single LAN).
@@ -68,8 +69,6 @@ pub struct Deployment {
     pub plc_nodes: Vec<NodeId>,
     /// HMI nodes, by HMI index.
     pub hmi_nodes: Vec<NodeId>,
-    /// The MANA tap on the external switch.
-    pub external_tap: TapId,
     /// Multi-site only, per site: its operations access switch (where an
     /// attacker's MAC must be known behind the trunk) and its internal and
     /// external WAN trunks (what severing the site cuts).
@@ -242,7 +241,6 @@ impl Deployment {
         let wan_internal = wan.map(|_| add_internal(&mut sim));
         let ops = add_overlay(&mut sim, h, wan, &ops_plans, &ops_macs, SPARE_PORTS);
         let internal = wan_internal.or_else(|| (!shared_lan).then(|| add_internal(&mut sim)));
-        let external_tap = sim.add_tap(ops.core);
 
         // ---- Field side of each proxy slot: a substation LAN, the direct
         // cable, or (exposed) the operations ports planned above. ----
@@ -306,7 +304,6 @@ impl Deployment {
             proxy_nodes,
             plc_nodes,
             hmi_nodes,
-            external_tap,
             site_uplinks,
             partitioned: Vec::new(),
             severed_sites: Vec::new(),

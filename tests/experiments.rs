@@ -10,6 +10,7 @@ use bench::redteam_experiments::{
 };
 use bench::saturation::{e11_default_rates, e11_saturation};
 use redteam::report::AttackOutcome;
+use simnet::capture::TapId;
 use simnet::time::SimDuration;
 use spire::config::SpireConfig;
 use spire::deploy::{fast_timing, Deployment};
@@ -311,4 +312,22 @@ fn plant_scale_deployment_all_seventeen_plcs() {
     for h in 0..3 {
         assert!(d.hmi(h).stats.frames_applied >= 1, "hmi {h} live");
     }
+}
+
+#[test]
+fn the_plant_deployment_keeps_no_capture_until_a_reader_attaches_one() {
+    // E4's shape: the plant configuration with five proxies.
+    let mut cfg = SpireConfig::plant();
+    cfg.proxies.truncate(5);
+    let mut d = Deployment::build(cfg, HardeningProfile::deployed(), 42);
+    d.set_timing(fast_timing());
+    d.run_for(SimDuration::from_secs(5));
+    // The first tap on the simulation: the build attached none.
+    let tap = d.sim.add_tap(d.external_switch);
+    assert_eq!(tap, TapId(0));
+    let attached = d.now();
+    d.run_for(SimDuration::from_secs(1));
+    let records = d.sim.drain_tap(tap);
+    assert!(!records.is_empty(), "the operations switch carried traffic");
+    assert!(records.iter().all(|r| r.time >= attached));
 }
