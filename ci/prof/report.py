@@ -23,7 +23,8 @@ SCAFFOLDING = re.compile(
 
 
 def symbolise(binary, offsets):
-    """Maps each offset to its functions, innermost inlined one first."""
+    """Maps each offset to its (function, path:line) frames, innermost
+    inlined one first."""
     out = subprocess.run(
         ["addr2line", "-a", "-i", "-f", "-C", "-e", binary],
         input="\n".join(f"0x{o:x}" for o in offsets),
@@ -34,8 +35,8 @@ def symbolise(binary, offsets):
         if line.startswith("0x") and ":" not in line:
             current = frames.setdefault(int(line, 16), [])
             rest = i + 1
-        elif (i - rest) % 2 == 0:  # function, then file:line
-            where = out[i + 1].rsplit("/", 1)[-1].split(" ")[0]
+        elif (i - rest) % 2 == 0:  # function, then path:line
+            where = out[i + 1].split(" ")[0]
             name = re.sub(r"::h[0-9a-f]{16}$", "", line)
             current.append((name, where))
     return frames
@@ -57,7 +58,8 @@ def load(binary, path):
             if a[0] == "@":
                 stack.append((f"[libc] {a[1:]}", ""))
             else:
-                stack.extend(frames.get(int(a, 16) - (i > 0), [("??", "")]))
+                stack.extend((f, where.rsplit("/", 1)[-1])
+                             for f, where in frames.get(int(a, 16) - (i > 0), [("??", "")]))
         stacks.append(stack)
     return stacks
 

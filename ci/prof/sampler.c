@@ -5,19 +5,16 @@
 #define _GNU_SOURCE
 #include <dlfcn.h>
 #include <signal.h>
-#include <stdint.h>
-#include <stdio.h>
 #include <stdlib.h>
-#include <string.h>
 #include <sys/time.h>
 #include <ucontext.h>
-#include <unistd.h>
+
+#include "maps.h"
 
 enum { DEPTH = 64, MAX_SAMPLES = 1 << 16, HZ = 250 };
-static uintptr_t bias, text_lo, text_hi, stack_lo, stack_hi, (*samples)[DEPTH];
+static uintptr_t (*samples)[DEPTH];
 static volatile size_t taken, elsewhere;
 
-static int in_text(uintptr_t a) { return a >= text_lo && a < text_hi; }
 static int on_stack(uintptr_t a, uintptr_t above) { return a > above && a + 16 <= stack_hi && a % 8 == 0; }
 
 static void on_prof(int sig, siginfo_t *info, void *raw) {
@@ -55,29 +52,12 @@ static void on_prof(int sig, siginfo_t *info, void *raw) {
 }
 
 __attribute__((constructor)) static void start(void) {
-    char exe[4096], line[4400], perms[8], path[4096];
-    ssize_t len = readlink("/proc/self/exe", exe, sizeof exe - 1);
-    FILE *maps = fopen("/proc/self/maps", "r");
-    if (len < 0 || !maps || !getenv("PROF_OUT"))
+    if (!getenv("PROF_OUT") || !read_maps())
         return;
-    exe[len] = 0;
-    for (uintptr_t lo, hi, offset; fgets(line, sizeof line, maps);) {
-        path[0] = 0;
-        if (sscanf(line, "%lx-%lx %7s %lx %*s %*s %4095[^\n]", &lo, &hi, perms, &offset, path) < 4)
-            continue;
-        if (!strcmp(path, exe) && offset == 0)
-            bias = lo; /* the ELF header: link-time address 0 */
-        if (!strcmp(path, exe) && perms[2] == 'x')
-            text_lo = lo, text_hi = hi;
-        if (!strcmp(path, "[stack]"))
-            stack_hi = hi;
-    }
-    fclose(maps);
-    stack_lo = stack_hi - (64u << 20); /* the kernel maps nothing else this close below */
     samples = calloc(MAX_SAMPLES, sizeof *samples); /* zeroed: a 0 ends a short sample */
     struct sigaction act = {.sa_sigaction = on_prof, .sa_flags = SA_SIGINFO | SA_RESTART};
     struct itimerval every = {{0, 1000000 / HZ}, {0, 1000000 / HZ}};
-    if (samples && text_hi && stack_hi && !sigaction(SIGPROF, &act, NULL))
+    if (samples && !sigaction(SIGPROF, &act, NULL))
         setitimer(ITIMER_PROF, &every, NULL);
 }
 

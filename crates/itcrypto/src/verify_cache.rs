@@ -1,13 +1,12 @@
 //! Bounded memoization of signature-verification verdicts.
 //!
-//! BFT replicas verify some signed artifacts repeatedly: a Prime ARU row
-//! is re-verified inside every pre-prepare matrix that carries it. The
-//! verdict is a pure function of (principal, message bytes, signature
-//! bytes), so it can be cached under a digest of exactly those inputs.
-//! The key hashes every byte the verifier would, so a cache pays only
-//! where lookups hit: Prime verifies its envelopes and batch roots, which
-//! hardly ever repeat, directly, and recognises a client update it has
-//! verified by comparing bytes instead.
+//! BFT replicas verify some signed artifacts repeatedly. The verdict is a
+//! pure function of (principal, message bytes, signature bytes), so it can
+//! be cached under a digest of exactly those inputs. The key hashes every
+//! byte the verifier would, so a cache pays only where lookups hit. Prime
+//! uses none: it verifies its envelopes and batch roots, which hardly ever
+//! repeat, directly, and recognises a client update or an ARU row it has
+//! verified by comparing bytes, which hashes nothing.
 //!
 //! The cache is observationally invisible by construction: the key
 //! commits to every byte the verifier reads, so a tampered message or

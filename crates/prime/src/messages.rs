@@ -5,7 +5,6 @@ use itcrypto::keys::{KeyPair, KeyRegistry, Principal};
 use itcrypto::merkle::MerkleTree;
 use itcrypto::schnorr::Signature;
 use itcrypto::sha256::Digest;
-use itcrypto::verify_cache::VerifyCache;
 use simnet::wire::{DecodeError, Reader, Wire, Writer};
 
 use crate::types::{ReplicaId, SignedUpdate};
@@ -48,22 +47,6 @@ impl AruRow {
             &Self::signed_bytes(self.replica, &self.vector),
             &self.sig,
         )
-    }
-
-    /// [`AruRow::verify`] through a verdict cache. The hottest hit
-    /// source: the same row recurs in every pre-prepare matrix that
-    /// carries it and in repeated PO-ARU gossip.
-    pub fn verify_cached(&self, registry: &KeyRegistry, cache: &mut VerifyCache) -> bool {
-        let bytes = Self::signed_bytes(self.replica, &self.vector);
-        let key = VerifyCache::key(
-            b"prime.aru-row",
-            self.replica.0 as u64,
-            &bytes,
-            &self.sig.to_bytes(),
-        );
-        cache.check(key, || {
-            registry.verify(Principal::Replica(self.replica.0), &bytes, &self.sig)
-        })
     }
 }
 

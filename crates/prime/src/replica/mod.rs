@@ -42,8 +42,9 @@ use simnet::wire::Wire;
 use crate::application::Application;
 use crate::byzantine::ByzMode;
 use crate::messages::{AruRow, Envelope, PrimeMsg, SignedMsg};
-use crate::types::{Config, Membership, ReplicaId, SignedUpdate, Update, VerifiedUpdates};
-use itcrypto::verify_cache::VerifyCache;
+use crate::types::{
+    Config, Membership, ReplicaId, SignedUpdate, Update, VerifiedRows, VerifiedUpdates,
+};
 
 mod batch;
 mod log;
@@ -78,11 +79,10 @@ fn dedup_digest(table: &[(u32, u64, Vec<u64>)]) -> Digest {
 /// Bits of a composite pre-order sequence reserved for the counter.
 const PO_SEQ_BITS: u32 = 40;
 
-/// Entries held by each replica's ARU-row verdict cache and by its table
-/// of verified client updates. Sized to cover the working set of a busy
-/// window (rows from every peer across several pre-prepare rounds, client
-/// updates in flight) while keeping the worst case bounded.
-const VERIFY_CACHE_CAP: usize = 4096;
+/// Client updates each replica's [`VerifiedUpdates`] remembers. Sized to
+/// cover the updates in flight in a busy window (each met once from the
+/// client and once per origin) while keeping the worst case bounded.
+const VERIFIED_UPDATES_CAP: usize = 4096;
 
 /// Time-trigger for batch close: a pending batch older than this
 /// disseminates even if below `batch_max`. The trigger is evaluated as a
@@ -263,14 +263,13 @@ pub struct Replica<A: Application> {
     config: Config,
     registry: KeyRegistry,
     key: KeyPair,
-    /// Memoized ARU-row verdicts (bounded, FIFO): a row recurs in every
-    /// pre-prepare matrix that carries it.
-    verify_cache: VerifyCache,
+    /// ARU rows verified here, recognised again by their bytes: a row
+    /// recurs in every pre-prepare matrix that carries it.
+    verified_rows: VerifiedRows,
     /// Client updates verified here, recognised again by their bytes.
     verified_updates: VerifiedUpdates,
     /// Signature verifications this replica has run: what `obs::prof`
-    /// charges. Updates recognised and rows answered from the cache ran
-    /// none.
+    /// charges. Updates and rows recognised ran none.
     verifications: u64,
     /// Fault-injection mode.
     pub byz: ByzMode,
@@ -441,8 +440,8 @@ impl<A: Application> Replica<A> {
             config,
             registry,
             key,
-            verify_cache: VerifyCache::new(VERIFY_CACHE_CAP),
-            verified_updates: VerifiedUpdates::new(VERIFY_CACHE_CAP),
+            verified_rows: VerifiedRows::new(n),
+            verified_updates: VerifiedUpdates::new(VERIFIED_UPDATES_CAP),
             verifications: 0,
             byz: ByzMode::Correct,
             timing: Timing::default(),
@@ -676,13 +675,15 @@ impl<A: Application> Replica<A> {
         })
     }
 
-    /// Whether an ARU row carries its replica's signature, through the
-    /// verdict cache.
+    /// Whether an ARU row carries its replica's signature. A row this
+    /// replica verified, byte for byte, is recognised; any other is
+    /// verified.
     fn verify_row(&mut self, row: &AruRow) -> bool {
-        let misses = self.verify_cache.misses;
-        let valid = row.verify_cached(&self.registry, &mut self.verify_cache);
-        self.verifications += self.verify_cache.misses - misses;
-        valid
+        let (registry, verifications) = (&self.registry, &mut self.verifications);
+        self.verified_rows.check(row, || {
+            *verifications += 1;
+            row.verify(registry)
+        })
     }
 
     fn matrix_digest(matrix: &[AruRow]) -> Digest {
@@ -789,7 +790,7 @@ impl<A: Application> Replica<A> {
             // Every verification this message runs — its own envelope
             // plus any batch root, matrix rows or nested updates checked
             // while handling it — lands on the message's phase stack.
-            // Recognised updates and cached rows are free and are
+            // Recognised updates and rows are free and are
             // deliberately not charged.
             let stack = msg.msg.prof_stack();
             let ran = self.verifications;
@@ -1250,6 +1251,7 @@ impl<A: Application> Replica<A> {
         self.po_store.clear();
         self.po_envelopes.iter_mut().for_each(BTreeMap::clear);
         self.intro_seen.clear();
+        self.verified_rows.clear();
         self.verified_updates.clear();
         self.incoming_trace = None;
         self.trace_queue.clear();

@@ -291,6 +291,85 @@ fn the_update_table_forgets_the_oldest_past_its_cap_and_on_recovery() {
     assert_eq!(resubmit(&mut r0, &updates[4096]), 1);
 }
 
+/// Replica `replica`'s signed ARU row over `vector`.
+fn aru_row(rk: &mut [KeyPair], replica: u32, vector: Vec<u64>) -> AruRow {
+    let sig = rk[replica as usize].sign(&AruRow::signed_bytes(ReplicaId(replica), &vector));
+    AruRow {
+        replica: ReplicaId(replica),
+        vector,
+        sig,
+    }
+}
+
+fn pre_prepare(rk: &mut [KeyPair], seq: u64, matrix: Vec<AruRow>) -> SignedMsg {
+    let msg = PrimeMsg::PrePrepare {
+        view: 0,
+        seq,
+        matrix,
+    };
+    SignedMsg::sign(ReplicaId(0), msg, &mut rk[0])
+}
+
+fn po_aru(rk: &mut [KeyPair], from: u32, row: AruRow) -> SignedMsg {
+    SignedMsg::sign(
+        ReplicaId(from),
+        PrimeMsg::PoAru { row },
+        &mut rk[from as usize],
+    )
+}
+
+#[test]
+fn a_row_recurring_in_consecutive_pre_prepares_is_verified_once() {
+    let (mut r1, mut rk, _ck) = replica(1);
+    let rows: Vec<AruRow> = (0..4)
+        .map(|i| aru_row(&mut rk, i, vec![i as u64; 4]))
+        .collect();
+    // The envelope and three rows, then the envelope and the one row the
+    // second matrix has not carried before.
+    let first = pre_prepare(&mut rk, 1, rows[..3].to_vec());
+    assert_eq!(cost(&mut r1, first), (4, 0));
+    let second = pre_prepare(&mut rk, 2, rows[1..].to_vec());
+    assert_eq!(cost(&mut r1, second), (2, 0));
+    let third = pre_prepare(&mut rk, 3, rows.clone());
+    assert_eq!(cost(&mut r1, third), (1, 0));
+    // Gossiped as a PO-ARU, a row seen in a matrix is recognised too.
+    assert_eq!(cost(&mut r1, po_aru(&mut rk, 2, rows[2].clone())), (1, 0));
+}
+
+#[test]
+fn a_known_replicas_altered_row_is_verified_and_rejected_every_time() {
+    let (mut r1, mut rk, _ck) = replica(1);
+    let row = aru_row(&mut rk, 2, vec![3, 1, 4, 1]);
+    assert_eq!(cost(&mut r1, po_aru(&mut rk, 2, row.clone())), (2, 0));
+    let mut vector = row.clone();
+    vector.vector[3] = 5;
+    let mut sig = row.clone();
+    let mut bytes = sig.sig.to_bytes();
+    bytes[0] ^= 1;
+    sig.sig = itcrypto::Signature::from_bytes(&bytes);
+    for forged in [vector, sig] {
+        for _ in 0..2 {
+            assert_eq!(cost(&mut r1, po_aru(&mut rk, 2, forged.clone())), (2, 1));
+        }
+        // Inside a matrix a bad row drops the pre-prepare unprepared.
+        let matrix = vec![row.clone(), forged.clone(), aru_row(&mut rk, 3, vec![0; 4])];
+        let out = r1.on_message(pre_prepare(&mut rk, 1, matrix), SimTime(1));
+        assert!(out.is_empty(), "prepared a matrix with a forged row");
+    }
+    // The genuine row is still recognised.
+    assert_eq!(cost(&mut r1, po_aru(&mut rk, 2, row)), (1, 0));
+}
+
+#[test]
+fn a_recovered_replica_recognises_no_row() {
+    let (mut r1, mut rk, _ck) = replica(1);
+    let row = aru_row(&mut rk, 2, vec![2, 7, 1, 8]);
+    assert_eq!(cost(&mut r1, po_aru(&mut rk, 3, row.clone())), (2, 0));
+    assert_eq!(cost(&mut r1, po_aru(&mut rk, 3, row.clone())), (1, 0));
+    let _ = r1.recover(SimTime(2));
+    assert_eq!(cost(&mut r1, po_aru(&mut rk, 3, row)), (2, 0));
+}
+
 #[test]
 fn message_claiming_own_id_ignored() {
     let (mut r0, mut rk, _ck) = replica(0);

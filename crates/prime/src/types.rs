@@ -10,6 +10,8 @@ use itcrypto::sha256::{sha256, Digest};
 use simnet::hash::MixState;
 use simnet::wire::{DecodeError, Reader, Wire, Writer};
 
+use crate::messages::AruRow;
+
 /// A replica index in `0..n`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReplicaId(pub u32);
@@ -362,6 +364,63 @@ impl VerifiedUpdates {
     }
 }
 
+/// ARU rows a replica remembers per signing replica in [`VerifiedRows`].
+pub(crate) const ROWS_PER_SIGNER: usize = 32;
+
+/// The ARU rows a replica has verified: the last [`ROWS_PER_SIGNER`] of
+/// each replica of the group, so `n × ROWS_PER_SIGNER` at most.
+///
+/// A row recurs in every pre-prepare matrix that carries it and in repeated
+/// PO-ARU gossip, until its replica's vector moves on. A row equal (`==`:
+/// replica, vector and signature) to one remembered is the row already
+/// verified. Any other row is verified, and remembered only if valid, so a
+/// forgery is checked every time it arrives.
+#[derive(Debug)]
+pub(crate) struct VerifiedRows {
+    by_signer: Vec<VecDeque<AruRow>>,
+}
+
+impl VerifiedRows {
+    /// A memo for a group of `n` replicas.
+    pub(crate) fn new(n: usize) -> Self {
+        VerifiedRows {
+            by_signer: vec![VecDeque::new(); n],
+        }
+    }
+
+    /// Whether `row` carries its replica's signature: true at once for a
+    /// row remembered, otherwise `verify()`'s verdict, remembering `row`
+    /// when that is true. A row naming no replica of the group is only
+    /// verified.
+    pub(crate) fn check(&mut self, row: &AruRow, verify: impl FnOnce() -> bool) -> bool {
+        let Some(rows) = self.by_signer.get_mut(row.replica.0 as usize) else {
+            return verify();
+        };
+        if rows.iter().rev().any(|known| known == row) {
+            return true;
+        }
+        if !verify() {
+            return false;
+        }
+        if rows.len() == ROWS_PER_SIGNER {
+            // The oldest row's buffer takes the new one: a memo that turns
+            // over every round allocates nothing.
+            let mut oldest = rows.pop_front().expect("a full memo has an oldest row");
+            oldest.vector.clone_from(&row.vector);
+            oldest.sig = row.sig;
+            rows.push_back(oldest);
+        } else {
+            rows.push_back(row.clone());
+        }
+        true
+    }
+
+    /// Forgets every row.
+    pub(crate) fn clear(&mut self) {
+        self.by_signer.iter_mut().for_each(VecDeque::clear);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,6 +452,47 @@ mod tests {
         assert_eq!(c.leader_of(1), ReplicaId(1));
         assert_eq!(c.leader_of(4), ReplicaId(0));
         assert_eq!(c.replicas().count(), 4);
+    }
+
+    #[test]
+    fn verified_rows_keep_the_last_rows_of_each_signer() {
+        let mut key = KeyPair::generate(7);
+        let row = |key: &mut KeyPair, replica: u32, aru: u64| AruRow {
+            replica: ReplicaId(replica),
+            vector: vec![aru; 2],
+            sig: key.sign(&aru.to_be_bytes()),
+        };
+        let mut memo = VerifiedRows::new(2);
+        let mut runs = 0;
+        let rows: Vec<AruRow> = (0..=ROWS_PER_SIGNER as u64)
+            .map(|aru| row(&mut key, 0, aru))
+            .collect();
+        for r in &rows {
+            assert!(memo.check(r, || {
+                runs += 1;
+                true
+            }));
+        }
+        let other = row(&mut key, 1, 0);
+        assert!(memo.check(&other, || true));
+        let held = |memo: &VerifiedRows| -> Vec<usize> {
+            memo.by_signer.iter().map(VecDeque::len).collect()
+        };
+        assert_eq!(runs, ROWS_PER_SIGNER + 1);
+        assert_eq!(held(&memo), vec![ROWS_PER_SIGNER, 1]);
+        // Signer 0's oldest row alone was forgotten; signer 1's is its own.
+        assert!(memo.check(&rows[1], || unreachable!("remembered")));
+        assert!(memo.check(&other, || unreachable!("remembered")));
+        assert!(memo.check(&rows[0], || true));
+        // A rejected row is not remembered; a row naming no replica of the
+        // group is verified and never remembered.
+        assert!(!memo.check(&row(&mut key, 1, 9), || false));
+        assert!(!memo.check(&row(&mut key, 1, 9), || false));
+        let stranger = row(&mut key, 2, 0);
+        assert!(memo.check(&stranger, || true));
+        assert!(!memo.check(&stranger, || false));
+        memo.clear();
+        assert_eq!(held(&memo), vec![0, 0]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! pairs the daemon returns. This keeps the daemon synchronous and
 //! deterministic while the hosting [`simnet::Process`] does the I/O.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 
 use bytes::{BufMut, Bytes};
 use itcrypto::stream::{LinkKeys, KEYSTREAM_BLOCK};
@@ -18,8 +18,10 @@ use crate::config::{SpinesConfig, SpinesMode};
 use crate::fairness::FairQueue;
 use crate::message::{Destination, MsgKind, SpinesMsg};
 
-/// Maximum remembered (src, seq) pairs for flood deduplication.
-const SEEN_CAP: usize = 100_000;
+/// Numbers a [`ReplayWindow`] spans: the highest accepted and the 1,023
+/// below it. DESIGN.md ("Memory bounded by the configuration") argues the
+/// width.
+const WINDOW: u64 = 1024;
 /// Forwarding budget drained per received frame.
 const FORWARD_BUDGET: usize = 4;
 /// Per-source forward queue cap (flooders drop their own excess).
@@ -144,6 +146,10 @@ struct Link {
     /// Derived by the first frame sealed or opened on the link: deriving
     /// costs four HMAC key setups.
     keys: Option<LinkKeys>,
+    /// The nonces of the frames accepted from the neighbour. Only the two
+    /// ends hold the link's keys, so only the neighbour chooses them: a
+    /// nonce seen again is a replay of one of its frames.
+    received: ReplayWindow,
 }
 
 impl Link {
@@ -160,10 +166,8 @@ pub struct SpinesDaemon {
     id: u32,
     subscriptions: BTreeSet<u16>,
     next_seq: u64,
-    /// The last [`SEEN_CAP`] `(src, seq)` pairs, oldest first in
-    /// `seen_order`.
-    seen: HashSet<(u32, u64), MixState>,
-    seen_order: VecDeque<(u32, u64)>,
+    /// Flood deduplication.
+    seen: SeenWindows,
     /// This daemon's neighbours, in configuration order.
     links: Vec<Link>,
     /// Neighbour address → its place in `links`.
@@ -207,17 +211,18 @@ impl SpinesDaemon {
                     addr: cfg.addr_of(neighbor)?,
                     nonce: 0,
                     keys: None,
+                    received: ReplayWindow::default(),
                 })
             })
             .collect();
         let link_of = links.iter().enumerate().map(|(i, l)| (l.addr, i)).collect();
+        let seen = SeenWindows::new(&cfg);
         SpinesDaemon {
             cfg,
             id,
             subscriptions: BTreeSet::new(),
             next_seq: 0,
-            seen: HashSet::default(),
-            seen_order: VecDeque::new(),
+            seen,
             links,
             link_of,
             null_keys: None,
@@ -340,7 +345,7 @@ impl SpinesDaemon {
         self.next_seq += 1;
         self.stats.originated += 1;
         self.c.originated.inc();
-        self.remember(msg.src, msg.seq);
+        self.seen.accept(msg.src, msg.seq);
         // Local delivery for group messages we subscribe to.
         self.maybe_deliver(&msg);
         self.flood(&msg, None)
@@ -383,7 +388,7 @@ impl SpinesDaemon {
                 return Vec::new();
             }
         };
-        self.remember(msg.src, msg.seq);
+        self.seen.accept(msg.src, msg.seq);
         self.maybe_deliver(&msg);
         // Queue for fair forwarding, then drain a budget.
         let src = msg.src;
@@ -397,12 +402,12 @@ impl SpinesDaemon {
     }
 
     /// Authenticates and decodes one frame received on `links[link]`,
-    /// unless flood deduplication drops it first. Nine frames in ten on a
-    /// full mesh are copies of a message already seen, so a sealed frame is
-    /// opened
-    /// in two steps: the MAC over the whole frame is checked, then only
-    /// the first keystream block is decrypted, which holds the `(src,
-    /// seq)` the `seen` set is keyed by; the rest is decrypted and
+    /// unless deduplication drops it first. Nine frames in ten on a full
+    /// mesh are copies of a message already seen, so a sealed frame is
+    /// opened in two steps: the MAC over the whole frame is checked (and a
+    /// replayed nonce refused), then only the first keystream block is
+    /// decrypted, which holds the `(src, seq)` the flood dedup windows are
+    /// keyed by; the rest is decrypted and
     /// decoded for a new message only. (So a key holder replaying a seen
     /// `(src, seq)` over a garbage body counts as a duplicate, not as
     /// malformed; nothing else can tell the order of the two checks.)
@@ -423,14 +428,18 @@ impl SpinesDaemon {
                     return Err(Dropped::Auth);
                 }
                 self.c.opened.inc();
+                let received = &mut self.links[link].received;
+                if received.seen(nonce) {
+                    return Err(Dropped::Duplicate);
+                }
+                received.accept(nonce);
+                let keys = self.links[link].keys(&self.cfg, self.id);
                 let head_len = ciphertext.len().min(KEYSTREAM_BLOCK);
                 let mut head = [0u8; KEYSTREAM_BLOCK];
                 head[..head_len].copy_from_slice(&ciphertext[..head_len]);
                 keys.decrypt_from(nonce, 0, &mut head[..head_len]);
                 let (src, seq) = dedup_key(&head[..head_len]).ok_or(Dropped::Malformed)?;
-                if self.seen.contains(&(src, seq)) {
-                    return Err(Dropped::Duplicate);
-                }
+                self.seen.fresh(src, seq)?;
                 let mut plaintext = Vec::with_capacity(ciphertext.len());
                 plaintext.extend_from_slice(&head[..head_len]);
                 plaintext.extend_from_slice(&ciphertext[head_len..]);
@@ -439,9 +448,7 @@ impl SpinesDaemon {
             }
             (SpinesMode::Legacy, LinkFrame::Legacy(plaintext)) => {
                 let msg = SpinesMsg::from_wire(plaintext).map_err(|_| Dropped::Malformed)?;
-                if self.seen.contains(&(msg.src, msg.seq)) {
-                    return Err(Dropped::Duplicate);
-                }
+                self.seen.fresh(msg.src, msg.seq)?;
                 Ok(msg)
             }
             // Mode mismatch: an unencrypted daemon talking to an
@@ -530,15 +537,137 @@ impl SpinesDaemon {
         }
         out
     }
+}
 
-    fn remember(&mut self, src: u32, seq: u64) {
-        if self.seen.insert((src, seq)) {
-            self.seen_order.push_back((src, seq));
-            if self.seen_order.len() > SEEN_CAP {
-                if let Some(old) = self.seen_order.pop_front() {
-                    self.seen.remove(&old);
+/// Flood deduplication: one [`SourceWindows`] per daemon of the
+/// configuration, in id order. Its size is fixed when the daemon is built.
+struct SeenWindows(Vec<(u32, SourceWindows)>);
+
+impl SeenWindows {
+    fn new(cfg: &SpinesConfig) -> Self {
+        SeenWindows(
+            cfg.daemons
+                .keys()
+                .map(|&src| (src, SourceWindows::default()))
+                .collect(),
+        )
+    }
+
+    fn position(&self, src: u32) -> Option<usize> {
+        self.0.binary_search_by_key(&src, |&(id, _)| id).ok()
+    }
+
+    /// Whether `(src, seq)` may be accepted: a duplicate if its source's
+    /// windows have seen it, malformed if no daemon of the overlay is `src`
+    /// (only a key holder gets this far, and it cannot add a window).
+    fn fresh(&self, src: u32, seq: u64) -> Result<(), Dropped> {
+        match self.position(src) {
+            None => Err(Dropped::Malformed),
+            Some(i) if self.0[i].1.seen(seq) => Err(Dropped::Duplicate),
+            Some(_) => Ok(()),
+        }
+    }
+
+    fn accept(&mut self, src: u32, seq: u64) {
+        if let Some(i) = self.position(src) {
+            self.0[i].1.accept(seq);
+        }
+    }
+}
+
+/// The sequence numbers accepted from one source, in two
+/// [`ReplayWindow`]s. A number belongs to the window whose span holds it,
+/// else to the window it is less than [`WINDOW`] above; one that belongs
+/// to neither opens a window in place of the one that accepted less
+/// recently. No number is refused for being old: `(src, seq)` is
+/// authenticated hop by hop only, so with one window a key holder could
+/// claim a `seq` far above the source's and put all its real numbers below
+/// the window with one frame. A claimed number takes one window here, and
+/// the source's own frames keep or reopen the other. Replays are refused
+/// on the link, by nonce ([`Link::received`]).
+#[derive(Default)]
+struct SourceWindows {
+    windows: [ReplayWindow; 2],
+    /// The window that accepted last.
+    last: usize,
+}
+
+impl SourceWindows {
+    /// The window `seq` belongs to, if any. The tops are a window or more
+    /// apart (a window opens on a number the other does not hold or
+    /// extend to, and grows only into numbers the other does not hold), so
+    /// at most one window holds `seq`, and at most one extends to it.
+    fn home(&self, seq: u64) -> Option<usize> {
+        let top = |i: &usize| self.windows[*i].top;
+        let holds = |i: &usize| top(i).is_some_and(|t| seq <= t && t - seq < WINDOW);
+        let extends = |i: &usize| top(i).is_some_and(|t| seq > t && seq - t < WINDOW);
+        (0..2).find(holds).or_else(|| (0..2).find(extends))
+    }
+
+    fn seen(&self, seq: u64) -> bool {
+        self.home(seq).is_some_and(|i| self.windows[i].seen(seq))
+    }
+
+    fn accept(&mut self, seq: u64) {
+        let i = self.home(seq).unwrap_or_else(|| {
+            let spare = 1 - self.last;
+            self.windows[spare] = ReplayWindow::default();
+            spare
+        });
+        self.windows[i].accept(seq);
+        self.last = i;
+    }
+}
+
+/// RFC 4303's anti-replay window over a sequence of numbers: the highest
+/// accepted, and one bit for each of the [`WINDOW`] numbers ending there,
+/// in a fixed 136 bytes. A number below the window counts as seen, so
+/// nothing is accepted twice however long the run.
+#[derive(Default)]
+struct ReplayWindow {
+    /// The highest sequence number accepted; `None` before the first.
+    top: Option<u64>,
+    /// Bit `seq % WINDOW`: whether `seq`, inside the window, was accepted.
+    map: [u64; (WINDOW / 64) as usize],
+}
+
+impl ReplayWindow {
+    fn seen(&self, seq: u64) -> bool {
+        match self.top {
+            Some(top) if seq <= top => top - seq >= WINDOW || self.bit(seq),
+            _ => false,
+        }
+    }
+
+    fn accept(&mut self, seq: u64) {
+        match self.top {
+            Some(top) if seq <= top => {
+                if top - seq < WINDOW {
+                    self.set(seq, true);
                 }
+                return;
             }
+            // Each number passed over takes the bit of one that falls out
+            // of the window, and has not been accepted.
+            Some(top) if seq - top < WINDOW => (top + 1..seq).for_each(|s| self.set(s, false)),
+            _ => self.map = Default::default(),
+        }
+        self.top = Some(seq);
+        self.set(seq, true);
+    }
+
+    fn bit(&self, seq: u64) -> bool {
+        let i = seq % WINDOW;
+        self.map[(i / 64) as usize] & 1 << (i % 64) != 0
+    }
+
+    fn set(&mut self, seq: u64, accepted: bool) {
+        let i = seq % WINDOW;
+        let (word, mask) = (&mut self.map[(i / 64) as usize], 1u64 << (i % 64));
+        if accepted {
+            *word |= mask;
+        } else {
+            *word &= !mask;
         }
     }
 }
@@ -699,42 +828,300 @@ mod tests {
         assert_eq!(b.stats.duplicates, 1);
     }
 
-    #[test]
-    fn one_past_the_cap_forgets_exactly_the_oldest() {
-        let c = cfg(2, SpinesMode::IntrusionTolerant);
-        let mut a = SpinesDaemon::new(0, c.clone());
-        let mut b = SpinesDaemon::new(1, c.clone());
-        b.subscribe(3);
-        let from = c.addr_of(0).expect("addr");
-        let send = |a: &mut SpinesDaemon| a.multicast(3, 1, Bytes::from_static(b"x"))[0].1.clone();
-        let (oldest, second) = (send(&mut a), send(&mut a));
-        b.on_wire(from, &oldest);
-        b.on_wire(from, &second);
-        // Fill the window to its cap without sealing 100 000 frames.
-        for seq in 2..SEEN_CAP as u64 {
-            b.remember(0, seq);
+    /// Daemon 1 of a three-daemon mesh, fed frames that daemon 0 seals
+    /// for any `(src, seq)`, and under any nonce, as a key holder can.
+    struct Receiver {
+        sender: SpinesDaemon,
+        rx: SpinesDaemon,
+        from: IpAddr,
+        /// The next number [`Receiver::seal_at`] claims for daemon 2.
+        fresh_seq: u64,
+    }
+
+    impl Receiver {
+        fn new() -> Self {
+            let c = cfg(3, SpinesMode::IntrusionTolerant);
+            let mut rx = SpinesDaemon::new(1, c.clone());
+            rx.subscribe(3);
+            Receiver {
+                sender: SpinesDaemon::new(0, c.clone()),
+                rx,
+                from: c.addr_of(0).expect("addr"),
+                fresh_seq: 0,
+            }
         }
-        assert_eq!((b.seen.len(), b.seen_order.len()), (SEEN_CAP, SEEN_CAP));
-        b.on_wire(from, &oldest);
-        assert_eq!(b.stats.duplicates, 1, "the cap itself forgets nothing");
-        a.set_seq_base(SEEN_CAP as u64);
-        b.on_wire(from, &send(&mut a));
-        assert_eq!((b.seen.len(), b.seen_order.len()), (SEEN_CAP, SEEN_CAP));
-        assert_eq!(b.take_deliveries().len(), 3);
-        // The second-oldest first: replaying the forgotten one re-enters
-        // it, and that pushes the second-oldest out in turn.
-        b.on_wire(from, &second);
-        assert_eq!(b.stats.duplicates, 2);
-        assert!(b.take_deliveries().is_empty());
-        b.on_wire(from, &oldest);
-        assert_eq!(b.stats.duplicates, 2);
-        assert_eq!(
-            b.take_deliveries().len(),
-            1,
-            "forgotten, so delivered again"
+
+        fn seal(&mut self, src: u32, seq: u64) -> Bytes {
+            let msg = SpinesMsg {
+                src,
+                seq,
+                dst: Destination::Group(3),
+                priority: 1,
+                kind: MsgKind::Data,
+                payload: Bytes::from_static(b"x"),
+            };
+            let to = self.rx.cfg.addr_of(1).expect("addr");
+            let sends = self.sender.flood(&msg, None);
+            sends.into_iter().find(|(a, _)| *a == to).expect("link").1
+        }
+
+        /// A message no window has seen, sealed under `nonce`.
+        fn seal_at(&mut self, nonce: u64) -> Bytes {
+            let link = self.sender.links.iter_mut().find(|l| l.neighbor == 1);
+            link.expect("link").nonce = nonce - 1;
+            self.fresh_seq += 1;
+            self.seal(2, self.fresh_seq)
+        }
+
+        /// Whether `(src, seq)` was delivered; otherwise it counted as a
+        /// duplicate.
+        fn offer(&mut self, src: u32, seq: u64) -> bool {
+            let frame = self.seal(src, seq);
+            self.take(&frame)
+        }
+
+        /// Whether a fresh message sealed under `nonce` was delivered.
+        fn fresh_at(&mut self, nonce: u64) -> bool {
+            let frame = self.seal_at(nonce);
+            self.take(&frame)
+        }
+
+        /// Whether `frame` was delivered; otherwise it counted as a
+        /// duplicate.
+        fn take(&mut self, frame: &Bytes) -> bool {
+            let before = self.rx.stats;
+            self.rx.on_wire(self.from, frame);
+            let after = self.rx.stats;
+            assert_eq!(
+                (after.delivered - before.delivered) + (after.duplicates - before.duplicates),
+                1,
+                "delivered or a duplicate"
+            );
+            after.delivered > before.delivered
+        }
+    }
+
+    #[test]
+    fn the_link_window_edge_is_top_minus_1023() {
+        let mut r = Receiver::new();
+        let [top, edge, below] = [5_000, 5_000 - 1_023, 5_000 - 1_024].map(|n| r.seal_at(n));
+        assert!(r.take(&top));
+        assert!(r.take(&edge), "inside the window, never seen");
+        assert!(!r.take(&edge), "and only once");
+        assert!(
+            !r.take(&below),
+            "below the window: a replay though never seen"
         );
-        b.on_wire(from, &second);
-        assert_eq!(b.take_deliveries().len(), 1, "and now the second-oldest is");
+        assert!(!r.take(&top));
+        assert!(r.fresh_at(4_999));
+    }
+
+    #[test]
+    fn a_nonce_jump_of_a_window_or_more_clears_the_map() {
+        let mut r = Receiver::new();
+        let first: Vec<Bytes> = (100..=110).map(|n| r.seal_at(n)).collect();
+        for frame in &first {
+            assert!(r.take(frame));
+        }
+        // One short of a window: 100 is still the window's bottom.
+        assert!(r.fresh_at(100 + 1_023));
+        assert!(!r.take(&first[0]));
+        assert!(r.fresh_at(111), "passed over, never seen");
+        // Five past it: 100..=104 fell out, and the numbers that took
+        // their bits were never seen.
+        let top = r.seal_at(100 + 1_023 + 5);
+        assert!(r.take(&top));
+        assert!(!r.take(&first[4]));
+        for n in 1_124..=1_127 {
+            assert!(r.fresh_at(n), "{n} inherits a cleared bit");
+        }
+        assert!(!r.take(&top));
+        // A whole window past: only the new top is known.
+        assert!(r.fresh_at(1_128 + 1_024));
+        assert!(r.fresh_at(1_128 + 1), "inside, never seen");
+        assert!(!r.take(&top), "below");
+    }
+
+    #[test]
+    fn a_source_has_two_flood_windows_and_the_older_gives_way() {
+        let mut r = Receiver::new();
+        for seq in 100..=110 {
+            assert!(r.offer(0, seq));
+        }
+        assert!(r.offer(0, 5_000), "a window or more ahead: a second window");
+        assert!(!r.offer(0, 105), "the first still holds its numbers");
+        assert!(r.offer(0, 111), "and grows");
+        assert!(r.offer(0, 5_000 - 1_023), "the second's bottom");
+        assert!(!r.offer(0, 5_000 - 1_023));
+        assert!(!r.offer(0, 5_000));
+        // Neither window holds it: it replaces the one that accepted less
+        // recently, the first.
+        assert!(r.offer(0, 20_000));
+        assert!(!r.offer(0, 5_000), "the second is kept");
+        assert!(r.offer(0, 105), "forgotten with the first");
+        assert!(!r.offer(0, 20_000));
+    }
+
+    #[test]
+    fn a_claimed_number_far_ahead_cannot_cut_its_source_off() {
+        // Daemon 0 holds link keys and claims numbers of daemon 2's far
+        // above its real ones, two between every two of its messages.
+        // Daemon 1 delivers each real message once, and counts its copy
+        // forwarded by daemon 0 as a duplicate.
+        let mut r = Receiver::new();
+        let c = r.rx.cfg.clone();
+        let mut x = SpinesDaemon::new(2, c.clone());
+        let (x_addr, rx_addr) = (c.addr_of(2).expect("addr"), c.addr_of(1).expect("addr"));
+        let claims = [u64::MAX, 1 << 63, (1 << 63) + 4_096, 1 << 40, 7 << 16];
+        for i in 0..40u8 {
+            let sends = x.multicast(3, 1, Bytes::from(vec![i]));
+            let (_, frame) = sends.iter().find(|(to, _)| *to == rx_addr).expect("frame");
+            r.rx.on_wire(x_addr, frame);
+            let got = r.rx.take_deliveries();
+            assert_eq!(got.len(), 1, "message {i}");
+            assert_eq!(got[0].payload.as_ref(), [i]);
+            assert!(!r.offer(2, u64::from(i)), "copy of message {i}");
+            for k in 0..2 {
+                let claim = claims[(2 * i as usize + k) % claims.len()];
+                r.offer(2, claim - u64::from(i));
+            }
+            r.rx.take_deliveries();
+        }
+    }
+
+    #[test]
+    fn sources_have_independent_windows() {
+        let mut r = Receiver::new();
+        assert!(r.offer(0, 9_000));
+        assert!(r.offer(2, 3), "source 2's window is its own");
+        assert!(!r.offer(2, 3));
+        assert!(r.offer(2, 2));
+        assert!(r.offer(2, 9_000), "the same number from another source");
+        assert!(!r.offer(0, 9_000));
+        assert!(!r.offer(2, 9_000));
+    }
+
+    #[test]
+    fn an_id_outside_the_configuration_is_malformed() {
+        let mut r = Receiver::new();
+        let frame = r.seal(7, 1);
+        r.rx.on_wire(r.from, &frame);
+        assert_eq!(r.rx.stats.malformed, 1);
+        assert_eq!(r.rx.seen.0.len(), 3, "one window per configured daemon");
+        assert!(r.rx.take_deliveries().is_empty());
+    }
+
+    #[test]
+    fn an_incarnation_jump_moves_the_window_past_the_old_life() {
+        let c = cfg(2, SpinesMode::IntrusionTolerant);
+        let from = c.addr_of(0).expect("addr");
+        let mut peer = SpinesDaemon::new(1, c.clone());
+        peer.subscribe(4);
+        let mut old = SpinesDaemon::new(0, c.clone());
+        let old_frames: Vec<Bytes> = (0..5)
+            .map(|i| old.multicast(4, 1, Bytes::from(vec![i]))[0].1.clone())
+            .collect();
+        for f in &old_frames {
+            peer.on_wire(from, f);
+        }
+        let mut restarted = SpinesDaemon::new(0, c.clone());
+        restarted.set_seq_base(7 << 16);
+        let new_frames: Vec<Bytes> = (0..3)
+            .map(|i| restarted.multicast(4, 1, Bytes::from(vec![i]))[0].1.clone())
+            .collect();
+        for f in &new_frames {
+            peer.on_wire(from, f);
+        }
+        assert_eq!(peer.take_deliveries().len(), 8);
+        for f in old_frames.iter().chain(&new_frames) {
+            peer.on_wire(from, f);
+        }
+        assert!(peer.take_deliveries().is_empty());
+        assert_eq!(peer.stats.duplicates, 8);
+    }
+
+    #[test]
+    fn a_frame_replayed_after_1025_newer_messages_is_still_a_duplicate() {
+        let c = cfg(2, SpinesMode::IntrusionTolerant);
+        let from = c.addr_of(0).expect("addr");
+        let (mut a, mut b) = (SpinesDaemon::new(0, c.clone()), SpinesDaemon::new(1, c));
+        b.subscribe(3);
+        let captured = a.multicast(3, 1, Bytes::from_static(b"open breaker"))[0]
+            .1
+            .clone();
+        b.on_wire(from, &captured);
+        // 1,025 newer messages arrive; the link loses the one after each,
+        // so its window holds nonces never accepted, the captured frame's
+        // bit among them.
+        for _ in 0..1_025 {
+            let frame = a.multicast(3, 1, Bytes::from_static(b"x"))[0].1.clone();
+            b.on_wire(from, &frame);
+            let _lost = a.multicast(3, 1, Bytes::from_static(b"x"));
+        }
+        assert_eq!(b.take_deliveries().len(), 1_026);
+        b.on_wire(from, &captured);
+        assert!(
+            b.take_deliveries().is_empty(),
+            "the MAC holds, the link's window refuses the nonce"
+        );
+        assert_eq!(b.stats.duplicates, 1);
+    }
+
+    proptest::proptest! {
+        /// Per-source sequences that jump ahead (by a window or more too),
+        /// step back less than a window and repeat themselves: every
+        /// decision and every counter is the unbounded set's.
+        #[test]
+        fn windows_decide_as_an_unbounded_set_within_the_window(
+            ops in proptest::collection::vec((0u32..2, 0u8..3, 0u64..1_400), 1..160),
+        ) {
+            let mut r = Receiver::new();
+            let mut reference = BTreeSet::new();
+            let mut top = [None::<u64>; 2];
+            let mut expected = DaemonStats::default();
+            for (source, kind, n) in ops {
+                let src = source * 2;
+                let slot = &mut top[source as usize];
+                let seq = match (kind, *slot) {
+                    (0, _) | (_, None) => slot.map_or(n, |t| t + 1 + n),
+                    (1, Some(t)) => t.saturating_sub(n % WINDOW),
+                    (_, Some(t)) => t.saturating_sub(n % 8),
+                };
+                *slot = Some(slot.map_or(seq, |t| t.max(seq)));
+                let accepted = reference.insert((src, seq));
+                proptest::prop_assert_eq!(r.offer(src, seq), accepted, "({}, {})", src, seq);
+                if accepted {
+                    expected.delivered += 1;
+                    expected.forwarded += 1;
+                } else {
+                    expected.duplicates += 1;
+                }
+            }
+            proptest::prop_assert_eq!(r.rx.stats, expected);
+        }
+
+        /// Two streams of one source's numbers, far apart (its own and
+        /// the ones a key holder claims for it), interleaved, each moving
+        /// less than a window at a time: each keeps a window of its own,
+        /// and every decision is the unbounded set's.
+        #[test]
+        fn two_streams_of_a_source_decide_as_an_unbounded_set(
+            ops in proptest::collection::vec((0usize..2, 0u8..3, 0u64..1_023), 1..160),
+        ) {
+            let mut r = Receiver::new();
+            let mut reference = BTreeSet::new();
+            let mut top = [0, 1 << 40];
+            for (stream, kind, n) in ops {
+                let t = &mut top[stream];
+                let seq = match kind {
+                    0 => *t + 1 + n,
+                    1 => t.saturating_sub(n),
+                    _ => t.saturating_sub(n % 8),
+                };
+                *t = (*t).max(seq);
+                proptest::prop_assert_eq!(r.offer(0, seq), reference.insert(seq), "{}", seq);
+            }
+        }
     }
 
     #[test]
