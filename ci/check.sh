@@ -111,6 +111,17 @@ if grep -rn --include='*.rs' 'agreement_seen' crates src tests; then
     exit 1
 fi
 
+echo "==> one view-change vote, one catch-up reply"
+# Prime's view change carries a window of prepared certificates whatever
+# the ordering depth (`Config::pipeline` only sizes the window), and a
+# snapshot travels whole in its `CatchupReply`: no single-certificate vote,
+# no chunked transfer, no branch on the depth.
+if grep -rnE --include='*.rs' \
+    'PrimeMsg::ViewChange \{|CatchupChunk|transfer_chunk|prepared_cert\b|pipeline > 1' \
+    crates src tests; then
+    exit 1
+fi
+
 echo "==> the chaos checker reads fault state from the deployment (no notification methods)"
 if grep -rnwE --include='*.rs' \
     'note_ground_truth|replica_down|replica_rejoined|byz_started|byz_healed|partition_started|partition_healed|membership_changed|membership_restored' \

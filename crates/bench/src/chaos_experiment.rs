@@ -84,10 +84,10 @@ pub fn chaos_rig(
 }
 
 /// E12 with an explicit Prime configuration — the regression harness for
-/// running the soak with Merkle batching, pipelined sequencing, and
-/// chunked state transfer armed (`Config::with_batching`): batches must
-/// survive crash + restart and catch-up without duplicating or dropping
-/// member updates, under the same invariant checker as the stock soak.
+/// running the soak with Merkle batching and a deeper ordering window
+/// (`Config::with_batching`): batches must survive crash + restart and
+/// catch-up without duplicating or dropping member updates, under the
+/// same invariant checker as the stock soak.
 pub fn e12_chaos_soak_with(
     seed: u64,
     days: u64,

@@ -32,14 +32,14 @@ const WINDOW: SimDuration = SimDuration::from_secs(2);
 /// Drain time after the window so every accepted update executes.
 const SETTLE: SimDuration = SimDuration::from_secs(3);
 
-/// Protocol knobs for a saturation ramp variant: the legacy per-update
-/// dissemination path, or Merkle-batched dissemination with pipelined
-/// sequencing.
+/// Protocol knobs for a saturation ramp variant: the per-update
+/// dissemination path, or Merkle-batched dissemination with a deeper
+/// ordering window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SaturationOpts {
     /// `Config::batch_max` (0 = legacy per-update PoRequests).
     pub batch_max: u32,
-    /// `Config::pipeline` (1 = serialized ordering).
+    /// `Config::pipeline`, the ordering window (1 = serialized ordering).
     pub pipeline: u32,
 }
 
@@ -171,11 +171,7 @@ fn run_step(seed: u64, rate: u64, opts: SaturationOpts) -> SaturationStep {
 fn run_step_inner(seed: u64, rate: u64, opts: SaturationOpts) -> SaturationStep {
     // Fresh cluster per step so steps are independent and any order of
     // rates reproduces the same numbers.
-    let cfg = if opts.batch_max > 0 || opts.pipeline > 1 {
-        PrimeConfig::plant().with_batching(opts.batch_max, opts.pipeline)
-    } else {
-        PrimeConfig::plant()
-    };
+    let cfg = PrimeConfig::plant().with_batching(opts.batch_max, opts.pipeline);
     let mut c = Cluster::new(cfg, 1);
     c.set_timing(e11_timing());
     c.set_out_cost(OUT_COST);
@@ -249,7 +245,7 @@ pub fn e11_saturation_with(seed: u64, rates: &[u64], opts: SaturationOpts) -> Sa
 pub fn render_saturation(run: &SaturationRun) -> String {
     use std::fmt::Write as _;
     let mut out = format!("E11 ordering saturation (seed {})\n", run.seed);
-    if run.opts.batch_max > 0 || run.opts.pipeline > 1 {
+    if run.opts != SaturationOpts::legacy() {
         let _ = writeln!(
             out,
             "batching: batch_max={} pipeline={}",

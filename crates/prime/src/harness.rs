@@ -418,46 +418,62 @@ mod tests {
         c.assert_consistent();
     }
 
+    /// Leader faults run at both ordering depths: one sequence in flight,
+    /// and a batched four-deep window whose view-change votes can carry
+    /// several prepared certificates.
+    fn leader_fault_configs() -> [Config; 2] {
+        [Config::red_team(), Config::red_team().with_batching(16, 4)]
+    }
+
     #[test]
     fn crashed_leader_triggers_view_change_and_recovers_liveness() {
-        let mut c = Cluster::new(Config::red_team(), 1);
-        c.set_timing(fast_timing());
-        // Replica 0 leads view 0; crash it.
-        c.replicas[0].byz = ByzMode::Crashed;
-        c.submit(0, "a=1");
-        c.run_for(SimDuration::from_secs(3));
-        // The remaining replicas must have moved to view ≥ 1 and executed.
-        for r in c.replicas.iter().skip(1) {
-            assert!(r.view() >= 1, "replica {:?} still in view 0", r.id());
-            assert_eq!(r.exec_seq(), 1);
+        for config in leader_fault_configs() {
+            let mut c = Cluster::new(config, 1);
+            c.set_timing(fast_timing());
+            // Replica 0 leads view 0; crash it.
+            c.replicas[0].byz = ByzMode::Crashed;
+            c.submit(0, "a=1");
+            c.run_for(SimDuration::from_secs(3));
+            // The remaining replicas must have moved to view ≥ 1 and executed.
+            for r in c.replicas.iter().skip(1) {
+                assert!(r.view() >= 1, "{config:?}: {:?} still in view 0", r.id());
+                assert_eq!(r.exec_seq(), 1, "{config:?}");
+            }
+            c.assert_consistent();
         }
-        c.assert_consistent();
     }
 
     #[test]
     fn delaying_leader_is_deposed() {
-        let mut c = Cluster::new(Config::red_team(), 1);
-        c.set_timing(fast_timing());
-        c.replicas[0].byz = ByzMode::DelayLeader(SimDuration::from_secs(30));
-        for i in 0..3 {
-            c.submit(0, format!("d{i}=1"));
+        for config in leader_fault_configs() {
+            let mut c = Cluster::new(config, 1);
+            c.set_timing(fast_timing());
+            c.replicas[0].byz = ByzMode::DelayLeader(SimDuration::from_secs(30));
+            for i in 0..3 {
+                c.submit(0, format!("d{i}=1"));
+            }
+            c.run_for(SimDuration::from_secs(3));
+            assert!(
+                c.replicas[1].view() >= 1,
+                "{config:?}: delaying leader was not deposed"
+            );
+            assert_eq!(c.min_executed(), 3, "{config:?}");
+            c.assert_consistent();
         }
-        c.run_for(SimDuration::from_secs(3));
-        assert!(c.replicas[1].view() >= 1, "delaying leader was not deposed");
-        assert_eq!(c.min_executed(), 3);
-        c.assert_consistent();
     }
 
     #[test]
     fn mute_leader_is_deposed() {
-        let mut c = Cluster::new(Config::red_team(), 1);
-        c.set_timing(fast_timing());
-        c.replicas[0].byz = ByzMode::MuteLeader;
-        c.submit(0, "m=1");
-        c.run_for(SimDuration::from_secs(3));
-        assert!(c.replicas[2].view() >= 1);
-        assert_eq!(c.min_executed(), 1);
-        c.assert_consistent();
+        for config in leader_fault_configs() {
+            let mut c = Cluster::new(config, 1);
+            c.set_timing(fast_timing());
+            c.replicas[0].byz = ByzMode::MuteLeader;
+            c.submit(0, "m=1");
+            c.run_for(SimDuration::from_secs(3));
+            assert!(c.replicas[2].view() >= 1, "{config:?}");
+            assert_eq!(c.min_executed(), 1, "{config:?}");
+            c.assert_consistent();
+        }
     }
 
     #[test]

@@ -306,21 +306,6 @@ pub enum PrimeMsg {
         /// The suspected view.
         view: u64,
     },
-    /// View change vote. Carries the replica's prepared-but-uncommitted
-    /// proposal (if any) so the new leader can re-propose the *same*
-    /// matrix, preserving per-sequence agreement across views.
-    ViewChange {
-        /// The view being moved to.
-        new_view: u64,
-        /// Highest global sequence this replica has committed.
-        max_committed: u64,
-        /// Sequence of the prepared-but-uncommitted proposal (0 = none).
-        prepared_seq: u64,
-        /// View in which that proposal was prepared.
-        prepared_view: u64,
-        /// The prepared matrix (empty when `prepared_seq` is 0).
-        prepared_matrix: Vec<AruRow>,
-    },
     /// New leader's installation message.
     NewView {
         /// The installed view.
@@ -401,11 +386,11 @@ pub enum PrimeMsg {
         /// The origin's signature over the batch root coordinates.
         root_sig: Signature,
     },
-    /// Windowed view-change vote, sent instead of [`PrimeMsg::ViewChange`]
-    /// when [`crate::types::Config::pipeline`] exceeds 1: with several
-    /// sequences in flight, a replica can hold multiple prepared-but-
-    /// uncommitted certificates, and every one above the committed
-    /// watermark must survive into the new view.
+    /// View-change vote. Carries every prepared-but-uncommitted
+    /// certificate the voter holds above its committed watermark (at most
+    /// [`crate::types::Config::pipeline`] of them), so the new leader
+    /// re-proposes the *same* matrix at each in-flight sequence and
+    /// per-sequence agreement survives the view change.
     ViewChangeWindow {
         /// The view being moved to.
         new_view: u64,
@@ -414,21 +399,6 @@ pub enum PrimeMsg {
         /// `(seq, prepared_view, matrix)` per surviving certificate,
         /// ascending by sequence.
         certs: Vec<(u64, u64, Vec<AruRow>)>,
-    },
-    /// Catch-up: one chunk of a large application snapshot, sent ahead of
-    /// a [`PrimeMsg::CatchupReply`] whose `snapshot` field is then empty
-    /// (see [`crate::types::Config::transfer_chunk`]). The receiver
-    /// reassembles chunks per `(sender, exec_seq)` and splices the
-    /// snapshot back into the reply before the usual f+1 matching rule.
-    CatchupChunk {
-        /// Executed update count of the snapshot being chunked.
-        exec_seq: u64,
-        /// This chunk's index.
-        index: u32,
-        /// Total chunks in the snapshot.
-        count: u32,
-        /// The chunk bytes.
-        data: Vec<u8>,
     },
 }
 
@@ -448,7 +418,6 @@ impl PrimeMsg {
             PrimeMsg::Prepare { .. } => "prime;order;prepare",
             PrimeMsg::Commit { .. } => "prime;order;commit",
             PrimeMsg::SuspectLeader { .. } => "prime;order;suspect",
-            PrimeMsg::ViewChange { .. } => "prime;order;view_change",
             PrimeMsg::NewView { .. } => "prime;order;new_view",
             PrimeMsg::Checkpoint { .. } => "prime;catchup;checkpoint",
             PrimeMsg::CatchupRequest { .. } => "prime;catchup;request",
@@ -457,10 +426,12 @@ impl PrimeMsg {
             PrimeMsg::PoRequestBatch { .. } => "prime;preorder;batch_request",
             PrimeMsg::PoBatchMember { .. } => "prime;preorder;batch_member",
             PrimeMsg::ViewChangeWindow { .. } => "prime;order;view_change",
-            PrimeMsg::CatchupChunk { .. } => "prime;catchup;chunk",
         }
     }
 
+    /// The wire tag. Tags 8 (the single-certificate view-change vote) and
+    /// 17 (a chunk of a catch-up snapshot) are retired: they decode as
+    /// errors and are never reused.
     fn tag(&self) -> u8 {
         match self {
             PrimeMsg::PoRequest { .. } => 0,
@@ -471,7 +442,6 @@ impl PrimeMsg {
             PrimeMsg::PoFetch { .. } => 5,
             PrimeMsg::PoData { .. } => 6,
             PrimeMsg::SuspectLeader { .. } => 7,
-            PrimeMsg::ViewChange { .. } => 8,
             PrimeMsg::NewView { .. } => 9,
             PrimeMsg::Checkpoint { .. } => 10,
             PrimeMsg::CatchupRequest { .. } => 11,
@@ -480,7 +450,6 @@ impl PrimeMsg {
             PrimeMsg::PoRequestBatch { .. } => 14,
             PrimeMsg::PoBatchMember { .. } => 15,
             PrimeMsg::ViewChangeWindow { .. } => 16,
-            PrimeMsg::CatchupChunk { .. } => 17,
         }
     }
 }
@@ -534,22 +503,6 @@ impl Wire for PrimeMsg {
             }
             PrimeMsg::SuspectLeader { view } => {
                 w.put_u64(*view);
-            }
-            PrimeMsg::ViewChange {
-                new_view,
-                max_committed,
-                prepared_seq,
-                prepared_view,
-                prepared_matrix,
-            } => {
-                w.put_u64(*new_view)
-                    .put_u64(*max_committed)
-                    .put_u64(*prepared_seq)
-                    .put_u64(*prepared_view);
-                w.put_u32(prepared_matrix.len() as u32);
-                for row in prepared_matrix {
-                    row.encode(w);
-                }
             }
             PrimeMsg::NewView { view, start_seq } => {
                 w.put_u64(*view).put_u64(*start_seq);
@@ -625,15 +578,6 @@ impl Wire for PrimeMsg {
                     }
                 }
             }
-            PrimeMsg::CatchupChunk {
-                exec_seq,
-                index,
-                count,
-                data,
-            } => {
-                w.put_u64(*exec_seq).put_u32(*index).put_u32(*count);
-                w.put_bytes(data);
-            }
         }
     }
 
@@ -686,27 +630,6 @@ impl Wire for PrimeMsg {
                 original: r.get_bytes()?,
             },
             7 => PrimeMsg::SuspectLeader { view: r.get_u64()? },
-            8 => {
-                let new_view = r.get_u64()?;
-                let max_committed = r.get_u64()?;
-                let prepared_seq = r.get_u64()?;
-                let prepared_view = r.get_u64()?;
-                let n = r.get_u32()? as usize;
-                if n > 1024 {
-                    return Err(DecodeError::new("vc matrix size"));
-                }
-                let mut prepared_matrix = Vec::with_capacity(n);
-                for _ in 0..n {
-                    prepared_matrix.push(AruRow::decode(r)?);
-                }
-                PrimeMsg::ViewChange {
-                    new_view,
-                    max_committed,
-                    prepared_seq,
-                    prepared_view,
-                    prepared_matrix,
-                }
-            }
             9 => PrimeMsg::NewView {
                 view: r.get_u64()?,
                 start_seq: r.get_u64()?,
@@ -805,12 +728,7 @@ impl Wire for PrimeMsg {
                     certs,
                 }
             }
-            17 => PrimeMsg::CatchupChunk {
-                exec_seq: r.get_u64()?,
-                index: r.get_u32()?,
-                count: r.get_u32()?,
-                data: r.get_bytes()?,
-            },
+            // 8 and 17 are retired tags (see `tag`) and land here too.
             _ => return Err(DecodeError::new("prime message tag")),
         })
     }
@@ -1002,13 +920,6 @@ mod tests {
             original: vec![1, 2, 3, 4],
         });
         roundtrip(PrimeMsg::SuspectLeader { view: 4 });
-        roundtrip(PrimeMsg::ViewChange {
-            new_view: 5,
-            max_committed: 10,
-            prepared_seq: 11,
-            prepared_view: 4,
-            prepared_matrix: vec![row.clone()],
-        });
         roundtrip(PrimeMsg::NewView {
             view: 5,
             start_seq: 12,
@@ -1063,12 +974,22 @@ mod tests {
             max_committed: 10,
             certs: Vec::new(),
         });
-        roundtrip(PrimeMsg::CatchupChunk {
-            exec_seq: 100,
-            index: 1,
-            count: 3,
-            data: vec![9, 8, 7],
-        });
+    }
+
+    /// Tags 8 and 17 once carried the single-certificate view-change vote
+    /// and a catch-up snapshot chunk. They are retired: whatever follows
+    /// them, they decode as an error.
+    #[test]
+    fn retired_tags_decode_as_errors() {
+        for tag in [8u8, 17] {
+            assert!(PrimeMsg::from_wire(&[tag]).is_err(), "bare tag {tag}");
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&[0xff; 64]);
+            assert!(PrimeMsg::from_wire(&bytes).is_err(), "tag {tag} + body");
+            let mut signed = 3u32.to_be_bytes().to_vec();
+            signed.extend_from_slice(&bytes);
+            assert!(SignedMsg::from_wire(&signed).is_err(), "signed tag {tag}");
+        }
     }
 
     #[test]

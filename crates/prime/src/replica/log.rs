@@ -189,10 +189,6 @@ impl<A: Application> Replica<A> {
         // The leader does not send Prepare; its pre-prepare counts.
         let have = prepare_count + 1;
         if have >= self.active_ordering_quorum() && self.sent_commit.insert((seq, view)) {
-            self.prepared_cert = Some((seq, view, matrix.clone()));
-            // The window form keeps every uncommitted certificate; with
-            // the pipeline off it mirrors `prepared_cert` (at most one
-            // live entry) and is never put on the wire.
             self.prepared_certs.insert(seq, (view, matrix.clone()));
             let commit = self.sign(PrimeMsg::Commit { view, seq, digest });
             self.commits
@@ -249,13 +245,6 @@ impl<A: Application> Replica<A> {
             self.committed.insert(seq, matrix.clone());
             self.trace_ordering_phase(seq, obs::Stage::PrimeCommit);
             self.max_committed = self.max_committed.max(seq);
-            if self
-                .prepared_cert
-                .as_ref()
-                .is_some_and(|(s, _, _)| *s == seq)
-            {
-                self.prepared_cert = None;
-            }
             let watermark = self.max_committed;
             self.prepared_certs.retain(|s, _| *s > watermark);
             self.extend_plan();
@@ -559,7 +548,6 @@ impl<A: Application> Replica<A> {
         self.catchup_attempts = 0;
         self.catchup_offers.clear();
         self.catchup_dedup.clear();
-        self.catchup_chunks.clear();
         out.push(OutEvent::StateTransferRequested);
         let req = self.sign(PrimeMsg::CatchupRequest {
             have_exec_seq: self.exec_seq,
@@ -585,27 +573,6 @@ impl<A: Application> Replica<A> {
         if exec_cover.len() != self.config.n() as usize {
             return;
         }
-        // A reply with an empty snapshot is the splice marker for a
-        // chunked transfer: reassemble the sender's buffered chunks if
-        // they are complete and match this reply's exec_seq. A sender
-        // with chunking off that legitimately has an empty snapshot has
-        // no buffered chunks, so the reply passes through unchanged.
-        let snapshot = if snapshot.is_empty() {
-            match self.catchup_chunks.get(&from.0) {
-                Some((chunk_seq, count, parts))
-                    if *chunk_seq == exec_seq && parts.len() as u32 == *count =>
-                {
-                    let mut whole = Vec::new();
-                    for part in parts.values() {
-                        whole.extend_from_slice(part);
-                    }
-                    whole
-                }
-                _ => snapshot,
-            }
-        } else {
-            snapshot
-        };
         // Pair the reply with the sender's `CatchupDedup` companion (sent
         // just ahead of it); absent or mismatched means no table.
         let dedup: DedupTable = match self.catchup_dedup.get(&from.0) {
@@ -674,7 +641,6 @@ impl<A: Application> Replica<A> {
             self.view = self.view.max(view);
             self.in_view_change = false;
             self.catching_up = false;
-            self.catchup_chunks.clear();
             self.stall_since = None;
             self.last_checkpoint_at_exec = exec_seq;
             self.mark_executed();
@@ -683,6 +649,16 @@ impl<A: Application> Replica<A> {
         }
     }
 
+    /// Proposes the next ordering sequence, as leader. Up to
+    /// `Config::pipeline` sequences may be in flight above the committed
+    /// watermark at once, so with a deeper window the three ordering
+    /// rounds of sequence `s+1` overlap the dissemination that feeds
+    /// `s+2` instead of serializing behind the commit of `s`. The next
+    /// free slot is proposed when the current quorum rows advance
+    /// coverage beyond everything already planned *or in flight* —
+    /// computed statelessly by folding the in-flight pre-prepare matrices
+    /// over the plan cover, so no extra state can drift across view
+    /// changes or recoveries.
     pub(super) fn maybe_propose(&mut self, now: SimTime, out: &mut Vec<OutEvent>) {
         if let ByzMode::DelayLeader(extra) = self.byz {
             if now.since(self.last_pp_at) < self.timing.pp_interval + extra {
@@ -694,58 +670,6 @@ impl<A: Application> Replica<A> {
         if self.byz.is_mute_leader() {
             return;
         }
-        if self.config.pipeline > 1 {
-            self.maybe_propose_pipelined(now, out);
-            return;
-        }
-        // Only one outstanding proposal at a time — but an entry left by
-        // a dead view does not count: it can never gather prepares in
-        // this view, so the new leader must re-propose the sequence.
-        let next_seq = self.max_committed + 1;
-        if self
-            .pre_prepares
-            .get(&next_seq)
-            .is_some_and(|(v, _, _)| *v == self.view)
-        {
-            return;
-        }
-        // Collect rows; require a quorum of distinct replicas.
-        let rows: Vec<AruRow> = self.latest_rows.values().cloned().collect();
-        if (rows.len() as u32) < self.active_ordering_quorum() {
-            return;
-        }
-        // Only propose if coverage advances.
-        let n = self.config.n() as usize;
-        let threshold = self.config.coverage_threshold() as usize;
-        let mut cover = vec![0u64; n];
-        for (origin, c) in cover.iter_mut().enumerate() {
-            let mut column: Vec<u64> = rows.iter().map(|r| r.vector[origin]).collect();
-            column.sort_unstable_by(|a, b| b.cmp(a));
-            if column.len() >= threshold {
-                *c = column[threshold - 1];
-            }
-        }
-        if cover
-            .iter()
-            .zip(self.plan_cover.iter())
-            .all(|(c, p)| c <= p)
-        {
-            return;
-        }
-        self.last_pp_at = now;
-        self.propose_matrix(next_seq, rows, now, out);
-    }
-
-    /// Pipelined proposal path (`Config::pipeline > 1`): up to `pipeline`
-    /// sequences may be in flight above the committed watermark at once,
-    /// so the three ordering rounds of sequence `s+1` overlap the
-    /// dissemination that feeds `s+2` instead of serializing behind the
-    /// commit of `s`. The next free slot is proposed when the current
-    /// quorum rows advance coverage beyond everything already planned
-    /// *or in flight* — computed statelessly by folding the in-flight
-    /// pre-prepare matrices over the plan cover, so no extra state can
-    /// drift across view changes or recoveries.
-    pub(super) fn maybe_propose_pipelined(&mut self, now: SimTime, out: &mut Vec<OutEvent>) {
         let n = self.config.n() as usize;
         let threshold = self.config.coverage_threshold() as usize;
         let window = self.config.pipeline as u64;
@@ -802,14 +726,13 @@ impl<A: Application> Replica<A> {
             }
         }
         self.last_pp_at = now;
-        self.propose_matrix(next_seq, rows, now, out);
+        self.propose_matrix(next_seq, rows, out);
     }
 
     pub(super) fn propose_matrix(
         &mut self,
         seq: u64,
         matrix: Vec<AruRow>,
-        now: SimTime,
         out: &mut Vec<OutEvent>,
     ) {
         let digest = Self::matrix_digest(&matrix);
@@ -824,40 +747,6 @@ impl<A: Application> Replica<A> {
         // the quorum of Prepares from followers.
         let msg = self.sign(PrimeMsg::PrePrepare { view, seq, matrix });
         out.push(OutEvent::Broadcast(msg));
-        let _ = now;
-    }
-
-    /// Buffers one chunk of a chunked catch-up transfer, keyed by
-    /// sender. The chunks carry no signature of their own beyond the
-    /// envelope; integrity is enforced end-to-end, because the installed
-    /// snapshot must reproduce the `app_digest` that f+1 senders agreed
-    /// on (`on_catchup_reply`), so corrupt or missing chunks discard the
-    /// offer group exactly like a corrupt monolithic snapshot.
-    pub(super) fn on_catchup_chunk(
-        &mut self,
-        from: ReplicaId,
-        exec_seq: u64,
-        index: u32,
-        count: u32,
-        data: Vec<u8>,
-    ) {
-        if !self.catching_up || count == 0 || index >= count {
-            return;
-        }
-        let entry = self
-            .catchup_chunks
-            .entry(from.0)
-            .or_insert_with(|| (exec_seq, count, BTreeMap::new()));
-        if entry.0 != exec_seq || entry.1 != count {
-            // A newer transfer from the same sender supersedes the old
-            // buffer; a stale chunk for an older one is dropped.
-            if exec_seq > entry.0 {
-                *entry = (exec_seq, count, BTreeMap::new());
-            } else {
-                return;
-            }
-        }
-        entry.2.insert(index, data);
     }
 }
 

@@ -9,10 +9,12 @@
 //! ## Simplifications relative to the C implementation (documented per
 //! DESIGN.md)
 //!
-//! * Ordering is serialized: the leader proposes sequence `s+1` only after
-//!   committing `s`. Prime's aggregation makes this cheap — one matrix
-//!   orders every update accumulated since the last proposal — and it lets
-//!   view changes carry a single prepared certificate instead of a window.
+//! * Ordering runs in a window of [`Config::pipeline`] sequences (one by
+//!   default: the leader proposes `s+1` only after committing `s`).
+//!   Prime's aggregation makes the serialized form cheap — one matrix
+//!   orders every update accumulated since the last proposal. A
+//!   view-change vote carries the voter's prepared certificates in the
+//!   window.
 //! * Erasure-coded reconciliation is replaced by direct `PO-Fetch` /
 //!   `PO-Data` retransmission.
 //! * TAT measurement is simplified to a bound on *unordered eligible
@@ -241,21 +243,16 @@ pub struct HealthSample {
     pub catching_up: bool,
 }
 
-/// Per-view votes: sender → (max committed, prepared seq, prepared view,
-/// prepared matrix).
-type ViewChangeVotes = BTreeMap<u32, (u64, u64, u64, Vec<AruRow>)>;
+/// One voter's in-flight prepared certificates: (seq, view, prepared
+/// matrix) per slot, ascending by sequence.
+type CertWindow = Vec<(u64, u64, Vec<AruRow>)>;
+
+/// Per-view votes: voter → (max committed, prepared certificates).
+type ViewChangeVotes = BTreeMap<u32, (u64, CertWindow)>;
 
 /// Catch-up offer groups, keyed by (exec_seq, app digest, dedup-table
 /// digest): offering senders, the offer, and its dedup table.
 type CatchupOffers = BTreeMap<(u64, Digest, Digest), (BTreeSet<u32>, PrimeMsg, DedupTable)>;
-
-/// One voter's in-flight prepared certificates from a
-/// `ViewChangeWindow`: (seq, view, prepared matrix) per slot.
-type CertWindow = Vec<(u64, u64, Vec<AruRow>)>;
-
-/// Chunked catch-up reassembly state: (exec_seq, chunk count,
-/// index → chunk data).
-type ChunkReassembly = (u64, u32, BTreeMap<u32, Vec<u8>>);
 
 /// One Prime replica hosting an application.
 pub struct Replica<A: Application> {
@@ -322,8 +319,10 @@ pub struct Replica<A: Application> {
     /// Ordering sequences at or below this are forgotten; Prepares and
     /// Commits for them are ignored.
     order_floor: u64,
-    /// The prepared-but-uncommitted certificate (seq, view, matrix).
-    prepared_cert: Option<(u64, u64, Vec<AruRow>)>,
+    /// Prepared-but-uncommitted certificates, seq → (view, matrix): at
+    /// most the ordering window, carried by this replica's view-change
+    /// vote.
+    prepared_certs: BTreeMap<u64, (u64, Vec<AruRow>)>,
 
     // Execution.
     planned_through: u64,
@@ -346,6 +345,7 @@ pub struct Replica<A: Application> {
     sent_suspect: BTreeSet<u64>,
 
     // View change.
+    /// Votes received (and our own) per target view.
     view_changes: BTreeMap<u64, ViewChangeVotes>,
 
     // Checkpoints.
@@ -371,20 +371,6 @@ pub struct Replica<A: Application> {
     /// by first_po_seq — the reconciliation source for `PoBatchMember`
     /// replies to `PoFetch`.
     po_batches: Vec<BTreeMap<u64, crate::messages::PoBatch>>,
-
-    // Pipelined sequencing (armed by `Config::pipeline > 1`).
-    /// All prepared-but-uncommitted certificates, seq → (view, matrix).
-    /// Maintained alongside the legacy single `prepared_cert` so the
-    /// pipeline-off wire behavior stays byte-identical.
-    prepared_certs: BTreeMap<u64, (u64, Vec<AruRow>)>,
-    /// Certificate windows received in `ViewChangeWindow` votes:
-    /// new_view → voter → certs.
-    vc_windows: BTreeMap<u64, BTreeMap<u32, CertWindow>>,
-
-    // Chunked catch-up (armed by the *sender's* `Config::transfer_chunk`).
-    /// Reassembly buffers keyed by sender: (exec_seq, chunk count,
-    /// index → data).
-    catchup_chunks: BTreeMap<u32, ChunkReassembly>,
 
     // Catch-up.
     catching_up: bool,
@@ -470,7 +456,7 @@ impl<A: Application> Replica<A> {
             committed: BTreeMap::new(),
             max_committed: 0,
             order_floor: 0,
-            prepared_cert: None,
+            prepared_certs: BTreeMap::new(),
             planned_through: 0,
             plan_cover: vec![0; n],
             exec_plan: VecDeque::new(),
@@ -492,9 +478,6 @@ impl<A: Application> Replica<A> {
             batch_pending: Vec::new(),
             last_batch_at: SimTime::ZERO,
             po_batches: vec![BTreeMap::new(); n],
-            prepared_certs: BTreeMap::new(),
-            vc_windows: BTreeMap::new(),
-            catchup_chunks: BTreeMap::new(),
             catching_up: false,
             catchup_started: SimTime::ZERO,
             catchup_attempts: 0,
@@ -876,24 +859,6 @@ impl<A: Application> Replica<A> {
             PrimeMsg::SuspectLeader { view } => {
                 self.on_suspect(from, view, now, &mut out);
             }
-            PrimeMsg::ViewChange {
-                new_view,
-                max_committed,
-                prepared_seq,
-                prepared_view,
-                prepared_matrix,
-            } => {
-                self.on_view_change(
-                    from,
-                    new_view,
-                    max_committed,
-                    prepared_seq,
-                    prepared_view,
-                    prepared_matrix,
-                    now,
-                    &mut out,
-                );
-            }
             PrimeMsg::NewView { view, start_seq } => {
                 self.on_new_view(from, view, start_seq, now, &mut out);
             }
@@ -914,32 +879,10 @@ impl<A: Application> Replica<A> {
                         });
                         out.push(OutEvent::Send(from, table));
                     }
-                    // With chunking armed the snapshot travels as
-                    // `CatchupChunk` messages ahead of the reply (whose
-                    // own snapshot is left empty as the splice marker),
-                    // so one large transfer does not occupy the NIC lane
-                    // in a single burst that stalls the ordering pipeline.
-                    let full = self.app.snapshot();
-                    let chunk = self.config.transfer_chunk as usize;
-                    let snapshot = if chunk > 0 && !full.is_empty() {
-                        let count = full.len().div_ceil(chunk) as u32;
-                        for (index, part) in full.chunks(chunk).enumerate() {
-                            let m = self.sign(PrimeMsg::CatchupChunk {
-                                exec_seq: self.exec_seq,
-                                index: index as u32,
-                                count,
-                                data: part.to_vec(),
-                            });
-                            out.push(OutEvent::Send(from, m));
-                        }
-                        Vec::new()
-                    } else {
-                        full
-                    };
                     let reply = PrimeMsg::CatchupReply {
                         exec_seq: self.exec_seq,
                         app_digest: self.app.digest(),
-                        snapshot,
+                        snapshot: self.app.snapshot(),
                         next_order_seq: self.planned_through + 1,
                         exec_cover: self.plan_cover.clone(),
                         view: self.view,
@@ -1002,14 +945,6 @@ impl<A: Application> Replica<A> {
                 certs,
             } => {
                 self.on_view_change_window(from, new_view, max_committed, certs, now, &mut out);
-            }
-            PrimeMsg::CatchupChunk {
-                exec_seq,
-                index,
-                count,
-                data,
-            } => {
-                self.on_catchup_chunk(from, exec_seq, index, count, data);
             }
         }
         out
@@ -1090,37 +1025,7 @@ impl<A: Application> Replica<A> {
             && now.since(self.last_vc_broadcast_at) >= self.effective_suspect_timeout()
         {
             self.last_vc_broadcast_at = now;
-            let target = self.vc_target;
-            if let Some((max_committed, prepared_seq, prepared_view, matrix)) = self
-                .view_changes
-                .get(&target)
-                .and_then(|votes| votes.get(&self.id.0))
-                .cloned()
-            {
-                if self.config.pipeline > 1 {
-                    let certs = self
-                        .vc_windows
-                        .get(&target)
-                        .and_then(|w| w.get(&self.id.0))
-                        .cloned()
-                        .unwrap_or_default();
-                    let vc = self.sign(PrimeMsg::ViewChangeWindow {
-                        new_view: target,
-                        max_committed,
-                        certs,
-                    });
-                    out.push(OutEvent::Broadcast(vc));
-                } else {
-                    let vc = self.sign(PrimeMsg::ViewChange {
-                        new_view: target,
-                        max_committed,
-                        prepared_seq,
-                        prepared_view,
-                        prepared_matrix: matrix,
-                    });
-                    out.push(OutEvent::Broadcast(vc));
-                }
-            }
+            self.broadcast_vote(self.vc_target, &mut out);
         }
         // A committed-sequence gap is also a stall (see check_committed).
         if self.max_committed > self.planned_through {
@@ -1150,7 +1055,6 @@ impl<A: Application> Replica<A> {
                 self.catchup_started = now;
                 self.catchup_offers.clear();
                 self.catchup_dedup.clear();
-                self.catchup_chunks.clear();
                 let req = self.sign(PrimeMsg::CatchupRequest {
                     have_exec_seq: self.exec_seq,
                 });
@@ -1269,13 +1173,10 @@ impl<A: Application> Replica<A> {
         self.committed.clear();
         self.max_committed = 0;
         self.order_floor = 0;
-        self.prepared_cert = None;
+        self.prepared_certs.clear();
         self.batch_pending.clear();
         self.last_batch_at = SimTime::ZERO;
         self.po_batches.iter_mut().for_each(BTreeMap::clear);
-        self.prepared_certs.clear();
-        self.vc_windows.clear();
-        self.catchup_chunks.clear();
         self.planned_through = 0;
         self.plan_cover = vec![0; n];
         self.exec_plan.clear();

@@ -1,5 +1,5 @@
-//! Leader election: suspicion, view changes (single-certificate legacy
-//! form and the pipelined certificate-window form), and view installation.
+//! Leader election: suspicion, view changes (one vote form, carrying a
+//! window of prepared certificates), and view installation.
 
 use super::*;
 
@@ -29,80 +29,48 @@ impl<A: Application> Replica<A> {
         self.in_view_change = true;
         self.vc_target = target;
         self.last_vc_broadcast_at = now;
-        if self.config.pipeline > 1 {
-            self.start_view_change_window(target, out);
-            return;
-        }
-        let (prepared_seq, prepared_view, prepared_matrix) = match &self.prepared_cert {
-            Some((s, v, m)) if *s > self.max_committed => (*s, *v, m.clone()),
-            _ => (0, 0, Vec::new()),
-        };
-        let vc = PrimeMsg::ViewChange {
-            new_view: target,
-            max_committed: self.max_committed,
-            prepared_seq,
-            prepared_view,
-            prepared_matrix: prepared_matrix.clone(),
-        };
-        // Record our own vote.
-        self.view_changes.entry(target).or_default().insert(
-            self.id.0,
-            (
-                self.max_committed,
-                prepared_seq,
-                prepared_view,
-                prepared_matrix,
-            ),
-        );
-        let vc = self.sign(vc);
-        out.push(OutEvent::Broadcast(vc));
-    }
-
-    /// The pipelined vote form: every prepared-but-uncommitted
-    /// certificate above the committed watermark travels in one
-    /// `ViewChangeWindow`, so a view change cannot orphan the tail of an
-    /// in-flight window the way a single-certificate vote would. The
-    /// legacy vote table still counts this vote (keyed on its best
-    /// certificate) so join and quorum logic is shared with the
-    /// single-certificate form.
-    fn start_view_change_window(&mut self, target: u64, out: &mut Vec<OutEvent>) {
-        let certs: Vec<(u64, u64, Vec<AruRow>)> = self
+        // Every prepared-but-uncommitted certificate above the committed
+        // watermark travels in the vote, so a view change cannot orphan
+        // the tail of an in-flight window.
+        let certs: CertWindow = self
             .prepared_certs
             .range(self.max_committed + 1..)
             .map(|(seq, (view, matrix))| (*seq, *view, matrix.clone()))
             .collect();
-        let (ps, pv, pm) = certs
-            .iter()
-            .max_by_key(|(seq, view, _)| (*view, *seq))
-            .map(|(seq, view, matrix)| (*seq, *view, matrix.clone()))
-            .unwrap_or((0, 0, Vec::new()));
         self.view_changes
             .entry(target)
             .or_default()
-            .insert(self.id.0, (self.max_committed, ps, pv, pm));
-        self.vc_windows
-            .entry(target)
-            .or_default()
-            .insert(self.id.0, certs.clone());
+            .insert(self.id.0, (self.max_committed, certs));
+        self.broadcast_vote(target, out);
+    }
+
+    /// Broadcasts the vote this replica recorded for `target`, if any.
+    pub(super) fn broadcast_vote(&mut self, target: u64, out: &mut Vec<OutEvent>) {
+        let Some((max_committed, certs)) = self
+            .view_changes
+            .get(&target)
+            .and_then(|votes| votes.get(&self.id.0))
+            .cloned()
+        else {
+            return;
+        };
         let vc = self.sign(PrimeMsg::ViewChangeWindow {
             new_view: target,
-            max_committed: self.max_committed,
+            max_committed,
             certs,
         });
         out.push(OutEvent::Broadcast(vc));
     }
 
-    /// Receives a pipelined certificate-window vote. Feeds the shared
-    /// vote table (via the window's best certificate) so the f+1 join
-    /// and quorum install rules are identical to the legacy form, while
-    /// the full window is retained for per-sequence re-proposal at
-    /// install time.
+    /// Receives a view-change vote: joins the view change once f+1
+    /// replicas are moving, and as the new leader installs the view once
+    /// a quorum has voted.
     pub(super) fn on_view_change_window(
         &mut self,
         from: ReplicaId,
         new_view: u64,
         max_committed: u64,
-        certs: Vec<(u64, u64, Vec<AruRow>)>,
+        certs: CertWindow,
         now: SimTime,
         out: &mut Vec<OutEvent>,
     ) {
@@ -118,113 +86,48 @@ impl<A: Application> Replica<A> {
             }
             last = *seq;
         }
-        let (ps, pv, pm) = certs
-            .iter()
-            .max_by_key(|(seq, view, _)| (*view, *seq))
-            .map(|(seq, view, matrix)| (*seq, *view, matrix.clone()))
-            .unwrap_or((0, 0, Vec::new()));
-        self.vc_windows
-            .entry(new_view)
-            .or_default()
-            .insert(from.0, certs);
-        self.view_changes
-            .entry(new_view)
-            .or_default()
-            .insert(from.0, (max_committed, ps, pv, pm));
-        let votes = self.view_changes[&new_view].len() as u32;
-        if votes > self.active_f() && (!self.in_view_change || self.vc_target < new_view) {
-            self.start_view_change(new_view, now, out);
-        }
-        if votes >= self.active_ordering_quorum()
-            && self.active_leader_of(new_view) == self.id
-            && self.view < new_view
-        {
-            self.install_view(new_view, now, out);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn on_view_change(
-        &mut self,
-        from: ReplicaId,
-        new_view: u64,
-        max_committed: u64,
-        prepared_seq: u64,
-        prepared_view: u64,
-        prepared_matrix: Vec<AruRow>,
-        now: SimTime,
-        out: &mut Vec<OutEvent>,
-    ) {
-        if new_view <= self.view {
-            return;
-        }
-        self.view_changes.entry(new_view).or_default().insert(
-            from.0,
-            (max_committed, prepared_seq, prepared_view, prepared_matrix),
-        );
-        let votes = self.view_changes[&new_view].len() as u32;
+        let votes = self.view_changes.entry(new_view).or_default();
+        votes.insert(from.0, (max_committed, certs));
+        let votes = votes.len() as u32;
         // Join a view change once f+1 replicas are moving (can't all be faulty).
         if votes > self.active_f() && (!self.in_view_change || self.vc_target < new_view) {
             self.start_view_change(new_view, now, out);
         }
-        // As the new leader, install the view once a quorum has voted.
         if votes >= self.active_ordering_quorum()
             && self.active_leader_of(new_view) == self.id
             && self.view < new_view
         {
-            self.install_view(new_view, now, out);
+            self.install_view(new_view, out);
         }
     }
 
-    pub(super) fn install_view(&mut self, new_view: u64, now: SimTime, out: &mut Vec<OutEvent>) {
-        let votes = self
-            .view_changes
-            .get(&new_view)
-            .cloned()
-            .unwrap_or_default();
+    pub(super) fn install_view(&mut self, new_view: u64, out: &mut Vec<OutEvent>) {
+        let votes = self.view_changes.remove(&new_view).unwrap_or_default();
         let max_committed_any = votes
             .values()
-            .map(|(mc, _, _, _)| *mc)
+            .map(|(mc, _)| *mc)
             .max()
             .unwrap_or(0)
             .max(self.max_committed);
-        // Highest prepared certificate above the committed watermark, by
-        // (prepared_view, seq).
-        let best_prepared = votes
-            .values()
-            .filter(|(_, ps, _, _)| *ps > max_committed_any)
-            .max_by_key(|(_, ps, pv, _)| (*pv, *ps))
-            .cloned();
-        // Pipelined votes carry whole certificate windows: collect, per
-        // sequence above the watermark, the certificate with the highest
-        // prepared view (a prepared certificate is unique per view, so
-        // ties agree on the matrix). Empty unless peers sent
-        // `ViewChangeWindow`, i.e. never on the legacy path.
+        // Per sequence above the watermark, the certificate with the
+        // highest prepared view (a prepared certificate is unique per
+        // view, so ties agree on the matrix).
         let mut window_certs: BTreeMap<u64, (u64, Vec<AruRow>)> = BTreeMap::new();
-        for window in self
-            .vc_windows
-            .get(&new_view)
-            .into_iter()
-            .flat_map(|w| w.values())
-        {
+        for (_, window) in votes.into_values() {
             for (seq, pv, matrix) in window {
-                if *seq <= max_committed_any {
+                if seq <= max_committed_any {
                     continue;
                 }
-                let entry = window_certs.entry(*seq).or_insert((*pv, matrix.clone()));
-                if *pv > entry.0 {
-                    *entry = (*pv, matrix.clone());
+                if window_certs.get(&seq).is_none_or(|(held, _)| pv > *held) {
+                    window_certs.insert(seq, (pv, matrix));
                 }
             }
         }
-        let start_seq = if let Some((&top, _)) = window_certs.iter().next_back() {
-            top + 1
-        } else {
-            match &best_prepared {
-                Some((_, ps, _, _)) => *ps + 1,
-                None => max_committed_any + 1,
-            }
-        };
+        let start_seq = window_certs
+            .keys()
+            .next_back()
+            .map_or(max_committed_any, |&top| top)
+            + 1;
         self.view = new_view;
         self.in_view_change = false;
         self.unordered_since = None;
@@ -240,20 +143,10 @@ impl<A: Application> Replica<A> {
             start_seq,
         });
         out.push(OutEvent::Broadcast(nv));
-        // Re-propose surviving prepared matrices under the new view: the
-        // whole per-sequence window when pipelined votes were collected,
-        // the single best certificate otherwise.
-        if window_certs.is_empty() {
-            if let Some((_, ps, _, matrix)) = best_prepared {
-                if !matrix.is_empty() {
-                    self.propose_matrix(ps, matrix, now, out);
-                }
-            }
-        } else {
-            for (seq, (_, matrix)) in window_certs {
-                if !matrix.is_empty() {
-                    self.propose_matrix(seq, matrix, now, out);
-                }
+        // Re-propose every surviving prepared matrix under the new view.
+        for (seq, (_, matrix)) in window_certs {
+            if !matrix.is_empty() {
+                self.propose_matrix(seq, matrix, out);
             }
         }
     }

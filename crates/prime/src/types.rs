@@ -52,18 +52,13 @@ pub struct Config {
     /// cost of pre-order dissemination — the E11 saturation bottleneck —
     /// across many updates with a single Merkle-root signature.
     pub batch_max: u32,
-    /// Ordering pipeline depth: how many Pre-Prepare sequences the leader
-    /// may keep in flight at once (1 = the legacy serialized ordering,
-    /// byte-identical wire behavior). Depths above 1 overlap ordering
-    /// rounds with dissemination and switch view-change votes to the
-    /// windowed `ViewChangeWindow` certificate carrier.
+    /// Ordering window: how many Pre-Prepare sequences the leader may
+    /// keep in flight above the committed watermark (1 = one at a time,
+    /// the serialized ordering). Deeper windows overlap ordering rounds
+    /// with dissemination. Whatever the depth, a view-change vote carries
+    /// every prepared-but-uncommitted certificate in one
+    /// `ViewChangeWindow`; at depth 1 that is at most one.
     pub pipeline: u32,
-    /// Catch-up snapshot chunk size in bytes (0 = off: snapshots travel
-    /// whole inside `CatchupReply`, the legacy wire format). When armed,
-    /// snapshots larger than this split into `CatchupChunk` messages so a
-    /// large state transfer does not occupy the sender's NIC lane in one
-    /// long burst.
-    pub transfer_chunk: u32,
 }
 
 impl Config {
@@ -75,12 +70,12 @@ impl Config {
             transfer_dedup: false,
             batch_max: 0,
             pipeline: 1,
-            transfer_chunk: 0,
         }
     }
 
-    /// Arms Merkle-batched pre-order dissemination and pipelined
-    /// sequencing on top of this configuration (builder-style).
+    /// Arms Merkle-batched pre-order dissemination (`batch_max` updates
+    /// a batch) and sets the ordering window to `pipeline` sequences (at
+    /// least 1) on top of this configuration (builder-style).
     pub fn with_batching(mut self, batch_max: u32, pipeline: u32) -> Self {
         self.batch_max = batch_max;
         self.pipeline = pipeline.max(1);

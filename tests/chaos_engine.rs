@@ -68,16 +68,15 @@ fn e12_soak_is_deterministic() {
     assert_eq!(a.reconvergence_us, b.reconvergence_us);
 }
 
-/// The batched configuration (Merkle-batched dissemination, pipelined
-/// sequencing, chunked state transfer) must ride through the same chaos
-/// schedule as the stock soak: batches survive crash + restart and
-/// catch-up without duplicating or dropping member updates — the
-/// agreement and dedup invariants would trip on either. And the batched
-/// soak must be exactly as deterministic as the legacy one.
+/// The batched configuration (Merkle-batched dissemination, a four-deep
+/// ordering window) must ride through the same chaos schedule as the
+/// stock soak: batches survive crash + restart and catch-up without
+/// duplicating or dropping member updates — the agreement and dedup
+/// invariants would trip on either. And the batched soak must be exactly
+/// as deterministic as the stock one.
 #[test]
-fn e12_soak_stays_green_with_batching_and_chunked_transfer() {
-    let mut cfg = PrimeConfig::plant().with_batching(16, 4);
-    cfg.transfer_chunk = 64;
+fn e12_soak_stays_green_with_batching() {
+    let cfg = PrimeConfig::plant().with_batching(16, 4);
     let run = e12_chaos_soak_with(42, 1, 12, cfg);
     assert!(
         run.distinct_kinds >= 5,

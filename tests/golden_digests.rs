@@ -104,9 +104,18 @@ const GOLDEN: &[(&str, &str)] = &[
         "e13a",
         "f6d9c47aab828ca61324e9d9f154ba41b684152a8ca42069ce6dadb8f81c971a",
     ),
+    // e13b re-pinned (13a13fb2 → bdf330db) when the view-change vote
+    // became one form whatever the ordering depth: the per-update leg now
+    // votes with a `ViewChangeWindow` (16 bytes shorter than the retired
+    // single-certificate vote when no certificate is in hand), and its six
+    // view-2 installs journal 2 µs earlier. Verified to be the only cause: the parent with only the
+    // three depth branches forced to the window form prints the same
+    // fingerprint, its e13b journal differs from the parent's in those
+    // six timestamps alone, and `spire-sim e13` prints byte-identical
+    // text.
     (
         "e13b",
-        "13a13fb23d3ea02d4024ea0db6baac43958e867e0da9041133755aeb7682ccf4",
+        "bdf330db5c5b5f3934c5cb98d54030121ea74e71afbbb28ec032f1fff79e28a3",
     ),
     (
         "e13c",
