@@ -760,7 +760,7 @@ pub fn catchup_backoff(base: SimDuration, attempt: u32) -> SimDuration {
 
 /// Drops every entry of `map` keyed at or below `floor` with one split,
 /// not a walk of the whole map.
-fn forget_through<V>(map: &mut BTreeMap<u64, V>, floor: u64) {
+pub(super) fn forget_through<V>(map: &mut BTreeMap<u64, V>, floor: u64) {
     match floor.checked_add(1) {
         Some(above) => *map = map.split_off(&above),
         None => map.clear(),

@@ -1,6 +1,7 @@
 //! Leader election: suspicion, view changes (one vote form, carrying a
 //! window of prepared certificates), and view installation.
 
+use super::log::forget_through;
 use super::*;
 
 impl<A: Application> Replica<A> {
@@ -131,6 +132,7 @@ impl<A: Application> Replica<A> {
         self.view = new_view;
         self.in_view_change = false;
         self.unordered_since = None;
+        self.forget_views_before(new_view);
         self.stats.view_changes += 1;
         self.c_view_changes.inc();
         self.obs.journal(obs::Event::ViewChange {
@@ -170,6 +172,7 @@ impl<A: Application> Replica<A> {
         self.view = view;
         self.in_view_change = false;
         self.unordered_since = Some(now);
+        self.forget_views_before(view);
         self.stats.view_changes += 1;
         self.c_view_changes.inc();
         self.obs.journal(obs::Event::ViewChange {
@@ -177,5 +180,69 @@ impl<A: Application> Replica<A> {
             view,
         });
         out.push(OutEvent::ViewChanged { view });
+    }
+
+    /// Forgets the view-keyed state an installed `view` has made
+    /// unreadable: suspicions below it (suspicion reads only views at or
+    /// above the current one) and votes at or below it (a vote counts
+    /// only for a view above the current one). Without it each leader
+    /// change leaves an entry behind until the next proactive recovery.
+    fn forget_views_before(&mut self, view: u64) {
+        self.suspects = self.suspects.split_off(&view);
+        self.sent_suspect = self.sent_suspect.split_off(&view);
+        forget_through(&mut self.view_changes, view);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::Cluster;
+
+    /// Twenty-four leaders in turn go mute with updates waiting, and each
+    /// is deposed. After every step, on every replica, the view-keyed
+    /// tables hold at most two views: without the forgetting each one
+    /// holds an entry per view change.
+    #[test]
+    fn view_keyed_tables_hold_at_most_two_views() {
+        for config in [Config::red_team(), Config::red_team().with_batching(16, 4)] {
+            let mut c = Cluster::new(config, 1);
+            c.set_timing(Timing {
+                aru_interval: SimDuration::from_millis(10),
+                pp_interval: SimDuration::from_millis(10),
+                suspect_timeout: SimDuration::from_millis(400),
+                checkpoint_interval: 10,
+                catchup_timeout: SimDuration::from_millis(200),
+            });
+            let mut submitted = 0;
+            for _ in 0..24 {
+                let view = c.replicas[0].view();
+                let leader = config.leader_of(view).0 as usize;
+                c.replicas[leader].byz = ByzMode::MuteLeader;
+                c.submit(0, format!("k{submitted}=v"));
+                submitted += 1;
+                c.run_for(SimDuration::from_secs(2));
+                c.replicas[leader].byz = ByzMode::Correct;
+                for r in &c.replicas {
+                    assert!(
+                        r.view() > view,
+                        "{config:?}: {:?} still in view {view}",
+                        r.id()
+                    );
+                    let held = [r.suspects.len(), r.sent_suspect.len(), r.view_changes.len()];
+                    assert!(
+                        held.iter().all(|&views| views <= 2),
+                        "{config:?}: {:?} in view {} holds {held:?} views \
+                         (suspects, sent_suspect, view_changes)",
+                        r.id(),
+                        r.view()
+                    );
+                }
+            }
+            c.run_for(SimDuration::from_secs(1));
+            assert!(c.replicas[0].view() >= 24, "{config:?}");
+            assert_eq!(c.min_executed(), submitted, "{config:?}");
+            c.assert_consistent();
+        }
     }
 }
