@@ -335,12 +335,14 @@ impl Cluster {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::application::Application;
     use crate::byzantine::ByzMode;
 
-    fn fast_timing() -> Timing {
+    /// Protocol timing tightened for short tests: a stalled leader is
+    /// suspected after 400 ms.
+    pub(crate) fn fast_timing() -> Timing {
         Timing {
             aru_interval: SimDuration::from_millis(10),
             pp_interval: SimDuration::from_millis(10),

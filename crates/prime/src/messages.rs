@@ -9,7 +9,7 @@ use simnet::wire::{DecodeError, Reader, Wire, Writer};
 
 use crate::types::{ReplicaId, SignedUpdate};
 
-/// Decode cap on batch membership (updates per batch / chunk count).
+/// Decode cap on batch membership (updates per batch).
 const BATCH_DECODE_CAP: usize = 4096;
 
 /// Decode cap on Merkle inclusion-proof depth (covers 2^64 leaves).
@@ -387,10 +387,10 @@ pub enum PrimeMsg {
         root_sig: Signature,
     },
     /// View-change vote. Carries every prepared-but-uncommitted
-    /// certificate the voter holds above its committed watermark (at most
-    /// [`crate::types::Config::pipeline`] of them), so the new leader
-    /// re-proposes the *same* matrix at each in-flight sequence and
-    /// per-sequence agreement survives the view change.
+    /// certificate the voter holds above its committed watermark,
+    /// whatever the ordering window ([`crate::types::Config::pipeline`]),
+    /// so the new leader re-proposes the *same* matrix at each in-flight
+    /// sequence and per-sequence agreement survives the view change.
     ViewChangeWindow {
         /// The view being moved to.
         new_view: u64,

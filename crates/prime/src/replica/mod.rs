@@ -13,8 +13,8 @@
 //!   default: the leader proposes `s+1` only after committing `s`).
 //!   Prime's aggregation makes the serialized form cheap — one matrix
 //!   orders every update accumulated since the last proposal. A
-//!   view-change vote carries the voter's prepared certificates in the
-//!   window.
+//!   view-change vote carries every prepared certificate the voter holds
+//!   above its committed watermark.
 //! * Erasure-coded reconciliation is replaced by direct `PO-Fetch` /
 //!   `PO-Data` retransmission.
 //! * TAT measurement is simplified to a bound on *unordered eligible
@@ -319,9 +319,8 @@ pub struct Replica<A: Application> {
     /// Ordering sequences at or below this are forgotten; Prepares and
     /// Commits for them are ignored.
     order_floor: u64,
-    /// Prepared-but-uncommitted certificates, seq → (view, matrix): at
-    /// most the ordering window, carried by this replica's view-change
-    /// vote.
+    /// Prepared-but-uncommitted certificates, seq → (view, matrix),
+    /// carried by this replica's view-change vote.
     prepared_certs: BTreeMap<u64, (u64, Vec<AruRow>)>,
 
     // Execution.

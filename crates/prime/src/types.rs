@@ -57,7 +57,7 @@ pub struct Config {
     /// the serialized ordering). Deeper windows overlap ordering rounds
     /// with dissemination. Whatever the depth, a view-change vote carries
     /// every prepared-but-uncommitted certificate in one
-    /// `ViewChangeWindow`; at depth 1 that is at most one.
+    /// `ViewChangeWindow`.
     pub pipeline: u32,
 }
 
