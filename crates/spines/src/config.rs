@@ -93,10 +93,12 @@ impl SpinesConfig {
             .collect()
     }
 
-    /// The derived key for the link between `a` and `b` (order-free).
-    pub fn link_key(&self, a: u32, b: u32) -> [u8; 32] {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let label = format!("spines-link-{lo}-{hi}");
+    /// The derived key for frames `from` seals for its neighbour `to`.
+    /// Each direction of a link has its own: the two ends never seal under
+    /// one keystream, and a frame sent back to the daemon that sealed it
+    /// does not authenticate.
+    pub fn link_key(&self, from: u32, to: u32) -> [u8; 32] {
+        let label = format!("spines-link-{from}-{to}");
         itcrypto::hmac::derive_key(&self.master_secret, label.as_bytes())
     }
 
@@ -154,11 +156,12 @@ mod tests {
     }
 
     #[test]
-    fn link_keys_symmetric_and_distinct() {
+    fn link_keys_differ_per_direction_and_link() {
         let cfg =
             SpinesConfig::full_mesh(addrs(3), Port(8100), [7; 32], SpinesMode::IntrusionTolerant);
-        assert_eq!(cfg.link_key(0, 1), cfg.link_key(1, 0));
+        assert_ne!(cfg.link_key(0, 1), cfg.link_key(1, 0));
         assert_ne!(cfg.link_key(0, 1), cfg.link_key(0, 2));
+        assert_eq!(cfg.link_key(0, 1), cfg.link_key(0, 1));
         // Different master secret → different keys.
         let other =
             SpinesConfig::full_mesh(addrs(3), Port(8100), [8; 32], SpinesMode::IntrusionTolerant);

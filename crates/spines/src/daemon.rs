@@ -136,27 +136,36 @@ impl<'a> LinkFrame<'a> {
 }
 
 /// One overlay neighbour: where its frames go, the last nonce used
-/// toward it, and the keys of the link.
+/// toward it, and the keys of the link's two directions.
 struct Link {
     neighbor: u32,
     addr: IpAddr,
     /// Outgoing nonce (never reused on a link direction, across restarts
     /// included: see [`SpinesDaemon::set_seq_base`]).
     nonce: u64,
-    /// Derived by the first frame sealed or opened on the link: deriving
-    /// costs four HMAC key setups.
-    keys: Option<LinkKeys>,
-    /// The nonces of the frames accepted from the neighbour. Only the two
-    /// ends hold the link's keys, so only the neighbour chooses them: a
-    /// nonce seen again is a replay of one of its frames.
+    /// The keys this daemon seals under, derived by the first frame sealed
+    /// on the link: deriving costs four HMAC key setups.
+    seal_keys: Option<LinkKeys>,
+    /// The keys the neighbour seals under, derived by the first frame
+    /// opened on the link.
+    open_keys: Option<LinkKeys>,
+    /// The nonces of the frames accepted from the neighbour. Only the
+    /// neighbour holds the keys of its direction, so only it chooses them:
+    /// a nonce seen again is a replay of one of its frames.
     received: ReplayWindow,
 }
 
 impl Link {
-    /// The real keys of daemon `id`'s link to this neighbour.
-    fn keys(&mut self, cfg: &SpinesConfig, id: u32) -> &LinkKeys {
-        self.keys
+    /// The keys daemon `id` seals its frames to this neighbour under.
+    fn seal_keys(&mut self, cfg: &SpinesConfig, id: u32) -> &LinkKeys {
+        self.seal_keys
             .get_or_insert_with(|| LinkKeys::derive(&cfg.link_key(id, self.neighbor)))
+    }
+
+    /// The keys daemon `id` opens this neighbour's frames under.
+    fn open_keys(&mut self, cfg: &SpinesConfig, id: u32) -> &LinkKeys {
+        self.open_keys
+            .get_or_insert_with(|| LinkKeys::derive(&cfg.link_key(self.neighbor, id)))
     }
 }
 
@@ -210,7 +219,8 @@ impl SpinesDaemon {
                     neighbor,
                     addr: cfg.addr_of(neighbor)?,
                     nonce: 0,
-                    keys: None,
+                    seal_keys: None,
+                    open_keys: None,
                     received: ReplayWindow::default(),
                 })
             })
@@ -423,7 +433,7 @@ impl SpinesDaemon {
                 },
             ) => {
                 obs::prof::charge_crypto("spines;hop", obs::prof::CryptoOp::Hmac, 1);
-                let keys = self.links[link].keys(&self.cfg, self.id);
+                let keys = self.links[link].open_keys(&self.cfg, self.id);
                 if !keys.verify(nonce, ciphertext, tag) {
                     return Err(Dropped::Auth);
                 }
@@ -433,7 +443,7 @@ impl SpinesDaemon {
                     return Err(Dropped::Duplicate);
                 }
                 received.accept(nonce);
-                let keys = self.links[link].keys(&self.cfg, self.id);
+                let keys = self.links[link].open_keys(&self.cfg, self.id);
                 let head_len = ciphertext.len().min(KEYSTREAM_BLOCK);
                 let mut head = [0u8; KEYSTREAM_BLOCK];
                 head[..head_len].copy_from_slice(&ciphertext[..head_len]);
@@ -521,7 +531,7 @@ impl SpinesDaemon {
                     // uses the real keys), it just cannot produce frames
                     // its peers accept.
                     let keys = if self.has_keys {
-                        link.keys(&self.cfg, self.id)
+                        link.seal_keys(&self.cfg, self.id)
                     } else {
                         self.null_keys
                             .get_or_insert_with(|| LinkKeys::derive(&[0u8; 32]))
@@ -826,6 +836,24 @@ mod tests {
         b.on_wire(from, bytes);
         assert_eq!(b.take_deliveries().len(), 1);
         assert_eq!(b.stats.duplicates, 1);
+    }
+
+    #[test]
+    fn a_frame_reflected_to_its_sealer_fails_authentication() {
+        // Each direction of a link has its own keys: a frame daemon 0
+        // sealed for daemon 1, sent back to daemon 0 on that link, does
+        // not open.
+        let c = cfg(2, SpinesMode::IntrusionTolerant);
+        let mut a = SpinesDaemon::new(0, c.clone());
+        a.subscribe(3);
+        let sends = a.multicast(3, 1, Bytes::from_static(b"x"));
+        assert_eq!(a.take_deliveries().len(), 1);
+        let (to, frame) = &sends[0];
+        assert_eq!(*to, c.addr_of(1).expect("addr"));
+        assert!(a.on_wire(*to, frame).is_empty());
+        assert_eq!(a.stats.auth_failures, 1);
+        assert_eq!(a.stats.duplicates, 0);
+        assert!(a.take_deliveries().is_empty());
     }
 
     /// Daemon 1 of a three-daemon mesh, fed frames that daemon 0 seals

@@ -100,7 +100,7 @@ impl RefDaemon {
             Ok(None) => return Err(Verdict::Auth),
             Err(_) => return Err(Verdict::Malformed),
         };
-        let plain = open(&self.cfg.link_key(self.id, neighbor), &sb).ok_or(Verdict::Auth)?;
+        let plain = open(&self.cfg.link_key(neighbor, self.id), &sb).ok_or(Verdict::Auth)?;
         SpinesMsg::from_wire(&plain).map_err(|_| Verdict::Malformed)
     }
 
