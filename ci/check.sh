@@ -122,6 +122,19 @@ if grep -rnE --include='*.rs' \
     exit 1
 fi
 
+echo "==> a unicast is handed to its destination; one key per link direction"
+# Commands to a proxy and frames to an HMI are Spines unicasts, which a
+# relay next to the destination hands straight over (spines::daemon::flood);
+# no one-subscriber group floods them over every link. Each direction of a
+# link is sealed under its own key: link_key(from, to) does not sort its ends.
+if grep -rnwE --include='*.rs' 'proxy_group|hmi_group|GROUP_PROXY_BASE|GROUP_HMI_BASE' \
+    crates src tests; then
+    exit 1
+fi
+if grep -nF '(lo, hi)' crates/spines/src/config.rs; then
+    exit 1
+fi
+
 echo "==> the chaos checker reads fault state from the deployment (no notification methods)"
 if grep -rnwE --include='*.rs' \
     'note_ground_truth|replica_down|replica_rejoined|byz_started|byz_healed|partition_started|partition_healed|membership_changed|membership_restored' \

@@ -77,7 +77,8 @@ impl SpinesConfig {
         }
     }
 
-    /// The neighbors of a daemon in the overlay.
+    /// The neighbors of a daemon in the overlay, in ascending id order
+    /// (edges are stored low end first).
     pub fn neighbors(&self, id: u32) -> Vec<u32> {
         self.edges
             .iter()

@@ -177,7 +177,7 @@ pub struct SpinesDaemon {
     next_seq: u64,
     /// Flood deduplication.
     seen: SeenWindows,
-    /// This daemon's neighbours, in configuration order.
+    /// This daemon's neighbours, in ascending id order.
     links: Vec<Link>,
     /// Neighbour address → its place in `links`.
     link_of: HashMap<IpAddr, usize, MixState>,
@@ -400,9 +400,11 @@ impl SpinesDaemon {
         };
         self.seen.accept(msg.src, msg.seq);
         self.maybe_deliver(&msg);
-        // Queue for fair forwarding, then drain a budget.
-        let src = msg.src;
-        self.forward_queue.push(src, msg);
+        // Queue for fair forwarding (a message for this daemon ends here),
+        // then drain a budget.
+        if msg.dst != Destination::Daemon(self.id) {
+            self.forward_queue.push(msg.src, msg);
+        }
         let drained = self.forward_queue.drain(FORWARD_BUDGET);
         let mut out = Vec::new();
         for item in drained {
@@ -500,12 +502,25 @@ impl SpinesDaemon {
         }
     }
 
+    /// Seals `msg` for every neighbour but `exclude`, except that a relay
+    /// (`exclude` set) next to a unicast's destination hands it to that
+    /// destination only. Any path of correct daemons from the source to
+    /// `d` still ends on a neighbour of `d`, which forwards to `d`: whatever
+    /// daemons are silent, `d` receives exactly when flooding to all would
+    /// reach it.
     fn flood(&mut self, msg: &SpinesMsg, exclude: Option<u32>) -> Vec<(IpAddr, Bytes)> {
-        let mut out = Vec::with_capacity(self.links.len());
+        let targets = match (exclude, msg.dst) {
+            (Some(_), Destination::Daemon(d)) => self
+                .links
+                .binary_search_by_key(&d, |l| l.neighbor)
+                .map_or(0..self.links.len(), |i| i..i + 1),
+            _ => 0..self.links.len(),
+        };
+        let mut out = Vec::with_capacity(targets.len());
         // Serialize once, into a buffer that never has to grow; only the
         // per-link sealing differs per neighbor.
         let plaintext = msg.to_wire_vec();
-        for link in &mut self.links {
+        for link in &mut self.links[targets] {
             if Some(link.neighbor) == exclude {
                 continue;
             }
@@ -763,6 +778,48 @@ mod tests {
         exchange(&mut ds, sends, from);
         assert!(ds[1].take_deliveries().is_empty());
         assert_eq!(ds[2].take_deliveries().len(), 1);
+    }
+
+    /// Frames sealed across `daemons`.
+    fn sealed(daemons: &[SpinesDaemon]) -> u64 {
+        daemons.iter().map(|d| d.c.sealed.get()).sum()
+    }
+
+    /// A 14-daemon full mesh, the plant's external overlay.
+    fn mesh14() -> (SpinesConfig, Vec<SpinesDaemon>) {
+        let c = cfg(14, SpinesMode::IntrusionTolerant);
+        let ds = (0..14).map(|i| SpinesDaemon::new(i, c.clone())).collect();
+        (c, ds)
+    }
+
+    #[test]
+    fn a_unicast_on_a_full_mesh_is_handed_to_its_destination() {
+        let (c, mut ds) = mesh14();
+        let sends = ds[0].unicast(9, 1, Bytes::from_static(b"close breaker"));
+        assert_eq!(sends.len(), 13, "the originator seals for every neighbour");
+        exchange(&mut ds, sends, c.addr_of(0).expect("addr"));
+        assert_eq!(sealed(&ds), 13 + 12, "each relay hands it to daemon 9 only");
+        for (i, d) in ds.iter_mut().enumerate() {
+            let expected = match i {
+                0 => 13,
+                9 => 0,
+                _ => 1,
+            };
+            assert_eq!(d.stats.forwarded, expected, "daemon {i}");
+            assert_eq!(d.take_deliveries().len(), usize::from(i == 9), "daemon {i}");
+        }
+        assert_eq!(ds[9].stats.duplicates, 12, "one copy from each relay");
+        assert_eq!(ds[9].forward_depth(), 0, "the destination queues nothing");
+    }
+
+    #[test]
+    fn a_group_multicast_on_a_full_mesh_still_floods() {
+        let (c, mut ds) = mesh14();
+        ds[9].subscribe(5);
+        let sends = ds[0].multicast(5, 1, Bytes::from_static(b"frame"));
+        exchange(&mut ds, sends, c.addr_of(0).expect("addr"));
+        assert_eq!(sealed(&ds), 13 + 13 * 12);
+        assert_eq!(ds[9].take_deliveries().len(), 1);
     }
 
     #[test]
@@ -1126,6 +1183,68 @@ mod tests {
                 }
             }
             proptest::prop_assert_eq!(r.rx.stats, expected);
+        }
+
+        /// A random connected overlay of 4 to 12 daemons (a random
+        /// spanning tree plus random edges), some of them silent: a unicast
+        /// from `s` reaches `d` exactly when a multicast to a group only
+        /// `d` subscribes to does, which the daemons flood to every
+        /// neighbour. With fewer silent daemons than node-disjoint paths
+        /// from `s` to `d`, it always arrives.
+        #[test]
+        fn a_handed_over_unicast_reaches_whatever_flooding_reaches(
+            n in 4u32..13,
+            parents in proptest::collection::vec(proptest::prelude::any::<u32>(), 11),
+            extra in proptest::collection::vec((0u32..12, 0u32..12), 0..24),
+            silent in proptest::prelude::any::<u16>(),
+            ends in (0u32..12, 1u32..12),
+        ) {
+            let daemons: Vec<(u32, IpAddr)> = (0..n)
+                .map(|i| (i, IpAddr::new(10, 1, 0, (i + 1) as u8)))
+                .collect();
+            let tree = (1..n).map(|i| (parents[i as usize - 1] % i, i));
+            let more = extra.into_iter().map(|(a, b)| (a % n, b % n)).filter(|(a, b)| a != b);
+            let c = SpinesConfig::with_edges(
+                daemons,
+                tree.chain(more),
+                Port(8100),
+                [4; 32],
+                SpinesMode::IntrusionTolerant,
+            );
+            let s = ends.0 % n;
+            let d = (s + ends.1 % (n - 1) + 1) % n;
+            let is_silent = |i: u32| i != s && i != d && silent & 1 << i != 0;
+            let mesh = || -> Vec<SpinesDaemon> {
+                (0..n)
+                    .map(|i| {
+                        let mut daemon = SpinesDaemon::new(i, c.clone());
+                        daemon.running = !is_silent(i);
+                        daemon.subscribe(5);
+                        daemon
+                    })
+                    .collect()
+            };
+            let from = c.addr_of(s).expect("addr");
+            let mut flooded = mesh();
+            for (i, daemon) in flooded.iter_mut().enumerate() {
+                if i as u32 != d {
+                    daemon.subscriptions.clear();
+                }
+            }
+            let sends = flooded[s as usize].multicast(5, 1, Bytes::from_static(b"x"));
+            exchange(&mut flooded, sends, from);
+            let mut handed = mesh();
+            let sends = handed[s as usize].unicast(d, 1, Bytes::from_static(b"x"));
+            exchange(&mut handed, sends, from);
+
+            let reached = handed[d as usize].take_deliveries().len();
+            proptest::prop_assert!(reached <= 1);
+            proptest::prop_assert_eq!(reached, flooded[d as usize].take_deliveries().len());
+            proptest::prop_assert!(sealed(&handed) <= sealed(&flooded));
+            let silent_count = (0..n).filter(|&i| is_silent(i)).count() as u32;
+            if silent_count < crate::routing::disjoint_paths(&c, s, d) {
+                proptest::prop_assert_eq!(reached, 1);
+            }
         }
 
         /// Two streams of one source's numbers, far apart (its own and

@@ -122,7 +122,14 @@ impl RefDaemon {
     fn flood(&mut self, msg: &SpinesMsg, exclude: Option<u32>) -> Vec<(IpAddr, Bytes)> {
         let plaintext = msg.to_wire();
         let mut out = Vec::new();
-        for neighbor in self.cfg.neighbors(self.id) {
+        let mut neighbors = self.cfg.neighbors(self.id);
+        // A relay next to a unicast's destination hands it over.
+        if let (Some(_), Destination::Daemon(d)) = (exclude, msg.dst) {
+            if neighbors.contains(&d) {
+                neighbors = vec![d];
+            }
+        }
+        for neighbor in neighbors {
             if Some(neighbor) == exclude {
                 continue;
             }
@@ -184,7 +191,9 @@ impl Node for RefDaemon {
             return Vec::new();
         }
         self.deliver(&msg);
-        self.forward_queue.push(msg.src, msg);
+        if msg.dst != Destination::Daemon(self.id) {
+            self.forward_queue.push(msg.src, msg);
+        }
         // The daemon's FORWARD_BUDGET.
         let mut out = Vec::new();
         for item in self.forward_queue.drain(4) {

@@ -17,12 +17,8 @@ pub const EXTERNAL_SPINES_PORT: Port = Port(8120);
 /// Spines group carrying Prime protocol messages (internal network).
 pub const GROUP_PRIME: u16 = 1;
 /// Spines group carrying client updates to the masters (external).
+/// Commands to a proxy and frames to an HMI are unicasts to its daemon.
 pub const GROUP_MASTERS: u16 = 2;
-/// Base group for per-proxy command delivery: proxy `p` listens on
-/// `GROUP_PROXY_BASE + p`.
-pub const GROUP_PROXY_BASE: u16 = 100;
-/// Base group for per-HMI frame delivery.
-pub const GROUP_HMI_BASE: u16 = 300;
 
 /// Key-generation seed bases (distinct namespaces).
 const REPLICA_SEED: u64 = 0xAA00;
@@ -501,16 +497,6 @@ impl SpireConfig {
                 SpinesMode::IntrusionTolerant,
             ),
         }
-    }
-
-    /// The group a proxy listens on for master commands.
-    pub fn proxy_group(&self, proxy: u32) -> u16 {
-        GROUP_PROXY_BASE + proxy as u16
-    }
-
-    /// The group an HMI listens on for display frames.
-    pub fn hmi_group(&self, hmi: u32) -> u16 {
-        GROUP_HMI_BASE + hmi as u16
     }
 }
 

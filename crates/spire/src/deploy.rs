@@ -1176,52 +1176,56 @@ mod tests {
     /// switch used to seat each exposed proxy-if1 / PLC pair right after its
     /// proxy, where a single LAN seats them all after the HMIs; now both do
     /// the latter. Their digests and event counts are the old ones.
+    /// Re-pinned when a Spines relay next to a unicast's destination began
+    /// handing it over: every shape holds and every event count fell. A
+    /// digest moved only on the multi-site fabrics with the firewall
+    /// lockdown on, where the journal records each frame a firewall drops.
     const FABRIC_PINS: &str = "\
-minimal deployed 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3123
-minimal none e17720f2 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3760
-minimal static_arp 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3412
-minimal static_switch 21c9de8a f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3173
-minimal firewall_lockdown 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3123
-minimal isolated_internal 683326b7 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3123
-minimal plc_behind_proxy 19bbf882 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3147
-minimal no_cross_iface_arp 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3123
-minimal os 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 3123
-3+3 deployed 9624e1e4 df75ac2ab36bc32cdd9c84ede4ddc56675fff3ba6841cab17a8acd0fa4dcc515 15421
-3+3 none 01b1a6c3 76a65080452f3b150b097ed4cfa892a6c0c3bff41693c7920576a05887edc1ca 17735
-3+3 static_arp 9624e1e4 20a947886215512a1ed422f2a901c002d10f272c427e8dc4911a6ecc8c55bba6 16804
-3+3 static_switch 27298a9b ad33cb0d130576b4318074f4856d82fb6cd38d01ff0add5325f1068c1ca11074 15769
-3+3 firewall_lockdown 9624e1e4 76a65080452f3b150b097ed4cfa892a6c0c3bff41693c7920576a05887edc1ca 15837
-3+3 isolated_internal 9624e1e4 df75ac2ab36bc32cdd9c84ede4ddc56675fff3ba6841cab17a8acd0fa4dcc515 15421
-3+3 plc_behind_proxy d2b13dc6 21cddde124a3b61bd73bdfa1e045a60e6ea56327a9848a9d8479781514863ac8 15467
-3+3 no_cross_iface_arp 9624e1e4 df75ac2ab36bc32cdd9c84ede4ddc56675fff3ba6841cab17a8acd0fa4dcc515 15421
-3+3 os 9624e1e4 df75ac2ab36bc32cdd9c84ede4ddc56675fff3ba6841cab17a8acd0fa4dcc515 15421
-2+2+1+1 deployed 8ac4de50 a1798f074a6d91de8e2b04eba9d7c8507abdba544d633a4ecf99f9ab2d290f7f 21235
-2+2+1+1 none 438bed5f acade1bdb78eca2c0ab19c3f6ed3996f93f1b5f88e9b8eda5f43a891b58dfd79 23770
-2+2+1+1 static_arp 8ac4de50 ff84bca5df13673a3cd2f13dc5c50500e184ea23a278cf1aedaea352b9e57bd2 22908
-2+2+1+1 static_switch c78073f7 a1798f074a6d91de8e2b04eba9d7c8507abdba544d633a4ecf99f9ab2d290f7f 21701
-2+2+1+1 firewall_lockdown 8ac4de50 acade1bdb78eca2c0ab19c3f6ed3996f93f1b5f88e9b8eda5f43a891b58dfd79 21651
-2+2+1+1 isolated_internal 8ac4de50 a1798f074a6d91de8e2b04eba9d7c8507abdba544d633a4ecf99f9ab2d290f7f 21235
-2+2+1+1 plc_behind_proxy feba0821 09bfd358d221c42aabcd68e2791b9db6c93c2a8cd2f7ab7295afa990e315ecd3 21267
-2+2+1+1 no_cross_iface_arp 8ac4de50 a1798f074a6d91de8e2b04eba9d7c8507abdba544d633a4ecf99f9ab2d290f7f 21235
-2+2+1+1 os 8ac4de50 a1798f074a6d91de8e2b04eba9d7c8507abdba544d633a4ecf99f9ab2d290f7f 21235
-6@1 deployed abfd7402 444e6914d734fdaa5a2899b8310a668165ab96a63a317f7e3b70f2e428d7395c 23201
-6@1 none ce826ee6 17508ab27b72e1264ca0d3a37aee8c7be92ec2cf558923563d35ea76946014c8 28058
-6@1 static_arp abfd7402 ee204a5bd0dc118a025ca15c68416e785f49ab2fbd95d2d171a9a7d075a68133 24866
-6@1 static_switch b760d604 f657cdf0100be8477890594b237e359524f8972a7d2ed7dc0de2b714908aa1df 23625
-6@1 firewall_lockdown abfd7402 17508ab27b72e1264ca0d3a37aee8c7be92ec2cf558923563d35ea76946014c8 23729
-6@1 isolated_internal 9d5fbf1f 444e6914d734fdaa5a2899b8310a668165ab96a63a317f7e3b70f2e428d7395c 23201
-6@1 plc_behind_proxy 97aa0e4a 9df83b0a09bf634aff9f1e147bc193d1099564218b0097dda3413876c8e5ce1d 23287
-6@1 no_cross_iface_arp abfd7402 444e6914d734fdaa5a2899b8310a668165ab96a63a317f7e3b70f2e428d7395c 23201
-6@1 os abfd7402 444e6914d734fdaa5a2899b8310a668165ab96a63a317f7e3b70f2e428d7395c 23201
-regional-2x3 deployed 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12166
-regional-2x3 none 09f01b52 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 13292
-regional-2x3 static_arp 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12746
-regional-2x3 static_switch c1e67822 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12322
-regional-2x3 firewall_lockdown 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12166
-regional-2x3 isolated_internal c6c578e7 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12166
-regional-2x3 plc_behind_proxy 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12166
-regional-2x3 no_cross_iface_arp 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12166
-regional-2x3 os 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 12166
+minimal deployed 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2355
+minimal none e17720f2 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2992
+minimal static_arp 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2644
+minimal static_switch 21c9de8a f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2405
+minimal firewall_lockdown 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2355
+minimal isolated_internal 683326b7 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2355
+minimal plc_behind_proxy 19bbf882 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2379
+minimal no_cross_iface_arp 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2355
+minimal os 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2355
+3+3 deployed 9624e1e4 784354e8ff0c1c354d46187a98e4f9bcbb53e81c2735f096c3805e2a345d1057 9781
+3+3 none 01b1a6c3 76a65080452f3b150b097ed4cfa892a6c0c3bff41693c7920576a05887edc1ca 11839
+3+3 static_arp 9624e1e4 718966ceb41277a909fdf5b84a178693b5537ef3fe45621fdbca055cb89f2057 11164
+3+3 static_switch 27298a9b 76d54286bd0a289b3ee782792ea0578b048af9f00ffc71a336449edc18fa36a2 10129
+3+3 firewall_lockdown 9624e1e4 76a65080452f3b150b097ed4cfa892a6c0c3bff41693c7920576a05887edc1ca 9941
+3+3 isolated_internal 9624e1e4 784354e8ff0c1c354d46187a98e4f9bcbb53e81c2735f096c3805e2a345d1057 9781
+3+3 plc_behind_proxy d2b13dc6 5751fdca62e7d7655513ff6e160c49f4db8d045c089c22d927573d5ed10e86f8 9827
+3+3 no_cross_iface_arp 9624e1e4 784354e8ff0c1c354d46187a98e4f9bcbb53e81c2735f096c3805e2a345d1057 9781
+3+3 os 9624e1e4 784354e8ff0c1c354d46187a98e4f9bcbb53e81c2735f096c3805e2a345d1057 9781
+2+2+1+1 deployed 8ac4de50 15a8f37def36c130cb6bc2735af83b60d222f11285c4b055b67df90509e909bb 17213
+2+2+1+1 none 438bed5f acade1bdb78eca2c0ab19c3f6ed3996f93f1b5f88e9b8eda5f43a891b58dfd79 19492
+2+2+1+1 static_arp 8ac4de50 16ffb32f25731afce96cd366b431ade798db61bbdb64f254a34888a7c97fbc0e 18885
+2+2+1+1 static_switch c78073f7 15a8f37def36c130cb6bc2735af83b60d222f11285c4b055b67df90509e909bb 17662
+2+2+1+1 firewall_lockdown 8ac4de50 acade1bdb78eca2c0ab19c3f6ed3996f93f1b5f88e9b8eda5f43a891b58dfd79 17373
+2+2+1+1 isolated_internal 8ac4de50 15a8f37def36c130cb6bc2735af83b60d222f11285c4b055b67df90509e909bb 17213
+2+2+1+1 plc_behind_proxy feba0821 67614419154457f7284faad657ec1e6e07ae14c02669514aa8f142744a14df92 17244
+2+2+1+1 no_cross_iface_arp 8ac4de50 15a8f37def36c130cb6bc2735af83b60d222f11285c4b055b67df90509e909bb 17213
+2+2+1+1 os 8ac4de50 15a8f37def36c130cb6bc2735af83b60d222f11285c4b055b67df90509e909bb 17213
+6@1 deployed abfd7402 028d06749f52150f14d6f4076268d138c4994b27e0505c1517b8edfaa3211fe0 12521
+6@1 none ce826ee6 17508ab27b72e1264ca0d3a37aee8c7be92ec2cf558923563d35ea76946014c8 17234
+6@1 static_arp abfd7402 7a57218902c30080dc4c2eae5b156e9f234f56d6e22887f65bf27cbb30eee962 14186
+6@1 static_switch b760d604 17c6ff9ec11bea063f5deeda587829a7770ad9da52273b30123b6a695de28d31 12945
+6@1 firewall_lockdown abfd7402 17508ab27b72e1264ca0d3a37aee8c7be92ec2cf558923563d35ea76946014c8 12905
+6@1 isolated_internal 9d5fbf1f 028d06749f52150f14d6f4076268d138c4994b27e0505c1517b8edfaa3211fe0 12521
+6@1 plc_behind_proxy 97aa0e4a f51f30fbc84149326eada66fa2d228b08f95ac20c28eb3b23618adb74a1698b7 12607
+6@1 no_cross_iface_arp abfd7402 028d06749f52150f14d6f4076268d138c4994b27e0505c1517b8edfaa3211fe0 12521
+6@1 os abfd7402 028d06749f52150f14d6f4076268d138c4994b27e0505c1517b8edfaa3211fe0 12521
+regional-2x3 deployed 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 10808
+regional-2x3 none 09f01b52 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 11934
+regional-2x3 static_arp 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 11388
+regional-2x3 static_switch c1e67822 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 10964
+regional-2x3 firewall_lockdown 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 10808
+regional-2x3 isolated_internal c6c578e7 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 10808
+regional-2x3 plc_behind_proxy 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 10808
+regional-2x3 no_cross_iface_arp 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 10808
+regional-2x3 os 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83c53dd1440 10808
 ";
 
     fn fabric_pin_profiles() -> Vec<(&'static str, HardeningProfile)> {

@@ -75,8 +75,7 @@ fn hmi_counters(hub: &obs::ObsHub, index: u32) -> [obs::Counter; 3] {
 impl HmiHost {
     /// Creates HMI host `index`.
     pub fn new(cfg: SpireConfig, index: u32) -> Self {
-        let mut external = SpinesDaemon::new(cfg.ext_daemon_of_hmi(index), cfg.external_spines());
-        external.subscribe(cfg.hmi_group(index));
+        let external = SpinesDaemon::new(cfg.ext_daemon_of_hmi(index), cfg.external_spines());
         let hub = obs::ObsHub::new();
         let [frames_applied, frames_pending, commands_sent] = hmi_counters(&hub, index);
         let mut host = HmiHost {

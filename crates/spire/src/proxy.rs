@@ -89,8 +89,7 @@ impl PlcProxy {
             .expect("proxy in config");
         let scenario = assignment.scenario;
         let breaker_count = scenario.topology().breaker_count() as u16;
-        let mut external = SpinesDaemon::new(cfg.ext_daemon_of_proxy(index), cfg.external_spines());
-        external.subscribe(cfg.proxy_group(index));
+        let external = SpinesDaemon::new(cfg.ext_daemon_of_proxy(index), cfg.external_spines());
         let plc_addr = cfg.plc_cable_ip(index);
         let hub = obs::ObsHub::new();
         let [updates_sent, commands_actuated] = proxy_counters(&hub, index);

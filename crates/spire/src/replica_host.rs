@@ -176,8 +176,8 @@ impl ReplicaHost {
                         close,
                         exec_seq,
                     };
-                    let group = self.cfg.proxy_group(proxy);
-                    let sends = self.external.multicast(group, 1, msg.to_wire());
+                    let dst = self.cfg.ext_daemon_of_proxy(proxy);
+                    let sends = self.external.unicast(dst, 1, msg.to_wire());
                     edge::transmit(&self.external, ctx, 1, sends);
                 }
                 MasterAction::HmiFrame {
@@ -195,8 +195,8 @@ impl ReplicaHost {
                             currents: currents.clone(),
                             exec_seq,
                         };
-                        let group = self.cfg.hmi_group(h);
-                        let sends = self.external.multicast(group, 1, msg.to_wire());
+                        let dst = self.cfg.ext_daemon_of_hmi(h);
+                        let sends = self.external.unicast(dst, 1, msg.to_wire());
                         edge::transmit(&self.external, ctx, 1, sends);
                     }
                 }

@@ -279,8 +279,8 @@ impl SubstationTopology {
 
     /// Whether the region fits the deployment's identifier and address
     /// spaces, or the one-line reason it does not: fewer than 200
-    /// substations (per-proxy group ids would run into the HMI group
-    /// space), at most 4096 devices in a bank (the wire cap on a coalesced
+    /// substations (the supported region; the regional suite runs up to
+    /// 100), at most 4096 devices in a bank (the wire cap on a coalesced
     /// report) and at most 1024 devices in all (the device LAN address
     /// space). [`crate::config::SpireConfig::regional`] and the `spire-sim`
     /// flag parser both ask here.
@@ -288,7 +288,7 @@ impl SubstationTopology {
         let (count, per) = (self.count, self.devices_per);
         if count >= 200 {
             return Err(format!(
-                "{count} substations exhaust the group space (at most 199)"
+                "{count} substations exceed the supported region (at most 199)"
             ));
         }
         if per > 4096 {
@@ -407,7 +407,7 @@ mod tests {
         assert_eq!(SubstationTopology::new(100, 10).validate(), Ok(()));
         assert_eq!(SubstationTopology::new(199, 5).validate(), Ok(()));
         let err = |count, per| SubstationTopology::new(count, per).validate().unwrap_err();
-        assert!(err(250, 1).contains("group space"));
+        assert!(err(250, 1).contains("supported region"));
         assert!(err(1, 5000).contains("wire cap"));
         assert!(err(150, 10).contains("1500 devices"));
     }

@@ -112,9 +112,7 @@ impl SubstationProxy {
                 }
             })
             .collect();
-        let mut external =
-            SpinesDaemon::new(cfg.ext_daemon_of_proxy(station), cfg.external_spines());
-        external.subscribe(cfg.proxy_group(station));
+        let external = SpinesDaemon::new(cfg.ext_daemon_of_proxy(station), cfg.external_spines());
         let hub = obs::ObsHub::new();
         let [reports_sent, commands_actuated] = substation_counters(&hub, station);
         let gated = devices

@@ -25,9 +25,20 @@ const GOLDEN: &[(&str, &str)] = &[
         "e1",
         "8fa05857cd519de834ec54688c4e5a41a4d85ef510edbd2d4572f7ecc0c6c9fb",
     ),
+    // e2, e3, e4, e5, e6, e7, e7b, e10, e12, e13a, e13b, e13c, e14, e16a
+    // and e16b (and e14, e16a and e16b at seed 1111) re-pinned when a
+    // Spines relay next to a unicast's destination began handing it over,
+    // and replicas began unicasting commands and display frames. Fewer
+    // frames move every event count. Journals move in e3, e4, e5, e13b and
+    // e14, which record per-frame events (each frame a firewall drops,
+    // each traced overlay hop), and in E16, whose MANA sees less overlay
+    // traffic. The printed results move in e6 (event count), e7 (flood
+    // z-score) and e16a/b (anomaly windows, mode transitions). Verified to
+    // be the only cause: with per-direction link keys alone every old pin
+    // reproduces.
     (
         "e2",
-        "3baae5b52e6ee4a3974866943cb87f690797383403e952aa3263504082f84549",
+        "a728ab2f6381b94d2005db11c55cb8816cc926e3fcfbe63bb84024df332c22d3",
     ),
     // e3 re-pinned for the catch-up retransmit backoff: the excursion's
     // recovery stage now re-requests state transfer on an exponential
@@ -36,7 +47,7 @@ const GOLDEN: &[(&str, &str)] = &[
     // neutralized the previous digest reproduces exactly.
     (
         "e3",
-        "a37f64af394a4328f414fa5f42b2870309b66413a9cf7cedd0ea16b1d9e12fd5",
+        "19ce97bbac7f33401c94311865b55d9b8e6201e03b5ab07090ea43313091e9cb",
     ),
     // e4, e12, e16a and e16b re-pinned when a replica restored after
     // proactive recovery started keeping the deployment's timing
@@ -44,25 +55,25 @@ const GOLDEN: &[(&str, &str)] = &[
     // to be the only cause: without that fix every pin reproduces.
     (
         "e4",
-        "b0dd71379020b8e766e0cfb70072e83581a9c1ba45457c4b063e2e644ee0b217",
+        "0f4bf72a7287443f224dd9df50a2973455229851697ade9b0bda205ba61595c9",
     ),
     (
         "e5",
-        "8bcf2effa7a70d7f00e2b1359a193e6d6106ecadcc38481fbe8d92e5d6994ff2",
+        "c1e722c10a8058e0d25853be8c96fd738f71f6a1918a4b83ec946209650fc6c7",
     ),
     // e6 re-pinned when `scada::historian` went: its two counts left the
     // printed result. The run and its journal digest are unchanged.
     (
         "e6",
-        "84b61944f73efedf40435761a875b16923837ed214339652ce2138b8e9d82ae2",
+        "4b335c098834805771cdebdd7a478bc6db270322f04d152ea6492251143ff4dd",
     ),
     (
         "e7",
-        "aeedfec5a99b583d5ca913b0fc2ff9c681088779dc7cb9ab4ac5a2138ec17df7",
+        "acc1bce10a7f4dbdd06b5e11e66428f523902bf45361eec696b8dfb7539d3601",
     ),
     (
         "e7b",
-        "ee471a4bacc790ec8622ef244914da8cf94a1cf677b3ebe18d5f202bb828cbf6",
+        "30fce78807ea23dbece5fe21b9a1ed39d2c3b9f30b34fdb3a82e34bbf95fdea1",
     ),
     (
         "e8",
@@ -74,7 +85,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ),
     (
         "e10",
-        "7bdb380856e1e63d9521254e9822b89e15df2bdc4952d9bb1691db54c1b9db81",
+        "cee296f863c74fdad3a658d2e2908442fe8537812d7c6f8520ab40782a5e49b4",
     ),
     (
         "e11b",
@@ -89,7 +100,7 @@ const GOLDEN: &[(&str, &str)] = &[
     // are byte-identical.
     (
         "e12",
-        "fac2fc4fc9e93229616ca047a82642770d19dc73533a907a2f8b9822a8a6a02a",
+        "165c10224b0993ea007a4e91b25edcd374ba1a8c1fa447ac27d328d750b1ef97",
     ),
     // e13a, e13b and e13c re-pinned when the invariant checker started
     // reading fault state from the deployment at each sample (c25bbd19 →
@@ -102,7 +113,7 @@ const GOLDEN: &[(&str, &str)] = &[
     // count moved.
     (
         "e13a",
-        "f6d9c47aab828ca61324e9d9f154ba41b684152a8ca42069ce6dadb8f81c971a",
+        "d1c05127a33eed5d60c4e92e82e6f21dde911647eab8ccd79d0912790be18d01",
     ),
     // e13b re-pinned (13a13fb2 → bdf330db) when the view-change vote
     // became one form whatever the ordering depth: the per-update leg now
@@ -115,23 +126,23 @@ const GOLDEN: &[(&str, &str)] = &[
     // text.
     (
         "e13b",
-        "bdf330db5c5b5f3934c5cb98d54030121ea74e71afbbb28ec032f1fff79e28a3",
+        "8848f85233e8a5ec49eb310fb1dbe2bcd5b99c9e0d6a65c6f7ca5a65cde8f87a",
     ),
     (
         "e13c",
-        "97af12e6e9fb24be18848e7054326d1fedd8bce1ae093fb6b18da1a92051bbda",
+        "91169e3171b0defbd36dfb57b76cf537b5b78214bcc258310e560e5a7af1c19e",
     ),
     (
         "e14",
-        "854687cf7f70630338d64ef27ce5bcd241eaf54fd799d32bd7002c0ff82a2564",
+        "90dc0616b31014c78fd61ff556f1054f948764f8f6fbdb388e636526b85514a5",
     ),
     (
         "e16a",
-        "552c692e5eee5a8245bcf54dea7f664d2c694a2276418a113ff59fd558975d34",
+        "41e35d6223f1810082360abadee5713ed5cde9d51a50e85997c624fd4edc183a",
     ),
     (
         "e16b",
-        "b74afbfc637488cfc41533349d01e5e449e0460df1dafd58545e87e26d17da0e",
+        "2df04d961d0edae081a347f0dda1ac09b87f31287b349314a635b6739c044132",
     ),
 ];
 
@@ -271,7 +282,7 @@ fn e14_digest_pinned() {
 fn e14_digest_pinned_at_second_seed() {
     assert_eq!(
         experiment_fingerprint("e14", 1111),
-        "55ebe7d91565f62a271f8da704fab80ed1d672db6b7f8c32ab274dfdb4fc391c",
+        "72e6338a12a23323ebbd3207907eb65de6f372e61b246e9856c46d7efffb245d",
         "e14 fingerprint drifted at seed 1111"
     );
 }
@@ -297,12 +308,12 @@ fn e16b_digest_pinned() {
 fn e16_digests_pinned_at_second_seed() {
     assert_eq!(
         experiment_fingerprint("e16a", 1111),
-        "83a57b711167710cf739bec67afa1c4d0213c99c246e9c0c8ebfd12e552582c4",
+        "d8e4e6eb299a1db4e7dec98d522f69b3525d91205d47a3eec75452bf857ebbba",
         "e16a fingerprint drifted at seed 1111"
     );
     assert_eq!(
         experiment_fingerprint("e16b", 1111),
-        "44993309d1a62de27f51d01afd982a9fc72bc482b46906de5854df05663a4017",
+        "9f38e017edc60225fcf454e0ad985a925d32eaed80c730cf83917244237cebea",
         "e16b fingerprint drifted at seed 1111"
     );
 }
