@@ -162,7 +162,6 @@ mod tests {
             SpinesConfig::full_mesh(addrs(3), Port(8100), [7; 32], SpinesMode::IntrusionTolerant);
         assert_ne!(cfg.link_key(0, 1), cfg.link_key(1, 0));
         assert_ne!(cfg.link_key(0, 1), cfg.link_key(0, 2));
-        assert_eq!(cfg.link_key(0, 1), cfg.link_key(0, 1));
         // Different master secret → different keys.
         let other =
             SpinesConfig::full_mesh(addrs(3), Port(8100), [8; 32], SpinesMode::IntrusionTolerant);

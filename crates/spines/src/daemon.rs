@@ -414,13 +414,13 @@ impl SpinesDaemon {
     }
 
     /// Authenticates and decodes one frame received on `links[link]`,
-    /// unless deduplication drops it first. Nine frames in ten on a full
-    /// mesh are copies of a message already seen, so a sealed frame is
-    /// opened in two steps: the MAC over the whole frame is checked (and a
-    /// replayed nonce refused), then only the first keystream block is
-    /// decrypted, which holds the `(src, seq)` the flood dedup windows are
-    /// keyed by; the rest is decrypted and
-    /// decoded for a new message only. (So a key holder replaying a seen
+    /// unless deduplication drops it first. Three frames in four on the
+    /// plant's full mesh are copies of a message already seen, so a sealed
+    /// frame is opened in two steps: the MAC over the whole frame is
+    /// checked (and a replayed nonce refused), then only the first
+    /// keystream block is decrypted, which holds the `(src, seq)` the flood
+    /// dedup windows are keyed by; the rest is decrypted and decoded for a
+    /// new message only. (So a key holder replaying a seen
     /// `(src, seq)` over a garbage body counts as a duplicate, not as
     /// malformed; nothing else can tell the order of the two checks.)
     fn open_frame(&mut self, link: usize, data: &[u8]) -> Result<SpinesMsg, Dropped> {

@@ -6,7 +6,8 @@
 //! carrying only the replication protocol between SCADA-master replicas,
 //! and an *external* network connecting replicas to the PLC/RTU proxies
 //! and HMIs. Each participating host runs a Spines daemon; daemons form an
-//! overlay and flood messages with per-source sequence deduplication.
+//! overlay and flood messages with per-source sequence deduplication; a
+//! relay next to a unicast's destination hands it to that daemon alone.
 //!
 //! Properties reproduced because the red-team experiment tested them:
 //!

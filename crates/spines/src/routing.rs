@@ -4,8 +4,10 @@
 //! Spines' intrusion tolerance degrades with overlay connectivity: a
 //! message survives `c-1` compromised intermediate daemons iff the overlay
 //! is `c`-connected between source and destination (the dissemination
-//! floods over all paths). The deployment overlays in this reproduction
-//! are full meshes (maximal connectivity); this module exists so
+//! floods over all paths; a relay next to a unicast's destination hands
+//! it to the destination alone, which is the last hop of every such
+//! path). The deployment overlays in this reproduction are full meshes
+//! (maximal connectivity); this module exists so
 //! alternative topologies — like the multi-site WAN overlays of the
 //! follow-on Spire work — can be analyzed before deployment.
 

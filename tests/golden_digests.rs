@@ -29,13 +29,13 @@ const GOLDEN: &[(&str, &str)] = &[
     // and e16b (and e14, e16a and e16b at seed 1111) re-pinned when a
     // Spines relay next to a unicast's destination began handing it over,
     // and replicas began unicasting commands and display frames. Fewer
-    // frames move every event count. Journals move in e3, e4, e5, e13b and
-    // e14, which record per-frame events (each frame a firewall drops,
-    // each traced overlay hop), and in E16, whose MANA sees less overlay
-    // traffic. The printed results move in e6 (event count), e7 (flood
-    // z-score) and e16a/b (anomaly windows, mode transitions). Verified to
-    // be the only cause: with per-direction link keys alone every old pin
-    // reproduces.
+    // frames move every event count. Journals move in e3, e4, e5, e13b,
+    // e14, e16a and e16b: fewer frames reach a firewall that journals each
+    // drop, start-up display frames are emitted tens of µs apart from
+    // before, and E16's MANA sees less overlay traffic. The printed results
+    // move in e6 (event count), e7 (flood z-score) and e16a/b (anomaly
+    // windows, mode transitions). Verified to be the only cause: with
+    // per-direction link keys alone every old pin reproduces.
     (
         "e2",
         "a728ab2f6381b94d2005db11c55cb8816cc926e3fcfbe63bb84024df332c22d3",
