@@ -1213,24 +1213,21 @@ mod tests {
             );
             let s = ends.0 % n;
             let d = (s + ends.1 % (n - 1) + 1) % n;
-            let is_silent = |i: u32| i != s && i != d && silent & 1 << i != 0;
+            let is_silent = |i: u32| i != s && i != d && (silent & (1 << i)) != 0;
             let mesh = || -> Vec<SpinesDaemon> {
                 (0..n)
                     .map(|i| {
                         let mut daemon = SpinesDaemon::new(i, c.clone());
                         daemon.running = !is_silent(i);
-                        daemon.subscribe(5);
+                        if i == d {
+                            daemon.subscribe(5);
+                        }
                         daemon
                     })
                     .collect()
             };
             let from = c.addr_of(s).expect("addr");
             let mut flooded = mesh();
-            for (i, daemon) in flooded.iter_mut().enumerate() {
-                if i as u32 != d {
-                    daemon.subscriptions.clear();
-                }
-            }
             let sends = flooded[s as usize].multicast(5, 1, Bytes::from_static(b"x"));
             exchange(&mut flooded, sends, from);
             let mut handed = mesh();
