@@ -1,5 +1,5 @@
-//! HMAC-SHA-256 (RFC 2104), used for Spines link authentication and key
-//! derivation.
+//! HMAC-SHA-256 (RFC 2104), used for key derivation: the Spines link keys
+//! and the link cipher's key under each.
 
 use crate::sha256::{compress, Digest, Sha256, H0};
 
@@ -22,19 +22,14 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
     HmacKey::new(key).mac(msg)
 }
 
-/// Computes an HMAC over the concatenation of several parts.
-pub fn hmac_sha256_concat(key: &[u8], parts: &[&[u8]]) -> Digest {
-    HmacKey::new(key).mac_concat(parts)
-}
-
 /// A precomputed HMAC key: the SHA-256 midstates after absorbing the
 /// ipad and opad blocks, 8 words each. A [`HmacKey::mac`] of a short
 /// message then costs two compressions: the padded inner block(s) from
 /// the inner midstate, and the outer hash finished as **one** compression
 /// of a pre-padded block (inner digest ‖ `0x80` ‖ zeros ‖ bit length 768)
-/// from the outer midstate. The Spines link layer MACs every frame, so
-/// callers that reuse a key (link crypto) keep one `HmacKey`. Produces
-/// bit-identical tags to the one-shot [`hmac_sha256`] (a thin wrapper).
+/// from the outer midstate. A caller that MACs many messages under one
+/// key keeps one `HmacKey`. Produces bit-identical tags to the one-shot
+/// [`hmac_sha256`] (a thin wrapper).
 #[derive(Clone)]
 pub struct HmacKey {
     /// SHA-256 state after absorbing `key ^ ipad`.
@@ -67,16 +62,8 @@ impl HmacKey {
 
     /// Computes `HMAC-SHA-256(key, msg)` from the midstates.
     pub fn mac(&self, msg: &[u8]) -> Digest {
-        self.mac_concat(&[msg])
-    }
-
-    /// Computes the HMAC over the concatenation of several parts without
-    /// joining them into one buffer.
-    pub fn mac_concat(&self, parts: &[&[u8]]) -> Digest {
         let mut inner = Sha256::from_midstate(self.inner, BLOCK as u64);
-        for p in parts {
-            inner.update(p);
-        }
+        inner.update(msg);
         // The outer message is always opad block + 32-byte inner digest.
         let inner_digest = Digest::from_state(&inner.finalize_state());
         Digest::from_state(&finish_short(&self.outer, &inner_digest.0))
@@ -94,17 +81,6 @@ fn finish_short(midstate: &[u32; 8], tail: &[u8]) -> [u32; 8] {
     let mut state = *midstate;
     compress(&mut state, &block);
     state
-}
-
-/// Constant-time-ish tag comparison. The simulator has no real timing side
-/// channel, but the comparison is still written without early exit so the
-/// code shape matches a production implementation.
-pub fn verify_tag(expected: &Digest, actual: &Digest) -> bool {
-    let mut acc = 0u8;
-    for (a, b) in expected.as_bytes().iter().zip(actual.as_bytes()) {
-        acc |= a ^ b;
-    }
-    acc == 0
 }
 
 /// Simple HKDF-like key derivation: `derive_key(master, label)` produces a
@@ -191,21 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_tag_accepts_equal_rejects_unequal() {
-        let a = hmac_sha256(b"k", b"m");
-        let b = hmac_sha256(b"k", b"m");
-        let c = hmac_sha256(b"k", b"n");
-        assert!(verify_tag(&a, &b));
-        assert!(!verify_tag(&a, &c));
-    }
-
-    #[test]
-    fn concat_matches_joined() {
-        let joined = hmac_sha256(b"k", b"abcdef");
-        assert_eq!(hmac_sha256_concat(b"k", &[b"abc", b"def"]), joined);
-    }
-
-    #[test]
     fn derived_keys_are_label_separated() {
         let a = derive_key(b"m", b"a");
         let b = derive_key(b"m", b"b");
@@ -230,12 +191,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn precomputed_concat_matches_joined() {
-        let hk = HmacKey::new(b"k");
-        assert_eq!(hk.mac_concat(&[b"abc", b"", b"def"]), hk.mac(b"abcdef"));
-        assert_eq!(hk.mac_concat(&[]), hk.mac(b""));
     }
 }

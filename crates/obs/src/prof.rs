@@ -7,7 +7,7 @@
 //! the stack of the event that ends the gap — so the per-stack time
 //! rows **telescope**: they sum to the total simulated time, exactly,
 //! by construction. Components ride along on the same stacks with
-//! commuting columns (message bytes, sign/verify/HMAC operation
+//! commuting columns (message bytes, sign/verify/link-seal operation
 //! counts, event counts) that need not telescope.
 //!
 //! The accumulator is thread-local and entirely outside the [`crate::ObsHub`]
@@ -30,7 +30,8 @@ pub enum CryptoOp {
     /// Public-key signature verification (cache misses only — memoized
     /// verdicts cost nothing and are not charged).
     Verify,
-    /// Symmetric seal/open (Spines link HMAC).
+    /// Symmetric link seal/open (a Spines hop, AES-256-GCM). The name is
+    /// the column's, kept from when the link tag was an HMAC.
     Hmac,
 }
 
@@ -48,7 +49,7 @@ pub struct PhaseCost {
     pub sign: u64,
     /// Signature verifications (cache misses).
     pub verify: u64,
-    /// HMAC seal/open operations.
+    /// Link seal/open operations (see [`CryptoOp::Hmac`]).
     pub hmac: u64,
     /// Events (messages dispatched, frames forwarded, executions).
     pub events: u64,

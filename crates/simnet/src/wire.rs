@@ -3,7 +3,7 @@
 //! Every protocol in the reproduction (Spines, Prime, Modbus-over-proxy,
 //! SCADA updates) serializes its messages to bytes with this codec before
 //! they enter the network. That keeps fidelity where it matters for the
-//! paper: signatures and HMACs cover real byte strings, attackers can flip
+//! paper: signatures and link tags cover real byte strings, attackers can flip
 //! bits in real payloads, and MANA only ever sees opaque ciphertext.
 
 use std::fmt;

@@ -9,7 +9,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use bytes::{BufMut, Bytes};
-use itcrypto::stream::{LinkKeys, KEYSTREAM_BLOCK};
+use itcrypto::stream::{LinkKeys, KEYSTREAM_BLOCK, TAG_LEN};
 use simnet::hash::MixState;
 use simnet::types::IpAddr;
 use simnet::wire::{DecodeError, Reader, Wire};
@@ -89,13 +89,11 @@ impl DaemonObs {
     }
 }
 
-/// Length of the authentication tag closing a sealed frame.
-const TAG_LEN: usize = 32;
 /// Bytes of a sealed frame before its ciphertext: mode tag, nonce, length.
 const SEALED_HEADER: usize = 1 + 8 + 4;
 
 /// Wire envelope, parsed in place: mode tag + either plaintext (legacy)
-/// or `nonce ‖ length-prefixed ciphertext ‖ tag`.
+/// or `nonce ‖ length-prefixed ciphertext ‖ 16-byte GCM tag`.
 enum LinkFrame<'a> {
     Legacy(&'a [u8]),
     Sealed {
@@ -144,7 +142,9 @@ struct Link {
     /// included: see [`SpinesDaemon::set_seq_base`]).
     nonce: u64,
     /// The keys this daemon seals under, derived by the first frame sealed
-    /// on the link: deriving costs four HMAC key setups.
+    /// on the link: deriving costs two HMAC-SHA-256 calls (the link key and
+    /// its AES key), an AES key expansion and the powers H¹…H⁸ of the
+    /// GHASH key. No SHA-256 runs per frame after that.
     seal_keys: Option<LinkKeys>,
     /// The keys the neighbour seals under, derived by the first frame
     /// opened on the link.
@@ -416,7 +416,7 @@ impl SpinesDaemon {
     /// Authenticates and decodes one frame received on `links[link]`,
     /// unless deduplication drops it first. Three frames in four on the
     /// plant's full mesh are copies of a message already seen, so a sealed
-    /// frame is opened in two steps: the MAC over the whole frame is
+    /// frame is opened in two steps: the GCM tag over the whole frame is
     /// checked (and a replayed nonce refused), then only the first
     /// keystream block is decrypted, which holds the `(src, seq)` the flood
     /// dedup windows are keyed by; the rest is decrypted and decoded for a
@@ -1147,7 +1147,7 @@ mod tests {
         b.on_wire(from, &captured);
         assert!(
             b.take_deliveries().is_empty(),
-            "the MAC holds, the link's window refuses the nonce"
+            "the tag holds, the link's window refuses the nonce"
         );
         assert_eq!(b.stats.duplicates, 1);
     }

@@ -1,4 +1,4 @@
-//! `SpinesDaemon::on_wire` checks a sealed frame's MAC, decrypts only the
+//! `SpinesDaemon::on_wire` checks a sealed frame's GCM tag, decrypts only the
 //! first keystream block to read `(src, seq)`, and decrypts and decodes
 //! the rest for a new message only. These tests hold it to the model it
 //! replaced — open the whole frame, decode it, *then* consult `seen` —
@@ -88,7 +88,7 @@ impl RefDaemon {
                 let sb = SealedBox {
                     nonce: r.get_u64()?,
                     ciphertext: r.get_bytes()?,
-                    tag: r.get_raw(32)?.try_into().expect("32 bytes"),
+                    tag: r.get_raw(16)?.try_into().expect("16 bytes"),
                 };
                 r.expect_end().map(|()| Some(sb))
             }
@@ -353,12 +353,12 @@ fn one_frame_delivered() -> (SpinesDaemon, RefDaemon, Bytes) {
 
 #[test]
 fn replay_with_a_flipped_tail_byte_fails_authentication() {
-    // The MAC covers the whole ciphertext and is checked before the peek:
+    // The tag covers the whole ciphertext and is checked before the peek:
     // a frame whose head still names a seen (src, seq) is not waved
     // through as a duplicate.
     let (mut real, mut reference, frame) = one_frame_delivered();
     let mut tampered = frame.to_vec();
-    let last_ciphertext_byte = tampered.len() - 32 - 1;
+    let last_ciphertext_byte = tampered.len() - 16 - 1;
     tampered[last_ciphertext_byte] ^= 1;
     real.receive(addr(0), &tampered);
     reference.receive(addr(0), &tampered);
@@ -387,7 +387,7 @@ fn sealed_plaintext_shorter_than_the_dedup_key_is_malformed() {
 fn truncated_and_mismatched_frames_keep_their_verdicts() {
     let (mut real, mut reference, frame) = one_frame_delivered();
     // Cut anywhere, or extended: the strict parse fails before any crypto.
-    for cut in [0, 1, 9, 13, frame.len() - 33, frame.len() - 1] {
+    for cut in [0, 1, 9, 13, frame.len() - 17, frame.len() - 1] {
         real.receive(addr(0), &frame[..cut]);
         reference.receive(addr(0), &frame[..cut]);
     }

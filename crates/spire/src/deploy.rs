@@ -1180,34 +1180,39 @@ mod tests {
     /// handing it over: every shape holds and every event count fell. A
     /// digest moved only on the multi-site fabrics with the firewall
     /// lockdown on, where the journal records each frame a firewall drops.
+    /// Re-pinned when Spines links became AES-256-GCM, whose 16-byte tag
+    /// makes every sealed frame 16 bytes shorter than under the 32-byte
+    /// HMAC tag: every shape holds, and the digests of `minimal`, `3+3` and
+    /// `2+2+1+1` moved (with the GCM tag carried in a 32-byte field they
+    /// read as before).
     const FABRIC_PINS: &str = "\
-minimal deployed 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2355
-minimal none e17720f2 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2992
-minimal static_arp 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2644
-minimal static_switch 21c9de8a f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2405
-minimal firewall_lockdown 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2355
-minimal isolated_internal 683326b7 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2355
-minimal plc_behind_proxy 19bbf882 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2379
-minimal no_cross_iface_arp 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2355
-minimal os 7d0af5f8 f46768ae8c9b96fbef6cf236fc9b3d7b1e98c9c6135f44b1becddc84a7364f8c 2355
-3+3 deployed 9624e1e4 784354e8ff0c1c354d46187a98e4f9bcbb53e81c2735f096c3805e2a345d1057 9781
-3+3 none 01b1a6c3 76a65080452f3b150b097ed4cfa892a6c0c3bff41693c7920576a05887edc1ca 11839
-3+3 static_arp 9624e1e4 718966ceb41277a909fdf5b84a178693b5537ef3fe45621fdbca055cb89f2057 11164
-3+3 static_switch 27298a9b 76d54286bd0a289b3ee782792ea0578b048af9f00ffc71a336449edc18fa36a2 10129
-3+3 firewall_lockdown 9624e1e4 76a65080452f3b150b097ed4cfa892a6c0c3bff41693c7920576a05887edc1ca 9941
-3+3 isolated_internal 9624e1e4 784354e8ff0c1c354d46187a98e4f9bcbb53e81c2735f096c3805e2a345d1057 9781
-3+3 plc_behind_proxy d2b13dc6 5751fdca62e7d7655513ff6e160c49f4db8d045c089c22d927573d5ed10e86f8 9827
-3+3 no_cross_iface_arp 9624e1e4 784354e8ff0c1c354d46187a98e4f9bcbb53e81c2735f096c3805e2a345d1057 9781
-3+3 os 9624e1e4 784354e8ff0c1c354d46187a98e4f9bcbb53e81c2735f096c3805e2a345d1057 9781
-2+2+1+1 deployed 8ac4de50 15a8f37def36c130cb6bc2735af83b60d222f11285c4b055b67df90509e909bb 17213
-2+2+1+1 none 438bed5f acade1bdb78eca2c0ab19c3f6ed3996f93f1b5f88e9b8eda5f43a891b58dfd79 19492
-2+2+1+1 static_arp 8ac4de50 16ffb32f25731afce96cd366b431ade798db61bbdb64f254a34888a7c97fbc0e 18885
-2+2+1+1 static_switch c78073f7 15a8f37def36c130cb6bc2735af83b60d222f11285c4b055b67df90509e909bb 17662
-2+2+1+1 firewall_lockdown 8ac4de50 acade1bdb78eca2c0ab19c3f6ed3996f93f1b5f88e9b8eda5f43a891b58dfd79 17373
-2+2+1+1 isolated_internal 8ac4de50 15a8f37def36c130cb6bc2735af83b60d222f11285c4b055b67df90509e909bb 17213
-2+2+1+1 plc_behind_proxy feba0821 67614419154457f7284faad657ec1e6e07ae14c02669514aa8f142744a14df92 17244
-2+2+1+1 no_cross_iface_arp 8ac4de50 15a8f37def36c130cb6bc2735af83b60d222f11285c4b055b67df90509e909bb 17213
-2+2+1+1 os 8ac4de50 15a8f37def36c130cb6bc2735af83b60d222f11285c4b055b67df90509e909bb 17213
+minimal deployed 7d0af5f8 7f05a612ef8e6a38998b0f21ccd7afe0adef3660a24a93753f5f6354fdd4b1d0 2355
+minimal none e17720f2 7f05a612ef8e6a38998b0f21ccd7afe0adef3660a24a93753f5f6354fdd4b1d0 2992
+minimal static_arp 7d0af5f8 7f05a612ef8e6a38998b0f21ccd7afe0adef3660a24a93753f5f6354fdd4b1d0 2644
+minimal static_switch 21c9de8a 7f05a612ef8e6a38998b0f21ccd7afe0adef3660a24a93753f5f6354fdd4b1d0 2405
+minimal firewall_lockdown 7d0af5f8 7f05a612ef8e6a38998b0f21ccd7afe0adef3660a24a93753f5f6354fdd4b1d0 2355
+minimal isolated_internal 683326b7 7f05a612ef8e6a38998b0f21ccd7afe0adef3660a24a93753f5f6354fdd4b1d0 2355
+minimal plc_behind_proxy 19bbf882 7f05a612ef8e6a38998b0f21ccd7afe0adef3660a24a93753f5f6354fdd4b1d0 2379
+minimal no_cross_iface_arp 7d0af5f8 7f05a612ef8e6a38998b0f21ccd7afe0adef3660a24a93753f5f6354fdd4b1d0 2355
+minimal os 7d0af5f8 7f05a612ef8e6a38998b0f21ccd7afe0adef3660a24a93753f5f6354fdd4b1d0 2355
+3+3 deployed 9624e1e4 9e5abb5a29bebf27901e2881894e5708ec8f8f1b1559e47a97630c902e706050 9781
+3+3 none 01b1a6c3 8e9e7cf654546cfcc3bfac69462df7b602080de7bb5ee57bfd964834e4b9c940 11841
+3+3 static_arp 9624e1e4 d1f5fa2e52d95ab0b280d416b13f3097978a6b57fdaacd678b837fea4b4c820e 11166
+3+3 static_switch 27298a9b be60b5d23f215b97d95137494ce7939d6bf2bf28248c11f08905f2f0f3a67079 10129
+3+3 firewall_lockdown 9624e1e4 8e9e7cf654546cfcc3bfac69462df7b602080de7bb5ee57bfd964834e4b9c940 9941
+3+3 isolated_internal 9624e1e4 9e5abb5a29bebf27901e2881894e5708ec8f8f1b1559e47a97630c902e706050 9781
+3+3 plc_behind_proxy d2b13dc6 7311e5db4c466b82ee781d156b85a096eb761a2c1c8328745cc7835419070140 9827
+3+3 no_cross_iface_arp 9624e1e4 9e5abb5a29bebf27901e2881894e5708ec8f8f1b1559e47a97630c902e706050 9781
+3+3 os 9624e1e4 9e5abb5a29bebf27901e2881894e5708ec8f8f1b1559e47a97630c902e706050 9781
+2+2+1+1 deployed 8ac4de50 2c2e40078f78260a4b4e50d0d986c12e38d57e921d8fcbb821e1ccae9ea9e28b 17205
+2+2+1+1 none 438bed5f 0d6f9b62b65f0277ecb9a3b2b905b8f5e15f0e2224a5abc02cca40593718b6e2 19478
+2+2+1+1 static_arp 8ac4de50 f97dc9c3c3c10aa0783a82836b8ec3f9407fef578518db4a05fe8415462926c9 18879
+2+2+1+1 static_switch c78073f7 2c2e40078f78260a4b4e50d0d986c12e38d57e921d8fcbb821e1ccae9ea9e28b 17656
+2+2+1+1 firewall_lockdown 8ac4de50 0d6f9b62b65f0277ecb9a3b2b905b8f5e15f0e2224a5abc02cca40593718b6e2 17365
+2+2+1+1 isolated_internal 8ac4de50 2c2e40078f78260a4b4e50d0d986c12e38d57e921d8fcbb821e1ccae9ea9e28b 17205
+2+2+1+1 plc_behind_proxy feba0821 f91e3a0fd025b304afc308d67f518664b78e0391e4bf29676f3c3b9c0f127d5f 17230
+2+2+1+1 no_cross_iface_arp 8ac4de50 2c2e40078f78260a4b4e50d0d986c12e38d57e921d8fcbb821e1ccae9ea9e28b 17205
+2+2+1+1 os 8ac4de50 2c2e40078f78260a4b4e50d0d986c12e38d57e921d8fcbb821e1ccae9ea9e28b 17205
 6@1 deployed abfd7402 028d06749f52150f14d6f4076268d138c4994b27e0505c1517b8edfaa3211fe0 12521
 6@1 none ce826ee6 17508ab27b72e1264ca0d3a37aee8c7be92ec2cf558923563d35ea76946014c8 17234
 6@1 static_arp abfd7402 7a57218902c30080dc4c2eae5b156e9f234f56d6e22887f65bf27cbb30eee962 14186
