@@ -77,7 +77,11 @@ impl Wire for SpinesMsg {
         let seq = r.get_u64()?;
         let dst = match r.get_u8()? {
             0 => Destination::Daemon(r.get_u32()?),
-            1 => Destination::Group(r.get_u32()? as u16),
+            // A group id is written in four bytes but is a `u16`: a wider
+            // one would decode as some other group.
+            1 => Destination::Group(
+                u16::try_from(r.get_u32()?).map_err(|_| DecodeError::new("group id"))?,
+            ),
             _ => return Err(DecodeError::new("destination tag")),
         };
         let priority = r.get_u8()?;
@@ -162,5 +166,28 @@ mod tests {
         let mut bad_tag = bytes.to_vec();
         bad_tag[12] = 9; // destination tag byte
         assert!(SpinesMsg::from_wire(&bad_tag).is_err());
+    }
+
+    #[test]
+    fn group_id_wider_than_u16_is_malformed() {
+        let m = SpinesMsg {
+            src: 1,
+            seq: 1,
+            dst: Destination::Group(2),
+            priority: 1,
+            kind: MsgKind::Data,
+            payload: Bytes::new(),
+        };
+        let bytes = m.to_wire();
+        // The group id's four bytes follow the destination tag at 12.
+        assert_eq!(bytes[13..17], [0, 0, 0, 2]);
+        let mut wide = bytes.to_vec();
+        wide[14] = 1; // 0x0001_0002, which truncated would read as group 2
+        assert!(SpinesMsg::from_wire(&wide).is_err());
+        wide[13..17].copy_from_slice(&u32::from(u16::MAX).to_be_bytes());
+        assert_eq!(
+            SpinesMsg::from_wire(&wide).expect("the widest group").dst,
+            Destination::Group(u16::MAX)
+        );
     }
 }
