@@ -17,11 +17,11 @@
 #   ci/profile.sh ordering_ramp --callers 'PoBatch::root|root_of' \
 #       --callers 'FixedBase::verify' --callers 'sha256::x86::compress'
 #
-# The overlay hop on a full-stack workload, cipher, MAC and the two daemon
+# The overlay hop on a full-stack workload, cipher, tag and the two daemon
 # functions that spend them (ISSUE 22):
 #
 #   ci/profile.sh regional_grid --callers 'itcrypto::aes' \
-#       --callers 'HmacKey::mac_concat' --callers 'SpinesDaemon::(flood|open_frame)'
+#       --callers 'itcrypto::ghash' --callers 'SpinesDaemon::(flood|open_frame)'
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

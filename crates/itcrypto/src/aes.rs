@@ -333,6 +333,18 @@ mod tests {
         }
     }
 
+    /// Every length up to two batches and a block past, so the short last
+    /// batch runs at each of its widths with and without a partial block.
+    #[test]
+    fn backends_agree_at_every_length_to_two_batches() {
+        let key = Aes256::new(&[0x24; 32]);
+        let data: Vec<u8> = (0..2 * 8 * BLOCK + 17).map(|i| (i * 31) as u8).collect();
+        for len in 0..=data.len() {
+            let expect = portable(&key, 7, u64::MAX - 3, &data[..len]);
+            check_each_backend(&key, 7, u64::MAX - 3, &data[..len], &expect);
+        }
+    }
+
     proptest! {
         #[test]
         fn backends_agree_on_any_stream(

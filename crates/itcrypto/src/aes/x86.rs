@@ -3,7 +3,8 @@
 //! `aesenc` is one full round (ShiftRows, SubBytes, MixColumns, AddRoundKey)
 //! and takes a few cycles to answer but starts every cycle, so eight
 //! counter blocks go through the rounds side by side, and whole batches of
-//! 128 bytes take the keystream straight from registers. Vectors are built
+//! 128 bytes take the keystream straight from registers. A short last
+//! batch runs one, two, four or eight blocks, as many as it needs. Vectors are built
 //! and read back through 64-bit integers (`_mm_set_epi64x` /
 //! `_mm_cvtsi128_si64`), never through pointers, so everything in here is
 //! safe code; the only obligation, that the CPU has the instructions, sits
@@ -55,9 +56,13 @@ fn store(v: __m128i) -> [u8; BLOCK] {
 /// lane big-endian for each block.
 #[inline]
 #[target_feature(enable = "aes,sse2,ssse3")]
-fn keystream(round_keys: &[[u8; BLOCK]; ROUND_KEYS], nonce: i64, counter: u64) -> [__m128i; WIDTH] {
+fn keystream<const N: usize>(
+    round_keys: &[[u8; BLOCK]; ROUND_KEYS],
+    nonce: i64,
+    counter: u64,
+) -> [__m128i; N] {
     let [first, middle @ .., last] = round_keys;
-    let mut blocks = [load(first); WIDTH];
+    let mut blocks = [load(first); N];
     let mut lanes = _mm_set_epi64x(counter as i64, nonce);
     let one = _mm_set_epi64x(1, 0);
     let reverse_high = _mm_set_epi64x(0x0809_0a0b_0c0d_0e0f, 0x0706_0504_0302_0100);
@@ -96,26 +101,45 @@ pub(super) fn ctr_xor(
     let mut counter = first_block;
     let mut batches = data.chunks_exact_mut(WIDTH * BLOCK);
     for batch in &mut batches {
-        let blocks = keystream(round_keys, nonce, counter);
+        let blocks = keystream::<WIDTH>(round_keys, nonce, counter);
         for (piece, block) in batch.chunks_exact_mut(BLOCK).zip(blocks) {
             xor_block(piece, block);
         }
         counter = counter.wrapping_add(WIDTH as u64);
     }
-    // A short last batch: its spare blocks cost what the used ones hide,
-    // and nothing is read or written past `data`.
+    // A short last batch runs the blocks it needs side by side, rounded up
+    // to a power of two: a lone block (a GCM tag's mask, the head of a
+    // frame read for its dedup key) does not pay for eight.
     let rest = batches.into_remainder();
-    if rest.is_empty() {
-        return;
+    match rest.len().div_ceil(BLOCK) {
+        0 => {}
+        1 => xor_rest::<1>(round_keys, nonce, counter, rest),
+        2 => xor_rest::<2>(round_keys, nonce, counter, rest),
+        3 | 4 => xor_rest::<4>(round_keys, nonce, counter, rest),
+        _ => xor_rest::<WIDTH>(round_keys, nonce, counter, rest),
     }
-    let blocks = keystream(round_keys, nonce, counter);
+}
+
+/// XORs `N` keystream blocks from `counter` on over `rest`, which they
+/// cover. Nothing is read or written past `rest`.
+#[inline]
+#[target_feature(enable = "aes,sse2,ssse3")]
+fn xor_rest<const N: usize>(
+    round_keys: &[[u8; BLOCK]; ROUND_KEYS],
+    nonce: i64,
+    counter: u64,
+    rest: &mut [u8],
+) {
+    let blocks = keystream::<N>(round_keys, nonce, counter);
     let whole = rest.len() / BLOCK;
     let (pieces, tail) = rest.split_at_mut(whole * BLOCK);
     for (piece, block) in pieces.chunks_exact_mut(BLOCK).zip(blocks) {
         xor_block(piece, block);
     }
-    // `rest` is short of a batch, so block `whole` is one of the eight.
-    for (byte, k) in tail.iter_mut().zip(store(blocks[whole])) {
-        *byte ^= k;
+    if !tail.is_empty() {
+        // The blocks cover `rest`, so block `whole` is one of them.
+        for (byte, k) in tail.iter_mut().zip(store(blocks[whole])) {
+            *byte ^= k;
+        }
     }
 }

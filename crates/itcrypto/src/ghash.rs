@@ -99,17 +99,24 @@ impl Ghash {
 /// partial block padded with zeros, then the length block.
 fn blocks(ciphertext: &[u8]) -> impl Iterator<Item = u128> + '_ {
     let (whole, tail) = ciphertext.as_chunks::<BLOCK>();
-    let padded = (!tail.is_empty()).then(|| {
-        let mut block = [0u8; BLOCK];
-        block[..tail.len()].copy_from_slice(tail);
-        u128::from_be_bytes(block)
-    });
-    let length = 8 * ciphertext.len() as u128;
     whole
         .iter()
         .map(|block| u128::from_be_bytes(*block))
-        .chain(padded)
-        .chain(std::iter::once(length))
+        .chain((!tail.is_empty()).then(|| padded(tail)))
+        .chain(std::iter::once(length_block(ciphertext)))
+}
+
+/// A partial last block, zero-padded.
+fn padded(tail: &[u8]) -> u128 {
+    let mut block = [0u8; BLOCK];
+    block[..tail.len()].copy_from_slice(tail);
+    u128::from_be_bytes(block)
+}
+
+/// `[0]₆₄ ‖ [8·len(C)]₆₄`: no additional data, then the ciphertext's
+/// length in bits.
+fn length_block(ciphertext: &[u8]) -> u128 {
+    8 * ciphertext.len() as u128
 }
 
 /// `x · y` in GF(2¹²⁸) modulo x¹²⁸ + x⁷ + x² + x + 1, SP 800-38D

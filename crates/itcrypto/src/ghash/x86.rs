@@ -19,7 +19,7 @@ use std::arch::x86_64::{
 };
 use std::sync::OnceLock;
 
-use super::GROUP;
+use super::{BLOCK, GROUP};
 
 /// Whether this CPU has every feature [`digest`] is compiled with.
 /// Detected once.
@@ -99,37 +99,41 @@ fn reduce(low: __m128i, high: __m128i) -> __m128i {
 #[target_feature(enable = "pclmulqdq,sse2")]
 pub(super) fn digest(powers: &[u128; GROUP], ciphertext: &[u8]) -> u128 {
     let powers = powers.map(|p| load(p));
+    let (whole, tail) = ciphertext.as_chunks::<BLOCK>();
+    let (groups, rest) = whole.as_chunks::<GROUP>();
     let mut y = _mm_setzero_si128();
-    let mut group = [0u128; GROUP];
-    let mut filled = 0;
-    for block in super::blocks(ciphertext) {
-        group[filled] = block;
-        filled += 1;
-        if filled == GROUP {
-            y = absorb(&powers, y, &group);
-            filled = 0;
-        }
+    for group in groups {
+        y = absorb(&powers, y, &group.map(u128::from_be_bytes));
     }
-    if filled > 0 {
-        y = absorb(&powers, y, &group[..filled]);
+    // What is left, at most nine blocks: the whole blocks short of a
+    // group, the padded tail, the length block.
+    let mut last = [0u128; GROUP + 1];
+    let mut filled = 0;
+    for block in rest.iter().map(|block| u128::from_be_bytes(*block)) {
+        last[filled] = block;
+        filled += 1;
+    }
+    if !tail.is_empty() {
+        last[filled] = super::padded(tail);
+        filled += 1;
+    }
+    last[filled] = super::length_block(ciphertext);
+    filled += 1;
+    for group in last[..filled].chunks(GROUP) {
+        y = absorb(&powers, y, group);
     }
     store(y)
 }
 
-/// `Y` after absorbing `group` (at most [`GROUP`] blocks):
+/// `Y` after absorbing `group` (one to [`GROUP`] blocks):
 /// `(Y ⊕ X₁)·Hᵏ ⊕ X₂·Hᵏ⁻¹ ⊕ … ⊕ Xₖ·H`, reduced once.
 #[inline]
 #[target_feature(enable = "pclmulqdq,sse2")]
 fn absorb(powers: &[__m128i; GROUP], y: __m128i, group: &[u128]) -> __m128i {
-    let (mut low, mut high) = (_mm_setzero_si128(), _mm_setzero_si128());
-    let powers = powers[..group.len()].iter().rev();
-    for (i, (&block, &power)) in group.iter().zip(powers).enumerate() {
-        let x = if i == 0 {
-            _mm_xor_si128(load(block), y)
-        } else {
-            load(block)
-        };
-        let (l, h) = clmul(x, power);
+    let k = group.len();
+    let (mut low, mut high) = clmul(_mm_xor_si128(load(group[0]), y), powers[k - 1]);
+    for j in 1..k {
+        let (l, h) = clmul(load(group[j]), powers[k - 1 - j]);
         low = _mm_xor_si128(low, l);
         high = _mm_xor_si128(high, h);
     }
