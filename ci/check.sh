@@ -185,15 +185,23 @@ else
     echo "    note: no python3 here, the e4 memory gates are skipped"
 fi
 
-echo "==> two unsafe blocks in the workspace (itcrypto's calls into its SHA-extensions and AES-NI backends)"
-# Both backends are written with safe intrinsics, so the call into each
-# #[target_feature] function, after detection, is all there is; clippy and
-# rustdoc above already passed under itcrypto's deny(unsafe_code) + one
+echo "==> three unsafe blocks in the workspace (itcrypto's calls into its SHA-extensions, AES-NI and PCLMULQDQ backends)"
+# All three backends are written with safe intrinsics, so the call into
+# each #[target_feature] function, after detection, is all there is; clippy
+# and rustdoc above already passed under itcrypto's deny(unsafe_code) + one
 # allow at each call.
 test "$(grep -rl --include='*.rs' 'unsafe {' crates src tests examples | sort | tr '\n' ' ')" = \
-    "crates/itcrypto/src/aes.rs crates/itcrypto/src/sha256.rs "
+    "crates/itcrypto/src/aes.rs crates/itcrypto/src/ghash.rs crates/itcrypto/src/sha256.rs "
 test "$(grep -c 'unsafe {' crates/itcrypto/src/sha256.rs)" -eq 1
 test "$(grep -c 'unsafe {' crates/itcrypto/src/aes.rs)" -eq 1
+test "$(grep -c 'unsafe {' crates/itcrypto/src/ghash.rs)" -eq 1
+
+echo "==> the link tag is GCM (no HMAC in the Spines link envelope)"
+# Every overlay hop is sealed with AES-256-GCM: GHASH authenticates, and no
+# SHA-256 runs per frame. HMAC stays for key derivation only.
+if grep -nwE 'HmacKey|mac_concat|verify_tag' crates/itcrypto/src/stream.rs; then
+    exit 1
+fi
 
 echo "==> hash tables in crates/ hash by a fixed function (no RandomState: a run must repeat)"
 # VerifyCache, Prime's VerifiedUpdates and the Spines daemon probe theirs by

@@ -4,8 +4,8 @@
 //! and takes a few cycles to answer but starts every cycle, so eight
 //! counter blocks go through the rounds side by side, and whole batches of
 //! 128 bytes take the keystream straight from registers. A short last
-//! batch runs one, two, four or eight blocks, as many as it needs. Vectors are built
-//! and read back through 64-bit integers (`_mm_set_epi64x` /
+//! batch runs one, two, four or eight blocks, as many as it needs. Vectors
+//! are built and read back through 64-bit integers (`_mm_set_epi64x` /
 //! `_mm_cvtsi128_si64`), never through pointers, so everything in here is
 //! safe code; the only obligation, that the CPU has the instructions, sits
 //! with the one caller in [`super::Aes256::ctr_xor`].

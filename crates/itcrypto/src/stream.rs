@@ -12,12 +12,12 @@
 //! data is XORed with blocks 2 on, and the 16-byte tag is
 //! [`crate::ghash`] of the ciphertext under `H = AES_K(0¹²⁸)` XOR
 //! `AES_K(J0)`. GCM's 32-bit counter increment equals the 64-bit one for
-//! any frame shorter than 2³² blocks. GCM under a repeated `(key, nonce)`
-//! gives away H, and with it forgeries, so a nonce is never used twice
-//! under one key (Spines keys each link direction apart and floors its
-//! nonces across restarts). The red-team experiment hinges on this layer:
-//! the modified Spines daemon without the link keys cannot produce valid
-//! traffic (§IV-B).
+//! any frame a `u32` length describes (under 2²⁸ blocks). GCM under a
+//! repeated `(key, nonce)` gives away H, and with it forgeries, so a nonce
+//! is never used twice under one key (Spines keys each link direction
+//! apart and floors its nonces across restarts). The red-team experiment
+//! hinges on this layer: the modified Spines daemon without the link keys
+//! cannot produce valid traffic (§IV-B).
 
 use crate::aes::Aes256;
 use crate::ghash::Ghash;

@@ -12,7 +12,8 @@
 //! Properties reproduced because the red-team experiment tested them:
 //!
 //! * **Link authentication + encryption** ([`daemon`]): every overlay hop
-//!   is sealed with a per-link key derived from a network master secret.
+//!   is sealed with AES-256-GCM under a key per link direction, derived
+//!   from a network master secret.
 //!   The red team's *modified daemon without keys* produced traffic the
 //!   legitimate daemons reject — exactly §IV-B's outcome.
 //! * **Intrusion-tolerant mode** ([`SpinesMode`]): the legacy diagnostic

@@ -1182,9 +1182,9 @@ mod tests {
     /// lockdown on, where the journal records each frame a firewall drops.
     /// Re-pinned when Spines links became AES-256-GCM, whose 16-byte tag
     /// makes every sealed frame 16 bytes shorter than under the 32-byte
-    /// HMAC tag: every shape holds, and the digests of `minimal`, `3+3` and
-    /// `2+2+1+1` moved (with the GCM tag carried in a 32-byte field they
-    /// read as before).
+    /// HMAC tag: every shape holds; the digests of `minimal`, `3+3` and
+    /// `2+2+1+1` moved, and some of their event counts (with the GCM tag
+    /// carried in a 32-byte field every row reads as before).
     const FABRIC_PINS: &str = "\
 minimal deployed 7d0af5f8 7f05a612ef8e6a38998b0f21ccd7afe0adef3660a24a93753f5f6354fdd4b1d0 2355
 minimal none e17720f2 7f05a612ef8e6a38998b0f21ccd7afe0adef3660a24a93753f5f6354fdd4b1d0 2992
