@@ -672,6 +672,104 @@ mod tests {
         }
     }
 
+    /// Every overlay edge set the deployments use, as
+    /// `shape overlay daemons edges sha256(sorted edges)`.
+    const OVERLAY_PINS: &str = "\
+red_team internal 4 6 6ad7991fce84cd1b03088ca24c1326b94d9dbbfbcdb4ca9478def71f19db3505
+red_team external 16 120 1d412ea06781682edae1273ee6bbdf699531f98809444b4c38a9e9b7a71d3450
+plant internal 6 15 bc7bbf5f9dfab3b4b14568095dd127bf4e3ae48bfa712e16f86b7d271f9e55ca
+plant external 26 325 d026c5a44544afb1ffe7ffe4411691f14988d4e9e4a436cc9d9991ffef4a004d
+minimal internal 4 6 6ad7991fce84cd1b03088ca24c1326b94d9dbbfbcdb4ca9478def71f19db3505
+minimal external 6 15 bc7bbf5f9dfab3b4b14568095dd127bf4e3ae48bfa712e16f86b7d271f9e55ca
+regional-2x3 internal 6 15 bc7bbf5f9dfab3b4b14568095dd127bf4e3ae48bfa712e16f86b7d271f9e55ca
+regional-2x3 external 9 21 2da96ab55bedb21761fd80d5a7ac15d96f0044bf7ee5503d1c26505faadfc5d8
+regional-100x10 internal 6 15 bc7bbf5f9dfab3b4b14568095dd127bf4e3ae48bfa712e16f86b7d271f9e55ca
+regional-100x10 external 107 217 3e3b9ee045b364c67d25ff25c1b29ba5963be8b3a111acfa62e8e2a5c52988e9
+plant+6@1 internal 6 15 bc7bbf5f9dfab3b4b14568095dd127bf4e3ae48bfa712e16f86b7d271f9e55ca
+plant+6@1 external 26 325 d026c5a44544afb1ffe7ffe4411691f14988d4e9e4a436cc9d9991ffef4a004d
+cut+6@1 internal 6 15 bc7bbf5f9dfab3b4b14568095dd127bf4e3ae48bfa712e16f86b7d271f9e55ca
+cut+6@1 external 12 66 3cf7083a5f91cf8523d7857d51e180da5d2bd4e43f208a24c82189cdba2439f6
+plant+3+3 internal 6 8 0c3511ca5f90598949f61a0deaec701f40d0a28d0bbcaa1bc0eb479bff1b8bf2
+plant+3+3 external 26 159 46641aacce1eca604a5a0b7e997d14791c5b2411907cde3fb65d830094887ac7
+cut+3+3 internal 6 8 0c3511ca5f90598949f61a0deaec701f40d0a28d0bbcaa1bc0eb479bff1b8bf2
+cut+3+3 external 12 33 68be21b9af39e3edc95016694d71a4930c36a7d66c1e829cb0b887f277775b55
+plant+2+2+1+1 internal 6 9 30797b33f823fe2fad486defb8e7ba392c2621b964f68d991157b356fc93c7f5
+plant+2+2+1+1 external 26 140 3eedc748597bf0b282b54633009fa3b9e4540532959470e1fe70eba2d580a3a2
+cut+2+2+1+1 internal 6 9 30797b33f823fe2fad486defb8e7ba392c2621b964f68d991157b356fc93c7f5
+cut+2+2+1+1 external 12 28 50d109e841cfe24503987ca362403ed1ae8726b6d41a1c98e7999c6180882a7f
+";
+
+    /// The plant with its proxies cut from 17 to 3.
+    fn cut_plant() -> SpireConfig {
+        let mut cfg = SpireConfig::plant();
+        cfg.proxies.truncate(3);
+        cfg
+    }
+
+    #[test]
+    fn overlay_edge_sets_pinned() {
+        let regional = |count, devices_per| {
+            SpireConfig::regional(
+                PrimeConfig::plant(),
+                SubstationTopology::new(count, devices_per),
+            )
+        };
+        let shapes = [
+            ("red_team", SpireConfig::red_team()),
+            ("plant", SpireConfig::plant()),
+            (
+                "minimal",
+                SpireConfig::minimal(PrimeConfig::red_team(), Scenario::PlantSubset),
+            ),
+            ("regional-2x3", regional(2, 3)),
+            ("regional-100x10", regional(100, 10)),
+            (
+                "plant+6@1",
+                SpireConfig::plant().with_sites(SiteTopology::six_at_one()),
+            ),
+            (
+                "cut+6@1",
+                cut_plant().with_sites(SiteTopology::six_at_one()),
+            ),
+            (
+                "plant+3+3",
+                SpireConfig::plant().with_sites(SiteTopology::three_plus_three()),
+            ),
+            (
+                "cut+3+3",
+                cut_plant().with_sites(SiteTopology::three_plus_three()),
+            ),
+            (
+                "plant+2+2+1+1",
+                SpireConfig::plant().with_sites(SiteTopology::two_two_one_one()),
+            ),
+            (
+                "cut+2+2+1+1",
+                cut_plant().with_sites(SiteTopology::two_two_one_one()),
+            ),
+        ];
+        let mut now = String::new();
+        for (shape, cfg) in &shapes {
+            for (overlay, spines) in [
+                ("internal", cfg.internal_spines()),
+                ("external", cfg.external_spines()),
+            ] {
+                let bytes: Vec<u8> = spines
+                    .edges
+                    .iter()
+                    .flat_map(|&(a, b)| a.to_be_bytes().into_iter().chain(b.to_be_bytes()))
+                    .collect();
+                let digest = itcrypto::sha256::sha256(&bytes).to_hex();
+                let (daemons, edges) = (spines.daemon_count(), spines.edges.len());
+                now += &format!("{shape} {overlay} {daemons} {edges} {digest}\n");
+            }
+        }
+        assert_eq!(
+            now, OVERLAY_PINS,
+            "the overlays moved; they now read\n{now}"
+        );
+    }
+
     #[test]
     fn overlays_have_expected_membership() {
         let c = SpireConfig::red_team();
