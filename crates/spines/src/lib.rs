@@ -34,9 +34,7 @@ pub mod daemon;
 pub mod fairness;
 pub mod message;
 pub mod routing;
-pub mod wan;
 
 pub use config::{SpinesConfig, SpinesMode};
 pub use daemon::{Delivery, SpinesDaemon};
 pub use message::{Destination, MsgKind, SpinesMsg};
-pub use wan::{Overlay, WanLink, WanSite, WanTopology};

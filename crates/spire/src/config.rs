@@ -5,7 +5,6 @@ use plc::topology::Scenario;
 use prime::types::Config as PrimeConfig;
 use simnet::types::{IpAddr, Port};
 use spines::config::{SpinesConfig, SpinesMode};
-use spines::wan::{Overlay, WanLink, WanSite, WanTopology};
 
 use crate::site::{SiteTopology, SubstationTopology};
 
@@ -32,6 +31,15 @@ pub struct ProxyAssignment {
     pub index: u32,
     /// The scenario/PLC this proxy fronts.
     pub scenario: Scenario,
+}
+
+/// Which of the two Spines networks an edge set is for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Overlay {
+    /// The replication network: replicas only.
+    Internal,
+    /// The client network: replicas, proxies and HMIs.
+    External,
 }
 
 /// Full Spire deployment configuration.
@@ -345,158 +353,101 @@ impl SpireConfig {
         reg
     }
 
-    /// The control-center site homing proxy `p` (multi-site only).
-    pub fn home_site_of_proxy(&self, proxy: u32) -> Option<usize> {
-        self.sites.as_ref().map(|s| s.home_of_proxy(proxy))
-    }
-
-    /// The control-center site homing HMI `h` (multi-site only).
-    pub fn home_site_of_hmi(&self, hmi: u32) -> Option<usize> {
-        self.sites.as_ref().map(|s| s.home_of_hmi(hmi))
-    }
-
-    /// The Spines wide-area overlay description of a multi-site
-    /// deployment (`None` for single-LAN configurations).
-    ///
-    /// Each site homes its replicas' internal daemons, plus the external
-    /// daemons of its replicas and of the proxies/HMIs it hosts. Between
-    /// every pair of sites, each overlay gets up to two inter-site links
-    /// on *distinct* gateway replicas — so WAN routes between sites with
-    /// two or more replicas are node-disjoint — with the latency/loss
-    /// profile combining both sites' uplinks.
-    pub fn wan_topology(&self) -> Option<WanTopology> {
-        let topo = self.sites.as_ref()?;
-        let mut sites = Vec::new();
-        for (idx, site) in topo.sites.iter().enumerate() {
-            let mut external: Vec<u32> = site
-                .replicas
-                .iter()
-                .map(|&r| self.ext_daemon_of_replica(r))
-                .collect();
-            for p in &self.proxies {
-                if topo.home_of_proxy(p.index) == idx {
-                    external.push(self.ext_daemon_of_proxy(p.index));
-                }
-            }
-            for h in 0..self.hmis {
-                if topo.home_of_hmi(h) == idx {
-                    external.push(self.ext_daemon_of_hmi(h));
-                }
-            }
-            sites.push(WanSite {
-                name: site.name.clone(),
-                internal_daemons: site.replicas.clone(),
-                external_daemons: external,
-            });
-        }
-        let mut links = Vec::new();
-        for (i, a) in topo.sites.iter().enumerate() {
-            for b in &topo.sites[i + 1..] {
-                let latency_us = (a.wan_latency + b.wan_latency).as_micros();
-                let loss = (a.wan_loss + b.wan_loss).min(1.0);
-                let redundancy = 2.min(a.replicas.len()).min(b.replicas.len());
-                for g in 0..redundancy {
-                    links.push(WanLink {
-                        a: a.replicas[g],
-                        b: b.replicas[g],
-                        overlay: Overlay::Internal,
-                        latency_us,
-                        loss,
-                    });
-                    links.push(WanLink {
-                        a: self.ext_daemon_of_replica(a.replicas[g]),
-                        b: self.ext_daemon_of_replica(b.replicas[g]),
-                        overlay: Overlay::External,
-                        latency_us,
-                        loss,
-                    });
-                }
-            }
-        }
-        Some(WanTopology { sites, links })
-    }
-
-    /// The isolated internal Spines overlay: replicas only — a full mesh
-    /// in the single-LAN deployments, per-site meshes joined by redundant
-    /// WAN links in multi-site ones.
+    /// The isolated internal Spines overlay: replicas only.
     pub fn internal_spines(&self) -> SpinesConfig {
-        let daemons = (0..self.n()).map(|i| (i, self.internal_ip(i)));
-        match self.wan_topology() {
-            Some(wan) => wan.overlay_config(
-                Overlay::Internal,
-                daemons,
-                INTERNAL_SPINES_PORT,
-                self.internal_secret,
-                SpinesMode::IntrusionTolerant,
-            ),
-            None => SpinesConfig::full_mesh(
-                daemons,
-                INTERNAL_SPINES_PORT,
-                self.internal_secret,
-                SpinesMode::IntrusionTolerant,
-            ),
-        }
+        SpinesConfig::with_edges(
+            (0..self.n()).map(|i| (i, self.internal_ip(i))),
+            self.overlay_edges(Overlay::Internal),
+            INTERNAL_SPINES_PORT,
+            self.internal_secret,
+            SpinesMode::IntrusionTolerant,
+        )
     }
 
-    /// The external Spines overlay (replicas + proxies + HMIs): a full
-    /// mesh in the single-LAN deployments, per-site meshes joined by
-    /// redundant WAN links in multi-site ones.
+    /// The external Spines overlay: replicas, proxies and HMIs.
     pub fn external_spines(&self) -> SpinesConfig {
-        let mut daemons: Vec<(u32, IpAddr)> = (0..self.n())
-            .map(|i| (self.ext_daemon_of_replica(i), self.replica_external_ip(i)))
-            .collect();
-        for p in &self.proxies {
-            daemons.push((self.ext_daemon_of_proxy(p.index), self.proxy_ip(p.index)));
-        }
-        for h in 0..self.hmis {
-            daemons.push((self.ext_daemon_of_hmi(h), self.hmi_ip(h)));
-        }
-        if self.substations.is_some() {
-            // Regional overlays stay sparse: a replica core mesh with
-            // every client daemon homed on two distinct replica gateways.
-            // A 100-substation full mesh would flood O(n²) links; this
-            // keeps flooding linear in substations while every client
-            // still has node-disjoint paths into the core.
-            let n = self.n();
-            let mut edges: Vec<(u32, u32)> = Vec::new();
-            for a in 0..n {
-                for b in a + 1..n {
-                    edges.push((self.ext_daemon_of_replica(a), self.ext_daemon_of_replica(b)));
+        let replicas =
+            (0..self.n()).map(|i| (self.ext_daemon_of_replica(i), self.replica_external_ip(i)));
+        let proxies = self
+            .proxies
+            .iter()
+            .map(|p| (self.ext_daemon_of_proxy(p.index), self.proxy_ip(p.index)));
+        let hmis = (0..self.hmis).map(|h| (self.ext_daemon_of_hmi(h), self.hmi_ip(h)));
+        SpinesConfig::with_edges(
+            replicas.chain(proxies).chain(hmis),
+            self.overlay_edges(Overlay::External),
+            EXTERNAL_SPINES_PORT,
+            self.external_secret,
+            SpinesMode::IntrusionTolerant,
+        )
+    }
+
+    /// The edges of one overlay: the one place either is described.
+    ///
+    /// Each site is a full mesh of the overlay's daemons it homes: its
+    /// replicas' and, on the external overlay, those of the proxies and
+    /// HMIs homed there, as [`Deployment::build`](crate::deploy::Deployment::build)
+    /// cables them. A deployment without a placement is one site holding
+    /// everything. Each pair of sites is joined by up to two aligned
+    /// gateway pairs `a.replicas[g] ↔ b.replicas[g]`, so two sites of two
+    /// replicas or more have node-disjoint routes between them. A regional
+    /// external overlay is sparse instead: a replica core mesh with every
+    /// client on two distinct replica gateways, which keeps flooding
+    /// linear in substations where a full mesh would flood O(n²) links.
+    fn overlay_edges(&self, overlay: Overlay) -> Vec<(u32, u32)> {
+        let n = self.n();
+        let daemon = |replica: u32| match overlay {
+            Overlay::Internal => replica,
+            Overlay::External => self.ext_daemon_of_replica(replica),
+        };
+        // (daemon, home site, gateway index) of every client.
+        let sites = self.sites.as_ref();
+        let clients: Vec<(u32, usize, u32)> = match overlay {
+            Overlay::Internal => Vec::new(),
+            Overlay::External => {
+                let proxies = self.proxies.iter().map(|p| {
+                    let home = sites.map_or(0, |t| t.home_of_proxy(p.index));
+                    (self.ext_daemon_of_proxy(p.index), home, p.index)
+                });
+                let hmis = (0..self.hmis).map(|h| {
+                    let home = sites.map_or(0, |t| t.home_of_hmi(h));
+                    (self.ext_daemon_of_hmi(h), home, h)
+                });
+                proxies.chain(hmis).collect()
+            }
+        };
+        let (meshes, mut edges): (Vec<Vec<u32>>, Vec<(u32, u32)>) =
+            if overlay == Overlay::External && self.substations.is_some() {
+                let gateways = clients
+                    .iter()
+                    .flat_map(|&(d, _, k)| [(d, daemon(k % n)), (d, daemon((k + 1) % n))]);
+                (vec![(0..n).map(daemon).collect()], gateways.collect())
+            } else {
+                let everything: Vec<u32> = (0..n).collect();
+                let placement: Vec<&[u32]> = match sites {
+                    Some(t) => t.sites.iter().map(|s| s.replicas.as_slice()).collect(),
+                    None => vec![&everything],
+                };
+                let meshes = placement.iter().enumerate().map(|(s, replicas)| {
+                    let homed = clients.iter().filter(|c| c.1 == s).map(|c| c.0);
+                    replicas.iter().map(|&r| daemon(r)).chain(homed).collect()
+                });
+                let mut gateways = Vec::new();
+                for (i, a) in placement.iter().enumerate() {
+                    for b in &placement[i + 1..] {
+                        for g in 0..2.min(a.len()).min(b.len()) {
+                            gateways.push((daemon(a[g]), daemon(b[g])));
+                        }
+                    }
                 }
+                (meshes.collect(), gateways)
+            };
+        for mesh in &meshes {
+            for (i, &a) in mesh.iter().enumerate() {
+                edges.extend(mesh[i + 1..].iter().map(|&b| (a, b)));
             }
-            for p in &self.proxies {
-                let d = self.ext_daemon_of_proxy(p.index);
-                edges.push((d, self.ext_daemon_of_replica(p.index % n)));
-                edges.push((d, self.ext_daemon_of_replica((p.index + 1) % n)));
-            }
-            for h in 0..self.hmis {
-                let d = self.ext_daemon_of_hmi(h);
-                edges.push((d, self.ext_daemon_of_replica(h % n)));
-                edges.push((d, self.ext_daemon_of_replica((h + 1) % n)));
-            }
-            return SpinesConfig::with_edges(
-                daemons,
-                edges,
-                EXTERNAL_SPINES_PORT,
-                self.external_secret,
-                SpinesMode::IntrusionTolerant,
-            );
         }
-        match self.wan_topology() {
-            Some(wan) => wan.overlay_config(
-                Overlay::External,
-                daemons,
-                EXTERNAL_SPINES_PORT,
-                self.external_secret,
-                SpinesMode::IntrusionTolerant,
-            ),
-            None => SpinesConfig::full_mesh(
-                daemons,
-                EXTERNAL_SPINES_PORT,
-                self.external_secret,
-                SpinesMode::IntrusionTolerant,
-            ),
-        }
+        edges
     }
 }
 
@@ -564,21 +515,19 @@ mod tests {
     #[test]
     fn multi_site_overlays_use_redundant_disjoint_wan_links() {
         let cfg = SpireConfig::plant().with_sites(SiteTopology::three_plus_three());
-        let wan = cfg.wan_topology().expect("multi-site");
-        let internal = wan.overlay_edges(Overlay::Internal);
+        let internal = cfg.internal_spines();
         // Per-site meshes plus exactly two WAN links on distinct gateways.
-        assert!(internal.contains(&(0, 1)) && internal.contains(&(3, 4)));
-        assert!(internal.contains(&(0, 3)) && internal.contains(&(1, 4)));
-        assert!(!internal.contains(&(2, 5)), "only two gateway pairs");
-        assert!(!internal.contains(&(0, 4)), "gateway pairing is aligned");
+        assert!(internal.edges.contains(&(0, 1)) && internal.edges.contains(&(3, 4)));
+        assert!(internal.edges.contains(&(0, 3)) && internal.edges.contains(&(1, 4)));
+        assert!(!internal.edges.contains(&(2, 5)), "only two gateway pairs");
+        assert!(
+            !internal.edges.contains(&(0, 4)),
+            "gateway pairing is aligned"
+        );
+        assert_eq!(internal.daemon_count(), 6);
+        assert_eq!(internal.edges.len(), 3 + 3 + 2);
         // Cross-site routes are redundant and node-disjoint.
-        let routes = wan.select_routes(Overlay::Internal, 0, 5);
-        assert_eq!(routes.len(), 2, "two node-disjoint WAN routes");
-        // The overlay configs carry the restricted edge sets (no longer a
-        // full mesh), and every daemon still appears.
-        let spines = cfg.internal_spines();
-        assert_eq!(spines.daemon_count(), 6);
-        assert_eq!(spines.edges.len(), 3 + 3 + 2);
+        assert_eq!(spines::routing::disjoint_paths(&internal, 0, 5), 2);
         let ext = cfg.external_spines();
         assert_eq!(ext.daemon_count(), 6 + 17 + 3);
         assert!(ext
@@ -589,20 +538,40 @@ mod tests {
     #[test]
     fn multi_site_homes_clients_at_control_centers_only() {
         let cfg = SpireConfig::plant().with_sites(SiteTopology::two_two_one_one());
-        let wan = cfg.wan_topology().expect("multi-site");
+        let topo = cfg.sites.as_ref().expect("multi-site");
+        let ext = cfg.external_spines();
+        let replica_daemons: Vec<u32> =
+            (0..cfg.n()).map(|r| cfg.ext_daemon_of_replica(r)).collect();
+        // A client's replica neighbours are exactly its home site's.
+        let gateways = |daemon: u32| -> Vec<u32> {
+            let peers = ext.neighbors(daemon).into_iter();
+            peers.filter(|d| replica_daemons.contains(d)).collect()
+        };
+        let site_daemons = |site: usize| -> Vec<u32> {
+            let replicas = topo.replicas_of(site).iter();
+            replicas.map(|&r| cfg.ext_daemon_of_replica(r)).collect()
+        };
         for p in 0..cfg.proxies.len() as u32 {
-            let home = cfg.home_site_of_proxy(p).expect("homed");
+            let home = topo.home_of_proxy(p);
             assert!(home < 2, "proxies only at the two control centers");
-            assert!(wan.sites[home]
-                .external_daemons
-                .contains(&cfg.ext_daemon_of_proxy(p)));
+            assert_eq!(gateways(cfg.ext_daemon_of_proxy(p)), site_daemons(home));
         }
         for h in 0..cfg.hmis {
-            assert!(cfg.home_site_of_hmi(h).expect("homed") < 2);
+            let home = topo.home_of_hmi(h);
+            assert!(home < 2, "HMIs only at the two control centers");
+            assert_eq!(gateways(cfg.ext_daemon_of_hmi(h)), site_daemons(home));
         }
-        // Data-center sites host replica daemons only.
-        assert_eq!(wan.sites[2].internal_daemons, vec![4]);
-        assert_eq!(wan.sites[2].external_daemons, vec![4]);
+        // Data-center sites host replica daemons only, joined to the other
+        // sites by their gateways.
+        for r in [4, 5] {
+            let d = cfg.ext_daemon_of_replica(r);
+            assert_eq!(
+                ext.neighbors(d),
+                gateways(d),
+                "dc replica {r} has no client"
+            );
+        }
+        assert_eq!(cfg.internal_spines().neighbors(4), vec![0, 2, 5]);
     }
 
     #[test]

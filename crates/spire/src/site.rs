@@ -4,11 +4,12 @@
 //! in one control center — losing that site loses the whole system. The
 //! wide-area Spire configurations distribute the same six plant replicas
 //! across several sites (control centers that can host proxies and HMIs,
-//! plus data centers that host only replicas), connected by the Spines
-//! WAN overlays of [`spines::wan`]. [`SiteTopology`] describes such a
-//! placement; [`SiteTopology::survival_after_losing`] answers the
-//! question E13 measures: *what happens to ordering when a whole site
-//! drops off the map?*
+//! plus data centers that host only replicas), connected by two Spines
+//! overlays whose edges [`SpireConfig`](crate::SpireConfig) derives from
+//! the placement. [`SiteTopology`] describes such a placement;
+//! [`SiteTopology::survival_after_losing`] answers the question E13
+//! measures: *what happens to ordering when a whole site drops off the
+//! map?*
 //!
 //! Three placements of the plant's `n = 6` (`f = 1, k = 1`) replicas are
 //! provided, matching the configurations the failover experiment runs:

@@ -498,149 +498,65 @@ proptest! {
     }
 }
 
-// ---- wide-area Spines overlays (E13 tentpole) ----
+// ---- the deployed Spines overlays ----
 //
-// The WAN route selector must deliver the redundancy the topology
-// offers — k node-disjoint inter-site links yield at least k mutually
-// node-disjoint routes — and the internal (replication) overlay must
-// never route over links that belong only to the external (client)
-// overlay, for ANY link tagging.
+// Flooding uses every path, so a correct pair of daemons stays connected
+// through `f` compromised daemons when the overlay holds `f + 1`
+// node-disjoint paths between them. Proven on the overlays the
+// deployments run (`SpireConfig::internal_spines` / `external_spines`),
+// in every shape they take: one LAN, each site placement, and the
+// regional sparse mesh.
 
-use spines::wan::{Overlay, WanLink, WanSite, WanTopology};
+use plc::topology::Scenario;
+use spines::routing::resilience;
+use spire::site::SubstationTopology;
+use spire::{SiteTopology, SpireConfig};
 
-/// A two-site topology: `na`/`nb` internal daemons per site (site A ids
-/// `0..na`, site B ids `10..10+nb`), the given internal WAN links, the
-/// given external WAN links, and one proxy daemon per site (20, 21) on
-/// the external overlay.
-fn two_site_wan(
-    na: u32,
-    nb: u32,
-    internal_links: &[(u32, u32)],
-    external_links: &[(u32, u32)],
-) -> WanTopology {
-    let link = |&(a, b): &(u32, u32), overlay| WanLink {
-        a,
-        b,
-        overlay,
-        latency_us: 2_000,
-        loss: 0.0,
-    };
-    WanTopology {
-        sites: vec![
-            WanSite {
-                name: "cc-a".into(),
-                internal_daemons: (0..na).collect(),
-                external_daemons: (0..na).chain([20]).collect(),
-            },
-            WanSite {
-                name: "cc-b".into(),
-                internal_daemons: (10..10 + nb).collect(),
-                external_daemons: (10..10 + nb).chain([21]).collect(),
-            },
-        ],
-        links: internal_links
-            .iter()
-            .map(|l| link(l, Overlay::Internal))
-            .chain(external_links.iter().map(|l| link(l, Overlay::External)))
-            .collect(),
+#[test]
+fn every_deployed_overlay_survives_f_compromised_daemons() {
+    // The plant cut to 3 proxies keeps every placement's homing pattern;
+    // the full 26-daemon mesh takes seconds in a debug build.
+    let mut cut_plant = SpireConfig::plant();
+    cut_plant.proxies.truncate(3);
+    let placements = [
+        SiteTopology::six_at_one(),
+        SiteTopology::three_plus_three(),
+        SiteTopology::two_two_one_one(),
+    ];
+    let mut configs = vec![
+        ("red_team".to_string(), SpireConfig::red_team()),
+        (
+            "minimal".to_string(),
+            SpireConfig::minimal(Config::red_team(), Scenario::PlantSubset),
+        ),
+        ("cut plant".to_string(), cut_plant.clone()),
+    ];
+    for sites in placements {
+        let name = format!("cut plant {}", sites.label());
+        configs.push((name, cut_plant.clone().with_sites(sites)));
     }
-}
-
-/// Asserts the routes are internally node-disjoint `s → t` paths whose
-/// every hop is an edge of `overlay`.
-fn assert_routes_well_formed(
-    t: &WanTopology,
-    overlay: Overlay,
-    routes: &[Vec<u32>],
-    s: u32,
-    d: u32,
-) {
-    let edges = t.overlay_edges(overlay);
-    let mut middles = std::collections::BTreeSet::new();
-    for route in routes {
-        assert_eq!(route.first(), Some(&s));
-        assert_eq!(route.last(), Some(&d));
-        for m in &route[1..route.len() - 1] {
-            assert!(middles.insert(*m), "routes share intermediate daemon {m}");
-        }
-        for hop in route.windows(2) {
-            let e = if hop[0] <= hop[1] {
-                (hop[0], hop[1])
-            } else {
-                (hop[1], hop[0])
-            };
+    for count in 1..=8 {
+        let topo = SubstationTopology::new(count, 3);
+        let name = format!("regional {count}");
+        configs.push((name, SpireConfig::regional(Config::plant(), topo)));
+    }
+    for (name, cfg) in &configs {
+        let internal = cfg.internal_spines();
+        let replicas: Vec<u32> = (0..cfg.n()).collect();
+        let daemons: Vec<u32> = internal.daemons.keys().copied().collect();
+        assert_eq!(
+            daemons, replicas,
+            "{name}: the internal overlay is the replicas"
+        );
+        let f = cfg.prime.f;
+        for (overlay, spines) in [("internal", internal), ("external", cfg.external_spines())] {
+            let c = resilience(&spines);
             assert!(
-                edges.contains(&e),
-                "hop {e:?} is not a link of the {overlay:?} overlay"
+                c > f,
+                "{name} {overlay}: resilience {c} < f + 1 = {}",
+                f + 1
             );
         }
-    }
-}
-
-proptest! {
-    /// k parallel node-disjoint inter-site links (daemon i of site A to
-    /// daemon i of site B) must yield at least k mutually node-disjoint
-    /// internal routes between the sites — the redundancy the topology
-    /// offers is the redundancy the selector delivers.
-    #[test]
-    fn wan_route_selection_is_node_disjoint_when_topology_offers(
-        na in 1u32..4,
-        nb in 1u32..4,
-        k_seed in any::<u32>(),
-    ) {
-        let k = 1 + k_seed % na.min(nb);
-        let internal: Vec<(u32, u32)> = (0..k).map(|i| (i, 10 + i)).collect();
-        let t = two_site_wan(na, nb, &internal, &[(20, 21)]);
-        let routes = t.select_routes(Overlay::Internal, 0, 10);
-        prop_assert!(
-            routes.len() as u32 >= k,
-            "topology offers {} disjoint links but selector found {} routes",
-            k,
-            routes.len()
-        );
-        assert_routes_well_formed(&t, Overlay::Internal, &routes, 0, 10);
-    }
-
-    /// For ANY tagging of inter-site links — including external-only
-    /// links whose endpoints are replica daemons — internal routes use
-    /// only internal-overlay links, and vice versa. The overlays are
-    /// separate networks, not traffic classes on one network.
-    #[test]
-    fn overlay_routes_never_cross_overlays(
-        na in 1u32..4,
-        nb in 1u32..4,
-        internal_mask in any::<u16>(),
-        external_mask in any::<u16>(),
-    ) {
-        // Candidate inter-site pairs (i, 10+j); each mask bit tags one
-        // pair into an overlay. Both masks may select the same pair —
-        // a link provisioned on both networks is legal.
-        let pairs: Vec<(u32, u32)> = (0..na)
-            .flat_map(|i| (0..nb).map(move |j| (i, 10 + j)))
-            .collect();
-        let pick = |mask: u16| -> Vec<(u32, u32)> {
-            pairs
-                .iter()
-                .enumerate()
-                .filter(|(idx, _)| mask & (1 << (idx % 16)) != 0)
-                .map(|(_, &p)| p)
-                .collect()
-        };
-        let mut internal = pick(internal_mask);
-        if internal.is_empty() {
-            internal.push((0, 10)); // keep the sites internally connected
-        }
-        let mut external = pick(external_mask);
-        external.push((20, 21));
-        let t = two_site_wan(na, nb, &internal, &external);
-
-        let routes = t.select_routes(Overlay::Internal, 0, 10);
-        prop_assert!(!routes.is_empty(), "sites are internally connected");
-        assert_routes_well_formed(&t, Overlay::Internal, &routes, 0, 10);
-
-        let ext_routes = t.select_routes(Overlay::External, 20, 21);
-        prop_assert!(!ext_routes.is_empty());
-        assert_routes_well_formed(&t, Overlay::External, &ext_routes, 20, 21);
     }
 }
 
