@@ -423,8 +423,10 @@ impl Response {
         }
     }
 
-    /// Parses a response PDU, given the function code of the request that
-    /// elicited it (needed to size bit vectors correctly).
+    /// Parses a response PDU, given the request that elicited it: a read
+    /// reply must hold exactly the `count` values asked for (⌈count/8⌉
+    /// bytes with zero padding bits, or two bytes per register), and a
+    /// coil echo must carry `0xFF00` or `0x0000`, as the spec requires.
     pub fn decode(data: &[u8], request: &Request) -> Option<Response> {
         let (&fc, rest) = data.split_first()?;
         if fc & 0x80 != 0 {
@@ -439,25 +441,31 @@ impl Response {
         Some(match (fc, request) {
             (0x01 | 0x02, Request::ReadCoils { count, .. })
             | (0x01 | 0x02, Request::ReadDiscreteInputs { count, .. }) => {
-                let byte_count = *rest.first()? as usize;
-                let body = rest.get(1..1 + byte_count)?;
-                if rest.len() != 1 + byte_count {
+                // ⌈count/8⌉ bytes, the bits past `count` zero.
+                let count = *count as usize;
+                let (&byte_count, body) = rest.split_first()?;
+                if byte_count as usize != count.div_ceil(8) || body.len() != byte_count as usize {
                     return None;
                 }
-                let values = (0..*count as usize)
-                    .map(|i| body.get(i / 8).is_some_and(|b| b & (1 << (i % 8)) != 0))
+                if !count.is_multiple_of(8) && body[body.len() - 1] >> (count % 8) != 0 {
+                    return None;
+                }
+                let values = (0..count)
+                    .map(|i| body[i / 8] & (1 << (i % 8)) != 0)
                     .collect();
                 Response::Bits {
                     function: fc,
                     values,
                 }
             }
-            (0x03 | 0x04, _) => {
-                let byte_count = *rest.first()? as usize;
-                if !byte_count.is_multiple_of(2) || rest.len() != 1 + byte_count {
+            (0x03 | 0x04, Request::ReadHoldingRegisters { count, .. })
+            | (0x03 | 0x04, Request::ReadInputRegisters { count, .. }) => {
+                // Two bytes per register asked for.
+                let (&byte_count, body) = rest.split_first()?;
+                if byte_count as usize != 2 * *count as usize || body.len() != byte_count as usize {
                     return None;
                 }
-                let values = rest[1..]
+                let values = body
                     .chunks(2)
                     .map(|c| u16::from_be_bytes([c[0], c[1]]))
                     .collect();
@@ -470,9 +478,14 @@ impl Response {
                 if rest.len() != 4 {
                     return None;
                 }
+                let value = match u16::from_be_bytes([rest[2], rest[3]]) {
+                    0xFF00 => true,
+                    0x0000 => false,
+                    _ => return None,
+                };
                 Response::WriteSingleCoil {
                     address: u16::from_be_bytes([rest[0], rest[1]]),
-                    value: u16::from_be_bytes([rest[2], rest[3]]) == 0xFF00,
+                    value,
                 }
             }
             (0x06, _) => {
@@ -682,6 +695,66 @@ mod tests {
         assert_eq!(Request::decode(&[0x05, 0, 1, 0x12, 0x34]), None);
         // 0x0F with inconsistent byte count.
         assert_eq!(Request::decode(&[0x0F, 0, 0, 0, 8, 2, 0xFF, 0xFF]), None);
+    }
+
+    #[test]
+    fn bit_reply_byte_count_must_cover_exactly_the_request() {
+        let coils = |count| Request::ReadCoils { address: 0, count };
+        // Sixteen coils asked for, eight answered.
+        assert_eq!(Response::decode(&[0x01, 0x01, 0xFF], &coils(16)), None);
+        // Three asked for, two bytes answered.
+        assert_eq!(Response::decode(&[0x01, 0x02, 0x05, 0x00], &coils(3)), None);
+        // Padding bits past the third coil set.
+        assert_eq!(Response::decode(&[0x01, 0x01, 0x85], &coils(3)), None);
+        assert_eq!(
+            Response::decode(&[0x01, 0x01, 0x05], &coils(3)),
+            Some(Response::Bits {
+                function: 0x01,
+                values: vec![true, false, true],
+            })
+        );
+    }
+
+    #[test]
+    fn register_reply_byte_count_must_be_two_per_register() {
+        let req = Request::ReadInputRegisters {
+            address: 0,
+            count: 4,
+        };
+        assert_eq!(Response::decode(&[0x04, 0x02, 0x00, 0x07], &req), None);
+        let five = Response::Registers {
+            function: 0x04,
+            values: vec![1, 2, 3, 4, 5],
+        };
+        assert_eq!(Response::decode(&five.encode(), &req), None);
+        let four = Response::Registers {
+            function: 0x04,
+            values: vec![1, 2, 3, 4],
+        };
+        assert_eq!(Response::decode(&four.encode(), &req), Some(four));
+    }
+
+    #[test]
+    fn coil_echo_value_must_be_on_or_off() {
+        let req = Request::WriteSingleCoil {
+            address: 4,
+            value: false,
+        };
+        assert_eq!(
+            Response::decode(&[0x05, 0x00, 0x04, 0x12, 0x34], &req),
+            None
+        );
+        assert_eq!(
+            Response::decode(&[0x05, 0x00, 0x04, 0x00, 0xFF], &req),
+            None
+        );
+        assert_eq!(
+            Response::decode(&[0x05, 0x00, 0x04, 0x00, 0x00], &req),
+            Some(Response::WriteSingleCoil {
+                address: 4,
+                value: false,
+            })
+        );
     }
 
     #[test]

@@ -635,6 +635,96 @@ proptest! {
     }
 }
 
+// ---- Modbus replies: exactly what was asked for ----
+
+/// The read request of function `fc` (0x01..=0x04) for `count` values.
+fn read_request(fc: u8, address: u16, count: u16) -> Request {
+    match fc {
+        0x01 => Request::ReadCoils { address, count },
+        0x02 => Request::ReadDiscreteInputs { address, count },
+        0x03 => Request::ReadHoldingRegisters { address, count },
+        _ => Request::ReadInputRegisters { address, count },
+    }
+}
+
+proptest! {
+    /// Read replies near the right shape (the byte count and the body each
+    /// off by at most one, the padding bits random or clear) are accepted
+    /// only holding exactly `count` values, and re-encode to their own
+    /// bytes; the exact shape with clear padding is accepted.
+    #[test]
+    fn modbus_read_replies_hold_exactly_count_values(
+        fc in 1u8..5,
+        count in 0u16..40,
+        skew in (-1i32..2, -1i32..2),
+        body in proptest::collection::vec(any::<u8>(), 0..96),
+        clear_padding in any::<bool>(),
+    ) {
+        let req = read_request(fc, 0, count);
+        let exact = i32::from(if fc <= 2 { count.div_ceil(8) } else { 2 * count });
+        let byte_count = (exact + skew.0).max(0);
+        let mut body = body;
+        body.resize((byte_count + skew.1).max(0) as usize, 0);
+        let bits = fc <= 2 && count % 8 != 0;
+        if bits && clear_padding {
+            if let Some(last) = body.get_mut(exact as usize - 1) {
+                *last &= (1u8 << (count % 8)) - 1;
+            }
+        }
+        let reply = [&[fc, byte_count as u8][..], &body].concat();
+        let decoded = Response::decode(&reply, &req);
+        if let Some(resp) = &decoded {
+            let held = match resp {
+                Response::Bits { values, .. } => values.len(),
+                Response::Registers { values, .. } => values.len(),
+                other => panic!("a read reply decoded as {other:?}"),
+            };
+            prop_assert_eq!(held, count as usize);
+            prop_assert_eq!(resp.encode(), reply.clone());
+        }
+        if skew == (0, 0) && (!bits || clear_padding) {
+            prop_assert!(decoded.is_some(), "exact reply {:?} refused", reply);
+        }
+    }
+
+    /// What a server answers decodes to itself: every request kind, in
+    /// range or out of it (an exception), against a store of random
+    /// contents.
+    #[test]
+    fn modbus_server_replies_decode_to_themselves(
+        kind in 0u8..11,
+        address in 0u16..80,
+        count in 0u16..80,
+        contents in proptest::collection::vec(any::<u16>(), 64),
+        image in proptest::collection::vec(any::<u8>(), 0..32),
+    ) {
+        let mut store = modbus::DataStore::new(64, 64);
+        for (i, &v) in (0u16..).zip(&contents) {
+            store.set_coil(i, v & 1 != 0);
+            store.set_discrete_input(i, v & 2 != 0);
+            store.set_holding(i, v);
+            store.set_input(i, v.rotate_left(8));
+        }
+        store.config_image = image.clone();
+        let n = count as usize % 20;
+        let req = match kind {
+            0..=3 => read_request(kind + 1, address, count),
+            4 => Request::WriteSingleCoil { address, value: count % 2 == 1 },
+            5 => Request::WriteSingleRegister { address, value: count },
+            6 => Request::WriteMultipleCoils {
+                address,
+                values: contents[..n].iter().map(|v| v % 2 == 1).collect(),
+            },
+            7 => Request::WriteMultipleRegisters { address, values: contents[..n].to_vec() },
+            8 => Request::ReadDeviceId,
+            9 => Request::ConfigDownload,
+            _ => Request::ConfigUpload { image },
+        };
+        let resp = modbus::execute(&req, &mut store);
+        prop_assert_eq!(Response::decode(&resp.encode(), &req), Some(resp));
+    }
+}
+
 // ---- simnet event queue ----
 
 proptest! {
