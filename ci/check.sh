@@ -135,6 +135,20 @@ if grep -nF '(lo, hi)' crates/spines/src/config.rs; then
     exit 1
 fi
 
+echo "==> an overlay is its edge set (SpireConfig derives both; no WAN model or route selection beside it)"
+# spire::config derives the internal and external edges in one place;
+# spines::routing keeps only the disjoint-path count the tests hold every
+# deployed overlay to.
+if [ -e crates/spines/src/wan.rs ]; then
+    echo "    crates/spines/src/wan.rs is back"
+    exit 1
+fi
+if grep -rnwE --include='*.rs' \
+    'WanTopology|WanSite|WanLink|select_routes|disjoint_routes|hop_counts|wan_topology' \
+    crates src tests; then
+    exit 1
+fi
+
 echo "==> the chaos checker reads fault state from the deployment (no notification methods)"
 if grep -rnwE --include='*.rs' \
     'note_ground_truth|replica_down|replica_rejoined|byz_started|byz_healed|partition_started|partition_healed|membership_changed|membership_restored' \
