@@ -508,7 +508,7 @@ proptest! {
 // regional sparse mesh.
 
 use plc::topology::Scenario;
-use spines::routing::resilience;
+use spines::routing::{disjoint_paths, resilience};
 use spire::site::SubstationTopology;
 use spire::{SiteTopology, SpireConfig};
 
@@ -556,6 +556,104 @@ fn every_deployed_overlay_survives_f_compromised_daemons() {
                 "{name} {overlay}: resilience {c} < f + 1 = {}",
                 f + 1
             );
+        }
+    }
+}
+
+/// The 3-proxy plant placed over up to four sites: replica `r` lives in
+/// site `assign[r]` (empty sites dropped), and site `i > 0` is a data
+/// center when bit `i` of `dc_mask` is set (the first stays a control
+/// center, so every client has a home).
+fn placed_plant(assign: &[usize], dc_mask: u8) -> SpireConfig {
+    let mut cfg = SpireConfig::plant();
+    cfg.proxies.truncate(3);
+    let mut groups = vec![Vec::new(); 4];
+    for (r, &s) in assign.iter().enumerate() {
+        groups[s].push(r as u32);
+    }
+    groups.retain(|g| !g.is_empty());
+    let sites = groups
+        .into_iter()
+        .enumerate()
+        .map(|(i, replicas)| spire::Site {
+            name: format!("site-{i}"),
+            kind: if i > 0 && dc_mask & (1 << i) != 0 {
+                spire::SiteKind::DataCenter
+            } else {
+                spire::SiteKind::ControlCenter
+            },
+            replicas,
+            wan_latency: simnet::time::SimDuration::from_micros(1_000),
+            wan_loss: 0.0,
+        })
+        .collect();
+    cfg.with_sites(SiteTopology { sites })
+}
+
+proptest! {
+    /// Between two sites the overlays offer `min(2, |A|, |B|)` aligned
+    /// gateway pairs; for any placement, every replica of one site
+    /// reaches every replica of another over at least that many
+    /// node-disjoint paths, on both overlays — the redundancy the
+    /// placement offers is the redundancy the deployed overlay delivers.
+    #[test]
+    fn wan_route_selection_is_node_disjoint_when_topology_offers(
+        assign in proptest::collection::vec(0usize..4, 6),
+        dc_mask in any::<u8>(),
+    ) {
+        let cfg = placed_plant(&assign, dc_mask);
+        let sites = &cfg.sites.as_ref().expect("placed").sites;
+        let (internal, external) = (cfg.internal_spines(), cfg.external_spines());
+        for (i, a) in sites.iter().enumerate() {
+            for b in &sites[i + 1..] {
+                let offered = 2.min(a.replicas.len()).min(b.replicas.len()) as u32;
+                for &x in &a.replicas {
+                    for &y in &b.replicas {
+                        let found = disjoint_paths(&internal, x, y);
+                        prop_assert!(
+                            found >= offered,
+                            "internal {}-{}: {} gateway pairs offered, {} disjoint paths",
+                            x, y, offered, found
+                        );
+                        let (ex, ey) = (cfg.ext_daemon_of_replica(x), cfg.ext_daemon_of_replica(y));
+                        let found = disjoint_paths(&external, ex, ey);
+                        prop_assert!(
+                            found >= offered,
+                            "external {}-{}: {} gateway pairs offered, {} disjoint paths",
+                            ex, ey, offered, found
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The two overlays are separate networks, not traffic classes on one
+    /// network: for any placement, and for the regional sparse mesh, every
+    /// edge of an overlay joins two of its own daemons, the internal
+    /// overlay's daemons are the replicas alone, and no address is a
+    /// daemon of both.
+    #[test]
+    fn overlay_routes_never_cross_overlays(
+        assign in proptest::collection::vec(0usize..4, 6),
+        dc_mask in any::<u8>(),
+        substations in 1u32..9,
+    ) {
+        let regional = SpireConfig::regional(Config::plant(), SubstationTopology::new(substations, 3));
+        for cfg in [placed_plant(&assign, dc_mask), regional] {
+            let (internal, external) = (cfg.internal_spines(), cfg.external_spines());
+            for spines in [&internal, &external] {
+                for &(a, b) in &spines.edges {
+                    prop_assert!(
+                        spines.daemons.contains_key(&a) && spines.daemons.contains_key(&b),
+                        "edge ({}, {}) leaves its overlay", a, b
+                    );
+                }
+            }
+            prop_assert!(internal.daemons.keys().copied().eq(0..cfg.n()));
+            for (id, addr) in &internal.daemons {
+                prop_assert_eq!(external.id_of(*addr), None, "daemon {} is on both overlays", id);
+            }
         }
     }
 }
