@@ -611,8 +611,8 @@ fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutc
         Policy::Feedback => RecoveryScheduler::new(n, prime_cfg.k, horizon + WARMUP, DOWNTIME),
     };
     scheduler.align(t0);
-    let mut controller = Controller::new(ResponseConfig::for_budget(n, prime_cfg.f, prime_cfg.k));
-    controller.attach_obs(d.obs.clone());
+    let budget = ResponseConfig::for_budget(n, prime_cfg.f, prime_cfg.k);
+    let controller = Controller::new(budget, &d.obs);
     let mut responder = Responder::new(policy, scheduler, controller);
 
     let mut log = CompromiseLog::new();
@@ -726,7 +726,8 @@ pub fn e16_beyond_budget(seed: u64, policy: Policy) -> Vec<InvariantReport> {
 
     let mut scheduler = RecoveryScheduler::new(n, prime_cfg.k, PERIODIC_INTERVAL, DOWNTIME);
     scheduler.align(d.now());
-    let controller = Controller::new(ResponseConfig::for_budget(n, prime_cfg.f, prime_cfg.k));
+    let budget = ResponseConfig::for_budget(n, prime_cfg.f, prime_cfg.k);
+    let controller = Controller::new(budget, &d.obs);
     let mut responder = Responder::new(policy, scheduler, controller);
     let mut log = CompromiseLog::new();
 

@@ -13,11 +13,13 @@
 //!   digest ([`ObsHub::journal_digest`]);
 //! * a renderable per-run snapshot ([`ObsReport`]).
 //!
-//! Components hold a private hub by default, so unit tests need no
-//! wiring; a deployment replaces it with one shared hub via each
-//! component's `attach_obs`, making every counter and journal record
-//! land in the same registry. Hot paths (per-frame drop accounting)
-//! cache a `Counter` rather than re-resolving the name.
+//! A component is given its hub when it is built and keeps it for life.
+//! A deployment builds every component on its simulation's hub
+//! (`simnet::Simulation::obs`), so engine and hosts count and journal
+//! into one registry; a standalone component (a unit test, a bare Prime
+//! cluster) is handed a fresh one. Each component registers its counters
+//! once, in its constructor, and hot paths (per-frame drop accounting)
+//! keep the `Counter` handle rather than re-resolving the name.
 
 pub mod event;
 pub mod hist;

@@ -54,10 +54,9 @@ pub struct PlcEmulator {
     pub configs_adopted: u64,
     /// Breaker position changes, as `(time, breaker, closed)`.
     pub position_log: Vec<(SimTime, u16, bool)>,
-    /// Observability hub (private by default; deployments share theirs
-    /// via [`PlcEmulator::attach_obs`]).
+    /// Observability hub, given at construction.
     obs: ObsHub,
-    /// Component id used on journaled spans (the proxy/PLC index).
+    /// This PLC's node, labelling its spans; learnt in `on_start`.
     trace_node: u32,
     /// Detect span opened by a physical flip, not yet published.
     armed_trace: Option<TraceCtx>,
@@ -70,12 +69,13 @@ pub struct PlcEmulator {
 
 impl PlcEmulator {
     /// Creates an emulator for a scenario with typical timings (10 ms scan,
-    /// 40 ms breaker operate delay).
-    pub fn new(scenario: Scenario) -> Self {
+    /// 40 ms breaker operate delay), journaling its spans on `hub`.
+    pub fn new(scenario: Scenario, hub: &ObsHub) -> Self {
         Self::with_timing(
             scenario,
             SimDuration::from_millis(10),
             SimDuration::from_millis(40),
+            hub,
         )
     }
 
@@ -84,6 +84,7 @@ impl PlcEmulator {
         scenario: Scenario,
         scan_interval: SimDuration,
         operate_delay: SimDuration,
+        hub: &ObsHub,
     ) -> Self {
         let topology = scenario.topology();
         let n = topology.breaker_count();
@@ -112,19 +113,12 @@ impl PlcEmulator {
             invalid_frames: 0,
             configs_adopted: 0,
             position_log: Vec::new(),
-            obs: ObsHub::new(),
+            obs: hub.clone(),
             trace_node: 0,
             armed_trace: None,
             visible_trace: None,
             pending_cmd_trace: None,
         }
-    }
-
-    /// Replaces the private hub with the deployment's shared one and
-    /// records the PLC's index for span attribution.
-    pub fn attach_obs(&mut self, hub: &ObsHub, node: u32) {
-        self.obs = hub.clone();
-        self.trace_node = node;
     }
 
     /// The electrical topology under control.
@@ -248,6 +242,7 @@ impl PlcEmulator {
 
 impl Process for PlcEmulator {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.trace_node = ctx.node().0;
         ctx.listen(PLC_MODBUS_PORT);
         ctx.set_timer(self.scan_interval, SCAN_TIMER);
         ctx.log("plc: online");
@@ -301,7 +296,7 @@ mod tests {
 
     #[test]
     fn unchanged_positions_are_solved_once_and_a_flip_once_more() {
-        let mut plc = PlcEmulator::new(Scenario::RedTeamDistribution);
+        let mut plc = PlcEmulator::new(Scenario::RedTeamDistribution, &ObsHub::new());
         for scan in 0..1_000u64 {
             plc.scan(SimTime(scan * 10_000));
         }
@@ -325,8 +320,8 @@ mod tests {
         fn remembering_currents_changes_nothing_observable(
             ops in proptest::collection::vec((0u8..8, any::<u16>(), any::<u32>()), 1..80),
         ) {
-            let mut plc = PlcEmulator::new(Scenario::RedTeamDistribution);
-            let mut twin = PlcEmulator::new(Scenario::RedTeamDistribution);
+            let mut plc = PlcEmulator::new(Scenario::RedTeamDistribution, &ObsHub::new());
+            let mut twin = PlcEmulator::new(Scenario::RedTeamDistribution, &ObsHub::new());
             let mut now = SimTime(0);
             for (op, a, b) in ops {
                 let breaker = a % 8; // one past the bank: rejected by both
@@ -365,7 +360,7 @@ mod tests {
 
     #[test]
     fn scan_applies_coil_to_breaker_after_delay() {
-        let mut plc = PlcEmulator::new(Scenario::RedTeamDistribution);
+        let mut plc = PlcEmulator::new(Scenario::RedTeamDistribution, &ObsHub::new());
         assert_eq!(plc.energized_loads(), 4);
         // Open the main breaker via a Modbus write.
         let resp = plc.handle_request(&Request::WriteSingleCoil {
@@ -392,7 +387,7 @@ mod tests {
 
     #[test]
     fn currents_published_for_closed_breakers() {
-        let mut plc = PlcEmulator::new(Scenario::RedTeamDistribution);
+        let mut plc = PlcEmulator::new(Scenario::RedTeamDistribution, &ObsHub::new());
         plc.scan(SimTime(0));
         assert_eq!(plc.store().input(0), Some(400));
         assert_eq!(plc.store().input(1), Some(200));
@@ -401,7 +396,7 @@ mod tests {
 
     #[test]
     fn tampered_config_upload_takes_control() {
-        let mut plc = PlcEmulator::new(Scenario::RedTeamDistribution);
+        let mut plc = PlcEmulator::new(Scenario::RedTeamDistribution, &ObsHub::new());
         // Attacker dumps config...
         let dump = plc.handle_request(&Request::ConfigDownload);
         let Response::ConfigImage { image } = dump else {
@@ -426,7 +421,7 @@ mod tests {
 
     #[test]
     fn invalid_config_upload_is_ignored() {
-        let mut plc = PlcEmulator::new(Scenario::PlantSubset);
+        let mut plc = PlcEmulator::new(Scenario::PlantSubset, &ObsHub::new());
         plc.handle_request(&Request::ConfigUpload {
             image: vec![0xde, 0xad],
         });
@@ -437,7 +432,7 @@ mod tests {
 
     #[test]
     fn device_id_names_scenario() {
-        let mut plc = PlcEmulator::new(Scenario::EmulatedGeneration(2));
+        let mut plc = PlcEmulator::new(Scenario::EmulatedGeneration(2), &ObsHub::new());
         let resp = plc.handle_request(&Request::ReadDeviceId);
         let Response::DeviceId { text } = resp else {
             panic!("expected id")
@@ -447,7 +442,7 @@ mod tests {
 
     #[test]
     fn positions_via_modbus_poll() {
-        let mut plc = PlcEmulator::new(Scenario::PlantSubset);
+        let mut plc = PlcEmulator::new(Scenario::PlantSubset, &ObsHub::new());
         plc.scan(SimTime(0));
         let resp = plc.handle_request(&Request::ReadDiscreteInputs {
             address: 0,

@@ -133,7 +133,7 @@ mod tests {
         let plc = sim.add_node(NodeSpec::new(
             "plc",
             vec![InterfaceSpec::dynamic(plc_ip)],
-            Box::new(PlcEmulator::new(Scenario::PlantSubset)),
+            Box::new(PlcEmulator::new(Scenario::PlantSubset, &obs::ObsHub::new())),
         ));
         let dev = sim.add_node(NodeSpec::new(
             "meter",

@@ -100,6 +100,7 @@ impl Cluster {
                     key,
                     registry.clone(),
                     KvApp::new(),
+                    &obs::ObsHub::new(),
                 )
             })
             .collect();

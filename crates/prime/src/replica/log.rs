@@ -784,7 +784,14 @@ mod tests {
     fn replica<A: Application>(app: A) -> (Replica<A>, Vec<KeyPair>, KeyPair) {
         let config = Config::red_team();
         let (registry, keys, mut clients) = registry_and_keys(config.n(), 1);
-        let r = Replica::new(ReplicaId(0), config, keys[0].clone(), registry, app);
+        let r = Replica::new(
+            ReplicaId(0),
+            config,
+            keys[0].clone(),
+            registry,
+            app,
+            &obs::ObsHub::new(),
+        );
         (r, keys, clients.remove(0))
     }
 

@@ -387,8 +387,8 @@ pub struct Replica<A: Application> {
     /// Counters.
     pub stats: ReplicaStats,
 
-    // Observability: hub for journal records (detached until
-    // `attach_obs`) plus cached registry counter handles. `health_ticks`
+    // Observability: the hub given at construction, for journal records,
+    // plus cached registry counter handles. `health_ticks`
     // counts protocol ticks for the flight recorder's snapshot cadence.
     obs: obs::ObsHub,
     health_ticks: u64,
@@ -405,21 +405,20 @@ pub struct Replica<A: Application> {
     trace_phase: BTreeMap<u64, obs::TraceCtx>,
 }
 
-fn prime_counters(hub: &obs::ObsHub, id: ReplicaId) -> [obs::Counter; 3] {
-    [
-        hub.counter(&format!("prime.r{}.view_changes", id.0)),
-        hub.counter(&format!("prime.r{}.executed", id.0)),
-        hub.counter(&format!("prime.r{}.suspects_sent", id.0)),
-    ]
-}
-
 impl<A: Application> Replica<A> {
     /// Creates replica `id` with its signing key, the shared registry, and
-    /// the hosted application.
-    pub fn new(id: ReplicaId, config: Config, key: KeyPair, registry: KeyRegistry, app: A) -> Self {
+    /// the hosted application. It journals on `hub` and registers its
+    /// counters there as `prime.r{id}.*`.
+    pub fn new(
+        id: ReplicaId,
+        config: Config,
+        key: KeyPair,
+        registry: KeyRegistry,
+        app: A,
+        hub: &obs::ObsHub,
+    ) -> Self {
         let n = config.n() as usize;
-        let hub = obs::ObsHub::new();
-        let [view_changes, executed, suspects_sent] = prime_counters(&hub, id);
+        let counter = |metric: &str| hub.counter(&format!("prime.r{}.{metric}", id.0));
         Replica {
             id,
             config,
@@ -486,9 +485,9 @@ impl<A: Application> Replica<A> {
             stats: ReplicaStats::default(),
             obs: hub.clone(),
             health_ticks: 0,
-            c_view_changes: view_changes,
-            c_executed: executed,
-            c_suspects_sent: suspects_sent,
+            c_view_changes: counter("view_changes"),
+            c_executed: counter("executed"),
+            c_suspects_sent: counter("suspects_sent"),
             incoming_trace: None,
             trace_queue: BTreeMap::new(),
             trace_phase: BTreeMap::new(),
@@ -500,19 +499,6 @@ impl<A: Application> Replica<A> {
     /// that carried the update. Consumed by `submit`.
     pub fn set_incoming_trace(&mut self, trace: Option<obs::TraceCtx>) {
         self.incoming_trace = trace;
-    }
-
-    /// Redirects this replica's metrics and journal records to a shared
-    /// deployment hub. Accumulated counts carry over.
-    pub fn attach_obs(&mut self, hub: &obs::ObsHub) {
-        let [view_changes, executed, suspects_sent] = prime_counters(hub, self.id);
-        view_changes.add(self.c_view_changes.get());
-        executed.add(self.c_executed.get());
-        suspects_sent.add(self.c_suspects_sent.get());
-        self.obs = hub.clone();
-        self.c_view_changes = view_changes;
-        self.c_executed = executed;
-        self.c_suspects_sent = suspects_sent;
     }
 
     /// Overrides protocol timing (tests tighten timeouts).

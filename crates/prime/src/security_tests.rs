@@ -40,6 +40,7 @@ fn replica(id: u32) -> (Replica<KvApp>, Vec<KeyPair>, Vec<KeyPair>) {
         rkeys[id as usize].clone(),
         reg,
         KvApp::new(),
+        &obs::ObsHub::new(),
     );
     (r, rkeys, ckeys)
 }

@@ -206,8 +206,7 @@ mod tests {
             max_flips: 0,
         });
         let cfg2 = d.cfg.clone();
-        let mut host = spire::hmi_host::HmiHost::new(cfg2, 0);
-        host.attach_obs(&d.obs);
+        let mut host = spire::hmi_host::HmiHost::new(cfg2, 0, &d.obs);
         host.set_cycle(CycleConfig {
             scenario: Scenario::RedTeamDistribution,
             period: SimDuration::from_millis(500),

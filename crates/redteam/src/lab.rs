@@ -69,14 +69,13 @@ impl CommercialLab {
     /// false severs the networks).
     pub fn build(seed: u64, boundary_open: bool) -> Self {
         let mut sim = Simulation::new(seed);
-        let obs = obs::ObsHub::new();
-        sim.attach_obs(&obs);
+        let obs = sim.obs().clone();
         // All commercial/enterprise hosts: dynamic ARP, open firewalls —
         // "NIST-recommended best practices" did not include any of §III-B.
         let plc = sim.add_node(NodeSpec::new(
             "commercial-plc",
             vec![InterfaceSpec::dynamic(addr::PLC)],
-            Box::new(PlcEmulator::new(Scenario::RedTeamDistribution)),
+            Box::new(PlcEmulator::new(Scenario::RedTeamDistribution, &obs)),
         ));
         let primary = sim.add_node(NodeSpec::new(
             "commercial-primary",
@@ -87,6 +86,7 @@ impl CommercialLab {
                 addr::HMI,
                 addr::BACKUP,
                 7,
+                &obs,
             )),
         ));
         let backup = sim.add_node(NodeSpec::new(
@@ -98,12 +98,13 @@ impl CommercialLab {
                 addr::HMI,
                 addr::PRIMARY,
                 7,
+                &obs,
             )),
         ));
         let hmi = sim.add_node(NodeSpec::new(
             "commercial-hmi",
             vec![InterfaceSpec::dynamic(addr::HMI)],
-            Box::new(CommercialHmi::new(addr::PRIMARY)),
+            Box::new(CommercialHmi::new(addr::PRIMARY, &obs)),
         ));
         let historian = sim.add_node(NodeSpec::new(
             "historian",
@@ -124,20 +125,6 @@ impl CommercialLab {
             // The "firewall" between the networks: a router that, per the
             // exercise's outcome, passes the traffic that matters.
             sim.connect_switches((enterprise_switch, 1), (ops_switch, 4), LinkSpec::wan());
-        }
-
-        // Join every traced component to the lab hub, labelled by node.
-        if let Some(p) = sim.process_mut::<PlcEmulator>(plc) {
-            p.attach_obs(&obs, plc.0);
-        }
-        if let Some(m) = sim.process_mut::<CommercialMaster>(primary) {
-            m.attach_obs(&obs, primary.0);
-        }
-        if let Some(m) = sim.process_mut::<CommercialMaster>(backup) {
-            m.attach_obs(&obs, backup.0);
-        }
-        if let Some(h) = sim.process_mut::<CommercialHmi>(hmi) {
-            h.attach_obs(&obs, hmi.0);
         }
 
         CommercialLab {

@@ -247,7 +247,7 @@ pub struct ResponseStats {
 pub struct Controller {
     cfg: ResponseConfig,
     state: ResponseState,
-    obs: Option<obs::ObsHub>,
+    obs: obs::ObsHub,
     /// Per-replica consecutive-anomalous-tick counters.
     suspicion: Vec<u32>,
     /// Cause tag of each replica's latest suspicion increment.
@@ -277,13 +277,18 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// A controller in `Normal` state.
-    pub fn new(cfg: ResponseConfig) -> Self {
+    /// A controller in `Normal` state. Every actuation and state
+    /// transition is journaled on `hub` as [`obs::Event::ResponseActuation`]
+    /// / [`ResponseTransition`], folding the controller's behavior into
+    /// the run digest.
+    ///
+    /// [`ResponseTransition`]: obs::Event::ResponseTransition
+    pub fn new(cfg: ResponseConfig, hub: &obs::ObsHub) -> Self {
         let n = cfg.n as usize;
         Controller {
             cfg,
             state: ResponseState::Normal,
-            obs: None,
+            obs: hub.clone(),
             suspicion: vec![0; n],
             suspect_reason: vec![REASON_ANOMALY; n],
             last_view: 0,
@@ -298,15 +303,6 @@ impl Controller {
             transitions: Vec::new(),
             stats: ResponseStats::default(),
         }
-    }
-
-    /// Attaches a hub: every actuation and state transition is journaled
-    /// as [`obs::Event::ResponseActuation`] / [`ResponseTransition`],
-    /// folding the controller's behavior into the run digest.
-    ///
-    /// [`ResponseTransition`]: obs::Event::ResponseTransition
-    pub fn attach_obs(&mut self, hub: obs::ObsHub) {
-        self.obs = Some(hub);
     }
 
     /// Current degraded-mode state.
@@ -330,13 +326,11 @@ impl Controller {
     }
 
     fn emit(&mut self, now: SimTime, act: Actuation) {
-        if let Some(hub) = &self.obs {
-            hub.journal(obs::Event::ResponseActuation {
-                actuator: act.tag(),
-                target: act.target(),
-                param: act.param(),
-            });
-        }
+        self.obs.journal(obs::Event::ResponseActuation {
+            actuator: act.tag(),
+            target: act.target(),
+            param: act.param(),
+        });
         self.actions.push((now, act));
     }
 
@@ -347,13 +341,11 @@ impl Controller {
         let from = self.state;
         self.state = to;
         self.stats.transitions += 1;
-        if let Some(hub) = &self.obs {
-            hub.journal(obs::Event::ResponseTransition {
-                from: from.tag(),
-                to: to.tag(),
-                reason,
-            });
-        }
+        self.obs.journal(obs::Event::ResponseTransition {
+            from: from.tag(),
+            to: to.tag(),
+            reason,
+        });
         self.transitions.push((now, from.tag(), to.tag(), reason));
     }
 
@@ -629,7 +621,7 @@ mod tests {
 
     #[test]
     fn quiet_stream_stays_normal_and_silent() {
-        let mut c = Controller::new(cfg());
+        let mut c = Controller::new(cfg(), &obs::ObsHub::new());
         for t in 0..100 {
             let acts = c.step(&quiet_input(t * 100, 6));
             assert!(acts.is_empty());
@@ -640,7 +632,7 @@ mod tests {
 
     #[test]
     fn confirmed_anomaly_triggers_one_bounded_recovery() {
-        let mut c = Controller::new(cfg());
+        let mut c = Controller::new(cfg(), &obs::ObsHub::new());
         // Past the initial cool-down, replica 4 scores hot every tick.
         let mut took_down_at = None;
         for t in 0..200u64 {
@@ -666,7 +658,7 @@ mod tests {
 
     #[test]
     fn no_takedown_while_external_replica_down() {
-        let mut c = Controller::new(cfg());
+        let mut c = Controller::new(cfg(), &obs::ObsHub::new());
         for t in 0..100u64 {
             let mut input = quiet_input(10_000 + t * 100, 6);
             input.replicas[2].up = false; // externally down, not ours
@@ -684,7 +676,7 @@ mod tests {
 
     #[test]
     fn flood_throttles_then_calm_unthrottles_with_hysteresis() {
-        let mut c = Controller::new(cfg());
+        let mut c = Controller::new(cfg(), &obs::ObsHub::new());
         let mut throttle_at = None;
         let mut unthrottle_at = None;
         for t in 0..100u64 {
@@ -740,7 +732,7 @@ mod tests {
 
     #[test]
     fn reconverged_record_confirms_the_awaited_replica_once() {
-        let mut c = Controller::new(cfg());
+        let mut c = Controller::new(cfg(), &obs::ObsHub::new());
         let restored_ms = recover_replica_4(&mut c);
         assert_eq!(c.awaiting, vec![(4, 0)]);
         let caught_up = record(Event::Reconverged {
@@ -758,7 +750,7 @@ mod tests {
 
     #[test]
     fn reconvergence_timeout_marks_the_replica_suspect() {
-        let mut c = Controller::new(cfg());
+        let mut c = Controller::new(cfg(), &obs::ObsHub::new());
         let restored_ms = recover_replica_4(&mut c);
         // Replica 4 reports catching up, so this tick's observations
         // neither raise nor decay its suspicion.
@@ -779,7 +771,7 @@ mod tests {
     /// throttle put it in a non-Normal state. Returns the tick at which it
     /// settled back to Normal, if it did within the window.
     fn ticks_to_normal(event: Option<obs::Event>) -> Option<u64> {
-        let mut c = Controller::new(cfg());
+        let mut c = Controller::new(cfg(), &obs::ObsHub::new());
         let mut input = quiet_input(0, 6);
         input.proxies[0].anomaly_z = 11.0;
         c.step(&input);
@@ -816,8 +808,7 @@ mod tests {
     #[test]
     fn transitions_are_journaled_when_attached() {
         let hub = obs::ObsHub::new();
-        let mut c = Controller::new(cfg());
-        c.attach_obs(hub.clone());
+        let mut c = Controller::new(cfg(), &hub);
         let mut input = quiet_input(0, 6);
         input.proxies[0].anomaly_z = 11.0;
         c.step(&input);

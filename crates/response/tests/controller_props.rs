@@ -110,7 +110,7 @@ fn drive(
 ) -> (Controller, Vec<(u64, bool)>) {
     let mut rng = Rng(seed ^ 0x5eed_50de);
     let mut noise_rng = Rng(seed ^ 0x0a15_e5ed);
-    let mut c = Controller::new(cfg);
+    let mut c = Controller::new(cfg, &obs::ObsHub::new());
     let mut ours_down: Vec<u32> = Vec::new();
     // Externally-crashed replicas: (replica, ticks remaining).
     let mut ext_down: Vec<(u32, u64)> = Vec::new();

@@ -128,17 +128,18 @@ pub struct CommercialMaster {
     /// Failovers performed.
     pub failovers: u64,
     obs: obs::ObsHub,
-    trace_node: u32,
 }
 
 impl CommercialMaster {
-    /// Creates a master. `peer` is the other master of the pair.
+    /// Creates a master. `peer` is the other master of the pair; spans go
+    /// to `hub`.
     pub fn new(
         role: MasterRole,
         plc: IpAddr,
         hmi: IpAddr,
         peer: IpAddr,
         breaker_count: u16,
+        hub: &obs::ObsHub,
     ) -> Self {
         CommercialMaster {
             role,
@@ -154,16 +155,8 @@ impl CommercialMaster {
             last_peer_heartbeat: SimTime::ZERO,
             commands_executed: 0,
             failovers: 0,
-            obs: obs::ObsHub::new(),
-            trace_node: 0,
+            obs: hub.clone(),
         }
-    }
-
-    /// Joins a shared observability hub; `node` labels this master's
-    /// trace spans.
-    pub fn attach_obs(&mut self, hub: &obs::ObsHub, node: u32) {
-        self.obs = hub.clone();
-        self.trace_node = node;
     }
 
     fn send_modbus(&mut self, ctx: &mut Context<'_>, req: Request) {
@@ -246,7 +239,7 @@ impl Process for CommercialMaster {
                         // push to the HMI continues its trace.
                         let poll =
                             self.obs
-                                .instant_span(ctx.trace(), obs::Stage::Poll, self.trace_node);
+                                .instant_span(ctx.trace(), obs::Stage::Poll, ctx.node().0);
                         if poll.is_some() {
                             ctx.set_trace(poll);
                         }
@@ -319,12 +312,11 @@ pub struct CommercialHmi {
     /// Breaker index driving the measurement box.
     pub sensor_breaker: u16,
     obs: obs::ObsHub,
-    trace_node: u32,
 }
 
 impl CommercialHmi {
-    /// Creates an HMI expecting status from `master`.
-    pub fn new(master: IpAddr) -> Self {
+    /// Creates an HMI expecting status from `master`; spans go to `hub`.
+    pub fn new(master: IpAddr, hub: &obs::ObsHub) -> Self {
         CommercialHmi {
             master,
             positions: Vec::new(),
@@ -333,16 +325,8 @@ impl CommercialHmi {
             spoofed_accepted: 0,
             box_transitions: Vec::new(),
             sensor_breaker: 0,
-            obs: obs::ObsHub::new(),
-            trace_node: 0,
+            obs: hub.clone(),
         }
-    }
-
-    /// Joins a shared observability hub; `node` labels this HMI's
-    /// trace spans.
-    pub fn attach_obs(&mut self, hub: &obs::ObsHub, node: u32) {
-        self.obs = hub.clone();
-        self.trace_node = node;
     }
 
     /// Sends an operator command toward the (believed) master.
@@ -378,7 +362,7 @@ impl Process for CommercialHmi {
             if o != Some(n) {
                 self.box_transitions.push((ctx.now(), n));
                 self.obs
-                    .instant_span(ctx.trace(), obs::Stage::Render, self.trace_node);
+                    .instant_span(ctx.trace(), obs::Stage::Render, ctx.node().0);
             }
         }
     }
@@ -404,10 +388,11 @@ mod tests {
         simnet::NodeId,
     ) {
         let mut sim = Simulation::new(42);
+        let hub = sim.obs().clone();
         let plc = sim.add_node(NodeSpec::new(
             "plc",
             vec![InterfaceSpec::dynamic(PLC_IP)],
-            Box::new(PlcEmulator::new(Scenario::RedTeamDistribution)),
+            Box::new(PlcEmulator::new(Scenario::RedTeamDistribution, &hub)),
         ));
         let primary = sim.add_node(NodeSpec::new(
             "primary",
@@ -418,6 +403,7 @@ mod tests {
                 HMI_IP,
                 BACKUP_IP,
                 7,
+                &hub,
             )),
         ));
         let backup = sim.add_node(NodeSpec::new(
@@ -429,12 +415,13 @@ mod tests {
                 HMI_IP,
                 PRIMARY_IP,
                 7,
+                &hub,
             )),
         ));
         let hmi = sim.add_node(NodeSpec::new(
             "hmi",
             vec![InterfaceSpec::dynamic(HMI_IP)],
-            Box::new(CommercialHmi::new(PRIMARY_IP)),
+            Box::new(CommercialHmi::new(PRIMARY_IP, &hub)),
         ));
         let sw = sim.add_switch(8, SwitchMode::Learning);
         sim.connect(plc, 0, sw, 0, LinkSpec::lan());

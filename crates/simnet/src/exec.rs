@@ -114,8 +114,8 @@ impl EventKind {
     }
 }
 
-/// Cached handles for the engine's hot-path counters, re-registered
-/// whenever the hub changes (see [`crate::sim::Simulation::attach_obs`]).
+/// Cached handles for the engine's hot-path counters, registered once on
+/// the engine's hub.
 pub(crate) struct NetCounters {
     pub(crate) frames_sent: obs::Counter,
     pub(crate) frames_delivered: obs::Counter,

@@ -158,9 +158,9 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Creates an empty simulation with a deterministic RNG seed. Metrics
-    /// land on a private [`ObsHub`] until [`Simulation::attach_obs`]
-    /// replaces it with a deployment-wide one.
+    /// Creates an empty simulation with a deterministic RNG seed, on a
+    /// fresh [`ObsHub`]: a deployment builds every component on that hub
+    /// ([`Simulation::obs`]), so engine and hosts share one registry.
     pub fn new(seed: u64) -> Self {
         let obs = ObsHub::new();
         let net = NetCounters::from_hub(&obs);
@@ -194,33 +194,10 @@ impl Simulation {
         self.events_processed
     }
 
-    /// The observability hub this engine stamps and counts into.
+    /// The observability hub this engine stamps and counts into, for the
+    /// life of the simulation.
     pub fn obs(&self) -> &ObsHub {
         &self.world.obs
-    }
-
-    /// Redirects all engine metrics and journal records to `hub` (a
-    /// deployment shares one hub across the engine and every host
-    /// process). Values already accumulated carry over.
-    pub fn attach_obs(&mut self, hub: &ObsHub) {
-        let fresh = NetCounters::from_hub(hub);
-        fresh.frames_sent.add(self.world.net.frames_sent.get());
-        fresh
-            .frames_delivered
-            .add(self.world.net.frames_delivered.get());
-        fresh
-            .frames_dropped
-            .add(self.world.net.frames_dropped.get());
-        fresh
-            .packets_to_process
-            .add(self.world.net.packets_to_process.get());
-        fresh
-            .firewall_drops
-            .add(self.world.net.firewall_drops.get());
-        fresh.arp_rejected.add(self.world.net.arp_rejected.get());
-        hub.set_now_us(self.now.as_micros());
-        self.world.obs = hub.clone();
-        self.world.net = fresh;
     }
 
     /// Aggregate counters (a registry snapshot, kept for API stability).

@@ -58,8 +58,8 @@ pub struct DaemonStats {
 }
 
 /// Cached registry counter handles mirroring [`DaemonStats`], plus the
-/// seal/open tallies that only exist in the registry. Re-registered under
-/// a deployment scope by [`SpinesDaemon::attach_obs`].
+/// seal/open tallies that only exist in the registry, registered once
+/// under the daemon's scope.
 struct DaemonObs {
     originated: obs::Counter,
     forwarded: obs::Counter,
@@ -196,21 +196,31 @@ pub struct SpinesDaemon {
     pub legacy_compromised: bool,
     /// Counters.
     pub stats: DaemonStats,
-    /// Observability hub (detached until [`SpinesDaemon::attach_obs`]).
+    /// Observability hub, fixed at construction.
     obs: obs::ObsHub,
     c: DaemonObs,
 }
 
 impl SpinesDaemon {
-    /// Creates daemon `id` of the overlay described by `cfg`.
+    /// Creates daemon `id` of the overlay described by `cfg`, standalone:
+    /// on a fresh hub, its counters scoped `spines.d{id}`.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not in the configuration.
     pub fn new(id: u32, cfg: SpinesConfig) -> Self {
+        Self::with_hub(id, cfg, &obs::ObsHub::new(), &format!("spines.d{id}"))
+    }
+
+    /// Creates daemon `id` of the overlay described by `cfg` on `hub`,
+    /// registering its counters as `{scope}.{metric}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not in the configuration.
+    pub fn with_hub(id: u32, cfg: SpinesConfig, hub: &obs::ObsHub, scope: &str) -> Self {
         assert!(cfg.daemons.contains_key(&id), "daemon id not in config");
-        let hub = obs::ObsHub::new();
-        let counters = DaemonObs::from_hub(&hub, &format!("spines.d{id}"));
+        let counters = DaemonObs::from_hub(hub, scope);
         let links: Vec<Link> = cfg
             .neighbors(id)
             .into_iter()
@@ -242,29 +252,9 @@ impl SpinesDaemon {
             has_keys: true,
             legacy_compromised: false,
             stats: DaemonStats::default(),
-            obs: hub,
+            obs: hub.clone(),
             c: counters,
         }
-    }
-
-    /// Joins the shared deployment hub, re-registering this daemon's
-    /// counters as `{scope}.{metric}` and carrying over any tallies
-    /// accumulated while detached.
-    pub fn attach_obs(&mut self, hub: &obs::ObsHub, scope: &str) {
-        let fresh = DaemonObs::from_hub(hub, scope);
-        fresh.originated.add(self.c.originated.get());
-        fresh.forwarded.add(self.c.forwarded.get());
-        fresh.delivered.add(self.c.delivered.get());
-        fresh.auth_failures.add(self.c.auth_failures.get());
-        fresh.duplicates.add(self.c.duplicates.get());
-        fresh
-            .legacy_diag_ignored
-            .add(self.c.legacy_diag_ignored.get());
-        fresh.malformed.add(self.c.malformed.get());
-        fresh.sealed.add(self.c.sealed.get());
-        fresh.opened.add(self.c.opened.get());
-        self.obs = hub.clone();
-        self.c = fresh;
     }
 
     /// This daemon's id.

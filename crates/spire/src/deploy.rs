@@ -107,8 +107,7 @@ impl Deployment {
     /// the order in which this function adds things is part of its contract.
     pub fn build(cfg: SpireConfig, hardening: HardeningProfile, seed: u64) -> Self {
         let mut sim = Simulation::new(seed);
-        let obs = obs::ObsHub::new();
-        sim.attach_obs(&obs);
+        let obs = sim.obs().clone();
         let h = &hardening;
         let lan = LinkSpec::lan();
         let n_proxies = cfg.proxies.len();
@@ -118,8 +117,7 @@ impl Deployment {
         // its PLC bank, then HMIs. ----
         let replica_nodes: Vec<NodeId> = (0..cfg.n())
             .map(|i| {
-                let mut host = ReplicaHost::new(cfg.clone(), i);
-                host.attach_obs(&obs);
+                let host = ReplicaHost::new(cfg.clone(), i, &obs);
                 let ips = [cfg.internal_ip(i), cfg.replica_external_ip(i)];
                 add_host(&mut sim, &cfg, h, Host::Replica(i), &ips, Box::new(host))
             })
@@ -128,13 +126,9 @@ impl Deployment {
         let mut plc_nodes = Vec::new();
         for p in 0..n_proxies as u32 {
             let process: Box<dyn Process> = if cfg.substations.is_some() {
-                let mut proxy = SubstationProxy::new(cfg.clone(), p);
-                proxy.attach_obs(&obs);
-                Box::new(proxy)
+                Box::new(SubstationProxy::new(cfg.clone(), p, &obs))
             } else {
-                let mut proxy = PlcProxy::new(cfg.clone(), p);
-                proxy.attach_obs(&obs);
-                Box::new(proxy)
+                Box::new(PlcProxy::new(cfg.clone(), p, &obs))
             };
             let (field_ip, bank_ips) = field_ips(&cfg, p);
             let ips = [cfg.proxy_ip(p), field_ip];
@@ -151,18 +145,14 @@ impl Deployment {
                 let node = sim.add_node(NodeSpec::new(
                     name,
                     vec![InterfaceSpec::dynamic(ip)],
-                    Box::new(PlcEmulator::new(scenario)),
+                    Box::new(PlcEmulator::new(scenario, &obs)),
                 ));
-                if let Some(plc) = sim.process_mut::<PlcEmulator>(node) {
-                    plc.attach_obs(&obs, node.0);
-                }
                 plc_nodes.push(node);
             }
         }
         let hmi_nodes: Vec<NodeId> = (0..cfg.hmis)
             .map(|i| {
-                let mut hmi = HmiHost::new(cfg.clone(), i);
-                hmi.attach_obs(&obs);
+                let hmi = HmiHost::new(cfg.clone(), i, &obs);
                 add_host(
                     &mut sim,
                     &cfg,
@@ -451,8 +441,7 @@ impl Deployment {
     fn reinstall_replica(&mut self, i: u32, pending_recovery: bool) {
         let node = self.replica_nodes[i as usize];
         self.sim.set_node_up(node, true);
-        let mut host = ReplicaHost::new(self.cfg.clone(), i);
-        host.attach_obs(&self.obs);
+        let mut host = ReplicaHost::new(self.cfg.clone(), i, &self.obs);
         host.set_timing(self.timing);
         host.pending_recovery = pending_recovery;
         self.sim.replace_process(node, Box::new(host));
@@ -903,7 +892,7 @@ mod tests {
         // Re-arm by restarting the HMI process timer: the cycle only arms
         // on start, so trigger one step manually through a fresh start.
         let cfg = d.cfg.clone();
-        let mut host = HmiHost::new(cfg, 0);
+        let mut host = HmiHost::new(cfg, 0, &d.obs);
         host.set_cycle(crate::hmi_host::CycleConfig {
             scenario: Scenario::PlantSubset,
             period: SimDuration::from_millis(200),
@@ -1090,7 +1079,7 @@ mod tests {
         // Drive a supervisory command at a *non-zero* device of station 1
         // — routing must fall back to substation ownership.
         let cfg = d.cfg.clone();
-        let mut host = HmiHost::new(cfg, 0);
+        let mut host = HmiHost::new(cfg, 0, &d.obs);
         host.set_cycle(crate::hmi_host::CycleConfig {
             scenario: Scenario::SubstationDevice {
                 station: 1,

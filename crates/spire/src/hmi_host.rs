@@ -57,27 +57,24 @@ pub struct HmiHost {
     cycle_state: Vec<bool>,
     /// Counters.
     pub stats: HmiStats,
-    /// Observability hub (detached until [`HmiHost::attach_obs`]).
+    /// The deployment's observability hub.
     obs: obs::ObsHub,
     c_frames_applied: obs::Counter,
     c_frames_pending: obs::Counter,
     c_commands_sent: obs::Counter,
 }
 
-fn hmi_counters(hub: &obs::ObsHub, index: u32) -> [obs::Counter; 3] {
-    [
-        hub.counter(&format!("hmi.{index}.frames_applied")),
-        hub.counter(&format!("hmi.{index}.frames_pending")),
-        hub.counter(&format!("hmi.{index}.commands_sent")),
-    ]
-}
-
 impl HmiHost {
-    /// Creates HMI host `index`.
-    pub fn new(cfg: SpireConfig, index: u32) -> Self {
-        let external = SpinesDaemon::new(cfg.ext_daemon_of_hmi(index), cfg.external_spines());
-        let hub = obs::ObsHub::new();
-        let [frames_applied, frames_pending, commands_sent] = hmi_counters(&hub, index);
+    /// Creates HMI host `index`, registering its counters and its Spines
+    /// daemon's on the deployment's `hub`.
+    pub fn new(cfg: SpireConfig, index: u32, hub: &obs::ObsHub) -> Self {
+        let external = SpinesDaemon::with_hub(
+            cfg.ext_daemon_of_hmi(index),
+            cfg.external_spines(),
+            hub,
+            &format!("spines.ext.hmi{index}"),
+        );
+        let counter = |metric: &str| hub.counter(&format!("hmi.{index}.{metric}"));
         let mut host = HmiHost {
             index,
             external,
@@ -88,10 +85,10 @@ impl HmiHost {
             cycle_breaker: 0,
             cycle_state: Vec::new(),
             stats: HmiStats::default(),
-            obs: hub,
-            c_frames_applied: frames_applied,
-            c_frames_pending: frames_pending,
-            c_commands_sent: commands_sent,
+            obs: hub.clone(),
+            c_frames_applied: counter("frames_applied"),
+            c_frames_pending: counter("frames_pending"),
+            c_commands_sent: counter("commands_sent"),
         };
         if index == 0 {
             if let Some((scenario, period, max_flips)) = cfg.cycle {
@@ -103,21 +100,6 @@ impl HmiHost {
             }
         }
         host
-    }
-
-    /// Joins the shared deployment hub, carrying over any counts
-    /// accumulated while detached.
-    pub fn attach_obs(&mut self, hub: &obs::ObsHub) {
-        let [frames_applied, frames_pending, commands_sent] = hmi_counters(hub, self.index);
-        frames_applied.add(self.c_frames_applied.get());
-        frames_pending.add(self.c_frames_pending.get());
-        commands_sent.add(self.c_commands_sent.get());
-        self.external
-            .attach_obs(hub, &format!("spines.ext.hmi{}", self.index));
-        self.obs = hub.clone();
-        self.c_frames_applied = frames_applied;
-        self.c_frames_pending = frames_pending;
-        self.c_commands_sent = commands_sent;
     }
 
     /// Arms the breaker-cycle generator.

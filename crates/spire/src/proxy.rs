@@ -72,16 +72,10 @@ pub struct PlcProxy {
     obs: obs::ObsHub,
 }
 
-fn proxy_counters(hub: &obs::ObsHub, index: u32) -> [obs::Counter; 2] {
-    [
-        hub.counter(&format!("proxy.{index}.updates_sent")),
-        hub.counter(&format!("proxy.{index}.commands_actuated")),
-    ]
-}
-
 impl PlcProxy {
-    /// Creates proxy `index` for its configured scenario.
-    pub fn new(cfg: SpireConfig, index: u32) -> Self {
+    /// Creates proxy `index` for its configured scenario, registering its
+    /// counters and its Spines daemon's on the deployment's `hub`.
+    pub fn new(cfg: SpireConfig, index: u32, hub: &obs::ObsHub) -> Self {
         let assignment = cfg
             .proxies
             .iter()
@@ -89,10 +83,13 @@ impl PlcProxy {
             .expect("proxy in config");
         let scenario = assignment.scenario;
         let breaker_count = scenario.topology().breaker_count() as u16;
-        let external = SpinesDaemon::new(cfg.ext_daemon_of_proxy(index), cfg.external_spines());
+        let external = SpinesDaemon::with_hub(
+            cfg.ext_daemon_of_proxy(index),
+            cfg.external_spines(),
+            hub,
+            &format!("spines.ext.proxy{index}"),
+        );
         let plc_addr = cfg.plc_cable_ip(index);
-        let hub = obs::ObsHub::new();
-        let [updates_sent, commands_actuated] = proxy_counters(&hub, index);
         PlcProxy {
             index,
             scenario,
@@ -112,23 +109,10 @@ impl PlcProxy {
             last_sent_positions: Vec::new(),
             polls_since_update: 0,
             stats: ProxyStats::default(),
-            c_updates_sent: updates_sent,
-            c_commands_actuated: commands_actuated,
-            obs: hub,
+            c_updates_sent: hub.counter(&format!("proxy.{index}.updates_sent")),
+            c_commands_actuated: hub.counter(&format!("proxy.{index}.commands_actuated")),
+            obs: hub.clone(),
         }
-    }
-
-    /// Joins the shared deployment hub, carrying over any counts
-    /// accumulated while detached.
-    pub fn attach_obs(&mut self, hub: &obs::ObsHub) {
-        let [updates_sent, commands_actuated] = proxy_counters(hub, self.index);
-        updates_sent.add(self.c_updates_sent.get());
-        commands_actuated.add(self.c_commands_actuated.get());
-        self.external
-            .attach_obs(hub, &format!("spines.ext.proxy{}", self.index));
-        self.c_updates_sent = updates_sent;
-        self.c_commands_actuated = commands_actuated;
-        self.obs = hub.clone();
     }
 
     /// The proxied scenario.

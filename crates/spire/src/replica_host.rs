@@ -55,18 +55,26 @@ pub struct ReplicaHost {
     pub pending_recovery: bool,
     /// Counters.
     pub stats: HostStats,
-    /// Observability hub (detached until [`ReplicaHost::attach_obs`]).
+    /// The deployment's observability hub.
     obs: obs::ObsHub,
     /// Ticks elapsed since start, for flight-recorder snapshot cadence.
     health_ticks: u64,
 }
 
 impl ReplicaHost {
-    /// Creates replica host `id` from the deployment configuration.
-    pub fn new(cfg: SpireConfig, id: u32) -> Self {
-        let mut internal = SpinesDaemon::new(id, cfg.internal_spines());
+    /// Creates replica host `id` from the deployment configuration, on
+    /// the deployment's hub: the Prime replica and both Spines daemons
+    /// register their metrics there under deployment-wide names.
+    pub fn new(cfg: SpireConfig, id: u32, hub: &obs::ObsHub) -> Self {
+        let mut internal =
+            SpinesDaemon::with_hub(id, cfg.internal_spines(), hub, &format!("spines.int.r{id}"));
         internal.subscribe(GROUP_PRIME);
-        let mut external = SpinesDaemon::new(cfg.ext_daemon_of_replica(id), cfg.external_spines());
+        let mut external = SpinesDaemon::with_hub(
+            cfg.ext_daemon_of_replica(id),
+            cfg.external_spines(),
+            hub,
+            &format!("spines.ext.r{id}"),
+        );
         external.subscribe(GROUP_MASTERS);
         let app = if cfg.substations.is_some() {
             ScadaApp::regional()
@@ -79,6 +87,7 @@ impl ReplicaHost {
             cfg.replica_keypair(id),
             cfg.registry(),
             app,
+            hub,
         );
         ReplicaHost {
             cfg,
@@ -88,20 +97,9 @@ impl ReplicaHost {
             replica,
             pending_recovery: false,
             stats: HostStats::default(),
-            obs: obs::ObsHub::new(),
+            obs: hub.clone(),
             health_ticks: 0,
         }
-    }
-
-    /// Joins the shared deployment hub: the Prime replica and both Spines
-    /// daemons re-register their metrics under deployment-wide names.
-    pub fn attach_obs(&mut self, hub: &obs::ObsHub) {
-        self.replica.attach_obs(hub);
-        self.internal
-            .attach_obs(hub, &format!("spines.int.r{}", self.id));
-        self.external
-            .attach_obs(hub, &format!("spines.ext.r{}", self.id));
-        self.obs = hub.clone();
     }
 
     /// Overrides Prime timing (tests tighten timeouts).

@@ -83,20 +83,14 @@ pub struct SubstationProxy {
     obs: obs::ObsHub,
 }
 
-fn substation_counters(hub: &obs::ObsHub, station: u32) -> [obs::Counter; 2] {
-    [
-        hub.counter(&format!("substation.{station}.reports_sent")),
-        hub.counter(&format!("substation.{station}.commands_actuated")),
-    ]
-}
-
 impl SubstationProxy {
-    /// Creates the proxy for substation `station`.
+    /// Creates the proxy for substation `station`, registering its
+    /// counters and its Spines daemon's on the deployment's `hub`.
     ///
     /// # Panics
     ///
     /// Panics when `cfg` carries no substation topology.
-    pub fn new(cfg: SpireConfig, station: u32) -> Self {
+    pub fn new(cfg: SpireConfig, station: u32, hub: &obs::ObsHub) -> Self {
         let topo = *cfg.substations.as_ref().expect("regional config");
         let devices: Vec<DeviceSlot> = (0..topo.devices_per)
             .map(|dev| {
@@ -112,9 +106,12 @@ impl SubstationProxy {
                 }
             })
             .collect();
-        let external = SpinesDaemon::new(cfg.ext_daemon_of_proxy(station), cfg.external_spines());
-        let hub = obs::ObsHub::new();
-        let [reports_sent, commands_actuated] = substation_counters(&hub, station);
+        let external = SpinesDaemon::with_hub(
+            cfg.ext_daemon_of_proxy(station),
+            cfg.external_spines(),
+            hub,
+            &format!("spines.ext.sub{station}"),
+        );
         let gated = devices
             .iter()
             .map(|d| (d.tag.clone(), d.breaker_count, d.plc_addr));
@@ -131,22 +128,10 @@ impl SubstationProxy {
             compromised: false,
             sweep_trace: None,
             stats: SubstationStats::default(),
-            c_reports_sent: reports_sent,
-            c_commands_actuated: commands_actuated,
-            obs: hub,
+            c_reports_sent: hub.counter(&format!("substation.{station}.reports_sent")),
+            c_commands_actuated: hub.counter(&format!("substation.{station}.commands_actuated")),
+            obs: hub.clone(),
         }
-    }
-
-    /// Joins the shared deployment hub.
-    pub fn attach_obs(&mut self, hub: &obs::ObsHub) {
-        let [reports_sent, commands_actuated] = substation_counters(hub, self.station);
-        reports_sent.add(self.c_reports_sent.get());
-        commands_actuated.add(self.c_commands_actuated.get());
-        self.external
-            .attach_obs(hub, &format!("spines.ext.sub{}", self.station));
-        self.c_reports_sent = reports_sent;
-        self.c_commands_actuated = commands_actuated;
-        self.obs = hub.clone();
     }
 
     /// Marks (or clears) this proxy as compromised via client key theft:

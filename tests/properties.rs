@@ -385,6 +385,7 @@ fn verifying_replica(registry: &itcrypto::keys::KeyRegistry) -> prime::Replica<p
         itcrypto::keys::KeyPair::generate(3),
         registry.clone(),
         prime::KvApp::new(),
+        &obs::ObsHub::new(),
     )
 }
 
