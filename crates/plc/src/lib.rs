@@ -18,8 +18,6 @@
 //!   which is how the red team controlled the commercial PLC.
 //! * [`emulator`] — the PLC as a [`simnet::Process`]: Modbus/RTU server on
 //!   a direct cable or Modbus/TCP on a network, 10 ms scan cycle.
-//! * [`measurement`] — the plant's end-to-end reaction-time device (§V):
-//!   flips a breaker periodically and timestamps each flip.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +25,6 @@
 pub mod breaker;
 pub mod emulator;
 pub mod logic;
-pub mod measurement;
 pub mod topology;
 
 pub use breaker::BreakerBank;
