@@ -33,20 +33,21 @@ impl Breaker {
     }
 }
 
-/// A bank of breakers with a common operate delay.
+/// How long a breaker's mechanism takes to operate after its coil is
+/// commanded.
+pub const OPERATE_DELAY: SimDuration = SimDuration::from_millis(40);
+
+/// A bank of breakers, each operating [`OPERATE_DELAY`] after a command.
 #[derive(Clone, Debug)]
 pub struct BreakerBank {
     breakers: Vec<Breaker>,
-    operate_delay: SimDuration,
 }
 
 impl BreakerBank {
-    /// Creates `count` breakers, all initially closed, with the given
-    /// mechanical operate delay.
-    pub fn new(count: usize, operate_delay: SimDuration) -> Self {
+    /// Creates `count` breakers, all initially closed.
+    pub fn new(count: usize) -> Self {
         BreakerBank {
             breakers: vec![Breaker::new(true); count],
-            operate_delay,
         }
     }
 
@@ -70,7 +71,7 @@ impl BreakerBank {
             return true;
         }
         b.commanded = closed;
-        b.operating_until = Some(now + self.operate_delay);
+        b.operating_until = Some(now + OPERATE_DELAY);
         true
     }
 
@@ -128,7 +129,7 @@ mod tests {
     use super::*;
 
     fn bank() -> BreakerBank {
-        BreakerBank::new(3, SimDuration::from_millis(40))
+        BreakerBank::new(3)
     }
 
     #[test]
@@ -183,6 +184,6 @@ mod tests {
     fn len_and_empty() {
         assert_eq!(bank().len(), 3);
         assert!(!bank().is_empty());
-        assert!(BreakerBank::new(0, SimDuration::ZERO).is_empty());
+        assert!(BreakerBank::new(0).is_empty());
     }
 }

@@ -5,11 +5,11 @@
 //! or to a direct cable behind a proxy (the Spire deployment) — the *same
 //! device* in both experiments; only the network placement differs.
 //!
-//! Every `scan_interval` the emulator runs one scan cycle, like OpenPLC:
+//! Every [`SCAN_INTERVAL`] the emulator runs one scan cycle, like OpenPLC:
 //!
 //! 1. adopt any newly uploaded configuration image (if it parses),
 //! 2. map coil values through the configuration to breaker commands,
-//! 3. step breaker mechanics (operate delays),
+//! 3. step breaker mechanics ([`OPERATE_DELAY`](crate::breaker::OPERATE_DELAY)),
 //! 4. publish positions to discrete inputs and currents to input
 //!    registers.
 
@@ -28,6 +28,9 @@ use crate::topology::{PowerTopology, Scenario};
 /// The standard Modbus port the emulator listens on.
 pub const PLC_MODBUS_PORT: Port = Port(502);
 
+/// Time between two scan cycles.
+pub const SCAN_INTERVAL: SimDuration = SimDuration::from_millis(10);
+
 const SCAN_TIMER: u64 = 1;
 
 /// An emulated PLC controlling one scenario topology.
@@ -45,7 +48,6 @@ pub struct PlcEmulator {
     /// Power-flow solves so far.
     #[cfg(test)]
     solves: u64,
-    scan_interval: SimDuration,
     /// Modbus requests answered.
     pub requests_served: u64,
     /// Frames that failed to parse (malformed / tampered).
@@ -68,24 +70,8 @@ pub struct PlcEmulator {
 }
 
 impl PlcEmulator {
-    /// Creates an emulator for a scenario with typical timings (10 ms scan,
-    /// 40 ms breaker operate delay), journaling its spans on `hub`.
+    /// Creates an emulator for a scenario, journaling its spans on `hub`.
     pub fn new(scenario: Scenario, hub: &ObsHub) -> Self {
-        Self::with_timing(
-            scenario,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(40),
-            hub,
-        )
-    }
-
-    /// Creates an emulator with explicit scan interval and operate delay.
-    pub fn with_timing(
-        scenario: Scenario,
-        scan_interval: SimDuration,
-        operate_delay: SimDuration,
-        hub: &ObsHub,
-    ) -> Self {
         let topology = scenario.topology();
         let n = topology.breaker_count();
         let mut store = DataStore::new(n.max(1), n.max(8));
@@ -100,7 +86,7 @@ impl PlcEmulator {
         }
         PlcEmulator {
             topology,
-            bank: BreakerBank::new(n, operate_delay),
+            bank: BreakerBank::new(n),
             store,
             config,
             last_adopted_image: image,
@@ -108,7 +94,6 @@ impl PlcEmulator {
             solved_currents: Vec::new(),
             #[cfg(test)]
             solves: 0,
-            scan_interval,
             requests_served: 0,
             invalid_frames: 0,
             configs_adopted: 0,
@@ -244,14 +229,14 @@ impl Process for PlcEmulator {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.trace_node = ctx.node().0;
         ctx.listen(PLC_MODBUS_PORT);
-        ctx.set_timer(self.scan_interval, SCAN_TIMER);
+        ctx.set_timer(SCAN_INTERVAL, SCAN_TIMER);
         ctx.log("plc: online");
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, timer: u64) {
         if timer == SCAN_TIMER {
             self.scan(ctx.now());
-            ctx.set_timer(self.scan_interval, SCAN_TIMER);
+            ctx.set_timer(SCAN_INTERVAL, SCAN_TIMER);
         }
     }
 
