@@ -6,8 +6,8 @@
 //! truth for telemetry instead of ad-hoc counters scattered per crate.
 //! This crate provides it:
 //!
-//! * a metrics registry ([`ObsHub`]) of named counters, gauges, and
-//!   log-scale latency [`Histogram`]s, stamped with **simulated** time;
+//! * a metrics registry ([`ObsHub`]) of named counters and log-scale
+//!   latency [`Histogram`]s, stamped with **simulated** time;
 //! * an append-only structured [`Event`] journal whose byte encoding is
 //!   deterministic for a given seed and hashable into a single run
 //!   digest ([`ObsHub::journal_digest`]);
@@ -34,7 +34,7 @@ pub use trace::{SpanId, Stage, TraceCtx, TraceId};
 
 use itcrypto::sha256::{Digest, Sha256};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A named monotone counter. Cloning shares the underlying cell, so
@@ -55,22 +55,6 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A named instantaneous value (last write wins).
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Overwrites the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -112,7 +96,6 @@ struct Inner {
     /// Simulated time in microseconds, advanced by the scheduler.
     now_us: AtomicU64,
     counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, HistogramHandle>>,
     journal: Mutex<Vec<TimedEvent>>,
     /// When set, journal appends are echoed to stdout (`--trace`).
@@ -198,17 +181,6 @@ impl ObsHub {
             .filter(|(name, _)| name.starts_with(prefix))
             .map(|(_, c)| c.get())
             .sum()
-    }
-
-    /// Returns the gauge registered under `name`, creating it at zero.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut reg = lock(&self.inner.gauges);
-        if let Some(g) = reg.get(name) {
-            return g.clone();
-        }
-        let g = Gauge::default();
-        reg.insert(name.to_string(), g.clone());
-        g
     }
 
     /// Returns the histogram registered under `name`, creating it empty.
@@ -387,10 +359,6 @@ impl ObsHub {
                 .iter()
                 .map(|(name, c)| (name.clone(), c.get()))
                 .collect(),
-            gauges: lock(&self.inner.gauges)
-                .iter()
-                .map(|(name, g)| (name.clone(), g.get()))
-                .collect(),
             histograms: lock(&self.inner.histograms)
                 .iter()
                 .filter(|(_, h)| h.count() > 0)
@@ -517,7 +485,6 @@ mod tests {
     fn report_snapshots_metrics_and_renders() {
         let hub = ObsHub::new();
         hub.counter("a.count").add(4);
-        hub.gauge("b.level").set(-2);
         hub.histogram("c.latency_us").record(150);
         hub.journal(Event::PacketDrop {
             node: 1,
@@ -525,7 +492,6 @@ mod tests {
         });
         let r = hub.report();
         assert_eq!(r.counters, vec![("a.count".to_string(), 4)]);
-        assert_eq!(r.gauges, vec![("b.level".to_string(), -2)]);
         assert_eq!(r.histograms.len(), 1);
         assert_eq!(r.journal_len, 1);
         let text = r.render();

@@ -4,7 +4,7 @@ use crate::event::TimedEvent;
 use crate::hist::HistogramSummary;
 use crate::trace::StageBreakdown;
 
-/// Everything a run recorded, snapshotted: counters, gauges, histogram
+/// Everything a run recorded, snapshotted: counters, histogram
 /// summaries, critical-path tables, and the journal itself (with its
 /// length and digest). This is what experiments return and the CLI
 /// prints under `--metrics`.
@@ -12,8 +12,6 @@ use crate::trace::StageBreakdown;
 pub struct ObsReport {
     /// Counter name → value, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauge name → value, sorted by name.
-    pub gauges: Vec<(String, i64)>,
     /// Histogram name → summary, sorted by name; empty histograms omitted.
     pub histograms: Vec<(String, HistogramSummary)>,
     /// Per-root-stage latency attribution assembled from the journaled
@@ -53,12 +51,6 @@ impl ObsReport {
         if !self.counters.is_empty() {
             out.push_str("counters:\n");
             for (name, v) in &self.counters {
-                out.push_str(&format!("  {name:<40} {v:>12}\n"));
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (name, v) in &self.gauges {
                 out.push_str(&format!("  {name:<40} {v:>12}\n"));
             }
         }
@@ -173,7 +165,6 @@ mod tests {
     fn sample() -> ObsReport {
         ObsReport {
             counters: vec![("net.delivered".into(), 42)],
-            gauges: vec![("replicas.up".into(), 6)],
             histograms: vec![(
                 "hmi.reaction_us".into(),
                 HistogramSummary {
@@ -237,13 +228,7 @@ mod tests {
     #[test]
     fn render_contains_every_section() {
         let text = sample().render();
-        for needle in [
-            "counters:",
-            "gauges:",
-            "histograms:",
-            "net.delivered",
-            "3 records",
-        ] {
+        for needle in ["counters:", "histograms:", "net.delivered", "3 records"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
     }

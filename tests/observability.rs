@@ -21,7 +21,7 @@ fn e4_same_seed_yields_identical_journal_digest() {
         "same seed, same journal digest"
     );
     // Not just the digest: the entire metrics snapshot is reproducible.
-    assert_eq!(a.obs, b.obs, "same seed, same counters/gauges/histograms");
+    assert_eq!(a.obs, b.obs, "same seed, same counters/histograms");
     assert_eq!(a.hmi_frames, b.hmi_frames);
     assert_eq!(a.view_changes, b.view_changes);
 }
