@@ -24,23 +24,6 @@ use crate::messages::ExternalMsg;
 const TICK_TIMER: u64 = 1;
 const TICK: SimDuration = SimDuration(10_000); // 10 ms
 
-/// Counters exposed for experiments.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HostStats {
-    /// Client updates submitted into Prime.
-    pub updates_submitted: u64,
-    /// Ordered updates executed locally.
-    pub executed: u64,
-    /// PLC commands emitted.
-    pub plc_commands_sent: u64,
-    /// HMI frames emitted.
-    pub hmi_frames_sent: u64,
-    /// View changes observed.
-    pub view_changes: u64,
-    /// Application-level state transfers performed.
-    pub state_transfers: u64,
-}
-
 /// One SCADA-master replica host.
 pub struct ReplicaHost {
     cfg: SpireConfig,
@@ -53,8 +36,6 @@ pub struct ReplicaHost {
     pub replica: Replica<ScadaApp>,
     /// When set, the next tick performs proactive recovery.
     pub pending_recovery: bool,
-    /// Counters.
-    pub stats: HostStats,
     /// The deployment's observability hub.
     obs: obs::ObsHub,
     /// Ticks elapsed since start, for flight-recorder snapshot cadence.
@@ -96,7 +77,6 @@ impl ReplicaHost {
             external,
             replica,
             pending_recovery: false,
-            stats: HostStats::default(),
             obs: hub.clone(),
             health_ticks: 0,
         }
@@ -123,7 +103,6 @@ impl ReplicaHost {
                     edge::transmit(&self.internal, ctx, 0, sends);
                 }
                 OutEvent::Execute { trace, .. } => {
-                    self.stats.executed += 1;
                     obs::prof::charge_msg("scada;apply", 1, 0);
                     // Outgoing application messages (commands/frames)
                     // produced by this execution inherit its context.
@@ -132,7 +111,6 @@ impl ReplicaHost {
                     }
                 }
                 OutEvent::ViewChanged { view } => {
-                    self.stats.view_changes += 1;
                     ctx.log(format!("replica {} moved to view {view}", self.id));
                 }
                 OutEvent::StateTransferRequested => {
@@ -142,7 +120,6 @@ impl ReplicaHost {
                     ));
                 }
                 OutEvent::StateTransferInstalled { exec_seq } => {
-                    self.stats.state_transfers += 1;
                     self.obs
                         .journal(obs::Event::RecoveryEnd { replica: self.id });
                     ctx.log(format!(
@@ -163,7 +140,6 @@ impl ReplicaHost {
                     close,
                     exec_seq,
                 } => {
-                    self.stats.plc_commands_sent += 1;
                     let Some(proxy) = self.cfg.proxy_for_scenario_tag(&scenario) else {
                         continue;
                     };
@@ -184,7 +160,6 @@ impl ReplicaHost {
                     currents,
                     exec_seq,
                 } => {
-                    self.stats.hmi_frames_sent += 1;
                     for h in 0..self.cfg.hmis {
                         let msg = ExternalMsg::HmiFrame {
                             replica: self.id,
@@ -217,7 +192,6 @@ impl ReplicaHost {
             }
             if let Ok(ExternalMsg::ClientUpdate(update)) = ExternalMsg::from_wire(&delivery.payload)
             {
-                self.stats.updates_submitted += 1;
                 self.replica.set_incoming_trace(ctx.trace());
                 let events = self.replica.submit(update, ctx.now());
                 self.route_events(ctx, events);

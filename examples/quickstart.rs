@@ -33,11 +33,13 @@ fn main() {
     // What happened underneath.
     for i in 0..4 {
         let host = deployment.replica(i);
+        let transfers = deployment
+            .obs
+            .journal_count(|e| matches!(e, obs::Event::RecoveryEnd { replica } if *replica == i));
         println!(
-            "replica {i}: executed {} ordered updates, view {}, {} state transfers",
+            "replica {i}: executed {} ordered updates, view {}, {transfers} state transfers",
             host.replica.exec_seq(),
             host.replica.view(),
-            host.stats.state_transfers
         );
     }
     let proxy = deployment.proxy(0);
