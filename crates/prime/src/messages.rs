@@ -683,9 +683,7 @@ impl Wire for PrimeMsg {
                 }
                 let mut path = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let sibling = digest(r)?;
-                    let is_left = r.get_u8()? != 0;
-                    path.push((sibling, is_left));
+                    path.push((digest(r)?, r.get_bool()?));
                 }
                 let sig: [u8; 16] = r
                     .get_raw(16)?
@@ -990,6 +988,35 @@ mod tests {
             signed.extend_from_slice(&bytes);
             assert!(SignedMsg::from_wire(&signed).is_err(), "signed tag {tag}");
         }
+    }
+
+    /// A proof step's side is one byte, 0 or 1. Reading any other value
+    /// as "left" would let a relay change that byte of a signed envelope
+    /// and keep its signature valid.
+    #[test]
+    fn a_proof_side_other_than_zero_or_one_is_refused() {
+        let mut kp = KeyPair::generate(5);
+        let mut reg = KeyRegistry::new();
+        reg.register(Principal::Replica(1), kp.public_key());
+        let batch = PoBatch::sign(ReplicaId(1), 9, vec![sample_update(); 2], &mut kp);
+        let proof = batch.tree().prove(1).expect("in range");
+        let member = PrimeMsg::PoBatchMember {
+            origin: ReplicaId(1),
+            first_po_seq: 9,
+            count: 2,
+            index: 1,
+            update: sample_update(),
+            path: proof.path,
+            root_sig: batch.root_sig,
+        };
+        let env = Envelope::sign(ReplicaId(1), member, &mut kp);
+        assert!(env.msg.verify(&reg));
+        // The wire ends: side byte, root signature (16), envelope signature (16).
+        let side = env.wire.len() - 33;
+        assert_eq!(env.wire[side], 1);
+        let mut altered = env.wire.to_vec();
+        altered[side] = 2;
+        assert!(SignedMsg::from_wire(&altered).is_err());
     }
 
     #[test]
