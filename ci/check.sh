@@ -165,6 +165,13 @@ if grep -nw 'chaos' crates/response/Cargo.toml; then
     exit 1
 fi
 
+echo "==> one hub per component (built on its deployment's hub, never moved onto one)"
+# Every component that counts or journals takes its ObsHub in its
+# constructor and keeps it: no attach step, no hub assigned to a field later.
+if grep -rnE --include='*.rs' 'attach_obs|\.obs = ' crates src; then
+    exit 1
+fi
+
 echo "==> a capture exists only where something reads it (no add_tap without drain_tap)"
 # A span-port tap keeps one record per frame entering its switch until it
 # is drained. Outside simnet, a file that attaches one must also drain it.

@@ -136,9 +136,9 @@ impl ObsHub {
 
     /// Advances the simulated clock; called by the scheduler on
     /// dispatch. The clock is clamped to monotonic: a caller handing
-    /// in an earlier time (e.g. a component attached from a second,
-    /// younger simulation) is journaled as a [`Event::ClockSkew`] and
-    /// otherwise ignored, so span durations can never underflow.
+    /// in an earlier time (the chaos driver's clock-skew fault) is
+    /// journaled as a [`Event::ClockSkew`] and otherwise ignored, so
+    /// span durations can never underflow.
     pub fn set_now_us(&self, now_us: u64) {
         let cur = self.inner.now_us.load(Ordering::Relaxed);
         if now_us < cur {
