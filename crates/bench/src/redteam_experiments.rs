@@ -207,7 +207,7 @@ pub struct E2Result {
 pub fn e2_spire_network_attacks(seed: u64) -> E2Result {
     let mut d = spire_target(HardeningProfile::deployed(), seed);
     d.run_for(SimDuration::from_secs(4));
-    let frames_before = d.hmi(0).stats.frames_applied;
+    let frames_before = d.obs.counter_value("hmi.0.frames_applied");
 
     let t0 = d.now();
     let mut attacker = Attacker::new();
@@ -251,7 +251,7 @@ pub fn e2_spire_network_attacks(seed: u64) -> E2Result {
     );
     let node = d.attach_external_attacker(attacker_spec(attacker));
     d.run_for(SimDuration::from_secs(6));
-    let frames_after = d.hmi(0).stats.frames_applied;
+    let frames_after = d.obs.counter_value("hmi.0.frames_applied");
 
     let obs = d
         .sim
@@ -264,7 +264,7 @@ pub fn e2_spire_network_attacks(seed: u64) -> E2Result {
         .chain(std::iter::once(d.sim.arp_rejections(d.hmi_nodes[0], 0)))
         .sum();
     let spines_auth_failures: u64 = (0..d.cfg.n())
-        .map(|i| d.replica(i).external.stats.auth_failures)
+        .map(|i| d.replica(i).external.stats().auth_failures)
         .sum();
 
     let mut report = AttackReport::new();
@@ -399,7 +399,7 @@ pub fn e10_hardening_ablation(seed: u64) -> Vec<AblationRow> {
 fn run_ablation_case(label: String, profile: HardeningProfile, seed: u64) -> AblationRow {
     let mut d = spire_target(profile, seed);
     d.run_for(SimDuration::from_secs(3));
-    let frames_before = d.hmi(0).stats.frames_applied;
+    let frames_before = d.obs.counter_value("hmi.0.frames_applied");
     let t0 = d.now();
 
     let replica_ext = d.cfg.replica_external_ip(0);
@@ -470,7 +470,10 @@ fn run_ablation_case(label: String, profile: HardeningProfile, seed: u64) -> Abl
         .observed
         .clone();
     let internal_auth_failures: u64 = (0..d.cfg.n())
-        .map(|i| d.replica(i).internal.stats.auth_failures + d.replica(i).internal.stats.malformed)
+        .map(|i| {
+            let stats = d.replica(i).internal.stats();
+            stats.auth_failures + stats.malformed
+        })
         .sum();
     // Poison success: the attacker's forged mapping stuck in the proxy's table.
     let atk_mac = simnet::types::MacAddr::derived(node, 0);
@@ -502,7 +505,7 @@ fn run_ablation_case(label: String, profile: HardeningProfile, seed: u64) -> Abl
             .hardening
             .os
             .vulnerable_to(diversity::os::CveClass::DirtyCow),
-        service_progressed: d.hmi(0).stats.frames_applied > frames_before,
+        service_progressed: d.obs.counter_value("hmi.0.frames_applied") > frames_before,
     }
 }
 

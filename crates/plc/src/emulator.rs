@@ -230,7 +230,6 @@ impl Process for PlcEmulator {
         self.trace_node = ctx.node().0;
         ctx.listen(PLC_MODBUS_PORT);
         ctx.set_timer(SCAN_INTERVAL, SCAN_TIMER);
-        ctx.log("plc: online");
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, timer: u64) {

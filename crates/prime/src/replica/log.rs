@@ -346,7 +346,6 @@ impl<A: Application> Replica<A> {
                 continue;
             }
             self.exec_seq += 1;
-            self.stats.executed += 1;
             self.c_executed.inc();
             self.app.execute(&update, self.exec_seq);
             // Close the update's pre-ordering span and stamp the
@@ -449,7 +448,6 @@ impl<A: Application> Replica<A> {
         let votes = self.checkpoint_votes[&(exec_seq, app_digest)].len() as u32;
         if votes >= self.active_ordering_quorum() && exec_seq > self.stable_checkpoint {
             self.stable_checkpoint = exec_seq;
-            out.push(OutEvent::CheckpointStable { exec_seq });
             // Garbage-collect old vote state.
             self.checkpoint_votes.retain(|(s, _), _| *s >= exec_seq);
             self.forget_behind(exec_seq);
@@ -548,7 +546,6 @@ impl<A: Application> Replica<A> {
         self.catchup_attempts = 0;
         self.catchup_offers.clear();
         self.catchup_dedup.clear();
-        out.push(OutEvent::StateTransferRequested);
         let req = self.sign(PrimeMsg::CatchupRequest {
             have_exec_seq: self.exec_seq,
         });
@@ -1104,11 +1101,16 @@ mod tests {
             let r = &mut c.replicas[2];
             assert!(r.po_store.is_forgotten(origin.0, fetched) && seq <= r.order_floor);
             let (held, stats) = (r.retained(), r.stats);
+            // What the registry counts instead of `stats`: executions,
+            // view changes and suspicions sent.
+            let progress = |r: &Replica<KvApp>| (r.exec_seq(), r.view(), r.c_suspects_sent.get());
+            let before = progress(r);
             for msg in stale {
                 let what = format!("{:?}", msg.msg.prof_stack());
                 assert!(r.on_message(msg, now).is_empty(), "{what} produced events");
                 assert_eq!(r.retained(), held, "{what} regrew a table");
                 assert_eq!(r.stats, stats, "{what} moved a counter");
+                assert_eq!(progress(r), before, "{what} moved a registry count");
             }
             assert!(
                 r.on_message(fetch.msg, now).is_empty(),

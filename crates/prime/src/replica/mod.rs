@@ -173,22 +173,9 @@ pub enum OutEvent {
         /// application messages. `None` for untraced updates.
         trace: Option<obs::TraceCtx>,
     },
-    /// The replica moved to a new view.
-    ViewChanged {
-        /// The new view.
-        view: u64,
-    },
-    /// The replication layer determined that application-level state
-    /// transfer is required (§III-A signaling).
-    StateTransferRequested,
     /// A peer snapshot was installed into the application.
     StateTransferInstalled {
         /// Executed count after installation.
-        exec_seq: u64,
-    },
-    /// A checkpoint became stable (quorum of matching digests).
-    CheckpointStable {
-        /// Executed count at the checkpoint.
         exec_seq: u64,
     },
 }
@@ -198,16 +185,10 @@ pub enum OutEvent {
 pub struct ReplicaStats {
     /// Updates introduced into pre-ordering by this replica.
     pub po_introduced: u64,
-    /// Updates executed.
-    pub executed: u64,
     /// Duplicate executions suppressed (same client seq via another origin).
     pub dup_suppressed: u64,
     /// Pre-prepares proposed (as leader).
     pub proposals: u64,
-    /// Suspect messages sent.
-    pub suspects_sent: u64,
-    /// View changes completed.
-    pub view_changes: u64,
     /// Catch-ups performed.
     pub catchups: u64,
     /// Catch-up requests retransmitted after an unanswered round.
@@ -845,7 +826,7 @@ impl<A: Application> Replica<A> {
                 self.on_suspect(from, view, now, &mut out);
             }
             PrimeMsg::NewView { view, start_seq } => {
-                self.on_new_view(from, view, start_seq, now, &mut out);
+                self.on_new_view(from, view, start_seq, now);
             }
             PrimeMsg::Checkpoint {
                 exec_seq,
@@ -991,7 +972,6 @@ impl<A: Application> Replica<A> {
                 && !self.in_view_change
             {
                 self.sent_suspect.insert(self.view);
-                self.stats.suspects_sent += 1;
                 self.c_suspects_sent.inc();
                 let view = self.view;
                 let msg = self.sign(PrimeMsg::SuspectLeader { view });

@@ -133,13 +133,11 @@ impl<A: Application> Replica<A> {
         self.in_view_change = false;
         self.unordered_since = None;
         self.forget_views_before(new_view);
-        self.stats.view_changes += 1;
         self.c_view_changes.inc();
         self.obs.journal(obs::Event::ViewChange {
             replica: self.id.0,
             view: new_view,
         });
-        out.push(OutEvent::ViewChanged { view: new_view });
         let nv = self.sign(PrimeMsg::NewView {
             view: new_view,
             start_seq,
@@ -159,7 +157,6 @@ impl<A: Application> Replica<A> {
         view: u64,
         _start_seq: u64,
         now: SimTime,
-        out: &mut Vec<OutEvent>,
     ) {
         if view <= self.view || from != self.active_leader_of(view) {
             return;
@@ -173,13 +170,11 @@ impl<A: Application> Replica<A> {
         self.in_view_change = false;
         self.unordered_since = Some(now);
         self.forget_views_before(view);
-        self.stats.view_changes += 1;
         self.c_view_changes.inc();
         self.obs.journal(obs::Event::ViewChange {
             replica: self.id.0,
             view,
         });
-        out.push(OutEvent::ViewChanged { view });
     }
 
     /// Forgets the view-keyed state an installed `view` has made

@@ -215,7 +215,7 @@ mod tests {
         d.sim.replace_process(d.hmi_nodes[0], Box::new(host));
         d.run_for(SimDuration::from_secs(3));
         assert!(
-            d.hmi(0).stats.frames_applied > 0,
+            d.obs.counter_value("hmi.0.frames_applied") > 0,
             "cycle running before excursion"
         );
 

@@ -209,7 +209,6 @@ impl Process for CommercialMaster {
                 {
                     self.role = MasterRole::Primary;
                     self.failovers += 1;
-                    ctx.log("commercial backup taking over as primary");
                 }
                 ctx.set_timer(self.poll_interval.saturating_mul(3), HEARTBEAT_CHECK_TIMER);
             }

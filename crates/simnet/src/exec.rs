@@ -144,7 +144,6 @@ pub(crate) struct World {
     pub(crate) switches: Vec<Switch>,
     pub(crate) links: Vec<(Link, EndpointRef, EndpointRef)>,
     pub(crate) taps: Vec<(Tap, SwitchId)>,
-    pub(crate) logs: Vec<(SimTime, NodeId, String)>,
     pub(crate) rng: StdRng,
     pub(crate) obs: ObsHub,
     pub(crate) net: NetCounters,
@@ -292,10 +291,6 @@ impl Exec<'_> {
                 }
                 Action::Listen(port) => {
                     self.world.node_mut(node).listeners.insert(port);
-                }
-                Action::Log(line) => {
-                    let now = self.now;
-                    self.world.logs.push((now, node, line));
                 }
             }
         }

@@ -42,8 +42,6 @@ pub enum Action {
     },
     /// Open a listening port (SYNs to it now answer SYN-ACK).
     Listen(Port),
-    /// Record a log line attributed to this node.
-    Log(String),
 }
 
 /// Execution context for a single process callback.
@@ -133,11 +131,6 @@ impl<'a> Context<'a> {
     pub fn listen(&mut self, port: Port) {
         self.actions.push(Action::Listen(port));
     }
-
-    /// Emits a log line.
-    pub fn log(&mut self, line: impl Into<String>) {
-        self.actions.push(Action::Log(line.into()));
-    }
 }
 
 /// Application logic hosted on a node.
@@ -220,8 +213,7 @@ mod tests {
         assert_eq!(ctx.mac(0), MacAddr::derived(NodeId(3), 0));
         ctx.set_timer(SimDuration::from_millis(5), 42);
         ctx.listen(Port(8100));
-        ctx.log("hello");
-        assert_eq!(actions.len(), 3);
+        assert_eq!(actions.len(), 2);
     }
 
     #[test]

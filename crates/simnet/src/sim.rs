@@ -173,7 +173,6 @@ impl Simulation {
                 switches: Vec::new(),
                 links: Vec::new(),
                 taps: Vec::new(),
-                logs: Vec::new(),
                 rng: StdRng::seed_from_u64(seed),
                 obs,
                 net,
@@ -210,11 +209,6 @@ impl Simulation {
             firewall_drops: self.world.net.firewall_drops.get(),
             arp_rejected: self.world.net.arp_rejected.get(),
         }
-    }
-
-    /// All log lines emitted so far as `(time, node, line)`.
-    pub fn logs(&self) -> &[(SimTime, NodeId, String)] {
-        &self.world.logs
     }
 
     /// Adds a node; MACs are derived deterministically. Schedules its
@@ -607,8 +601,7 @@ mod tests {
             ctx.listen(Port(2000));
         }
 
-        fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-            ctx.log(format!("got {} bytes", pkt.payload.len()));
+        fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
             self.received.push(pkt);
         }
     }
@@ -616,8 +609,8 @@ mod tests {
     const IP_A: IpAddr = IpAddr::new(10, 0, 0, 1);
     const IP_B: IpAddr = IpAddr::new(10, 0, 0, 2);
 
-    fn two_hosts_on_switch(arp: ArpMode) -> (Simulation, NodeId, NodeId) {
-        let mut sim = Simulation::new(1);
+    fn two_hosts_on_switch(arp: ArpMode, seed: u64) -> (Simulation, NodeId, NodeId) {
+        let mut sim = Simulation::new(seed);
         let spec_a = InterfaceSpec {
             ip: IP_A,
             arp_mode: arp,
@@ -636,7 +629,7 @@ mod tests {
 
     #[test]
     fn datagram_delivered_via_dynamic_arp() {
-        let (mut sim, _a, b) = two_hosts_on_switch(ArpMode::Dynamic);
+        let (mut sim, _a, b) = two_hosts_on_switch(ArpMode::Dynamic, 1);
         sim.run_for(SimDuration::from_millis(10));
         let recv = &sim.process_ref::<Chatter>(b).expect("chatter").received;
         assert_eq!(recv.len(), 1);
@@ -646,7 +639,7 @@ mod tests {
 
     #[test]
     fn static_arp_without_entry_cannot_send() {
-        let (mut sim, _a, b) = two_hosts_on_switch(ArpMode::Static);
+        let (mut sim, _a, b) = two_hosts_on_switch(ArpMode::Static, 1);
         sim.run_for(SimDuration::from_millis(10));
         assert!(sim
             .process_ref::<Chatter>(b)
@@ -657,7 +650,7 @@ mod tests {
 
     #[test]
     fn static_arp_with_installed_entries_works() {
-        let (mut sim, a, b) = two_hosts_on_switch(ArpMode::Static);
+        let (mut sim, a, b) = two_hosts_on_switch(ArpMode::Static, 1);
         let mac_b = sim.mac_of(b, 0);
         sim.install_arp(a, 0, IP_B, mac_b);
         // Restart a's process behaviour by re-running start via replace.
@@ -674,7 +667,7 @@ mod tests {
 
     #[test]
     fn down_node_receives_nothing() {
-        let (mut sim, _a, b) = two_hosts_on_switch(ArpMode::Dynamic);
+        let (mut sim, _a, b) = two_hosts_on_switch(ArpMode::Dynamic, 1);
         sim.set_node_up(b, false);
         sim.run_for(SimDuration::from_millis(10));
         assert!(sim
@@ -741,30 +734,34 @@ mod tests {
         );
     }
 
+    /// What a run leaves to compare: the engine's counters, the events it
+    /// processed and the journal digest.
+    fn run_two_hosts(seed: u64) -> (SimStats, u64, String) {
+        let (mut sim, _a, _b) = two_hosts_on_switch(ArpMode::Dynamic, seed);
+        let n = sim.run_for(SimDuration::from_millis(10));
+        assert_eq!(n, sim.events_processed());
+        (sim.stats(), n, sim.obs().journal_digest().to_hex())
+    }
+
     #[test]
-    fn determinism_same_seed_same_logs() {
-        let run = |seed| {
-            let (mut sim, _a, _b) = two_hosts_on_switch(ArpMode::Dynamic);
-            let _ = seed;
-            sim.run_for(SimDuration::from_millis(10));
-            sim.stats()
-        };
-        assert_eq!(run(1), run(1));
+    fn determinism_same_seed_same_run() {
+        for seed in [1, 2, 42, u64::MAX] {
+            let first = run_two_hosts(seed);
+            assert!(first.0.frames_delivered > 0, "seed {seed}: nothing ran");
+            assert_eq!(run_two_hosts(seed), first, "seed {seed}");
+        }
     }
 
     /// The whole contract of the symbol the benchmark adapter pins.
     #[test]
     fn set_default_threads_changes_nothing_about_a_run() {
-        let run = || {
-            let (mut sim, _a, _b) = two_hosts_on_switch(ArpMode::Dynamic);
-            let n = sim.run_for(SimDuration::from_millis(10));
-            assert_eq!(n, sim.events_processed());
-            (sim.stats(), n, sim.logs().to_vec())
-        };
-        let before = run();
-        assert!(!before.2.is_empty(), "the run logged something to compare");
+        let before = run_two_hosts(1);
+        assert!(
+            before.0.frames_delivered > 0,
+            "the run delivered something to compare"
+        );
         set_default_threads(4);
-        assert_eq!(run(), before);
+        assert_eq!(run_two_hosts(1), before);
     }
 
     #[test]
@@ -1178,7 +1175,7 @@ mod tests {
 
     #[test]
     fn switch_partition_confines_frames_to_groups() {
-        let (mut sim, a, b) = two_hosts_on_switch(ArpMode::Dynamic);
+        let (mut sim, a, b) = two_hosts_on_switch(ArpMode::Dynamic, 1);
         let sw = SwitchId(0);
         let mut groups = BTreeMap::new();
         groups.insert(1usize, 1u32); // b's port in group 1, a's in group 0

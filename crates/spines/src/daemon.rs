@@ -38,7 +38,7 @@ pub struct Delivery {
     pub payload: Bytes,
 }
 
-/// Counters exposed for experiments and the MANA board.
+/// A daemon's counters, read from the registry by [`SpinesDaemon::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DaemonStats {
     /// Messages this daemon originated.
@@ -57,9 +57,8 @@ pub struct DaemonStats {
     pub malformed: u64,
 }
 
-/// Cached registry counter handles mirroring [`DaemonStats`], plus the
-/// seal/open tallies that only exist in the registry, registered once
-/// under the daemon's scope.
+/// Cached registry counter handles: the [`DaemonStats`] counts plus the
+/// seal/open tallies, registered once under the daemon's scope.
 struct DaemonObs {
     originated: obs::Counter,
     forwarded: obs::Counter,
@@ -194,8 +193,6 @@ pub struct SpinesDaemon {
     /// Set when a legacy-mode daemon executed an attacker diagnostic —
     /// i.e. the exploit fired.
     pub legacy_compromised: bool,
-    /// Counters.
-    pub stats: DaemonStats,
     /// Observability hub, fixed at construction.
     obs: obs::ObsHub,
     c: DaemonObs,
@@ -251,7 +248,6 @@ impl SpinesDaemon {
             running: true,
             has_keys: true,
             legacy_compromised: false,
-            stats: DaemonStats::default(),
             obs: hub.clone(),
             c: counters,
         }
@@ -260,6 +256,21 @@ impl SpinesDaemon {
     /// This daemon's id.
     pub fn id(&self) -> u32 {
         self.id
+    }
+
+    /// The daemon's counters, read from its registry handles. A daemon
+    /// rebuilt on the same hub under the same scope continues from the
+    /// totals of the one it replaced.
+    pub fn stats(&self) -> DaemonStats {
+        DaemonStats {
+            originated: self.c.originated.get(),
+            forwarded: self.c.forwarded.get(),
+            delivered: self.c.delivered.get(),
+            auth_failures: self.c.auth_failures.get(),
+            duplicates: self.c.duplicates.get(),
+            legacy_diag_ignored: self.c.legacy_diag_ignored.get(),
+            malformed: self.c.malformed.get(),
+        }
     }
 
     /// Current forwarding fair-queue depth (summed across sources) —
@@ -343,7 +354,6 @@ impl SpinesDaemon {
             payload,
         };
         self.next_seq += 1;
-        self.stats.originated += 1;
         self.c.originated.inc();
         self.seen.accept(msg.src, msg.seq);
         // Local delivery for group messages we subscribe to.
@@ -359,7 +369,6 @@ impl SpinesDaemon {
         }
         let Some(&link) = self.link_of.get(&from) else {
             // Not a neighbour: outsiders can't speak overlay.
-            self.stats.auth_failures += 1;
             self.c.auth_failures.inc();
             self.obs
                 .journal(obs::Event::AuthFailure { daemon: self.id });
@@ -371,17 +380,14 @@ impl SpinesDaemon {
             Err(dropped) => {
                 match dropped {
                     Dropped::Auth => {
-                        self.stats.auth_failures += 1;
                         self.c.auth_failures.inc();
                         self.obs
                             .journal(obs::Event::AuthFailure { daemon: self.id });
                     }
                     Dropped::Malformed => {
-                        self.stats.malformed += 1;
                         self.c.malformed.inc();
                     }
                     Dropped::Duplicate => {
-                        self.stats.duplicates += 1;
                         self.c.duplicates.inc();
                     }
                 }
@@ -467,7 +473,6 @@ impl SpinesDaemon {
                     Destination::Group(g) => self.subscriptions.contains(&g),
                 };
                 if for_me {
-                    self.stats.delivered += 1;
                     self.c.delivered.inc();
                     self.deliveries.push(Delivery {
                         src: msg.src,
@@ -485,7 +490,6 @@ impl SpinesDaemon {
                     // Code path disabled: §IV-B "it was in a portion of the
                     // code that is disabled when Spines is run in
                     // intrusion-tolerant mode".
-                    self.stats.legacy_diag_ignored += 1;
                     self.c.legacy_diag_ignored.inc();
                 }
             },
@@ -545,7 +549,6 @@ impl SpinesDaemon {
                     frame.put_slice(&tag);
                 }
             }
-            self.stats.forwarded += 1;
             self.c.forwarded.inc();
             obs::prof::charge_msg("spines;hop", 1, plaintext.len() as u64);
             out.push((link.addr, Bytes::from(frame)));
@@ -706,7 +709,7 @@ impl std::fmt::Debug for SpinesDaemon {
         f.debug_struct("SpinesDaemon")
             .field("id", &self.id)
             .field("running", &self.running)
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -795,10 +798,10 @@ mod tests {
                 9 => 0,
                 _ => 1,
             };
-            assert_eq!(d.stats.forwarded, expected, "daemon {i}");
+            assert_eq!(d.stats().forwarded, expected, "daemon {i}");
             assert_eq!(d.take_deliveries().len(), usize::from(i == 9), "daemon {i}");
         }
-        assert_eq!(ds[9].stats.duplicates, 12, "one copy from each relay");
+        assert_eq!(ds[9].stats().duplicates, 12, "one copy from each relay");
         assert_eq!(ds[9].forward_depth(), 0, "the destination queues nothing");
     }
 
@@ -834,7 +837,7 @@ mod tests {
             d1.on_wire(c.addr_of(0).expect("addr"), &bytes);
         }
         assert!(d1.take_deliveries().is_empty());
-        assert_eq!(d1.stats.auth_failures, 1);
+        assert_eq!(d1.stats().auth_failures, 1);
     }
 
     #[test]
@@ -843,7 +846,7 @@ mod tests {
         let mut d1 = SpinesDaemon::new(1, c);
         let out = d1.on_wire(IpAddr::new(66, 6, 6, 6), b"garbage");
         assert!(out.is_empty());
-        assert_eq!(d1.stats.auth_failures, 1);
+        assert_eq!(d1.stats().auth_failures, 1);
     }
 
     #[test]
@@ -867,7 +870,7 @@ mod tests {
             b.on_wire(ci.addr_of(0).expect("addr"), &bytes);
         }
         assert!(!b.legacy_compromised);
-        assert_eq!(b.stats.legacy_diag_ignored, 1);
+        assert_eq!(b.stats().legacy_diag_ignored, 1);
     }
 
     #[test]
@@ -882,7 +885,7 @@ mod tests {
         b.on_wire(from, bytes);
         b.on_wire(from, bytes);
         assert_eq!(b.take_deliveries().len(), 1);
-        assert_eq!(b.stats.duplicates, 1);
+        assert_eq!(b.stats().duplicates, 1);
     }
 
     #[test]
@@ -898,8 +901,8 @@ mod tests {
         let (to, frame) = &sends[0];
         assert_eq!(*to, c.addr_of(1).expect("addr"));
         assert!(a.on_wire(*to, frame).is_empty());
-        assert_eq!(a.stats.auth_failures, 1);
-        assert_eq!(a.stats.duplicates, 0);
+        assert_eq!(a.stats().auth_failures, 1);
+        assert_eq!(a.stats().duplicates, 0);
         assert!(a.take_deliveries().is_empty());
     }
 
@@ -964,9 +967,9 @@ mod tests {
         /// Whether `frame` was delivered; otherwise it counted as a
         /// duplicate.
         fn take(&mut self, frame: &Bytes) -> bool {
-            let before = self.rx.stats;
+            let before = self.rx.stats();
             self.rx.on_wire(self.from, frame);
-            let after = self.rx.stats;
+            let after = self.rx.stats();
             assert_eq!(
                 (after.delivered - before.delivered) + (after.duplicates - before.duplicates),
                 1,
@@ -1081,7 +1084,7 @@ mod tests {
         let mut r = Receiver::new();
         let frame = r.seal(7, 1);
         r.rx.on_wire(r.from, &frame);
-        assert_eq!(r.rx.stats.malformed, 1);
+        assert_eq!(r.rx.stats().malformed, 1);
         assert_eq!(r.rx.seen.0.len(), 3, "one window per configured daemon");
         assert!(r.rx.take_deliveries().is_empty());
     }
@@ -1112,7 +1115,7 @@ mod tests {
             peer.on_wire(from, f);
         }
         assert!(peer.take_deliveries().is_empty());
-        assert_eq!(peer.stats.duplicates, 8);
+        assert_eq!(peer.stats().duplicates, 8);
     }
 
     #[test]
@@ -1139,7 +1142,7 @@ mod tests {
             b.take_deliveries().is_empty(),
             "the tag holds, the link's window refuses the nonce"
         );
-        assert_eq!(b.stats.duplicates, 1);
+        assert_eq!(b.stats().duplicates, 1);
     }
 
     proptest::proptest! {
@@ -1172,7 +1175,7 @@ mod tests {
                     expected.duplicates += 1;
                 }
             }
-            proptest::prop_assert_eq!(r.rx.stats, expected);
+            proptest::prop_assert_eq!(r.rx.stats(), expected);
         }
 
         /// A random connected overlay of 4 to 12 daemons (a random
@@ -1362,6 +1365,6 @@ mod tests {
             it.on_wire(ci.addr_of(0).expect("addr"), &bytes);
         }
         assert!(it.take_deliveries().is_empty());
-        assert_eq!(it.stats.auth_failures, 1);
+        assert_eq!(it.stats().auth_failures, 1);
     }
 }

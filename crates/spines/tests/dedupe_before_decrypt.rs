@@ -228,7 +228,7 @@ impl Node for SpinesDaemon {
     }
 
     fn counters(&self) -> DaemonStats {
-        self.stats
+        self.stats()
     }
 }
 
@@ -347,7 +347,7 @@ fn one_frame_delivered() -> (SpinesDaemon, RefDaemon, Bytes) {
     real.receive(addr(0), &frame);
     reference.receive(addr(0), &frame);
     assert_eq!(real.counters(), reference.counters());
-    assert_eq!(real.stats.delivered, 1);
+    assert_eq!(real.stats().delivered, 1);
     (real, reference, frame)
 }
 
@@ -362,12 +362,12 @@ fn replay_with_a_flipped_tail_byte_fails_authentication() {
     tampered[last_ciphertext_byte] ^= 1;
     real.receive(addr(0), &tampered);
     reference.receive(addr(0), &tampered);
-    assert_eq!(real.stats.auth_failures, 1);
-    assert_eq!(real.stats.duplicates, 0);
+    assert_eq!(real.stats().auth_failures, 1);
+    assert_eq!(real.stats().duplicates, 0);
     assert_eq!(real.counters(), reference.counters());
     // The untouched frame is still just a duplicate.
     real.receive(addr(0), &frame);
-    assert_eq!(real.stats.duplicates, 1);
+    assert_eq!(real.stats().duplicates, 1);
 }
 
 #[test]
@@ -379,7 +379,7 @@ fn sealed_plaintext_shorter_than_the_dedup_key_is_malformed() {
         real.receive(addr(0), &frame);
         reference.receive(addr(0), &frame);
     }
-    assert_eq!(real.stats.malformed, 3);
+    assert_eq!(real.stats().malformed, 3);
     assert_eq!(real.counters(), reference.counters());
 }
 
@@ -395,19 +395,19 @@ fn truncated_and_mismatched_frames_keep_their_verdicts() {
     extended.push(0);
     real.receive(addr(0), &extended);
     reference.receive(addr(0), &extended);
-    assert_eq!(real.stats.malformed, 7);
-    assert_eq!(real.stats.auth_failures, 0);
+    assert_eq!(real.stats().malformed, 7);
+    assert_eq!(real.stats().auth_failures, 0);
     // A legacy (plaintext) frame on an intrusion-tolerant network, and a
     // sealed frame on a legacy one, are authentication failures.
     let mut legacy_sender = SpinesDaemon::new(0, mesh_config(SpinesMode::Legacy));
     let sends = legacy_sender.multicast(GROUP, 1, Bytes::from_static(b"old"));
     real.receive(addr(0), &sends[0].1);
     reference.receive(addr(0), &sends[0].1);
-    assert_eq!(real.stats.auth_failures, 1);
+    assert_eq!(real.stats().auth_failures, 1);
     assert_eq!(real.counters(), reference.counters());
     let mut legacy_receiver = SpinesDaemon::new(RX, mesh_config(SpinesMode::Legacy));
     legacy_receiver.on_wire(addr(0), &frame);
-    assert_eq!(legacy_receiver.stats.auth_failures, 1);
+    assert_eq!(legacy_receiver.stats().auth_failures, 1);
     assert!(legacy_receiver.take_deliveries().is_empty());
 }
 
@@ -426,13 +426,13 @@ fn key_holder_replaying_a_seen_id_over_garbage_counts_as_duplicate() {
     let before = real.counters();
     assert!(real.receive(addr(0), &frame).is_empty());
     assert!(reference.receive(addr(0), &frame).is_empty());
-    assert_eq!(real.stats.duplicates, before.duplicates + 1);
-    assert_eq!(real.stats.malformed, before.malformed);
+    assert_eq!(real.stats().duplicates, before.duplicates + 1);
+    assert_eq!(real.stats().malformed, before.malformed);
     assert_eq!(reference.stats.malformed, before.malformed + 1);
     assert!(real.take_deliveries().len() == 1 && reference.drain().len() == 1);
     // Under an unseen (src, seq) the same body is malformed for both.
     body[4..12].copy_from_slice(&9u64.to_be_bytes());
     let frame = sealed_frame(&seal(&key, 78, &body));
     real.receive(addr(0), &frame);
-    assert_eq!(real.stats.malformed, before.malformed + 1);
+    assert_eq!(real.stats().malformed, before.malformed + 1);
 }

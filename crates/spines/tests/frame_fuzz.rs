@@ -48,9 +48,9 @@ fn sealed_frame(tx: &mut SpinesDaemon, payload: Vec<u8>) -> Bytes {
 /// Feeds `frame` to `rx` from daemon 0 and asserts that it was refused as
 /// an authentication failure or as malformed, and went nowhere.
 fn assert_refused(rx: &mut SpinesDaemon, frame: &[u8], what: &str) {
-    let before = rx.stats;
+    let before = rx.stats();
     let out = rx.on_wire(addr(0), frame);
-    let after = rx.stats;
+    let after = rx.stats();
     assert!(out.is_empty(), "{what}: forwarded");
     assert!(rx.take_deliveries().is_empty(), "{what}: delivered");
     let refused =
@@ -78,7 +78,7 @@ proptest! {
         let mut w = Writer::new();
         w.put_u8(1).put_u64(nonce).put_bytes(&forged).put_raw(&tag);
         assert_refused(&mut rx, &w.finish(), "forged frame");
-        prop_assert_eq!(rx.stats.auth_failures, 1);
+        prop_assert_eq!(rx.stats().auth_failures, 1);
     }
 
     /// Every byte of a sealed frame changed in turn, every proper prefix,

@@ -861,11 +861,11 @@ mod tests {
         // The proxy polled, masters ordered the status, the HMI displays it.
         assert!(d.proxy(0).stats.updates_sent >= 1, "proxy sent updates");
         assert!(d.min_executed() >= 1, "replicas executed status updates");
-        let hmi = d.hmi(0);
         assert!(
-            hmi.stats.frames_applied >= 1,
+            d.obs.counter_value("hmi.0.frames_applied") >= 1,
             "HMI applied a vote-gated frame"
         );
+        let hmi = d.hmi(0);
         assert_eq!(
             hmi.hmi.positions("plant"),
             Some(vec![true, true, true].as_slice()),
@@ -931,7 +931,7 @@ mod tests {
         // The system still works without hardening — it is just exposed.
         d.run_for(SimDuration::from_secs(5));
         assert!(d.min_executed() >= 1);
-        assert!(d.hmi(0).stats.frames_applied >= 1);
+        assert!(d.obs.counter_value("hmi.0.frames_applied") >= 1);
     }
 
     #[test]
@@ -946,7 +946,7 @@ mod tests {
         // the site-0 HMI sees vote-gated frames assembled from replies
         // that crossed the trunks.
         assert!(d.min_executed() >= 1, "all six replicas execute");
-        assert!(d.hmi(0).stats.frames_applied >= 1);
+        assert!(d.obs.counter_value("hmi.0.frames_applied") >= 1);
     }
 
     #[test]
@@ -1023,11 +1023,11 @@ mod tests {
         assert!(before >= 1);
         d.sever_site(0);
         assert_eq!(d.site_survival(0), Some(crate::site::SurvivalMode::Lost));
-        let frames_before = d.hmi(0).stats.frames_applied;
+        let frames_before = d.obs.counter_value("hmi.0.frames_applied");
         d.run_for(SimDuration::from_secs(4));
         assert_eq!(d.min_executed(), before, "no replica can execute anything");
         assert_eq!(
-            d.hmi(0).stats.frames_applied,
+            d.obs.counter_value("hmi.0.frames_applied"),
             frames_before,
             "the HMI goes dark"
         );
@@ -1113,10 +1113,10 @@ mod tests {
         d.run_for(SimDuration::from_secs(1));
         assert!(d.min_executed() >= exec_mid, "core keeps ordering");
         d.set_substation_link_up(1, true);
-        let frames_before = d.hmi(0).stats.frames_applied;
+        let frames_before = d.obs.counter_value("hmi.0.frames_applied");
         d.run_for(SimDuration::from_secs(3));
         assert!(
-            d.hmi(0).stats.frames_applied >= frames_before,
+            d.obs.counter_value("hmi.0.frames_applied") >= frames_before,
             "healed trunk resumes the display pipeline"
         );
         assert!(d.substation_proxy(1).stats.reports_sent > before);
@@ -1345,6 +1345,6 @@ regional-2x3 os 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83
             .journal_count(|e| matches!(e, obs::Event::RecoveryEnd { replica: 3 }));
         assert!(transfers >= 1, "app-level state transfer ran");
         // Meanwhile the system never stopped.
-        assert!(d.hmi(0).stats.frames_applied >= 1);
+        assert!(d.obs.counter_value("hmi.0.frames_applied") >= 1);
     }
 }

@@ -28,19 +28,9 @@ pub struct CycleConfig {
     pub scenario: Scenario,
     /// Time between flips.
     pub period: SimDuration,
-    /// Stop after this many flips (0 = run forever).
+    /// Stop once the HMI's `hmi.{index}.commands_sent` count reaches
+    /// this (0 = run forever).
     pub max_flips: u64,
-}
-
-/// Counters for experiments.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HmiStats {
-    /// Supervisory commands issued.
-    pub commands_sent: u64,
-    /// Display frames applied after `f+1` votes.
-    pub frames_applied: u64,
-    /// Frames received but still below the vote threshold.
-    pub frames_pending: u64,
 }
 
 /// One HMI location.
@@ -55,12 +45,14 @@ pub struct HmiHost {
     cycle: Option<CycleConfig>,
     cycle_breaker: u16,
     cycle_state: Vec<bool>,
-    /// Counters.
-    pub stats: HmiStats,
     /// The deployment's observability hub.
     obs: obs::ObsHub,
+    /// Display frames applied after `f+1` votes.
     c_frames_applied: obs::Counter,
+    /// Frames received but still below the vote threshold.
     c_frames_pending: obs::Counter,
+    /// Supervisory commands issued. A host rebuilt on the same hub
+    /// continues from the count of the one it replaced.
     c_commands_sent: obs::Counter,
 }
 
@@ -84,7 +76,6 @@ impl HmiHost {
             cycle: None,
             cycle_breaker: 0,
             cycle_state: Vec::new(),
-            stats: HmiStats::default(),
             obs: hub.clone(),
             c_frames_applied: counter("frames_applied"),
             c_frames_pending: counter("frames_pending"),
@@ -129,7 +120,6 @@ impl HmiHost {
         };
         self.master.submit(&mut self.external, ctx, &scada_update);
         self.obs.end_span(root);
-        self.stats.commands_sent += 1;
         self.c_commands_sent.inc();
     }
 
@@ -137,7 +127,7 @@ impl HmiHost {
         let Some(cycle) = self.cycle.clone() else {
             return;
         };
-        if cycle.max_flips > 0 && self.stats.commands_sent >= cycle.max_flips {
+        if cycle.max_flips > 0 && self.c_commands_sent.get() >= cycle.max_flips {
             return;
         }
         let breaker = self.cycle_breaker;
@@ -171,7 +161,6 @@ impl HmiHost {
                 exec_seq,
             );
             if self.votes.vote(key, replica) {
-                self.stats.frames_applied += 1;
                 self.c_frames_applied.inc();
                 self.obs.journal(obs::Event::FrameEmit {
                     hmi: self.index,
@@ -195,7 +184,6 @@ impl HmiHost {
                         .instant_span(deliver, obs::Stage::Render, ctx.node().0);
                 }
             } else {
-                self.stats.frames_pending += 1;
                 self.c_frames_pending.inc();
             }
         }
@@ -208,7 +196,6 @@ impl Process for HmiHost {
         if let Some(cycle) = &self.cycle {
             ctx.set_timer(cycle.period, CYCLE_TIMER);
         }
-        ctx.log(format!("hmi {} online", self.index));
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, timer: u64) {
@@ -230,7 +217,6 @@ impl std::fmt::Debug for HmiHost {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HmiHost")
             .field("index", &self.index)
-            .field("stats", &self.stats)
             .finish()
     }
 }

@@ -182,11 +182,6 @@ impl Process for PlcProxy {
         edge::start(&mut self.external, ctx);
         ctx.listen(PROXY_MODBUS_PORT);
         ctx.set_timer(self.poll_interval, POLL_TIMER);
-        ctx.log(format!(
-            "plc-proxy {} online ({})",
-            self.index,
-            self.scenario.tag()
-        ));
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, timer: u64) {

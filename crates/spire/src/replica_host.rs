@@ -110,24 +110,10 @@ impl ReplicaHost {
                         ctx.set_trace(trace);
                     }
                 }
-                OutEvent::ViewChanged { view } => {
-                    ctx.log(format!("replica {} moved to view {view}", self.id));
-                }
-                OutEvent::StateTransferRequested => {
-                    ctx.log(format!(
-                        "replica {} requested app-level state transfer",
-                        self.id
-                    ));
-                }
-                OutEvent::StateTransferInstalled { exec_seq } => {
+                OutEvent::StateTransferInstalled { .. } => {
                     self.obs
                         .journal(obs::Event::RecoveryEnd { replica: self.id });
-                    ctx.log(format!(
-                        "replica {} installed app state at exec {exec_seq}",
-                        self.id
-                    ));
                 }
-                OutEvent::CheckpointStable { .. } => {}
             }
         }
         // Ship application actions produced by executions.
@@ -205,7 +191,6 @@ impl Process for ReplicaHost {
         edge::start(&mut self.internal, ctx);
         edge::start(&mut self.external, ctx);
         ctx.set_timer(TICK, TICK_TIMER);
-        ctx.log(format!("scada-master replica {} online", self.id));
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, timer: u64) {

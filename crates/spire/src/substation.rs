@@ -194,11 +194,6 @@ impl Process for SubstationProxy {
         edge::start(&mut self.external, ctx);
         ctx.listen(SUBSTATION_MODBUS_PORT);
         ctx.set_timer(self.sweep_interval, SWEEP_TIMER);
-        ctx.log(format!(
-            "substation-proxy {} online ({} devices)",
-            self.station,
-            self.devices.len()
-        ));
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, timer: u64) {

@@ -476,7 +476,7 @@ fn cycling_deployment(seed: u64) -> Deployment {
 fn leader_crash_in_full_deployment_triggers_view_change_and_service_continues() {
     let mut d = cycling_deployment(7001);
     d.run_for(SimDuration::from_secs(3));
-    let frames_before = d.hmi(0).stats.frames_applied;
+    let frames_before = d.obs.counter_value("hmi.0.frames_applied");
     assert!(frames_before > 0);
     // A healthy leader means no view changes so far.
     assert_eq!(
@@ -519,7 +519,7 @@ fn leader_crash_in_full_deployment_triggers_view_change_and_service_continues() 
             .journal_count(|e| matches!(e, obs::Event::RecoveryStart { replica: 0 })),
         1
     );
-    let frames_after = d.hmi(0).stats.frames_applied;
+    let frames_after = d.obs.counter_value("hmi.0.frames_applied");
     assert!(
         frames_after > frames_before,
         "display updates resumed after the view change"
@@ -530,7 +530,10 @@ fn leader_crash_in_full_deployment_triggers_view_change_and_service_continues() 
 fn fault_free_run_journals_no_view_changes() {
     let mut d = cycling_deployment(7005);
     d.run_for(SimDuration::from_secs(8));
-    assert!(d.hmi(0).stats.frames_applied > 0, "service live");
+    assert!(
+        d.obs.counter_value("hmi.0.frames_applied") > 0,
+        "service live"
+    );
     assert_eq!(
         d.obs
             .journal_count(|e| matches!(e, obs::Event::ViewChange { .. })),
@@ -569,7 +572,7 @@ fn vote_gating_survives_interception_of_one_replica() {
     let mut d = Deployment::build(cfg, profile, 7002);
     d.set_timing(scripted_timing());
     d.run_for(SimDuration::from_secs(3));
-    let frames_before = d.hmi(0).stats.frames_applied;
+    let frames_before = d.obs.counter_value("hmi.0.frames_applied");
 
     // Poison the HMI's view of replica 0: its frames now go to the
     // attacker (who drops them).
@@ -603,7 +606,7 @@ fn vote_gating_survives_interception_of_one_replica() {
     );
     // Display still advances and still shows the truth: 3 of 4 replicas
     // supply matching frames, and f+1 = 2 suffice.
-    let frames_after = d.hmi(0).stats.frames_applied;
+    let frames_after = d.obs.counter_value("hmi.0.frames_applied");
     assert!(
         frames_after > frames_before,
         "vote gating masked the interception"

@@ -310,7 +310,10 @@ fn plant_scale_deployment_all_seventeen_plcs() {
     );
     // All three HMI locations display.
     for h in 0..3 {
-        assert!(d.hmi(h).stats.frames_applied >= 1, "hmi {h} live");
+        assert!(
+            d.obs.counter_value(&format!("hmi.{h}.frames_applied")) >= 1,
+            "hmi {h} live"
+        );
     }
 }
 

@@ -87,36 +87,16 @@ fn e5_different_seeds_yield_different_digests() {
 }
 
 #[test]
-fn registry_mirrors_legacy_stats_structs() {
+fn proxy_and_network_stats_read_the_registry_counts() {
     let cfg = SpireConfig::minimal(PrimeConfig::red_team(), Scenario::PlantSubset);
     let mut d = Deployment::build(cfg, HardeningProfile::deployed(), 515);
     d.run_for(SimDuration::from_secs(5));
 
-    for h in 0..d.cfg.hmis {
-        let stats = d.hmi(h).stats;
-        assert_eq!(
-            d.obs.counter_value(&format!("hmi.{h}.frames_applied")),
-            stats.frames_applied,
-            "hmi {h} frames_applied mirrored"
-        );
-        assert_eq!(
-            d.obs.counter_value(&format!("hmi.{h}.frames_pending")),
-            stats.frames_pending,
-            "hmi {h} frames_pending mirrored"
-        );
-    }
     for p in 0..d.cfg.proxies.len() as u32 {
         assert_eq!(
             d.obs.counter_value(&format!("proxy.{p}.updates_sent")),
             d.proxy(p).stats.updates_sent,
             "proxy {p} updates_sent mirrored"
-        );
-    }
-    for i in 0..d.cfg.n() {
-        assert_eq!(
-            d.obs.counter_value(&format!("spines.int.r{i}.delivered")),
-            d.replica(i).internal.stats.delivered,
-            "replica {i} internal deliveries mirrored"
         );
     }
     // Network counters flow through the same registry.
