@@ -688,7 +688,10 @@ fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutc
         throttles: responder.throttles,
         updates_throttled: d.proxy(0).stats.updates_throttled,
         anomaly_windows: mana.flagged_windows(),
-        transitions: responder.controller.stats.transitions,
+        transitions: d
+            .obs
+            .journal_count(|e| matches!(e, obs::Event::ResponseTransition { .. }))
+            as u64,
         invariants: checker.reports(),
         all_green: checker.all_green(),
         min_executed: d.min_executed(),

@@ -237,8 +237,6 @@ pub struct ResponseStats {
     pub throttles: u64,
     /// Throttles lifted.
     pub unthrottles: u64,
-    /// State transitions journaled.
-    pub transitions: u64,
 }
 
 /// The feedback controller. Pure state machine: [`Controller::step`] is
@@ -268,10 +266,6 @@ pub struct Controller {
     proxy_calm: Vec<u32>,
     /// Consecutive globally-calm ticks (hysteresis toward Normal).
     calm_streak: u32,
-    /// Every actuation emitted, with its tick time (test/report surface).
-    actions: Vec<(SimTime, Actuation)>,
-    /// Every state transition: (at, from, to, reason).
-    transitions: Vec<(SimTime, u8, u8, u8)>,
     /// Counters.
     pub stats: ResponseStats,
 }
@@ -299,8 +293,6 @@ impl Controller {
             throttled: Vec::new(),
             proxy_calm: Vec::new(),
             calm_streak: 0,
-            actions: Vec::new(),
-            transitions: Vec::new(),
             stats: ResponseStats::default(),
         }
     }
@@ -315,38 +307,27 @@ impl Controller {
         self.down.iter().map(|(r, _)| *r).collect()
     }
 
-    /// Every actuation emitted so far, with tick times.
-    pub fn actions(&self) -> &[(SimTime, Actuation)] {
-        &self.actions
-    }
-
-    /// Every state transition journaled so far: (at, from, to, reason).
-    pub fn transitions(&self) -> &[(SimTime, u8, u8, u8)] {
-        &self.transitions
-    }
-
-    fn emit(&mut self, now: SimTime, act: Actuation) {
+    /// Journals `act` and hands it to the caller through `out`.
+    fn emit(&self, act: Actuation, out: &mut Vec<Actuation>) {
         self.obs.journal(obs::Event::ResponseActuation {
             actuator: act.tag(),
             target: act.target(),
             param: act.param(),
         });
-        self.actions.push((now, act));
+        out.push(act);
     }
 
-    fn transition(&mut self, now: SimTime, to: ResponseState, reason: u8) {
+    fn transition(&mut self, to: ResponseState, reason: u8) {
         if to == self.state {
             return;
         }
         let from = self.state;
         self.state = to;
-        self.stats.transitions += 1;
         self.obs.journal(obs::Event::ResponseTransition {
             from: from.tag(),
             to: to.tag(),
             reason,
         });
-        self.transitions.push((now, from.tag(), to.tag(), reason));
     }
 
     /// One controller tick: consumes the observations, returns the
@@ -402,10 +383,8 @@ impl Controller {
             self.last_recovered[r as usize] = Some(now);
             self.awaiting.push((r, 0));
             self.stats.recoveries_completed += 1;
-            let act = Actuation::Restore { replica: r };
-            self.emit(now, act);
-            out.push(act);
-            self.transition(now, ResponseState::Recovering, REASON_RESTORE);
+            self.emit(Actuation::Restore { replica: r }, &mut out);
+            self.transition(ResponseState::Recovering, REASON_RESTORE);
         }
 
         // 3. View churn: a view change abandons a leader; the abandoned
@@ -473,13 +452,14 @@ impl Controller {
                 self.throttled[p] = true;
                 self.proxy_calm[p] = 0;
                 self.stats.throttles += 1;
-                let act = Actuation::Throttle {
-                    proxy: ob.proxy,
-                    min_interval: THROTTLE_INTERVAL,
-                };
-                self.emit(now, act);
-                out.push(act);
-                self.transition(now, ResponseState::Throttled, REASON_FLOOD);
+                self.emit(
+                    Actuation::Throttle {
+                        proxy: ob.proxy,
+                        min_interval: THROTTLE_INTERVAL,
+                    },
+                    &mut out,
+                );
+                self.transition(ResponseState::Throttled, REASON_FLOOD);
             } else if self.throttled[p] {
                 if ob.anomaly_z < SUSPECT_Z {
                     self.proxy_calm[p] += 1;
@@ -489,9 +469,7 @@ impl Controller {
                 if self.proxy_calm[p] >= CALM_TICKS {
                     self.throttled[p] = false;
                     self.stats.unthrottles += 1;
-                    let act = Actuation::Unthrottle { proxy: ob.proxy };
-                    self.emit(now, act);
-                    out.push(act);
+                    self.emit(Actuation::Unthrottle { proxy: ob.proxy }, &mut out);
                 }
             }
         }
@@ -535,10 +513,8 @@ impl Controller {
                 self.suspicion[r as usize] = 0;
                 self.down.push((r, now + RECOVERY_DOWNTIME));
                 self.stats.recoveries_started += 1;
-                let act = Actuation::TakeDown { replica: r };
-                self.emit(now, act);
-                out.push(act);
-                self.transition(now, ResponseState::Isolating, reason);
+                self.emit(Actuation::TakeDown { replica: r }, &mut out);
+                self.transition(ResponseState::Isolating, reason);
             }
         }
 
@@ -576,7 +552,7 @@ impl Controller {
                         .max()
                         .unwrap_or(REASON_ANOMALY),
                 };
-                self.transition(now, state, reason);
+                self.transition(state, reason);
             }
             None => {
                 if violation_seen {
@@ -584,7 +560,7 @@ impl Controller {
                 } else if self.state != ResponseState::Normal {
                     self.calm_streak += 1;
                     if self.calm_streak >= CALM_TICKS {
-                        self.transition(now, ResponseState::Normal, REASON_CALM);
+                        self.transition(ResponseState::Normal, REASON_CALM);
                     }
                 }
             }
@@ -621,13 +597,14 @@ mod tests {
 
     #[test]
     fn quiet_stream_stays_normal_and_silent() {
-        let mut c = Controller::new(cfg(), &obs::ObsHub::new());
+        let hub = obs::ObsHub::new();
+        let mut c = Controller::new(cfg(), &hub);
         for t in 0..100 {
             let acts = c.step(&quiet_input(t * 100, 6));
             assert!(acts.is_empty());
         }
         assert_eq!(c.state(), ResponseState::Normal);
-        assert!(c.transitions().is_empty());
+        assert_eq!(hub.journal_len(), 0, "nothing journaled");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! guard (controller-initiated recoveries never exceed the `f`/`k`
 //! disruptive-window discipline, mirroring `ChaosPlan::within_budget`).
 
-use obs::{Event, TimedEvent};
+use obs::{Event, ObsHub, TimedEvent};
 use proptest::prelude::*;
 use response::controller::{COOLDOWN, REPLICA_COOLDOWN};
 use response::{
@@ -98,27 +98,35 @@ const CALM: World = World {
     tat_us: 2_000_000,
 };
 
+/// What a driven controller left behind.
+struct Run {
+    /// Every actuation `step` returned, with its tick time.
+    actions: Vec<(SimTime, Actuation)>,
+    /// The controller's hub, its clock set to each tick's time: every
+    /// actuation and transition journaled.
+    hub: ObsHub,
+    /// Per tick: was any replica externally down when the tick was fed?
+    ext_down: Vec<(u64, bool)>,
+}
+
 /// An *observable* world: random anomaly scores, random external
 /// crashes, view bumps, floods. The controller's own downs are reflected
 /// back as `up = false`, exactly as a deployment would. With `noisy`,
 /// each tick's journal also carries [`noise`].
-fn drive(
-    seed: u64,
-    cfg: ResponseConfig,
-    world: World,
-    noisy: bool,
-) -> (Controller, Vec<(u64, bool)>) {
+fn drive(seed: u64, cfg: ResponseConfig, world: World, noisy: bool) -> Run {
     let mut rng = Rng(seed ^ 0x5eed_50de);
     let mut noise_rng = Rng(seed ^ 0x0a15_e5ed);
-    let mut c = Controller::new(cfg, &obs::ObsHub::new());
+    let hub = ObsHub::new();
+    let mut c = Controller::new(cfg, &hub);
+    let mut actions = Vec::new();
     let mut ours_down: Vec<u32> = Vec::new();
     // Externally-crashed replicas: (replica, ticks remaining).
     let mut ext_down: Vec<(u32, u64)> = Vec::new();
     let mut view = 0u64;
-    // Per tick: was any replica externally down when the tick was fed?
     let mut ext_down_log = Vec::new();
     for t in 0..TICKS {
         let now = SimTime(t * TICK_US);
+        hub.set_now_us(now.as_micros());
         ext_down.retain_mut(|(_, left)| {
             *left -= 1;
             *left > 0
@@ -164,9 +172,14 @@ fn drive(
                 Actuation::Restore { replica } => ours_down.retain(|r| *r != replica),
                 _ => {}
             }
+            actions.push((input.now, act));
         }
     }
-    (c, ext_down_log)
+    Run {
+        actions,
+        hub,
+        ext_down: ext_down_log,
+    }
 }
 
 proptest! {
@@ -176,10 +189,9 @@ proptest! {
     #[test]
     fn same_stream_same_actuator_sequence(seed in any::<u64>()) {
         let cfg = ResponseConfig::for_budget(N, 1, 1);
-        let (a, _) = drive(seed, cfg, HOSTILE, false);
-        let (b, _) = drive(seed, cfg, HOSTILE, false);
-        prop_assert_eq!(a.actions(), b.actions());
-        prop_assert_eq!(a.transitions(), b.transitions());
+        let (a, b) = (drive(seed, cfg, HOSTILE, false), drive(seed, cfg, HOSTILE, false));
+        prop_assert_eq!(a.actions, b.actions);
+        prop_assert_eq!(a.hub.journal_records(), b.hub.journal_records());
     }
 
     /// Honest detection: injections, heals, anomaly scores and response
@@ -189,10 +201,9 @@ proptest! {
     fn unread_journal_records_change_no_actuation(seed in any::<u64>()) {
         let cfg = ResponseConfig::for_budget(N, 1, 1);
         for world in [HOSTILE, CALM] {
-            let (quiet, _) = drive(seed, cfg, world, false);
-            let (noisy, _) = drive(seed, cfg, world, true);
-            prop_assert_eq!(quiet.actions(), noisy.actions());
-            prop_assert_eq!(quiet.transitions(), noisy.transitions());
+            let (quiet, noisy) = (drive(seed, cfg, world, false), drive(seed, cfg, world, true));
+            prop_assert_eq!(quiet.actions, noisy.actions);
+            prop_assert_eq!(quiet.hub.journal_records(), noisy.hub.journal_records());
         }
     }
 
@@ -203,11 +214,11 @@ proptest! {
     #[test]
     fn recoveries_never_exceed_the_disruptive_budget(seed in any::<u64>()) {
         let cfg = ResponseConfig::for_budget(N, 1, 1);
-        let (c, ext_down_log) = drive(seed, cfg, HOSTILE, false);
+        let run = drive(seed, cfg, HOSTILE, false);
         let mut down: Vec<u32> = Vec::new();
         let mut last_restore: Option<SimTime> = None;
         let mut last_restore_of = vec![None::<SimTime>; N as usize];
-        for (at, act) in c.actions() {
+        for (at, act) in &run.actions {
             match act {
                 Actuation::TakeDown { replica } => {
                     down.push(*replica);
@@ -217,7 +228,7 @@ proptest! {
                         down.len()
                     );
                     let tick = at.as_micros() / TICK_US;
-                    let ext = ext_down_log.iter().find(|(t, _)| *t == tick).map(|(_, e)| *e);
+                    let ext = run.ext_down.iter().find(|(t, _)| *t == tick).map(|(_, e)| *e);
                     prop_assert_eq!(
                         ext, Some(false),
                         "seed {}: takedown at tick {} with an external crash live",
