@@ -301,8 +301,6 @@ pub struct CommercialHmi {
     pub positions: Vec<bool>,
     /// Highest status sequence displayed.
     pub last_seq: u64,
-    /// Every applied display update: `(time, seq)`.
-    pub update_log: Vec<(SimTime, u64)>,
     /// Status frames accepted from an address other than the configured
     /// master (spoofed updates the operator unknowingly trusted).
     pub spoofed_accepted: u64,
@@ -320,7 +318,6 @@ impl CommercialHmi {
             master,
             positions: Vec::new(),
             last_seq: 0,
-            update_log: Vec::new(),
             spoofed_accepted: 0,
             box_transitions: Vec::new(),
             sensor_breaker: 0,
@@ -355,7 +352,6 @@ impl Process for CommercialHmi {
         self.last_seq = status.seq.max(self.last_seq);
         let old_box = self.positions.get(self.sensor_breaker as usize).copied();
         self.positions = status.positions;
-        self.update_log.push((ctx.now(), status.seq));
         let new_box = self.positions.get(self.sensor_breaker as usize).copied();
         if let (Some(n), o) = (new_box, old_box) {
             if o != Some(n) {
