@@ -1347,4 +1347,27 @@ regional-2x3 os 73042505 f7a79b28413b3ca26ef6795af247a9975e2b958fc36934304556a83
         // Meanwhile the system never stopped.
         assert!(d.obs.counter_value("hmi.0.frames_applied") >= 1);
     }
+
+    /// A restored replica's daemons are rebuilt on the deployment's hub
+    /// under the same names, so their counts continue from the old
+    /// incarnation's totals rather than restarting at zero.
+    #[test]
+    fn restored_daemon_counts_continue_from_the_old_totals() {
+        let mut d = minimal_deployment();
+        d.run_for(SimDuration::from_secs(2));
+        d.take_replica_down(3);
+        let before = d.replica(3).internal.stats();
+        assert!(
+            before.delivered > 0,
+            "replica 3 took part before going down"
+        );
+        d.restore_replica(3);
+        assert_eq!(d.replica(3).internal.stats(), before);
+        d.run_for(SimDuration::from_secs(2));
+        let after = d.replica(3).internal.stats();
+        assert!(
+            after.delivered > before.delivered && after.originated > before.originated,
+            "{before:?} -> {after:?}"
+        );
+    }
 }
