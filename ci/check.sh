@@ -172,6 +172,22 @@ if grep -rnE --include='*.rs' 'attach_obs|\.obs = ' crates src; then
     exit 1
 fi
 
+echo "==> one record per fact (no simulator string log, no twin stats fields)"
+# A fact is counted in the registry, journaled, or returned to the caller,
+# once. The simulator keeps no string log, Prime signals nothing that only
+# such a log read, and a Spines, HMI or Prime event bumps no struct field
+# beside its registry counter. (The proxies' ProxyStats and SubstationStats
+# stay: the benchmark reads them as fields.)
+if grep -rnE --include='*.rs' \
+    'fn logs\(|Action::Log|ctx\.log\(|\b(ViewChanged|StateTransferRequested|CheckpointStable)\b|pub stats: DaemonStats|\bHmiStats\b' \
+    crates src; then
+    exit 1
+fi
+if grep -rn -A1 --include='*.rs' -E 'stats\.[a-z_]+ \+= ' crates/prime crates/spines crates/spire/src/hmi_host.rs |
+    grep -E '\.inc\(\)'; then
+    exit 1
+fi
+
 echo "==> a capture exists only where something reads it (no add_tap without drain_tap)"
 # A span-port tap keeps one record per frame entering its switch until it
 # is drained. Outside simnet, a file that attaches one must also drain it.
