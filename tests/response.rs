@@ -102,6 +102,28 @@ fn double_compromise_feedback_beats_periodic() {
     }
 }
 
+/// Each policy's actuation counts at seed 42, one wave: recoveries are the
+/// campaign's takedowns and throttles the controller's throttle actuations.
+#[cfg(not(debug_assertions))]
+#[test]
+fn actuation_counts_are_pinned_at_seed_42() {
+    for (shape, periodic, feedback) in [
+        (Shape::ImplantFlood, (8, 0), (1, 1)),
+        (Shape::DoubleCompromise, (9, 0), (2, 0)),
+    ] {
+        let run = e16_campaign(42, shape, 1);
+        for (p, want) in [(&run.periodic, periodic), (&run.feedback, feedback)] {
+            assert_eq!(
+                (p.recoveries, p.throttles),
+                want,
+                "{} {}: (recoveries, throttles)",
+                run.id,
+                p.policy
+            );
+        }
+    }
+}
+
 /// Same seed, same shape, two fresh harness runs: the journals (and hence
 /// every actuation, transition, and anomaly score) must be byte-identical.
 #[cfg(not(debug_assertions))]
