@@ -246,10 +246,9 @@ impl Shape {
 pub struct PolicyOutcome {
     /// Policy label ("periodic" / "feedback").
     pub policy: &'static str,
-    /// Recoveries the policy started (node actually taken down).
+    /// Recoveries the policy started (node actually taken down): the
+    /// campaign's journaled `RecoveryStart` records.
     pub recoveries: u64,
-    /// Restores applied.
-    pub restores: u64,
     /// Ground-truth time spent with a live implant, microseconds.
     pub compromised_us: u64,
     /// Per-compromise end-to-end reaction samples (inject → takedown, or
@@ -259,7 +258,8 @@ pub struct PolicyOutcome {
     pub reacted: u64,
     /// Compromise windows the policy never caught (heal closed them).
     pub missed: u64,
-    /// Throttle actuations (feedback only).
+    /// Throttle actuations (feedback only): journaled
+    /// `ResponseActuation`s with the throttle tag.
     pub throttles: u64,
     /// Proxy updates suppressed by the rate cap.
     pub updates_throttled: u64,
@@ -468,9 +468,6 @@ struct Responder {
     controller: Controller,
     /// Periodic policy's pending restores: (replica, due).
     pending_restore: Vec<(u32, SimTime)>,
-    recoveries: u64,
-    restores: u64,
-    throttles: u64,
 }
 
 impl Responder {
@@ -480,9 +477,6 @@ impl Responder {
             scheduler,
             controller,
             pending_restore: Vec::new(),
-            recoveries: 0,
-            restores: 0,
-            throttles: 0,
         }
     }
 
@@ -503,23 +497,20 @@ impl Responder {
                             // Variant rotation rides the same scheduler as
                             // the periodic path; budget honored by both.
                             self.scheduler.trigger(replica, now);
-                            self.take_down(d, log, replica, now);
+                            take_down(d, log, replica, now);
                         }
-                        Actuation::Restore { replica } => self.restore(d, replica),
+                        Actuation::Restore { replica } => restore(d, replica),
                         Actuation::Throttle {
                             proxy,
                             min_interval,
-                        } => {
-                            d.set_proxy_rate_limit(proxy, Some(min_interval));
-                            self.throttles += 1;
-                        }
+                        } => d.set_proxy_rate_limit(proxy, Some(min_interval)),
                         Actuation::Unthrottle { proxy } => d.set_proxy_rate_limit(proxy, None),
                     }
                 }
             }
             Policy::Periodic => {
                 for ev in self.scheduler.poll(now) {
-                    if self.take_down(d, log, ev.replica, now) {
+                    if take_down(d, log, ev.replica, now) {
                         self.pending_restore.push((ev.replica, ev.finish));
                     }
                 }
@@ -528,45 +519,38 @@ impl Responder {
                     .partition(|&(_, t)| now >= t);
                 self.pending_restore = later;
                 for (r, _) in due {
-                    self.restore(d, r);
+                    restore(d, r);
                 }
             }
         }
     }
 
-    /// Takes `replica` down for recovery if it is up. A live implant on it
-    /// ends there: the clean-image recovery neutralizes it.
-    fn take_down(
-        &mut self,
-        d: &mut Deployment,
-        log: &mut CompromiseLog,
-        replica: u32,
-        now: SimTime,
-    ) -> bool {
-        if !d.replica_up(replica) {
-            return false;
-        }
-        log.close(replica, now, true);
-        d.take_replica_down(replica);
-        self.recoveries += 1;
-        true
-    }
-
-    fn restore(&mut self, d: &mut Deployment, replica: u32) {
-        if !d.replica_up(replica) {
-            d.restore_replica(replica);
-        }
-        self.restores += 1;
-    }
-
     /// End of campaign: restores every replica the policy still holds down.
     fn restore_all(&mut self, d: &mut Deployment) {
         for r in self.controller.isolated() {
-            self.restore(d, r);
+            restore(d, r);
         }
         for (r, _) in std::mem::take(&mut self.pending_restore) {
-            self.restore(d, r);
+            restore(d, r);
         }
+    }
+}
+
+/// Takes `replica` down for recovery if it is up. A live implant on it
+/// ends there: the clean-image recovery neutralizes it.
+fn take_down(d: &mut Deployment, log: &mut CompromiseLog, replica: u32, now: SimTime) -> bool {
+    if !d.replica_up(replica) {
+        return false;
+    }
+    log.close(replica, now, true);
+    d.take_replica_down(replica);
+    true
+}
+
+/// Brings `replica` back with a clean image unless it is already up.
+fn restore(d: &mut Deployment, replica: u32) {
+    if !d.replica_up(replica) {
+        d.restore_replica(replica);
     }
 }
 
@@ -679,13 +663,18 @@ fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutc
     let meta = RunMeta::capture(&label, &d.obs, &d.sim);
     PolicyOutcome {
         policy: policy.name(),
-        recoveries: responder.recoveries,
-        restores: responder.restores,
+        recoveries: d
+            .obs
+            .journal_count(|e| matches!(e, obs::Event::RecoveryStart { .. }))
+            as u64,
         compromised_us: log.compromised_us,
         reaction_us: log.reaction_us,
         reacted: log.reacted,
         missed: log.missed,
-        throttles: responder.throttles,
+        throttles: d
+            .obs
+            .journal_count(|e| matches!(e, obs::Event::ResponseActuation { actuator: 2, .. }))
+            as u64,
         updates_throttled: d.proxy(0).stats.updates_throttled,
         anomaly_windows: mana.flagged_windows(),
         transitions: d
@@ -806,7 +795,6 @@ fn policy_json(p: &PolicyOutcome) -> Json {
         ("reacted", p.reacted.into()),
         ("missed", p.missed.into()),
         ("recoveries", p.recoveries.into()),
-        ("restores", p.restores.into()),
         ("throttles", p.throttles.into()),
         ("updates_throttled", p.updates_throttled.into()),
         ("anomaly_windows", p.anomaly_windows.into()),

@@ -48,12 +48,6 @@ pub struct PlcEmulator {
     /// Power-flow solves so far.
     #[cfg(test)]
     solves: u64,
-    /// Modbus requests answered.
-    pub requests_served: u64,
-    /// Frames that failed to parse (malformed / tampered).
-    pub invalid_frames: u64,
-    /// Configuration images adopted after upload (forensics).
-    pub configs_adopted: u64,
     /// Breaker position changes, as `(time, breaker, closed)`.
     pub position_log: Vec<(SimTime, u16, bool)>,
     /// Observability hub, given at construction.
@@ -94,9 +88,6 @@ impl PlcEmulator {
             solved_currents: Vec::new(),
             #[cfg(test)]
             solves: 0,
-            requests_served: 0,
-            invalid_frames: 0,
-            configs_adopted: 0,
             position_log: Vec::new(),
             obs: hub.clone(),
             trace_node: 0,
@@ -139,7 +130,6 @@ impl PlcEmulator {
         if self.store.config_image != self.last_adopted_image {
             if let Ok(cfg) = LogicConfig::from_image(&self.store.config_image) {
                 self.config = cfg;
-                self.configs_adopted += 1;
             }
             self.last_adopted_image = self.store.config_image.clone();
         }
@@ -194,7 +184,6 @@ impl PlcEmulator {
 
     /// Handles one Modbus request PDU, returning the response PDU.
     pub fn handle_request(&mut self, req: &Request) -> Response {
-        self.requests_served += 1;
         execute(req, &mut self.store)
     }
 
@@ -215,7 +204,6 @@ impl PlcEmulator {
     /// [`PlcEmulator::handle_request`] for network requests: writes
     /// stamp Modbus-write spans under the request packet's context.
     fn handle_request_traced(&mut self, req: &Request, parent: Option<TraceCtx>) -> Response {
-        self.requests_served += 1;
         let (resp, write_span) =
             execute_traced(req, &mut self.store, &self.obs, parent, self.trace_node);
         if write_span.is_some() {
@@ -244,11 +232,9 @@ impl Process for PlcEmulator {
             return;
         }
         let Some(frame) = TcpFrame::decode(&pkt.payload) else {
-            self.invalid_frames += 1;
             return;
         };
         let Some(req) = Request::decode(&frame.pdu) else {
-            self.invalid_frames += 1;
             return;
         };
         obs::prof::charge_msg("plc;io", 1, 0);
@@ -399,8 +385,7 @@ mod tests {
         // All breakers forced open despite coils commanding closed.
         assert!(plc.positions().iter().all(|&p| !p));
         assert_eq!(plc.energized_loads(), 0);
-        assert_eq!(plc.configs_adopted, 1);
-        assert!(!plc.config().is_factory());
+        assert_eq!(plc.config(), &cfg, "the uploaded image was adopted");
     }
 
     #[test]
@@ -411,7 +396,6 @@ mod tests {
         });
         plc.scan(SimTime(10_000));
         assert!(plc.config().is_factory());
-        assert_eq!(plc.configs_adopted, 0);
     }
 
     #[test]

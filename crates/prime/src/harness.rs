@@ -43,6 +43,8 @@ enum Event {
 pub struct Cluster {
     /// The replicas (index = id).
     pub replicas: Vec<Replica<KvApp>>,
+    /// The hub every replica counts and journals on.
+    pub obs: obs::ObsHub,
     now: SimTime,
     /// Creation sequence of the next message: its queue key.
     seq: u64,
@@ -90,6 +92,7 @@ impl Cluster {
             registry.register(Principal::Client(c), kp.public_key());
             client_keys.push(kp);
         }
+        let hub = obs::ObsHub::new();
         let replicas = replica_keys
             .into_iter()
             .enumerate()
@@ -100,7 +103,7 @@ impl Cluster {
                     key,
                     registry.clone(),
                     KvApp::new(),
-                    &obs::ObsHub::new(),
+                    &hub,
                 )
             })
             .collect();
@@ -108,6 +111,7 @@ impl Cluster {
         queue.insert(SimTime::ZERO.as_micros(), TICK_KEY, Event::Tick);
         Cluster {
             replicas,
+            obs: hub,
             now: SimTime::ZERO,
             seq: 0,
             queue,
@@ -494,7 +498,11 @@ pub(crate) mod tests {
         c.run_for(SimDuration::from_millis(500));
         assert_eq!(c.replicas[5].exec_seq(), 12, "recovered replica caught up");
         c.assert_consistent();
-        assert_eq!(c.replicas[5].stats.catchups, 1);
+        assert_eq!(
+            c.exec_logs[5].len(),
+            12,
+            "by a snapshot, not by re-executing"
+        );
         // And it continues executing new updates.
         c.submit(0, "post=1");
         c.run_for(SimDuration::from_millis(500));
@@ -579,22 +587,33 @@ pub(crate) mod tests {
         // Total blackout: every catch-up round goes unanswered. The
         // recovering replica must retransmit on the backoff schedule
         // (10 bounded retries ≈ 22 s at a 200 ms base) and then give up
-        // rather than spin forever.
-        c.set_loss(1.0, 7);
+        // rather than spin forever. It is cut off from the cluster and
+        // ticked by hand, so what it sends is what its ticks return.
+        c.partitioned.insert(5);
         c.recover_replica(ReplicaId(5));
-        c.run_for(SimDuration::from_secs(10));
-        let early = c.replicas[5].stats.catchup_retransmits;
-        assert!(
-            (6..10).contains(&early),
-            "backoff should have spaced retries out, got {early} in 10 s"
-        );
-        c.run_for(SimDuration::from_secs(20));
-        assert_eq!(c.replicas[5].stats.catchup_retransmits, 10);
+        let start = c.now();
+        let mut retransmits = 0;
+        for step in 1..=3000u64 {
+            let out = c.replicas[5].tick(start + TICK_INTERVAL.saturating_mul(step));
+            retransmits += out
+                .iter()
+                .filter(|e| {
+                    matches!(e, OutEvent::Broadcast(m)
+                        if matches!(m.msg.msg, crate::messages::PrimeMsg::CatchupRequest { .. }))
+                })
+                .count();
+            if step == 1000 {
+                assert!(
+                    (6..10).contains(&retransmits),
+                    "backoff should have spaced retries out, got {retransmits} in 10 s"
+                );
+            }
+        }
+        assert_eq!(retransmits, 10);
         assert!(
             !c.replicas[5].is_catching_up(),
             "replica must give up after the attempt budget"
         );
-        assert!(c.dropped_messages > 0);
     }
 
     /// Satellite: `Replica::recover()` + `request_catchup` under 30 %
@@ -671,7 +690,12 @@ pub(crate) mod tests {
         assert_eq!(c.min_executed(), 12);
         c.recover_replica(ReplicaId(5));
         c.run_for(SimDuration::from_secs(2));
-        assert!(c.replicas[5].stats.catchups >= 1, "recovery caught up");
+        assert_eq!(c.replicas[5].exec_seq(), 12, "recovery caught up");
+        assert_eq!(
+            c.exec_logs[5].len(),
+            12,
+            "by a snapshot, not by re-executing"
+        );
         for i in 0..12 {
             c.submit(i % 2, format!("p{i}=v"));
             c.run_for(SimDuration::from_millis(60));
@@ -799,7 +823,6 @@ pub(crate) mod tests {
         c.replicas[0].set_membership(Membership::degraded(vec![0, 1, 2]), now);
         // A perfectly valid checkpoint vote from r5 (a non-member) must
         // not be admitted while the epoch is active.
-        let before = c.replicas[0].stats.bad_sigs;
         let env = {
             let r5 = &mut c.replicas[5];
             let digest = r5.app().digest();
@@ -815,7 +838,11 @@ pub(crate) mod tests {
         };
         let out = c.replicas[0].on_message(env.msg, now);
         assert!(out.is_empty(), "non-member message produced no effects");
-        assert_eq!(c.replicas[0].stats.bad_sigs, before);
+        assert_eq!(
+            c.obs.counter_value("prime.r0.bad_sigs"),
+            0,
+            "dropped unverified"
+        );
         c.replicas[0].clear_membership();
         assert!(c.replicas[0].membership().is_none());
     }
@@ -832,7 +859,13 @@ pub(crate) mod tests {
             assert_eq!(log.len(), 1, "executed exactly once");
         }
         // Each replica introduced it separately; duplicates suppressed.
-        assert!(c.replicas[0].stats.dup_suppressed > 0);
+        for r in &c.replicas {
+            assert_eq!(
+                r.health_sample(c.now()).aru,
+                4,
+                "pre-ordered by every origin"
+            );
+        }
     }
 
     #[test]

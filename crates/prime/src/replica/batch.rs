@@ -39,7 +39,6 @@ impl<A: Application> Replica<A> {
             .drain(..)
             .map(|(_, update)| update)
             .collect();
-        self.stats.batches_sent += 1;
         // One root signature per batch (the envelope signature below is
         // charged by `sign` itself).
         obs::prof::charge_crypto("prime;preorder;batch_request", obs::prof::CryptoOp::Sign, 1);
@@ -78,12 +77,12 @@ impl<A: Application> Replica<A> {
             return;
         }
         if !self.verified(|registry| batch.verify(registry)) {
-            self.stats.bad_sigs += 1;
+            self.c_bad_sigs.inc();
             return;
         }
         for update in &batch.updates {
             if !self.verify_update(update) {
-                self.stats.bad_sigs += 1;
+                self.c_bad_sigs.inc();
                 return;
             }
         }
@@ -98,7 +97,6 @@ impl<A: Application> Replica<A> {
             self.po_store
                 .insert_if_absent(o as u32, po_seq, update.clone());
         }
-        self.stats.batches_accepted += 1;
         self.po_batches[o]
             .entry(batch.first_po_seq)
             .or_insert(batch);
@@ -170,7 +168,7 @@ impl<A: Application> Replica<A> {
             return;
         }
         if !self.verify_update(&update) {
-            self.stats.bad_sigs += 1;
+            self.c_bad_sigs.inc();
             return;
         }
         let proof = Proof {
@@ -181,7 +179,7 @@ impl<A: Application> Replica<A> {
         if !self.verified(|registry| {
             PoBatch::verify_root(registry, origin, first_po_seq, count, root, root_sig)
         }) {
-            self.stats.bad_sigs += 1;
+            self.c_bad_sigs.inc();
             return;
         }
         let inc = po_incarnation(first_po_seq);

@@ -180,29 +180,6 @@ pub enum OutEvent {
     },
 }
 
-/// Counters for experiments.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReplicaStats {
-    /// Updates introduced into pre-ordering by this replica.
-    pub po_introduced: u64,
-    /// Duplicate executions suppressed (same client seq via another origin).
-    pub dup_suppressed: u64,
-    /// Pre-prepares proposed (as leader).
-    pub proposals: u64,
-    /// Catch-ups performed.
-    pub catchups: u64,
-    /// Catch-up requests retransmitted after an unanswered round.
-    pub catchup_retransmits: u64,
-    /// Messages rejected for bad signatures.
-    pub bad_sigs: u64,
-    /// Reconciliation fetches sent.
-    pub fetches: u64,
-    /// Pre-order batches closed and broadcast (batching on).
-    pub batches_sent: u64,
-    /// Pre-order batches accepted from peers (batching on).
-    pub batches_accepted: u64,
-}
-
 /// One flight-recorder health snapshot, as computed by
 /// [`Replica::health_sample`]. Field meanings match
 /// [`obs::Event::ReplicaHealth`], which journals the same gauges.
@@ -365,17 +342,17 @@ pub struct Replica<A: Application> {
     catchup_dedup: BTreeMap<u32, (u64, DedupTable)>,
 
     app: A,
-    /// Counters.
-    pub stats: ReplicaStats,
 
     // Observability: the hub given at construction, for journal records,
-    // plus cached registry counter handles. `health_ticks`
+    // plus cached registry counter handles (`c_bad_sigs`: envelopes,
+    // updates and batches refused for a signature). `health_ticks`
     // counts protocol ticks for the flight recorder's snapshot cadence.
     obs: obs::ObsHub,
     health_ticks: u64,
     c_view_changes: obs::Counter,
     c_executed: obs::Counter,
     c_suspects_sent: obs::Counter,
+    c_bad_sigs: obs::Counter,
 
     // Causal tracing: the context the host set before `submit`, the
     // pre-ordering ("queue") span per in-flight traced update (keyed
@@ -463,12 +440,12 @@ impl<A: Application> Replica<A> {
             catchup_offers: BTreeMap::new(),
             catchup_dedup: BTreeMap::new(),
             app,
-            stats: ReplicaStats::default(),
             obs: hub.clone(),
             health_ticks: 0,
             c_view_changes: counter("view_changes"),
             c_executed: counter("executed"),
             c_suspects_sent: counter("suspects_sent"),
+            c_bad_sigs: counter("bad_sigs"),
             incoming_trace: None,
             trace_queue: BTreeMap::new(),
             trace_phase: BTreeMap::new(),
@@ -669,7 +646,7 @@ impl<A: Application> Replica<A> {
             return out;
         }
         if !self.verify_update(&update) {
-            self.stats.bad_sigs += 1;
+            self.c_bad_sigs.inc();
             return out;
         }
         let ckey = (update.update.client, update.update.client_seq);
@@ -686,7 +663,6 @@ impl<A: Application> Replica<A> {
         }
         let po_seq = po_compose(self.incarnation, self.next_po_seq);
         self.next_po_seq += 1;
-        self.stats.po_introduced += 1;
         self.po_store
             .insert_if_absent(self.id.0, po_seq, update.clone());
         if self.config.batch_max > 0 {
@@ -765,7 +741,7 @@ impl<A: Application> Replica<A> {
             return out;
         }
         if !self.verified(|registry| msg.verify(registry)) {
-            self.stats.bad_sigs += 1;
+            self.c_bad_sigs.inc();
             return out;
         }
         let from = msg.from;
@@ -1016,7 +992,6 @@ impl<A: Application> Replica<A> {
                 self.catching_up = false;
                 self.stall_since = None;
             } else {
-                self.stats.catchup_retransmits += 1;
                 self.catchup_started = now;
                 self.catchup_offers.clear();
                 self.catchup_dedup.clear();
@@ -1210,7 +1185,6 @@ impl<A: Application> std::fmt::Debug for Replica<A> {
             .field("view", &self.view)
             .field("exec_seq", &self.exec_seq)
             .field("max_committed", &self.max_committed)
-            .field("stats", &self.stats)
             .finish()
     }
 }

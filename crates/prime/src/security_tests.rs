@@ -11,7 +11,7 @@ use simnet::wire::Wire;
 
 use crate::application::KvApp;
 use crate::messages::{AruRow, PoBatch, PrimeMsg, SignedMsg};
-use crate::replica::{po_compose, po_counter, po_incarnation, Replica};
+use crate::replica::{po_compose, po_counter, po_incarnation, OutEvent, Replica};
 use crate::types::{Config, ReplicaId, SignedUpdate, Update};
 
 pub(crate) fn registry_and_keys(n: u32, clients: u32) -> (KeyRegistry, Vec<KeyPair>, Vec<KeyPair>) {
@@ -32,6 +32,11 @@ pub(crate) fn registry_and_keys(n: u32, clients: u32) -> (KeyRegistry, Vec<KeyPa
 }
 
 fn replica(id: u32) -> (Replica<KvApp>, Vec<KeyPair>, Vec<KeyPair>) {
+    replica_on(id, &obs::ObsHub::new())
+}
+
+/// Replica `id` counting on `hub`, where its refusals can be read.
+fn replica_on(id: u32, hub: &obs::ObsHub) -> (Replica<KvApp>, Vec<KeyPair>, Vec<KeyPair>) {
     let config = Config::red_team();
     let (reg, rkeys, ckeys) = registry_and_keys(config.n(), 2);
     let r = Replica::new(
@@ -40,9 +45,14 @@ fn replica(id: u32) -> (Replica<KvApp>, Vec<KeyPair>, Vec<KeyPair>) {
         rkeys[id as usize].clone(),
         reg,
         KvApp::new(),
-        &obs::ObsHub::new(),
+        hub,
     );
     (r, rkeys, ckeys)
+}
+
+/// Envelopes, updates and batches `r` refused for a signature.
+fn bad_sigs(hub: &obs::ObsHub, r: &Replica<KvApp>) -> u64 {
+    hub.counter_value(&format!("prime.r{}.bad_sigs", r.id().0))
 }
 
 fn signed_update(ckeys: &mut [KeyPair], client: u32, seq: u64) -> SignedUpdate {
@@ -62,24 +72,25 @@ fn po_composite_arithmetic() {
 
 #[test]
 fn forged_client_signature_rejected() {
-    let (mut r, _rk, mut ck) = replica(0);
+    let hub = obs::ObsHub::new();
+    let (mut r, _rk, mut ck) = replica_on(0, &hub);
     let mut bad = signed_update(&mut ck, 0, 1);
     bad.update.payload = Bytes::from_static(b"tampered=1");
     let out = r.submit(bad, SimTime(0));
     assert!(out.is_empty(), "tampered update must not be introduced");
-    assert_eq!(r.stats.bad_sigs, 1);
+    assert_eq!(bad_sigs(&hub, &r), 1);
 }
 
 #[test]
 fn replica_message_with_wrong_envelope_key_rejected() {
-    let (mut r0, mut rk, _ck) = replica(0);
+    let hub = obs::ObsHub::new();
+    let (mut r0, mut rk, _ck) = replica_on(0, &hub);
     // Replica 2's message signed with replica 3's key.
     let msg = PrimeMsg::SuspectLeader { view: 0 };
     let forged = SignedMsg::sign(ReplicaId(2), msg, &mut rk[3]);
-    let before = r0.stats.bad_sigs;
     let out = r0.on_message(forged, SimTime(0));
     assert!(out.is_empty());
-    assert_eq!(r0.stats.bad_sigs, before + 1);
+    assert_eq!(bad_sigs(&hub, &r0), 1);
 }
 
 #[test]
@@ -106,7 +117,8 @@ fn po_request_relayed_by_non_origin_is_ignored() {
 
 #[test]
 fn po_data_with_forged_inner_envelope_rejected() {
-    let (mut r0, mut rk, mut ck) = replica(0);
+    let hub = obs::ObsHub::new();
+    let (mut r0, mut rk, mut ck) = replica_on(0, &hub);
     // Inner envelope claims origin replica 1 but is signed by replica 2.
     let update = signed_update(&mut ck, 0, 1);
     let inner = PrimeMsg::PoRequest {
@@ -119,9 +131,8 @@ fn po_data_with_forged_inner_envelope_rejected() {
         original: forged_inner.to_wire().to_vec(),
     };
     let outer = SignedMsg::sign(ReplicaId(2), po_data, &mut rk[2]);
-    let before = r0.stats.bad_sigs;
     let _ = r0.on_message(outer, SimTime(0));
-    assert!(r0.stats.bad_sigs > before, "forged inner envelope detected");
+    assert_eq!(bad_sigs(&hub, &r0), 1, "forged inner envelope detected");
 }
 
 #[test]
@@ -184,18 +195,20 @@ fn duplicate_client_seq_not_reintroduced() {
     let (mut r0, _rk, mut ck) = replica(0);
     let u = signed_update(&mut ck, 0, 7);
     let first = r0.submit(u.clone(), SimTime(0));
-    assert!(!first.is_empty());
+    assert!(
+        matches!(&first[..], [OutEvent::Broadcast(m)] if matches!(m.msg.msg, PrimeMsg::PoRequest { .. })),
+        "introduced once: {first:?}"
+    );
     let second = r0.submit(u, SimTime(1));
     assert!(second.is_empty(), "same (client, seq) introduced twice");
-    assert_eq!(r0.stats.po_introduced, 1);
 }
 
 /// What `r` spent on one message: signature verifications run, and
 /// messages rejected for a bad signature.
-fn cost(r: &mut Replica<KvApp>, msg: SignedMsg) -> (u64, u64) {
-    let (ran, bad) = (r.verifications(), r.stats.bad_sigs);
+fn cost(r: &mut Replica<KvApp>, hub: &obs::ObsHub, msg: SignedMsg) -> (u64, u64) {
+    let (ran, bad) = (r.verifications(), bad_sigs(hub, r));
     let _ = r.on_message(msg, SimTime(1));
-    (r.verifications() - ran, r.stats.bad_sigs - bad)
+    (r.verifications() - ran, bad_sigs(hub, r) - bad)
 }
 
 fn po_request(rk: &mut [KeyPair], origin: u32, counter: u64, update: SignedUpdate) -> SignedMsg {
@@ -222,13 +235,20 @@ fn po_batch(rk: &mut [KeyPair], origin: u32, updates: Vec<SignedUpdate>) -> Sign
 
 #[test]
 fn an_update_verified_at_submission_is_recognised_and_a_changed_one_is_not() {
-    let (mut r0, mut rk, mut ck) = replica(0);
+    let hub = obs::ObsHub::new();
+    let (mut r0, mut rk, mut ck) = replica_on(0, &hub);
     let u = signed_update(&mut ck, 0, 1);
     let _ = r0.submit(u.clone(), SimTime(0));
     assert_eq!(r0.verifications(), 1);
     // The same bytes relayed by an origin: only the envelope is checked.
-    assert_eq!(cost(&mut r0, po_request(&mut rk, 1, 1, u.clone())), (1, 0));
-    assert_eq!(cost(&mut r0, po_batch(&mut rk, 2, vec![u.clone()])), (2, 0));
+    assert_eq!(
+        cost(&mut r0, &hub, po_request(&mut rk, 1, 1, u.clone())),
+        (1, 0)
+    );
+    assert_eq!(
+        cost(&mut r0, &hub, po_batch(&mut rk, 2, vec![u.clone()])),
+        (2, 0)
+    );
     // u's (client, client_seq) with another payload, and u with one
     // signature byte flipped: each is verified, rejected and counted,
     // through a PoRequest, as a batch member and as a fetched member.
@@ -240,11 +260,15 @@ fn an_update_verified_at_submission_is_recognised_and_a_changed_one_is_not() {
     sig.sig = itcrypto::Signature::from_bytes(&bytes);
     for (counter, forged) in [(2, payload), (3, sig)] {
         assert_eq!(
-            cost(&mut r0, po_request(&mut rk, 1, counter, forged.clone())),
+            cost(
+                &mut r0,
+                &hub,
+                po_request(&mut rk, 1, counter, forged.clone())
+            ),
             (2, 1)
         );
         assert_eq!(
-            cost(&mut r0, po_batch(&mut rk, 3, vec![forged.clone()])),
+            cost(&mut r0, &hub, po_batch(&mut rk, 3, vec![forged.clone()])),
             (3, 1)
         );
         let member = PrimeMsg::PoBatchMember {
@@ -257,17 +281,22 @@ fn an_update_verified_at_submission_is_recognised_and_a_changed_one_is_not() {
             root_sig: u.sig,
         };
         assert_eq!(
-            cost(&mut r0, SignedMsg::sign(ReplicaId(3), member, &mut rk[3])),
+            cost(
+                &mut r0,
+                &hub,
+                SignedMsg::sign(ReplicaId(3), member, &mut rk[3])
+            ),
             (2, 1)
         );
     }
     // A rejected update was not remembered, and u still is.
-    assert_eq!(cost(&mut r0, po_request(&mut rk, 3, 1, u)), (1, 0));
+    assert_eq!(cost(&mut r0, &hub, po_request(&mut rk, 3, 1, u)), (1, 0));
 }
 
 #[test]
 fn the_update_table_forgets_the_oldest_past_its_cap_and_on_recovery() {
-    let (mut r0, _rk, mut ck) = replica(0);
+    let hub = obs::ObsHub::new();
+    let (mut r0, _rk, mut ck) = replica_on(0, &hub);
     let updates: Vec<SignedUpdate> = (1..=4097)
         .map(|seq| signed_update(&mut ck, 0, seq))
         .collect();
@@ -286,7 +315,7 @@ fn the_update_table_forgets_the_oldest_past_its_cap_and_on_recovery() {
     assert_eq!(resubmit(&mut r0, &updates[4096]), 0);
     assert_eq!(resubmit(&mut r0, &updates[0]), 1);
     assert_eq!(resubmit(&mut r0, &updates[0]), 0);
-    assert_eq!(r0.stats.bad_sigs, 0);
+    assert_eq!(bad_sigs(&hub, &r0), 0);
     // A recovered replica has verified nothing.
     let _ = r0.recover(SimTime(2));
     assert_eq!(resubmit(&mut r0, &updates[4096]), 1);
@@ -321,27 +350,32 @@ fn po_aru(rk: &mut [KeyPair], from: u32, row: AruRow) -> SignedMsg {
 
 #[test]
 fn a_row_recurring_in_consecutive_pre_prepares_is_verified_once() {
-    let (mut r1, mut rk, _ck) = replica(1);
+    let hub = obs::ObsHub::new();
+    let (mut r1, mut rk, _ck) = replica_on(1, &hub);
     let rows: Vec<AruRow> = (0..4)
         .map(|i| aru_row(&mut rk, i, vec![i as u64; 4]))
         .collect();
     // The envelope and three rows, then the envelope and the one row the
     // second matrix has not carried before.
     let first = pre_prepare(&mut rk, 1, rows[..3].to_vec());
-    assert_eq!(cost(&mut r1, first), (4, 0));
+    assert_eq!(cost(&mut r1, &hub, first), (4, 0));
     let second = pre_prepare(&mut rk, 2, rows[1..].to_vec());
-    assert_eq!(cost(&mut r1, second), (2, 0));
+    assert_eq!(cost(&mut r1, &hub, second), (2, 0));
     let third = pre_prepare(&mut rk, 3, rows.clone());
-    assert_eq!(cost(&mut r1, third), (1, 0));
+    assert_eq!(cost(&mut r1, &hub, third), (1, 0));
     // Gossiped as a PO-ARU, a row seen in a matrix is recognised too.
-    assert_eq!(cost(&mut r1, po_aru(&mut rk, 2, rows[2].clone())), (1, 0));
+    assert_eq!(
+        cost(&mut r1, &hub, po_aru(&mut rk, 2, rows[2].clone())),
+        (1, 0)
+    );
 }
 
 #[test]
 fn a_known_replicas_altered_row_is_verified_and_rejected_every_time() {
-    let (mut r1, mut rk, _ck) = replica(1);
+    let hub = obs::ObsHub::new();
+    let (mut r1, mut rk, _ck) = replica_on(1, &hub);
     let row = aru_row(&mut rk, 2, vec![3, 1, 4, 1]);
-    assert_eq!(cost(&mut r1, po_aru(&mut rk, 2, row.clone())), (2, 0));
+    assert_eq!(cost(&mut r1, &hub, po_aru(&mut rk, 2, row.clone())), (2, 0));
     let mut vector = row.clone();
     vector.vector[3] = 5;
     let mut sig = row.clone();
@@ -350,7 +384,10 @@ fn a_known_replicas_altered_row_is_verified_and_rejected_every_time() {
     sig.sig = itcrypto::Signature::from_bytes(&bytes);
     for forged in [vector, sig] {
         for _ in 0..2 {
-            assert_eq!(cost(&mut r1, po_aru(&mut rk, 2, forged.clone())), (2, 1));
+            assert_eq!(
+                cost(&mut r1, &hub, po_aru(&mut rk, 2, forged.clone())),
+                (2, 1)
+            );
         }
         // Inside a matrix a bad row drops the pre-prepare unprepared.
         let matrix = vec![row.clone(), forged.clone(), aru_row(&mut rk, 3, vec![0; 4])];
@@ -358,17 +395,18 @@ fn a_known_replicas_altered_row_is_verified_and_rejected_every_time() {
         assert!(out.is_empty(), "prepared a matrix with a forged row");
     }
     // The genuine row is still recognised.
-    assert_eq!(cost(&mut r1, po_aru(&mut rk, 2, row)), (1, 0));
+    assert_eq!(cost(&mut r1, &hub, po_aru(&mut rk, 2, row)), (1, 0));
 }
 
 #[test]
 fn a_recovered_replica_recognises_no_row() {
-    let (mut r1, mut rk, _ck) = replica(1);
+    let hub = obs::ObsHub::new();
+    let (mut r1, mut rk, _ck) = replica_on(1, &hub);
     let row = aru_row(&mut rk, 2, vec![2, 7, 1, 8]);
-    assert_eq!(cost(&mut r1, po_aru(&mut rk, 3, row.clone())), (2, 0));
-    assert_eq!(cost(&mut r1, po_aru(&mut rk, 3, row.clone())), (1, 0));
+    assert_eq!(cost(&mut r1, &hub, po_aru(&mut rk, 3, row.clone())), (2, 0));
+    assert_eq!(cost(&mut r1, &hub, po_aru(&mut rk, 3, row.clone())), (1, 0));
     let _ = r1.recover(SimTime(2));
-    assert_eq!(cost(&mut r1, po_aru(&mut rk, 3, row)), (2, 0));
+    assert_eq!(cost(&mut r1, &hub, po_aru(&mut rk, 3, row)), (2, 0));
 }
 
 #[test]

@@ -126,8 +126,6 @@ pub struct Observations {
     pub syns_sent: u64,
     /// Scan responses seen as `(port, open)`.
     pub scan_results: Vec<(u16, bool)>,
-    /// ARP replies sent.
-    pub arp_replies_sent: u64,
     /// DoS packets sent.
     pub dos_packets_sent: u64,
     /// Dumped device identification text.
@@ -140,16 +138,8 @@ pub struct Observations {
     pub intercepted: u64,
     /// Status frames rewritten and relayed onward.
     pub rewritten: u64,
-    /// Commercial commands injected.
-    pub commands_injected: u64,
-    /// Spoofed status frames sent.
-    pub statuses_spoofed: u64,
     /// Spines probes sent.
     pub spines_probes_sent: u64,
-    /// MAC-spoof frames sent.
-    pub mac_spoofs_sent: u64,
-    /// Echo replies received (reachability evidence).
-    pub pongs_received: u64,
 }
 
 /// Man-in-the-middle behaviour once traffic is steered to the attacker.
@@ -232,7 +222,6 @@ impl Attacker {
             } => {
                 // Gratuitous replies broadcast onto the segment.
                 for _ in 0..count {
-                    self.observed.arp_replies_sent += 1;
                     let frame = Frame {
                         src_mac: ctx.mac(0),
                         dst_mac: MacAddr::BROADCAST,
@@ -264,7 +253,6 @@ impl Attacker {
                 positions,
                 seq,
             } => {
-                self.observed.statuses_spoofed += 1;
                 let currents = vec![0; positions.len()];
                 let status = CommercialStatus {
                     seq,
@@ -279,7 +267,6 @@ impl Attacker {
                 breaker,
                 close,
             } => {
-                self.observed.commands_injected += 1;
                 let cmd = CommercialCommand { breaker, close };
                 let pkt = Packet::udp(ctx.ip(0), master, ATTACK_PORT, MASTER_PORT, cmd.to_wire());
                 ctx.send(0, pkt);
@@ -310,7 +297,6 @@ impl Attacker {
             }
             AttackStep::MacSpoof { impersonate, count } => {
                 for _ in 0..count {
-                    self.observed.mac_spoofs_sent += 1;
                     // A frame whose source claims the victim's MAC; payload
                     // is arbitrary (the point is the CAM side effect).
                     let pkt = Packet::udp(
@@ -427,7 +413,6 @@ impl Process for Attacker {
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
         match pkt.kind {
-            TransportKind::Pong => self.observed.pongs_received += 1,
             TransportKind::TcpSynAck => self.observed.scan_results.push((pkt.src_port.0, true)),
             TransportKind::TcpRst => self.observed.scan_results.push((pkt.src_port.0, false)),
             TransportKind::Udp

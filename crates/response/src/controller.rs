@@ -224,21 +224,6 @@ pub const REPLICA_COOLDOWN: SimDuration = SimDuration::from_secs(10);
 /// Update cap pushed into a throttled proxy.
 const THROTTLE_INTERVAL: SimDuration = SimDuration::from_millis(400);
 
-/// Controller counters for reporting.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ResponseStats {
-    /// Feedback recoveries triggered.
-    pub recoveries_started: u64,
-    /// Restores issued.
-    pub recoveries_completed: u64,
-    /// Reconvergence confirmations read from the journal.
-    pub reconvergences_confirmed: u64,
-    /// Throttles engaged.
-    pub throttles: u64,
-    /// Throttles lifted.
-    pub unthrottles: u64,
-}
-
 /// The feedback controller. Pure state machine: [`Controller::step`] is
 /// deterministic in (config, observation stream); all time comes from
 /// the input.
@@ -266,8 +251,6 @@ pub struct Controller {
     proxy_calm: Vec<u32>,
     /// Consecutive globally-calm ticks (hysteresis toward Normal).
     calm_streak: u32,
-    /// Counters.
-    pub stats: ResponseStats,
 }
 
 impl Controller {
@@ -293,7 +276,6 @@ impl Controller {
             throttled: Vec::new(),
             proxy_calm: Vec::new(),
             calm_streak: 0,
-            stats: ResponseStats::default(),
         }
     }
 
@@ -347,11 +329,7 @@ impl Controller {
         for rec in &input.journal {
             match rec.event {
                 Event::Reconverged { replica, .. } => {
-                    let before = self.awaiting.len();
                     self.awaiting.retain(|(r, _)| *r != replica);
-                    if self.awaiting.len() < before {
-                        self.stats.reconvergences_confirmed += 1;
-                    }
                 }
                 Event::InvariantViolation {
                     invariant: INV_RECONVERGENCE,
@@ -382,7 +360,6 @@ impl Controller {
             self.last_window_end = now;
             self.last_recovered[r as usize] = Some(now);
             self.awaiting.push((r, 0));
-            self.stats.recoveries_completed += 1;
             self.emit(Actuation::Restore { replica: r }, &mut out);
             self.transition(ResponseState::Recovering, REASON_RESTORE);
         }
@@ -451,7 +428,6 @@ impl Controller {
             if !self.throttled[p] && ob.anomaly_z >= FLOOD_Z {
                 self.throttled[p] = true;
                 self.proxy_calm[p] = 0;
-                self.stats.throttles += 1;
                 self.emit(
                     Actuation::Throttle {
                         proxy: ob.proxy,
@@ -468,7 +444,6 @@ impl Controller {
                 }
                 if self.proxy_calm[p] >= CALM_TICKS {
                     self.throttled[p] = false;
-                    self.stats.unthrottles += 1;
                     self.emit(Actuation::Unthrottle { proxy: ob.proxy }, &mut out);
                 }
             }
@@ -512,7 +487,6 @@ impl Controller {
                 let reason = self.suspect_reason[r as usize];
                 self.suspicion[r as usize] = 0;
                 self.down.push((r, now + RECOVERY_DOWNTIME));
-                self.stats.recoveries_started += 1;
                 self.emit(Actuation::TakeDown { replica: r }, &mut out);
                 self.transition(ResponseState::Isolating, reason);
             }
@@ -578,6 +552,13 @@ mod tests {
         ResponseConfig::for_budget(6, 1, 1)
     }
 
+    /// Actuations with journal tag `tag` that `hub` holds.
+    fn actuations(hub: &obs::ObsHub, tag: u8) -> usize {
+        hub.journal_count(
+            |e| matches!(e, Event::ResponseActuation { actuator, .. } if *actuator == tag),
+        )
+    }
+
     fn quiet_input(now_ms: u64, n: u32) -> ControllerInput {
         ControllerInput {
             now: SimTime(now_ms * 1_000),
@@ -609,7 +590,8 @@ mod tests {
 
     #[test]
     fn confirmed_anomaly_triggers_one_bounded_recovery() {
-        let mut c = Controller::new(cfg(), &obs::ObsHub::new());
+        let hub = obs::ObsHub::new();
+        let mut c = Controller::new(cfg(), &hub);
         // Past the initial cool-down, replica 4 scores hot every tick.
         let mut took_down_at = None;
         for t in 0..200u64 {
@@ -622,7 +604,7 @@ mod tests {
             for act in c.step(&input) {
                 if let Actuation::TakeDown { replica } = act {
                     assert_eq!(replica, 4);
-                    assert!(took_down_at.is_none() || c.stats.recoveries_started <= 2);
+                    assert!(took_down_at.is_none() || actuations(&hub, 0) <= 2);
                     took_down_at.get_or_insert(t);
                 }
             }
@@ -630,7 +612,7 @@ mod tests {
         }
         let first = took_down_at.expect("recovery triggered");
         assert!(first >= 2, "confirmation ticks enforced, got {first}");
-        assert!(c.stats.recoveries_completed >= 1);
+        assert!(actuations(&hub, 1) >= 1, "restored");
     }
 
     #[test]
@@ -653,7 +635,8 @@ mod tests {
 
     #[test]
     fn flood_throttles_then_calm_unthrottles_with_hysteresis() {
-        let mut c = Controller::new(cfg(), &obs::ObsHub::new());
+        let hub = obs::ObsHub::new();
+        let mut c = Controller::new(cfg(), &hub);
         let mut throttle_at = None;
         let mut unthrottle_at = None;
         for t in 0..100u64 {
@@ -680,8 +663,7 @@ mod tests {
             lifted >= 9 + CALM_TICKS as u64,
             "hysteresis: lifted at {lifted}"
         );
-        assert_eq!(c.stats.throttles, 1);
-        assert_eq!(c.stats.unthrottles, 1);
+        assert_eq!((actuations(&hub, 2), actuations(&hub, 3)), (1, 1));
     }
 
     /// Drives replica 4 hot until the controller takes it down, then down
@@ -721,7 +703,6 @@ mod tests {
             input.journal = vec![caught_up.clone()];
             c.step(&input);
             assert!(c.awaiting.is_empty());
-            assert_eq!(c.stats.reconvergences_confirmed, 1);
         }
     }
 
@@ -741,7 +722,6 @@ mod tests {
         assert!(c.awaiting.is_empty(), "a timeout ends the wait");
         assert_eq!(c.suspicion[4], CONFIRM_TICKS);
         assert_eq!(c.suspect_reason[4], REASON_HEALTH);
-        assert_eq!(c.stats.reconvergences_confirmed, 0);
     }
 
     /// Feeds `c` quiet ticks with `event` journaled on every one, after a

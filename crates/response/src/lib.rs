@@ -35,5 +35,5 @@ pub mod controller;
 
 pub use controller::{
     Actuation, Controller, ControllerInput, ProxyObservation, ReplicaObservation, ResponseConfig,
-    ResponseState, ResponseStats,
+    ResponseState,
 };

@@ -377,15 +377,19 @@ proptest! {
 // delivery, and for client updates it recognises by their bytes, after
 // eviction too.
 
-/// A red-team replica (id 0) that checks signatures against `registry`.
-fn verifying_replica(registry: &itcrypto::keys::KeyRegistry) -> prime::Replica<prime::KvApp> {
+/// A red-team replica (id 0) that checks signatures against `registry` and
+/// counts on `hub`.
+fn verifying_replica(
+    registry: &itcrypto::keys::KeyRegistry,
+    hub: &obs::ObsHub,
+) -> prime::Replica<prime::KvApp> {
     prime::Replica::new(
         prime::ReplicaId(0),
         Config::red_team(),
         itcrypto::keys::KeyPair::generate(3),
         registry.clone(),
         prime::KvApp::new(),
-        &obs::ObsHub::new(),
+        hub,
     )
 }
 
@@ -435,11 +439,13 @@ proptest! {
         prop_assert_eq!(signed.verify(&registry), uncached);
         // A replica verifies the envelope on every delivery, the repeat
         // included, and rejects exactly the corrupted ones.
-        let mut replica = verifying_replica(&registry);
+        let hub = obs::ObsHub::new();
+        let mut replica = verifying_replica(&registry, &hub);
+        let bad_sigs = || hub.counter_value("prime.r0.bad_sigs");
         for _ in 0..2 {
-            let bad = replica.stats.bad_sigs;
+            let bad = bad_sigs();
             let _ = replica.on_message(signed.clone(), SimTime(0));
-            prop_assert_eq!(replica.stats.bad_sigs - bad, u64::from(!uncached));
+            prop_assert_eq!(bad_sigs() - bad, u64::from(!uncached));
         }
     }
 
@@ -970,7 +976,8 @@ proptest! {
         let (mut batch, registry, mut origin_key) = batch_fixture(&payloads, 1);
         // A replica that verified every member when the client sent it,
         // and remembers them.
-        let mut replica = verifying_replica(&registry);
+        let hub = obs::ObsHub::new();
+        let mut replica = verifying_replica(&registry, &hub);
         for update in &batch.updates {
             let _ = replica.submit(update.clone(), SimTime(0));
         }
@@ -1003,12 +1010,15 @@ proptest! {
         prop_assert_eq!(uncached, tamper == 0);
         prop_assert_eq!(batch.verify(&registry), tamper != 1);
         // The replica recognises the members it verified and nothing else:
-        // it accepts the batch exactly when the uncached verdict does.
+        // it accepts the batch (its members raise the replica's ARU)
+        // exactly when the uncached verdict does, and refuses it for a
+        // signature otherwise.
         let msg = PrimeMsg::PoRequestBatch { batch };
         let signed = SignedMsg::sign(ReplicaId(2), msg, &mut origin_key);
-        let accepted = replica.stats.batches_accepted;
+        let aru = replica.health_sample(SimTime(1)).aru;
         let _ = replica.on_message(signed, SimTime(1));
-        prop_assert_eq!(replica.stats.batches_accepted - accepted, u64::from(uncached));
+        prop_assert_eq!(replica.health_sample(SimTime(1)).aru > aru, uncached);
+        prop_assert_eq!(hub.counter_value("prime.r0.bad_sigs"), u64::from(!uncached));
     }
 }
 
