@@ -1,6 +1,8 @@
 //! Cross-crate integration tests: every experiment reproduces the
 //! paper's qualitative outcome (see EXPERIMENTS.md for the full mapping).
 
+use std::collections::BTreeSet;
+
 use bench::figures::{fig1_conventional, fig2_spire, fig4_hmi};
 use bench::mana_experiment::e7_mana_detection;
 use bench::plant_experiments::{e4_plant_deployment, e5_reaction_time};
@@ -314,6 +316,28 @@ fn plant_scale_deployment_all_seventeen_plcs() {
             d.obs.counter_value(&format!("hmi.{h}.frames_applied")) >= 1,
             "hmi {h} live"
         );
+    }
+    // The plant's key set is fixed: every up replica holds exactly the
+    // configured scenarios, and running on adds none.
+    let configured: BTreeSet<String> = d.cfg.proxies.iter().map(|p| p.scenario.tag()).collect();
+    assert_eq!(configured.len(), 17);
+    let held = |d: &Deployment| -> Vec<BTreeSet<String>> {
+        (0..d.cfg.prime.n())
+            .filter(|&r| d.replica_up(r))
+            .map(|r| {
+                let state = d.replica(r).replica.app().state();
+                state.scenario_tags().map(str::to_string).collect()
+            })
+            .collect()
+    };
+    let before = held(&d);
+    d.run_for(SimDuration::from_secs(4));
+    let after = held(&d);
+    assert_eq!((before.len(), after.len()), (6, 6), "every replica up");
+    for (when, sets) in [("at 4 s", before), ("4 s later", after)] {
+        for tags in sets {
+            assert_eq!(tags, configured, "{when}");
+        }
     }
 }
 

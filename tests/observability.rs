@@ -1,7 +1,7 @@
 //! Determinism and fidelity of the observability layer: the same seed
 //! must produce a byte-identical event journal (and therefore the same
-//! digest), different seeds must not, and the registry must agree with
-//! the legacy stats structs it mirrors.
+//! digest), different seeds must not, the registry must agree with the
+//! stats structs it mirrors, and a correct run refuses no signature.
 
 use bench::plant_experiments::{e4_plant_deployment, e5_reaction_time};
 use plc::topology::Scenario;
@@ -34,6 +34,25 @@ fn e4_different_seeds_yield_different_digests() {
         a.obs.journal_digest, b.obs.journal_digest,
         "different seeds perturb event timing, changing the journal"
     );
+}
+
+/// A correct run refuses no Prime envelope: a signing or encoding
+/// regression shows as refusals here, not as a silent stall. The plant
+/// run reinstalls replicas, so their successors' counts are read too.
+#[test]
+fn a_correct_run_refuses_no_prime_envelope() {
+    let run = e4_plant_deployment(4242, 1, 6);
+    assert!(run.recoveries >= 1, "a replica was reinstalled");
+    let refused: Vec<_> = run
+        .obs
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("prime.r") && name.ends_with(".bad_sigs"))
+        .collect();
+    assert_eq!(refused.len(), 6, "every replica counts its refusals");
+    for (name, value) in refused {
+        assert_eq!(*value, 0, "{name}");
+    }
 }
 
 /// What you observe is what runs: the profiler charges the same event
