@@ -172,12 +172,17 @@ if grep -rnE --include='*.rs' 'attach_obs|\.obs = ' crates src; then
     exit 1
 fi
 
-echo "==> one record per fact (no simulator string log, no twin stats fields)"
+echo "==> one record per fact (no simulator string log, no twin stats fields, no unread counts)"
 # A fact is counted in the registry, journaled, or returned to the caller,
 # once. The simulator keeps no string log, Prime signals nothing that only
 # such a log read, and a Spines, HMI or Prime event bumps no struct field
-# beside its registry counter. (The proxies' ProxyStats and SubstationStats
-# stay: the benchmark reads them as fields.)
+# beside its registry counter. A count that no report reads is not kept at
+# all: Prime counts only its signature refusals (prime.r{i}.bad_sigs), the
+# response controller keeps no counters (its actuations are journaled), E16
+# reads recoveries and throttles from the journal, and the PLC and its
+# breakers, the commercial SCADA pair, the SCADA master and the attacker
+# count nothing their state or outputs already show. (The proxies' ProxyStats and SubstationStats stay:
+# the benchmark reads them as fields.)
 if grep -rnE --include='*.rs' \
     'fn logs\(|Action::Log|ctx\.log\(|\b(ViewChanged|StateTransferRequested|CheckpointStable)\b|pub stats: DaemonStats|\bHmiStats\b' \
     crates src; then
@@ -185,6 +190,18 @@ if grep -rnE --include='*.rs' \
 fi
 if grep -rn -A1 --include='*.rs' -E 'stats\.[a-z_]+ \+= ' crates/prime crates/spines crates/spire/src/hmi_host.rs |
     grep -E '\.inc\(\)'; then
+    exit 1
+fi
+if grep -rnE --include='*.rs' '\bReplicaStats\b|\bResponseStats\b|self\.stats\.' \
+    crates/prime/src crates/response/src; then
+    exit 1
+fi
+if grep -nE '(recoveries|restores|throttles) \+= ' crates/bench/src/response_experiment.rs; then
+    exit 1
+fi
+if grep -rnE --include='*.rs' \
+    '\b(requests_served|invalid_frames|configs_adopted|commands_executed|failovers|spoofed_accepted|malformed_updates|arp_replies_sent|statuses_spoofed|commands_injected|mac_spoofs_sent|pongs_received)\b|\.operations \+= ' \
+    crates/plc/src crates/scada/src crates/redteam/src; then
     exit 1
 fi
 
