@@ -271,6 +271,15 @@ impl Scenario {
             Scenario::SubstationDevice { station, device } => format!("s{station}d{device}"),
         }
     }
+
+    /// The substation of a `s{station}d{device}` tag, the form
+    /// [`Scenario::tag`] writes for a [`Scenario::SubstationDevice`];
+    /// `None` for any other tag.
+    pub fn station_of_tag(tag: &str) -> Option<u16> {
+        let (station, device) = tag.strip_prefix('s')?.split_once('d')?;
+        device.parse::<u16>().ok()?;
+        station.parse().ok()
+    }
 }
 
 /// The Figure 4 topology: grid source feeds a main bus through `B10-1`;
@@ -583,5 +592,18 @@ mod tests {
         let s = fig4_topology().to_string();
         assert!(s.contains("7 breakers"));
         assert!(s.contains("B10-1"));
+    }
+
+    #[test]
+    fn station_of_tag_reads_substation_device_tags_only() {
+        let device = Scenario::SubstationDevice {
+            station: 17,
+            device: 3,
+        };
+        assert_eq!(Scenario::station_of_tag(&device.tag()), Some(17));
+        assert_eq!(Scenario::station_of_tag("s0d0"), Some(0));
+        for tag in ["plant", "jhu", "dist3", "gen0", "sXd1", "s1dX", "s1", "s1d"] {
+            assert_eq!(Scenario::station_of_tag(tag), None, "{tag}");
+        }
     }
 }

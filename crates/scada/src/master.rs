@@ -7,7 +7,7 @@ use prime::application::Application;
 use prime::types::Update;
 use simnet::wire::Wire;
 
-use crate::state::{Partitioning, ScadaState};
+use crate::state::ScadaState;
 use crate::updates::ScadaUpdate;
 
 /// Side effects the master requests after executing ordered updates. The
@@ -49,20 +49,9 @@ pub struct ScadaApp {
 }
 
 impl ScadaApp {
-    /// An empty master (flat, single-partition state — the legacy
-    /// single-plant deployment).
+    /// An empty master.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty master with per-substation state partitions (the
-    /// regional deployment). Serialization is partition-independent, so
-    /// this changes data layout only, never digests.
-    pub fn regional() -> Self {
-        ScadaApp {
-            state: ScadaState::partitioned(Partitioning::BySubstation),
-            ..Self::default()
-        }
     }
 
     /// Read access to the state.
@@ -93,44 +82,29 @@ impl Application for ScadaApp {
         let Ok(scada_update) = ScadaUpdate::from_wire(&update.payload) else {
             return;
         };
-        if let ScadaUpdate::SubstationReport { .. } = &scada_update {
-            // One ordered update may refresh many device scenarios; emit
-            // one HMI frame per device whose live view actually changed.
-            for scenario in self.state.apply_tracking_changes(&scada_update) {
-                let s = self.state.scenario(&scenario).expect("just applied");
-                self.actions.push_back(MasterAction::HmiFrame {
-                    scenario,
-                    positions: s.positions.clone(),
-                    currents: s.currents.clone(),
-                    exec_seq,
-                });
-            }
-            return;
+        // One HMI frame per scenario whose polled view changed: one for
+        // a plant poll, up to one per device for a substation report.
+        for scenario in self.state.apply(&scada_update) {
+            let s = self.state.scenario(scenario).expect("just applied");
+            self.actions.push_back(MasterAction::HmiFrame {
+                scenario: scenario.to_string(),
+                positions: s.positions.clone(),
+                currents: s.currents.clone(),
+                exec_seq,
+            });
         }
-        let changed = self.state.apply(&scada_update);
-        match scada_update {
-            ScadaUpdate::HmiCommand {
+        if let ScadaUpdate::HmiCommand {
+            scenario,
+            breaker,
+            close,
+        } = scada_update
+        {
+            self.actions.push_back(MasterAction::PlcCommand {
                 scenario,
                 breaker,
                 close,
-            } => {
-                self.actions.push_back(MasterAction::PlcCommand {
-                    scenario,
-                    breaker,
-                    close,
-                    exec_seq,
-                });
-            }
-            ScadaUpdate::RtuStatus { scenario, .. } if changed => {
-                let s = self.state.scenario(&scenario).expect("just applied");
-                self.actions.push_back(MasterAction::HmiFrame {
-                    scenario,
-                    positions: s.positions.clone(),
-                    currents: s.currents.clone(),
-                    exec_seq,
-                });
-            }
-            _ => {}
+                exec_seq,
+            });
         }
     }
 
@@ -143,9 +117,7 @@ impl Application for ScadaApp {
     }
 
     fn install_snapshot(&mut self, snapshot: &[u8]) {
-        // Re-shard under this master's own partitioning: snapshots are
-        // partition-independent bytes.
-        self.state = ScadaState::restore_with(self.state.partitioning(), snapshot);
+        self.state = ScadaState::restore(snapshot);
         self.actions.clear();
     }
 }

@@ -1,14 +1,7 @@
-//! The SCADA master's application state.
-//!
-//! Since the regional scale-out the state is *partitioned*: scenario
-//! entries live in per-partition maps (one partition per substation under
-//! [`Partitioning::BySubstation`]), so a replica executing a batched
-//! substation report touches only that substation's partition. The
-//! serialized forms — [`ScadaState::digest`] and [`ScadaState::snapshot`]
-//! — iterate the merged view in global tag order, so they are
-//! *byte-identical* under every partitioning: the legacy single-plant
-//! deployment (one flat partition) serializes exactly as it did before
-//! the refactor, and two replicas partitioned differently still agree.
+//! The SCADA master's application state: one map from scenario tag to
+//! that scenario's live state, kept in tag order, which is the order
+//! [`ScadaState::digest`] and [`ScadaState::snapshot`] serialize in. A
+//! regional master holds the same state with more tags.
 
 use std::collections::BTreeMap;
 
@@ -80,128 +73,46 @@ impl Wire for ScenarioState {
     }
 }
 
-/// How scenario tags are assigned to state partitions. The assignment is
-/// a pure function of the tag, so it needs no serialized bookkeeping and
-/// two differently partitioned states hold identical merged views.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// A layout name that selects nothing: every state is one tag-ordered
+/// map. Kept only because `benchmark/src/adapter.rs` calls
+/// [`ScadaState::partitioned`]; goes at the re-base.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Partitioning {
-    /// Everything in one partition — the legacy single-plant master.
-    #[default]
-    Flat,
-    /// Substation-device tags (`s{station}d{device}`) partition by
-    /// substation (partition `station + 1`); every other tag shares
-    /// partition 0.
+    /// The one value.
     BySubstation,
-    /// Deterministic hash sharding over `buckets` partitions, salted —
-    /// the test harness's "any partitioning" generator.
-    Sharded {
-        /// Partition count (0 behaves as 1).
-        buckets: u32,
-        /// Hash salt, so proptests exercise many distinct assignments.
-        salt: u64,
-    },
 }
 
-impl Partitioning {
-    /// The partition a scenario tag belongs to.
-    pub fn partition_of(self, tag: &str) -> u32 {
-        match self {
-            Partitioning::Flat => 0,
-            Partitioning::BySubstation => parse_substation(tag).map_or(0, |s| s + 1),
-            Partitioning::Sharded { buckets, salt } => {
-                // FNV-1a over the tag bytes, salted.
-                let mut h = 0xcbf2_9ce4_8422_2325u64 ^ salt;
-                for &b in tag.as_bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x1000_0000_01b3);
-                }
-                (h % u64::from(buckets.max(1))) as u32
-            }
-        }
-    }
-}
-
-/// Parses the substation index out of a `s{station}d{device}` tag.
-pub fn parse_substation(tag: &str) -> Option<u32> {
-    let rest = tag.strip_prefix('s')?;
-    let d = rest.find('d')?;
-    let station: u32 = rest[..d].parse().ok()?;
-    rest[d + 1..].parse::<u32>().ok()?;
-    Some(station)
-}
-
-/// The full master state across scenarios, sharded into partitions.
-#[derive(Clone, Eq, Debug, Default)]
+/// The full master state: every scenario's live state, in tag order.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ScadaState {
-    partitioning: Partitioning,
-    partitions: BTreeMap<u32, BTreeMap<String, ScenarioState>>,
+    scenarios: BTreeMap<String, ScenarioState>,
     /// Updates executed (part of the digest so replicas at different
     /// execution points never compare equal).
     pub executed: u64,
 }
 
-/// Equality is over the *merged* view: two states holding the same
-/// scenarios at the same execution point are equal no matter how they
-/// are partitioned.
-impl PartialEq for ScadaState {
-    fn eq(&self, other: &Self) -> bool {
-        self.executed == other.executed && self.merged().eq(other.merged())
-    }
-}
-
 impl ScadaState {
-    /// An empty, flat (single-partition) state.
+    /// An empty state.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty state sharded under the given partitioning.
-    pub fn partitioned(partitioning: Partitioning) -> Self {
-        ScadaState {
-            partitioning,
-            ..Self::default()
-        }
-    }
-
-    /// The partitioning in force.
-    pub fn partitioning(&self) -> Partitioning {
-        self.partitioning
-    }
-
-    /// Number of non-empty partitions.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// The scenarios of one partition, if it has any.
-    pub fn partition(&self, id: u32) -> Option<&BTreeMap<String, ScenarioState>> {
-        self.partitions.get(&id)
+    /// An empty state. Kept only because `benchmark/src/adapter.rs`
+    /// calls it; goes at the re-base.
+    pub fn partitioned(_: Partitioning) -> Self {
+        Self::new()
     }
 
     fn entry(&mut self, tag: &str) -> &mut ScenarioState {
-        let p = self.partitioning.partition_of(tag);
-        self.partitions
-            .entry(p)
-            .or_default()
-            .entry(tag.to_string())
-            .or_default()
+        self.scenarios.entry(tag.to_string()).or_default()
     }
 
-    /// The merged view: every scenario across every partition, in global
-    /// tag order (partition assignment is injective per tag, so a simple
-    /// sort-by-tag of the union is the canonical order).
-    fn merged(&self) -> impl Iterator<Item = (&str, &ScenarioState)> {
-        let mut all: Vec<(&str, &ScenarioState)> = self
-            .partitions
-            .values()
-            .flat_map(|p| p.iter().map(|(t, s)| (t.as_str(), s)))
-            .collect();
-        all.sort_unstable_by_key(|(t, _)| *t);
-        all.into_iter()
-    }
-
-    /// Applies one ordered update. Returns whether it changed state.
-    pub fn apply(&mut self, update: &ScadaUpdate) -> bool {
+    /// Applies one ordered update and returns the tags whose polled view
+    /// (positions, currents) it changed, in the update's device order:
+    /// the master refreshes the HMI for exactly these. An HMI command
+    /// changes only what is desired and a rebaseline resets a scenario
+    /// from the field; neither is a poll, so neither returns a tag.
+    pub fn apply<'u>(&mut self, update: &'u ScadaUpdate) -> Vec<&'u str> {
         self.executed += 1;
         match update {
             ScadaUpdate::RtuStatus {
@@ -210,24 +121,24 @@ impl ScadaState {
                 positions,
                 currents,
             } => {
-                let s = self.entry(scenario);
-                if *poll_seq <= s.last_poll_seq {
-                    return false; // stale poll
+                if self.poll(scenario, *poll_seq, positions, currents) {
+                    vec![scenario.as_str()]
+                } else {
+                    Vec::new()
                 }
-                s.last_poll_seq = *poll_seq;
-                let changed = s.positions != *positions || s.currents != *currents;
-                s.positions = positions.clone();
-                s.currents = currents.clone();
-                changed
             }
+            ScadaUpdate::SubstationReport { devices, .. } => devices
+                .iter()
+                .filter(|d| self.poll(&d.scenario, d.poll_seq, &d.positions, &d.currents))
+                .map(|d| d.scenario.as_str())
+                .collect(),
             ScadaUpdate::HmiCommand {
                 scenario,
                 breaker,
                 close,
             } => {
-                let s = self.entry(scenario);
-                s.desired.insert(*breaker, *close);
-                true
+                self.entry(scenario).desired.insert(*breaker, *close);
+                Vec::new()
             }
             ScadaUpdate::FieldRebaseline {
                 scenario,
@@ -237,132 +148,82 @@ impl ScadaState {
                 s.positions = positions.clone();
                 s.currents = vec![0; positions.len()];
                 s.desired.clear();
-                true
-            }
-            ScadaUpdate::SubstationReport { devices, .. } => {
-                let mut changed = false;
-                for d in devices {
-                    let s = self.entry(&d.scenario);
-                    if d.poll_seq <= s.last_poll_seq {
-                        continue; // stale device report
-                    }
-                    s.last_poll_seq = d.poll_seq;
-                    if s.positions != d.positions || s.currents != d.currents {
-                        changed = true;
-                    }
-                    s.positions = d.positions.clone();
-                    s.currents = d.currents.clone();
-                }
-                changed
-            }
-        }
-    }
-
-    /// Applies one ordered update and reports which scenario tags changed
-    /// their live view (positions/currents) — one batched substation
-    /// report can change many device scenarios at once, and the master
-    /// emits one HMI frame per changed device.
-    pub fn apply_tracking_changes(&mut self, update: &ScadaUpdate) -> Vec<String> {
-        if let ScadaUpdate::SubstationReport { devices, .. } = update {
-            self.executed += 1;
-            let mut changed = Vec::new();
-            for d in devices {
-                let s = self.entry(&d.scenario);
-                if d.poll_seq <= s.last_poll_seq {
-                    continue;
-                }
-                s.last_poll_seq = d.poll_seq;
-                if s.positions != d.positions || s.currents != d.currents {
-                    changed.push(d.scenario.clone());
-                }
-                s.positions = d.positions.clone();
-                s.currents = d.currents.clone();
-            }
-            changed
-        } else {
-            let tag = match update {
-                ScadaUpdate::RtuStatus { scenario, .. }
-                | ScadaUpdate::HmiCommand { scenario, .. }
-                | ScadaUpdate::FieldRebaseline { scenario, .. } => scenario.clone(),
-                ScadaUpdate::SubstationReport { .. } => unreachable!(),
-            };
-            if self.apply(update) {
-                vec![tag]
-            } else {
                 Vec::new()
             }
         }
     }
 
+    /// Applies one device's poll and returns whether it changed the
+    /// device's view. A poll no newer than the last one applied is stale
+    /// and ignored.
+    fn poll(&mut self, tag: &str, seq: u64, positions: &[bool], currents: &[u16]) -> bool {
+        let s = self.entry(tag);
+        if seq <= s.last_poll_seq {
+            return false;
+        }
+        s.last_poll_seq = seq;
+        if s.positions == positions && s.currents == currents {
+            return false;
+        }
+        s.positions = positions.to_vec();
+        s.currents = currents.to_vec();
+        true
+    }
+
     /// Live state for a scenario.
     pub fn scenario(&self, tag: &str) -> Option<&ScenarioState> {
-        self.partitions
-            .get(&self.partitioning.partition_of(tag))?
-            .get(tag)
+        self.scenarios.get(tag)
     }
 
-    /// All scenario tags with state, in global tag order.
+    /// All scenario tags with state, in tag order.
     pub fn scenario_tags(&self) -> impl Iterator<Item = &str> {
-        self.merged().map(|(t, _)| t)
+        self.scenarios.keys().map(String::as_str)
     }
 
-    /// Structural digest over the whole state — partition-independent
-    /// (merged tag order), byte-identical to the pre-partitioning layout.
+    /// Structural digest over the whole state, in tag order.
     pub fn digest(&self) -> Digest {
         let mut h = Sha256::new();
         h.update(&self.executed.to_be_bytes());
-        for (tag, s) in self.merged() {
+        for (tag, s) in &self.scenarios {
             h.update(tag.as_bytes());
             h.update(&s.to_wire());
         }
         h.finalize()
     }
 
-    /// Serializes the full state (application-level state transfer) —
-    /// partition-independent, byte-identical to the pre-partitioning
-    /// layout.
+    /// Serializes the full state (application-level state transfer), in
+    /// tag order.
     pub fn snapshot(&self) -> Vec<u8> {
-        let merged: Vec<_> = self.merged().collect();
         let mut w = Writer::new();
         w.put_u64(self.executed);
-        w.put_u32(merged.len() as u32);
-        for (tag, s) in merged {
+        w.put_u32(self.scenarios.len() as u32);
+        for (tag, s) in &self.scenarios {
             w.put_bytes(tag.as_bytes());
             s.encode(&mut w);
         }
-        w.finish().to_vec()
+        w.into_vec()
     }
 
-    /// Restores a flat state from a snapshot; empty/invalid input yields
-    /// an empty state.
+    /// Restores a state from a snapshot; empty or invalid input yields an
+    /// empty state.
     pub fn restore(snapshot: &[u8]) -> Self {
-        Self::restore_with(Partitioning::Flat, snapshot)
+        Self::decode_snapshot(snapshot).unwrap_or_default()
     }
 
-    /// Restores from a snapshot under the given partitioning (state
-    /// transfer into a regional master re-shards on install);
-    /// empty/invalid input yields an empty state.
-    pub fn restore_with(partitioning: Partitioning, snapshot: &[u8]) -> Self {
+    fn decode_snapshot(snapshot: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(snapshot);
-        let mut state = ScadaState::partitioned(partitioning);
-        let Ok(executed) = r.get_u64() else {
-            return state;
-        };
-        let Ok(n) = r.get_u32() else { return state };
-        state.executed = executed;
+        let executed = r.get_u64()?;
+        let n = r.get_u32()?;
+        let mut scenarios = BTreeMap::new();
         for _ in 0..n {
-            let Ok(tag_bytes) = r.get_bytes() else {
-                return ScadaState::partitioned(partitioning);
-            };
-            let Ok(tag) = String::from_utf8(tag_bytes) else {
-                return ScadaState::partitioned(partitioning);
-            };
-            let Ok(s) = ScenarioState::decode(&mut r) else {
-                return ScadaState::partitioned(partitioning);
-            };
-            *state.entry(&tag) = s;
+            let tag =
+                String::from_utf8(r.get_bytes()?).map_err(|_| DecodeError::new("scenario tag"))?;
+            scenarios.insert(tag, ScenarioState::decode(&mut r)?);
         }
-        state
+        Ok(ScadaState {
+            scenarios,
+            executed,
+        })
     }
 }
 
@@ -384,9 +245,10 @@ mod tests {
     #[test]
     fn rtu_status_applies_and_stale_ignored() {
         let mut st = ScadaState::new();
-        assert!(st.apply(&status("jhu", 2, vec![true, false])));
+        let first = status("jhu", 2, vec![true, false]);
+        assert_eq!(st.apply(&first), vec!["jhu"]);
         assert!(
-            !st.apply(&status("jhu", 1, vec![false, false])),
+            st.apply(&status("jhu", 1, vec![false, false])).is_empty(),
             "stale poll ignored"
         );
         let s = st.scenario("jhu").expect("scenario");
@@ -398,11 +260,12 @@ mod tests {
     #[test]
     fn hmi_command_records_desired() {
         let mut st = ScadaState::new();
-        st.apply(&ScadaUpdate::HmiCommand {
+        let command = ScadaUpdate::HmiCommand {
             scenario: "plant".into(),
             breaker: 1,
             close: false,
-        });
+        };
+        assert!(st.apply(&command).is_empty(), "a command is not a poll");
         assert_eq!(
             st.scenario("plant").expect("scenario").desired.get(&1),
             Some(&false)
@@ -464,63 +327,8 @@ mod tests {
     }
 
     #[test]
-    fn parse_substation_tags() {
-        assert_eq!(parse_substation("s0d0"), Some(0));
-        assert_eq!(parse_substation("s17d3"), Some(17));
-        assert_eq!(parse_substation("plant"), None);
-        assert_eq!(parse_substation("dist3"), None);
-        assert_eq!(parse_substation("sXd1"), None);
-        assert_eq!(parse_substation("s1dX"), None);
-        assert_eq!(parse_substation("s1"), None);
-    }
-
-    /// The load-bearing property of the refactor: digest and snapshot
-    /// bytes are independent of the partitioning, so the legacy flat
-    /// deployment serializes exactly as before.
-    #[test]
-    fn serialization_is_partition_independent() {
-        let updates = [
-            status("plant", 1, vec![true, false]),
-            status("s0d0", 1, vec![true; 5]),
-            status("s1d2", 1, vec![false; 5]),
-            ScadaUpdate::HmiCommand {
-                scenario: "s0d1".into(),
-                breaker: 3,
-                close: true,
-            },
-        ];
-        let partitionings = [
-            Partitioning::Flat,
-            Partitioning::BySubstation,
-            Partitioning::Sharded {
-                buckets: 3,
-                salt: 99,
-            },
-        ];
-        let mut snaps = Vec::new();
-        for p in partitionings {
-            let mut st = ScadaState::partitioned(p);
-            for u in &updates {
-                st.apply(u);
-            }
-            snaps.push((st.digest(), st.snapshot(), st));
-        }
-        for pair in snaps.windows(2) {
-            assert_eq!(pair[0].0, pair[1].0, "digest differs across partitionings");
-            assert_eq!(
-                pair[0].1, pair[1].1,
-                "snapshot bytes differ across partitionings"
-            );
-            assert_eq!(pair[0].2, pair[1].2, "merged views differ");
-        }
-        // BySubstation actually sharded: partition 0 (plant) + two
-        // substations.
-        assert_eq!(snaps[1].2.partition_count(), 3);
-    }
-
-    #[test]
     fn substation_report_applies_per_device_latest_value() {
-        let mut st = ScadaState::partitioned(Partitioning::BySubstation);
+        let mut st = ScadaState::new();
         let report = ScadaUpdate::SubstationReport {
             station: 4,
             devices: vec![
@@ -538,7 +346,7 @@ mod tests {
                 },
             ],
         };
-        assert!(st.apply(&report));
+        assert_eq!(st.apply(&report), vec!["s4d0", "s4d1"]);
         assert_eq!(st.executed, 1, "one ordered update for the whole bank");
         // A later report with one stale device: only the fresh one lands.
         let report2 = ScadaUpdate::SubstationReport {
@@ -558,8 +366,7 @@ mod tests {
                 },
             ],
         };
-        let changed = st.apply_tracking_changes(&report2);
-        assert_eq!(changed, vec!["s4d1".to_string()]);
+        assert_eq!(st.apply(&report2), vec!["s4d1"]);
         assert_eq!(
             st.scenario("s4d0").expect("d0").positions,
             vec![true, false],

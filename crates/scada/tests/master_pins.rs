@@ -146,8 +146,3 @@ fn master_state_and_actions_are_pinned() {
         "42969128242ac6114c6a2c25376a44d02e38bff08114953aafc0ad389fd4da4c"
     );
 }
-
-#[test]
-fn regional_master_equals_plant_master() {
-    assert_eq!(run(ScadaApp::regional()), run(ScadaApp::new()));
-}

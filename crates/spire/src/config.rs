@@ -284,10 +284,10 @@ impl SpireConfig {
         {
             return Some(p);
         }
-        let station = scada::state::parse_substation(tag)?;
+        let station = Scenario::station_of_tag(tag)?;
         self.proxies
             .iter()
-            .find(|p| matches!(p.scenario, Scenario::SubstationDevice { station: s, .. } if s as u32 == station))
+            .find(|p| matches!(p.scenario, Scenario::SubstationDevice { station: s, .. } if s == station))
             .map(|p| p.index)
     }
 

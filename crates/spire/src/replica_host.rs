@@ -57,17 +57,12 @@ impl ReplicaHost {
             &format!("spines.ext.r{id}"),
         );
         external.subscribe(GROUP_MASTERS);
-        let app = if cfg.substations.is_some() {
-            ScadaApp::regional()
-        } else {
-            ScadaApp::new()
-        };
         let replica = Replica::new(
             ReplicaId(id),
             cfg.prime,
             cfg.replica_keypair(id),
             cfg.registry(),
-            app,
+            ScadaApp::new(),
             hub,
         );
         ReplicaHost {

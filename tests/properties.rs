@@ -93,6 +93,35 @@ proptest! {
         let _ = ScadaUpdate::from_wire(&data);
     }
 
+    /// A catch-up peer's snapshot bytes: arbitrary, and a real snapshot
+    /// with one byte changed and arbitrary bytes appended. Whatever a
+    /// restore yields snapshots and restores to itself.
+    #[test]
+    fn scada_state_restore_never_panics(
+        data in proptest::collection::vec(any::<u8>(), 0..256),
+        stations in proptest::collection::vec(any::<u8>(), 0..4),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let mut st = ScadaState::new();
+        for (i, &station) in stations.iter().enumerate() {
+            st.apply(&ScadaUpdate::RtuStatus {
+                scenario: format!("s{station}d{i}"),
+                poll_seq: i as u64 + 1,
+                positions: vec![station % 2 == 0; 3],
+                currents: vec![u16::from(station); 3],
+            });
+        }
+        let mut snapshot = st.snapshot();
+        let len = snapshot.len();
+        snapshot[at % len] = byte;
+        snapshot.extend_from_slice(&data);
+        for bytes in [&data[..], &snapshot[..]] {
+            let once = ScadaState::restore(bytes);
+            prop_assert_eq!(&ScadaState::restore(&once.snapshot()), &once);
+        }
+    }
+
     #[test]
     fn modbus_request_decode_never_panics(data in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = Request::decode(&data);
@@ -1022,77 +1051,17 @@ proptest! {
     }
 }
 
-// ---- regional state partitioning (E14 tentpole) ----
+// ---- regional substation reports (E14) ----
 //
-// The partitioned SCADA master must be observationally identical to the
-// flat register map: partition assignment is a pure function of the
-// scenario tag, so the merged ground-truth view — digest, snapshot
-// bytes, per-device state — must not depend on the partitioning, and
-// batched substation reports must preserve the per-device latest-value
+// Batched substation reports must preserve the per-device latest-value
 // (highest poll_seq wins, stale drops) semantics of individual polls
 // under any interleaving.
 
 proptest! {
-    /// The same ordered update stream through ANY partitioning — flat,
-    /// by-substation, or salted hash sharding — yields the identical
-    /// merged register view: same digest, same snapshot bytes, same
-    /// state. Restoring a flat snapshot under a different partitioning
-    /// preserves the view too.
-    #[test]
-    fn partitioned_state_matches_flat_for_any_update_stream(
-        updates in proptest::collection::vec(
-            (
-                any::<bool>(),
-                0u32..4,
-                0u32..4,
-                (1u64..30, proptest::collection::vec(any::<bool>(), 1..6)),
-            ),
-            0..40,
-        ),
-        buckets in 1u32..8,
-        salt in any::<u64>(),
-    ) {
-        use scada::state::Partitioning;
-
-        let sharded_scheme = Partitioning::Sharded { buckets, salt };
-        let mut flat = ScadaState::new();
-        let mut by_sub = ScadaState::partitioned(Partitioning::BySubstation);
-        let mut sharded = ScadaState::partitioned(sharded_scheme);
-        for &(substation_tag, station, device, (poll_seq, ref positions)) in &updates {
-            // Mix substation-device tags with legacy plant tags so the
-            // BySubstation fallback partition is exercised too.
-            let scenario = if substation_tag {
-                format!("s{station}d{device}")
-            } else {
-                format!("plant{station}")
-            };
-            let currents = positions.iter().map(|&p| u16::from(p) * 7).collect();
-            let u = ScadaUpdate::RtuStatus {
-                scenario,
-                poll_seq,
-                positions: positions.clone(),
-                currents,
-            };
-            flat.apply(&u);
-            by_sub.apply(&u);
-            sharded.apply(&u);
-        }
-        prop_assert_eq!(by_sub.digest(), flat.digest());
-        prop_assert_eq!(sharded.digest(), flat.digest());
-        prop_assert_eq!(by_sub.snapshot(), flat.snapshot());
-        prop_assert_eq!(sharded.snapshot(), flat.snapshot());
-        prop_assert_eq!(&by_sub, &flat);
-        prop_assert_eq!(&sharded, &flat);
-        let restored = ScadaState::restore_with(sharded_scheme, &flat.snapshot());
-        prop_assert_eq!(restored.digest(), flat.digest());
-        prop_assert_eq!(&restored, &flat);
-    }
-
     /// Coalesced substation reports preserve per-device latest-value
     /// semantics under arbitrary interleavings with individual RTU
     /// polls: for every device, the surviving view is the highest
-    /// poll_seq applied, stale sequences drop, and the flat and
-    /// by-substation masters agree.
+    /// poll_seq applied and stale sequences drop.
     #[test]
     fn aggregation_preserves_latest_value_semantics(
         ops in proptest::collection::vec(
@@ -1107,11 +1076,9 @@ proptest! {
             0..30,
         ),
     ) {
-        use scada::state::Partitioning;
         use scada::updates::DeviceReport;
 
-        let mut flat = ScadaState::new();
-        let mut by_sub = ScadaState::partitioned(Partitioning::BySubstation);
+        let mut st = ScadaState::new();
         // The model: per device, the latest (highest poll_seq) report.
         let mut model: std::collections::BTreeMap<String, (u64, Vec<bool>, Vec<u16>)> =
             std::collections::BTreeMap::new();
@@ -1146,12 +1113,11 @@ proptest! {
                 .map(|r| device(r).0)
                 .collect();
             for u in &updates {
-                flat.apply(u);
                 // Every changed tag the master would frame out belongs
                 // to the update that was just applied.
-                for tag in by_sub.apply_tracking_changes(u) {
+                for tag in st.apply(u) {
                     prop_assert!(
-                        op_tags.contains(&tag),
+                        op_tags.contains(tag),
                         "changed tag {} not in the applied update",
                         tag
                     );
@@ -1165,9 +1131,8 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(&by_sub, &flat);
         for (tag, (poll_seq, positions, currents)) in &model {
-            let s = by_sub.scenario(tag).expect("device has state");
+            let s = st.scenario(tag).expect("device has state");
             prop_assert_eq!(s.last_poll_seq, *poll_seq, "latest poll_seq wins for {}", tag);
             prop_assert_eq!(&s.positions, positions, "latest positions survive for {}", tag);
             prop_assert_eq!(&s.currents, currents, "latest currents survive for {}", tag);
