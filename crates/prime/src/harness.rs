@@ -70,8 +70,6 @@ pub struct Cluster {
     loss: f64,
     /// splitmix64 state driving the loss rolls.
     loss_state: u64,
-    /// Messages dropped by the loss model.
-    pub dropped_messages: u64,
 }
 
 impl Cluster {
@@ -124,7 +122,6 @@ impl Cluster {
             next_free: vec![SimTime::ZERO; n as usize],
             loss: 0.0,
             loss_state: 0,
-            dropped_messages: 0,
         }
     }
 
@@ -226,7 +223,10 @@ impl Cluster {
             return;
         }
         if self.loss_roll() {
-            self.dropped_messages += 1;
+            self.obs.journal(obs::Event::PacketDrop {
+                node: to.0,
+                kind: obs::event::DropKind::Loss,
+            });
             return;
         }
         let at = match self.out_cost {

@@ -134,8 +134,6 @@ pub struct Observations {
     pub dumped_config: Option<Vec<u8>>,
     /// Whether a config upload was acknowledged.
     pub upload_acked: bool,
-    /// Packets intercepted in transit (post-poisoning MITM).
-    pub intercepted: u64,
     /// Status frames rewritten and relayed onward.
     pub rewritten: u64,
     /// Spines probes sent.
@@ -447,7 +445,6 @@ impl Process for Attacker {
 
     fn on_transit(&mut self, ctx: &mut Context<'_>, _ifidx: usize, pkt: Packet) {
         // Traffic steered to us by ARP poisoning.
-        self.observed.intercepted += 1;
         let Some(mitm) = self.mitm.clone() else {
             return;
         };
