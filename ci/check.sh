@@ -205,6 +205,29 @@ if grep -rnE --include='*.rs' \
     exit 1
 fi
 
+echo "==> one SCADA state layout (one tag-ordered map, one apply path)"
+# The plant and regional masters hold the same state, a map from scenario
+# tag to live state in tag order, and apply every update through one
+# ScadaState::apply. The s{station}d{device} tag is read only by
+# plc::topology::Scenario::station_of_tag, beside Scenario::tag, which
+# writes it. The attacker keeps no interception count (a rewritten frame
+# or the poisoned ARP entry shows it) and Prime's test cluster journals a
+# lost message as a PacketDrop instead of counting it.
+if grep -rnE --include='*.rs' \
+    'Partitioning::(Flat|Sharded)|restore_with|apply_tracking_changes|fn merged|ScadaApp::regional' \
+    crates/scada/src crates/spire/src; then
+    exit 1
+fi
+if grep -rn --include='*.rs' 'parse_substation' crates; then
+    exit 1
+fi
+if grep -rnwE --include='*.rs' 'intercepted' crates/redteam/src; then
+    exit 1
+fi
+if grep -rn --include='*.rs' 'dropped_messages' crates/prime/src; then
+    exit 1
+fi
+
 echo "==> a capture exists only where something reads it (no add_tap without drain_tap)"
 # A span-port tap keeps one record per frame entering its switch until it
 # is drained. Outside simnet, a file that attaches one must also drain it.
