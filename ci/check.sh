@@ -228,6 +228,21 @@ if grep -rn --include='*.rs' 'dropped_messages' crates/prime/src; then
     exit 1
 fi
 
+echo "==> one fault budget (Prime always runs under a Membership; the checker and the controller read it)"
+# The static configuration is the full membership (prime::Membership::full):
+# a replica always orders under one Membership, the chaos checker judges
+# faults against the membership's own f, k and quorum, and the response
+# controller is built on the deployment's prime::Config. No copy of the
+# budget sits beside them.
+if grep -rnE --include='*.rs' \
+    'Option<Membership>|fn active_(leader_of|ordering_quorum|suspect_threshold|f)\b|is_active_member|ResponseConfig' \
+    crates; then
+    exit 1
+fi
+if grep -nE '\bquorum:' crates/chaos/src/invariants.rs; then
+    exit 1
+fi
+
 echo "==> a capture exists only where something reads it (no add_tap without drain_tap)"
 # A span-port tap keeps one record per frame entering its switch until it
 # is drained. Outside simnet, a file that attaches one must also drain it.

@@ -28,9 +28,7 @@ use mana::ids::ManaInstance;
 use prime::byzantine::ByzMode;
 use prime::types::Config as PrimeConfig;
 use redteam::attacker::{AttackStep, Attacker};
-use response::{
-    Actuation, Controller, ControllerInput, ProxyObservation, ReplicaObservation, ResponseConfig,
-};
+use response::{Actuation, Controller, ControllerInput, ProxyObservation, ReplicaObservation};
 use simnet::capture::PacketRecord;
 use simnet::time::{SimDuration, SimTime};
 use simnet::types::IpAddr;
@@ -595,8 +593,7 @@ fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutc
         Policy::Feedback => RecoveryScheduler::new(n, prime_cfg.k, horizon + WARMUP, DOWNTIME),
     };
     scheduler.align(t0);
-    let budget = ResponseConfig::for_budget(n, prime_cfg.f, prime_cfg.k);
-    let controller = Controller::new(budget, &d.obs);
+    let controller = Controller::new(prime_cfg, &d.obs);
     let mut responder = Responder::new(policy, scheduler, controller);
 
     let mut log = CompromiseLog::new();
@@ -718,8 +715,7 @@ pub fn e16_beyond_budget(seed: u64, policy: Policy) -> Vec<InvariantReport> {
 
     let mut scheduler = RecoveryScheduler::new(n, prime_cfg.k, PERIODIC_INTERVAL, DOWNTIME);
     scheduler.align(d.now());
-    let budget = ResponseConfig::for_budget(n, prime_cfg.f, prime_cfg.k);
-    let controller = Controller::new(budget, &d.obs);
+    let controller = Controller::new(prime_cfg, &d.obs);
     let mut responder = Responder::new(policy, scheduler, controller);
     let mut log = CompromiseLog::new();
 

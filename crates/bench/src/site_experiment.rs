@@ -14,7 +14,7 @@
 use chaos::driver::ChaosDriver;
 use chaos::invariants::{CheckerConfig, InvariantChecker, InvariantReport};
 use chaos::plan::ChaosPlan;
-use prime::types::Config as PrimeConfig;
+use prime::types::{Config as PrimeConfig, Membership};
 use simnet::time::SimDuration;
 use spire::deploy::Deployment;
 use spire::latency::{measure_flips, Sample};
@@ -136,7 +136,14 @@ fn e13_leg(
 
     let window = SimDuration::from_secs(1);
     let reaction_before_us = measure_reactions(&mut d, None, window);
-    let exec_before = d.min_executed_among(&all_replicas(prime_cfg.n()));
+    let all = Membership::full(&prime_cfg);
+    // Under the sever, progress is the survivors' (6@1 has none left).
+    let watched = if survivors.is_empty() {
+        all.members()
+    } else {
+        &survivors
+    };
+    let exec_before = d.min_executed_among(all.members());
 
     let mut checker_cfg = CheckerConfig::for_prime(&prime_cfg);
     // The `6@1` leg severs every replica: the static budget would disarm
@@ -158,24 +165,16 @@ fn e13_leg(
     driver.run_soak(&mut d, &mut checker, SimDuration::from_secs(2), step);
     // Liveness baseline *under* the sever (exec_before predates it by the
     // 200 ms injection delay, which would count pre-sever orderings).
-    let exec_at_soak_end = if survivors.is_empty() {
-        d.min_executed_among(&all_replicas(prime_cfg.n()))
-    } else {
-        d.min_executed_among(&survivors)
-    };
+    let exec_at_soak_end = d.min_executed_among(watched);
 
     let reaction_during_us = measure_reactions(&mut d, Some(&mut checker), window);
-    let exec_during = if survivors.is_empty() {
-        d.min_executed_among(&all_replicas(prime_cfg.n()))
-    } else {
-        d.min_executed_among(&survivors)
-    };
+    let exec_during = d.min_executed_among(watched);
     let survival = d.site_survival(site).expect("multi-site deployment");
 
     driver.heal_all(&mut d, &mut checker);
     driver.run_quiesce(&mut d, &mut checker, SimDuration::from_secs(10), step);
     let reaction_after_us = measure_reactions(&mut d, Some(&mut checker), window);
-    let exec_after = d.min_executed_among(&all_replicas(prime_cfg.n()));
+    let exec_after = d.min_executed_among(all.members());
 
     let invariants = checker.reports();
     let delay_violations = invariants[2].violations;
@@ -208,10 +207,6 @@ fn e13_leg(
         invariants,
         meta: RunMeta::capture(&format!("{id}.failover"), &d.obs, &d.sim),
     }
-}
-
-fn all_replicas(n: u32) -> Vec<u32> {
-    (0..n).collect()
 }
 
 /// One E13 leg by fingerprint id (`e13a` = `6@1`, `e13b` = `3+3`,

@@ -43,16 +43,11 @@ use simnet::time::{SimDuration, SimTime};
 use spire::deploy::Deployment;
 
 /// The fault budget the checker enforces.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct CheckerConfig {
-    /// Replica count.
-    pub n: u32,
-    /// Byzantine fault budget.
-    pub f: u32,
-    /// Concurrent-recovery budget.
-    pub k: u32,
-    /// Ordering quorum (progress needs this many connected replicas).
-    pub quorum: u32,
+    /// The deployment's full membership: its replicas, their `f`/`k`
+    /// budget and ordering quorum.
+    pub membership: Membership,
     /// Negative-test mode: treat the budget as always satisfied so the
     /// delay invariant stays armed even under over-budget fault plans.
     pub assume_within_budget: bool,
@@ -62,10 +57,7 @@ impl CheckerConfig {
     /// The budget of a Prime configuration.
     pub fn for_prime(cfg: &prime::types::Config) -> Self {
         CheckerConfig {
-            n: cfg.n(),
-            f: cfg.f,
-            k: cfg.k,
-            quorum: cfg.ordering_quorum(),
+            membership: Membership::full(cfg),
             assume_within_budget: false,
         }
     }
@@ -118,28 +110,45 @@ struct Faults {
     byz: BTreeSet<u32>,
     /// Replicas the deployment cut off: an internal partition or a
     /// severed site.
-    cut_off: Vec<u32>,
-    /// The degraded membership epoch an up replica has installed (site
-    /// failover): while one is, the fault budget and the progress baseline
-    /// are judged against its members, not the static configuration.
-    epoch: Option<Membership>,
+    cut_off: BTreeSet<u32>,
+    /// The membership the fault budget and the progress baseline are
+    /// judged against: the first up replica's whose membership is not the
+    /// full one (a degraded epoch installed at site failover), else the
+    /// full one.
+    epoch: Membership,
 }
 
 impl Faults {
-    fn read(d: &Deployment, n: u32) -> Self {
-        let up: Vec<u32> = (0..n).filter(|&r| d.replica_up(r)).collect();
+    fn read(d: &Deployment, full: &Membership) -> Self {
+        let (up, down): (BTreeSet<u32>, _) = full.members().iter().partition(|&&r| d.replica_up(r));
         Faults {
-            down: (0..n).filter(|r| !up.contains(r)).collect(),
+            down,
             byz: up
                 .iter()
                 .copied()
                 .filter(|&r| d.replica(r).replica.byz != ByzMode::Correct)
                 .collect(),
-            cut_off: d.cut_off(),
+            cut_off: d.cut_off().into_iter().collect(),
             epoch: up
                 .iter()
-                .find_map(|&r| d.replica(r).replica.membership().cloned()),
+                .map(|&r| d.replica(r).replica.membership())
+                .find(|&m| m != full)
+                .unwrap_or(full)
+                .clone(),
         }
+    }
+
+    /// Whether the faults fit the epoch's budget: only faults that hit its
+    /// members count, against its own `f`, `k` and ordering quorum. Over
+    /// the full membership every fault counts against the deployment's.
+    fn within_budget(&self, recovering: &BTreeSet<u32>) -> bool {
+        let e = &self.epoch;
+        let hit =
+            |set: &BTreeSet<u32>| e.members().iter().filter(|r| set.contains(r)).count() as u32;
+        let cut = hit(&self.cut_off);
+        hit(&self.down) + hit(&self.byz) <= e.f
+            && hit(recovering) <= e.k
+            && (cut == 0 || e.len() - cut >= e.ordering_quorum())
     }
 
     /// The replicas the agreement ledger is fed: up and not Byzantine,
@@ -181,11 +190,12 @@ impl InvariantChecker {
     /// and PLC ground truth and shares its observability hub.
     pub fn new(cfg: CheckerConfig, d: &Deployment) -> Self {
         let scenario = d.cfg.proxies[0].scenario.tag();
+        let faults = Faults::read(d, &cfg.membership);
         InvariantChecker {
             cfg,
             obs: d.obs.clone(),
             scenario,
-            faults: Faults::read(d, cfg.n),
+            faults,
             recovering: BTreeSet::new(),
             stable_since: None,
             last_max_exec: 0,
@@ -220,7 +230,7 @@ impl InvariantChecker {
         if !self.truth_history.contains(&positions) {
             self.truth_history.push(positions);
         }
-        let last = std::mem::replace(&mut self.faults, Faults::read(d, self.cfg.n));
+        let last = std::mem::replace(&mut self.faults, Faults::read(d, &self.cfg.membership));
         if last.epoch != self.faults.epoch {
             // The delay invariant re-arms after the grace window.
             self.stable_since = None;
@@ -228,7 +238,7 @@ impl InvariantChecker {
         let down = &self.faults.down;
         self.recovering.retain(|r| !down.contains(r));
         self.pending.retain(|p| !down.contains(&p.replica));
-        for r in 0..self.cfg.n {
+        for r in 0..self.cfg.membership.len() {
             if self.faults.down.contains(&r) {
                 continue;
             }
@@ -252,14 +262,16 @@ impl InvariantChecker {
         });
     }
 
-    /// Max executed seq over healthy replicas that are not cut off
-    /// (progress is defined by the majority). Under a degraded membership
-    /// epoch only the epoch's members count — the severed replicas are not
-    /// expected to make progress.
+    /// Max executed seq over the epoch's healthy members that are not cut
+    /// off (progress is defined by the majority). Under a degraded epoch
+    /// the severed replicas are not members and are not expected to make
+    /// progress.
     fn max_healthy_exec(&self, d: &Deployment) -> u64 {
         let f = &self.faults;
-        (0..self.cfg.n)
-            .filter(|&r| f.epoch.as_ref().is_none_or(|e| e.members().contains(&r)))
+        f.epoch
+            .members()
+            .iter()
+            .copied()
             .filter(|&r| f.healthy(r) && !f.cut_off.contains(&r))
             .map(|r| d.replica(r).replica.exec_seq())
             .max()
@@ -268,7 +280,7 @@ impl InvariantChecker {
 
     fn check_agreement(&mut self, d: &Deployment) {
         self.checks[INV_AGREEMENT as usize] += 1;
-        let healthy: Vec<u32> = (0..self.cfg.n)
+        let healthy: Vec<u32> = (0..self.cfg.membership.len())
             .filter(|&r| self.faults.healthy(r))
             .collect();
         for r in healthy {
@@ -290,28 +302,7 @@ impl InvariantChecker {
     }
 
     fn check_bounded_delay(&mut self, d: &Deployment, now: SimTime) {
-        let f = &self.faults;
-        let within = self.cfg.assume_within_budget
-            || match &f.epoch {
-                None => {
-                    (f.down.len() + f.byz.len()) as u32 <= self.cfg.f
-                        && self.recovering.len() as u32 <= self.cfg.k
-                        && (f.cut_off.is_empty()
-                            || self.cfg.n - f.cut_off.len() as u32 >= self.cfg.quorum)
-                }
-                // Degraded epoch: only faults hitting epoch members count,
-                // against the epoch's own (usually zero) budget.
-                Some(e) => {
-                    let hit = |set: &BTreeSet<u32>| {
-                        e.members().iter().filter(|r| set.contains(r)).count() as u32
-                    };
-                    let cut_members =
-                        e.members().iter().filter(|r| f.cut_off.contains(r)).count() as u32;
-                    hit(&f.down) + hit(&f.byz) <= e.f
-                        && hit(&self.recovering) <= e.k
-                        && (cut_members == 0 || e.len() - cut_members >= e.ordering_quorum())
-                }
-            };
+        let within = self.cfg.assume_within_budget || self.faults.within_budget(&self.recovering);
         if within {
             if self.stable_since.is_none() {
                 self.stable_since = Some(now);
@@ -390,5 +381,49 @@ impl InvariantChecker {
     /// True when no invariant ever fired.
     pub fn all_green(&self) -> bool {
         self.violations.iter().all(|v| *v == 0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prime::types::Config;
+
+    /// The one budget rule, over the plant's full membership (`f = 1`,
+    /// `k = 1`, quorum 4 of 6) and over the degraded epoch `{0, 1, 2}`
+    /// (`f = 0`, `k = 1`, quorum 2).
+    #[test]
+    fn budget_counts_faults_that_hit_members_against_the_membership() {
+        let full = Membership::full(&Config::plant());
+        let epoch = Membership::degraded(vec![0, 1, 2]);
+        let set = |ids: &[u32]| ids.iter().copied().collect::<BTreeSet<u32>>();
+        // (membership, [down, byz, recovering, cut off], within budget)
+        let cases: [(&Membership, [&[u32]; 4], bool); 11] = [
+            (&full, [&[], &[], &[], &[]], true),
+            (&full, [&[3], &[], &[], &[]], true),
+            (&full, [&[3, 4], &[], &[], &[]], false),
+            (&full, [&[3], &[4], &[], &[]], false),
+            (&full, [&[], &[], &[2], &[]], true),
+            (&full, [&[], &[], &[2, 3], &[]], false),
+            (&full, [&[], &[], &[], &[4, 5]], true),
+            (&full, [&[], &[], &[], &[3, 4, 5]], false),
+            (&epoch, [&[4], &[], &[], &[3, 4, 5]], true),
+            (&epoch, [&[1], &[], &[], &[3, 4, 5]], false),
+            (&epoch, [&[], &[], &[2], &[3, 4, 5]], true),
+        ];
+        for (m, [down, byz, recovering, cut_off], want) in cases {
+            let faults = Faults {
+                down: set(down),
+                byz: set(byz),
+                cut_off: set(cut_off),
+                epoch: m.clone(),
+            };
+            assert_eq!(
+                faults.within_budget(&set(recovering)),
+                want,
+                "{:?}: down {down:?} byz {byz:?} recovering {recovering:?} cut {cut_off:?}",
+                m.members()
+            );
+        }
     }
 }

@@ -844,7 +844,10 @@ pub(crate) mod tests {
             "dropped unverified"
         );
         c.replicas[0].clear_membership();
-        assert!(c.replicas[0].membership().is_none());
+        assert_eq!(
+            c.replicas[0].membership(),
+            &Membership::full(&Config::plant())
+        );
     }
 
     #[test]

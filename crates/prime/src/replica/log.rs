@@ -81,7 +81,7 @@ impl<A: Application> Replica<A> {
         if view != self.view || self.in_view_change {
             return;
         }
-        if from != self.active_leader_of(view) {
+        if from != self.membership.leader_of(view) {
             return;
         }
         if seq <= self.max_committed || seq == 0 {
@@ -95,7 +95,7 @@ impl<A: Application> Replica<A> {
             }
             seen.insert(row.replica.0);
         }
-        if (seen.len() as u32) < self.active_ordering_quorum() {
+        if (seen.len() as u32) < self.membership.ordering_quorum() {
             return;
         }
         let digest = Self::matrix_digest(&matrix);
@@ -188,7 +188,7 @@ impl<A: Application> Replica<A> {
             .map_or(0, |s| s.len() as u32);
         // The leader does not send Prepare; its pre-prepare counts.
         let have = prepare_count + 1;
-        if have >= self.active_ordering_quorum() && self.sent_commit.insert((seq, view)) {
+        if have >= self.membership.ordering_quorum() && self.sent_commit.insert((seq, view)) {
             self.prepared_certs.insert(seq, (view, matrix.clone()));
             let commit = self.sign(PrimeMsg::Commit { view, seq, digest });
             self.commits
@@ -241,7 +241,7 @@ impl<A: Application> Replica<A> {
             .commits
             .get(&(seq, view, digest))
             .map_or(0, |s| s.len() as u32);
-        if count >= self.active_ordering_quorum() {
+        if count >= self.membership.ordering_quorum() {
             self.committed.insert(seq, matrix.clone());
             self.trace_ordering_phase(seq, obs::Stage::PrimeCommit);
             self.max_committed = self.max_committed.max(seq);
@@ -444,7 +444,7 @@ impl<A: Application> Replica<A> {
             .or_default()
             .insert(from.0);
         let votes = self.checkpoint_votes[&(exec_seq, app_digest)].len() as u32;
-        if votes >= self.active_ordering_quorum() && exec_seq > self.stable_checkpoint {
+        if votes >= self.membership.ordering_quorum() && exec_seq > self.stable_checkpoint {
             self.stable_checkpoint = exec_seq;
             // Garbage-collect old vote state.
             self.checkpoint_votes.retain(|(s, _), _| *s >= exec_seq);
@@ -583,13 +583,13 @@ impl<A: Application> Replica<A> {
             exec_cover,
             view,
         };
-        let active_f = self.active_f();
+        let f = self.membership.f;
         let entry = self
             .catchup_offers
             .entry(key)
             .or_insert_with(|| (BTreeSet::new(), offer, dedup));
         entry.0.insert(from.0);
-        if entry.0.len() as u32 > active_f {
+        if entry.0.len() as u32 > f {
             // f+1 matching offers: at least one from a correct replica.
             let dedup = entry.2.clone();
             let PrimeMsg::CatchupReply {
@@ -707,7 +707,7 @@ impl<A: Application> Replica<A> {
             return; // window full
         }
         let rows: Vec<AruRow> = self.latest_rows.values().cloned().collect();
-        if (rows.len() as u32) < self.active_ordering_quorum() {
+        if (rows.len() as u32) < self.membership.ordering_quorum() {
             return;
         }
         // Filling a hole is unconditional (liveness); opening a new tip

@@ -238,11 +238,12 @@ pub struct Replica<A: Application> {
     /// the view change (see `tick`).
     last_vc_broadcast_at: SimTime,
 
-    /// Restricted membership epoch, installed by the management plane
-    /// after a site loss leaves the survivors without the static quorum
-    /// (`None` = the full static configuration; the legacy single-site
-    /// path never sets it). See [`Membership`].
-    membership: Option<Membership>,
+    /// The membership this replica orders with: the full static
+    /// configuration, or a degraded epoch the management plane installed
+    /// after a site loss left the survivors without the static quorum.
+    /// Every threshold, the leader rotation and the peer filter read it.
+    /// See [`Membership`].
+    membership: Membership,
 
     // Pre-ordering.
     incarnation: u32,
@@ -391,7 +392,7 @@ impl<A: Application> Replica<A> {
             in_view_change: false,
             vc_target: 0,
             last_vc_broadcast_at: SimTime::ZERO,
-            membership: None,
+            membership: Membership::full(&config),
             incarnation: 0,
             next_po_seq: 1,
             po_store: PoStore::new(n),
@@ -476,12 +477,13 @@ impl<A: Application> Replica<A> {
 
     /// Whether this replica currently leads.
     pub fn is_leader(&self) -> bool {
-        self.active_leader_of(self.view) == self.id
+        self.membership.leader_of(self.view) == self.id
     }
 
-    /// The active membership epoch, if a degraded one is installed.
-    pub fn membership(&self) -> Option<&Membership> {
-        self.membership.as_ref()
+    /// The membership this replica orders with (the full one unless a
+    /// degraded epoch is installed).
+    pub fn membership(&self) -> &Membership {
+        &self.membership
     }
 
     /// Installs a restricted membership epoch (wide-area site failover).
@@ -505,58 +507,17 @@ impl<A: Application> Replica<A> {
         for votes in self.checkpoint_votes.values_mut() {
             votes.retain(|id| m.contains(ReplicaId(*id)));
         }
-        self.membership = Some(m);
+        self.membership = m;
         // Anything still unordered must now make progress under the
         // epoch; (re)arm the suspicion clock from the failover instant.
         self.unordered_since = None;
         self.note_unordered(now);
     }
 
-    /// Removes the restricted epoch: the full static configuration's
-    /// thresholds and leader rotation apply again (site heal / failback).
+    /// Removes the restricted epoch: the full membership's thresholds and
+    /// leader rotation apply again (site heal / failback).
     pub fn clear_membership(&mut self) {
-        self.membership = None;
-    }
-
-    /// Leader of `view` under the active membership.
-    fn active_leader_of(&self, view: u64) -> ReplicaId {
-        match &self.membership {
-            Some(m) => m.leader_of(view),
-            None => self.config.leader_of(view),
-        }
-    }
-
-    /// Prepare/commit/install quorum under the active membership.
-    fn active_ordering_quorum(&self) -> u32 {
-        match &self.membership {
-            Some(m) => m.ordering_quorum(),
-            None => self.config.ordering_quorum(),
-        }
-    }
-
-    /// Leader-suspicion threshold under the active membership.
-    fn active_suspect_threshold(&self) -> u32 {
-        match &self.membership {
-            Some(m) => m.suspect_threshold(),
-            None => self.config.suspect_threshold(),
-        }
-    }
-
-    /// Intrusion budget under the active membership (join and catch-up
-    /// `f + 1` rules).
-    fn active_f(&self) -> u32 {
-        match &self.membership {
-            Some(m) => m.f,
-            None => self.config.f,
-        }
-    }
-
-    /// Whether a peer participates in the active membership.
-    fn is_active_member(&self, id: ReplicaId) -> bool {
-        match &self.membership {
-            Some(m) => m.contains(id),
-            None => true,
-        }
+        self.membership = Membership::full(&self.config);
     }
 
     /// Executed update count.
@@ -731,13 +692,11 @@ impl<A: Application> Replica<A> {
         if self.byz.is_crashed() {
             return out;
         }
-        if msg.from == self.id || msg.from.0 >= self.config.n() {
-            return out;
-        }
-        // During a restricted epoch, peers outside the membership are on
-        // the severed side of the site partition: their (stale) protocol
-        // messages must not count toward the epoch's reduced thresholds.
-        if !self.is_active_member(msg.from) {
+        // Our own messages and non-members' are dropped unverified: outside
+        // a degraded epoch's membership is the severed side of the site
+        // partition, whose stale messages must not count toward the
+        // epoch's reduced thresholds.
+        if msg.from == self.id || !self.membership.contains(msg.from) {
             return out;
         }
         if !self.verified(|registry| msg.verify(registry)) {
@@ -954,7 +913,7 @@ impl<A: Application> Replica<A> {
                 out.push(OutEvent::Broadcast(msg));
                 // Count ourselves.
                 let count = self.suspects.entry(view).or_default().len() as u32 + 1;
-                if count >= self.active_suspect_threshold() {
+                if count >= self.membership.suspect_threshold() {
                     self.start_view_change(view + 1, now, &mut out);
                 }
             }

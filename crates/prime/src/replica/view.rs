@@ -18,7 +18,7 @@ impl<A: Application> Replica<A> {
         self.suspects.entry(view).or_default().insert(from.0);
         let count =
             self.suspects[&view].len() as u32 + u32::from(self.sent_suspect.contains(&view));
-        if view == self.view && count >= self.active_suspect_threshold() {
+        if view == self.view && count >= self.membership.suspect_threshold() {
             self.start_view_change(view + 1, now, out);
         }
     }
@@ -91,11 +91,11 @@ impl<A: Application> Replica<A> {
         votes.insert(from.0, (max_committed, certs));
         let votes = votes.len() as u32;
         // Join a view change once f+1 replicas are moving (can't all be faulty).
-        if votes > self.active_f() && (!self.in_view_change || self.vc_target < new_view) {
+        if votes > self.membership.f && (!self.in_view_change || self.vc_target < new_view) {
             self.start_view_change(new_view, now, out);
         }
-        if votes >= self.active_ordering_quorum()
-            && self.active_leader_of(new_view) == self.id
+        if votes >= self.membership.ordering_quorum()
+            && self.membership.leader_of(new_view) == self.id
             && self.view < new_view
         {
             self.install_view(new_view, out);
@@ -158,7 +158,7 @@ impl<A: Application> Replica<A> {
         _start_seq: u64,
         now: SimTime,
     ) {
-        if view <= self.view || from != self.active_leader_of(view) {
+        if view <= self.view || from != self.membership.leader_of(view) {
             return;
         }
         // Accept if we participated (sent or observed the view change).

@@ -108,29 +108,21 @@ impl Config {
         self.f + self.k + 1
     }
 
-    /// Suspicions needed to depose a leader: `f + k + 1`.
-    pub fn suspect_threshold(&self) -> u32 {
-        self.f + self.k + 1
-    }
-
     /// The leader of a view.
     pub fn leader_of(&self, view: u64) -> ReplicaId {
         ReplicaId((view % self.n() as u64) as u32)
     }
-
-    /// All replica ids.
-    pub fn replicas(&self) -> impl Iterator<Item = ReplicaId> {
-        (0..self.n()).map(ReplicaId)
-    }
 }
 
-/// A restricted membership epoch installed after losing an entire site.
+/// The replicas a replica orders with, and their fault budget.
 ///
-/// When a wide-area deployment loses a site, the survivors may no longer
-/// hold the static ordering quorum `2f + k + 1` of the full configuration.
-/// If a majority of the original replicas survives, the management plane
-/// installs a *degraded epoch*: ordering continues among the listed
-/// `members` with reduced thresholds. Degraded epochs always run with
+/// The static configuration is the *full* membership ([`Membership::full`]):
+/// every replica, with the configuration's `f` and `k`. When a wide-area
+/// deployment loses a site, the survivors may no longer hold its ordering
+/// quorum `2f + k + 1`. If a majority of the original replicas survives,
+/// the management plane installs a *degraded epoch*: ordering continues
+/// among the listed `members` with reduced thresholds, and failback
+/// restores the full membership. Degraded epochs always run with
 /// `f = 0` — a membership small enough to need one cannot simultaneously
 /// mask an intrusion (quorum intersection `2q > m + f` would fail), which
 /// is exactly what the chaos invariant checker's beyond-budget negative
@@ -139,7 +131,7 @@ impl Config {
 /// yields it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Membership {
-    /// The surviving replica ids, sorted ascending.
+    /// The member replica ids, sorted ascending.
     members: Vec<u32>,
     /// Intrusions tolerated within the epoch (always 0 for degraded epochs).
     pub f: u32,
@@ -148,6 +140,16 @@ pub struct Membership {
 }
 
 impl Membership {
+    /// The static configuration as a membership: replicas `0..n`, the
+    /// configuration's `f` and `k`, leaders rotating over all of them.
+    pub fn full(cfg: &Config) -> Self {
+        Membership {
+            members: (0..cfg.n()).collect(),
+            f: cfg.f,
+            k: cfg.k,
+        }
+    }
+
     /// Builds a degraded epoch over `members`: `f = 0`, majority quorum.
     ///
     /// Panics if fewer than two members are given — a singleton cannot
@@ -434,7 +436,7 @@ mod tests {
         let c = Config::plant(); // f=1, k=1, n=6
         assert_eq!(c.ordering_quorum(), 4);
         assert_eq!(c.coverage_threshold(), 3);
-        assert_eq!(c.suspect_threshold(), 3);
+        assert_eq!(Membership::full(&c).suspect_threshold(), 3);
         let r = Config::red_team(); // f=1, k=0, n=4
         assert_eq!(r.ordering_quorum(), 3);
         assert_eq!(r.coverage_threshold(), 2);
@@ -446,7 +448,7 @@ mod tests {
         assert_eq!(c.leader_of(0), ReplicaId(0));
         assert_eq!(c.leader_of(1), ReplicaId(1));
         assert_eq!(c.leader_of(4), ReplicaId(0));
-        assert_eq!(c.replicas().count(), 4);
+        assert_eq!(Membership::full(&c).members(), &[0, 1, 2, 3]);
     }
 
     #[test]

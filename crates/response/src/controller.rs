@@ -17,6 +17,7 @@
 //! `ChaosPlan::within_budget` applies to fault schedules.
 
 use obs::event::{Event, TimedEvent, INV_RECONVERGENCE};
+use prime::types::Config;
 use simnet::time::{SimDuration, SimTime};
 
 /// Degraded-mode states, ordered by severity.
@@ -183,24 +184,6 @@ impl Actuation {
     }
 }
 
-/// The budget the controller must respect.
-#[derive(Clone, Copy, Debug)]
-pub struct ResponseConfig {
-    /// Replica count.
-    pub n: u32,
-    /// Intrusion budget (informational; sizing assumption).
-    pub f: u32,
-    /// Concurrent-recovery budget the controller must respect.
-    pub k: u32,
-}
-
-impl ResponseConfig {
-    /// The budget of an `n = 3f + 2k + 1` deployment.
-    pub fn for_budget(n: u32, f: u32, k: u32) -> Self {
-        ResponseConfig { n, f, k }
-    }
-}
-
 /// Per-replica z-score at/above which a tick counts anomalous.
 const SUSPECT_Z: f64 = 6.0;
 /// Per-proxy z-score at/above which a throttle engages.
@@ -228,7 +211,9 @@ const THROTTLE_INTERVAL: SimDuration = SimDuration::from_millis(400);
 /// deterministic in (config, observation stream); all time comes from
 /// the input.
 pub struct Controller {
-    cfg: ResponseConfig,
+    /// The deployment's configuration: its replicas, leader rotation and
+    /// the recovery budget `k` the controller must respect.
+    cfg: Config,
     state: ResponseState,
     obs: obs::ObsHub,
     /// Per-replica consecutive-anomalous-tick counters.
@@ -254,14 +239,14 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// A controller in `Normal` state. Every actuation and state
-    /// transition is journaled on `hub` as [`obs::Event::ResponseActuation`]
-    /// / [`ResponseTransition`], folding the controller's behavior into
-    /// the run digest.
+    /// A controller in `Normal` state for the deployment built with `cfg`.
+    /// Every actuation and state transition is journaled on `hub` as
+    /// [`obs::Event::ResponseActuation`] / [`ResponseTransition`], folding
+    /// the controller's behavior into the run digest.
     ///
     /// [`ResponseTransition`]: obs::Event::ResponseTransition
-    pub fn new(cfg: ResponseConfig, hub: &obs::ObsHub) -> Self {
-        let n = cfg.n as usize;
+    pub fn new(cfg: Config, hub: &obs::ObsHub) -> Self {
+        let n = cfg.n() as usize;
         Controller {
             cfg,
             state: ResponseState::Normal,
@@ -316,7 +301,7 @@ impl Controller {
     /// actuations the caller must apply. Call at a fixed cadence.
     pub fn step(&mut self, input: &ControllerInput) -> Vec<Actuation> {
         let now = input.now;
-        let n = self.cfg.n as usize;
+        let n = self.cfg.n() as usize;
         self.throttled
             .resize(input.proxies.len().max(self.throttled.len()), false);
         self.proxy_calm.resize(self.throttled.len(), 0);
@@ -373,11 +358,9 @@ impl Controller {
             .max()
             .unwrap_or(self.last_view);
         if max_view > self.last_view {
-            let suspect = (self.last_view % self.cfg.n as u64) as usize;
-            if suspect < n {
-                self.suspicion[suspect] = self.suspicion[suspect].saturating_add(1);
-                self.suspect_reason[suspect] = REASON_VIEW_CHURN;
-            }
+            let suspect = self.cfg.leader_of(self.last_view).0 as usize;
+            self.suspicion[suspect] = self.suspicion[suspect].saturating_add(1);
+            self.suspect_reason[suspect] = REASON_VIEW_CHURN;
             self.last_view = max_view;
         }
 
@@ -548,10 +531,6 @@ mod tests {
     use super::*;
     use obs::event::{INV_AGREEMENT, INV_BOUNDED_DELAY, INV_HMI_TRUTH};
 
-    fn cfg() -> ResponseConfig {
-        ResponseConfig::for_budget(6, 1, 1)
-    }
-
     /// Actuations with journal tag `tag` that `hub` holds.
     fn actuations(hub: &obs::ObsHub, tag: u8) -> usize {
         hub.journal_count(
@@ -579,7 +558,7 @@ mod tests {
     #[test]
     fn quiet_stream_stays_normal_and_silent() {
         let hub = obs::ObsHub::new();
-        let mut c = Controller::new(cfg(), &hub);
+        let mut c = Controller::new(Config::plant(), &hub);
         for t in 0..100 {
             let acts = c.step(&quiet_input(t * 100, 6));
             assert!(acts.is_empty());
@@ -591,7 +570,7 @@ mod tests {
     #[test]
     fn confirmed_anomaly_triggers_one_bounded_recovery() {
         let hub = obs::ObsHub::new();
-        let mut c = Controller::new(cfg(), &hub);
+        let mut c = Controller::new(Config::plant(), &hub);
         // Past the initial cool-down, replica 4 scores hot every tick.
         let mut took_down_at = None;
         for t in 0..200u64 {
@@ -617,7 +596,7 @@ mod tests {
 
     #[test]
     fn no_takedown_while_external_replica_down() {
-        let mut c = Controller::new(cfg(), &obs::ObsHub::new());
+        let mut c = Controller::new(Config::plant(), &obs::ObsHub::new());
         for t in 0..100u64 {
             let mut input = quiet_input(10_000 + t * 100, 6);
             input.replicas[2].up = false; // externally down, not ours
@@ -636,7 +615,7 @@ mod tests {
     #[test]
     fn flood_throttles_then_calm_unthrottles_with_hysteresis() {
         let hub = obs::ObsHub::new();
-        let mut c = Controller::new(cfg(), &hub);
+        let mut c = Controller::new(Config::plant(), &hub);
         let mut throttle_at = None;
         let mut unthrottle_at = None;
         for t in 0..100u64 {
@@ -691,7 +670,7 @@ mod tests {
 
     #[test]
     fn reconverged_record_confirms_the_awaited_replica_once() {
-        let mut c = Controller::new(cfg(), &obs::ObsHub::new());
+        let mut c = Controller::new(Config::plant(), &obs::ObsHub::new());
         let restored_ms = recover_replica_4(&mut c);
         assert_eq!(c.awaiting, vec![(4, 0)]);
         let caught_up = record(Event::Reconverged {
@@ -708,7 +687,7 @@ mod tests {
 
     #[test]
     fn reconvergence_timeout_marks_the_replica_suspect() {
-        let mut c = Controller::new(cfg(), &obs::ObsHub::new());
+        let mut c = Controller::new(Config::plant(), &obs::ObsHub::new());
         let restored_ms = recover_replica_4(&mut c);
         // Replica 4 reports catching up, so this tick's observations
         // neither raise nor decay its suspicion.
@@ -728,7 +707,7 @@ mod tests {
     /// throttle put it in a non-Normal state. Returns the tick at which it
     /// settled back to Normal, if it did within the window.
     fn ticks_to_normal(event: Option<obs::Event>) -> Option<u64> {
-        let mut c = Controller::new(cfg(), &obs::ObsHub::new());
+        let mut c = Controller::new(Config::plant(), &obs::ObsHub::new());
         let mut input = quiet_input(0, 6);
         input.proxies[0].anomaly_z = 11.0;
         c.step(&input);
@@ -765,7 +744,7 @@ mod tests {
     #[test]
     fn transitions_are_journaled_when_attached() {
         let hub = obs::ObsHub::new();
-        let mut c = Controller::new(cfg(), &hub);
+        let mut c = Controller::new(Config::plant(), &hub);
         let mut input = quiet_input(0, 6);
         input.proxies[0].anomaly_z = 11.0;
         c.step(&input);

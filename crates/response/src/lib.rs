@@ -23,6 +23,10 @@
 //!    (Normal → Suspicious → Throttled → Isolating → Recovering) with
 //!    hysteresis and cool-downs, so the controller cannot flap.
 //!
+//! The controller is built on the deployment's [`prime::Config`]: it
+//! reads the recovery budget `k` and the leader rotation from the
+//! configuration the deployment was built with, and keeps no copy.
+//!
 //! The controller is pure and seed-deterministic: [`Controller::step`] is
 //! a function of its config and the observation stream only — no clocks,
 //! no randomness — which is what the determinism proptests pin. It is
@@ -34,6 +38,5 @@
 pub mod controller;
 
 pub use controller::{
-    Actuation, Controller, ControllerInput, ProxyObservation, ReplicaObservation, ResponseConfig,
-    ResponseState,
+    Actuation, Controller, ControllerInput, ProxyObservation, ReplicaObservation, ResponseState,
 };

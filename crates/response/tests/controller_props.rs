@@ -5,13 +5,13 @@
 //! disruptive-window discipline, mirroring `ChaosPlan::within_budget`).
 
 use obs::{Event, ObsHub, TimedEvent};
+use prime::types::Config;
 use proptest::prelude::*;
 use response::controller::{COOLDOWN, REPLICA_COOLDOWN};
-use response::{
-    Actuation, Controller, ControllerInput, ProxyObservation, ReplicaObservation, ResponseConfig,
-};
+use response::{Actuation, Controller, ControllerInput, ProxyObservation, ReplicaObservation};
 use simnet::time::SimTime;
 
+/// The plant deployment's replica count (`Config::plant().n()`).
 const N: u32 = 6;
 const TICK_US: u64 = 100_000;
 const TICKS: u64 = 400;
@@ -113,7 +113,7 @@ struct Run {
 /// crashes, view bumps, floods. The controller's own downs are reflected
 /// back as `up = false`, exactly as a deployment would. With `noisy`,
 /// each tick's journal also carries [`noise`].
-fn drive(seed: u64, cfg: ResponseConfig, world: World, noisy: bool) -> Run {
+fn drive(seed: u64, cfg: Config, world: World, noisy: bool) -> Run {
     let mut rng = Rng(seed ^ 0x5eed_50de);
     let mut noise_rng = Rng(seed ^ 0x0a15_e5ed);
     let hub = ObsHub::new();
@@ -188,7 +188,7 @@ proptest! {
     /// transition sequences.
     #[test]
     fn same_stream_same_actuator_sequence(seed in any::<u64>()) {
-        let cfg = ResponseConfig::for_budget(N, 1, 1);
+        let cfg = Config::plant();
         let (a, b) = (drive(seed, cfg, HOSTILE, false), drive(seed, cfg, HOSTILE, false));
         prop_assert_eq!(a.actions, b.actions);
         prop_assert_eq!(a.hub.journal_records(), b.hub.journal_records());
@@ -199,7 +199,7 @@ proptest! {
     /// controller reads only reconvergences and violations there.
     #[test]
     fn unread_journal_records_change_no_actuation(seed in any::<u64>()) {
-        let cfg = ResponseConfig::for_budget(N, 1, 1);
+        let cfg = Config::plant();
         for world in [HOSTILE, CALM] {
             let (quiet, noisy) = (drive(seed, cfg, world, false), drive(seed, cfg, world, true));
             prop_assert_eq!(quiet.actions, noisy.actions);
@@ -213,7 +213,7 @@ proptest! {
     /// the per-replica re-recovery cool-down.
     #[test]
     fn recoveries_never_exceed_the_disruptive_budget(seed in any::<u64>()) {
-        let cfg = ResponseConfig::for_budget(N, 1, 1);
+        let cfg = Config::plant();
         let run = drive(seed, cfg, HOSTILE, false);
         let mut down: Vec<u32> = Vec::new();
         let mut last_restore: Option<SimTime> = None;

@@ -178,11 +178,6 @@ impl SiteTopology {
         self.sites.iter().map(|s| s.replicas.len() as u32).sum()
     }
 
-    /// The site homing replica `r`, if any.
-    pub fn site_of_replica(&self, r: u32) -> Option<usize> {
-        self.sites.iter().position(|s| s.replicas.contains(&r))
-    }
-
     /// Replica ids homed at `site`.
     pub fn replicas_of(&self, site: usize) -> &[u32] {
         &self.sites[site].replicas
@@ -348,15 +343,12 @@ mod tests {
         ] {
             assert_eq!(topo.replica_count(), 6, "{}", topo.label());
             let mut seen = std::collections::BTreeSet::new();
-            for site in &topo.sites {
-                for &r in &site.replicas {
+            for site in 0..topo.site_count() {
+                for &r in topo.replicas_of(site) {
                     assert!(seen.insert(r), "{}: replica {r} homed twice", topo.label());
                 }
             }
             assert_eq!(seen, (0..6).collect(), "{}", topo.label());
-            for r in 0..6 {
-                assert!(topo.site_of_replica(r).is_some());
-            }
         }
     }
 

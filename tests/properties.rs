@@ -9,7 +9,7 @@ use modbus::crc::{check_and_strip, crc16};
 use modbus::{Request, Response};
 use plc::logic::LogicConfig;
 use plc::topology::fig4_topology;
-use prime::types::{Config, Update};
+use prime::types::{Config, Membership, Update};
 use scada::state::ScadaState;
 use scada::updates::ScadaUpdate;
 use simnet::wire::Wire;
@@ -396,6 +396,18 @@ proptest! {
         prop_assert!(c.coverage_threshold() > f + k);
         // Liveness: a quorum must survive f byzantine + k recovering.
         prop_assert!(n - f - k >= q, "quorum reachable with f+k unavailable");
+        // The full membership is the configuration: same budget, quorum,
+        // suspicion threshold, leader rotation and replicas.
+        let m = Membership::full(&c);
+        prop_assert_eq!(m.ordering_quorum(), q);
+        prop_assert_eq!(m.suspect_threshold(), f + k + 1);
+        prop_assert_eq!((m.f, m.k), (f, k));
+        for v in 0..3 * u64::from(n) {
+            prop_assert_eq!(m.leader_of(v), c.leader_of(v));
+        }
+        for r in 0..n + 3 {
+            prop_assert_eq!(m.contains(prime::ReplicaId(r)), r < n);
+        }
     }
 }
 
