@@ -172,7 +172,7 @@ if grep -rnE --include='*.rs' 'attach_obs|\.obs = ' crates src; then
     exit 1
 fi
 
-echo "==> one record per fact (no simulator string log, no twin stats fields, no unread counts)"
+echo "==> one record per fact (no simulator string log, no twin stats fields, no unread counts, no histograms)"
 # A fact is counted in the registry, journaled, or returned to the caller,
 # once. The simulator keeps no string log, Prime signals nothing that only
 # such a log read, and a Spines, HMI or Prime event bumps no struct field
@@ -202,6 +202,17 @@ fi
 if grep -rnE --include='*.rs' \
     '\b(requests_served|invalid_frames|configs_adopted|commands_executed|failovers|spoofed_accepted|malformed_updates|arp_replies_sent|statuses_spoofed|commands_injected|mac_spoofs_sent|pongs_received)\b|\.operations \+= ' \
     crates/plc/src crates/scada/src crates/redteam/src; then
+    exit 1
+fi
+# The registry holds counters only: a measurement (E5's reaction times)
+# lives in the samples the run returns. A firewall drop is the engine's
+# net.firewall_drops counter and its journaled PacketDrop, with no
+# per-node copy; the simulator keeps no SimStats snapshot of its counters,
+# and the HMI pane, the vote collector and the Modbus store count nothing
+# that no report reads.
+if grep -rnE --include='*.rs' \
+    'pub mod hist\b|HistogramHandle|fn histogram\(|\bSimStats\b|fn firewall_drops\(|fn update_count|pub decisions|config_uploads' \
+    crates src; then
     exit 1
 fi
 

@@ -26,8 +26,6 @@ pub struct DataStore {
     /// emulated breaker PLCs this encodes the ladder-logic parameters, so
     /// replacing it *changes device behaviour* — the red team's attack.
     pub config_image: Vec<u8>,
-    /// Number of times the configuration was replaced (forensics).
-    pub config_uploads: u64,
 }
 
 impl DataStore {
@@ -41,7 +39,6 @@ impl DataStore {
             input: vec![0; words],
             device_id: "OpenPLC-emu v3 (spire-repro)".to_string(),
             config_image: Vec::new(),
-            config_uploads: 0,
         }
     }
 
@@ -223,7 +220,6 @@ pub fn execute(req: &Request, store: &mut DataStore) -> Response {
         },
         Request::ConfigUpload { image } => {
             store.config_image = image.clone();
-            store.config_uploads += 1;
             Response::ConfigAccepted
         }
     }
@@ -423,7 +419,6 @@ mod tests {
         );
         assert_eq!(upload, Response::ConfigAccepted);
         assert_eq!(s.config_image, vec![66, 66]);
-        assert_eq!(s.config_uploads, 1);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! truth for telemetry instead of ad-hoc counters scattered per crate.
 //! This crate provides it:
 //!
-//! * a metrics registry ([`ObsHub`]) of named counters and log-scale
-//!   latency [`Histogram`]s, stamped with **simulated** time;
+//! * a metrics registry ([`ObsHub`]) of named [`Counter`]s, beside a
+//!   clock of **simulated** time. A measurement (a reaction time, a
+//!   latency) is not registered: it lives in what the run returns;
 //! * an append-only structured [`Event`] journal whose byte encoding is
 //!   deterministic for a given seed and hashable into a single run
 //!   digest ([`ObsHub::journal_digest`]);
@@ -22,13 +23,11 @@
 //! keep the `Counter` handle rather than re-resolving the name.
 
 pub mod event;
-pub mod hist;
 pub mod prof;
 pub mod report;
 pub mod trace;
 
 pub use event::{Event, TimedEvent};
-pub use hist::{Histogram, HistogramSummary};
 pub use report::ObsReport;
 pub use trace::{SpanId, Stage, TraceCtx, TraceId};
 
@@ -59,44 +58,11 @@ impl Counter {
     }
 }
 
-/// A shared histogram handle (see [`Histogram`] for the bucketing).
-#[derive(Clone, Debug, Default)]
-pub struct HistogramHandle(Arc<Mutex<Histogram>>);
-
-impl HistogramHandle {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Histogram> {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Records one sample (typically microseconds of simulated time).
-    pub fn record(&self, value: u64) {
-        self.lock().record(value);
-    }
-
-    /// Snapshot of count/min/p50/p99/max/mean.
-    pub fn summary(&self) -> HistogramSummary {
-        self.lock().summary()
-    }
-
-    /// Value at quantile `q` in `[0, 1]` (clamped to observed min/max).
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.lock().quantile(q)
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.lock().count()
-    }
-}
-
 #[derive(Default)]
 struct Inner {
     /// Simulated time in microseconds, advanced by the scheduler.
     now_us: AtomicU64,
     counters: Mutex<BTreeMap<String, Counter>>,
-    histograms: Mutex<BTreeMap<String, HistogramHandle>>,
     journal: Mutex<Vec<TimedEvent>>,
     /// When set, journal appends are echoed to stdout (`--trace`).
     trace: AtomicBool,
@@ -181,17 +147,6 @@ impl ObsHub {
             .filter(|(name, _)| name.starts_with(prefix))
             .map(|(_, c)| c.get())
             .sum()
-    }
-
-    /// Returns the histogram registered under `name`, creating it empty.
-    pub fn histogram(&self, name: &str) -> HistogramHandle {
-        let mut reg = lock(&self.inner.histograms);
-        if let Some(h) = reg.get(name) {
-            return h.clone();
-        }
-        let h = HistogramHandle::default();
-        reg.insert(name.to_string(), h.clone());
-        h
     }
 
     // ---- event journal ----
@@ -359,11 +314,6 @@ impl ObsHub {
                 .iter()
                 .map(|(name, c)| (name.clone(), c.get()))
                 .collect(),
-            histograms: lock(&self.inner.histograms)
-                .iter()
-                .filter(|(_, h)| h.count() > 0)
-                .map(|(name, h)| (name.clone(), h.summary()))
-                .collect(),
             critical_paths: trace::critical_paths(&journal),
             journal_len: journal.len(),
             journal_digest: self.journal_digest().to_hex(),
@@ -485,18 +435,15 @@ mod tests {
     fn report_snapshots_metrics_and_renders() {
         let hub = ObsHub::new();
         hub.counter("a.count").add(4);
-        hub.histogram("c.latency_us").record(150);
         hub.journal(Event::PacketDrop {
             node: 1,
             kind: event::DropKind::Loss,
         });
         let r = hub.report();
         assert_eq!(r.counters, vec![("a.count".to_string(), 4)]);
-        assert_eq!(r.histograms.len(), 1);
         assert_eq!(r.journal_len, 1);
         let text = r.render();
         assert!(text.contains("a.count"));
-        assert!(text.contains("c.latency_us"));
         assert!(text.contains(&r.journal_digest[..16]));
     }
 

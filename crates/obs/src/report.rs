@@ -1,19 +1,15 @@
 //! Per-run observability snapshot and its table rendering.
 
 use crate::event::TimedEvent;
-use crate::hist::HistogramSummary;
 use crate::trace::StageBreakdown;
 
-/// Everything a run recorded, snapshotted: counters, histogram
-/// summaries, critical-path tables, and the journal itself (with its
-/// length and digest). This is what experiments return and the CLI
-/// prints under `--metrics`.
+/// Everything a run recorded, snapshotted: counters, critical-path
+/// tables, and the journal itself (with its length and digest). This is
+/// what experiments return and the CLI prints under `--metrics`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ObsReport {
     /// Counter name → value, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Histogram name → summary, sorted by name; empty histograms omitted.
-    pub histograms: Vec<(String, HistogramSummary)>,
     /// Per-root-stage latency attribution assembled from the journaled
     /// span trees; empty when the run traced nothing.
     pub critical_paths: Vec<StageBreakdown>,
@@ -35,14 +31,6 @@ impl ObsReport {
             .map_or(0, |(_, v)| *v)
     }
 
-    /// Summary of a histogram in this snapshot, if it recorded samples.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSummary> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| s)
-    }
-
     /// Renders the snapshot as an aligned text table.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -52,18 +40,6 @@ impl ObsReport {
             out.push_str("counters:\n");
             for (name, v) in &self.counters {
                 out.push_str(&format!("  {name:<40} {v:>12}\n"));
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str(&format!(
-                "histograms:\n  {:<40} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
-                "name", "count", "p50", "p99", "max", "mean"
-            ));
-            for (name, s) in &self.histograms {
-                out.push_str(&format!(
-                    "  {:<40} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
-                    name, s.count, s.p50, s.p99, s.max, s.mean
-                ));
             }
         }
         if !self.critical_paths.is_empty() {
@@ -165,17 +141,6 @@ mod tests {
     fn sample() -> ObsReport {
         ObsReport {
             counters: vec![("net.delivered".into(), 42)],
-            histograms: vec![(
-                "hmi.reaction_us".into(),
-                HistogramSummary {
-                    count: 10,
-                    min: 50,
-                    p50: 70,
-                    p99: 90,
-                    max: 95,
-                    mean: 71,
-                },
-            )],
             critical_paths: Vec::new(),
             journal_len: 3,
             journal_digest: "abcd".repeat(16),
@@ -188,8 +153,6 @@ mod tests {
         let r = sample();
         assert_eq!(r.counter("net.delivered"), 42);
         assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.histogram("hmi.reaction_us").map(|s| s.p50), Some(70));
-        assert!(r.histogram("missing").is_none());
     }
 
     #[test]
@@ -228,7 +191,7 @@ mod tests {
     #[test]
     fn render_contains_every_section() {
         let text = sample().render();
-        for needle in ["counters:", "histograms:", "net.delivered", "3 records"] {
+        for needle in ["counters:", "net.delivered", "3 records"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
     }

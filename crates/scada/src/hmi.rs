@@ -27,7 +27,6 @@ pub struct HmiUpdate {
 struct Pane {
     positions: Vec<bool>,
     currents: Vec<u16>,
-    updates: u64,
 }
 
 /// The HMI.
@@ -72,7 +71,6 @@ impl Hmi {
         let changed = pane.positions != update.positions || pane.currents != update.currents;
         pane.positions = update.positions;
         pane.currents = update.currents;
-        pane.updates += 1;
         self.update_log.push((now, update.scenario.clone()));
         if let Some((tag, idx)) = &self.sensor_breaker {
             if *tag == update.scenario {
@@ -89,11 +87,6 @@ impl Hmi {
     /// Current positions for a scenario pane.
     pub fn positions(&self, scenario: &str) -> Option<&[bool]> {
         self.panes.get(scenario).map(|p| p.positions.as_slice())
-    }
-
-    /// Number of display updates applied for a scenario.
-    pub fn update_count(&self, scenario: &str) -> u64 {
-        self.panes.get(scenario).map_or(0, |p| p.updates)
     }
 
     /// Current color of the measurement box (true = white = closed).
@@ -157,8 +150,12 @@ mod tests {
             "no visible change"
         );
         assert!(hmi.apply(frame("jhu", vec![false; 7]), SimTime(30)));
-        assert_eq!(hmi.update_log.len(), 3);
-        assert_eq!(hmi.update_count("jhu"), 3);
+        assert!(hmi.apply(frame("acme", vec![true; 3]), SimTime(40)));
+        let jhu = hmi.update_log.iter().filter(|(_, tag)| tag == "jhu");
+        assert_eq!(
+            jhu.map(|&(t, _)| t).collect::<Vec<_>>(),
+            [SimTime(10), SimTime(20), SimTime(30)]
+        );
         assert_eq!(hmi.positions("jhu"), Some(vec![false; 7].as_slice()));
     }
 

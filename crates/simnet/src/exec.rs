@@ -51,8 +51,6 @@ pub(crate) struct Node {
     pub(crate) up: bool,
     /// Bumped on process replacement; stale Start/Timer events are dropped.
     pub(crate) generation: u32,
-    /// Inbound packets the firewall silently dropped.
-    pub(crate) firewall_drops: u64,
 }
 
 #[derive(Debug)]
@@ -300,12 +298,11 @@ impl Exec<'_> {
     /// construction, transmission.
     fn host_send(&mut self, node: NodeId, ifidx: usize, packet: Packet) {
         {
-            let n = self.world.node_mut(node);
+            let n = self.world.node(node);
             if !n.up {
                 return;
             }
             if !n.firewall.permits(Direction::Outbound, &packet) {
-                n.firewall_drops += 1;
                 self.world.net.firewall_drops.inc();
                 self.world.obs.journal(ObsEvent::PacketDrop {
                     node: node.0,
@@ -648,9 +645,7 @@ impl Exec<'_> {
             .firewall
             .permits(Direction::Inbound, &packet);
         if !permitted {
-            let n = self.world.node_mut(node);
-            n.firewall_drops += 1;
-            let responds = n.firewall.responds_to_blocked_syn();
+            let responds = self.world.node(node).firewall.responds_to_blocked_syn();
             self.world.net.firewall_drops.inc();
             self.world.obs.journal(ObsEvent::PacketDrop {
                 node: node.0,

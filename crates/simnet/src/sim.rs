@@ -124,23 +124,6 @@ impl NodeSpec {
     }
 }
 
-/// Aggregate counters for a run, derived from the [`ObsHub`] registry.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// Frames handed to links.
-    pub frames_sent: u64,
-    /// Frames delivered to an endpoint.
-    pub frames_delivered: u64,
-    /// Frames dropped (loss, queues, down links/nodes, switch drops).
-    pub frames_dropped: u64,
-    /// Packets delivered to processes.
-    pub packets_to_process: u64,
-    /// Inbound packets dropped by host firewalls.
-    pub firewall_drops: u64,
-    /// ARP learn attempts rejected by static tables.
-    pub arp_rejected: u64,
-}
-
 /// Does nothing: every [`Simulation`] runs on the thread that called it,
 /// whatever `n` is. Kept only because `benchmark/src/adapter.rs` imports
 /// it; it goes when the benchmark is next re-based (ROADMAP.md).
@@ -199,18 +182,6 @@ impl Simulation {
         &self.world.obs
     }
 
-    /// Aggregate counters (a registry snapshot, kept for API stability).
-    pub fn stats(&self) -> SimStats {
-        SimStats {
-            frames_sent: self.world.net.frames_sent.get(),
-            frames_delivered: self.world.net.frames_delivered.get(),
-            frames_dropped: self.world.net.frames_dropped.get(),
-            packets_to_process: self.world.net.packets_to_process.get(),
-            firewall_drops: self.world.net.firewall_drops.get(),
-            arp_rejected: self.world.net.arp_rejected.get(),
-        }
-    }
-
     /// Adds a node; MACs are derived deterministically. Schedules its
     /// `on_start` at the current time.
     pub fn add_node(&mut self, spec: NodeSpec) -> NodeId {
@@ -238,7 +209,6 @@ impl Simulation {
             strict_interface_binding: spec.strict_interface_binding,
             up: true,
             generation: 0,
-            firewall_drops: 0,
         });
         self.push_event(
             self.now,
@@ -462,11 +432,6 @@ impl Simulation {
         (p as &mut dyn std::any::Any).downcast_mut::<T>()
     }
 
-    /// A node's static switch-facing state: count of inbound firewall drops.
-    pub fn firewall_drops(&self, node: NodeId) -> u64 {
-        self.world.node(node).firewall_drops
-    }
-
     /// Count of ARP learn attempts rejected by a node interface (evidence
     /// of poisoning attempts bouncing off static tables).
     pub fn arp_rejections(&self, node: NodeId, ifidx: usize) -> u64 {
@@ -609,6 +574,17 @@ mod tests {
     const IP_A: IpAddr = IpAddr::new(10, 0, 0, 1);
     const IP_B: IpAddr = IpAddr::new(10, 0, 0, 2);
 
+    /// Packets `node`'s firewall dropped, as journaled.
+    fn journaled_firewall_drops(sim: &Simulation, node: NodeId) -> usize {
+        use obs::event::DropKind;
+        sim.obs().journal_count(|e| {
+            matches!(
+                e,
+                obs::Event::PacketDrop { node: n, kind: DropKind::Firewall } if *n == node.0
+            )
+        })
+    }
+
     fn two_hosts_on_switch(arp: ArpMode, seed: u64) -> (Simulation, NodeId, NodeId) {
         let mut sim = Simulation::new(seed);
         let spec_a = InterfaceSpec {
@@ -703,7 +679,7 @@ mod tests {
             .expect("chatter")
             .received
             .is_empty());
-        assert_eq!(sim.firewall_drops(b), 1);
+        assert_eq!(journaled_firewall_drops(&sim, b), 1);
     }
 
     #[test]
@@ -734,20 +710,23 @@ mod tests {
         );
     }
 
-    /// What a run leaves to compare: the engine's counters, the events it
-    /// processed and the journal digest.
-    fn run_two_hosts(seed: u64) -> (SimStats, u64, String) {
+    /// What a run leaves to compare: the registry's snapshot (counters,
+    /// journal and its digest) and the events it processed.
+    fn run_two_hosts(seed: u64) -> (obs::ObsReport, u64) {
         let (mut sim, _a, _b) = two_hosts_on_switch(ArpMode::Dynamic, seed);
         let n = sim.run_for(SimDuration::from_millis(10));
         assert_eq!(n, sim.events_processed());
-        (sim.stats(), n, sim.obs().journal_digest().to_hex())
+        (sim.obs().report(), n)
     }
 
     #[test]
     fn determinism_same_seed_same_run() {
         for seed in [1, 2, 42, u64::MAX] {
             let first = run_two_hosts(seed);
-            assert!(first.0.frames_delivered > 0, "seed {seed}: nothing ran");
+            assert!(
+                first.0.counter("net.frames_delivered") > 0,
+                "seed {seed}: nothing ran"
+            );
             assert_eq!(run_two_hosts(seed), first, "seed {seed}");
         }
     }
@@ -757,7 +736,7 @@ mod tests {
     fn set_default_threads_changes_nothing_about_a_run() {
         let before = run_two_hosts(1);
         assert!(
-            before.0.frames_delivered > 0,
+            before.0.counter("net.frames_delivered") > 0,
             "the run delivered something to compare"
         );
         set_default_threads(4);
@@ -837,9 +816,10 @@ mod tests {
     }
 
     /// A beacon and a listener on one switch, run for 20 ms. With
-    /// `tap_at`, a tap is attached that far in. Returns the stats, the
-    /// listener's payloads and the tap's records (none without a tap).
-    fn beacon_run(tap_at: Option<SimDuration>) -> (SimStats, Vec<Bytes>, Vec<PacketRecord>) {
+    /// `tap_at`, a tap is attached that far in. Returns the registry's
+    /// snapshot, the listener's payloads and the tap's records (none
+    /// without a tap).
+    fn beacon_run(tap_at: Option<SimDuration>) -> (obs::ObsReport, Vec<Bytes>, Vec<PacketRecord>) {
         let mut sim = Simulation::new(5);
         let beacon = Box::new(Beacon {
             peer: IP_B,
@@ -866,7 +846,7 @@ mod tests {
         let records = tap.map(|tap| sim.drain_tap(tap)).unwrap_or_default();
         let chatter = sim.process_ref::<Chatter>(b).expect("chatter");
         let received = chatter.received.iter().map(|p| p.payload.clone()).collect();
-        (sim.stats(), received, records)
+        (sim.obs().report(), received, records)
     }
 
     #[test]
@@ -879,8 +859,11 @@ mod tests {
         // A tap from the start sees every frame that enters the switch.
         // Here each leaves by exactly one port, so that is half of all
         // frames sent.
-        assert_eq!(plain_stats.frames_dropped, 0);
-        assert_eq!(full.len() as u64 * 2, plain_stats.frames_sent);
+        assert_eq!(plain_stats.counter("net.frames_dropped"), 0);
+        assert_eq!(
+            full.len() as u64 * 2,
+            plain_stats.counter("net.frames_sent")
+        );
 
         // The late tap holds exactly what a tap from the start saw after
         // it was attached (events at `from` itself ran before it).
@@ -896,8 +879,8 @@ mod tests {
 
         // A tap only watches: the run without one delivers the same frames.
         assert_eq!(plain_rx.len(), 15);
-        assert_eq!(plain_stats, full_stats);
-        assert_eq!(plain_stats, late_stats);
+        assert_eq!(plain_stats.counters, full_stats.counters);
+        assert_eq!(plain_stats.counters, late_stats.counters);
         assert_eq!(plain_rx, full_rx);
         assert_eq!(plain_rx, late_rx);
     }
@@ -1084,7 +1067,7 @@ mod tests {
         sim.run_for(SimDuration::from_millis(10));
         // The red team saw *nothing*: no SYN-ACK, no RST.
         assert_eq!(sim.process_ref::<Scanner>(a).expect("scanner").responses, 0);
-        assert_eq!(sim.firewall_drops(b), 10);
+        assert_eq!(journaled_firewall_drops(&sim, b), 10);
     }
 
     /// Two chatters on a direct link with ARP already warm; returns the

@@ -914,7 +914,15 @@ mod tests {
         let sw = d.sim.switch(d.external_switch);
         assert!(matches!(sw.mode, SwitchMode::Static { .. }));
         assert!(d.internal_switch.is_some());
-        assert_eq!(d.sim.firewall_drops(d.replica_nodes[0]), 0);
+        let replica = d.replica_nodes[0].0;
+        assert_eq!(
+            d.obs.journal_count(|e| matches!(
+                e,
+                obs::Event::PacketDrop { node, kind: obs::event::DropKind::Firewall }
+                    if *node == replica
+            )),
+            0
+        );
     }
 
     #[test]

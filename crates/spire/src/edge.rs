@@ -404,33 +404,27 @@ mod tests {
     #[test]
     fn gate_opens_once_at_f_plus_one_matching_votes() {
         let mut gate = CommandGate::new(2, vec![("plant".to_string(), 3, PLC)]);
-        assert_eq!(gate.decide(b"not a message"), Verdict::Ignored);
-        assert_eq!(gate.decide(&command(0, "jhu", 0, false)), Verdict::Ignored);
-        assert_eq!(
-            gate.decide(&command(0, "plant", 3, false)),
-            Verdict::Ignored
-        );
+        let mut actuated = 0;
+        let mut decide = |msg: &[u8]| {
+            let verdict = gate.decide(msg);
+            actuated += usize::from(matches!(verdict, Verdict::Actuate(..)));
+            verdict
+        };
+        assert_eq!(decide(b"not a message"), Verdict::Ignored);
+        assert_eq!(decide(&command(0, "jhu", 0, false)), Verdict::Ignored);
+        assert_eq!(decide(&command(0, "plant", 3, false)), Verdict::Ignored);
         // f = 2 matching votes leave the breaker alone; replica 5 lying
         // about the direction, twice, joins nobody.
+        assert_eq!(decide(&command(0, "plant", 1, false)), Verdict::Pending);
+        assert_eq!(decide(&command(5, "plant", 1, true)), Verdict::Pending);
+        assert_eq!(decide(&command(1, "plant", 1, false)), Verdict::Pending);
+        assert_eq!(decide(&command(5, "plant", 1, true)), Verdict::Pending);
         assert_eq!(
-            gate.decide(&command(0, "plant", 1, false)),
-            Verdict::Pending
-        );
-        assert_eq!(gate.decide(&command(5, "plant", 1, true)), Verdict::Pending);
-        assert_eq!(
-            gate.decide(&command(1, "plant", 1, false)),
-            Verdict::Pending
-        );
-        assert_eq!(gate.decide(&command(5, "plant", 1, true)), Verdict::Pending);
-        assert_eq!(
-            gate.decide(&command(2, "plant", 1, false)),
+            decide(&command(2, "plant", 1, false)),
             Verdict::Actuate(PLC, 1, false)
         );
-        assert_eq!(
-            gate.decide(&command(3, "plant", 1, false)),
-            Verdict::Pending
-        );
-        assert_eq!(gate.votes.decisions, 1, "actuated exactly once");
+        assert_eq!(decide(&command(3, "plant", 1, false)), Verdict::Pending);
+        assert_eq!(actuated, 1, "actuated exactly once");
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub fn measure_flips(
 
 /// Runs the measurement against a Spire deployment: flips `breaker` of
 /// proxy `p`'s PLC `flips` times, `period` apart, watching HMI `h`'s
-/// sensor box, and records each reaction in `e5.spire.reaction_us`.
+/// sensor box. The returned samples are the measurement's one record.
 pub fn measure_spire(
     d: &mut Deployment,
     proxy: u32,
@@ -117,13 +117,7 @@ pub fn measure_spire(
     period: SimDuration,
 ) -> Vec<Sample> {
     let tag = d.proxy(proxy).scenario().tag();
-    let samples = measure_flips(d, tag, proxy, breaker, hmi, flips, period, |_| {});
-    for reaction in samples.iter().filter_map(Sample::reaction) {
-        d.obs
-            .histogram("e5.spire.reaction_us")
-            .record(reaction.as_micros());
-    }
-    samples
+    measure_flips(d, tag, proxy, breaker, hmi, flips, period, |_| {})
 }
 
 #[cfg(test)]

@@ -26,8 +26,6 @@ pub struct VoteCollector<K: Ord + Clone> {
     keys: BTreeMap<K, Option<BTreeSet<u32>>>,
     /// Every key in `keys`, oldest first.
     seen: VecDeque<K>,
-    /// Keys that reached threshold (monotone counter for stats).
-    pub decisions: u64,
 }
 
 impl<K: Ord + Clone> VoteCollector<K> {
@@ -37,7 +35,6 @@ impl<K: Ord + Clone> VoteCollector<K> {
             threshold,
             keys: BTreeMap::new(),
             seen: VecDeque::new(),
-            decisions: 0,
         }
     }
 
@@ -63,7 +60,6 @@ impl<K: Ord + Clone> VoteCollector<K> {
             return false;
         }
         *slot = None;
-        self.decisions += 1;
         true
     }
 
@@ -80,10 +76,12 @@ mod tests {
     #[test]
     fn fires_exactly_once_at_threshold() {
         let mut v = VoteCollector::new(2);
-        assert!(!v.vote("cmd", 0));
-        assert!(v.vote("cmd", 1), "second distinct voter fires");
-        assert!(!v.vote("cmd", 2), "already fired");
-        assert_eq!(v.decisions, 1);
+        let fired: Vec<bool> = (0..3).map(|voter| v.vote("cmd", voter)).collect();
+        assert_eq!(
+            fired,
+            [false, true, false],
+            "the second distinct voter fires, and the key fires once"
+        );
     }
 
     #[test]

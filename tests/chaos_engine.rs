@@ -744,7 +744,7 @@ fn simnet_link_loss_counted_and_tolerated() {
     // With 20% loss each way some pongs are missing, but most arrive.
     assert!(p.pongs < 200, "some loss observed");
     assert!(p.pongs > 100, "most pings survived, got {}", p.pongs);
-    assert!(sim.stats().frames_dropped > 0);
+    assert!(sim.obs().counter_value("net.frames_dropped") > 0);
 }
 
 #[test]

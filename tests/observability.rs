@@ -21,7 +21,7 @@ fn e4_same_seed_yields_identical_journal_digest() {
         "same seed, same journal digest"
     );
     // Not just the digest: the entire metrics snapshot is reproducible.
-    assert_eq!(a.obs, b.obs, "same seed, same counters/histograms");
+    assert_eq!(a.obs, b.obs, "same seed, same counters and journal");
     assert_eq!(a.hmi_frames, b.hmi_frames);
     assert_eq!(a.view_changes, b.view_changes);
 }
@@ -119,12 +119,11 @@ fn proxy_and_network_stats_read_the_registry_counts() {
         );
     }
     // Network counters flow through the same registry.
-    let net = d.sim.stats();
-    assert_eq!(
-        d.obs.counter_value("net.frames_delivered"),
-        net.frames_delivered
+    assert!(d.sim.obs().same_hub(&d.obs), "one registry per deployment");
+    assert!(
+        d.obs.counter_value("net.frames_delivered") > 0,
+        "traffic flowed"
     );
-    assert!(net.frames_delivered > 0, "traffic flowed");
     // The report renders every registered counter plus the digest line.
     let report = d.obs.report();
     assert!(

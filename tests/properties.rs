@@ -164,52 +164,6 @@ proptest! {
         prop_assert_eq!(Update::from_wire(&u.to_wire()).expect("roundtrip"), u);
     }
 
-    // ---- obs histograms ----
-
-    #[test]
-    fn histogram_quantiles_are_ordered_and_counts_conserved(
-        values in proptest::collection::vec(0u64..10_000_000, 1..300),
-    ) {
-        let hub = obs::ObsHub::new();
-        let h = hub.histogram("prop.test");
-        for &v in &values {
-            h.record(v);
-        }
-        let s = h.summary();
-        prop_assert_eq!(s.count, values.len() as u64, "every sample counted");
-        prop_assert!(s.min <= s.p50, "min <= p50 ({} <= {})", s.min, s.p50);
-        prop_assert!(s.p50 <= s.p99, "p50 <= p99 ({} <= {})", s.p50, s.p99);
-        prop_assert!(s.p99 <= s.max, "p99 <= max ({} <= {})", s.p99, s.max);
-        let lo = *values.iter().min().expect("nonempty");
-        let hi = *values.iter().max().expect("nonempty");
-        prop_assert_eq!(s.min, lo, "min is exact");
-        prop_assert_eq!(s.max, hi, "max is exact");
-        prop_assert!(s.mean >= lo && s.mean <= hi, "mean within sample range");
-        // Quantiles are monotone in q and clamped to the sample range.
-        let mut prev = 0u64;
-        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
-            let v = h.quantile(q);
-            prop_assert!(v >= prev, "quantile monotone at q={q}");
-            prop_assert!(v >= lo && v <= hi, "quantile clamped at q={q}");
-            prev = v;
-        }
-    }
-
-    #[test]
-    fn histogram_relative_error_bounded(value in 1u64..1_000_000_000) {
-        // Log-linear buckets with 16 sub-buckets per power of two keep the
-        // upper-edge estimate within ~6.25% of the true value. A far-out
-        // second sample keeps the clamp-to-max from hiding the bucket edge.
-        let hub = obs::ObsHub::new();
-        let h = hub.histogram("prop.err");
-        h.record(value);
-        h.record(value.saturating_mul(1_000));
-        let est = h.quantile(0.5);
-        prop_assert!(est >= value, "upper edge never under-reports");
-        let err = (est - value) as f64 / value as f64;
-        prop_assert!(err <= 0.0625 + 1e-9, "relative error {err} at {value}");
-    }
-
     // ---- causal span trees ----
 
     #[test]
