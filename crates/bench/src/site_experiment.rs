@@ -17,7 +17,7 @@ use chaos::plan::ChaosPlan;
 use prime::types::{Config as PrimeConfig, Membership};
 use simnet::time::SimDuration;
 use spire::deploy::Deployment;
-use spire::latency::{measure_flips, Sample};
+use spire::latency::{measure_flips, summarize};
 use spire::site::{SiteTopology, SurvivalMode};
 
 use crate::chaos_experiment::{chaos_rig, render_reconvergence};
@@ -81,22 +81,6 @@ impl SiteFailoverRun {
     }
 }
 
-/// Median of the completed reactions, computed directly from the raw
-/// samples ([`spire::latency::summarize`] panics when nothing completed,
-/// which is the *expected* `6@1` during-sever outcome).
-fn median_reaction_us(samples: &[Sample]) -> Option<u64> {
-    let mut us: Vec<u64> = samples
-        .iter()
-        .filter_map(|s| s.reaction())
-        .map(|d| d.as_micros())
-        .collect();
-    if us.is_empty() {
-        return None;
-    }
-    us.sort_unstable();
-    Some(us[us.len() / 2])
-}
-
 /// E5's measurement device, chaos-aware: flips breaker 1 of proxy 0's
 /// PLC and times the HMI-0 box transition; when each flip's window closes
 /// the invariant checker samples (reading the new ground truth, and
@@ -112,7 +96,11 @@ fn measure_reactions(
             c.observe(d);
         }
     });
-    median_reaction_us(&samples)
+    // No completed flip is the expected `6@1` outcome under the sever.
+    samples
+        .iter()
+        .any(|s| s.reaction().is_some())
+        .then(|| summarize(&samples).median.as_micros())
 }
 
 /// Runs one configuration's leg: builds the multi-site plant deployment,
