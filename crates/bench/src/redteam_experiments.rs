@@ -259,10 +259,18 @@ pub fn e2_spire_network_attacks(seed: u64) -> E2Result {
         .expect("attacker")
         .observed
         .clone();
-    let arp_rejections: u64 = (0..d.cfg.n())
-        .map(|i| d.sim.arp_rejections(d.replica_nodes[i as usize], 1))
-        .chain(std::iter::once(d.sim.arp_rejections(d.hmi_nodes[0], 0)))
-        .sum();
+    // Poisoning attempts that bounced off a static table, journaled per
+    // node: the replicas and HMI 0.
+    let targets: Vec<u32> = d
+        .replica_nodes
+        .iter()
+        .chain(&d.hmi_nodes[..1])
+        .map(|n| n.0)
+        .collect();
+    let arp_rejections = d.obs.journal_count(|e| {
+        matches!(e, obs::Event::PacketDrop { node, kind: obs::event::DropKind::Arp }
+            if targets.contains(node))
+    }) as u64;
     let spines_auth_failures: u64 = (0..d.cfg.n())
         .map(|i| d.replica(i).external.stats().auth_failures)
         .sum();

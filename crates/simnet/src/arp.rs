@@ -28,9 +28,6 @@ pub enum ArpMode {
 pub struct ArpTable {
     mode: ArpMode,
     entries: BTreeMap<IpAddr, MacAddr>,
-    /// Count of ignored update attempts (useful to observe poisoning
-    /// attempts that bounced off a static table).
-    pub rejected_updates: u64,
 }
 
 impl ArpTable {
@@ -39,7 +36,6 @@ impl ArpTable {
         ArpTable {
             mode,
             entries: BTreeMap::new(),
-            rejected_updates: 0,
         }
     }
 
@@ -55,17 +51,14 @@ impl ArpTable {
     }
 
     /// Applies a mapping learned from the network. In static mode this is
-    /// rejected and counted.
+    /// rejected: the table is left as it was and `false` returned.
     pub fn learn(&mut self, ip: IpAddr, mac: MacAddr) -> bool {
         match self.mode {
             ArpMode::Dynamic => {
                 self.entries.insert(ip, mac);
                 true
             }
-            ArpMode::Static => {
-                self.rejected_updates += 1;
-                false
-            }
+            ArpMode::Static => false,
         }
     }
 
@@ -110,7 +103,6 @@ mod tests {
         // Gratuitous reply overwrites — the poisoning primitive.
         assert!(t.learn(IP_A, mac(66)));
         assert_eq!(t.resolve(IP_A), Some(mac(66)));
-        assert_eq!(t.rejected_updates, 0);
     }
 
     #[test]
@@ -119,9 +111,10 @@ mod tests {
         t.install(IP_A, mac(1));
         assert!(!t.learn(IP_A, mac(66)));
         assert_eq!(t.resolve(IP_A), Some(mac(1)));
-        assert_eq!(t.rejected_updates, 1);
-        // Unknown IPs simply don't resolve.
+        // A rejected mapping is not learned either.
+        assert!(!t.learn(IP_B, mac(66)));
         assert_eq!(t.resolve(IP_B), None);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

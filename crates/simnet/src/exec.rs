@@ -581,21 +581,16 @@ impl Exec<'_> {
                 }
             }
             ArpOp::Reply => {
-                let learned = {
-                    let iface = &mut self.world.node_mut(node).interfaces[ifidx];
-                    let before = iface.arp.rejected_updates;
-                    let ok = iface.arp.learn(arp.sender_ip, arp.sender_mac);
-                    let rejected = iface.arp.rejected_updates - before;
-                    if !ok && rejected > 0 {
-                        self.world.net.arp_rejected.add(rejected);
-                        self.world.obs.journal(ObsEvent::PacketDrop {
-                            node: node.0,
-                            kind: DropKind::Arp,
-                        });
-                    }
-                    ok
-                };
-                if learned {
+                let learned = self.world.node_mut(node).interfaces[ifidx]
+                    .arp
+                    .learn(arp.sender_ip, arp.sender_mac);
+                if !learned {
+                    self.world.net.arp_rejected.inc();
+                    self.world.obs.journal(ObsEvent::PacketDrop {
+                        node: node.0,
+                        kind: DropKind::Arp,
+                    });
+                } else {
                     // Flush packets that were waiting for this resolution.
                     let ready = self.world.node_mut(node).interfaces[ifidx]
                         .pending

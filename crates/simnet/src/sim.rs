@@ -432,12 +432,6 @@ impl Simulation {
         (p as &mut dyn std::any::Any).downcast_mut::<T>()
     }
 
-    /// Count of ARP learn attempts rejected by a node interface (evidence
-    /// of poisoning attempts bouncing off static tables).
-    pub fn arp_rejections(&self, node: NodeId, ifidx: usize) -> u64 {
-        self.world.node(node).interfaces[ifidx].arp.rejected_updates
-    }
-
     /// Resolves an IP in a node interface's ARP table (diagnostics: lets
     /// experiments check what a host — or an attacker — has learned).
     pub fn arp_entry(&self, node: NodeId, ifidx: usize, ip: IpAddr) -> Option<MacAddr> {
