@@ -58,18 +58,12 @@ pub fn e12_chaos_soak(seed: u64, days: u64, seconds_per_day: u64) -> ChaosRun {
 /// E16 and their contract tests): the minimal plant subset — spread over
 /// `sites` when given — with fast timing, proxy 0 polling verbosely every
 /// 100 ms, warmed up for one second (ARP, overlay discovery, first ordered
-/// updates). Returns the Prime configuration it armed alongside.
-///
-/// Chaos deployments arm dedup-table transfer: without it, a replica
-/// catching up after a crash/partition replays duplicate orderings its
-/// peers suppressed, permanently forking its execution numbering — the
-/// first bug the agreement invariant caught (see DESIGN.md).
+/// updates). Returns the Prime configuration it deployed alongside.
 pub fn chaos_rig(
     seed: u64,
-    mut prime_cfg: PrimeConfig,
+    prime_cfg: PrimeConfig,
     sites: Option<SiteTopology>,
 ) -> (Deployment, PrimeConfig) {
-    prime_cfg.transfer_dedup = true;
     let mut cfg = SpireConfig::minimal(prime_cfg, Scenario::PlantSubset);
     if let Some(sites) = sites {
         cfg = cfg.with_sites(sites);

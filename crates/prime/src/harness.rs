@@ -669,8 +669,8 @@ pub(crate) mod tests {
         assert_eq!(recovery_reconverges_under_loss(1111), RECONVERGENCE_DIGEST);
     }
 
-    /// With `transfer_dedup` armed, a recovered replica inherits its
-    /// peers' duplicate-suppression table through catch-up: every update
+    /// A recovered replica inherits its peers' duplicate-suppression
+    /// table through catch-up: every update
     /// reaches every replica (each introduces it, like Spire's proxy
     /// multicast), so duplicate orderings keep arriving after the
     /// snapshot install, and without the table the recovered replica
@@ -678,9 +678,7 @@ pub(crate) mod tests {
     /// numbering. Found by the chaos engine's agreement invariant.
     #[test]
     fn dedup_table_transfers_across_proactive_recovery() {
-        let mut config = Config::plant();
-        config.transfer_dedup = true;
-        let mut c = Cluster::new(config, 2);
+        let mut c = Cluster::new(Config::plant(), 2);
         c.set_timing(fast_timing());
         for i in 0..12 {
             c.submit(i % 2, format!("d{i}=v"));
@@ -772,9 +770,7 @@ pub(crate) mod tests {
     #[test]
     fn failback_after_site_heal_restores_full_membership() {
         use crate::types::Membership;
-        let mut config = Config::plant();
-        config.transfer_dedup = true;
-        let mut c = Cluster::new(config, 1);
+        let mut c = Cluster::new(Config::plant(), 1);
         c.set_timing(fast_timing());
         for i in 0..6 {
             c.submit(0, format!("pre{i}=v"));

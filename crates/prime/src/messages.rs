@@ -325,8 +325,10 @@ pub enum PrimeMsg {
         /// The requester's executed count.
         have_exec_seq: u64,
     },
-    /// Catch-up: a peer's state offer. Carries the *application-level*
-    /// snapshot — the §III-A signaling between replication and SCADA app.
+    /// Catch-up: a peer's state offer, installed whole once f+1 senders
+    /// offer the same bytes. Carries the *application-level* snapshot —
+    /// the §III-A signaling between replication and SCADA app — and the
+    /// replication state that goes with it.
     CatchupReply {
         /// Executed update count at the snapshot.
         exec_seq: u64,
@@ -334,28 +336,19 @@ pub enum PrimeMsg {
         app_digest: Digest,
         /// Serialized application snapshot.
         snapshot: Vec<u8>,
+        /// The sender's client duplicate-suppression table at the
+        /// snapshot, one `(client, contiguous_through, extras)` entry per
+        /// client: the executed client-seq set is `1..=contiguous_through`
+        /// plus the sparse `extras`. Without it, a recovered replica
+        /// executes duplicate orderings its peers suppressed and its
+        /// execution numbering (and app digest) forks from the quorum's.
+        dedup: Vec<(u32, u64, Vec<u64>)>,
         /// Ordering sequence to resume from.
         next_order_seq: u64,
         /// Cumulative execution-coverage vector at the snapshot.
         exec_cover: Vec<u64>,
         /// View at the snapshot.
         view: u64,
-    },
-    /// Companion to [`PrimeMsg::CatchupReply`], sent immediately before
-    /// it when [`crate::types::Config::transfer_dedup`] is armed: the
-    /// sender's client duplicate-suppression table at the snapshot, one
-    /// `(client, contiguous_through, extras)` entry per client — the
-    /// executed client-seq set is `1..=contiguous_through` plus the
-    /// sparse `extras`. Without this, a recovered replica executes
-    /// duplicate orderings its peers suppressed and its execution
-    /// numbering (and app digest) silently forks from the quorum's. A
-    /// separate message (rather than a `CatchupReply` field) keeps the
-    /// legacy catch-up wire format byte-identical when the flag is off.
-    CatchupDedup {
-        /// Executed update count of the reply this table accompanies.
-        exec_seq: u64,
-        /// The dedup table.
-        dedup: Vec<(u32, u64, Vec<u64>)>,
     },
     /// Pre-ordering: a Merkle-batched run of client updates occupying
     /// consecutive pre-order slots of `batch.origin`. Only sent when
@@ -422,16 +415,16 @@ impl PrimeMsg {
             PrimeMsg::Checkpoint { .. } => "prime;catchup;checkpoint",
             PrimeMsg::CatchupRequest { .. } => "prime;catchup;request",
             PrimeMsg::CatchupReply { .. } => "prime;catchup;reply",
-            PrimeMsg::CatchupDedup { .. } => "prime;catchup;dedup",
             PrimeMsg::PoRequestBatch { .. } => "prime;preorder;batch_request",
             PrimeMsg::PoBatchMember { .. } => "prime;preorder;batch_member",
             PrimeMsg::ViewChangeWindow { .. } => "prime;order;view_change",
         }
     }
 
-    /// The wire tag. Tags 8 (the single-certificate view-change vote) and
-    /// 17 (a chunk of a catch-up snapshot) are retired: they decode as
-    /// errors and are never reused.
+    /// The wire tag. Tags 8 (the single-certificate view-change vote), 13
+    /// (a catch-up reply's separate dedup table) and 17 (a chunk of a
+    /// catch-up snapshot) are retired: they decode as errors and are never
+    /// reused.
     fn tag(&self) -> u8 {
         match self {
             PrimeMsg::PoRequest { .. } => 0,
@@ -446,7 +439,6 @@ impl PrimeMsg {
             PrimeMsg::Checkpoint { .. } => 10,
             PrimeMsg::CatchupRequest { .. } => 11,
             PrimeMsg::CatchupReply { .. } => 12,
-            PrimeMsg::CatchupDedup { .. } => 13,
             PrimeMsg::PoRequestBatch { .. } => 14,
             PrimeMsg::PoBatchMember { .. } => 15,
             PrimeMsg::ViewChangeWindow { .. } => 16,
@@ -520,25 +512,22 @@ impl Wire for PrimeMsg {
                 exec_seq,
                 app_digest,
                 snapshot,
+                dedup,
                 next_order_seq,
                 exec_cover,
                 view,
             } => {
                 w.put_u64(*exec_seq)
                     .put_raw(app_digest.as_bytes())
-                    .put_bytes(snapshot);
+                    .put_bytes(snapshot)
+                    .put_u32(dedup.len() as u32);
+                for (client, through, extras) in dedup {
+                    w.put_u32(*client).put_u64(*through);
+                    put_u64_vec(w, extras);
+                }
                 w.put_u64(*next_order_seq);
                 put_u64_vec(w, exec_cover);
                 w.put_u64(*view);
-            }
-            PrimeMsg::CatchupDedup { exec_seq, dedup } => {
-                w.put_u64(*exec_seq);
-                w.put_u32(dedup.len() as u32);
-                for (client, through, extras) in dedup {
-                    w.put_u32(*client);
-                    w.put_u64(*through);
-                    put_u64_vec(w, extras);
-                }
             }
             PrimeMsg::PoRequestBatch { batch } => batch.encode(w),
             PrimeMsg::PoBatchMember {
@@ -645,12 +634,6 @@ impl Wire for PrimeMsg {
                 exec_seq: r.get_u64()?,
                 app_digest: digest(r)?,
                 snapshot: r.get_bytes()?,
-                next_order_seq: r.get_u64()?,
-                exec_cover: get_u64_vec(r)?,
-                view: r.get_u64()?,
-            },
-            13 => PrimeMsg::CatchupDedup {
-                exec_seq: r.get_u64()?,
                 dedup: {
                     let n = r.get_u32()? as usize;
                     if n > 4096 {
@@ -664,6 +647,9 @@ impl Wire for PrimeMsg {
                     }
                     table
                 },
+                next_order_seq: r.get_u64()?,
+                exec_cover: get_u64_vec(r)?,
+                view: r.get_u64()?,
             },
             14 => PrimeMsg::PoRequestBatch {
                 batch: PoBatch::decode(r)?,
@@ -726,7 +712,7 @@ impl Wire for PrimeMsg {
                     certs,
                 }
             }
-            // 8 and 17 are retired tags (see `tag`) and land here too.
+            // 8, 13 and 17 are retired tags (see `tag`) and land here too.
             _ => return Err(DecodeError::new("prime message tag")),
         })
     }
@@ -931,17 +917,19 @@ mod tests {
             exec_seq: 100,
             app_digest: Digest([1; 32]),
             snapshot: vec![1, 2, 3],
+            dedup: vec![(7, 40, vec![42, 44]), (9, 0, vec![])],
             next_order_seq: 50,
             exec_cover: vec![9, 9, 9, 9],
             view: 2,
         });
-        roundtrip(PrimeMsg::CatchupDedup {
-            exec_seq: 100,
-            dedup: vec![(7, 40, vec![42, 44]), (9, 0, vec![])],
-        });
-        roundtrip(PrimeMsg::CatchupDedup {
+        roundtrip(PrimeMsg::CatchupReply {
             exec_seq: 3,
+            app_digest: Digest([2; 32]),
+            snapshot: Vec::new(),
             dedup: Vec::new(),
+            next_order_seq: 1,
+            exec_cover: Vec::new(),
+            view: 0,
         });
         let batch = PoBatch::sign(
             ReplicaId(2),
@@ -974,12 +962,13 @@ mod tests {
         });
     }
 
-    /// Tags 8 and 17 once carried the single-certificate view-change vote
-    /// and a catch-up snapshot chunk. They are retired: whatever follows
-    /// them, they decode as an error.
+    /// Tags 8, 13 and 17 once carried the single-certificate view-change
+    /// vote, a catch-up reply's separate dedup table and a catch-up
+    /// snapshot chunk. They are retired: whatever follows them, they
+    /// decode as an error.
     #[test]
     fn retired_tags_decode_as_errors() {
-        for tag in [8u8, 17] {
+        for tag in [8u8, 13, 17] {
             assert!(PrimeMsg::from_wire(&[tag]).is_err(), "bare tag {tag}");
             let mut bytes = vec![tag];
             bytes.extend_from_slice(&[0xff; 64]);

@@ -543,104 +543,94 @@ impl<A: Application> Replica<A> {
         self.catchup_started = now;
         self.catchup_attempts = 0;
         self.catchup_offers.clear();
-        self.catchup_dedup.clear();
         let req = self.sign(PrimeMsg::CatchupRequest {
             have_exec_seq: self.exec_seq,
         });
         out.push(OutEvent::Broadcast(req));
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Counts `reply` (a [`PrimeMsg::CatchupReply`]) towards the group of
+    /// identical offers, and installs the offer once f+1 senders made it.
     pub(super) fn on_catchup_reply(
         &mut self,
         from: ReplicaId,
-        exec_seq: u64,
-        app_digest: Digest,
-        snapshot: Vec<u8>,
-        next_order_seq: u64,
-        exec_cover: Vec<u64>,
-        view: u64,
+        reply: PrimeMsg,
         out: &mut Vec<OutEvent>,
     ) {
-        if !self.catching_up || exec_seq <= self.exec_seq {
-            return;
-        }
-        if exec_cover.len() != self.config.n() as usize {
-            return;
-        }
-        // Pair the reply with the sender's `CatchupDedup` companion (sent
-        // just ahead of it); absent or mismatched means no table.
-        let dedup: DedupTable = match self.catchup_dedup.get(&from.0) {
-            Some((e, table)) if *e == exec_seq => table.clone(),
-            _ => Vec::new(),
-        };
-        let key = (exec_seq, app_digest, dedup_digest(&dedup));
-        let offer = PrimeMsg::CatchupReply {
+        let PrimeMsg::CatchupReply {
             exec_seq,
-            app_digest,
-            snapshot,
-            next_order_seq,
             exec_cover,
-            view,
+            ..
+        } = &reply
+        else {
+            return;
         };
-        let f = self.membership.f;
-        let entry = self
+        if !self.catching_up
+            || *exec_seq <= self.exec_seq
+            || exec_cover.len() != self.config.n() as usize
+        {
+            return;
+        }
+        // One key for the whole offer: f+1 senders vouch for every field
+        // together, the state, the dedup table, the cover, the sequence to
+        // resume from and the view, so one faulty replica cannot pair an
+        // honest state with a position of its own choosing.
+        let key = sha256(&reply.to_wire());
+        let senders = &mut self
             .catchup_offers
             .entry(key)
-            .or_insert_with(|| (BTreeSet::new(), offer, dedup));
-        entry.0.insert(from.0);
-        if entry.0.len() as u32 > f {
-            // f+1 matching offers: at least one from a correct replica.
-            let dedup = entry.2.clone();
-            let PrimeMsg::CatchupReply {
+            .or_insert((BTreeSet::new(), reply))
+            .0;
+        senders.insert(from.0);
+        if senders.len() as u32 <= self.membership.f {
+            return;
+        }
+        // f+1 matching offers: at least one from a correct replica.
+        let Some((
+            _,
+            PrimeMsg::CatchupReply {
                 exec_seq,
                 app_digest,
                 snapshot,
+                dedup,
                 next_order_seq,
                 exec_cover,
                 view,
-            } = entry.1.clone()
-            else {
-                return;
-            };
-            // The group agrees on `app_digest`, but the bytes are its first
-            // offerer's, who may have vouched for the honest digest over
-            // garbage; only installing them tells. Keep our own state to
-            // fall back on, or one faulty replica wipes a recovering one.
-            let own = self.app.snapshot();
-            self.app.install_snapshot(&snapshot);
-            if self.app.digest() != app_digest {
-                // Corrupt snapshot from a faulty replica; discard the group.
-                self.app.install_snapshot(&own);
-                self.catchup_offers.remove(&key);
-                return;
-            }
-            self.exec_seq = exec_seq;
-            if !dedup.is_empty() {
-                // Empty means the senders do not transfer their dedup
-                // tables (`Config::transfer_dedup` off); keep ours rather
-                // than wiping it.
-                self.executed_clients = ClientSeqs::from_table(&dedup);
-            }
-            self.plan_cover = exec_cover;
-            self.planned_through = next_order_seq.saturating_sub(1);
-            self.max_committed = self.max_committed.max(self.planned_through);
-            self.exec_plan.clear();
-            // What was installed is what has been executed: the marks
-            // start again from it, and the floors rise no faster than
-            // `RETAIN_CHECKPOINTS` fresh stable checkpoints allow.
-            self.exec_cover = self.plan_cover.clone();
-            self.drained_through = self.planned_through;
-            self.checkpoint_marks.clear();
-            self.stable_marks.clear();
-            self.view = self.view.max(view);
-            self.in_view_change = false;
-            self.catching_up = false;
-            self.stall_since = None;
-            self.last_checkpoint_at_exec = exec_seq;
-            self.mark_executed();
-            out.push(OutEvent::StateTransferInstalled { exec_seq });
+            },
+        )) = self.catchup_offers.remove(&key)
+        else {
+            return;
+        };
+        // The snapshot comes from outside this replica, and only
+        // installing it tells whether its bytes hash to the digest they
+        // came with. Keep our own state to fall back on.
+        let own = self.app.snapshot();
+        self.app.install_snapshot(&snapshot);
+        if self.app.digest() != app_digest {
+            // Corrupt snapshot; the group is already discarded.
+            self.app.install_snapshot(&own);
+            return;
         }
+        self.exec_seq = exec_seq;
+        self.executed_clients = ClientSeqs::from_table(&dedup);
+        self.plan_cover = exec_cover;
+        self.planned_through = next_order_seq.saturating_sub(1);
+        self.max_committed = self.max_committed.max(self.planned_through);
+        self.exec_plan.clear();
+        // What was installed is what has been executed: the marks
+        // start again from it, and the floors rise no faster than
+        // `RETAIN_CHECKPOINTS` fresh stable checkpoints allow.
+        self.exec_cover = self.plan_cover.clone();
+        self.drained_through = self.planned_through;
+        self.checkpoint_marks.clear();
+        self.stable_marks.clear();
+        self.view = self.view.max(view);
+        self.in_view_change = false;
+        self.catching_up = false;
+        self.stall_since = None;
+        self.last_checkpoint_at_exec = exec_seq;
+        self.mark_executed();
+        out.push(OutEvent::StateTransferInstalled { exec_seq });
     }
 
     /// Proposes the next ordering sequence, as leader. Up to
@@ -865,6 +855,7 @@ mod tests {
                 exec_seq: 5,
                 app_digest: honest.digest(),
                 snapshot: snapshot.to_vec(),
+                dedup: Vec::new(),
                 next_order_seq: 3,
                 exec_cover: vec![0; 4],
                 view: 0,
@@ -875,17 +866,22 @@ mod tests {
         let mut out = Vec::new();
         r.request_catchup(SimTime(0), &mut out);
 
-        // The faulty replica offers first, so the group's bytes are its
-        // garbage; an honest offer then completes the f + 1.
+        // The corrupt offer differs from the honest one in its bytes, so
+        // it forms a group of its own, and one faulty replica is not f + 1.
         offer(&mut r, 3, &corrupt);
         offer(&mut r, 1, &honest.snapshot());
+        assert_eq!(r.app, own, "no group is complete");
+        assert_eq!(r.exec_seq(), 1);
+
+        // More than f senders of the corrupt bytes, beyond the fault
+        // budget: the snapshot still comes from outside the replica, and
+        // the digest check after installing it refuses the group.
+        offer(&mut r, 2, &corrupt);
         assert_eq!(r.app, own, "the rejected group left the state as it was");
         assert_eq!(r.exec_seq(), 1);
         assert!(r.is_catching_up());
 
-        // The group was dropped whole: the next one starts from an honest
-        // offer and installs.
-        offer(&mut r, 1, &honest.snapshot());
+        // The honest group completes and installs.
         let installed = offer(&mut r, 2, &honest.snapshot());
         assert_eq!(r.app, honest);
         assert_eq!(r.exec_seq(), 5);
@@ -893,6 +889,56 @@ mod tests {
         assert!(installed
             .iter()
             .any(|e| matches!(e, OutEvent::StateTransferInstalled { exec_seq: 5 })));
+    }
+
+    /// f + 1 senders vouch for an offer whole: offers that agree on the
+    /// state and the dedup table but not on the cover, the sequence to
+    /// resume from or the view are groups of one, and install nothing.
+    #[test]
+    fn an_offer_installs_only_when_f_plus_one_match_it_whole() {
+        let mut peers = KvApp::new();
+        for seq in 1..=5 {
+            peers.execute(&update(seq, &format!("k{seq}=v{seq}")), seq);
+        }
+        let dedup = vec![(0, 5, Vec::new())];
+        let reply = |exec_cover: Vec<u64>, next_order_seq: u64, view: u64| PrimeMsg::CatchupReply {
+            exec_seq: 5,
+            app_digest: peers.digest(),
+            snapshot: peers.snapshot(),
+            dedup: dedup.clone(),
+            next_order_seq,
+            exec_cover,
+            view,
+        };
+        let honest = || reply(vec![2, 1, 1, 1], 6, 1);
+        for odd in [
+            reply(vec![2, 1, 1, 2], 6, 1),
+            reply(vec![2, 1, 1, 1], 7, 1),
+            reply(vec![2, 1, 1, 1], 6, 2),
+        ] {
+            let (mut r, mut keys, _) = replica(KvApp::new());
+            let mut offer = |r: &mut Replica<KvApp>, from: u32, reply: PrimeMsg| {
+                let signed = SignedMsg::sign(ReplicaId(from), reply, &mut keys[from as usize]);
+                r.on_message(signed, SimTime(1))
+            };
+            let mut out = Vec::new();
+            r.request_catchup(SimTime(0), &mut out);
+
+            offer(&mut r, 1, honest());
+            offer(&mut r, 2, odd);
+            assert_eq!(r.exec_seq(), 0, "two different offers install nothing");
+            assert!(r.is_catching_up());
+
+            let installed = offer(&mut r, 3, honest());
+            assert!(installed
+                .iter()
+                .any(|e| matches!(e, OutEvent::StateTransferInstalled { exec_seq: 5 })));
+            assert_eq!(r.app, peers);
+            assert_eq!(r.executed_clients.table(), dedup);
+            assert_eq!(r.plan_cover, [2, 1, 1, 1]);
+            assert_eq!(r.planned_through, 5);
+            assert_eq!(r.view, 1);
+        }
     }
 
     /// The retention runs' cadence: the benchmark's deployments', with a
@@ -920,10 +966,6 @@ mod tests {
     /// 64 keys, then drain, all executing every update. Returns each
     /// replica's largest table sizes, sampled every 10 ms.
     fn soak(config: Config, updates: u64, fault: Fault) -> Vec<Retained> {
-        let config = Config {
-            transfer_dedup: fault == Fault::Recovered,
-            ..config
-        };
         let mut c = Cluster::new(config, 1);
         c.set_timing(SOAK_TIMING);
         if fault == Fault::Partitioned {

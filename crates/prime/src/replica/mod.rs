@@ -58,25 +58,9 @@ use tables::{ClientSeqs, PoStore};
 pub use log::catchup_backoff;
 
 /// Compact client duplicate-suppression table, one
-/// `(client, contiguous_through, extras)` entry per client (see
-/// [`PrimeMsg::CatchupDedup`]).
+/// `(client, contiguous_through, extras)` entry per client (the `dedup`
+/// field of [`PrimeMsg::CatchupReply`]).
 type DedupTable = Vec<(u32, u64, Vec<u64>)>;
-
-/// Deterministic digest of a dedup table, folded into the catch-up offer
-/// key so the f+1 matching rule covers the table.
-fn dedup_digest(table: &[(u32, u64, Vec<u64>)]) -> Digest {
-    let mut bytes = Vec::with_capacity(16 + table.len() * 24);
-    bytes.extend_from_slice(&(table.len() as u64).to_be_bytes());
-    for (client, through, extras) in table {
-        bytes.extend_from_slice(&client.to_be_bytes());
-        bytes.extend_from_slice(&through.to_be_bytes());
-        bytes.extend_from_slice(&(extras.len() as u64).to_be_bytes());
-        for e in extras {
-            bytes.extend_from_slice(&e.to_be_bytes());
-        }
-    }
-    sha256(&bytes)
-}
 
 /// Bits of a composite pre-order sequence reserved for the counter.
 const PO_SEQ_BITS: u32 = 40;
@@ -208,9 +192,9 @@ type CertWindow = Vec<(u64, u64, Vec<AruRow>)>;
 /// Per-view votes: voter → (max committed, prepared certificates).
 type ViewChangeVotes = BTreeMap<u32, (u64, CertWindow)>;
 
-/// Catch-up offer groups, keyed by (exec_seq, app digest, dedup-table
-/// digest): offering senders, the offer, and its dedup table.
-type CatchupOffers = BTreeMap<(u64, Digest, Digest), (BTreeSet<u32>, PrimeMsg, DedupTable)>;
+/// Catch-up offer groups, keyed by the SHA-256 of the offered
+/// `CatchupReply`'s wire encoding: offering senders and the offer.
+type CatchupOffers = BTreeMap<Digest, (BTreeSet<u32>, PrimeMsg)>;
 
 /// One Prime replica hosting an application.
 pub struct Replica<A: Application> {
@@ -334,13 +318,10 @@ pub struct Replica<A: Application> {
     catching_up: bool,
     catchup_started: SimTime,
     catchup_attempts: u32,
-    // Keyed by (exec_seq, app digest, dedup-table digest): the f+1
-    // matching-offer rule covers the dedup table too, so a lone faulty
-    // replica cannot poison the duplicate-suppression state.
+    // Keyed by the whole offer's digest: the f+1 matching-offer rule
+    // covers every field, so a lone faulty replica can poison neither the
+    // state, the duplicate-suppression table nor where ordering resumes.
     catchup_offers: CatchupOffers,
-    // Per-sender dedup tables received via `CatchupDedup`, paired with
-    // the `CatchupReply` that follows from the same sender.
-    catchup_dedup: BTreeMap<u32, (u64, DedupTable)>,
 
     app: A,
 
@@ -439,7 +420,6 @@ impl<A: Application> Replica<A> {
             catchup_started: SimTime::ZERO,
             catchup_attempts: 0,
             catchup_offers: BTreeMap::new(),
-            catchup_dedup: BTreeMap::new(),
             app,
             obs: hub.clone(),
             health_ticks: 0,
@@ -771,19 +751,11 @@ impl<A: Application> Replica<A> {
             }
             PrimeMsg::CatchupRequest { have_exec_seq } => {
                 if self.exec_seq > have_exec_seq {
-                    // The companion dedup table travels first so the
-                    // receiver can pair it with the reply behind it.
-                    if self.config.transfer_dedup {
-                        let table = self.sign(PrimeMsg::CatchupDedup {
-                            exec_seq: self.exec_seq,
-                            dedup: self.executed_clients.table(),
-                        });
-                        out.push(OutEvent::Send(from, table));
-                    }
                     let reply = PrimeMsg::CatchupReply {
                         exec_seq: self.exec_seq,
                         app_digest: self.app.digest(),
                         snapshot: self.app.snapshot(),
+                        dedup: self.executed_clients.table(),
                         next_order_seq: self.planned_through + 1,
                         exec_cover: self.plan_cover.clone(),
                         view: self.view,
@@ -792,29 +764,8 @@ impl<A: Application> Replica<A> {
                     out.push(OutEvent::Send(from, reply));
                 }
             }
-            PrimeMsg::CatchupReply {
-                exec_seq,
-                app_digest,
-                snapshot,
-                next_order_seq,
-                exec_cover,
-                view,
-            } => {
-                self.on_catchup_reply(
-                    from,
-                    exec_seq,
-                    app_digest,
-                    snapshot,
-                    next_order_seq,
-                    exec_cover,
-                    view,
-                    &mut out,
-                );
-            }
-            PrimeMsg::CatchupDedup { exec_seq, dedup } => {
-                if self.catching_up {
-                    self.catchup_dedup.insert(from.0, (exec_seq, dedup));
-                }
+            reply @ PrimeMsg::CatchupReply { .. } => {
+                self.on_catchup_reply(from, reply, &mut out);
             }
             PrimeMsg::PoRequestBatch { batch } => {
                 self.accept_po_batch(from, batch, now, &mut out);
@@ -953,7 +904,6 @@ impl<A: Application> Replica<A> {
             } else {
                 self.catchup_started = now;
                 self.catchup_offers.clear();
-                self.catchup_dedup.clear();
                 let req = self.sign(PrimeMsg::CatchupRequest {
                     have_exec_seq: self.exec_seq,
                 });
@@ -1097,7 +1047,6 @@ impl<A: Application> Replica<A> {
         self.stable_marks.clear();
         self.catching_up = false;
         self.catchup_offers.clear();
-        self.catchup_dedup.clear();
         self.app.install_snapshot(&[]);
         let mut out = Vec::new();
         self.request_catchup(now, &mut out);

@@ -35,15 +35,10 @@ pub struct Config {
     pub f: u32,
     /// Maximum replicas simultaneously in proactive recovery.
     pub k: u32,
-    /// When set, catch-up replies carry the sender's client dedup table
-    /// so a recovering replica suppresses the same duplicate orderings
-    /// its peers already executed. Without it, a recovered replica's
-    /// execution numbering (and application digest) can permanently fork
-    /// from the veterans' under duplicate introduction — a divergence the
-    /// chaos invariant checker surfaced (see DESIGN.md, "Resilience &
-    /// chaos"). Off by default to keep the legacy experiments' catch-up
-    /// wire format (and their pinned digests) stable; chaos deployments
-    /// arm it.
+    /// Read by nothing: every `CatchupReply` carries the sender's client
+    /// dedup table, whatever this is. Kept only because
+    /// `benchmark/src/adapter.rs` assigns it; it goes when the benchmark
+    /// is next re-based (ROADMAP.md).
     pub transfer_dedup: bool,
     /// Maximum client updates packed into one `PoRequestBatch` before the
     /// batch closes and disseminates (0 = batching off: every update goes

@@ -20,8 +20,8 @@ use prime::types::{ReplicaId, SignedUpdate, Update};
 use proptest::prelude::*;
 use simnet::wire::Wire;
 
-/// The wire tags a live message can carry (8 and 17 are retired).
-const LIVE_TAGS: [u8; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16];
+/// The wire tags a live message can carry (8, 13 and 17 are retired).
+const LIVE_TAGS: [u8; 15] = [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 14, 15, 16];
 
 /// The sender of every generated envelope.
 const SENDER: ReplicaId = ReplicaId(2);
@@ -112,16 +112,13 @@ fn message(kind: usize, f: &Fields) -> PrimeMsg {
             exec_seq: *a,
             app_digest: digest(*a),
             snapshot: bytes.clone(),
-            next_order_seq: *b,
-            exec_cover: words.clone(),
-            view: *a ^ *b,
-        },
-        13 => PrimeMsg::CatchupDedup {
-            exec_seq: *a,
             dedup: words
                 .iter()
                 .map(|&w| (w as u32, w >> 32, words.clone()))
                 .collect(),
+            next_order_seq: *b,
+            exec_cover: words.clone(),
+            view: *a ^ *b,
         },
         14 => PrimeMsg::PoRequestBatch {
             batch: PoBatch {

@@ -647,14 +647,17 @@ fn prime_converges_over_lossy_links() {
     for config in [PrimeConfig::red_team(), PrimeConfig::plant()] {
         assert_eq!(lossy_cluster_min_executed(config, LOSSY_SEED), 10);
     }
+    // A replica that catches up here installs its peers' dedup table with
+    // their state, and executes no update they suppressed as a duplicate.
+    assert_eq!(lossy_cluster_min_executed(PrimeConfig::plant(), 36), 10);
 }
 
 /// A loss seed at which both configurations converge.
 const LOSSY_SEED: u64 = 4;
 
 #[test]
-#[ignore = "stalls: red_team at loss seeds 3 18 19 21 26 30 36 38 39, plant at 1 2 24 33 34 38; \
-            plant at 36 re-executes an update after catch-up (ROADMAP item 2)"]
+#[ignore = "stalls: red_team at loss seeds 3 18 19 21 26 30 36 38 39, plant at 1 2 24 33 34 38 \
+            (ROADMAP item 2)"]
 fn prime_converges_over_lossy_links_at_every_seed() {
     let mut failed = Vec::new();
     for (name, config) in [
