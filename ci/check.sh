@@ -88,7 +88,7 @@ cargo test -q --release --test regional
 
 echo "==> an experiment is written once (no id in the binary, one chaos rig, one flip probe)"
 test "$(grep -cE '"(figures|e[0-9]+b?)"' src/bin/spire-sim.rs)" -eq 0
-test "$(grep -rn 'transfer_dedup = true' crates/bench tests | wc -l)" -eq 1
+test "$(grep -rn --include='*.rs' 'fn chaos_rig\b' crates src tests | wc -l)" -eq 1
 test "$(grep -rl '7_919' crates tests | sort | tr '\n' ' ')" = \
     "crates/bench/src/plant_experiments.rs crates/spire/src/latency.rs "
 
@@ -115,10 +115,17 @@ echo "==> one view-change vote, one catch-up reply"
 # Prime's view change carries a window of prepared certificates whatever
 # the ordering depth (`Config::pipeline` only sizes the window), and a
 # snapshot travels whole in its `CatchupReply`: no single-certificate vote,
-# no chunked transfer, no branch on the depth.
+# no chunked transfer, no branch on the depth. The reply carries the dedup
+# table too, and f+1 offers must match it whole: no companion table
+# message, no per-sender pairing map, no table digest beside the offer's.
 if grep -rnE --include='*.rs' \
-    'PrimeMsg::ViewChange \{|CatchupChunk|transfer_chunk|prepared_cert\b|pipeline > 1' \
+    'PrimeMsg::ViewChange \{|CatchupChunk|transfer_chunk|prepared_cert\b|pipeline > 1|CatchupDedup|catchup_dedup|dedup_digest' \
     crates src tests; then
+    exit 1
+fi
+# `Config::transfer_dedup` is read by nothing; its only mention left is the
+# field the benchmark adapter assigns (crates/prime/src/types.rs).
+if grep -rn --include='*.rs' 'transfer_dedup' crates src tests | grep -v '^crates/prime/src/types.rs:'; then
     exit 1
 fi
 
@@ -209,10 +216,15 @@ fi
 # net.firewall_drops counter and its journaled PacketDrop, with no
 # per-node copy; the simulator keeps no SimStats snapshot of its counters,
 # and the HMI pane, the vote collector and the Modbus store count nothing
-# that no report reads.
+# that no report reads. An ARP rejection is the engine's net.arp_rejected
+# counter and its journaled PacketDrop, with no per-interface copy, and
+# E13's reaction median comes from spire::latency::summarize alone.
 if grep -rnE --include='*.rs' \
     'pub mod hist\b|HistogramHandle|fn histogram\(|\bSimStats\b|fn firewall_drops\(|fn update_count|pub decisions|config_uploads' \
     crates src; then
+    exit 1
+fi
+if grep -rnE --include='*.rs' 'rejected_updates|arp_rejections\(|median_reaction_us' crates src tests; then
     exit 1
 fi
 
