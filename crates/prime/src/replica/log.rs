@@ -627,6 +627,9 @@ impl<A: Application> Replica<A> {
         self.view = self.view.max(view);
         self.in_view_change = false;
         self.catching_up = false;
+        // The other groups' offers can no longer install: drop their
+        // snapshots now, not at the next catch-up.
+        self.catchup_offers.clear();
         self.stall_since = None;
         self.last_checkpoint_at_exec = exec_seq;
         self.mark_executed();
@@ -939,6 +942,39 @@ mod tests {
             assert_eq!(r.planned_through, 5);
             assert_eq!(r.view, 1);
         }
+    }
+
+    #[test]
+    fn an_install_drops_the_offers_of_every_other_group() {
+        let mut peers = KvApp::new();
+        peers.execute(&update(1, "k1=v1"), 1);
+        let reply = |view: u64| PrimeMsg::CatchupReply {
+            exec_seq: 1,
+            app_digest: peers.digest(),
+            snapshot: peers.snapshot(),
+            dedup: vec![(0, 1, Vec::new())],
+            next_order_seq: 2,
+            exec_cover: vec![1, 0, 0, 0],
+            view,
+        };
+        let (mut r, mut keys, _) = replica(KvApp::new());
+        let mut offer = |r: &mut Replica<KvApp>, from: u32, reply: PrimeMsg| {
+            let signed = SignedMsg::sign(ReplicaId(from), reply, &mut keys[from as usize]);
+            r.on_message(signed, SimTime(1))
+        };
+        let mut out = Vec::new();
+        r.request_catchup(SimTime(0), &mut out);
+
+        offer(&mut r, 1, reply(2));
+        offer(&mut r, 2, reply(1));
+        assert_eq!(r.catchup_offers.len(), 2, "two groups pending");
+        offer(&mut r, 3, reply(1));
+        assert_eq!(r.exec_seq(), 1, "f+1 matching offers install");
+        assert!(!r.is_catching_up());
+        assert!(
+            r.catchup_offers.is_empty(),
+            "the other group's snapshot is dropped at the install"
+        );
     }
 
     /// The retention runs' cadence: the benchmark's deployments', with a

@@ -900,6 +900,7 @@ impl<A: Application> Replica<A> {
                 // field devices (§III-A), and a later stall re-triggers
                 // catch-up if peers regain consistent state.
                 self.catching_up = false;
+                self.catchup_offers.clear();
                 self.stall_since = None;
             } else {
                 self.catchup_started = now;
