@@ -58,12 +58,8 @@ pub fn e12_chaos_soak(seed: u64, days: u64, seconds_per_day: u64) -> ChaosRun {
 /// E16 and their contract tests): the minimal plant subset — spread over
 /// `sites` when given — with fast timing, proxy 0 polling verbosely every
 /// 100 ms, warmed up for one second (ARP, overlay discovery, first ordered
-/// updates). Returns the Prime configuration it deployed alongside.
-pub fn chaos_rig(
-    seed: u64,
-    prime_cfg: PrimeConfig,
-    sites: Option<SiteTopology>,
-) -> (Deployment, PrimeConfig) {
+/// updates).
+pub fn chaos_rig(seed: u64, prime_cfg: PrimeConfig, sites: Option<SiteTopology>) -> Deployment {
     let mut cfg = SpireConfig::minimal(prime_cfg, Scenario::PlantSubset);
     if let Some(sites) = sites {
         cfg = cfg.with_sites(sites);
@@ -74,7 +70,7 @@ pub fn chaos_rig(
         .set_poll_interval(SimDuration::from_millis(100));
     d.proxy_mut(0).verbose_updates = true;
     d.run_for(SimDuration::from_secs(1));
-    (d, prime_cfg)
+    d
 }
 
 /// E12 with an explicit Prime configuration — the regression harness for
@@ -88,7 +84,7 @@ pub fn e12_chaos_soak_with(
     seconds_per_day: u64,
     prime_cfg: PrimeConfig,
 ) -> ChaosRun {
-    let (mut d, prime_cfg) = chaos_rig(seed, prime_cfg, None);
+    let mut d = chaos_rig(seed, prime_cfg, None);
 
     let horizon = SimDuration::from_secs(days * seconds_per_day);
     let plan = ChaosPlan::within_budget(seed, prime_cfg.n(), prime_cfg.ordering_quorum(), horizon);

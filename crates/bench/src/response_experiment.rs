@@ -554,7 +554,8 @@ fn restore(d: &mut Deployment, replica: u32) {
 
 /// Runs one (shape, policy) campaign end to end.
 fn run_policy(seed: u64, shape: Shape, policy: Policy, waves: u64) -> PolicyOutcome {
-    let (mut d, prime_cfg) = chaos_rig(seed, PrimeConfig::plant(), None);
+    let prime_cfg = PrimeConfig::plant();
+    let mut d = chaos_rig(seed, prime_cfg, None);
     let n = prime_cfg.n();
 
     // Train the per-subject MANA instances on clean operation. A zero-wave
@@ -703,7 +704,8 @@ pub fn e16_campaign(seed: u64, shape: Shape, days: u64) -> CampaignRun {
 /// *both* policies — the closed loop does not mask genuine over-budget
 /// outages. Returns the per-invariant reports.
 pub fn e16_beyond_budget(seed: u64, policy: Policy) -> Vec<InvariantReport> {
-    let (mut d, prime_cfg) = chaos_rig(seed, PrimeConfig::plant(), None);
+    let prime_cfg = PrimeConfig::plant();
+    let mut d = chaos_rig(seed, prime_cfg, None);
     let n = prime_cfg.n();
     let horizon = SimDuration::from_secs(10);
 

@@ -117,7 +117,8 @@ fn e13_leg(
     let severed_site = topology.sites[site].name.clone();
     let survivors = topology.survivors_after_losing(site);
 
-    let (mut d, prime_cfg) = chaos_rig(seed, PrimeConfig::plant(), Some(topology));
+    let prime_cfg = PrimeConfig::plant();
+    let mut d = chaos_rig(seed, prime_cfg, Some(topology));
     // The seed-derived phase that makes distinct seeds produce distinct
     // event streams on the lossless-LAN legs.
     d.run_for(SimDuration::from_micros(seed % 1_000));

@@ -102,7 +102,8 @@ fn e12_soak_stays_green_with_batching() {
 /// vacuously passing.
 #[test]
 fn beyond_budget_crashes_trip_the_bounded_delay_invariant() {
-    let (mut d, prime_cfg) = chaos_rig(42, PrimeConfig::plant(), None);
+    let prime_cfg = PrimeConfig::plant();
+    let mut d = chaos_rig(42, prime_cfg, None);
     let horizon = SimDuration::from_secs(12);
     let plan = ChaosPlan::beyond_budget_crashes(prime_cfg.f, horizon);
     let mut cfg = CheckerConfig::for_prime(&prime_cfg);
@@ -122,7 +123,8 @@ fn beyond_budget_crashes_trip_the_bounded_delay_invariant() {
 /// leaves no side with a quorum, so the bounded-delay invariant must trip.
 #[test]
 fn beyond_budget_partition_trips_the_bounded_delay_invariant() {
-    let (mut d, prime_cfg) = chaos_rig(42, PrimeConfig::plant(), None);
+    let prime_cfg = PrimeConfig::plant();
+    let mut d = chaos_rig(42, prime_cfg, None);
     let horizon = SimDuration::from_secs(12);
     let plan = ChaosPlan::beyond_budget_partition(prime_cfg.n(), horizon);
     let mut cfg = CheckerConfig::for_prime(&prime_cfg);
@@ -143,7 +145,8 @@ fn beyond_budget_partition_trips_the_bounded_delay_invariant() {
 /// budget, so the delay invariant stays disarmed and reports no stall.
 #[test]
 fn replicas_taken_down_by_hand_count_against_the_budget() {
-    let (mut d, prime_cfg) = chaos_rig(42, PrimeConfig::plant(), None);
+    let prime_cfg = PrimeConfig::plant();
+    let mut d = chaos_rig(42, prime_cfg, None);
     let mut checker = InvariantChecker::new(CheckerConfig::for_prime(&prime_cfg), &d);
     let mut driver = ChaosDriver::new(ChaosPlan::default());
     for r in 0..3 {
@@ -164,7 +167,8 @@ fn replicas_taken_down_by_hand_count_against_the_budget() {
 /// the checker sees it come back and records its reconvergence.
 #[test]
 fn a_replica_restored_by_hand_reconverges() {
-    let (mut d, prime_cfg) = chaos_rig(42, PrimeConfig::plant(), None);
+    let prime_cfg = PrimeConfig::plant();
+    let mut d = chaos_rig(42, prime_cfg, None);
     let mut checker = InvariantChecker::new(CheckerConfig::for_prime(&prime_cfg), &d);
     let mut driver = ChaosDriver::new(ChaosPlan::default());
     let step = SimDuration::from_millis(100);
@@ -191,7 +195,8 @@ fn a_replica_restored_by_hand_reconverges() {
 #[test]
 fn e12_health_snapshots_show_recovery_after_heal() {
     obs::prof::set_health_every(5);
-    let (mut d, prime_cfg) = chaos_rig(42, PrimeConfig::plant(), None);
+    let prime_cfg = PrimeConfig::plant();
+    let mut d = chaos_rig(42, prime_cfg, None);
     let horizon = SimDuration::from_secs(10);
     let plan = ChaosPlan::within_budget(42, prime_cfg.n(), prime_cfg.ordering_quorum(), horizon);
     let mut checker = InvariantChecker::new(CheckerConfig::for_prime(&prime_cfg), &d);

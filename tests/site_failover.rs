@@ -19,7 +19,8 @@ use bench::chaos_experiment::chaos_rig;
 /// A multi-site E13-style deployment: the chaos rig with its 6 replicas
 /// spread over `sites`, at seed 42.
 fn multisite_deployment(sites: SiteTopology) -> (Deployment, PrimeConfig) {
-    chaos_rig(42, PrimeConfig::plant(), Some(sites))
+    let prime_cfg = PrimeConfig::plant();
+    (chaos_rig(42, prime_cfg, Some(sites)), prime_cfg)
 }
 
 fn execs(d: &Deployment, replicas: &[u32]) -> Vec<u64> {
