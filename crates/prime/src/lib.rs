@@ -50,6 +50,7 @@ pub mod replica;
 #[cfg(test)]
 mod security_tests;
 pub mod types;
+mod verdicts;
 
 pub use application::{Application, KvApp};
 pub use byzantine::ByzMode;

@@ -22,6 +22,7 @@
 
 use super::*;
 use crate::messages::PoBatch;
+use crate::verdicts::BatchRoot;
 use itcrypto::merkle::Proof;
 use itcrypto::schnorr::Signature;
 
@@ -76,7 +77,7 @@ impl<A: Application> Replica<A> {
         {
             return;
         }
-        if !self.verified(|registry| batch.verify(registry)) {
+        if !self.verified(&batch) {
             self.c_bad_sigs.inc();
             return;
         }
@@ -176,8 +177,12 @@ impl<A: Application> Replica<A> {
             path,
         };
         let root = proof.fold_root(&PoBatch::leaf_bytes(po_seq, &update));
-        if !self.verified(|registry| {
-            PoBatch::verify_root(registry, origin, first_po_seq, count, root, root_sig)
+        if !self.verified(&BatchRoot {
+            origin,
+            first_po_seq,
+            count,
+            root,
+            sig: *root_sig,
         }) {
             self.c_bad_sigs.inc();
             return;

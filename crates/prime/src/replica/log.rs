@@ -415,7 +415,7 @@ impl<A: Application> Replica<A> {
         let Ok(envelope) = SignedMsg::from_wire(original) else {
             return;
         };
-        if !self.verified(|registry| envelope.verify(registry)) {
+        if !self.verified(&envelope) {
             self.c_bad_sigs.inc();
             return;
         }

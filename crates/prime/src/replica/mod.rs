@@ -47,6 +47,7 @@ use crate::messages::{AruRow, Envelope, PrimeMsg, SignedMsg};
 use crate::types::{
     Config, Membership, ReplicaId, SignedUpdate, Update, VerifiedRows, VerifiedUpdates,
 };
+use crate::verdicts::{self, Artifact};
 
 mod batch;
 mod log;
@@ -525,10 +526,12 @@ impl<A: Application> Replica<A> {
         Envelope::sign(self.id, msg, &mut self.key)
     }
 
-    /// Runs one signature check, counted in `verifications`.
-    fn verified(&mut self, check: impl FnOnce(&KeyRegistry) -> bool) -> bool {
+    /// Runs one signature check, counted in `verifications`. The host
+    /// computes the verdict only if no replica on this thread found the
+    /// same artifact valid under the same key ([`verdicts`]).
+    fn verified(&mut self, artifact: &impl Artifact) -> bool {
         self.verifications += 1;
-        check(&self.registry)
+        verdicts::check(&self.registry, artifact)
     }
 
     /// Whether `update` carries its client's signature. The update this
@@ -538,7 +541,7 @@ impl<A: Application> Replica<A> {
         let (registry, verifications) = (&self.registry, &mut self.verifications);
         self.verified_updates.check(update, || {
             *verifications += 1;
-            update.verify(registry)
+            verdicts::check(registry, update)
         })
     }
 
@@ -549,7 +552,7 @@ impl<A: Application> Replica<A> {
         let (registry, verifications) = (&self.registry, &mut self.verifications);
         self.verified_rows.check(row, || {
             *verifications += 1;
-            row.verify(registry)
+            verdicts::check(registry, row)
         })
     }
 
@@ -679,7 +682,7 @@ impl<A: Application> Replica<A> {
         if msg.from == self.id || !self.membership.contains(msg.from) {
             return out;
         }
-        if !self.verified(|registry| msg.verify(registry)) {
+        if !self.verified(&msg) {
             self.c_bad_sigs.inc();
             return out;
         }

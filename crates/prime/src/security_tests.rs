@@ -427,3 +427,25 @@ fn out_of_range_replica_id_ignored() {
     let out = r0.on_message(alien, SimTime(0));
     assert!(out.is_empty());
 }
+
+#[test]
+fn a_changed_envelope_under_a_signature_another_replica_accepted_is_refused() {
+    let hub = obs::ObsHub::new();
+    let (mut r0, mut rk, mut ck) = replica_on(0, &hub);
+    let (mut r1, _, _) = replica_on(1, &hub);
+    let honest = po_batch(&mut rk, 2, vec![signed_update(&mut ck, 0, 1)]);
+    // Replica 1 accepts the batch: its envelope and root are now known
+    // on this thread.
+    assert_eq!(cost(&mut r1, &hub, honest.clone()), (3, 0));
+    // The same signature over another first sequence: verified in full
+    // and refused, as it would be on a thread of its own.
+    let mut changed = honest.clone();
+    let PrimeMsg::PoRequestBatch { batch } = &mut changed.msg else {
+        unreachable!("po_batch builds a PoRequestBatch");
+    };
+    batch.first_po_seq += 1;
+    assert_eq!(cost(&mut r0, &hub, changed), (1, 1));
+    // The envelope as signed is accepted, and costs replica 0 every
+    // check it would have run alone.
+    assert_eq!(cost(&mut r0, &hub, honest), (3, 0));
+}
