@@ -346,6 +346,12 @@ pub struct Replica<A: Application> {
     trace_phase: BTreeMap<u64, obs::TraceCtx>,
 }
 
+impl<A: Application> Drop for Replica<A> {
+    fn drop(&mut self) {
+        verdicts::forget();
+    }
+}
+
 impl<A: Application> Replica<A> {
     /// Creates replica `id` with its signing key, the shared registry, and
     /// the hosted application. It journals on `hub` and registers its

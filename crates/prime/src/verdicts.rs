@@ -27,8 +27,9 @@
 //! still counts every check it would run (its `verifications`, what
 //! `obs::prof` charges), still remembers what it verified (the per-replica
 //! `VerifiedUpdates` and `VerifiedRows`) and forgets that on recovery; a
-//! recovery does not touch this table. Nothing a replica does or
-//! journals depends on whether a verdict came from here.
+//! recovery does not touch this table, and a replica's drop empties it.
+//! Nothing a replica does or journals depends on whether a verdict came
+//! from here.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -202,6 +203,20 @@ pub(crate) fn check<T: Artifact>(registry: &KeyRegistry, artifact: &T) -> bool {
     })
 }
 
+/// Empties this thread's table. A replica calls it as it is dropped: the
+/// artifacts its run verified will not come again, and the table would
+/// otherwise hold the last references to them until the next run on the
+/// thread evicts them, at that run's cost.
+pub(crate) fn forget() {
+    // A replica dropped while the thread's locals are being destroyed
+    // has nothing left to empty.
+    let _ = VERDICTS.try_with(|verdicts| {
+        let mut verdicts = verdicts.borrow_mut();
+        verdicts.valid.clear();
+        verdicts.order.clear();
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,9 +226,11 @@ mod tests {
     use proptest::prelude::*;
     use simnet::wire::Wire;
 
+    use crate::application::KvApp;
     use crate::messages::PrimeMsg;
+    use crate::replica::Replica;
     use crate::security_tests::registry_and_keys;
-    use crate::types::Update;
+    use crate::types::{Config, Update};
 
     /// One artifact of each kind Prime verifies.
     #[derive(Clone, Debug)]
@@ -348,6 +365,27 @@ mod tests {
             Item::Update(a) => present(table, registry, a),
             Item::Row(a) => present(table, registry, a),
         }
+    }
+
+    #[test]
+    fn a_dropped_replica_leaves_the_thread_table_empty() {
+        let (registry, mut rkeys, _) = registry_and_keys(4, 2);
+        let hub = obs::ObsHub::new();
+        let replica = Replica::new(
+            ReplicaId(0),
+            Config::red_team(),
+            rkeys[0].clone(),
+            registry.clone(),
+            KvApp::new(),
+            &hub,
+        );
+        let held = || VERDICTS.with(|verdicts| verdicts.borrow().valid.len());
+        let msg = PrimeMsg::SuspectLeader { view: 0 };
+        let envelope = SignedMsg::sign(ReplicaId(1), msg, &mut rkeys[1]);
+        assert!(check(&registry, &envelope));
+        assert_eq!(held(), 1);
+        drop(replica);
+        assert_eq!(held(), 0);
     }
 
     proptest! {
