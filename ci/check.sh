@@ -319,8 +319,8 @@ if grep -nwE 'HmacKey|mac_concat|verify_tag' crates/itcrypto/src/stream.rs; then
 fi
 
 echo "==> hash tables in crates/ hash by a fixed function (no RandomState: a run must repeat)"
-# VerifyCache, Prime's VerifiedUpdates and the Spines daemon probe theirs by
-# key and never walk them. A table type names its hasher, as a
+# VerifyCache, Prime's VerifiedUpdates and verdicts, and the Spines daemon
+# probe theirs by key and never walk them. A table type names its hasher, as a
 # BuildHasherDefault<..> or a ..State alias; one that names none, or is built
 # by `new` / `with_capacity` (which exist for RandomState only), hashes
 # differently from run to run.
@@ -334,11 +334,15 @@ if grep -rnE --include='*.rs' 'Hash(Map|Set)::(new|with_capacity)\(' crates; the
     exit 1
 fi
 
-echo "==> Prime hashes what it authenticates once (no verdict cache: what was verified is recognised by its bytes)"
-# Envelopes and batch roots are verified directly; client updates and ARU
-# rows are recognised by comparison (types::VerifiedUpdates, VerifiedRows).
-# No cached verification is left under crates/, and Prime names no
-# VerifyCache.
+echo "==> Prime hashes what it authenticates once (recognised by its bytes, per replica for the cost model and once per thread for the host; no key hashes the message)"
+# A replica recognises client updates and ARU rows it verified by
+# comparison (types::VerifiedUpdates, VerifiedRows): its `verifications`,
+# what obs::prof charges, count only the rest. Every check a replica
+# runs, envelopes and batch roots included, goes through prime::verdicts,
+# the thread's table keyed by the 16 signature bytes and hit on `==`. No
+# cached verification that hashes the message is left under crates/,
+# Prime names no VerifyCache, and nothing under crates/prime/src/replica/
+# verifies around the table.
 if grep -rnw --include='*.rs' -e 'verify_root_cached' -e 'RootFold' crates src tests; then
     exit 1
 fi
@@ -346,6 +350,10 @@ if grep -rn --include='*.rs' 'fn verify_cached' crates; then
     exit 1
 fi
 if grep -rnw 'VerifyCache' crates/prime; then
+    exit 1
+fi
+if grep -rnE --include='*.rs' -e '\.verify\(&?(self\.)?registry' -e 'verify_root\(' \
+    -e 'registry\.verify\(' crates/prime/src/replica; then
     exit 1
 fi
 

@@ -11,10 +11,12 @@
 # parses. Touches nothing under benchmark/; the samples stay in
 # target/profile.
 #
-# Prime's hashing on ordering_ramp: the batch root, the signature check and
-# the SHA-256 compression under them all, in one command:
+# Prime's hashing on ordering_ramp: the thread's verdict table, the batch
+# root, the signature check and the SHA-256 compression under them all,
+# in one command:
 #
-#   ci/profile.sh ordering_ramp --callers 'PoBatch::root|root_of' \
+#   ci/profile.sh ordering_ramp --callers 'verdicts::check' \
+#       --callers 'PoBatch::root|root_of' \
 #       --callers 'FixedBase::verify' --callers 'sha256::x86::compress'
 #
 # The overlay hop on a full-stack workload, cipher, tag and the two daemon

@@ -4,9 +4,12 @@
 //! pure function of (principal, message bytes, signature bytes), so it can
 //! be cached under a digest of exactly those inputs. The key hashes every
 //! byte the verifier would, so a cache pays only where lookups hit. Prime
-//! uses none: it verifies its envelopes and batch roots, which hardly ever
-//! repeat, directly, and recognises a client update or an ARU row it has
-//! verified by comparing bytes, which hashes nothing.
+//! uses none, and hashes no message to recognise one: a replica
+//! recognises a client update or an ARU row it has verified by comparing
+//! bytes, and the replicas that share a thread share one bounded table of
+//! valid verdicts, keyed by the 16 signature bytes and answered only for
+//! an artifact `==` to the one stored under the same signer key
+//! (`prime::verdicts`).
 //!
 //! The cache is observationally invisible by construction: the key
 //! commits to every byte the verifier reads, so a tampered message or
