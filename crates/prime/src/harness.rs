@@ -11,7 +11,6 @@ use bytes::Bytes;
 use itcrypto::keys::{KeyPair, KeyRegistry, Principal};
 use simnet::queue::EventQueue;
 use simnet::time::{SimDuration, SimTime};
-use simnet::wire::Wire;
 
 use crate::application::KvApp;
 use crate::invariants::AgreementLedger;
@@ -173,8 +172,7 @@ impl Cluster {
         let payload = payload.into();
         self.client_seqs[client as usize] += 1;
         let update = Update::new(client, self.client_seqs[client as usize], payload);
-        let sig = self.client_keys[client as usize].sign(&update.to_wire());
-        let signed = SignedUpdate { update, sig };
+        let signed = SignedUpdate::sign(update, &mut self.client_keys[client as usize]);
         let now = self.now;
         for i in 0..self.replicas.len() {
             if self.partitioned.contains(&(i as u32)) {

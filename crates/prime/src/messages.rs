@@ -8,6 +8,7 @@ use itcrypto::sha256::Digest;
 use simnet::wire::{DecodeError, Reader, Wire, Writer};
 
 use crate::types::{ReplicaId, SignedUpdate};
+use crate::verdicts;
 
 /// Decode cap on batch membership (updates per batch).
 const BATCH_DECODE_CAP: usize = 4096;
@@ -38,6 +39,19 @@ impl AruRow {
             w.put_u64(*v);
         }
         w.into_vec()
+    }
+
+    /// Signs `vector` as `replica`'s row, vouched for on this thread: no
+    /// replica here verifies the signature again.
+    pub fn sign(replica: ReplicaId, vector: Vec<u64>, key: &mut KeyPair) -> Self {
+        let sig = key.sign(&Self::signed_bytes(replica, &vector));
+        let row = AruRow {
+            replica,
+            vector,
+            sig,
+        };
+        verdicts::vouch(key, &row);
+        row
     }
 
     /// Verifies the row's signature.
@@ -152,7 +166,8 @@ impl PoBatch {
         w.into_vec()
     }
 
-    /// Builds and signs a batch as `origin`.
+    /// Builds and signs a batch as `origin`, vouched for on this thread:
+    /// no replica here verifies the root signature again.
     pub fn sign(
         origin: ReplicaId,
         first_po_seq: u64,
@@ -172,6 +187,7 @@ impl PoBatch {
             batch.root(),
         );
         batch.root_sig = key.sign(&bytes);
+        verdicts::vouch(key, &batch);
         batch
     }
 
@@ -742,10 +758,9 @@ impl SignedMsg {
         w.into_vec()
     }
 
-    /// Signs a message as `from`.
+    /// Signs a message as `from`: [`Envelope::sign`]'s message.
     pub fn sign(from: ReplicaId, msg: PrimeMsg, key: &mut KeyPair) -> Self {
-        let sig = key.sign(&Self::signed_bytes(from, &msg));
-        SignedMsg { from, msg, sig }
+        Envelope::sign(from, msg, key).msg
     }
 
     /// Verifies the envelope against the registry.
@@ -774,14 +789,18 @@ pub struct Envelope {
 impl Envelope {
     /// Signs `msg` as `from`, deriving the wire bytes from the signing
     /// serialization: the wire form is `from || msg || sig`, i.e. the
-    /// signed bytes minus the 5-byte domain tag, plus the signature.
+    /// signed bytes minus the 5-byte domain tag, plus the signature. The
+    /// message is vouched for on this thread: no replica here verifies
+    /// the envelope again.
     pub fn sign(from: ReplicaId, msg: PrimeMsg, key: &mut KeyPair) -> Self {
         let mut wire = SignedMsg::signed_bytes(from, &msg);
         let sig = key.sign(&wire);
         wire.drain(..5);
         wire.extend_from_slice(&sig.to_bytes());
+        let msg = SignedMsg { from, msg, sig };
+        verdicts::vouch(key, &msg);
         Envelope {
-            msg: SignedMsg { from, msg, sig },
+            msg,
             wire: Bytes::from(wire),
         }
     }

@@ -814,9 +814,8 @@ mod tests {
         let interval = r.timing.checkpoint_interval;
         for seq in 1..=interval {
             let update = update(seq, &format!("k{seq}=v"));
-            let sig = client.sign(&update.to_wire());
             r.po_store
-                .insert_if_absent(1, seq, SignedUpdate { update, sig });
+                .insert_if_absent(1, seq, SignedUpdate::sign(update, &mut client));
             r.exec_plan.push_back((1, seq));
         }
         let mut out = Vec::new();

@@ -348,7 +348,7 @@ pub struct Replica<A: Application> {
 
 impl<A: Application> Drop for Replica<A> {
     fn drop(&mut self) {
-        verdicts::forget();
+        verdicts::replica_dropped();
     }
 }
 
@@ -366,6 +366,7 @@ impl<A: Application> Replica<A> {
     ) -> Self {
         let n = config.n() as usize;
         let counter = |metric: &str| hub.counter(&format!("prime.r{}.{metric}", id.0));
+        verdicts::replica_built();
         Replica {
             id,
             config,
@@ -533,8 +534,9 @@ impl<A: Application> Replica<A> {
     }
 
     /// Runs one signature check, counted in `verifications`. The host
-    /// computes the verdict only if no replica on this thread found the
-    /// same artifact valid under the same key ([`verdicts`]).
+    /// computes the verdict only if no replica on this thread signed the
+    /// same artifact with, or found it valid under, the same key
+    /// ([`verdicts`]).
     fn verified(&mut self, artifact: &impl Artifact) -> bool {
         self.verifications += 1;
         verdicts::check(&self.registry, artifact)
@@ -842,14 +844,8 @@ impl<A: Application> Replica<A> {
         {
             self.last_aru_at = now;
             self.last_gossiped_aru = self.my_aru.clone();
-            let vector = self.my_aru.clone();
             obs::prof::charge_crypto("prime;preorder;po_aru", obs::prof::CryptoOp::Sign, 1);
-            let sig = self.key.sign(&AruRow::signed_bytes(self.id, &vector));
-            let row = AruRow {
-                replica: self.id,
-                vector,
-                sig,
-            };
+            let row = AruRow::sign(self.id, self.my_aru.clone(), &mut self.key);
             // Install our own row for our own proposals.
             self.latest_rows.insert(self.id.0, row.clone());
             let msg = self.sign(PrimeMsg::PoAru { row });

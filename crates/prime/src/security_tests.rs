@@ -10,7 +10,7 @@ use simnet::time::SimTime;
 use simnet::wire::Wire;
 
 use crate::application::KvApp;
-use crate::messages::{AruRow, PoBatch, PrimeMsg, SignedMsg};
+use crate::messages::{AruRow, Envelope, PoBatch, PrimeMsg, SignedMsg};
 use crate::replica::{po_compose, po_counter, po_incarnation, OutEvent, Replica};
 use crate::types::{Config, ReplicaId, SignedUpdate, Update};
 
@@ -89,6 +89,19 @@ fn replica_message_with_wrong_envelope_key_rejected() {
     let msg = PrimeMsg::SuspectLeader { view: 0 };
     let forged = SignedMsg::sign(ReplicaId(2), msg, &mut rk[3]);
     let out = r0.on_message(forged, SimTime(0));
+    assert!(out.is_empty());
+    assert_eq!(bad_sigs(&hub, &r0), 1);
+}
+
+#[test]
+fn an_envelope_its_signer_made_in_another_replica_s_name_is_refused() {
+    let hub = obs::ObsHub::new();
+    let (mut r0, mut rk, _ck) = replica_on(0, &hub);
+    // Replica 2's key signs as replica 1: the thread's table holds the
+    // envelope under replica 2's key, not the one replica 0 holds for 1.
+    let msg = PrimeMsg::SuspectLeader { view: 0 };
+    let forged = Envelope::sign(ReplicaId(1), msg, &mut rk[2]);
+    let out = r0.on_message(forged.msg, SimTime(0));
     assert!(out.is_empty());
     assert_eq!(bad_sigs(&hub, &r0), 1);
 }

@@ -4,13 +4,14 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use bytes::Bytes;
-use itcrypto::keys::{KeyRegistry, Principal};
+use itcrypto::keys::{KeyPair, KeyRegistry, Principal};
 use itcrypto::schnorr::Signature;
 use itcrypto::sha256::{sha256, Digest};
 use simnet::hash::MixState;
 use simnet::wire::{DecodeError, Reader, Wire, Writer};
 
 use crate::messages::AruRow;
+use crate::verdicts;
 
 /// A replica index in `0..n`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -256,6 +257,15 @@ impl SignedUpdate {
     /// Bytes [`Wire::encode`] writes for this update.
     pub fn wire_len(&self) -> usize {
         4 + 8 + 4 + self.update.payload.len() + 16
+    }
+
+    /// Signs `update` as its client, vouched for on this thread: no
+    /// replica here verifies the signature again.
+    pub fn sign(update: Update, key: &mut KeyPair) -> Self {
+        let sig = key.sign(&update.to_wire());
+        let signed = SignedUpdate { update, sig };
+        verdicts::vouch(key, &signed);
+        signed
     }
 
     /// Verifies the client signature against the registry.

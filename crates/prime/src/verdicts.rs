@@ -10,32 +10,44 @@
 //! a verdict once.
 //!
 //! The key is the artifact's 16 signature bytes; nothing in the message
-//! is hashed to build it. A check is answered from the table only when
-//! the artifact presented is `==` to the one stored under its signature
-//! and was stored under the very [`PublicKey`] the verifier's own
-//! registry holds for the signer. The verdict is a function of that key,
-//! the signed bytes (a function of the artifact's value) and the
-//! signature, so the answer is the one a full check would give. Only
-//! valid verdicts are stored, at most [`CAP`] of them, the oldest
-//! forgotten first: a tampered, re-keyed, forged or forgotten artifact is
-//! always verified in full. Signatures come from the network, and the
-//! hasher is a fixed one so that runs repeat; the bound also caps what
-//! signatures crafted to collide under it can cost.
+//! is hashed to build it. Entries are stored by a check that found them
+//! valid, or by the signer as it signs ([`vouch`]): the one constructor
+//! of each signed artifact kind (`Envelope::sign`, `PoBatch::sign`,
+//! `AruRow::sign`, `SignedUpdate::sign`) stores its artifact under the
+//! public half of the key that signed it, so the host never verifies a
+//! signature its own thread just made. Only the holder of a [`KeyPair`]
+//! can vouch, and only under that key's public half.
+//!
+//! A check is answered from the table only when the artifact presented
+//! is `==` to the one stored under its signature and was stored under
+//! the very [`PublicKey`] the verifier's own registry holds for the
+//! signer. The verdict is a function of that key, the signed bytes (a
+//! function of the artifact's value) and the signature, so the answer is
+//! the one a full check would give; an artifact signed with a key other
+//! than the one its claimed signer is registered under misses at every
+//! verifier and is verified in full. Only valid verdicts are stored, at
+//! most [`CAP`] of them, the oldest forgotten first: a tampered,
+//! re-keyed, forged or forgotten artifact is always verified in full.
+//! Signatures come from the network, and the hasher is a fixed one so
+//! that runs repeat; the bound also caps what signatures crafted to
+//! collide under it can cost. Debug builds verify each vouched artifact
+//! under its signing key in full, so a test run still checks every
+//! signature once.
 //!
 //! The table is the host's, not a replica's. It sits under
 //! `Replica::verified`, `verify_update` and `verify_row`, so each replica
 //! still counts every check it would run (its `verifications`, what
 //! `obs::prof` charges), still remembers what it verified (the per-replica
 //! `VerifiedUpdates` and `VerifiedRows`) and forgets that on recovery; a
-//! recovery does not touch this table, and a replica's drop empties it.
-//! Nothing a replica does or journals depends on whether a verdict came
-//! from here.
+//! recovery does not touch this table, and the drop of the thread's last
+//! live replica empties it. Nothing a replica does or journals depends on
+//! whether a verdict came from here.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 
-use itcrypto::keys::{KeyRegistry, Principal, PublicKey};
+use itcrypto::keys::{KeyPair, KeyRegistry, Principal, PublicKey};
 use itcrypto::schnorr::Signature;
 use itcrypto::sha256::Digest;
 use simnet::hash::MixState;
@@ -172,6 +184,27 @@ impl Verdicts {
         if !verify(artifact, registry) {
             return false;
         }
+        self.store(key, artifact);
+        true
+    }
+
+    /// Stores `artifact` as valid under the public half of `key`, which
+    /// has just signed it.
+    pub(crate) fn vouch<T: Artifact>(&mut self, key: &KeyPair, artifact: &T) {
+        debug_assert!(
+            {
+                let mut registry = KeyRegistry::new();
+                registry.register(artifact.signer(), key.public_key());
+                artifact.verify_signature(&registry)
+            },
+            "{key:?} vouched for a signature it did not make"
+        );
+        self.store(key.public_key(), artifact);
+    }
+
+    /// Stores a valid verdict, forgetting the oldest past [`CAP`].
+    fn store<T: Artifact>(&mut self, key: PublicKey, artifact: &T) {
+        let sig = artifact.signature();
         if self
             .valid
             .insert(sig, (key, Box::new(artifact.clone())))
@@ -184,12 +217,18 @@ impl Verdicts {
                 }
             }
         }
-        true
+    }
+
+    fn clear(&mut self) {
+        self.valid.clear();
+        self.order.clear();
     }
 }
 
 thread_local! {
     static VERDICTS: RefCell<Verdicts> = RefCell::new(Verdicts::default());
+    // The replicas alive on this thread.
+    static REPLICAS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Whether `artifact` carries a valid signature under `registry`: the
@@ -203,18 +242,35 @@ pub(crate) fn check<T: Artifact>(registry: &KeyRegistry, artifact: &T) -> bool {
     })
 }
 
-/// Empties this thread's table. A replica calls it as it is dropped: the
-/// artifacts its run verified will not come again, and the table would
-/// otherwise hold the last references to them until the next run on the
-/// thread evicts them, at that run's cost.
-pub(crate) fn forget() {
+/// Stores `artifact`, which `key` has just signed, as valid in this
+/// thread's table: no replica on the thread verifies it again.
+pub(crate) fn vouch<T: Artifact>(key: &KeyPair, artifact: &T) {
+    VERDICTS.with(|verdicts| verdicts.borrow_mut().vouch(key, artifact));
+}
+
+/// Counts a replica built on this thread.
+pub(crate) fn replica_built() {
+    REPLICAS.with(|live| live.set(live.get() + 1));
+}
+
+/// Counts a replica dropped on this thread and empties the table when it
+/// was the thread's last: the artifacts the run verified will not come
+/// again, and the table would otherwise hold the last references to them
+/// until the next run on the thread evicts them, at that run's cost. A
+/// replica replaced by a fresh one (a recovery, a restore) is dropped
+/// after its successor is built, so the table outlives it.
+pub(crate) fn replica_dropped() {
     // A replica dropped while the thread's locals are being destroyed
     // has nothing left to empty.
-    let _ = VERDICTS.try_with(|verdicts| {
-        let mut verdicts = verdicts.borrow_mut();
-        verdicts.valid.clear();
-        verdicts.order.clear();
-    });
+    let last = REPLICAS
+        .try_with(|live| {
+            live.set(live.get().saturating_sub(1));
+            live.get() == 0
+        })
+        .unwrap_or(false);
+    if last {
+        let _ = VERDICTS.try_with(|verdicts| verdicts.borrow_mut().clear());
+    }
 }
 
 #[cfg(test)]
@@ -224,7 +280,6 @@ mod tests {
     use itcrypto::keys::KeyPair;
     use itcrypto::sha256::sha256;
     use proptest::prelude::*;
-    use simnet::wire::Wire;
 
     use crate::application::KvApp;
     use crate::messages::PrimeMsg;
@@ -248,44 +303,96 @@ mod tests {
     /// The replica whose key the second registry replaces.
     const REKEYED: u32 = 1;
 
-    fn signed_update(ckeys: &mut [KeyPair], client: u32, seq: u64) -> SignedUpdate {
-        let update = Update::new(client, seq, Bytes::from(format!("k{seq}={client}")));
-        let sig = ckeys[client as usize].sign(&update.to_wire());
-        SignedUpdate { update, sig }
+    /// The key the second registry holds for [`REKEYED`].
+    const REKEY_SEED: u64 = 0xbad;
+
+    /// Every key the pool is signed with.
+    struct Keys {
+        replicas: Vec<KeyPair>,
+        clients: Vec<KeyPair>,
+        rekey: KeyPair,
     }
 
-    /// The `i`th valid artifact: kinds and signers in turn.
-    fn artifact(i: usize, rkeys: &mut [KeyPair], ckeys: &mut [KeyPair]) -> Item {
-        let signer = (i / 7 % rkeys.len()) as u32;
+    /// Which of [`Keys`] signed an artifact.
+    #[derive(Clone, Copy, Debug)]
+    enum By {
+        Replica(usize),
+        Client(usize),
+        Rekey,
+    }
+
+    impl Keys {
+        /// The registry and the keys it holds, plus the one key the
+        /// re-keyed registry holds for [`REKEYED`] instead.
+        fn new() -> (KeyRegistry, Self) {
+            let (registry, replicas, clients) = registry_and_keys(4, 2);
+            let rekey = KeyPair::generate(REKEY_SEED);
+            let keys = Keys {
+                replicas,
+                clients,
+                rekey,
+            };
+            (registry, keys)
+        }
+
+        fn get(&mut self, by: By) -> &mut KeyPair {
+            match by {
+                By::Replica(r) => &mut self.replicas[r],
+                By::Client(c) => &mut self.clients[c],
+                By::Rekey => &mut self.rekey,
+            }
+        }
+
+        fn rekeyed(&self, registry: &KeyRegistry) -> KeyRegistry {
+            let mut rekeyed = registry.clone();
+            rekeyed.register(Principal::Replica(REKEYED), self.rekey.public_key());
+            rekeyed
+        }
+    }
+
+    fn signed_update(keys: &mut Keys, client: u32, seq: u64, by: By) -> SignedUpdate {
+        let update = Update::new(client, seq, Bytes::from(format!("k{seq}={client}")));
+        SignedUpdate::sign(update, keys.get(by))
+    }
+
+    /// The `i`th artifact and the key it was signed with: kinds and
+    /// claimed signers in turn. A `forged` one is signed with a key other
+    /// than the one the registry holds for its claimed signer: the
+    /// re-keyed registry's key for [`REKEYED`] at even `i`, the next
+    /// principal's at odd `i`.
+    fn artifact(i: usize, keys: &mut Keys, forged: bool) -> (Item, By) {
+        let n = keys.replicas.len();
+        let signer = i / 7 % n;
+        let replica = ReplicaId(signer as u32);
         let seq = i as u64 + 1;
-        let mut batch = || {
-            let updates = vec![signed_update(ckeys, 0, seq), signed_update(ckeys, 1, seq)];
-            PoBatch::sign(ReplicaId(signer), seq, updates, &mut rkeys[signer as usize])
+        let by = match (forged, i % 2) {
+            (false, _) => By::Replica(signer),
+            (true, 0) => By::Rekey,
+            (true, _) => By::Replica((signer + 1) % n),
         };
-        match i % 7 {
+        let batch = |keys: &mut Keys| {
+            let updates = vec![
+                signed_update(keys, 0, seq, By::Client(0)),
+                signed_update(keys, 1, seq, By::Client(1)),
+            ];
+            PoBatch::sign(replica, seq, updates, keys.get(by))
+        };
+        let item = match i % 7 {
             0 => {
                 let msg = PrimeMsg::Prepare {
                     view: 0,
                     seq,
                     digest: sha256(&seq.to_be_bytes()),
                 };
-                Item::Envelope(SignedMsg::sign(
-                    ReplicaId(signer),
-                    msg,
-                    &mut rkeys[signer as usize],
-                ))
+                Item::Envelope(SignedMsg::sign(replica, msg, keys.get(by)))
             }
             1 => {
-                let msg = PrimeMsg::PoRequestBatch { batch: batch() };
-                Item::Envelope(SignedMsg::sign(
-                    ReplicaId(signer),
-                    msg,
-                    &mut rkeys[signer as usize],
-                ))
+                let msg = PrimeMsg::PoRequestBatch { batch: batch(keys) };
+                Item::Envelope(SignedMsg::sign(replica, msg, keys.get(by)))
             }
-            2 => Item::Batch(batch()),
+            2 => Item::Batch(batch(keys)),
             3 => {
-                let batch = batch();
+                let batch = batch(keys);
                 Item::Root(BatchRoot {
                     origin: batch.origin,
                     first_po_seq: batch.first_po_seq,
@@ -294,18 +401,19 @@ mod tests {
                     sig: batch.root_sig,
                 })
             }
-            4 | 5 => Item::Update(signed_update(ckeys, (i % 2) as u32, seq)),
-            _ => {
-                let vector = vec![seq; rkeys.len()];
-                let sig =
-                    rkeys[signer as usize].sign(&AruRow::signed_bytes(ReplicaId(signer), &vector));
-                Item::Row(AruRow {
-                    replica: ReplicaId(signer),
-                    vector,
-                    sig,
-                })
+            4 | 5 => {
+                let client = i % 2;
+                let by = match by {
+                    By::Replica(_) if forged => By::Client(client ^ 1),
+                    By::Replica(_) => By::Client(client),
+                    by => by,
+                };
+                let update = signed_update(keys, client as u32, seq, by);
+                return (Item::Update(update), by);
             }
-        }
+            _ => Item::Row(AruRow::sign(replica, vec![seq; n], keys.get(by))),
+        };
+        (item, by)
     }
 
     /// The artifact with its content changed and its signature kept.
@@ -367,19 +475,52 @@ mod tests {
         }
     }
 
+    /// Vouches for `item` with `key` in `table` and in this thread's.
+    fn vouch_item(table: &mut Verdicts, key: &KeyPair, item: &Item) {
+        fn both<T: Artifact>(table: &mut Verdicts, key: &KeyPair, artifact: &T) {
+            table.vouch(key, artifact);
+            vouch(key, artifact);
+        }
+        match item {
+            Item::Envelope(a) => both(table, key, a),
+            Item::Batch(a) => both(table, key, a),
+            Item::Root(a) => both(table, key, a),
+            Item::Update(a) => both(table, key, a),
+            Item::Row(a) => both(table, key, a),
+        }
+    }
+
+    /// Whether this thread's table answers `artifact` without a full check.
+    fn answered_by_thread<T: Artifact>(registry: &KeyRegistry, artifact: &T) -> bool {
+        let mut ran = false;
+        let verdict = VERDICTS.with(|verdicts| {
+            verdicts.borrow_mut().check(registry, artifact, |a, r| {
+                ran = true;
+                a.verify_signature(r)
+            })
+        });
+        verdict && !ran
+    }
+
+    fn held() -> usize {
+        VERDICTS.with(|verdicts| verdicts.borrow().valid.len())
+    }
+
+    fn replica(id: u32, registry: &KeyRegistry, keys: &[KeyPair]) -> Replica<KvApp> {
+        Replica::new(
+            ReplicaId(id),
+            Config::red_team(),
+            keys[id as usize].clone(),
+            registry.clone(),
+            KvApp::new(),
+            &obs::ObsHub::new(),
+        )
+    }
+
     #[test]
     fn a_dropped_replica_leaves_the_thread_table_empty() {
         let (registry, mut rkeys, _) = registry_and_keys(4, 2);
-        let hub = obs::ObsHub::new();
-        let replica = Replica::new(
-            ReplicaId(0),
-            Config::red_team(),
-            rkeys[0].clone(),
-            registry.clone(),
-            KvApp::new(),
-            &hub,
-        );
-        let held = || VERDICTS.with(|verdicts| verdicts.borrow().valid.len());
+        let replica = replica(0, &registry, &rkeys);
         let msg = PrimeMsg::SuspectLeader { view: 0 };
         let envelope = SignedMsg::sign(ReplicaId(1), msg, &mut rkeys[1]);
         assert!(check(&registry, &envelope));
@@ -388,30 +529,49 @@ mod tests {
         assert_eq!(held(), 0);
     }
 
+    #[test]
+    fn the_table_is_emptied_when_the_thread_s_last_replica_drops() {
+        let (registry, mut rkeys, _) = registry_and_keys(4, 2);
+        let first = replica(0, &registry, &rkeys);
+        let second = replica(1, &registry, &rkeys);
+        let msg = PrimeMsg::SuspectLeader { view: 0 };
+        let envelope = SignedMsg::sign(ReplicaId(2), msg, &mut rkeys[2]);
+        // Vouched for as signed, and still after one replica drops.
+        assert!(answered_by_thread(&registry, &envelope));
+        drop(first);
+        assert!(answered_by_thread(&registry, &envelope));
+        assert_eq!(held(), 1);
+        drop(second);
+        assert_eq!(held(), 0);
+        assert!(!answered_by_thread(&registry, &envelope));
+    }
+
     proptest! {
         #[test]
         fn the_table_answers_as_the_full_check_does(
-            steps in proptest::collection::vec((0usize..POOL, 0u8..6), 1..400),
+            steps in proptest::collection::vec((0usize..POOL, 0u8..7), 1..400),
         ) {
-            let (registry, mut rkeys, mut ckeys) = registry_and_keys(4, 2);
-            let mut rekeyed = registry.clone();
-            rekeyed.register(
-                Principal::Replica(REKEYED),
-                KeyPair::generate(0xbad).public_key(),
-            );
-            let pool: Vec<Item> = (0..POOL)
-                .map(|i| artifact(i, &mut rkeys, &mut ckeys))
+            let (registry, mut keys) = Keys::new();
+            let rekeyed = keys.rekeyed(&registry);
+            // Every third artifact is signed with a key other than the
+            // one the registry holds for its claimed signer.
+            let pool: Vec<(Item, By)> = (0..POOL)
+                .map(|i| artifact(i, &mut keys, i % 3 == 2))
                 .collect();
             let mut table = Verdicts::default();
             for (index, how) in steps {
-                let item = &pool[index];
+                let (item, by) = &pool[index];
                 // Mostly the artifact as signed, so the table has
                 // something to recognise.
                 match how {
                     0..=2 => present_item(&mut table, &registry, item),
                     3 => present_item(&mut table, &registry, &changed(item)),
                     4 => present_item(&mut table, &registry, &resigned(item)),
-                    _ => present_item(&mut table, &rekeyed, item),
+                    5 => present_item(&mut table, &rekeyed, item),
+                    _ => {
+                        vouch_item(&mut table, keys.get(*by), item);
+                        present_item(&mut table, &registry, item)
+                    }
                 };
                 prop_assert!(table.valid.len() <= CAP);
                 prop_assert_eq!(table.order.len(), table.valid.len());
@@ -421,10 +581,8 @@ mod tests {
 
     #[test]
     fn every_kind_is_recognised_and_the_oldest_is_forgotten_past_the_bound() {
-        let (registry, mut rkeys, mut ckeys) = registry_and_keys(4, 2);
-        let pool: Vec<Item> = (0..POOL)
-            .map(|i| artifact(i, &mut rkeys, &mut ckeys))
-            .collect();
+        let (registry, mut keys) = Keys::new();
+        let pool: Vec<Item> = (0..POOL).map(|i| artifact(i, &mut keys, false).0).collect();
         let mut table = Verdicts::default();
         for item in &pool[..CAP] {
             assert_eq!(present_item(&mut table, &registry, item), (true, true));
@@ -441,11 +599,7 @@ mod tests {
         assert_eq!(present_item(&mut table, &registry, &pool[0]), (true, true));
         // A stored artifact changed, re-signed or presented under another
         // key is verified in full and refused.
-        let mut rekeyed = registry.clone();
-        rekeyed.register(
-            Principal::Replica(REKEYED),
-            KeyPair::generate(0xbad).public_key(),
-        );
+        let rekeyed = keys.rekeyed(&registry);
         for item in &pool[1..CAP] {
             assert_eq!(
                 present_item(&mut table, &registry, &changed(item)),
@@ -461,5 +615,32 @@ mod tests {
             present_item(&mut table, &rekeyed, by_rekeyed),
             (false, true)
         );
+    }
+
+    #[test]
+    fn a_vouched_artifact_is_recognised_and_a_forged_one_is_not() {
+        let (registry, mut keys) = Keys::new();
+        let rekeyed = keys.rekeyed(&registry);
+        let mut table = Verdicts::default();
+        for i in 0..CAP / 2 {
+            for forged in [false, true] {
+                let (item, by) = artifact(i, &mut keys, forged);
+                vouch_item(&mut table, keys.get(by), &item);
+                // Only the signature made with the registered key is
+                // answered without a full check.
+                assert_eq!(
+                    present_item(&mut table, &registry, &item),
+                    (!forged, forged),
+                    "{item:?}"
+                );
+            }
+        }
+        // A signature made with the key the re-keyed registry holds is
+        // recognised there, and one made with the old key is not.
+        let (item, by) = artifact(7 * REKEYED as usize + 1, &mut keys, true);
+        assert!(matches!(by, By::Rekey));
+        vouch_item(&mut table, keys.get(by), &item);
+        assert_eq!(present_item(&mut table, &rekeyed, &item), (true, false));
+        assert_eq!(present_item(&mut table, &registry, &item), (false, true));
     }
 }

@@ -84,8 +84,7 @@ impl MasterClient {
     fn sign_next(&mut self, update: &ScadaUpdate) -> SignedUpdate {
         self.client_seq += 1;
         let update = Update::new(self.client, self.client_seq, update.to_wire());
-        let sig = self.key.sign(&update.to_wire());
-        SignedUpdate { update, sig }
+        SignedUpdate::sign(update, &mut self.key)
     }
 
     /// Signs `update` under the next client sequence and multicasts it to
