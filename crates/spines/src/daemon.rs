@@ -529,7 +529,6 @@ impl SpinesDaemon {
                     link.nonce += 1;
                     let nonce = link.nonce;
                     self.c.sealed.inc();
-                    obs::prof::charge_crypto("spines;hop", obs::prof::CryptoOp::Hmac, 1);
                     // Seal in place, straight into the outgoing buffer.
                     frame.put_u8(1);
                     frame.put_u64(nonce);
@@ -550,8 +549,15 @@ impl SpinesDaemon {
                 }
             }
             self.c.forwarded.inc();
-            obs::prof::charge_msg("spines;hop", 1, plaintext.len() as u64);
             out.push((link.addr, Bytes::from(frame)));
+        }
+        // One charge per flood of what each frame would have charged.
+        if !out.is_empty() && obs::prof::enabled() {
+            let frames = out.len() as u64;
+            if self.cfg.mode == SpinesMode::IntrusionTolerant {
+                obs::prof::charge_crypto("spines;hop", obs::prof::CryptoOp::Hmac, frames);
+            }
+            obs::prof::charge_msg("spines;hop", frames, frames * plaintext.len() as u64);
         }
         out
     }
