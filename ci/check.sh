@@ -357,6 +357,24 @@ if grep -rnE --include='*.rs' -e '\.verify\(&?(self\.)?registry' -e 'verify_root
     exit 1
 fi
 
+echo "==> every Prime signature is vouched (the signer stores its verdict in the thread's table)"
+# Envelope::sign, PoBatch::sign, AruRow::sign and SignedUpdate::sign store
+# what they sign in prime::verdicts under the signing key, so no host on
+# the thread verifies it again. A replica signs only through them (no key
+# signs bytes under crates/prime/src/replica/), and the harness's and the
+# edge's clients build no SignedUpdate by hand outside their tests (each
+# file cut at its first #[cfg(test)]).
+if grep -rnE --include='*.rs' -e 'key\.sign\(' -e 'keys\[[^]]*\]\.sign\(' -e '\.sign\(&' \
+    crates/prime/src/replica; then
+    exit 1
+fi
+for f in crates/prime/src/harness.rs $(find crates/spire/src -name '*.rs' | sort); do
+    if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$f" |
+        grep -E '\bSignedUpdate \{' | grep -vE '(->|impl|for) SignedUpdate \{'; then
+        exit 1
+    fi
+done
+
 echo "==> a run happens on the thread that called it (no thread spawned under crates/)"
 # crates/bench is exempt: the future `sweep` parallelises whole runs, one
 # simulation per core, from the binary.

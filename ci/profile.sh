@@ -15,7 +15,7 @@
 # root, the signature check and the SHA-256 compression under them all,
 # in one command:
 #
-#   ci/profile.sh ordering_ramp --callers 'verdicts::check' \
+#   ci/profile.sh ordering_ramp --callers 'verdicts::(check|vouch)' \
 #       --callers 'PoBatch::root|root_of' \
 #       --callers 'FixedBase::verify' --callers 'sha256::x86::compress'
 #
