@@ -130,8 +130,8 @@ pub fn e14_regional(seed: u64, points: &[(u32, u32)], flips: usize) -> RegionalS
 fn e14_point(seed: u64, substations: u32, devices_per: u32, flips: usize) -> RegionalPoint {
     let topo = SubstationTopology::new(substations, devices_per);
     // 100 substations reporting every 100 ms is ~1000 ordered updates/s —
-    // beyond the legacy per-update knee. The regional configuration rides
-    // on E11's extension: Merkle-batched pre-order dissemination plus
+    // beyond the knee of batches of one. The regional configuration rides
+    // on E11's extension: Merkle batches of up to 32 updates plus
     // pipelined sequencing.
     let prime = PrimeConfig::plant().with_batching(32, 4);
     let cfg = SpireConfig::regional(prime, topo);

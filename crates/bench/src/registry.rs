@@ -98,7 +98,7 @@ pub struct Opts {
     pub prof: Option<String>,
     /// `--health-every`.
     pub health_every: u64,
-    /// `--batch`.
+    /// `--batch` (at least 1).
     pub batch: u32,
     /// `--pipeline` (at least 1).
     pub pipeline: u32,
@@ -120,7 +120,7 @@ impl Default for Opts {
             json: None,
             prof: None,
             health_every: 0,
-            batch: 0,
+            batch: 1,
             pipeline: 1,
             substations: None,
             devices_per: 10,
@@ -280,7 +280,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
                 batch_max: o.batch,
                 pipeline: o.pipeline,
             };
-            let rates = if o.batch > 0 {
+            let rates = if o.batch > 1 {
                 e11_batched_rates()
             } else {
                 e11_default_rates()
@@ -607,7 +607,7 @@ pub const FLAGS: &[(&str, &str, &str)] = &[
     (
         "--batch",
         "N",
-        "Merkle batches of up to N updates, extended ramp (default 0: legacy)",
+        "Merkle batches of up to N updates, extended ramp past 1 (default 1; 0 is clamped to 1)",
     ),
     (
         "--pipeline",
@@ -686,7 +686,7 @@ pub fn parse_flags(
             "--days" => o.days = number(flag, value)?,
             "--steps" => o.steps = number(flag, value)?,
             "--health-every" => o.health_every = number(flag, value)?,
-            "--batch" => o.batch = number(flag, value)?,
+            "--batch" => o.batch = number::<u32>(flag, value)?.max(1),
             "--pipeline" => o.pipeline = number::<u32>(flag, value)?.max(1),
             "--substations" => o.substations = Some(at_least_one(flag, value)?),
             "--devices-per" => o.devices_per = at_least_one(flag, value)?,

@@ -19,11 +19,11 @@ use simnet::time::{SimDuration, SimTime};
 
 use crate::json::Json;
 
-/// Per-message NIC serialization cost for the capacity model. With n=6,
-/// each submitted update costs every replica a 5-message PoRequest
-/// broadcast (~750 us of lane time), plus the fixed ARU/PrePrepare/
-/// Prepare/Commit cadence, so the lane saturates between 800 and 1600
-/// updates/s — inside the default ramp.
+/// Per-message NIC serialization cost for the capacity model. With n=6
+/// and batches of one, each submitted update costs every replica a
+/// 5-message batch broadcast (~750 us of lane time), plus the fixed
+/// ARU/PrePrepare/Prepare/Commit cadence, so the lane saturates between
+/// 800 and 1600 updates/s — inside the default ramp.
 const OUT_COST: SimDuration = SimDuration::from_micros(150);
 
 /// Offered-load window per step.
@@ -32,22 +32,23 @@ const WINDOW: SimDuration = SimDuration::from_secs(2);
 /// Drain time after the window so every accepted update executes.
 const SETTLE: SimDuration = SimDuration::from_secs(3);
 
-/// Protocol knobs for a saturation ramp variant: the per-update
-/// dissemination path, or Merkle-batched dissemination with a deeper
-/// ordering window.
+/// Protocol knobs for a saturation ramp variant: batches of one, or
+/// larger Merkle batches with a deeper ordering window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SaturationOpts {
-    /// `Config::batch_max` (0 = legacy per-update PoRequests).
+    /// `Config::batch_max` (at least 1; 1 sends each update as a batch of
+    /// one).
     pub batch_max: u32,
     /// `Config::pipeline`, the ordering window (1 = serialized ordering).
     pub pipeline: u32,
 }
 
 impl SaturationOpts {
-    /// The unbatched reference configuration (the seed repo's E11).
-    pub fn legacy() -> Self {
+    /// The unbatched reference configuration: each update goes out as a
+    /// batch of one, one sequence in flight.
+    pub fn unbatched() -> Self {
         SaturationOpts {
-            batch_max: 0,
+            batch_max: 1,
             pipeline: 1,
         }
     }
@@ -140,8 +141,8 @@ pub fn e11_default_rates() -> Vec<u64> {
     vec![50, 100, 200, 400, 800, 1600]
 }
 
-/// The extended ramp for the batched configuration: the legacy rates
-/// continued past the old knee (1600/s unbatched) far enough that the
+/// The extended ramp for the batched configuration: the default rates
+/// continued past the unbatched knee (1600/s) far enough that the
 /// batched knee lands inside the sweep.
 pub fn e11_batched_rates() -> Vec<u64> {
     vec![50, 100, 200, 400, 800, 1600, 3200, 6400, 9600, 19200, 25600]
@@ -227,9 +228,9 @@ fn run_step_inner(seed: u64, rate: u64, opts: SaturationOpts) -> SaturationStep 
 
 /// E11 — run the ramp: one fresh 6-replica cluster per offered rate, a
 /// fixed submission window, then a drain; report throughput and latency
-/// percentiles per step. Runs the legacy (unbatched) configuration.
+/// percentiles per step. Runs the unbatched configuration.
 pub fn e11_saturation(seed: u64, rates: &[u64]) -> SaturationRun {
-    e11_saturation_with(seed, rates, SaturationOpts::legacy())
+    e11_saturation_with(seed, rates, SaturationOpts::unbatched())
 }
 
 /// E11 with explicit protocol knobs (`spire-sim e11 --batch N --pipeline K`).
@@ -245,7 +246,7 @@ pub fn e11_saturation_with(seed: u64, rates: &[u64], opts: SaturationOpts) -> Sa
 pub fn render_saturation(run: &SaturationRun) -> String {
     use std::fmt::Write as _;
     let mut out = format!("E11 ordering saturation (seed {})\n", run.seed);
-    if run.opts != SaturationOpts::legacy() {
+    if run.opts != SaturationOpts::unbatched() {
         let _ = writeln!(
             out,
             "batching: batch_max={} pipeline={}",
@@ -396,7 +397,7 @@ mod tests {
 
     #[test]
     fn one_step_runs_and_orders_everything() {
-        let s = run_step(1, 50, SaturationOpts::legacy());
+        let s = run_step(1, 50, SaturationOpts::unbatched());
         assert_eq!(s.submitted, 100);
         assert_eq!(s.executed, s.submitted, "drain executes every update");
         assert!(s.p50_us > 0 && s.p50_us <= s.p99_us && s.p99_us <= s.max_us);
@@ -404,7 +405,7 @@ mod tests {
 
     #[test]
     fn batched_step_orders_everything_with_comparable_latency() {
-        let legacy = run_step(1, 50, SaturationOpts::legacy());
+        let unbatched = run_step(1, 50, SaturationOpts::unbatched());
         let batched = run_step(1, 50, SaturationOpts::batched());
         assert_eq!(batched.submitted, 100);
         assert_eq!(
@@ -412,19 +413,19 @@ mod tests {
             "no member lost to batching"
         );
         // Pre-knee the batch rate-limiter flushes singletons immediately,
-        // so tail latency stays in the same regime as the legacy path.
+        // so tail latency stays in the same regime as batches of one.
         assert!(
-            batched.p99_us <= 2 * legacy.p99_us.max(1),
-            "batched p99 {} vs legacy p99 {}",
+            batched.p99_us <= 2 * unbatched.p99_us.max(1),
+            "batched p99 {} vs unbatched p99 {}",
             batched.p99_us,
-            legacy.p99_us
+            unbatched.p99_us
         );
     }
 
     #[test]
     fn profiled_step_telescopes_exactly() {
         obs::prof::set_enabled(true);
-        let s = run_step(7, 50, SaturationOpts::legacy());
+        let s = run_step(7, 50, SaturationOpts::unbatched());
         obs::prof::set_enabled(false);
         let _ = obs::prof::take();
         let prof = s.prof.clone().expect("profiling was enabled");
@@ -436,7 +437,7 @@ mod tests {
         );
         let report = saturation_attribution(&SaturationRun {
             seed: 7,
-            opts: SaturationOpts::legacy(),
+            opts: SaturationOpts::unbatched(),
             steps: vec![s],
         });
         assert!(report.contains("telescoping: exact"), "report: {report}");
@@ -448,7 +449,7 @@ mod tests {
 
     #[test]
     fn unprofiled_step_carries_no_profile() {
-        let s = run_step(1, 50, SaturationOpts::legacy());
+        let s = run_step(1, 50, SaturationOpts::unbatched());
         assert!(s.prof.is_none());
         assert!(s.sim_elapsed_us > 0);
     }

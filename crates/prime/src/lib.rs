@@ -11,17 +11,19 @@
 //! # Protocol structure
 //!
 //! * **Pre-ordering** ([`replica`]): every replica disseminates client
-//!   updates as numbered `PO-Request`s and continuously gossips a signed
-//!   cumulative-acknowledgement vector (`PO-ARU`, "pre-order all received
-//!   up to"). Pre-ordering is leader-free, so a faulty leader cannot
-//!   suppress knowledge of updates.
+//!   updates in numbered slots — Merkle batches under one origin
+//!   signature, a batch of one per update by default — and continuously
+//!   gossips a signed cumulative-acknowledgement vector (`PO-ARU`,
+//!   "pre-order all received up to"). Pre-ordering is leader-free, so a
+//!   faulty leader cannot suppress knowledge of updates.
 //! * **Ordering**: the leader's `Pre-Prepare(view, seq)` carries a *matrix*
 //!   of signed PO-ARU vectors. Agreement on the matrix (Prepare/Commit with
 //!   `2f+k` and `2f+k+1` thresholds) yields a global execution order: an
 //!   update `(origin, s)` becomes covered once `f+k+1` matrix rows
 //!   acknowledge it, and newly covered updates execute in deterministic
-//!   order. Reconciliation (`PO-Fetch`/`PO-Data`) retrieves any covered
-//!   update a replica is missing.
+//!   order. Reconciliation (`PO-Fetch`, answered with the slot's batch
+//!   member and its inclusion path) retrieves any covered update a
+//!   replica is missing.
 //! * **Leader suspicion**: a replica that knows of eligible-but-unordered
 //!   updates for longer than its TAT bound broadcasts `SuspectLeader`;
 //!   `f+k+1` suspicions trigger a view change.

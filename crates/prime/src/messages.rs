@@ -21,7 +21,7 @@ const PROOF_PATH_CAP: usize = 64;
 pub struct AruRow {
     /// The replica whose cumulative-ack vector this is.
     pub replica: ReplicaId,
-    /// `vector[o]` = highest contiguous PO-Request sequence received from
+    /// `vector[o]` = highest contiguous pre-order sequence received from
     /// origin `o` (1-based; 0 = none).
     pub vector: Vec<u64>,
     /// That replica's signature over the vector.
@@ -261,16 +261,6 @@ impl Wire for PoBatch {
 /// The Prime protocol message set.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PrimeMsg {
-    /// Pre-ordering: replica `origin` disseminates a client update under
-    /// its local sequence `po_seq` (1-based).
-    PoRequest {
-        /// Disseminating replica.
-        origin: ReplicaId,
-        /// Its local sequence for this update.
-        po_seq: u64,
-        /// The client update.
-        update: SignedUpdate,
-    },
     /// Pre-ordering: signed cumulative-ack vector.
     PoAru {
         /// The signed row (reused as matrix row in pre-prepares).
@@ -303,19 +293,12 @@ pub enum PrimeMsg {
         /// Digest of the pre-prepare matrix.
         digest: Digest,
     },
-    /// Reconciliation: ask for a missing covered PO-Request.
+    /// Reconciliation: ask for a missing covered pre-order slot.
     PoFetch {
-        /// Origin replica of the wanted request.
+        /// Origin replica of the wanted slot.
         origin: ReplicaId,
         /// Its sequence.
         po_seq: u64,
-    },
-    /// Reconciliation: supply a PO-Request. Carries the *original signed
-    /// envelope* from the origin so a relaying replica cannot forge the
-    /// (origin, sequence) → update binding.
-    PoData {
-        /// Wire bytes of the origin's original `SignedMsg(PoRequest)`.
-        original: Vec<u8>,
     },
     /// Leader suspicion for the given view (TAT bound exceeded).
     SuspectLeader {
@@ -366,10 +349,10 @@ pub enum PrimeMsg {
         /// View at the snapshot.
         view: u64,
     },
-    /// Pre-ordering: a Merkle-batched run of client updates occupying
-    /// consecutive pre-order slots of `batch.origin`. Only sent when
-    /// [`crate::types::Config::batch_max`] is armed; the legacy wire
-    /// format (per-update [`PrimeMsg::PoRequest`]) is untouched when off.
+    /// Pre-ordering: replica `batch.origin` disseminates a Merkle-batched
+    /// run of client updates occupying its consecutive pre-order slots,
+    /// at most [`crate::types::Config::batch_max`] of them. A batch of one
+    /// is how a single update goes out.
     PoRequestBatch {
         /// The batch.
         batch: PoBatch,
@@ -419,10 +402,8 @@ impl PrimeMsg {
     /// aggregate cleanly per phase.
     pub fn prof_stack(&self) -> &'static str {
         match self {
-            PrimeMsg::PoRequest { .. } => "prime;preorder;po_request",
             PrimeMsg::PoAru { .. } => "prime;preorder;po_aru",
             PrimeMsg::PoFetch { .. } => "prime;preorder;po_fetch",
-            PrimeMsg::PoData { .. } => "prime;preorder;po_data",
             PrimeMsg::PrePrepare { .. } => "prime;order;pre_prepare",
             PrimeMsg::Prepare { .. } => "prime;order;prepare",
             PrimeMsg::Commit { .. } => "prime;order;commit",
@@ -437,19 +418,18 @@ impl PrimeMsg {
         }
     }
 
-    /// The wire tag. Tags 8 (the single-certificate view-change vote), 13
-    /// (a catch-up reply's separate dedup table) and 17 (a chunk of a
+    /// The wire tag. Tags 0 (a per-update pre-order request), 6 (its
+    /// reconciliation reply), 8 (the single-certificate view-change vote),
+    /// 13 (a catch-up reply's separate dedup table) and 17 (a chunk of a
     /// catch-up snapshot) are retired: they decode as errors and are never
     /// reused.
     fn tag(&self) -> u8 {
         match self {
-            PrimeMsg::PoRequest { .. } => 0,
             PrimeMsg::PoAru { .. } => 1,
             PrimeMsg::PrePrepare { .. } => 2,
             PrimeMsg::Prepare { .. } => 3,
             PrimeMsg::Commit { .. } => 4,
             PrimeMsg::PoFetch { .. } => 5,
-            PrimeMsg::PoData { .. } => 6,
             PrimeMsg::SuspectLeader { .. } => 7,
             PrimeMsg::NewView { .. } => 9,
             PrimeMsg::Checkpoint { .. } => 10,
@@ -485,14 +465,6 @@ impl Wire for PrimeMsg {
     fn encode(&self, w: &mut Writer) {
         w.put_u8(self.tag());
         match self {
-            PrimeMsg::PoRequest {
-                origin,
-                po_seq,
-                update,
-            } => {
-                w.put_u32(origin.0).put_u64(*po_seq);
-                update.encode(w);
-            }
             PrimeMsg::PoAru { row } => row.encode(w),
             PrimeMsg::PrePrepare { view, seq, matrix } => {
                 w.put_u64(*view).put_u64(*seq).put_u32(matrix.len() as u32);
@@ -505,9 +477,6 @@ impl Wire for PrimeMsg {
             }
             PrimeMsg::PoFetch { origin, po_seq } => {
                 w.put_u32(origin.0).put_u64(*po_seq);
-            }
-            PrimeMsg::PoData { original } => {
-                w.put_bytes(original);
             }
             PrimeMsg::SuspectLeader { view } => {
                 w.put_u64(*view);
@@ -596,11 +565,6 @@ impl Wire for PrimeMsg {
             Ok(Digest(raw))
         };
         Ok(match tag {
-            0 => PrimeMsg::PoRequest {
-                origin: ReplicaId(r.get_u32()?),
-                po_seq: r.get_u64()?,
-                update: SignedUpdate::decode(r)?,
-            },
             1 => PrimeMsg::PoAru {
                 row: AruRow::decode(r)?,
             },
@@ -630,9 +594,6 @@ impl Wire for PrimeMsg {
             5 => PrimeMsg::PoFetch {
                 origin: ReplicaId(r.get_u32()?),
                 po_seq: r.get_u64()?,
-            },
-            6 => PrimeMsg::PoData {
-                original: r.get_bytes()?,
             },
             7 => PrimeMsg::SuspectLeader { view: r.get_u64()? },
             9 => PrimeMsg::NewView {
@@ -728,7 +689,8 @@ impl Wire for PrimeMsg {
                     certs,
                 }
             }
-            // 8, 13 and 17 are retired tags (see `tag`) and land here too.
+            // 0, 6, 8, 13 and 17 are retired tags (see `tag`) and land here
+            // too.
             _ => return Err(DecodeError::new("prime message tag")),
         })
     }
@@ -860,10 +822,8 @@ mod tests {
             sig,
         };
         let msgs = [
-            PrimeMsg::PoRequest {
-                origin: ReplicaId(1),
-                po_seq: 5,
-                update: sample_update(),
+            PrimeMsg::PoRequestBatch {
+                batch: PoBatch::sign(ReplicaId(1), 5, vec![sample_update()], &mut kp),
             },
             PrimeMsg::PrePrepare {
                 view: 1,
@@ -894,11 +854,6 @@ mod tests {
             vector,
             sig,
         };
-        roundtrip(PrimeMsg::PoRequest {
-            origin: ReplicaId(1),
-            po_seq: 5,
-            update: sample_update(),
-        });
         roundtrip(PrimeMsg::PoAru { row: row.clone() });
         roundtrip(PrimeMsg::PrePrepare {
             view: 1,
@@ -918,9 +873,6 @@ mod tests {
         roundtrip(PrimeMsg::PoFetch {
             origin: ReplicaId(0),
             po_seq: 3,
-        });
-        roundtrip(PrimeMsg::PoData {
-            original: vec![1, 2, 3, 4],
         });
         roundtrip(PrimeMsg::SuspectLeader { view: 4 });
         roundtrip(PrimeMsg::NewView {
@@ -981,13 +933,14 @@ mod tests {
         });
     }
 
-    /// Tags 8, 13 and 17 once carried the single-certificate view-change
-    /// vote, a catch-up reply's separate dedup table and a catch-up
-    /// snapshot chunk. They are retired: whatever follows them, they
-    /// decode as an error.
+    /// Tags 0, 6, 8, 13 and 17 once carried the per-update pre-order
+    /// request, its reconciliation reply, the single-certificate
+    /// view-change vote, a catch-up reply's separate dedup table and a
+    /// catch-up snapshot chunk. They are retired: whatever follows them,
+    /// they decode as an error.
     #[test]
     fn retired_tags_decode_as_errors() {
-        for tag in [8u8, 13, 17] {
+        for tag in [0u8, 6, 8, 13, 17] {
             assert!(PrimeMsg::from_wire(&[tag]).is_err(), "bare tag {tag}");
             let mut bytes = vec![tag];
             bytes.extend_from_slice(&[0xff; 64]);

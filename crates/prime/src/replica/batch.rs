@@ -1,12 +1,14 @@
-//! Merkle-batched pre-order dissemination (armed by `Config::batch_max`).
+//! Pre-order dissemination: every slot goes out in a Merkle batch.
 //!
-//! The per-update `PoRequest` broadcast is the pre-ordering hot path: at
-//! the E11 knee it holds the sender's NIC lane for `(n-1)` message slots
-//! per client update. Batching amortizes that cost: updates introduced at
-//! `submit` are pre-ordered (stored and ARU-counted) immediately, but
-//! dissemination waits until the batch closes — when `batch_max` members
-//! accumulate or `BATCH_DELAY` elapses since the previous close,
-//! whichever comes first. The closed batch travels as one
+//! Dissemination is the pre-ordering hot path: at the E11 knee a broadcast
+//! per client update holds the sender's NIC lane for `(n-1)` message
+//! slots. Batching amortizes that cost: updates introduced at `submit`
+//! are pre-ordered (stored and ARU-counted) immediately, but
+//! dissemination waits until the batch closes — when `Config::batch_max`
+//! members accumulate or `BATCH_DELAY` elapses since the previous close,
+//! whichever comes first. At the default `batch_max` of 1 every update
+//! closes its own batch at `submit`, so a batch of one leaves when a
+//! per-update broadcast would. The closed batch travels as one
 //! [`PrimeMsg::PoRequestBatch`] carrying a Merkle root over the
 //! `(po_seq, update)` leaves and a single origin signature over the root,
 //! so receivers pay one signature verification per batch for the root,
@@ -59,7 +61,8 @@ impl<A: Application> Replica<A> {
         now: SimTime,
         out: &mut Vec<OutEvent>,
     ) {
-        // Only the origin may bind its slots, exactly as for PoRequest.
+        // Only the origin may bind its slots: a faulty relayer must not be
+        // able to fill foreign ones.
         if from != batch.origin || batch.origin.0 >= self.config.n() {
             return;
         }
@@ -87,12 +90,8 @@ impl<A: Application> Replica<A> {
                 return;
             }
         }
-        let inc = po_incarnation(batch.first_po_seq);
+        self.note_incarnation(batch.origin, batch.first_po_seq);
         let o = batch.origin.0 as usize;
-        if batch.origin != self.id && inc > self.origin_inc[o] {
-            self.origin_inc[o] = inc;
-            self.aru_counter[o] = 0;
-        }
         for (i, update) in batch.updates.iter().enumerate() {
             let po_seq = batch.first_po_seq + i as u64;
             self.po_store
@@ -104,6 +103,18 @@ impl<A: Application> Replica<A> {
         self.advance_my_aru();
         self.note_unordered(now);
         self.try_execute(now, out);
+    }
+
+    /// Incarnation tracking: a slot of a higher incarnation than `origin`
+    /// was last seen in means it recovered, and its contiguity restarts
+    /// in the new incarnation.
+    fn note_incarnation(&mut self, origin: ReplicaId, po_seq: u64) {
+        let inc = po_incarnation(po_seq);
+        let o = origin.0 as usize;
+        if origin != self.id && inc > self.origin_inc[o] {
+            self.origin_inc[o] = inc;
+            self.aru_counter[o] = 0;
+        }
     }
 
     /// Builds a `PoBatchMember` reply for a fetched slot that this
@@ -187,11 +198,18 @@ impl<A: Application> Replica<A> {
             self.c_bad_sigs.inc();
             return;
         }
-        let inc = po_incarnation(first_po_seq);
-        let o = origin.0 as usize;
-        if origin != self.id && inc > self.origin_inc[o] {
-            self.origin_inc[o] = inc;
-            self.aru_counter[o] = 0;
+        self.note_incarnation(origin, first_po_seq);
+        // A member of a batch of one is that whole batch as its origin
+        // signed it: keep it, so this replica serves the slot onward.
+        if count == 1 {
+            self.po_batches[origin.0 as usize]
+                .entry(first_po_seq)
+                .or_insert_with(|| PoBatch {
+                    origin,
+                    first_po_seq,
+                    updates: vec![update.clone()],
+                    root_sig: *root_sig,
+                });
         }
         self.po_store.insert_if_absent(origin.0, po_seq, update);
         self.advance_my_aru();

@@ -1,50 +1,11 @@
-//! Pre-ordering and ordering log: PO-Request acceptance, cumulative
-//! PO-ARU aggregation, the Pre-Prepare/Prepare/Commit pipeline, plan
-//! extension and execution, checkpoints, and catch-up state transfer.
+//! Pre-ordering and ordering log: cumulative PO-ARU aggregation, the
+//! Pre-Prepare/Prepare/Commit pipeline, plan extension and execution,
+//! checkpoints, and catch-up state transfer. Batches, the one way a slot
+//! is disseminated, are accepted in `batch.rs`.
 
 use super::*;
 
 impl<A: Application> Replica<A> {
-    /// Accepts a PO-Request whose signed envelope came from its origin —
-    /// directly or replayed inside a `PoData` reconciliation reply.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn accept_po_request(
-        &mut self,
-        envelope: SignedMsg,
-        from: ReplicaId,
-        origin: ReplicaId,
-        po_seq: u64,
-        update: SignedUpdate,
-        now: SimTime,
-        out: &mut Vec<OutEvent>,
-    ) {
-        // Only the origin may bind (origin, po_seq) → update: a faulty
-        // relayer must not be able to fill foreign slots.
-        if from != origin || origin.0 >= self.config.n() || po_counter(po_seq) == 0 {
-            return;
-        }
-        if self.po_store.is_forgotten(origin.0, po_seq) {
-            return;
-        }
-        if !self.verify_update(&update) {
-            self.c_bad_sigs.inc();
-            return;
-        }
-        // Incarnation tracking: a higher incarnation from the origin means
-        // it recovered; contiguity restarts in the new incarnation.
-        let inc = po_incarnation(po_seq);
-        let o = origin.0 as usize;
-        if origin != self.id && inc > self.origin_inc[o] {
-            self.origin_inc[o] = inc;
-            self.aru_counter[o] = 0;
-        }
-        self.po_store.insert_if_absent(origin.0, po_seq, update);
-        self.po_envelopes[o].entry(po_seq).or_insert(envelope);
-        self.advance_my_aru();
-        self.note_unordered(now);
-        self.try_execute(now, out);
-    }
-
     pub(super) fn on_po_aru(&mut self, row: AruRow, _out: &mut [OutEvent]) {
         if row.replica.0 >= self.config.n() || row.vector.len() != self.config.n() as usize {
             return;
@@ -410,27 +371,6 @@ impl<A: Application> Replica<A> {
         }
     }
 
-    pub(super) fn on_po_data(&mut self, original: &[u8], now: SimTime, out: &mut Vec<OutEvent>) {
-        // The payload must be the origin's own signed PoRequest envelope.
-        let Ok(envelope) = SignedMsg::from_wire(original) else {
-            return;
-        };
-        if !self.verified(&envelope) {
-            self.c_bad_sigs.inc();
-            return;
-        }
-        let PrimeMsg::PoRequest {
-            origin,
-            po_seq,
-            update,
-        } = envelope.msg.clone()
-        else {
-            return;
-        };
-        let from = envelope.from;
-        self.accept_po_request(envelope, from, origin, po_seq, update, now, out);
-    }
-
     pub(super) fn on_checkpoint(
         &mut self,
         from: ReplicaId,
@@ -470,13 +410,13 @@ impl<A: Application> Replica<A> {
     }
 
     /// Forgets what checkpoint `stable` has made unnecessary: every
-    /// pre-order slot, batch and PoRequest envelope, and every ordering
-    /// sequence, that this replica had executed at the *previous* stable
-    /// checkpoint, once each replica's latest PO-ARU row acknowledges the
-    /// slot — so no correct peer will fetch it again — or once it lies
-    /// `RETAIN_CHECKPOINTS` stable checkpoints back, so that `f` silent or
-    /// lying replicas cannot pin memory. A peer that far behind is past
-    /// fetching: it catches up by state transfer (`on_checkpoint`).
+    /// pre-order slot and batch, and every ordering sequence, that this
+    /// replica had executed at the *previous* stable checkpoint, once each
+    /// replica's latest PO-ARU row acknowledges the slot — so no correct
+    /// peer will fetch it again — or once it lies `RETAIN_CHECKPOINTS`
+    /// stable checkpoints back, so that `f` silent or lying replicas
+    /// cannot pin memory. A peer that far behind is past fetching: it
+    /// catches up by state transfer (`on_checkpoint`).
     ///
     /// A stable checkpoint this replica took no checkpoint at or below
     /// (it is behind, or just caught up) forgets nothing.
@@ -512,7 +452,6 @@ impl<A: Application> Replica<A> {
                 .min(acked)
                 .max(escape.map_or(0, |m| m.cover[origin]));
             self.po_store.forget_through(origin as u32, floor);
-            forget_through(&mut self.po_envelopes[origin], floor);
             // A batch straddling the floor still serves its upper members.
             let batches = &mut self.po_batches[origin];
             let cut = match batches.range(..=floor).next_back() {
@@ -1014,7 +953,6 @@ mod tests {
                     let held = r.retained();
                     peak.slots = peak.slots.max(held.slots);
                     peak.batches = peak.batches.max(held.batches);
-                    peak.envelopes = peak.envelopes.max(held.envelopes);
                     peak.ordering = peak.ordering.max(held.ordering);
                 }
             }
@@ -1049,10 +987,7 @@ mod tests {
         let window = window(config);
         for (id, peak) in soak(config, updates, fault).iter().enumerate() {
             assert!(
-                peak.slots <= window
-                    && peak.envelopes <= window
-                    && peak.batches <= window
-                    && peak.ordering <= window,
+                peak.slots <= window && peak.batches <= window && peak.ordering <= window,
                 "r{id} over {updates} updates ({fault:?}, batch_max {}) held {peak:?}, \
                  more than a window of {window}",
                 config.batch_max,
@@ -1068,7 +1003,7 @@ mod tests {
     }
 
     #[test]
-    fn retention_is_bounded_on_the_per_update_path() {
+    fn retention_is_bounded_with_batches_of_one() {
         for updates in [2_000, 8_000] {
             assert_retention_bounded(Config::plant(), updates, Fault::None);
         }
@@ -1107,7 +1042,7 @@ mod tests {
     }
 
     /// Input a replica has forgotten the context of — a pre-order slot,
-    /// a batch, a PoRequest, an ordering message for a truncated
+    /// a batch, a batch member, an ordering message for a truncated
     /// sequence — does nothing: no event, no table regrows, no counter
     /// moves. A PoFetch for a forgotten slot goes unanswered.
     #[test]
@@ -1125,24 +1060,15 @@ mod tests {
             // What replica 1 sent and what replica 0 proposed early on.
             let origin = ReplicaId(1);
             let mut stale = Vec::new();
-            let fetched = if config.batch_max > 0 {
-                let (&first, batch) = c.replicas[1].po_batches[1]
-                    .first_key_value()
-                    .expect("replica 1 sent a batch");
-                let batch = batch.clone();
-                let member = c.replicas[1]
-                    .batch_member_reply(origin, first)
-                    .expect("a member of its own batch");
-                stale.push(member.msg);
-                stale.push(c.replicas[1].sign(PrimeMsg::PoRequestBatch { batch }).msg);
-                first
-            } else {
-                let (&po_seq, request) = c.replicas[1].po_envelopes[1]
-                    .first_key_value()
-                    .expect("replica 1 sent a PoRequest");
-                stale.push(request.clone());
-                po_seq
-            };
+            let (&fetched, batch) = c.replicas[1].po_batches[1]
+                .first_key_value()
+                .expect("replica 1 sent a batch");
+            let batch = batch.clone();
+            let member = c.replicas[1]
+                .batch_member_reply(origin, fetched)
+                .expect("a member of its own batch");
+            stale.push(member.msg);
+            stale.push(c.replicas[1].sign(PrimeMsg::PoRequestBatch { batch }).msg);
             let (&seq, (view, matrix, digest)) = c.replicas[0]
                 .pre_prepares
                 .first_key_value()

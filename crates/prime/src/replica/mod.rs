@@ -15,8 +15,9 @@
 //!   orders every update accumulated since the last proposal. A
 //!   view-change vote carries every prepared certificate the voter holds
 //!   above its committed watermark.
-//! * Erasure-coded reconciliation is replaced by direct `PO-Fetch` /
-//!   `PO-Data` retransmission.
+//! * Erasure-coded reconciliation is replaced by direct retransmission:
+//!   a `PO-Fetch` is answered with the slot's batch member and its Merkle
+//!   inclusion path.
 //! * TAT measurement is simplified to a bound on *unordered eligible
 //!   updates*: if this replica knows of pre-ordered updates that remain
 //!   unordered past `suspect_timeout`, it suspects the leader. This keeps
@@ -74,8 +75,8 @@ const VERIFIED_UPDATES_CAP: usize = 4096;
 /// Time-trigger for batch close: a pending batch older than this
 /// disseminates even if below `batch_max`. The trigger is evaluated as a
 /// rate limiter — the first update after a quiet period ships immediately
-/// as a singleton batch — so pre-saturation latency matches the
-/// unbatched protocol.
+/// as a singleton batch — so pre-saturation latency is the same at every
+/// batch size.
 const BATCH_DELAY: SimDuration = SimDuration::from_millis(5);
 
 /// Stable checkpoints after which a replica forgets what it executed even
@@ -234,9 +235,6 @@ pub struct Replica<A: Application> {
     incarnation: u32,
     next_po_seq: u64,
     po_store: PoStore,
-    /// Original signed PoRequest envelopes (served on PoFetch), per
-    /// origin by po_seq.
-    po_envelopes: Vec<BTreeMap<u64, SignedMsg>>,
     /// Client updates this replica has introduced into pre-ordering.
     intro_seen: ClientSeqs,
     /// Highest incarnation observed per origin.
@@ -302,8 +300,8 @@ pub struct Replica<A: Application> {
     /// oldest first.
     stable_marks: VecDeque<ExecMark>,
 
-    // Batched pre-ordering (armed by `Config::batch_max > 0`; empty and
-    // inert otherwise so the legacy per-update path is byte-identical).
+    // Batched pre-ordering: every update is disseminated in a batch of at
+    // most `Config::batch_max` (a batch of one when that is 1).
     /// Locally introduced updates whose dissemination is deferred until
     /// the batch closes, with the po_seq assigned at submit time.
     batch_pending: Vec<(u64, SignedUpdate)>,
@@ -385,7 +383,6 @@ impl<A: Application> Replica<A> {
             incarnation: 0,
             next_po_seq: 1,
             po_store: PoStore::new(n),
-            po_envelopes: vec![BTreeMap::new(); n],
             intro_seen: ClientSeqs::default(),
             origin_inc: vec![0; n],
             aru_counter: vec![0; n],
@@ -580,7 +577,7 @@ impl<A: Application> Replica<A> {
             let ran = self.verifications;
             let out = self.submit_inner(update, now);
             obs::prof::charge_crypto(
-                "prime;preorder;po_request",
+                "prime;preorder;submit",
                 obs::prof::CryptoOp::Verify,
                 self.verifications - ran,
             );
@@ -617,26 +614,16 @@ impl<A: Application> Replica<A> {
         self.next_po_seq += 1;
         self.po_store
             .insert_if_absent(self.id.0, po_seq, update.clone());
-        if self.config.batch_max > 0 {
-            // Batched dissemination: the slot is pre-ordered (stored and
-            // counted in our ARU) immediately — only the broadcast is
-            // deferred until the batch closes. Coverage still requires
-            // f+k+1 replicas to hold the update, so a batch lost with a
-            // crashed origin simply never reaches coverage.
-            self.batch_pending.push((po_seq, update));
-            if self.batch_pending.len() as u32 >= self.config.batch_max
-                || now.since(self.last_batch_at) >= BATCH_DELAY
-            {
-                self.flush_batch(now, &mut out);
-            }
-        } else {
-            let msg = self.sign(PrimeMsg::PoRequest {
-                origin: self.id,
-                po_seq,
-                update,
-            });
-            self.po_envelopes[self.id.0 as usize].insert(po_seq, msg.msg.clone());
-            out.push(OutEvent::Broadcast(msg));
+        // The slot is pre-ordered (stored and counted in our ARU) at once;
+        // only the broadcast waits until the batch closes, which a batch of
+        // one does here. Coverage still requires f+k+1 replicas to hold the
+        // update, so a batch lost with a crashed origin simply never
+        // reaches coverage.
+        self.batch_pending.push((po_seq, update));
+        if self.batch_pending.len() as u32 >= self.config.batch_max
+            || now.since(self.last_batch_at) >= BATCH_DELAY
+        {
+            self.flush_batch(now, &mut out);
         }
         self.advance_my_aru();
         self.note_unordered(now);
@@ -695,27 +682,7 @@ impl<A: Application> Replica<A> {
             return out;
         }
         let from = msg.from;
-        let sig = msg.sig;
-        // Dispatch by move: only PoRequest needs the envelope again (it is
-        // stored for reconciliation replays), and it is rebuilt from the
-        // moved-out fields — no other variant pays a deep clone.
         match msg.msg {
-            PrimeMsg::PoRequest {
-                origin,
-                po_seq,
-                update,
-            } => {
-                let envelope = SignedMsg {
-                    from,
-                    msg: PrimeMsg::PoRequest {
-                        origin,
-                        po_seq,
-                        update: update.clone(),
-                    },
-                    sig,
-                };
-                self.accept_po_request(envelope, from, origin, po_seq, update, now, &mut out);
-            }
             PrimeMsg::PoAru { row } => {
                 self.on_po_aru(row, &mut out);
             }
@@ -733,20 +700,9 @@ impl<A: Application> Replica<A> {
             // fetcher so far behind that it must catch up by state
             // transfer, which its stall timer asks for.
             PrimeMsg::PoFetch { origin, po_seq } => {
-                if let Some(envelope) = self
-                    .po_envelopes
-                    .get(origin.0 as usize)
-                    .and_then(|envelopes| envelopes.get(&po_seq))
-                {
-                    let original = envelope.to_wire().to_vec();
-                    let reply = self.sign(PrimeMsg::PoData { original });
-                    out.push(OutEvent::Send(from, reply));
-                } else if let Some(reply) = self.batch_member_reply(origin, po_seq) {
+                if let Some(reply) = self.batch_member_reply(origin, po_seq) {
                     out.push(OutEvent::Send(from, reply));
                 }
-            }
-            PrimeMsg::PoData { original } => {
-                self.on_po_data(&original, now, &mut out);
             }
             PrimeMsg::SuspectLeader { view } => {
                 self.on_suspect(from, view, now, &mut out);
@@ -831,10 +787,7 @@ impl<A: Application> Replica<A> {
         }
         // Close a stale batch: end-of-burst stragglers must not wait for
         // the next submission to trigger the rate-limiter.
-        if self.config.batch_max > 0
-            && !self.batch_pending.is_empty()
-            && now.since(self.last_batch_at) >= BATCH_DELAY
-        {
+        if !self.batch_pending.is_empty() && now.since(self.last_batch_at) >= BATCH_DELAY {
             self.flush_batch(now, &mut out);
         }
         // Gossip PO-ARU when it changed or periodically.
@@ -1008,7 +961,6 @@ impl<A: Application> Replica<A> {
         self.incarnation = ((now.as_micros() / 1_000) as u32).max(self.incarnation + 1);
         self.next_po_seq = 1;
         self.po_store.clear();
-        self.po_envelopes.iter_mut().for_each(BTreeMap::clear);
         self.intro_seen.clear();
         self.verified_rows.clear();
         self.verified_updates.clear();
@@ -1071,13 +1023,13 @@ impl<A: Application> Replica<A> {
         Retained {
             slots: self.po_store.held(),
             batches: self.po_batches.iter().map(BTreeMap::len).sum(),
-            envelopes: self.po_envelopes.iter().map(BTreeMap::len).sum(),
             ordering: self.pre_prepares.len()
                 + self.prepares.len()
                 + self.commits.len()
                 + self.sent_prepare.len()
                 + self.sent_commit.len()
-                + self.committed.len(),
+                + self.committed.len()
+                + self.prepared_certs.len(),
         }
     }
 }
@@ -1088,7 +1040,6 @@ impl<A: Application> Replica<A> {
 struct Retained {
     slots: usize,
     batches: usize,
-    envelopes: usize,
     ordering: usize,
 }
 

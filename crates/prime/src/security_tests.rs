@@ -107,45 +107,77 @@ fn an_envelope_its_signer_made_in_another_replica_s_name_is_refused() {
 }
 
 #[test]
-fn po_request_relayed_by_non_origin_is_ignored() {
-    // Replica 2 tries to bind a slot in replica 1's pre-order space.
-    let (mut r0, mut rk, mut ck) = replica(0);
+fn po_batch_relayed_by_non_origin_is_ignored() {
+    let hub = obs::ObsHub::new();
+    let (mut r0, mut rk, mut ck) = replica_on(0, &hub);
+    // Replica 2 relays replica 1's batch as its own message, trying to
+    // bind a slot in replica 1's pre-order space.
     let update = signed_update(&mut ck, 0, 1);
-    let msg = PrimeMsg::PoRequest {
+    let batch = PoBatch::sign(ReplicaId(1), po_compose(0, 1), vec![update], &mut rk[1]);
+    let relayed = SignedMsg::sign(ReplicaId(2), PrimeMsg::PoRequestBatch { batch }, &mut rk[2]);
+    assert!(r0.on_message(relayed, SimTime(0)).is_empty());
+    // The slot must remain unbound: an honest fetch finds nothing.
+    assert!(
+        fetch(&mut r0, &mut rk, 1, 1).is_empty(),
+        "no PoBatchMember reply for an unbound slot"
+    );
+    assert_eq!(
+        bad_sigs(&hub, &r0),
+        0,
+        "refused for its sender, not a signature"
+    );
+}
+
+/// Replica 2 serving the member of a batch of one in replica 1's name,
+/// whose root `root_signer`'s key signed: the update is genuine.
+fn served_member(rk: &mut [KeyPair], ck: &mut [KeyPair], root_signer: usize) -> SignedMsg {
+    let update = signed_update(ck, 0, 1);
+    let first_po_seq = po_compose(0, 1);
+    let batch = PoBatch::sign(
+        ReplicaId(1),
+        first_po_seq,
+        vec![update.clone()],
+        &mut rk[root_signer],
+    );
+    let proof = batch.tree().prove(0).expect("in range");
+    let member = PrimeMsg::PoBatchMember {
         origin: ReplicaId(1),
-        po_seq: po_compose(0, 1),
+        first_po_seq,
+        count: 1,
+        index: 0,
         update,
+        path: proof.path,
+        root_sig: batch.root_sig,
     };
-    let signed = SignedMsg::sign(ReplicaId(2), msg, &mut rk[2]);
-    let _ = r0.on_message(signed, SimTime(0));
-    // The slot must remain unbound: an honest fetch would find nothing.
-    let fetch = PrimeMsg::PoFetch {
-        origin: ReplicaId(1),
-        po_seq: po_compose(0, 1),
-    };
-    let signed_fetch = SignedMsg::sign(ReplicaId(3), fetch, &mut rk[3]);
-    let out = r0.on_message(signed_fetch, SimTime(1));
-    assert!(out.is_empty(), "no PoData reply for an unbound slot");
+    SignedMsg::sign(ReplicaId(2), member, &mut rk[2])
 }
 
 #[test]
-fn po_data_with_forged_inner_envelope_rejected() {
+fn po_batch_member_under_a_root_a_non_origin_signed_is_refused() {
     let hub = obs::ObsHub::new();
     let (mut r0, mut rk, mut ck) = replica_on(0, &hub);
-    // Inner envelope claims origin replica 1 but is signed by replica 2.
-    let update = signed_update(&mut ck, 0, 1);
-    let inner = PrimeMsg::PoRequest {
-        origin: ReplicaId(1),
-        po_seq: po_compose(0, 1),
-        update,
-    };
-    let forged_inner = SignedMsg::sign(ReplicaId(1), inner, &mut rk[2]); // wrong key
-    let po_data = PrimeMsg::PoData {
-        original: forged_inner.to_wire().to_vec(),
-    };
-    let outer = SignedMsg::sign(ReplicaId(2), po_data, &mut rk[2]);
-    let _ = r0.on_message(outer, SimTime(0));
-    assert_eq!(bad_sigs(&hub, &r0), 1, "forged inner envelope detected");
+    let served = served_member(&mut rk, &mut ck, 2);
+    assert!(r0.on_message(served, SimTime(0)).is_empty());
+    assert_eq!(bad_sigs(&hub, &r0), 1, "forged root signature detected");
+    assert!(
+        fetch(&mut r0, &mut rk, 1, 1).is_empty(),
+        "the slot stays unbound"
+    );
+}
+
+/// A member of a batch of one is the batch its origin signed: the
+/// replica that learnt the slot from it serves it onward, as a replica
+/// that received the batch itself does.
+#[test]
+fn a_slot_learnt_from_a_member_of_a_batch_of_one_is_served_onward() {
+    let (mut r0, mut rk, mut ck) = replica(0);
+    let served = served_member(&mut rk, &mut ck, 1);
+    let _ = r0.on_message(served.clone(), SimTime(0));
+    let reply = fetch(&mut r0, &mut rk, 1, 1);
+    assert!(
+        matches!(&reply[..], [OutEvent::Send(ReplicaId(3), m)] if m.msg.msg == served.msg),
+        "the member is served on: {reply:?}"
+    );
 }
 
 #[test]
@@ -209,8 +241,9 @@ fn duplicate_client_seq_not_reintroduced() {
     let u = signed_update(&mut ck, 0, 7);
     let first = r0.submit(u.clone(), SimTime(0));
     assert!(
-        matches!(&first[..], [OutEvent::Broadcast(m)] if matches!(m.msg.msg, PrimeMsg::PoRequest { .. })),
-        "introduced once: {first:?}"
+        matches!(&first[..], [OutEvent::Broadcast(m)]
+            if matches!(&m.msg.msg, PrimeMsg::PoRequestBatch { batch } if batch.updates == [u.clone()])),
+        "introduced once, as a batch of one: {first:?}"
     );
     let second = r0.submit(u, SimTime(1));
     assert!(second.is_empty(), "same (client, seq) introduced twice");
@@ -224,21 +257,26 @@ fn cost(r: &mut Replica<KvApp>, hub: &obs::ObsHub, msg: SignedMsg) -> (u64, u64)
     (r.verifications() - ran, bad_sigs(hub, r) - bad)
 }
 
-fn po_request(rk: &mut [KeyPair], origin: u32, counter: u64, update: SignedUpdate) -> SignedMsg {
-    let msg = PrimeMsg::PoRequest {
+/// What `r` answers replica 3's fetch of `origin`'s slot `counter` with.
+fn fetch(r: &mut Replica<KvApp>, rk: &mut [KeyPair], origin: u32, counter: u64) -> Vec<OutEvent> {
+    let msg = PrimeMsg::PoFetch {
         origin: ReplicaId(origin),
         po_seq: po_compose(0, counter),
-        update,
     };
-    SignedMsg::sign(ReplicaId(origin), msg, &mut rk[origin as usize])
+    r.on_message(SignedMsg::sign(ReplicaId(3), msg, &mut rk[3]), SimTime(1))
 }
 
-/// A batch whose origin signed it as it is: the root verifies, so only
-/// the members' own signatures can reject it.
-fn po_batch(rk: &mut [KeyPair], origin: u32, updates: Vec<SignedUpdate>) -> SignedMsg {
+/// A batch from slot `counter` on whose origin signed it as it is: the
+/// root verifies, so only the members' own signatures can reject it.
+fn po_batch(
+    rk: &mut [KeyPair],
+    origin: u32,
+    counter: u64,
+    updates: Vec<SignedUpdate>,
+) -> SignedMsg {
     let batch = PoBatch::sign(
         ReplicaId(origin),
-        po_compose(0, 1),
+        po_compose(0, counter),
         updates,
         &mut rk[origin as usize],
     );
@@ -253,18 +291,15 @@ fn an_update_verified_at_submission_is_recognised_and_a_changed_one_is_not() {
     let u = signed_update(&mut ck, 0, 1);
     let _ = r0.submit(u.clone(), SimTime(0));
     assert_eq!(r0.verifications(), 1);
-    // The same bytes relayed by an origin: only the envelope is checked.
+    // The same bytes in an origin's batch: only the envelope and the
+    // root are checked.
     assert_eq!(
-        cost(&mut r0, &hub, po_request(&mut rk, 1, 1, u.clone())),
-        (1, 0)
-    );
-    assert_eq!(
-        cost(&mut r0, &hub, po_batch(&mut rk, 2, vec![u.clone()])),
+        cost(&mut r0, &hub, po_batch(&mut rk, 1, 1, vec![u.clone()])),
         (2, 0)
     );
     // u's (client, client_seq) with another payload, and u with one
     // signature byte flipped: each is verified, rejected and counted,
-    // through a PoRequest, as a batch member and as a fetched member.
+    // as a batch member and as a fetched member.
     let mut payload = u.clone();
     payload.update.payload = Bytes::from_static(b"x=2");
     let mut sig = u.clone();
@@ -276,12 +311,8 @@ fn an_update_verified_at_submission_is_recognised_and_a_changed_one_is_not() {
             cost(
                 &mut r0,
                 &hub,
-                po_request(&mut rk, 1, counter, forged.clone())
+                po_batch(&mut rk, 1, counter, vec![forged.clone()])
             ),
-            (2, 1)
-        );
-        assert_eq!(
-            cost(&mut r0, &hub, po_batch(&mut rk, 3, vec![forged.clone()])),
             (3, 1)
         );
         let member = PrimeMsg::PoBatchMember {
@@ -303,7 +334,10 @@ fn an_update_verified_at_submission_is_recognised_and_a_changed_one_is_not() {
         );
     }
     // A rejected update was not remembered, and u still is.
-    assert_eq!(cost(&mut r0, &hub, po_request(&mut rk, 3, 1, u)), (1, 0));
+    assert_eq!(
+        cost(&mut r0, &hub, po_batch(&mut rk, 3, 1, vec![u])),
+        (2, 0)
+    );
 }
 
 #[test]
@@ -446,7 +480,7 @@ fn a_changed_envelope_under_a_signature_another_replica_accepted_is_refused() {
     let hub = obs::ObsHub::new();
     let (mut r0, mut rk, mut ck) = replica_on(0, &hub);
     let (mut r1, _, _) = replica_on(1, &hub);
-    let honest = po_batch(&mut rk, 2, vec![signed_update(&mut ck, 0, 1)]);
+    let honest = po_batch(&mut rk, 2, 1, vec![signed_update(&mut ck, 0, 1)]);
     // Replica 1 accepts the batch: its envelope and root are now known
     // on this thread.
     assert_eq!(cost(&mut r1, &hub, honest.clone()), (3, 0));

@@ -42,11 +42,11 @@ pub struct Config {
     /// is next re-based (ROADMAP.md).
     pub transfer_dedup: bool,
     /// Maximum client updates packed into one `PoRequestBatch` before the
-    /// batch closes and disseminates (0 = batching off: every update goes
-    /// out as a legacy per-update `PoRequest`, byte-identical to the
-    /// pre-batching wire format). Batching amortizes the per-message NIC
-    /// cost of pre-order dissemination — the E11 saturation bottleneck —
-    /// across many updates with a single Merkle-root signature.
+    /// batch closes and disseminates (at least 1; 1, the default, sends
+    /// every update at once as a batch of one). Larger batches amortize
+    /// the per-message NIC cost of pre-order dissemination — the E11
+    /// saturation bottleneck — across many updates with a single
+    /// Merkle-root signature.
     pub batch_max: u32,
     /// Ordering window: how many Pre-Prepare sequences the leader may
     /// keep in flight above the committed watermark (1 = one at a time,
@@ -64,16 +64,16 @@ impl Config {
             f,
             k,
             transfer_dedup: false,
-            batch_max: 0,
+            batch_max: 1,
             pipeline: 1,
         }
     }
 
-    /// Arms Merkle-batched pre-order dissemination (`batch_max` updates
-    /// a batch) and sets the ordering window to `pipeline` sequences (at
-    /// least 1) on top of this configuration (builder-style).
+    /// Sets the batch size to `batch_max` updates and the ordering window
+    /// to `pipeline` sequences (each at least 1) on top of this
+    /// configuration (builder-style).
     pub fn with_batching(mut self, batch_max: u32, pipeline: u32) -> Self {
-        self.batch_max = batch_max;
+        self.batch_max = batch_max.max(1);
         self.pipeline = pipeline.max(1);
         self
     }

@@ -20,8 +20,9 @@ use prime::types::{ReplicaId, SignedUpdate, Update};
 use proptest::prelude::*;
 use simnet::wire::Wire;
 
-/// The wire tags a live message can carry (8, 13 and 17 are retired).
-const LIVE_TAGS: [u8; 15] = [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 14, 15, 16];
+/// The wire tags a live message can carry (0, 6, 8, 13 and 17 are
+/// retired).
+const LIVE_TAGS: [u8; 13] = [1, 2, 3, 4, 5, 7, 9, 10, 11, 12, 14, 15, 16];
 
 /// The sender of every generated envelope.
 const SENDER: ReplicaId = ReplicaId(2);
@@ -70,11 +71,6 @@ fn message(kind: usize, f: &Fields) -> PrimeMsg {
     let ((a, b), bytes, words, bits) = f;
     let matrix = || vec![row(f); bits.len()];
     match LIVE_TAGS[kind % LIVE_TAGS.len()] {
-        0 => PrimeMsg::PoRequest {
-            origin: ReplicaId(*a as u32),
-            po_seq: *b,
-            update: update(f),
-        },
         1 => PrimeMsg::PoAru { row: row(f) },
         2 => PrimeMsg::PrePrepare {
             view: *a,
@@ -94,9 +90,6 @@ fn message(kind: usize, f: &Fields) -> PrimeMsg {
         5 => PrimeMsg::PoFetch {
             origin: ReplicaId(*b as u32),
             po_seq: *a,
-        },
-        6 => PrimeMsg::PoData {
-            original: bytes.clone(),
         },
         7 => PrimeMsg::SuspectLeader { view: *a },
         9 => PrimeMsg::NewView {

@@ -1182,6 +1182,13 @@ mod tests {
     /// HMAC tag: every shape holds; the digests of `minimal`, `3+3` and
     /// `2+2+1+1` moved, and some of their event counts (with the GCM tag
     /// carried in a 32-byte field every row reads as before).
+    /// Re-pinned when every Prime update went out as a batch of one: its
+    /// `PoRequestBatch` is 20 bytes longer than the per-update request it
+    /// replaced (a member count and the root signature), which shifts
+    /// serialization on the wide-area links. Every shape and digest holds;
+    /// event counts moved in `3+3` (`static_switch` 10129 → 10131) and
+    /// `2+2+1+1` (all nine rows, by 2 to 12). With 20 bytes of padding
+    /// on the old request every row reads as it does now.
     const FABRIC_PINS: &str = "\
 minimal deployed 7d0af5f8 7f05a612ef8e6a38998b0f21ccd7afe0adef3660a24a93753f5f6354fdd4b1d0 2355
 minimal none e17720f2 7f05a612ef8e6a38998b0f21ccd7afe0adef3660a24a93753f5f6354fdd4b1d0 2992
@@ -1195,21 +1202,21 @@ minimal os 7d0af5f8 7f05a612ef8e6a38998b0f21ccd7afe0adef3660a24a93753f5f6354fdd4
 3+3 deployed 9624e1e4 9e5abb5a29bebf27901e2881894e5708ec8f8f1b1559e47a97630c902e706050 9781
 3+3 none 01b1a6c3 8e9e7cf654546cfcc3bfac69462df7b602080de7bb5ee57bfd964834e4b9c940 11841
 3+3 static_arp 9624e1e4 d1f5fa2e52d95ab0b280d416b13f3097978a6b57fdaacd678b837fea4b4c820e 11166
-3+3 static_switch 27298a9b be60b5d23f215b97d95137494ce7939d6bf2bf28248c11f08905f2f0f3a67079 10129
+3+3 static_switch 27298a9b be60b5d23f215b97d95137494ce7939d6bf2bf28248c11f08905f2f0f3a67079 10131
 3+3 firewall_lockdown 9624e1e4 8e9e7cf654546cfcc3bfac69462df7b602080de7bb5ee57bfd964834e4b9c940 9941
 3+3 isolated_internal 9624e1e4 9e5abb5a29bebf27901e2881894e5708ec8f8f1b1559e47a97630c902e706050 9781
 3+3 plc_behind_proxy d2b13dc6 7311e5db4c466b82ee781d156b85a096eb761a2c1c8328745cc7835419070140 9827
 3+3 no_cross_iface_arp 9624e1e4 9e5abb5a29bebf27901e2881894e5708ec8f8f1b1559e47a97630c902e706050 9781
 3+3 os 9624e1e4 9e5abb5a29bebf27901e2881894e5708ec8f8f1b1559e47a97630c902e706050 9781
-2+2+1+1 deployed 8ac4de50 2c2e40078f78260a4b4e50d0d986c12e38d57e921d8fcbb821e1ccae9ea9e28b 17205
-2+2+1+1 none 438bed5f 0d6f9b62b65f0277ecb9a3b2b905b8f5e15f0e2224a5abc02cca40593718b6e2 19478
-2+2+1+1 static_arp 8ac4de50 f97dc9c3c3c10aa0783a82836b8ec3f9407fef578518db4a05fe8415462926c9 18879
-2+2+1+1 static_switch c78073f7 2c2e40078f78260a4b4e50d0d986c12e38d57e921d8fcbb821e1ccae9ea9e28b 17656
-2+2+1+1 firewall_lockdown 8ac4de50 0d6f9b62b65f0277ecb9a3b2b905b8f5e15f0e2224a5abc02cca40593718b6e2 17365
-2+2+1+1 isolated_internal 8ac4de50 2c2e40078f78260a4b4e50d0d986c12e38d57e921d8fcbb821e1ccae9ea9e28b 17205
-2+2+1+1 plc_behind_proxy feba0821 f91e3a0fd025b304afc308d67f518664b78e0391e4bf29676f3c3b9c0f127d5f 17230
-2+2+1+1 no_cross_iface_arp 8ac4de50 2c2e40078f78260a4b4e50d0d986c12e38d57e921d8fcbb821e1ccae9ea9e28b 17205
-2+2+1+1 os 8ac4de50 2c2e40078f78260a4b4e50d0d986c12e38d57e921d8fcbb821e1ccae9ea9e28b 17205
+2+2+1+1 deployed 8ac4de50 2c2e40078f78260a4b4e50d0d986c12e38d57e921d8fcbb821e1ccae9ea9e28b 17207
+2+2+1+1 none 438bed5f 0d6f9b62b65f0277ecb9a3b2b905b8f5e15f0e2224a5abc02cca40593718b6e2 19486
+2+2+1+1 static_arp 8ac4de50 f97dc9c3c3c10aa0783a82836b8ec3f9407fef578518db4a05fe8415462926c9 18877
+2+2+1+1 static_switch c78073f7 2c2e40078f78260a4b4e50d0d986c12e38d57e921d8fcbb821e1ccae9ea9e28b 17654
+2+2+1+1 firewall_lockdown 8ac4de50 0d6f9b62b65f0277ecb9a3b2b905b8f5e15f0e2224a5abc02cca40593718b6e2 17367
+2+2+1+1 isolated_internal 8ac4de50 2c2e40078f78260a4b4e50d0d986c12e38d57e921d8fcbb821e1ccae9ea9e28b 17207
+2+2+1+1 plc_behind_proxy feba0821 f91e3a0fd025b304afc308d67f518664b78e0391e4bf29676f3c3b9c0f127d5f 17242
+2+2+1+1 no_cross_iface_arp 8ac4de50 2c2e40078f78260a4b4e50d0d986c12e38d57e921d8fcbb821e1ccae9ea9e28b 17207
+2+2+1+1 os 8ac4de50 2c2e40078f78260a4b4e50d0d986c12e38d57e921d8fcbb821e1ccae9ea9e28b 17207
 6@1 deployed abfd7402 028d06749f52150f14d6f4076268d138c4994b27e0505c1517b8edfaa3211fe0 12521
 6@1 none ce826ee6 17508ab27b72e1264ca0d3a37aee8c7be92ec2cf558923563d35ea76946014c8 17234
 6@1 static_arp abfd7402 7a57218902c30080dc4c2eae5b156e9f234f56d6e22887f65bf27cbb30eee962 14186

@@ -19,9 +19,9 @@ use bench::saturation::{e11_default_rates, e11_saturation, e11_saturation_with, 
 /// to 5 ms to a tail member, never a regime change).
 #[test]
 fn batched_knee_moves_at_least_5x_at_equal_preknee_p99() {
-    let legacy = e11_saturation(GOLDEN_SEED, &e11_default_rates());
-    let legacy_knee =
-        legacy.steps[legacy.knee_index().expect("unbatched ramp has a knee")].offered_per_s;
+    let unbatched = e11_saturation(GOLDEN_SEED, &e11_default_rates());
+    let unbatched_knee =
+        unbatched.steps[unbatched.knee_index().expect("unbatched ramp has a knee")].offered_per_s;
 
     // The full batched ramp is ~90 s of release wall-clock; the reduced
     // ramp keeps the same base step, two shared pre-knee rates, the
@@ -39,14 +39,14 @@ fn batched_knee_moves_at_least_5x_at_equal_preknee_p99() {
         batched.steps[batched.knee_index().expect("batched ramp has a knee")].offered_per_s;
 
     assert!(
-        batched_knee >= 5 * legacy_knee && batched_knee >= 8000,
-        "knee moved {legacy_knee} -> {batched_knee}, below the 5x / 8000-per-s bar"
+        batched_knee >= 5 * unbatched_knee && batched_knee >= 8000,
+        "knee moved {unbatched_knee} -> {batched_knee}, below the 5x / 8000-per-s bar"
     );
     for b in &batched.steps {
-        if b.offered_per_s >= legacy_knee {
+        if b.offered_per_s >= unbatched_knee {
             continue;
         }
-        let l = legacy
+        let l = unbatched
             .steps
             .iter()
             .find(|s| s.offered_per_s == b.offered_per_s)
@@ -62,9 +62,9 @@ fn batched_knee_moves_at_least_5x_at_equal_preknee_p99() {
 }
 
 /// At the unbatched knee rate (1600 updates/s), pre-order dissemination
-/// — per-update PoRequests plus every batch_* stack — must charge less
-/// than 15% of the step's simulated time with batching on. The issue's
-/// baseline: `prime;preorder;po_request` alone was 42.8% unbatched.
+/// — every batch_* stack — must charge less than 15% of the step's
+/// simulated time with batching on. Unbatched, the batches of one
+/// (`prime;preorder;batch_request`) charge 42.8% there.
 #[test]
 fn batched_dissemination_cost_under_15_percent_at_old_knee() {
     obs::prof::set_enabled(true);
@@ -76,10 +76,7 @@ fn batched_dissemination_cost_under_15_percent_at_old_knee() {
     let total = prof.total_time_us().max(1);
     let dissemination: u64 = prof
         .rows()
-        .filter(|(stack, _)| {
-            stack.starts_with("prime;preorder;po_request")
-                || stack.starts_with("prime;preorder;batch_")
-        })
+        .filter(|(stack, _)| stack.starts_with("prime;preorder;batch_"))
         .map(|(_, cost)| cost.time_us)
         .sum();
     assert!(

@@ -281,9 +281,8 @@ fn a_flag_the_experiment_does_not_take_is_refused() {
 }
 
 /// A numeric flag is parsed as the type it is stored in: one past
-/// `u32::MAX` is not a number for the `u32` flags (it used to wrap to 0,
-/// `--batch` silently running the legacy ramp), and still one for
-/// `--steps`, a `usize`.
+/// `u32::MAX` is not a number for the `u32` flags (it used to wrap to 0
+/// silently), and still one for `--steps`, a `usize`.
 #[test]
 fn numeric_flags_do_not_wrap() {
     let big = (u64::from(u32::MAX) + 1).to_string();

@@ -15,7 +15,7 @@ struct Charge {
 }
 
 const STACKS: &[&str] = &[
-    "prime;preorder;po_request",
+    "prime;preorder;batch_request",
     "prime;preorder;po_aru",
     "prime;order;pre_prepare",
     "prime;order;commit",

@@ -861,7 +861,7 @@ proptest! {
     }
 }
 
-// ---- Merkle-batched PO-Request dissemination (E11 tentpole) ----
+// ---- Merkle-batched pre-order dissemination (E11 tentpole) ----
 //
 // Batching must be a pure amortization of the pre-ordering hot path:
 // the wire form must roundtrip for any member set, every member must
@@ -1148,19 +1148,19 @@ fn batched_cluster_delivers_identical_client_update_sequence() {
         (16, 8, 1, 2),
         (7, 3, 8, 1),
     ] {
-        let legacy = run(Config::plant(), n_updates, burst);
+        let unbatched = run(Config::plant(), n_updates, burst);
         let batched = run(
             Config::plant().with_batching(batch_max, pipeline),
             n_updates,
             burst,
         );
         assert_eq!(
-            legacy.len(),
+            unbatched.len(),
             n_updates,
             "unbatched run executed everything (batch={batch_max} pipe={pipeline})"
         );
         assert_eq!(
-            legacy, batched,
+            unbatched, batched,
             "batching changed the delivered sequence \
              (n={n_updates} batch={batch_max} pipe={pipeline} burst={burst})"
         );
