@@ -129,6 +129,17 @@ if grep -rn --include='*.rs' 'transfer_dedup' crates src tests | grep -v '^crate
     exit 1
 fi
 
+echo "==> one pre-ordering path"
+# Every pre-order slot is disseminated in a Merkle batch (a batch of one
+# at the default `Config::batch_max` of 1) and served on a fetch as a
+# batch member: no per-update request or its reconciliation reply, no
+# envelope store beside the batches, no branch on the batch size.
+if grep -rnE --include='*.rs' \
+    'PrimeMsg::PoRequest \{|PoData|po_envelopes|accept_po_request|on_po_data|batch_max (>|==) 0' \
+    crates src tests; then
+    exit 1
+fi
+
 echo "==> a unicast is handed to its destination; one key per link direction"
 # Commands to a proxy and frames to an HMI are Spines unicasts, which a
 # relay next to the destination hands straight over (spines::daemon::flood);
